@@ -208,24 +208,25 @@ func (c *Classification) UpdateClassWeightsFromW() {
 // AutoClass's update_approximations performs.
 func (c *Classification) RefreshPosterior() {
 	lp := 0.0
-	pis := make([]float64, c.J())
-	for j, cl := range c.Classes {
-		pis[j] = math.Exp(cl.LogPi)
+	for _, cl := range c.Classes {
 		for _, t := range cl.Terms {
 			lp += t.LogPrior()
 		}
 	}
-	lp += logSymmetricDirichletAt(pis, c.Priors.DirichletAlpha)
+	lp += c.logMixingPrior()
 	c.LogPrior = lp
 	c.LogPost = c.LogLik + c.LogPrior
 }
 
-// logSymmetricDirichletAt is the log density of a symmetric Dirichlet at p.
-func logSymmetricDirichletAt(p []float64, alpha float64) float64 {
-	k := float64(len(p))
+// logMixingPrior is the log density of the symmetric Dirichlet prior at
+// the mixing weights π_j = exp(LogPi_j).
+func (c *Classification) logMixingPrior() float64 {
+	alpha := c.Priors.DirichletAlpha
+	k := float64(c.J())
 	logp := stats.LgammaPlus(k*alpha) - k*stats.LgammaPlus(alpha)
 	if alpha != 1 {
-		for _, v := range p {
+		for _, cl := range c.Classes {
+			v := math.Exp(cl.LogPi)
 			if v <= 0 {
 				return math.Inf(-1)
 			}

@@ -125,11 +125,14 @@ func TestWeightsAreNormalizedPerItem(t *testing.T) {
 	if _, err := eng.BaseCycle(); err != nil {
 		t.Fatal(err)
 	}
+	// The weights the fused pass folds: the block normalizer's output.
 	j := cls.J()
+	wts := make([]float64, ds.N()*j)
+	blockedEStep(eng, make([]float64, j+1), wts)
 	for i := 0; i < ds.N(); i++ {
 		sum := 0.0
 		for cj := 0; cj < j; cj++ {
-			w := eng.wts[i*j+cj]
+			w := wts[i*j+cj]
 			if w < 0 || w > 1 {
 				t.Fatalf("item %d class %d weight %v out of [0,1]", i, cj, w)
 			}
@@ -270,9 +273,15 @@ func TestPruningRemovesEmptyClasses(t *testing.T) {
 	if cls.J() < 1 {
 		t.Fatalf("all classes pruned")
 	}
-	// Weights matrix must track the new width.
-	if len(eng.wts) != ds.N()*cls.J() {
-		t.Fatalf("wts len %d != %d", len(eng.wts), ds.N()*cls.J())
+	// The fused pass's accumulators must track the new width: J class
+	// sums, the log-likelihood, and one statistics vector per surviving
+	// (class, term).
+	combined, offs := eng.localPass()
+	if want := cls.J()*len(cls.Classes[0].Terms) + 1; len(offs) != want {
+		t.Fatalf("%d statistics offsets, want %d", len(offs), want)
+	}
+	if want := cls.J() + 1 + offs[len(offs)-1]; len(combined) != want {
+		t.Fatalf("fused pass buffer len %d != %d", len(combined), want)
 	}
 }
 

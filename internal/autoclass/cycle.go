@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/dataset"
-	"repro/internal/model"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -154,7 +153,12 @@ func (c Config) validate() error {
 // values exchanged through the Reducer.
 type CycleStats struct {
 	// WtsSeconds, ParamsSeconds and ApproxSeconds are the wall-clock
-	// durations of the three phases.
+	// durations of the three phases. Blocked kernels run the E-step and
+	// the statistics accumulation as one fused pass over the data
+	// (lowmem.go), so WtsSeconds covers that whole pass plus the weights
+	// reduction, and ParamsSeconds only the statistics exchange and the
+	// term updates. The Reference oracle keeps the two-pass split, with
+	// the accumulation pass in ParamsSeconds.
 	WtsSeconds, ParamsSeconds, ApproxSeconds float64
 	// ReducedValues counts float64s passed through the Reducer.
 	ReducedValues int
@@ -233,7 +237,7 @@ type Engine struct {
 	reducer Reducer
 	charger Charger
 
-	wts         []float64 // local weights, n_local × J, row-major
+	wts         []float64 // Reference only: local weights, n_local × J, row-major
 	belowTol    int       // consecutive cycles below RelDelta
 	lastPost    float64
 	started     bool
@@ -247,11 +251,9 @@ type Engine struct {
 	// distributed checkpoint protocol) and may abort the run.
 	cycleHook CycleHook
 
-	scratch  shardScratch // per-shard accumulators, reused across cycles
-	statsBuf []float64    // merged statistics buffer, reused across cycles
-	logps    [][]float64  // per-worker log-membership scratch
-	wtsOut   []float64    // E-step result buffer {w_j..., logLik}, reused
-	offs     []int        // (class, term) statistics offsets, reused
+	scratch shardScratch // per-shard accumulators, reused across cycles
+	passAcc []float64    // merged {w_j, logLik | statistics}, reused
+	offs    []int        // (class, term) statistics offsets, reused
 
 	// Bounded-staleness state (see staleness.go): the global model at the
 	// last synchronization point — class weights plus log-likelihood
@@ -267,22 +269,16 @@ type Engine struct {
 	pollBuf   [1]float64 // drift-bound agreement flag
 
 	// Blocked-kernel state (see kernels.go): the view's column-major
-	// mirror, one kernel per (class, term) with the term-identity snapshot
-	// that detects structural change, and per-worker block scratch.
-	cols      *dataset.Columns
-	kerns     [][]model.Kernel
-	kernTerms [][]model.Term
-	blockScr  []*blockScratch
+	// mirror, the (class, term) kernel set, and per-worker scratch.
+	cols     *dataset.Columns
+	kerns    kernelSet
+	blockScr []*blockScratch
 
 	// Chunk-backed ("out-of-core") state: when the view's dataset is
-	// chunk-backed the engine walks its chunk plane through per-worker
-	// cursors instead of a monolithic mirror, and runs the fused low-
-	// memory cycle (lowmem.go) that never materializes the n×J weights
-	// matrix. fusedBuf is the merged {wtsOut | stats} buffer of that
-	// cycle, reused across cycles.
-	chunked  bool
-	src      dataset.ChunkSrc
-	fusedBuf []float64
+	// chunk-backed the fused pass (lowmem.go) walks its chunk plane
+	// through per-worker cursors instead of a monolithic mirror.
+	chunked bool
+	src     dataset.ChunkSrc
 }
 
 // NewEngine validates inputs and builds an engine.
@@ -302,16 +298,11 @@ func NewEngine(view *dataset.View, cls *Classification, cfg Config, red Reducer,
 		lastPost: math.Inf(-1),
 	}
 	if view.Dataset().Chunked() {
-		// The chunk-backed data plane serves only the blocked kernels (the
+		// The chunk-backed data plane serves only the blocked kernels: the
 		// Reference per-row path walks row slices that virtual datasets do
-		// not have), and the bounded-staleness schedule needs the
-		// materialized weights matrix the fused low-memory cycle exists to
-		// avoid.
+		// not have.
 		if cfg.Kernels != Blocked {
 			return nil, errors.New("autoclass: Reference kernels require a materialized dataset")
-		}
-		if cfg.EffectiveSyncEvery() > 1 {
-			return nil, errors.New("autoclass: SyncEvery > 1 is not supported on a chunk-backed dataset")
 		}
 		src, err := view.ChunkSrc()
 		if err != nil {
@@ -415,109 +406,6 @@ func (e *Engine) reduce(buf []float64) (int, error) {
 	return len(buf), nil
 }
 
-// InitRandom seeds the classification: every item is crisply assigned to a
-// starting class by a partition-independent hash of (seed, global index),
-// and one update_parameters pass turns those assignments into initial
-// parameters. All ranks calling InitRandom with the same seed produce the
-// identical initial classification.
-func (e *Engine) InitRandom(seed uint64) error {
-	t0 := time.Now()
-	n := e.view.N()
-	j := e.cls.J()
-	if j < 1 {
-		return errors.New("autoclass: no classes to initialize")
-	}
-	if e.chunked {
-		// The fused low-memory path: the crisp assignment is a pure
-		// function of (seed, global index), so the class weights and the
-		// initial statistics are accumulated directly from the hash — no
-		// n×J weights matrix. Adding the materialized path's zeros is
-		// exact, so the weights (and everything downstream) are bitwise
-		// the values the materialized init produces.
-		return e.initRandomFused(seed, t0)
-	}
-	e.wts = make([]float64, n*j)
-	start := e.view.Start()
-	for i := 0; i < n; i++ {
-		e.wts[i*j+InitialClass(seed, start+i, j)] = 1
-	}
-	e.charge(float64(n))
-	// Local class weights from the crisp assignment.
-	wj := make([]float64, j)
-	for i := 0; i < n; i++ {
-		for cj := 0; cj < j; cj++ {
-			wj[cj] += e.wts[i*j+cj]
-		}
-	}
-	if _, err := e.reduce(wj); err != nil {
-		return fmt.Errorf("autoclass: init reduce: %w", err)
-	}
-	for cj, cl := range e.cls.Classes {
-		cl.W = wj[cj]
-	}
-	e.cls.UpdateClassWeightsFromW()
-	if _, _, err := e.updateParameters(); err != nil {
-		return err
-	}
-	e.updateApproximations()
-	e.started = true
-	e.initSeconds = time.Since(t0).Seconds()
-	return nil
-}
-
-// updateWts is the E-step (paper Fig. 4): compute w_ij for every local item
-// and class, normalize per item, and produce the class sums w_j plus the
-// data log-likelihood. The returned buffer is {w_0 … w_{J−1}, logLik},
-// which the caller reduces globally — this is P-AutoClass's first Allreduce.
-//
-// With Parallelism != 0 the rows are processed shard by shard on a worker
-// pool; each worker writes only its shard's rows of e.wts (disjoint slices)
-// and a per-shard accumulator, merged afterwards in fixed shard order.
-func (e *Engine) updateWts() ([]float64, error) {
-	n := e.view.N()
-	j := e.cls.J()
-	if len(e.wts) != n*j {
-		e.wts = make([]float64, n*j)
-	}
-	if cap(e.wtsOut) < j+1 {
-		e.wtsOut = make([]float64, j+1)
-	}
-	out := e.wtsOut[:j+1]
-	for i := range out {
-		out[i] = 0
-	}
-	blocked := e.cfg.Kernels == Blocked
-	if blocked {
-		e.prepareKernels()
-	}
-	if shards := NumRowShards(n); e.cfg.Parallelism != 0 && shards > 0 {
-		workers := e.cfg.Workers(shards)
-		bufs := e.scratch.get(shards, j+1)
-		if blocked {
-			scr := e.workerBlockScratch(workers, j)
-			ParallelFor(workers, shards, func(worker, s int) {
-				lo, hi := RowShardRange(s, n)
-				e.wtsRowsBlocked(lo, hi, bufs[s], scr[worker])
-			})
-		} else {
-			logps := e.workerLogps(workers, j)
-			ParallelFor(workers, shards, func(worker, s int) {
-				lo, hi := RowShardRange(s, n)
-				e.wtsRows(lo, hi, bufs[s], logps[worker][:j])
-			})
-		}
-		mergeShards(out, bufs)
-	} else if blocked {
-		e.wtsRowsBlocked(0, n, out, e.workerBlockScratch(1, j)[0])
-	} else {
-		e.wtsRows(0, n, out, e.workerLogps(1, j)[0][:j])
-	}
-	e.closeCursors()
-	a := float64(e.cls.NumAttrColumns())
-	e.charge(float64(n) * float64(j) * (a + 1))
-	return out, nil
-}
-
 // wtsRows runs the E-step over rows [lo, hi), writing each row's weights
 // into e.wts and accumulating the class sums and log-likelihood into out
 // (length J+1). logp is caller-owned scratch of length J. It only reads
@@ -539,48 +427,12 @@ func (e *Engine) wtsRows(lo, hi int, out, logp []float64) {
 	}
 }
 
-// workerLogps returns per-worker scratch vectors of length j, reused
-// across cycles.
-func (e *Engine) workerLogps(workers, j int) [][]float64 {
-	if len(e.logps) < workers {
-		e.logps = make([][]float64, workers)
-	}
-	for w := 0; w < workers; w++ {
-		if len(e.logps[w]) < j {
-			e.logps[w] = make([]float64, j)
-		}
-	}
-	return e.logps
-}
-
-// updateParameters is the M-step (paper Fig. 5): for every class and every
-// term block, accumulate weighted sufficient statistics over the local
-// items, reduce them globally, and re-estimate the parameters. With PerTerm
-// granularity the reduction happens inside the class × block loops exactly
-// as in the paper's figure; with Packed granularity all statistics travel
-// in one reduction.
-func (e *Engine) updateParameters() (reducedValues, reductions int, err error) {
-	n := e.view.N()
-	j := e.cls.J()
-	if e.cfg.Granularity != PerTerm && e.cfg.Granularity != Packed {
-		return 0, 0, fmt.Errorf("autoclass: unknown granularity %d", int(e.cfg.Granularity))
-	}
-	buf, offs := e.accumulateStats()
-	reducedValues, reductions, err = e.exchangeStats(buf, offs)
-	if err != nil {
-		return reducedValues, reductions, err
-	}
-	a := float64(e.cls.NumAttrColumns())
-	e.charge(float64(n) * float64(j) * a)
-	return reducedValues, reductions, nil
-}
-
 // exchangeStats reduces the accumulated statistics globally and
 // re-estimates every term — the exchange half of update_parameters,
-// shared by the two-pass cycle, the fused low-memory cycle, and the fused
-// initialization. The reduction pattern — one Allreduce per (class, term)
-// pair, or one packed exchange — is untouched by how the statistics were
-// accumulated.
+// shared by the synchronous cycle and the initialization. With PerTerm
+// granularity the reduction happens inside the class × block loops
+// exactly as in the paper's Fig. 5; with Packed granularity all statistics
+// travel in one reduction.
 func (e *Engine) exchangeStats(buf []float64, offs []int) (reducedValues, reductions int, err error) {
 	return exchangeClassStats(e.cls, e.cfg.Granularity, e.reduce, buf, offs)
 }
@@ -622,55 +474,10 @@ func exchangeClassStats(cls *Classification, g Granularity, reduce func([]float6
 				ti++
 			}
 		}
+	default:
+		return 0, 0, fmt.Errorf("autoclass: unknown granularity %d", int(g))
 	}
 	return reducedValues, reductions, nil
-}
-
-// accumulateStats folds the local rows into every (class, term) statistic in
-// one row-major pass. Each slot's additions still happen in ascending row
-// order, so the totals are bitwise the ones the per-term loops would
-// produce, and the single pass over the rows is kinder to the cache and
-// shardable. The offset table lives on the engine and is rebuilt in place
-// each call (class pruning can shrink it), allocating only when it grows.
-// The returned buf holds the LOCAL (unreduced) statistics.
-func (e *Engine) accumulateStats() ([]float64, []int) {
-	n := e.view.N()
-	j := e.cls.J()
-	offs, total := e.statOffsets()
-	if cap(e.statsBuf) < total {
-		e.statsBuf = make([]float64, total)
-	}
-	buf := e.statsBuf[:total]
-	for i := range buf {
-		buf[i] = 0
-	}
-	blocked := e.cfg.Kernels == Blocked
-	if blocked {
-		e.prepareKernels()
-	}
-	if shards := NumRowShards(n); e.cfg.Parallelism != 0 && shards > 0 {
-		workers := e.cfg.Workers(shards)
-		bufs := e.scratch.get(shards, total)
-		if blocked {
-			scr := e.workerBlockScratch(workers, j)
-			ParallelFor(workers, shards, func(worker, s int) {
-				lo, hi := RowShardRange(s, n)
-				e.statsRowsBlocked(lo, hi, bufs[s], offs, scr[worker])
-			})
-		} else {
-			ParallelFor(workers, shards, func(_, s int) {
-				lo, hi := RowShardRange(s, n)
-				e.statsRows(lo, hi, bufs[s], offs)
-			})
-		}
-		mergeShards(buf, bufs)
-	} else if blocked {
-		e.statsRowsBlocked(0, n, buf, offs, e.workerBlockScratch(1, j)[0])
-	} else {
-		e.statsRows(0, n, buf, offs)
-	}
-	e.closeCursors()
-	return buf, offs
 }
 
 // statOffsets rebuilds the (class, term) statistics offset table in place
@@ -719,8 +526,7 @@ func (e *Engine) updateApproximations() {
 }
 
 // pruneDeadClasses removes classes whose global weight fell below
-// MinClassWeight, compacting the local weights matrix to match. The
-// decision uses globally reduced W values, so every rank prunes
+// MinClassWeight. The decision uses globally reduced W values, so every rank prunes
 // identically. It returns the kept class indices when classes were removed
 // and nil when nothing changed, so the bounded-staleness path can compact
 // its sync baselines with the same mapping.
@@ -748,22 +554,11 @@ func (e *Engine) pruneDeadClasses() []int {
 		}
 		keep = []int{best}
 	}
+	// Weights are recomputed from the parameters every cycle, so there is
+	// no weights matrix to compact.
 	newClasses := make([]*Class, len(keep))
 	for ni, cj := range keep {
 		newClasses[ni] = e.cls.Classes[cj]
-	}
-	// The fused low-memory cycle never materializes the weights matrix —
-	// weights are recomputed from the parameters every cycle, so there is
-	// nothing to compact.
-	if e.wts != nil {
-		n := e.view.N()
-		newWts := make([]float64, n*len(keep))
-		for i := 0; i < n; i++ {
-			for ni, cj := range keep {
-				newWts[i*len(keep)+ni] = e.wts[i*j+cj]
-			}
-		}
-		e.wts = newWts
 	}
 	e.cls.Classes = newClasses
 	e.cls.UpdateClassWeightsFromW()
@@ -783,15 +578,11 @@ func (e *Engine) BaseCycle() (CycleStats, error) {
 	if e.staleActive() {
 		return e.staleCycle()
 	}
-	if e.chunked {
-		return e.fusedCycle()
-	}
 	cs.Synced = true
 	t0 := time.Now()
-	wtsOut, err := e.updateWts()
-	if err != nil {
-		return cs, err
-	}
+	combined, offs := e.localPass()
+	j := e.cls.J()
+	wtsOut := combined[:j+1]
 	v, err := e.reduce(wtsOut)
 	if err != nil {
 		return cs, fmt.Errorf("autoclass: reduce wts: %w", err)
@@ -800,7 +591,6 @@ func (e *Engine) BaseCycle() (CycleStats, error) {
 		cs.ReducedValues += v
 		cs.Reductions++
 	}
-	j := e.cls.J()
 	for cj, cl := range e.cls.Classes {
 		cl.W = wtsOut[cj]
 	}
@@ -808,12 +598,14 @@ func (e *Engine) BaseCycle() (CycleStats, error) {
 	cs.WtsSeconds = time.Since(t0).Seconds()
 
 	t1 := time.Now()
-	rv, rn, err := e.updateParameters()
+	e.statsPass(combined[j+1:], offs)
+	rv, rn, err := e.exchangeStats(combined[j+1:], offs)
 	if err != nil {
 		return cs, err
 	}
 	cs.ReducedValues += rv
 	cs.Reductions += rn
+	e.charge(float64(e.view.N()) * float64(j) * float64(e.cls.NumAttrColumns()))
 	cs.ParamsSeconds = time.Since(t1).Seconds()
 
 	t2 := time.Now()

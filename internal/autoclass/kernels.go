@@ -1,8 +1,6 @@
 package autoclass
 
 import (
-	"math"
-
 	"repro/internal/dataset"
 	"repro/internal/model"
 )
@@ -63,8 +61,9 @@ func itoa(v int) string {
 // RowShardSize, so the block grid inside every shard is identical whether a
 // shard is processed alone or as part of a larger sequential range — the
 // blocked path stays bitwise deterministic for every Parallelism setting.
-// 256 rows × 8 classes of log-probabilities is 16 KiB of scratch, which
-// fits comfortably in L1.
+// A block holds one 2 KiB log-probability vector per class, so the
+// per-worker scratch grows with J (128 KiB at J=64); the class-major
+// normalizer streams through it one contiguous class vector at a time.
 const KernelBlockRows = 256
 
 // The chunked data plane's grid must stay in lockstep with the kernel
@@ -76,31 +75,154 @@ var (
 	_ [dataset.ChunkAlign - KernelBlockRows]struct{}
 )
 
-// blockScratch is one worker's blocked-kernel scratch: per-class
-// log-probability vectors for the fused E-step, a gathered weight column
-// for the M-step (each KernelBlockRows long), and — on chunk-backed views
-// — the worker's chunk cursor, pinning exactly the chunk under its blocks.
+// kernelSet caches one blocked kernel per (class, term), keyed on term
+// identity. When the class/term structure is unchanged the kernels are
+// merely Refreshed against the current parameters, so the steady state
+// allocates nothing; pruning (or a restored classification) changes the
+// term set and triggers a rebuild. Shared by the engine, the Predictor and
+// the StreamTrainer.
+type kernelSet struct {
+	k     [][]model.Kernel
+	terms [][]model.Term
+}
+
+// prepare readies the set for the classes' current parameters.
+func (ks *kernelSet) prepare(classes []*Class) {
+	same := len(ks.terms) == len(classes)
+	if same {
+	check:
+		for cj, cl := range classes {
+			if len(ks.terms[cj]) != len(cl.Terms) {
+				same = false
+				break
+			}
+			for bi, t := range cl.Terms {
+				if ks.terms[cj][bi] != t {
+					same = false
+					break check
+				}
+			}
+		}
+	}
+	if same {
+		for _, row := range ks.k {
+			for _, k := range row {
+				k.Refresh()
+			}
+		}
+		return
+	}
+	ks.k = make([][]model.Kernel, len(classes))
+	ks.terms = make([][]model.Term, len(classes))
+	for cj, cl := range classes {
+		ks.k[cj] = make([]model.Kernel, len(cl.Terms))
+		ks.terms[cj] = append([]model.Term(nil), cl.Terms...)
+		for bi, t := range cl.Terms {
+			ks.k[cj][bi] = t.Kernel()
+		}
+	}
+}
+
+// blockScratch is one worker's scratch, owned by exactly one goroutine at
+// a time: per-class block vectors (KernelBlockRows long) that hold the
+// log-memberships and then, in place, the normalized weights; a synthesized
+// weight column for the crisp initialization; the kernels' own scratch;
+// the normalizer's per-row vectors; a per-row log-membership vector for the
+// Reference path; and — on chunk-backed views — the worker's chunk cursor,
+// pinning exactly the chunk under its blocks.
 type blockScratch struct {
 	lp   [][]float64
 	wcol []float64
+	logp []float64
+	ks   model.Scratch
+	norm normScratch
 	cur  dataset.ChunkCursor
 }
 
-// workerBlockScratch returns per-worker blocked scratch sized for j
-// classes, reused across cycles. On a chunk-backed view each worker's
-// cursor is pointed at the view's chunk source for the coming phase.
-func (e *Engine) workerBlockScratch(workers, j int) []*blockScratch {
+// grow sizes the scratch for j classes, allocating only when j grows.
+func (bs *blockScratch) grow(j int) {
+	for len(bs.lp) < j {
+		bs.lp = append(bs.lp, make([]float64, KernelBlockRows))
+	}
+	if bs.wcol == nil {
+		bs.wcol = make([]float64, KernelBlockRows)
+	}
+	if len(bs.logp) < j {
+		bs.logp = make([]float64, j)
+	}
+}
+
+// logMembership evaluates rows [lo, hi) of cols under every class: on
+// return lp[cj][:hi-lo] holds log π_j plus every term's blocked
+// log-likelihood.
+func (bs *blockScratch) logMembership(classes []*Class, kerns [][]model.Kernel, cols *dataset.Columns, lo, hi int) [][]float64 {
+	lp := bs.lp[:len(classes)]
+	for cj, cl := range classes {
+		v := lp[cj][:hi-lo]
+		for r := range v {
+			v[r] = cl.LogPi
+		}
+		for _, k := range kerns[cj] {
+			k.BlockLogProb(cols, lo, hi, v, &bs.ks)
+		}
+	}
+	return lp
+}
+
+// emBlock is the fused E+M step of one row block [lo, hi) of cols, shared
+// by the engine's fused pass and the StreamTrainer: log-memberships,
+// class-major normalization, the class sums and log-likelihood folded into
+// acc[:J+1], then every class's weight vector — the scratch the
+// normalizer just filled — folded straight into its terms' statistics in
+// acc[J+1:] at the (class, term) offsets offs.
+func (bs *blockScratch) emBlock(classes []*Class, kerns [][]model.Kernel, cols *dataset.Columns, lo, hi int, acc []float64, offs []int) {
+	j := len(classes)
+	m := hi - lo
+	w := bs.logMembership(classes, kerns, cols, lo, hi)
+	bs.norm.normalize(w, m)
+	bs.norm.fold(w, m, acc[:j+1])
+	buf := acc[j+1:]
+	ti := 0
+	for cj := range classes {
+		for _, k := range kerns[cj] {
+			k.BlockAccumulateStats(cols, w[cj][:m], lo, hi, buf[offs[ti]:offs[ti+1]], &bs.ks)
+			ti++
+		}
+	}
+}
+
+// crispStatsBlock folds rows [lo, hi) of cols into the statistics under
+// the crisp initial assignment: class cj's weight column is 1 where the
+// hash assigns the row (global index first+r) to cj and 0 elsewhere — the
+// values a materialized crisp weights matrix would hold.
+func (bs *blockScratch) crispStatsBlock(classes []*Class, kerns [][]model.Kernel, cols *dataset.Columns, lo, hi, first int, seed uint64, buf []float64, offs []int) {
+	j := len(classes)
+	wcol := bs.wcol[:hi-lo]
+	ti := 0
+	for cj := range classes {
+		for r := range wcol {
+			wcol[r] = 0
+			if InitialClass(seed, first+r, j) == cj {
+				wcol[r] = 1
+			}
+		}
+		for _, k := range kerns[cj] {
+			k.BlockAccumulateStats(cols, wcol, lo, hi, buf[offs[ti]:offs[ti+1]], &bs.ks)
+			ti++
+		}
+	}
+}
+
+// workerScratch returns per-worker scratch sized for j classes, reused
+// across cycles. On a chunk-backed view each worker's cursor is pointed at
+// the view's chunk source for the coming pass.
+func (e *Engine) workerScratch(workers, j int) []*blockScratch {
 	for len(e.blockScr) < workers {
 		e.blockScr = append(e.blockScr, &blockScratch{})
 	}
 	for w := 0; w < workers; w++ {
 		bs := e.blockScr[w]
-		for len(bs.lp) < j {
-			bs.lp = append(bs.lp, make([]float64, KernelBlockRows))
-		}
-		if bs.wcol == nil {
-			bs.wcol = make([]float64, KernelBlockRows)
-		}
+		bs.grow(j)
 		if e.chunked {
 			bs.cur.Reset(e.src)
 		}
@@ -109,8 +231,8 @@ func (e *Engine) workerBlockScratch(workers, j int) []*blockScratch {
 }
 
 // closeCursors releases every worker cursor's pinned chunk — called at the
-// end of each phase so a bounded-residency backing can evict freely
-// between phases.
+// end of each pass so a bounded-residency backing can evict freely
+// between passes.
 func (e *Engine) closeCursors() {
 	if !e.chunked {
 		return
@@ -131,139 +253,11 @@ func (e *Engine) block(bs *blockScratch, blo, bhi int) (cols *dataset.Columns, l
 	return e.cols, blo, bhi
 }
 
-// prepareKernels readies the blocked path for a phase: the column-major
-// mirror (built lazily once per view) and one kernel per (class, term).
-// Kernels are cached on the engine and reused across cycles — when the
-// class/term structure is unchanged they are merely Refreshed against the
-// current parameters, so the steady state allocates nothing. Pruning (or a
-// Restore with a different classification) changes the term set and
-// triggers a rebuild, detected by term identity.
+// prepareKernels readies the blocked path for a pass: the column-major
+// mirror (built lazily once per view) and the kernel set.
 func (e *Engine) prepareKernels() {
 	if !e.chunked && e.cols == nil {
 		e.cols = e.view.Columns()
 	}
-	classes := e.cls.Classes
-	same := len(e.kernTerms) == len(classes)
-	if same {
-	check:
-		for cj, cl := range classes {
-			if len(e.kernTerms[cj]) != len(cl.Terms) {
-				same = false
-				break
-			}
-			for bi, t := range cl.Terms {
-				if e.kernTerms[cj][bi] != t {
-					same = false
-					break check
-				}
-			}
-		}
-	}
-	if same {
-		for _, ks := range e.kerns {
-			for _, k := range ks {
-				k.Refresh()
-			}
-		}
-		return
-	}
-	e.kerns = make([][]model.Kernel, len(classes))
-	e.kernTerms = make([][]model.Term, len(classes))
-	for cj, cl := range classes {
-		e.kerns[cj] = make([]model.Kernel, len(cl.Terms))
-		e.kernTerms[cj] = append([]model.Term(nil), cl.Terms...)
-		for bi, t := range cl.Terms {
-			e.kerns[cj][bi] = t.Kernel()
-		}
-	}
-}
-
-// wtsRowsBlocked is the blocked E-step over rows [lo, hi): per row block,
-// every class's log-membership vector is produced by the blocked kernels
-// (LogPi broadcast + one BlockLogProb per term), then normalization, the
-// weight write-back and the class/log-likelihood accumulation are fused in
-// a second pass — zero interface calls and zero allocations per row. The
-// semantics match wtsRows + stats.NormalizeLog, including the all-(-Inf)
-// row convention (uniform weights, nothing added to the log-likelihood);
-// association differs, so results agree to ≤1e-12 relative rather than
-// bitwise.
-func (e *Engine) wtsRowsBlocked(lo, hi int, out []float64, bs *blockScratch) {
-	j := e.cls.J()
-	for blo := lo; blo < hi; blo += KernelBlockRows {
-		bhi := blo + KernelBlockRows
-		if bhi > hi {
-			bhi = hi
-		}
-		m := bhi - blo
-		cols, clo, chi := e.block(bs, blo, bhi)
-		for cj, cl := range e.cls.Classes {
-			lp := bs.lp[cj][:m]
-			logPi := cl.LogPi
-			for r := range lp {
-				lp[r] = logPi
-			}
-			for _, k := range e.kerns[cj] {
-				k.BlockLogProb(cols, clo, chi, lp)
-			}
-		}
-		for r := 0; r < m; r++ {
-			maxv := math.Inf(-1)
-			for cj := 0; cj < j; cj++ {
-				if v := bs.lp[cj][r]; v > maxv {
-					maxv = v
-				}
-			}
-			w := e.wts[(blo+r)*j : (blo+r+1)*j]
-			if math.IsInf(maxv, -1) {
-				u := 1 / float64(j)
-				for cj := 0; cj < j; cj++ {
-					w[cj] = u
-					out[cj] += u
-				}
-				continue
-			}
-			sum := 0.0
-			for cj := 0; cj < j; cj++ {
-				ev := math.Exp(bs.lp[cj][r] - maxv)
-				w[cj] = ev
-				sum += ev
-			}
-			inv := 1 / sum
-			for cj := 0; cj < j; cj++ {
-				wv := w[cj] * inv
-				w[cj] = wv
-				out[cj] += wv
-			}
-			out[j] += maxv + math.Log(sum)
-		}
-	}
-}
-
-// statsRowsBlocked is the blocked M-step over rows [lo, hi): per row block
-// and class, the weight column is gathered once from the row-major weights
-// matrix, then every term folds the whole block into its statistics slice
-// with one BlockAccumulateStats call. Slot order (class-major, term-minor)
-// and per-slot row order both match statsRows, so the fixed block grid
-// keeps the accumulation deterministic for every Parallelism setting.
-func (e *Engine) statsRowsBlocked(lo, hi int, buf []float64, offs []int, bs *blockScratch) {
-	j := e.cls.J()
-	for blo := lo; blo < hi; blo += KernelBlockRows {
-		bhi := blo + KernelBlockRows
-		if bhi > hi {
-			bhi = hi
-		}
-		m := bhi - blo
-		cols, clo, chi := e.block(bs, blo, bhi)
-		ti := 0
-		for cj, cl := range e.cls.Classes {
-			wcol := bs.wcol[:m]
-			for r := 0; r < m; r++ {
-				wcol[r] = e.wts[(blo+r)*j+cj]
-			}
-			for bi := range cl.Terms {
-				e.kerns[cj][bi].BlockAccumulateStats(cols, wcol, clo, chi, buf[offs[ti]:offs[ti+1]])
-				ti++
-			}
-		}
-	}
+	e.kerns.prepare(e.cls.Classes)
 }

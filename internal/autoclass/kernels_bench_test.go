@@ -26,16 +26,22 @@ func benchEngine(b *testing.B, n, j int, mode KernelMode) *Engine {
 
 // BenchmarkUpdateWts measures the E-step alone — the phase the paper's
 // Fig. 4 profile singles out as the dominant base_cycle cost — under both
-// kernel modes.
+// kernel modes: the fused pass's E-step half (kernels plus the class-major
+// normalizer) against the reference per-row loop.
 func BenchmarkUpdateWts(b *testing.B) {
 	for _, mode := range []KernelMode{Blocked, Reference} {
 		b.Run("kernels="+mode.String(), func(b *testing.B) {
 			eng := benchEngine(b, 10000, 8, mode)
+			n, j := eng.view.N(), eng.cls.J()
+			out := make([]float64, j+1)
+			logp := make([]float64, j)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.updateWts(); err != nil {
-					b.Fatal(err)
+				if mode == Blocked {
+					blockedEStep(eng, out, nil)
+				} else {
+					eng.wtsRows(0, n, out, logp)
 				}
 			}
 		})

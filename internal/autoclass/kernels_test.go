@@ -59,12 +59,69 @@ func specClassification(t testing.TB, ds *dataset.Dataset, spec model.Spec, j in
 	return cls
 }
 
+// blockedEStep runs the E-step half of the fused pass over all of the
+// engine's rows on one worker — per block the kernels, the class-major
+// normalizer and the class-sum fold — accumulating {w_j, logLik} into out.
+// When wts is non-nil it also receives every row's weights, row-major n×J.
+func blockedEStep(eng *Engine, out, wts []float64) {
+	n := eng.view.N()
+	j := eng.cls.J()
+	eng.prepareKernels()
+	bs := eng.workerScratch(1, j)[0]
+	for blo := 0; blo < n; blo += KernelBlockRows {
+		bhi := min(blo+KernelBlockRows, n)
+		m := bhi - blo
+		cols, clo, chi := eng.block(bs, blo, bhi)
+		w := bs.logMembership(eng.cls.Classes, eng.kerns.k, cols, clo, chi)
+		bs.norm.normalize(w, m)
+		bs.norm.fold(w, m, out)
+		if wts != nil {
+			for cj, v := range w {
+				for r, x := range v[:m] {
+					wts[(blo+r)*j+cj] = x
+				}
+			}
+		}
+	}
+	eng.closeCursors()
+}
+
+// blockedStats folds the row-major weights wts into the statistics with
+// the blocked kernels — per block and class, the weight column gathered
+// from the matrix, then one BlockAccumulateStats per term — in the slot
+// and row order of the fused pass.
+func blockedStats(eng *Engine, wts, buf []float64, offs []int) {
+	n := eng.view.N()
+	j := eng.cls.J()
+	eng.prepareKernels()
+	bs := eng.workerScratch(1, j)[0]
+	for blo := 0; blo < n; blo += KernelBlockRows {
+		bhi := min(blo+KernelBlockRows, n)
+		m := bhi - blo
+		cols, clo, chi := eng.block(bs, blo, bhi)
+		ti := 0
+		for cj := range eng.cls.Classes {
+			wcol := bs.wcol[:m]
+			for r := range wcol {
+				wcol[r] = wts[(blo+r)*j+cj]
+			}
+			for _, k := range eng.kerns.k[cj] {
+				k.BlockAccumulateStats(cols, wcol, clo, chi, buf[offs[ti]:offs[ti+1]], &bs.ks)
+				ti++
+			}
+		}
+	}
+	eng.closeCursors()
+}
+
 // TestBlockedMatchesReferencePhases is the property test of the blocked
-// kernels: on the same classification state, the blocked E-step must
-// reproduce the reference per-row weights, class sums and log-likelihood,
-// and the blocked M-step the reference statistics vectors, to ≤1e-12
-// relative — across every term kind, missing-value pattern, and dataset
-// sizes straddling the KernelBlockRows and RowShardSize boundaries.
+// kernels: on the same classification state, the blocked E-step (kernels
+// plus the class-major normalizer) must reproduce the reference per-row
+// weights, class sums and log-likelihood, the fused pass the reference
+// class sums and log-likelihood, and the blocked statistics accumulation
+// the reference statistics vectors, to ≤1e-12 relative — across every term
+// kind, missing-value pattern, and dataset sizes straddling the
+// KernelBlockRows and RowShardSize boundaries.
 func TestBlockedMatchesReferencePhases(t *testing.T) {
 	for _, n := range []int{1, 255, 256, 257, 1300} {
 		for _, sc := range kernelScenarios(t, n) {
@@ -92,12 +149,12 @@ func TestBlockedMatchesReferencePhases(t *testing.T) {
 				outR := make([]float64, j+1)
 				eng.wtsRows(0, n, outR, make([]float64, j))
 				wtsR := append([]float64(nil), eng.wts...)
-				eng.prepareKernels()
 				outB := make([]float64, j+1)
-				eng.wtsRowsBlocked(0, n, outB, eng.workerBlockScratch(1, j)[0])
+				wtsB := make([]float64, n*j)
+				blockedEStep(eng, outB, wtsB)
 				for i := range wtsR {
-					if !stats.AlmostEqual(eng.wts[i], wtsR[i], 1e-12) {
-						t.Fatalf("weight %d: blocked %v, reference %v", i, eng.wts[i], wtsR[i])
+					if !stats.AlmostEqual(wtsB[i], wtsR[i], 1e-12) {
+						t.Fatalf("weight %d: blocked %v, reference %v", i, wtsB[i], wtsR[i])
 					}
 				}
 				for k := range outR {
@@ -105,8 +162,16 @@ func TestBlockedMatchesReferencePhases(t *testing.T) {
 						t.Fatalf("E-step accumulator %d: blocked %v, reference %v", k, outB[k], outR[k])
 					}
 				}
+				// The fused pass's E-step half.
+				eng.cfg.Kernels = Blocked
+				combined, _ := eng.localPass()
+				eng.cfg.Kernels = Reference
+				for k := range outR {
+					if !stats.AlmostEqual(combined[k], outR[k], 1e-12) {
+						t.Fatalf("fused pass accumulator %d: blocked %v, reference %v", k, combined[k], outR[k])
+					}
+				}
 				// M-step over identical weights.
-				copy(eng.wts, wtsR)
 				offs := []int{}
 				total := 0
 				for _, cl := range cls.Classes {
@@ -119,7 +184,7 @@ func TestBlockedMatchesReferencePhases(t *testing.T) {
 				bufR := make([]float64, total)
 				eng.statsRows(0, n, bufR, offs)
 				bufB := make([]float64, total)
-				eng.statsRowsBlocked(0, n, bufB, offs, eng.workerBlockScratch(1, j)[0])
+				blockedStats(eng, wtsR, bufB, offs)
 				for s := range bufR {
 					if !stats.AlmostEqual(bufB[s], bufR[s], 1e-12) && !(bufB[s] == 0 && bufR[s] == 0) {
 						t.Fatalf("M-step stat %d: blocked %v, reference %v", s, bufB[s], bufR[s])
@@ -202,11 +267,12 @@ func TestBlockedDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestUpdatePhasesDoNotAllocate extends the AllocsPerRun guards to the two
-// hot phases themselves: after warm-up, updateWts and updateParameters must
-// run allocation-free in BOTH kernel modes — the per-cycle out/offs
-// allocations this PR hoisted into engine scratch must not regress, and the
-// blocked path's kernel cache must be fully steady-state.
+// TestUpdatePhasesDoNotAllocate extends the AllocsPerRun guards to the
+// hot path itself: after warm-up, the local pass (the fused pass under
+// Blocked, the E-step pass under Reference) and a whole BaseCycle, which
+// adds the Reference statistics pass and the exchange, must run
+// allocation-free in BOTH kernel modes — the per-cycle buffers live in
+// engine scratch and the kernel cache is fully steady-state.
 func TestUpdatePhasesDoNotAllocate(t *testing.T) {
 	for _, mode := range []KernelMode{Blocked, Reference} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -224,19 +290,15 @@ func TestUpdatePhasesDoNotAllocate(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if n := testing.AllocsPerRun(20, func() {
-				if _, err := eng.updateWts(); err != nil {
-					t.Fatal(err)
-				}
-			}); n != 0 {
-				t.Errorf("updateWts allocates %v times per cycle", n)
+			if n := testing.AllocsPerRun(20, func() { eng.localPass() }); n != 0 {
+				t.Errorf("local pass allocates %v times per cycle", n)
 			}
 			if n := testing.AllocsPerRun(20, func() {
-				if _, _, err := eng.updateParameters(); err != nil {
+				if _, err := eng.BaseCycle(); err != nil {
 					t.Fatal(err)
 				}
 			}); n != 0 {
-				t.Errorf("updateParameters allocates %v times per cycle", n)
+				t.Errorf("BaseCycle allocates %v times per cycle", n)
 			}
 		})
 	}

@@ -1,181 +1,189 @@
 package autoclass
 
 import (
+	"errors"
 	"fmt"
-	"math"
 	"time"
 )
 
-// The fused low-memory cycle: out-of-core training's answer to the n×J
-// weights matrix.
+// The fused pass: every blocked cycle's single sweep over the data.
 //
-// The two-pass BaseCycle materializes every row's class weights in
-// update_wts and re-reads them in update_parameters. At out-of-core row
-// counts that matrix is the RAM elephant — 100M rows × 8 classes is 6.4 GB
-// for the weights alone, dwarfing any chunk budget. On chunk-backed views
-// the engine therefore fuses the two data-parallel phases: each row block
-// computes its weights in block scratch, folds them into the class sums
-// AND the sufficient statistics immediately, and drops them. Memory per
-// worker is one chunk pin plus O(J·KernelBlockRows) scratch, independent
-// of n.
+// A cycle's two data-parallel phases — update_wts's E-step and the
+// statistics accumulation of update_parameters — evaluate the same
+// parameters (terms update only after the statistics exchange), so the
+// blocked engine runs them as one pass: each row block computes its
+// weights in block scratch, folds them into the class sums AND the
+// sufficient statistics immediately, and drops them. No n×J weights
+// matrix exists — at out-of-core row counts it would dwarf any chunk
+// budget (100M rows × 8 classes is 6.4 GB) — and memory per worker is one
+// chunk pin plus O(J·KernelBlockRows) scratch, independent of n. The
+// synchronous cycle, the bounded-staleness cycle and the crisp
+// initialization all use it, on materialized and chunk-backed views alike.
 //
-// The fusion is bitwise exact, not approximate. Both phases evaluate the
-// same parameters (terms update only after the statistics exchange), so
-// the weight values are identical; per statistics slot the block
+// Fusing changes no arithmetic against running the paper's two phases as
+// separate passes over a stored weights matrix: the weight values are
+// identical (same parameters, same normalizer); per statistics slot the
 // accumulation order within a shard is identical; the shard merge is the
-// same ascending-order merge (merging the concatenated {wtsOut | stats}
-// shard buffers element-wise is element-identical to merging the two
-// segments separately); and the reduce sequence — wtsOut first, then the
-// per-term (or packed) statistics exchange — is preserved. A fused
-// trajectory is therefore bit-for-bit the two-pass Blocked trajectory,
-// which the chunked-equivalence property tests assert across backings and
-// chunk sizes.
+// same ascending-order merge (merging the concatenated
+// {w_j, logLik | statistics} shard buffers element-wise is
+// element-identical to merging the two segments separately); and the
+// reduce sequence — w_j first, then the per-term (or packed) statistics
+// exchange — is the same. The chunked-equivalence and kill/resume
+// property tests assert the resulting trajectories across backings, chunk
+// sizes and Parallelism.
+//
+// The Reference oracle keeps the seed engine's two passes over a
+// materialized weights matrix: its local pass runs the E-step (wtsRows)
+// and statsPass, called at the M-step, the accumulation (statsRows), so
+// its phase timings keep the seed engine's two-pass split — the TPROF
+// experiment profiles them.
 
-// fusedCycle is BaseCycle for chunk-backed views: one pass over the data,
-// weights never stored.
-func (e *Engine) fusedCycle() (CycleStats, error) {
-	var cs CycleStats
-	cs.Synced = true
-	t0 := time.Now()
+// localPass runs the data-parallel work of a cycle against the current
+// parameters and returns the LOCAL (unreduced) {w_0 … w_{J−1}, logLik |
+// statistics} buffer with the (class, term) statistics offsets. The
+// statistics segment is complete once statsPass has run.
+func (e *Engine) localPass() ([]float64, []int) {
 	n := e.view.N()
 	j := e.cls.J()
-	e.prepareKernels()
 	offs, total := e.statOffsets()
 	width := j + 1 + total
-	if cap(e.fusedBuf) < width {
-		e.fusedBuf = make([]float64, width)
-	}
-	combined := e.fusedBuf[:width]
-	for i := range combined {
-		combined[i] = 0
+	combined := e.passBuf(width)
+	if e.cfg.Kernels == Blocked {
+		e.prepareKernels()
+	} else if len(e.wts) != n*j {
+		e.wts = make([]float64, n*j)
 	}
 	if shards := NumRowShards(n); e.cfg.Parallelism != 0 && shards > 0 {
 		workers := e.cfg.Workers(shards)
 		bufs := e.scratch.get(shards, width)
-		scr := e.workerBlockScratch(workers, j)
+		scr := e.workerScratch(workers, j)
 		ParallelFor(workers, shards, func(worker, s int) {
 			lo, hi := RowShardRange(s, n)
-			e.fusedRowsBlocked(lo, hi, bufs[s][:j+1], bufs[s][j+1:], offs, scr[worker])
+			e.passRows(lo, hi, bufs[s], offs, scr[worker])
 		})
 		mergeShards(combined, bufs)
 	} else {
-		e.fusedRowsBlocked(0, n, combined[:j+1], combined[j+1:], offs, e.workerBlockScratch(1, j)[0])
+		e.passRows(0, n, combined, offs, e.workerScratch(1, j)[0])
 	}
 	e.closeCursors()
 	a := float64(e.cls.NumAttrColumns())
 	e.charge(float64(n) * float64(j) * (a + 1))
-
-	wtsOut := combined[:j+1]
-	v, err := e.reduce(wtsOut)
-	if err != nil {
-		return cs, fmt.Errorf("autoclass: reduce wts: %w", err)
-	}
-	if v > 0 {
-		cs.ReducedValues += v
-		cs.Reductions++
-	}
-	for cj, cl := range e.cls.Classes {
-		cl.W = wtsOut[cj]
-	}
-	e.cls.LogLik = wtsOut[j]
-	cs.WtsSeconds = time.Since(t0).Seconds()
-
-	t1 := time.Now()
-	rv, rn, err := e.exchangeStats(combined[j+1:], offs)
-	if err != nil {
-		return cs, err
-	}
-	cs.ReducedValues += rv
-	cs.Reductions += rn
-	e.charge(float64(n) * float64(j) * a)
-	cs.ParamsSeconds = time.Since(t1).Seconds()
-
-	t2 := time.Now()
-	e.updateApproximations()
-	cs.ApproxSeconds = time.Since(t2).Seconds()
-
-	e.pruneDeadClasses()
-	e.cls.Cycles++
-	cs.LogPost = e.cls.LogPost
-	return cs, nil
+	return combined, offs
 }
 
-// fusedRowsBlocked processes rows [lo, hi) in one pass: per block, the
-// blocked kernels produce every class's log-membership vector; the
-// normalization overwrites the vectors with the weights (the exact
-// arithmetic of wtsRowsBlocked, accumulating the class sums and the
-// log-likelihood into wtsOut); then each class's weight vector feeds the
-// statistics accumulation directly (the exact slot/row order of
-// statsRowsBlocked) — the gathered weight column IS the scratch the E-step
-// just filled.
-func (e *Engine) fusedRowsBlocked(lo, hi int, wtsOut, buf []float64, offs []int, bs *blockScratch) {
-	j := e.cls.J()
+// passBuf returns the engine's merged pass buffer, zeroed, with the given
+// width; it is reused across cycles.
+func (e *Engine) passBuf(width int) []float64 {
+	if cap(e.passAcc) < width {
+		e.passAcc = make([]float64, width)
+	}
+	buf := e.passAcc[:width]
+	for i := range buf {
+		buf[i] = 0
+	}
+	return buf
+}
+
+// passRows folds rows [lo, hi) into acc = {w_j, logLik | statistics}
+// (Reference: into {w_j, logLik} and rows [lo, hi) of the weights
+// matrix). It only reads shared classification state and writes acc, bs
+// and its own matrix rows, so disjoint row ranges may run concurrently.
+func (e *Engine) passRows(lo, hi int, acc []float64, offs []int, bs *blockScratch) {
+	if e.cfg.Kernels == Reference {
+		j := e.cls.J()
+		e.wtsRows(lo, hi, acc[:j+1], bs.logp[:j])
+		return
+	}
 	for blo := lo; blo < hi; blo += KernelBlockRows {
-		bhi := blo + KernelBlockRows
-		if bhi > hi {
-			bhi = hi
-		}
-		m := bhi - blo
+		bhi := min(blo+KernelBlockRows, hi)
 		cols, clo, chi := e.block(bs, blo, bhi)
-		for cj, cl := range e.cls.Classes {
-			lp := bs.lp[cj][:m]
-			logPi := cl.LogPi
-			for r := range lp {
-				lp[r] = logPi
-			}
-			for _, k := range e.kerns[cj] {
-				k.BlockLogProb(cols, clo, chi, lp)
-			}
-		}
-		for r := 0; r < m; r++ {
-			maxv := math.Inf(-1)
-			for cj := 0; cj < j; cj++ {
-				if v := bs.lp[cj][r]; v > maxv {
-					maxv = v
-				}
-			}
-			if math.IsInf(maxv, -1) {
-				u := 1 / float64(j)
-				for cj := 0; cj < j; cj++ {
-					bs.lp[cj][r] = u
-					wtsOut[cj] += u
-				}
-				continue
-			}
-			sum := 0.0
-			for cj := 0; cj < j; cj++ {
-				ev := math.Exp(bs.lp[cj][r] - maxv)
-				bs.lp[cj][r] = ev
-				sum += ev
-			}
-			inv := 1 / sum
-			for cj := 0; cj < j; cj++ {
-				wv := bs.lp[cj][r] * inv
-				bs.lp[cj][r] = wv
-				wtsOut[cj] += wv
-			}
-			wtsOut[j] += maxv + math.Log(sum)
-		}
-		ti := 0
-		for cj, cl := range e.cls.Classes {
-			wcol := bs.lp[cj][:m]
-			for bi := range cl.Terms {
-				e.kerns[cj][bi].BlockAccumulateStats(cols, wcol, clo, chi, buf[offs[ti]:offs[ti+1]])
-				ti++
-			}
-		}
+		bs.emBlock(e.cls.Classes, e.kerns.k, cols, clo, chi, acc, offs)
 	}
 }
 
-// initRandomFused is InitRandom for chunk-backed views: the crisp class
-// weights come straight from the assignment hash, and the initial
-// statistics accumulation synthesizes each class's 0/1 weight column from
-// the hash instead of gathering it from a materialized matrix. Every
-// float64 matches the materialized init.
-func (e *Engine) initRandomFused(seed uint64, t0 time.Time) error {
+// statsPass completes the statistics segment buf of a local pass. The
+// fused blocked pass has filled it already; the Reference oracle runs its
+// accumulation pass over the weights matrix here.
+func (e *Engine) statsPass(buf []float64, offs []int) {
+	if e.cfg.Kernels != Reference {
+		return
+	}
+	n := e.view.N()
+	if shards := NumRowShards(n); e.cfg.Parallelism != 0 && shards > 0 {
+		bufs := e.scratch.get(shards, len(buf))
+		ParallelFor(e.cfg.Workers(shards), shards, func(_, s int) {
+			lo, hi := RowShardRange(s, n)
+			e.statsRows(lo, hi, bufs[s], offs)
+		})
+		mergeShards(buf, bufs)
+	} else {
+		e.statsRows(0, n, buf, offs)
+	}
+}
+
+// initStats folds the local rows into the statistics under the crisp
+// initial assignment of InitRandom. The blocked path synthesizes each
+// class's 0/1 weight column from the assignment hash; the Reference path
+// reads the materialized crisp weights matrix.
+func (e *Engine) initStats(seed uint64) ([]float64, []int) {
 	n := e.view.N()
 	j := e.cls.J()
+	offs, total := e.statOffsets()
+	buf := e.passBuf(total)
+	if e.cfg.Kernels == Reference {
+		e.statsPass(buf, offs)
+		return buf, offs
+	}
+	e.prepareKernels()
+	if shards := NumRowShards(n); e.cfg.Parallelism != 0 && shards > 0 {
+		workers := e.cfg.Workers(shards)
+		bufs := e.scratch.get(shards, total)
+		scr := e.workerScratch(workers, j)
+		ParallelFor(workers, shards, func(worker, s int) {
+			lo, hi := RowShardRange(s, n)
+			e.initRows(lo, hi, bufs[s], offs, scr[worker], seed)
+		})
+		mergeShards(buf, bufs)
+	} else {
+		e.initRows(0, n, buf, offs, e.workerScratch(1, j)[0], seed)
+	}
+	e.closeCursors()
+	return buf, offs
+}
+
+// initRows is the blocked initStats over rows [lo, hi).
+func (e *Engine) initRows(lo, hi int, buf []float64, offs []int, bs *blockScratch, seed uint64) {
 	start := e.view.Start()
+	for blo := lo; blo < hi; blo += KernelBlockRows {
+		bhi := min(blo+KernelBlockRows, hi)
+		cols, clo, chi := e.block(bs, blo, bhi)
+		bs.crispStatsBlock(e.cls.Classes, e.kerns.k, cols, clo, chi, start+blo, seed, buf, offs)
+	}
+}
+
+// InitRandom seeds the classification: every item is crisply assigned to a
+// starting class by a partition-independent hash of (seed, global index),
+// and one update_parameters pass turns those assignments into initial
+// parameters. All ranks calling InitRandom with the same seed produce the
+// identical initial classification.
+//
+// The crisp class weights are counted straight from the hash. Adding the
+// zeros a materialized crisp matrix would hold is exact, so they are
+// bitwise the weights that matrix produces.
+func (e *Engine) InitRandom(seed uint64) error {
+	t0 := time.Now()
+	n := e.view.N()
+	j := e.cls.J()
+	if j < 1 {
+		return errors.New("autoclass: no classes to initialize")
+	}
+	start := e.view.Start()
+	if e.cfg.Kernels == Reference {
+		e.wts = make([]float64, n*j)
+		for i := 0; i < n; i++ {
+			e.wts[i*j+InitialClass(seed, start+i, j)] = 1
+		}
+	}
 	wj := make([]float64, j)
 	for i := 0; i < n; i++ {
 		wj[InitialClass(seed, start+i, j)]++
@@ -188,29 +196,7 @@ func (e *Engine) initRandomFused(seed uint64, t0 time.Time) error {
 		cl.W = wj[cj]
 	}
 	e.cls.UpdateClassWeightsFromW()
-
-	e.prepareKernels()
-	offs, total := e.statOffsets()
-	if cap(e.statsBuf) < total {
-		e.statsBuf = make([]float64, total)
-	}
-	buf := e.statsBuf[:total]
-	for i := range buf {
-		buf[i] = 0
-	}
-	if shards := NumRowShards(n); e.cfg.Parallelism != 0 && shards > 0 {
-		workers := e.cfg.Workers(shards)
-		bufs := e.scratch.get(shards, total)
-		scr := e.workerBlockScratch(workers, j)
-		ParallelFor(workers, shards, func(worker, s int) {
-			lo, hi := RowShardRange(s, n)
-			e.initStatsBlocked(lo, hi, bufs[s], offs, scr[worker], seed)
-		})
-		mergeShards(buf, bufs)
-	} else {
-		e.initStatsBlocked(0, n, buf, offs, e.workerBlockScratch(1, j)[0], seed)
-	}
-	e.closeCursors()
+	buf, offs := e.initStats(seed)
 	if _, _, err := e.exchangeStats(buf, offs); err != nil {
 		return err
 	}
@@ -220,35 +206,4 @@ func (e *Engine) initRandomFused(seed uint64, t0 time.Time) error {
 	e.started = true
 	e.initSeconds = time.Since(t0).Seconds()
 	return nil
-}
-
-// initStatsBlocked is statsRowsBlocked with the weight column synthesized
-// from the crisp assignment hash: wcol[r] is 1 when the hash assigns
-// global row (start+blo+r) to class cj, else 0 — the values the
-// materialized init writes into its weights matrix.
-func (e *Engine) initStatsBlocked(lo, hi int, buf []float64, offs []int, bs *blockScratch, seed uint64) {
-	j := e.cls.J()
-	start := e.view.Start()
-	for blo := lo; blo < hi; blo += KernelBlockRows {
-		bhi := blo + KernelBlockRows
-		if bhi > hi {
-			bhi = hi
-		}
-		m := bhi - blo
-		cols, clo, chi := e.block(bs, blo, bhi)
-		ti := 0
-		for cj, cl := range e.cls.Classes {
-			wcol := bs.wcol[:m]
-			for r := 0; r < m; r++ {
-				wcol[r] = 0
-				if InitialClass(seed, start+blo+r, j) == cj {
-					wcol[r] = 1
-				}
-			}
-			for bi := range cl.Terms {
-				e.kerns[cj][bi].BlockAccumulateStats(cols, wcol, clo, chi, buf[offs[ti]:offs[ti+1]])
-				ti++
-			}
-		}
-	}
 }

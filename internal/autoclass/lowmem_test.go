@@ -151,7 +151,7 @@ func TestFusedParallelismInvariance(t *testing.T) {
 }
 
 // TestChunkedEngineRejections: the chunk plane serves only the blocked
-// synchronous path.
+// kernels.
 func TestChunkedEngineRejections(t *testing.T) {
 	ds := mixedMissDS(t, 600)
 	vd, err := dataset.ChunkedCopy(ds, 256)
@@ -163,11 +163,6 @@ func TestChunkedEngineRejections(t *testing.T) {
 	cfg.Kernels = Reference
 	if _, err := NewEngine(vd.All(), cls, cfg, nil, nil); err == nil {
 		t.Error("Reference kernels accepted on a chunk-backed dataset")
-	}
-	cfg = DefaultConfig()
-	cfg.SyncEvery = 3
-	if _, err := NewEngine(vd.All(), cls, cfg, nil, nil); err == nil {
-		t.Error("SyncEvery > 1 accepted on a chunk-backed dataset")
 	}
 }
 
@@ -276,9 +271,9 @@ func TestFusedSteadyStateZeroAlloc(t *testing.T) {
 	offs, total := eng.statOffsets()
 	width := j + 1 + total
 	bufs := eng.scratch.get(1, width)
-	bs := eng.workerBlockScratch(1, j)[0]
+	bs := eng.workerScratch(1, j)[0]
 	if a := testing.AllocsPerRun(5, func() {
-		eng.fusedRowsBlocked(0, n, bufs[0][:j+1], bufs[0][j+1:], offs, bs)
+		eng.passRows(0, n, bufs[0], offs, bs)
 	}); a != 0 {
 		t.Errorf("steady-state fused pass allocates %v times", a)
 	}

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/dataset"
-	"repro/internal/model"
 	"repro/internal/stats"
 )
 
@@ -15,8 +14,8 @@ import (
 // ratio — one fitted model is applied to an unbounded stream of fresh rows,
 // so the per-row cost of the E-step dominates everything. The batch scorer
 // therefore reuses the engine's blocked machinery (dataset.Columns mirror,
-// model.Kernel per (class, term), fused per-block normalization) for a hot
-// path with zero interface calls per row, and the per-row Term path as the
+// model.Kernel per (class, term), the class-major block normalizer) for a
+// hot path with zero interface calls per row, and the per-row Term path as the
 // reference oracle the blocked results are tested against.
 //
 // Determinism mirrors the training engine's invariant: the shard and block
@@ -146,11 +145,10 @@ type Predictor struct {
 	cls *Classification
 	cfg PredictConfig
 
-	kerns     [][]model.Kernel
-	kernTerms [][]model.Term
-	scratch   []*predictScratch
-	lls       []float64
-	lastDS    *dataset.Dataset // last schema-validated dataset
+	kerns   kernelSet
+	scratch []*blockScratch
+	lls     []float64
+	lastDS  *dataset.Dataset // last schema-validated dataset
 
 	// The shard loop body is built once and bound to these per-call fields
 	// so a warm PredictInto never allocates a fresh closure.
@@ -165,15 +163,6 @@ type Predictor struct {
 	cols    *dataset.Columns
 	chunked bool
 	src     dataset.ChunkSrc
-}
-
-// predictScratch is one worker's scratch: per-class log-probability block
-// vectors (blocked) or a single per-row log-membership vector (reference),
-// plus — on chunk-backed views — the worker's chunk cursor.
-type predictScratch struct {
-	lp   [][]float64
-	logp []float64
-	cur  dataset.ChunkCursor
 }
 
 // NewPredictor validates the configuration and builds a reusable scorer.
@@ -240,7 +229,7 @@ func (pr *Predictor) PredictInto(view *dataset.View, p *Prediction) error {
 		pr.cols = view.Columns()
 	}
 	if pr.cfg.Kernels == Blocked {
-		pr.prepareKernels()
+		pr.kerns.prepare(pr.cls.Classes)
 	}
 	// Unlike the training engine, there is no seed-sequential legacy mode to
 	// preserve: the scorer always runs on the fixed shard grid, so every
@@ -274,64 +263,15 @@ func (pr *Predictor) PredictInto(view *dataset.View, p *Prediction) error {
 	return nil
 }
 
-// prepareKernels builds (or, when the term structure is unchanged,
-// Refreshes) one kernel per (class, term) — the same identity-keyed cache
-// the training engine uses, so repeated predictions over a stable model
-// allocate nothing here.
-func (pr *Predictor) prepareKernels() {
-	classes := pr.cls.Classes
-	same := len(pr.kernTerms) == len(classes)
-	if same {
-	check:
-		for cj, cl := range classes {
-			if len(pr.kernTerms[cj]) != len(cl.Terms) {
-				same = false
-				break
-			}
-			for bi, t := range cl.Terms {
-				if pr.kernTerms[cj][bi] != t {
-					same = false
-					break check
-				}
-			}
-		}
-	}
-	if same {
-		for _, ks := range pr.kerns {
-			for _, k := range ks {
-				k.Refresh()
-			}
-		}
-		return
-	}
-	pr.kerns = make([][]model.Kernel, len(classes))
-	pr.kernTerms = make([][]model.Term, len(classes))
-	for cj, cl := range classes {
-		pr.kerns[cj] = make([]model.Kernel, len(cl.Terms))
-		pr.kernTerms[cj] = append([]model.Term(nil), cl.Terms...)
-		for bi, t := range cl.Terms {
-			pr.kerns[cj][bi] = t.Kernel()
-		}
-	}
-}
-
 // prepare returns `workers` scratch instances, reused across calls and
 // grown on demand. On a chunk-backed view each worker's cursor is pointed
 // at the view's chunk source.
-func (pr *Predictor) prepare(workers int) []*predictScratch {
-	j := pr.cls.J()
+func (pr *Predictor) prepare(workers int) []*blockScratch {
 	for len(pr.scratch) < workers {
-		pr.scratch = append(pr.scratch, &predictScratch{})
+		pr.scratch = append(pr.scratch, &blockScratch{})
 	}
-	for w := 0; w < workers; w++ {
-		ps := pr.scratch[w]
-		if pr.cfg.Kernels == Blocked {
-			for len(ps.lp) < j {
-				ps.lp = append(ps.lp, make([]float64, KernelBlockRows))
-			}
-		} else if len(ps.logp) < j {
-			ps.logp = make([]float64, j)
-		}
+	for _, ps := range pr.scratch[:workers] {
+		ps.grow(pr.cls.J())
 		if pr.chunked {
 			ps.cur.Reset(pr.src)
 		}
@@ -342,7 +282,7 @@ func (pr *Predictor) prepare(workers int) []*predictScratch {
 // block resolves the view-local row block [blo, bhi) to the Columns the
 // kernels should walk — the monolithic mirror, or the cursor-pinned chunk
 // with chunk-local bounds.
-func (pr *Predictor) block(ps *predictScratch, blo, bhi int) (cols *dataset.Columns, lo, hi int) {
+func (pr *Predictor) block(ps *blockScratch, blo, bhi int) (cols *dataset.Columns, lo, hi int) {
 	if pr.chunked {
 		return ps.cur.Block(blo, bhi)
 	}
@@ -352,7 +292,7 @@ func (pr *Predictor) block(ps *predictScratch, blo, bhi int) (cols *dataset.Colu
 // scoreRows scores rows [lo, hi) into p and returns their log-likelihood
 // contribution. Disjoint row ranges may run concurrently: every write goes
 // to a per-row slice of p or the local scratch.
-func (pr *Predictor) scoreRows(lo, hi int, p *Prediction, ps *predictScratch) float64 {
+func (pr *Predictor) scoreRows(lo, hi int, p *Prediction, ps *blockScratch) float64 {
 	if pr.cfg.Kernels == Blocked {
 		return pr.scoreRowsBlocked(lo, hi, p, ps)
 	}
@@ -362,14 +302,15 @@ func (pr *Predictor) scoreRows(lo, hi int, p *Prediction, ps *predictScratch) fl
 // scoreRowsReference is the per-row oracle: Term.LogProb through
 // LogMembership, then NormalizeLog — the exact code path of
 // Classification.Predict, row by row.
-func (pr *Predictor) scoreRowsReference(lo, hi int, p *Prediction, ps *predictScratch) float64 {
+func (pr *Predictor) scoreRowsReference(lo, hi int, p *Prediction, ps *blockScratch) float64 {
 	j := p.J
 	ll := 0.0
+	logp := ps.logp[:j]
 	for i := lo; i < hi; i++ {
-		pr.cls.LogMembership(pr.view.Row(i), ps.logp)
-		z := stats.NormalizeLog(ps.logp)
+		pr.cls.LogMembership(pr.view.Row(i), logp)
+		z := stats.NormalizeLog(logp)
 		mem := p.Memberships[i*j : (i+1)*j]
-		copy(mem, ps.logp)
+		copy(mem, logp)
 		p.MAP[i] = argmax(mem)
 		if pr.cfg.RowLogLik {
 			p.RowLL[i] = z
@@ -381,70 +322,39 @@ func (pr *Predictor) scoreRowsReference(lo, hi int, p *Prediction, ps *predictSc
 	return ll
 }
 
-// scoreRowsBlocked is the blocked hot path: per KernelBlockRows block, every
-// class's log-membership vector is produced by the kernels (LogPi broadcast
-// plus one BlockLogProb per term), then normalization, the membership
-// write-back, the MAP argmax and the log-likelihood accumulation are fused
-// in a second pass — no interface call and no allocation per row. Blocks
-// never straddle shard boundaries (KernelBlockRows divides RowShardSize),
-// so the block grid — and therefore every float64 — is identical for every
+// scoreRowsBlocked is the blocked hot path: per KernelBlockRows block, the
+// kernels produce every class's log-membership vector, the class-major
+// normalizer turns them into memberships and per-row log-evidence, and the
+// MAP classes, the row-major membership write-back and the log-likelihood
+// follow — no interface call and no allocation per row. Blocks never
+// straddle shard boundaries (KernelBlockRows divides RowShardSize), so the
+// block grid — and therefore every float64 — is identical for every
 // Parallelism setting; nor do they straddle chunk boundaries, so the same
 // holds across chunk backings.
-func (pr *Predictor) scoreRowsBlocked(lo, hi int, p *Prediction, ps *predictScratch) float64 {
+func (pr *Predictor) scoreRowsBlocked(lo, hi int, p *Prediction, ps *blockScratch) float64 {
 	j := p.J
 	ll := 0.0
 	for blo := lo; blo < hi; blo += KernelBlockRows {
-		bhi := blo + KernelBlockRows
-		if bhi > hi {
-			bhi = hi
-		}
+		bhi := min(blo+KernelBlockRows, hi)
 		m := bhi - blo
 		cols, clo, chi := pr.block(ps, blo, bhi)
-		for cj, cl := range pr.cls.Classes {
-			lp := ps.lp[cj][:m]
-			logPi := cl.LogPi
-			for r := range lp {
-				lp[r] = logPi
-			}
-			for _, k := range pr.kerns[cj] {
-				k.BlockLogProb(cols, clo, chi, lp)
+		w := ps.logMembership(pr.cls.Classes, pr.kerns.k, cols, clo, chi)
+		ps.norm.normalize(w, m)
+		ps.norm.argmax(w, m)
+		copy(p.MAP[blo:bhi], ps.norm.best[:m])
+		mem := p.Memberships[blo*j : bhi*j]
+		for cj, v := range w {
+			for r, x := range v[:m] {
+				mem[r*j+cj] = x
 			}
 		}
-		for r := 0; r < m; r++ {
-			maxv := math.Inf(-1)
-			for cj := 0; cj < j; cj++ {
-				if v := ps.lp[cj][r]; v > maxv {
-					maxv = v
-				}
+		if pr.cfg.RowLogLik {
+			copy(p.RowLL[blo:bhi], ps.norm.z[:m])
+		}
+		for _, z := range ps.norm.z[:m] {
+			if !math.IsInf(z, -1) {
+				ll += z
 			}
-			mem := p.Memberships[(blo+r)*j : (blo+r+1)*j]
-			if math.IsInf(maxv, -1) {
-				u := 1 / float64(j)
-				for cj := range mem {
-					mem[cj] = u
-				}
-				p.MAP[blo+r] = 0
-				if pr.cfg.RowLogLik {
-					p.RowLL[blo+r] = math.Inf(-1)
-				}
-				continue
-			}
-			sum := 0.0
-			for cj := 0; cj < j; cj++ {
-				ev := math.Exp(ps.lp[cj][r] - maxv)
-				mem[cj] = ev
-				sum += ev
-			}
-			inv := 1 / sum
-			for cj := range mem {
-				mem[cj] *= inv
-			}
-			p.MAP[blo+r] = argmax(mem)
-			z := maxv + math.Log(sum)
-			if pr.cfg.RowLogLik {
-				p.RowLL[blo+r] = z
-			}
-			ll += z
 		}
 	}
 	return ll

@@ -75,11 +75,9 @@ func (e *Engine) staleScratch(n int) []float64 {
 func (e *Engine) staleCycle() (CycleStats, error) {
 	var cs CycleStats
 	t0 := time.Now()
-	out, err := e.updateWts()
-	if err != nil {
-		return cs, err
-	}
+	combined, offs := e.localPass()
 	j := e.cls.J()
+	out, buf := combined[:j+1], combined[j+1:]
 	frac := e.localFrac()
 	bootstrap := e.syncStats == nil
 	// Group-consistent schedule: every rank computes the same decision from
@@ -146,7 +144,7 @@ func (e *Engine) staleCycle() (CycleStats, error) {
 		cs.WtsSeconds = time.Since(t0).Seconds()
 
 		t1 := time.Now()
-		rv, rn, err := e.mergeParameters(bootstrap, frac)
+		rv, rn, err := e.mergeParameters(bootstrap, frac, buf, offs)
 		if err != nil {
 			return cs, err
 		}
@@ -174,7 +172,7 @@ func (e *Engine) staleCycle() (CycleStats, error) {
 		cs.WtsSeconds = time.Since(t0).Seconds()
 
 		t1 := time.Now()
-		if err := e.localParameters(frac); err != nil {
+		if err := e.localParameters(frac, buf, offs); err != nil {
 			return cs, err
 		}
 		cs.ParamsSeconds = time.Since(t1).Seconds()
@@ -199,18 +197,15 @@ func (e *Engine) staleCycle() (CycleStats, error) {
 	return cs, nil
 }
 
-// mergeParameters is the sync-point M-step: accumulate the local
-// sufficient statistics, merge them into the global model (plain reduce on
-// the bootstrap cycle, corrective delta fold afterwards) honoring the
-// configured exchange granularity, re-estimate every term from the merged
+// mergeParameters is the sync-point M-step: merge the local sufficient
+// statistics buf into the global model (plain reduce on the bootstrap
+// cycle, corrective delta fold afterwards) honoring the configured
+// exchange granularity, re-estimate every term from the merged
 // statistics, and capture them as the new baseline.
-func (e *Engine) mergeParameters(bootstrap bool, frac float64) (reducedValues, reductions int, err error) {
+func (e *Engine) mergeParameters(bootstrap bool, frac float64, buf []float64, offs []int) (reducedValues, reductions int, err error) {
 	n := e.view.N()
 	j := e.cls.J()
-	if e.cfg.Granularity != PerTerm && e.cfg.Granularity != Packed {
-		return 0, 0, fmt.Errorf("autoclass: unknown granularity %d", int(e.cfg.Granularity))
-	}
-	buf, offs := e.accumulateStats()
+	e.statsPass(buf, offs)
 	ex := buf // the buffer that travels through the Reducer
 	if !bootstrap {
 		if len(e.syncStats) != len(buf) {
@@ -242,6 +237,8 @@ func (e *Engine) mergeParameters(bootstrap bool, frac float64) (reducedValues, r
 			reducedValues += v
 			reductions++
 		}
+	default:
+		return 0, 0, fmt.Errorf("autoclass: unknown granularity %d", int(e.cfg.Granularity))
 	}
 	if !bootstrap {
 		for i := range buf {
@@ -262,11 +259,11 @@ func (e *Engine) mergeParameters(bootstrap bool, frac float64) (reducedValues, r
 }
 
 // localParameters is the stale-cycle M-step: re-estimate every term from
-// the working statistics (1 − frac)·synced + local, with no exchange.
-func (e *Engine) localParameters(frac float64) error {
+// the working statistics (1 − frac)·synced + local buf, with no exchange.
+func (e *Engine) localParameters(frac float64, buf []float64, offs []int) error {
 	n := e.view.N()
 	j := e.cls.J()
-	buf, offs := e.accumulateStats()
+	e.statsPass(buf, offs)
 	if len(e.syncStats) != len(buf) {
 		return fmt.Errorf("autoclass: sync baseline holds %d statistics, model needs %d", len(e.syncStats), len(buf))
 	}

@@ -3,11 +3,9 @@ package autoclass
 import (
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/dataset"
-	"repro/internal/model"
 )
 
 // Streaming ingest training: EM over data that arrives batch by batch.
@@ -35,10 +33,8 @@ type StreamTrainer struct {
 	reducer Reducer
 	charger Charger
 
-	kerns     [][]model.Kernel
-	kernTerms [][]model.Term
-	lp        [][]float64
-	wcol      []float64
+	kerns kernelSet
+	ws    blockScratch
 
 	offs     []int
 	combined []float64 // merged shard sums: {w_j..., logLik, stats...}
@@ -101,45 +97,8 @@ func (st *StreamTrainer) reduce(buf []float64) (int, error) {
 func (st *StreamTrainer) prepare() {
 	classes := st.cls.Classes
 	j := len(classes)
-	same := len(st.kernTerms) == j
-	if same {
-	check:
-		for cj, cl := range classes {
-			if len(st.kernTerms[cj]) != len(cl.Terms) {
-				same = false
-				break
-			}
-			for bi, t := range cl.Terms {
-				if st.kernTerms[cj][bi] != t {
-					same = false
-					break check
-				}
-			}
-		}
-	}
-	if same {
-		for _, ks := range st.kerns {
-			for _, k := range ks {
-				k.Refresh()
-			}
-		}
-	} else {
-		st.kerns = make([][]model.Kernel, j)
-		st.kernTerms = make([][]model.Term, j)
-		for cj, cl := range classes {
-			st.kerns[cj] = make([]model.Kernel, len(cl.Terms))
-			st.kernTerms[cj] = append([]model.Term(nil), cl.Terms...)
-			for bi, t := range cl.Terms {
-				st.kerns[cj][bi] = t.Kernel()
-			}
-		}
-	}
-	for len(st.lp) < j {
-		st.lp = append(st.lp, make([]float64, KernelBlockRows))
-	}
-	if st.wcol == nil {
-		st.wcol = make([]float64, KernelBlockRows)
-	}
+	st.kerns.prepare(classes)
+	st.ws.grow(j)
 	offs := st.offs[:0]
 	total := 0
 	for _, cl := range classes {
@@ -201,7 +160,8 @@ func (st *StreamTrainer) Fold(cols *dataset.Columns) error {
 		if st.phase == streamInit {
 			st.foldInitBlock(cols, blo, bhi)
 		} else {
-			st.foldEMBlock(cols, blo, bhi)
+			// The fused E+M step of the engine's fused pass.
+			st.ws.emBlock(st.cls.Classes, st.kerns.k, cols, blo, bhi, st.shard, st.offs)
 		}
 		st.rows += bhi - blo
 		if st.rows%RowShardSize == 0 {
@@ -221,87 +181,15 @@ func (st *StreamTrainer) mergeShard() {
 }
 
 // foldInitBlock accumulates the crisp assignment's class counts and
-// statistics for rows [blo, bhi) of the batch — initStatsBlocked with the
-// global row index carried by the trainer.
+// statistics for rows [blo, bhi) of the batch — the engine's blocked
+// initialization with the global row index carried by the trainer.
 func (st *StreamTrainer) foldInitBlock(cols *dataset.Columns, blo, bhi int) {
 	j := st.cls.J()
-	m := bhi - blo
-	base := st.rows
 	wj := st.shard[:j]
-	for r := 0; r < m; r++ {
-		wj[InitialClass(st.seed, base+r, j)]++
+	for r := 0; r < bhi-blo; r++ {
+		wj[InitialClass(st.seed, st.rows+r, j)]++
 	}
-	buf := st.shard[j+1:]
-	ti := 0
-	for cj, cl := range st.cls.Classes {
-		wcol := st.wcol[:m]
-		for r := 0; r < m; r++ {
-			wcol[r] = 0
-			if InitialClass(st.seed, base+r, j) == cj {
-				wcol[r] = 1
-			}
-		}
-		for bi := range cl.Terms {
-			st.kerns[cj][bi].BlockAccumulateStats(cols, wcol, blo, bhi, buf[st.offs[ti]:st.offs[ti+1]])
-			ti++
-		}
-	}
-}
-
-// foldEMBlock is the fused E+M step for rows [blo, bhi) of the batch —
-// the exact arithmetic of the engine's fusedRowsBlocked.
-func (st *StreamTrainer) foldEMBlock(cols *dataset.Columns, blo, bhi int) {
-	j := st.cls.J()
-	m := bhi - blo
-	wtsOut := st.shard[:j+1]
-	buf := st.shard[j+1:]
-	for cj, cl := range st.cls.Classes {
-		lp := st.lp[cj][:m]
-		logPi := cl.LogPi
-		for r := range lp {
-			lp[r] = logPi
-		}
-		for _, k := range st.kerns[cj] {
-			k.BlockLogProb(cols, blo, bhi, lp)
-		}
-	}
-	for r := 0; r < m; r++ {
-		maxv := math.Inf(-1)
-		for cj := 0; cj < j; cj++ {
-			if v := st.lp[cj][r]; v > maxv {
-				maxv = v
-			}
-		}
-		if math.IsInf(maxv, -1) {
-			u := 1 / float64(j)
-			for cj := 0; cj < j; cj++ {
-				st.lp[cj][r] = u
-				wtsOut[cj] += u
-			}
-			continue
-		}
-		sum := 0.0
-		for cj := 0; cj < j; cj++ {
-			ev := math.Exp(st.lp[cj][r] - maxv)
-			st.lp[cj][r] = ev
-			sum += ev
-		}
-		inv := 1 / sum
-		for cj := 0; cj < j; cj++ {
-			wv := st.lp[cj][r] * inv
-			st.lp[cj][r] = wv
-			wtsOut[cj] += wv
-		}
-		wtsOut[j] += maxv + math.Log(sum)
-	}
-	ti := 0
-	for cj, cl := range st.cls.Classes {
-		wcol := st.lp[cj][:m]
-		for bi := range cl.Terms {
-			st.kerns[cj][bi].BlockAccumulateStats(cols, wcol, blo, bhi, buf[st.offs[ti]:st.offs[ti+1]])
-			ti++
-		}
-	}
+	st.ws.crispStatsBlock(st.cls.Classes, st.kerns.k, cols, blo, bhi, st.rows, st.seed, st.shard[j+1:], st.offs)
 }
 
 // closePass merges the trailing partial shard and returns the cycle's row

@@ -115,7 +115,7 @@ func TestKernelMatchesTermLogProb(t *testing.T) {
 					for i := range out {
 						out[i] = 10.5 // sentinel: kernels must ADD, not assign
 					}
-					kern.BlockLogProb(cols, lo, hi, out)
+					kern.BlockLogProb(cols, lo, hi, out, &Scratch{})
 					for i := lo; i < hi; i++ {
 						want := 10.5 + term.LogProb(tc.ds.Row(i))
 						if !stats.AlmostEqual(out[i-lo], want, 1e-12) {
@@ -159,7 +159,7 @@ func TestKernelMatchesTermStats(t *testing.T) {
 					term.AccumulateStats(tc.ds.Row(i), wts[i], ref)
 				}
 				got := make([]float64, term.StatsSize())
-				kern.BlockAccumulateStats(cols, wts[lo:hi], lo, hi, got)
+				kern.BlockAccumulateStats(cols, wts[lo:hi], lo, hi, got, &Scratch{})
 				for s := range ref {
 					if !stats.AlmostEqual(got[s], ref[s], 1e-12) && !(got[s] == 0 && ref[s] == 0) {
 						t.Fatalf("rows [%d,%d): stat %d = %v, reference %v", lo, hi, s, got[s], ref[s])
@@ -182,11 +182,69 @@ func TestKernelLogProbFiniteness(t *testing.T) {
 		}
 		cols := tc.ds.All().Columns()
 		out := make([]float64, 100)
-		term.Kernel().BlockLogProb(cols, 0, 100, out)
+		term.Kernel().BlockLogProb(cols, 0, 100, out, &Scratch{})
 		for i, v := range out {
 			if math.IsNaN(v) {
 				t.Fatalf("%s: row %d produced NaN", tc.name, i)
 			}
 		}
+	}
+}
+
+// TestKernelConcurrentBlockCalls pins the Kernel concurrency contract: one
+// kernel serves several goroutines at once, each with its own Scratch, and
+// every goroutine gets bitwise the results of a solo call. Run under -race
+// it also proves Block calls write nothing shared.
+func TestKernelConcurrentBlockCalls(t *testing.T) {
+	const n, workers, rounds = 300, 4, 20
+	for _, tc := range kernelCases(t, n) {
+		t.Run(tc.name, func(t *testing.T) {
+			pr := NewPriors(tc.ds, tc.ds.Summarize())
+			term, err := NewTerm(tc.spec, tc.ds, pr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fitTerm(term, tc.ds, 1)
+			cols := tc.ds.All().Columns()
+			kern := term.Kernel()
+			wts := make([]float64, n)
+			for i := range wts {
+				wts[i] = float64((i*2654435761)%1009) / 1009.0
+			}
+			wantLP := make([]float64, n)
+			kern.BlockLogProb(cols, 0, n, wantLP, &Scratch{})
+			wantST := make([]float64, term.StatsSize())
+			kern.BlockAccumulateStats(cols, wts, 0, n, wantST, &Scratch{})
+			errs := make(chan string, workers)
+			for w := 0; w < workers; w++ {
+				go func() {
+					var s Scratch
+					for r := 0; r < rounds; r++ {
+						lp := make([]float64, n)
+						kern.BlockLogProb(cols, 0, n, lp, &s)
+						st := make([]float64, len(wantST))
+						kern.BlockAccumulateStats(cols, wts, 0, n, st, &s)
+						for i := range lp {
+							if math.Float64bits(lp[i]) != math.Float64bits(wantLP[i]) {
+								errs <- "log-prob differs from the solo call"
+								return
+							}
+						}
+						for i := range st {
+							if math.Float64bits(st[i]) != math.Float64bits(wantST[i]) {
+								errs <- "statistics differ from the solo call"
+								return
+							}
+						}
+					}
+					errs <- ""
+				}()
+			}
+			for w := 0; w < workers; w++ {
+				if msg := <-errs; msg != "" {
+					t.Error(msg)
+				}
+			}
+		})
 	}
 }

@@ -146,7 +146,7 @@ func (k *logNormalKernel) Refresh() {
 	k.inv2 = 1 / (2 * k.t.sigma * k.t.sigma)
 }
 
-func (k *logNormalKernel) BlockLogProb(cols *dataset.Columns, lo, hi int, out []float64) {
+func (k *logNormalKernel) BlockLogProb(cols *dataset.Columns, lo, hi int, out []float64, _ *Scratch) {
 	col := cols.Col(k.t.attr)[lo:hi]
 	mean, c, inv2 := k.mean, k.c, k.inv2
 	for i, x := range col {
@@ -158,7 +158,7 @@ func (k *logNormalKernel) BlockLogProb(cols *dataset.Columns, lo, hi int, out []
 	}
 }
 
-func (k *logNormalKernel) BlockAccumulateStats(cols *dataset.Columns, wts []float64, lo, hi int, st []float64) {
+func (k *logNormalKernel) BlockAccumulateStats(cols *dataset.Columns, wts []float64, lo, hi int, st []float64, _ *Scratch) {
 	col := cols.Col(k.t.attr)[lo:hi]
 	var sx, sxx, sw float64
 	for i, x := range col {

@@ -142,7 +142,7 @@ func (t *multinomialTerm) Kernel() Kernel {
 
 func (k *multinomialKernel) Refresh() {}
 
-func (k *multinomialKernel) BlockLogProb(cols *dataset.Columns, lo, hi int, out []float64) {
+func (k *multinomialKernel) BlockLogProb(cols *dataset.Columns, lo, hi int, out []float64, _ *Scratch) {
 	col := cols.Col(k.t.attr)[lo:hi]
 	logp := k.t.logp
 	if !cols.HasMissing(k.t.attr) {
@@ -158,7 +158,7 @@ func (k *multinomialKernel) BlockLogProb(cols *dataset.Columns, lo, hi int, out 
 	}
 }
 
-func (k *multinomialKernel) BlockAccumulateStats(cols *dataset.Columns, wts []float64, lo, hi int, st []float64) {
+func (k *multinomialKernel) BlockAccumulateStats(cols *dataset.Columns, wts []float64, lo, hi int, st []float64, _ *Scratch) {
 	col := cols.Col(k.t.attr)[lo:hi]
 	if !cols.HasMissing(k.t.attr) {
 		for i, x := range col {

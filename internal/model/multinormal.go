@@ -410,26 +410,15 @@ func (t *multiNormalTerm) KLTo(other Term) (float64, error) {
 // precomputes the full-block normalizer c = −½log|Σ| − d/2·log 2π; the
 // Cholesky factor itself is the term's (refactor rewrites t.chol, which the
 // kernel reads through its term pointer). Fully known rows run through a
-// scratch forward-solve with no allocation; partially known rows fall back
-// to the shared exact-marginal path.
+// forward-solve in the caller's Scratch with no allocation; partially known
+// rows fall back to the shared exact-marginal path.
 type multiNormalKernel struct {
 	t *multiNormalTerm
 	c float64
-	// scratch, sized d once at construction
-	diff []float64
-	y    []float64
-	vals []float64
-	cref [][]float64 // column slices gathered per block call
 }
 
 func (t *multiNormalTerm) Kernel() Kernel {
-	k := &multiNormalKernel{
-		t:    t,
-		diff: make([]float64, t.d),
-		y:    make([]float64, t.d),
-		vals: make([]float64, t.d),
-		cref: make([][]float64, t.d),
-	}
+	k := &multiNormalKernel{t: t}
 	k.Refresh()
 	return k
 }
@@ -438,29 +427,32 @@ func (k *multiNormalKernel) Refresh() {
 	k.c = -0.5*k.t.ldet - float64(k.t.d)*stats.HalfLog2Pi
 }
 
-// gather fills k.cref with the term's column slices for rows [lo, hi) and
-// reports whether any of them can contain a missing value.
-func (k *multiNormalKernel) gather(cols *dataset.Columns, lo, hi int) bool {
+// gather returns the term's column slices for rows [lo, hi), held in s,
+// and reports whether any of them can contain a missing value.
+func (k *multiNormalKernel) gather(cols *dataset.Columns, lo, hi int, s *Scratch) ([][]float64, bool) {
+	cref := s.colRefs(k.t.d)
 	anyMissing := false
 	for i, a := range k.t.attrs {
-		k.cref[i] = cols.Col(a)[lo:hi]
+		cref[i] = cols.Col(a)[lo:hi]
 		if cols.HasMissing(a) {
 			anyMissing = true
 		}
 	}
-	return anyMissing
+	return cref, anyMissing
 }
 
-func (k *multiNormalKernel) BlockLogProb(cols *dataset.Columns, lo, hi int, out []float64) {
+func (k *multiNormalKernel) BlockLogProb(cols *dataset.Columns, lo, hi int, out []float64, s *Scratch) {
 	t := k.t
 	d := t.d
-	anyMissing := k.gather(cols, lo, hi)
+	cref, anyMissing := k.gather(cols, lo, hi, s)
+	f := s.floats(3 * d)
+	diff, y, vals := f[:d], f[d:2*d], f[2*d:]
 	n := hi - lo
 	for r := 0; r < n; r++ {
 		full := true
 		if anyMissing {
 			for i := 0; i < d; i++ {
-				if v := k.cref[i][r]; v != v {
+				if v := cref[i][r]; v != v {
 					full = false
 					break
 				}
@@ -468,11 +460,11 @@ func (k *multiNormalKernel) BlockLogProb(cols *dataset.Columns, lo, hi int, out 
 		}
 		if full {
 			for i := 0; i < d; i++ {
-				k.diff[i] = k.cref[i][r] - t.mean[i]
+				diff[i] = cref[i][r] - t.mean[i]
 			}
-			forwardSolveInto(k.y, t.chol, k.diff, d)
+			forwardSolveInto(y, t.chol, diff, d)
 			q := 0.0
-			for _, v := range k.y {
+			for _, v := range y {
 				q += v * v
 			}
 			out[r] += -0.5*q + k.c
@@ -480,22 +472,22 @@ func (k *multiNormalKernel) BlockLogProb(cols *dataset.Columns, lo, hi int, out 
 		}
 		known := 0
 		for i := 0; i < d; i++ {
-			k.vals[i] = k.cref[i][r]
-			if v := k.vals[i]; v == v {
+			vals[i] = cref[i][r]
+			if v := vals[i]; v == v {
 				known++
 			}
 		}
 		if known == 0 {
 			continue
 		}
-		out[r] += t.marginalLogProb(k.vals)
+		out[r] += t.marginalLogProb(vals)
 	}
 }
 
-func (k *multiNormalKernel) BlockAccumulateStats(cols *dataset.Columns, wts []float64, lo, hi int, st []float64) {
+func (k *multiNormalKernel) BlockAccumulateStats(cols *dataset.Columns, wts []float64, lo, hi int, st []float64, s *Scratch) {
 	t := k.t
 	d := t.d
-	anyMissing := k.gather(cols, lo, hi)
+	cref, anyMissing := k.gather(cols, lo, hi, s)
 	n := hi - lo
 	for r := 0; r < n; r++ {
 		if anyMissing {
@@ -503,7 +495,7 @@ func (k *multiNormalKernel) BlockAccumulateStats(cols *dataset.Columns, wts []fl
 			// blocks.
 			miss := false
 			for i := 0; i < d; i++ {
-				if v := k.cref[i][r]; v != v {
+				if v := cref[i][r]; v != v {
 					miss = true
 					break
 				}
@@ -516,10 +508,10 @@ func (k *multiNormalKernel) BlockAccumulateStats(cols *dataset.Columns, wts []fl
 		st[0] += w
 		pos := 1 + d
 		for a := 0; a < d; a++ {
-			xa := k.cref[a][r]
+			xa := cref[a][r]
 			st[1+a] += w * xa
 			for b := a; b < d; b++ {
-				st[pos] += w * xa * k.cref[b][r]
+				st[pos] += w * xa * cref[b][r]
 				pos++
 			}
 		}

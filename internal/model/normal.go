@@ -138,7 +138,7 @@ func (k *normalKernel) Refresh() {
 	k.inv2 = 1 / (2 * k.t.sigma * k.t.sigma)
 }
 
-func (k *normalKernel) BlockLogProb(cols *dataset.Columns, lo, hi int, out []float64) {
+func (k *normalKernel) BlockLogProb(cols *dataset.Columns, lo, hi int, out []float64, _ *Scratch) {
 	col := cols.Col(k.t.attr)[lo:hi]
 	mean, c, inv2 := k.mean, k.c, k.inv2
 	if !cols.HasMissing(k.t.attr) {
@@ -156,7 +156,7 @@ func (k *normalKernel) BlockLogProb(cols *dataset.Columns, lo, hi int, out []flo
 	}
 }
 
-func (k *normalKernel) BlockAccumulateStats(cols *dataset.Columns, wts []float64, lo, hi int, st []float64) {
+func (k *normalKernel) BlockAccumulateStats(cols *dataset.Columns, wts []float64, lo, hi int, st []float64, _ *Scratch) {
 	col := cols.Col(k.t.attr)[lo:hi]
 	var sx, sxx, sw float64
 	if !cols.HasMissing(k.t.attr) {

@@ -1,8 +1,11 @@
 package pautoclass
 
 import (
+	"bytes"
+	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"repro/internal/autoclass"
 	"repro/internal/dataset"
@@ -130,5 +133,69 @@ func TestWtsOnlyRejectsChunked(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("wts-only search over a chunk-backed dataset succeeded")
+	}
+}
+
+// TestStaleChunkedMatchesMaterialized: bounded staleness runs out of core.
+// The stale cycle takes its weights and statistics from the same fused
+// pass as the synchronous one, so with ChunkAlign·P | n a 2-rank
+// SyncEvery=4 search over a chunk file reproduces the materialized stale
+// search bit for bit on the in-memory and cached backings — and a chunked
+// stale search killed mid-run resumes onto the same bits.
+func TestStaleChunkedMatchesMaterialized(t *testing.T) {
+	const p = 2
+	ds := paperDS(t, 2048)
+	if ds.N()%(dataset.ChunkAlign*p) != 0 {
+		t.Fatalf("%d rows are not a multiple of ChunkAlign·P", ds.N())
+	}
+	cfg, opts := staleConfig(4)
+	want := runParallelSearch(t, ds, p, cfg, opts)
+	mem, err := dataset.ChunkedCopy(ds, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached := chunkFileDS(t, ds, 512, dataset.ChunkOptions{Mode: dataset.ChunkCached, Chunks: 2})
+	for name, cds := range map[string]*dataset.Dataset{
+		"mem":           mem,
+		"file-inmemory": chunkFileDS(t, ds, 512, dataset.ChunkOptions{Mode: dataset.ChunkInMemory}),
+		"file-cached":   cached,
+	} {
+		sameSearchBits(t, name, runParallelSearch(t, cds, p, cfg, opts), want)
+	}
+
+	// Kill one rank mid-search on the cached backing, then resume.
+	wantBest := clsBytes(t, want.Best)
+	path := filepath.Join(t.TempDir(), "search.ckpt")
+	ck := Checkpoint{Path: path, Every: 2}
+	rcfg := mpi.RunConfig{OpDeadline: 10 * time.Second}
+	const victim = 1
+	plans := map[int]mpi.FaultPlan{
+		victim: {Faults: []mpi.Fault{{Op: "send", Peer: -1, After: 60}}},
+	}
+	errs, err := mpi.RunFaultyMem(p, rcfg, plans, func(c *mpi.Comm) error {
+		_, err := SearchCheckpointed(c, cached, model.DefaultSpec(cached), cfg, opts, ck)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if errs[victim] == nil {
+		t.Fatal("victim completed the search; fault budget too large to interrupt it")
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("no checkpoint was written before the crash: %v", err)
+	}
+	err = mpi.RunWith(p, rcfg, func(c *mpi.Comm) error {
+		res, err := SearchCheckpointed(c, cached, model.DefaultSpec(cached), cfg, opts, ck)
+		if err != nil {
+			return err
+		}
+		if got := clsBytes(t, res.Best); !bytes.Equal(got, wantBest) {
+			t.Errorf("rank %d: resumed chunked stale search differs from the materialized run", c.Rank())
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

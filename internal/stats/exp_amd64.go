@@ -1,0 +1,42 @@
+package stats
+
+// fastExp enables the 4-wide path of ExpInPlace: the CPU and OS support
+// AVX2 and FMA, and the vector path reproduces math.Exp on the probe.
+var fastExp = hasAVX2FMA() && expSelfCheck(expQuads)
+
+// expQuads exponentiates x in place with AVX2 and FMA, four lanes at a
+// time, from the start of x up to the first quad with a lane outside
+// [−expGate, expGate] (or NaN). It returns the number of elements done, a
+// multiple of 4; elements from there on are untouched.
+//
+//go:noescape
+func expQuads(x []float64) int
+
+func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+
+func xgetbv() (eax, edx uint32)
+
+// hasAVX2FMA reports CPU support for AVX2 and FMA with the YMM register
+// state enabled by the OS.
+func hasAVX2FMA() bool {
+	maxLeaf, _, _, _ := cpuid(0, 0)
+	if maxLeaf < 7 {
+		return false
+	}
+	_, _, ecx1, _ := cpuid(1, 0)
+	const (
+		fma     = 1 << 12
+		osxsave = 1 << 27
+		avx     = 1 << 28
+	)
+	if ecx1&(fma|osxsave|avx) != fma|osxsave|avx {
+		return false
+	}
+	// XCR0 bits 1 and 2: the OS saves SSE and AVX state.
+	if xcr0, _ := xgetbv(); xcr0&6 != 6 {
+		return false
+	}
+	_, ebx7, _, _ := cpuid(7, 0)
+	const avx2 = 1 << 5
+	return ebx7&avx2 != 0
+}

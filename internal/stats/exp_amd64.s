@@ -1,0 +1,121 @@
+#include "textflag.h"
+
+// Four-lane exp with the arithmetic of the FMA branch of the Go runtime's
+// amd64 math.Exp (src/math/exp_amd64.s): the same constants, the same
+// range reduction, the same fused and unfused steps in the same order, so
+// every lane rounds exactly as a scalar math.Exp call does. Only quads
+// whose lanes all lie in [-708, 708] are evaluated here; there the scaled
+// exponent stays in [-1021, 1021] and the scalar code never reaches its
+// subnormal or overflow branches.
+
+// QUAD places one float64 or int64 constant in all four lanes of a
+// 32-byte read-only vector.
+#define QUAD(name, v) \
+	DATA name<>+0(SB)/8, v; \
+	DATA name<>+8(SB)/8, v; \
+	DATA name<>+16(SB)/8, v; \
+	DATA name<>+24(SB)/8, v; \
+	GLOBL name<>(SB), RODATA|NOPTR, $32
+
+QUAD(expAbs, $0x7fffffffffffffff)
+QUAD(expGate, $708.0)
+QUAD(expLog2e, $1.4426950408889634073599246810018920)
+QUAD(expLn2U, $0.69314718055966295651160180568695068359375)
+QUAD(expLn2L, $0.28235290563031577122588448175013436025525412068e-12)
+QUAD(expSixteenth, $0.0625)
+QUAD(expC0, $0.5)
+QUAD(expOne, $1.0)
+QUAD(expTwo, $2.0)
+QUAD(expC3, $1.6666666666666666667e-1)
+QUAD(expC4, $4.1666666666666666667e-2)
+QUAD(expC5, $8.3333333333333333333e-3)
+QUAD(expC6, $1.3888888888888888889e-3)
+QUAD(expC7, $1.9841269841269841270e-4)
+QUAD(expC8, $2.4801587301587301587e-5)
+QUAD(expBias, $1023)
+
+// func expQuads(x []float64) int
+TEXT ·expQuads(SB), NOSPLIT, $0-32
+	MOVQ x_base+0(FP), SI
+	MOVQ x_len+8(FP), CX
+	SHRQ $2, CX
+	XORQ AX, AX
+
+loop:
+	TESTQ CX, CX
+	JZ    done
+	VMOVUPD (SI)(AX*8), Y0
+
+	// Gate: every |x| <= 708, ordered (a NaN lane fails).
+	VANDPD    expAbs<>(SB), Y0, Y1
+	VCMPPD    $0x12, expGate<>(SB), Y1, Y1
+	VMOVMSKPD Y1, DX
+	CMPL      DX, $15
+	JNE       done
+
+	// k = round(x·log2 e) under the current rounding mode, as CVTSD2SL.
+	VMULPD     expLog2e<>(SB), Y0, Y1
+	VCVTPD2DQY Y1, X2
+	VCVTDQ2PD  X2, Y1
+
+	// r = (x − k·ln2U − k·ln2L)/16, both subtractions fused.
+	VFNMADD231PD expLn2U<>(SB), Y1, Y0
+	VFNMADD231PD expLn2L<>(SB), Y1, Y0
+	VMULPD       expSixteenth<>(SB), Y0, Y0
+
+	// Taylor polynomial by fused Horner steps.
+	VMOVUPD     expC8<>(SB), Y1
+	VFMADD213PD expC7<>(SB), Y0, Y1
+	VFMADD213PD expC6<>(SB), Y0, Y1
+	VFMADD213PD expC5<>(SB), Y0, Y1
+	VFMADD213PD expC4<>(SB), Y0, Y1
+	VFMADD213PD expC3<>(SB), Y0, Y1
+	VFMADD213PD expC0<>(SB), Y0, Y1
+	VFMADD213PD expOne<>(SB), Y0, Y1
+	VMULPD      Y1, Y0, Y0
+
+	// Undo the /16 by squaring four times: y = y·(y+2), the last step
+	// fused with the final +1.
+	VADDPD      expTwo<>(SB), Y0, Y1
+	VMULPD      Y1, Y0, Y0
+	VADDPD      expTwo<>(SB), Y0, Y1
+	VMULPD      Y1, Y0, Y0
+	VADDPD      expTwo<>(SB), Y0, Y1
+	VMULPD      Y1, Y0, Y0
+	VADDPD      expTwo<>(SB), Y0, Y1
+	VFMADD213PD expOne<>(SB), Y1, Y0
+
+	// Multiply by 2^k, built from the biased exponent bits.
+	VPMOVSXDQ X2, Y3
+	VPADDQ    expBias<>(SB), Y3, Y3
+	VPSLLQ    $52, Y3, Y3
+	VMULPD    Y3, Y0, Y0
+
+	VMOVUPD Y0, (SI)(AX*8)
+	ADDQ    $4, AX
+	DECQ    CX
+	JMP     loop
+
+done:
+	VZEROUPPER
+	MOVQ AX, ret+24(FP)
+	RET
+
+// func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL eaxArg+0(FP), AX
+	MOVL ecxArg+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax, edx uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-8
+	MOVL $0, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	MOVL DX, edx+4(FP)
+	RET

@@ -1,0 +1,20 @@
+package stats
+
+import (
+	"os"
+	"strings"
+	"testing"
+)
+
+// TestExpVectorPathEnabled: on a CPU with AVX2 and FMA, and with no
+// GODEBUG cpu.* switch changing which branch math.Exp runs, the self-check
+// must accept the vector kernel — otherwise a broken kernel would silently
+// fall back to math.Exp and the exactness tests would never run it.
+func TestExpVectorPathEnabled(t *testing.T) {
+	if !hasAVX2FMA() || strings.Contains(os.Getenv("GODEBUG"), "cpu.") {
+		t.Skip("no AVX2+FMA, or GODEBUG changes the CPU features math.Exp sees")
+	}
+	if !fastExp {
+		t.Fatal("vector exp disabled: the kernel does not reproduce math.Exp on the probe")
+	}
+}

@@ -226,10 +226,9 @@ func WithProfile(p *Profile) Option {
 // bounded pread cache where mapping is unavailable); combine with
 // WithMemoryBudget to cap resident bytes explicitly. The search trajectory
 // is bitwise identical to a run over the materialized rows for every
-// backing and chunk size. Requires the Blocked kernels (the default) and a
-// fully synchronous schedule (SyncEvery <= 1); the WtsOnly parallel
-// strategy, which gathers the full weight matrix to a dataset replica on
-// rank 0, is rejected.
+// backing and chunk size. Requires the Blocked kernels (the default); the
+// WtsOnly parallel strategy, which gathers the full weight matrix to a
+// dataset replica on rank 0, is rejected.
 func WithChunkedData(path string) Option {
 	return func(rc *runConfig) { rc.chunkPath = path }
 }
@@ -316,8 +315,6 @@ func (rc *runConfig) validate() error {
 		switch {
 		case rc.search.EM.Kernels != Blocked:
 			return errors.New("repro: WithChunkedData requires the Blocked kernels")
-		case rc.search.EM.EffectiveSyncEvery() > 1:
-			return errors.New("repro: WithChunkedData does not support WithSyncEvery > 1")
 		case rc.par != nil && rc.par.Strategy == WtsOnly:
 			return errors.New("repro: the WtsOnly strategy requires a materialized dataset")
 		}

@@ -55,6 +55,25 @@ func TestRunWithChunkedData(t *testing.T) {
 	assertSameSearch(t, gotPar.Search, wantPar.Search)
 }
 
+// TestRunChunkedStaleSync: bounded staleness runs out of core. With
+// ChunkAlign·P | n a 2-rank WithSyncEvery(3) run over the chunk file
+// reproduces the materialized run bit for bit.
+func TestRunChunkedStaleSync(t *testing.T) {
+	ds := runTestDataset(t, 1024)
+	cfg := runQuickCfg()
+	path := writeChunkFile(t, ds, 512)
+	opts := []Option{WithSearchConfig(cfg), WithSyncEvery(3), WithParallel(ParallelConfig{Procs: 2})}
+	want, err := Run(ds, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Run(nil, append(opts, WithChunkedData(path), WithMemoryBudget(64<<10))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameSearch(t, got.Search, want.Search)
+}
+
 func TestRunChunkedOptionValidation(t *testing.T) {
 	ds := runTestDataset(t, 300)
 	path := writeChunkFile(t, ds, 256)
@@ -69,8 +88,6 @@ func TestRunChunkedOptionValidation(t *testing.T) {
 		{"budget without chunked", ds, []Option{WithMemoryBudget(1 << 20)}},
 		{"negative budget", nil, []Option{WithChunkedData(path), WithMemoryBudget(-1)}},
 		{"chunked+reference kernels", nil, []Option{WithChunkedData(path), WithSearchConfig(refCfg)}},
-		{"chunked+stale sync", nil, []Option{WithChunkedData(path), WithSyncEvery(3),
-			WithParallel(ParallelConfig{Procs: 2})}},
 		{"chunked+wtsonly", nil, []Option{WithChunkedData(path),
 			WithParallel(ParallelConfig{Procs: 2, Strategy: WtsOnly})}},
 		{"missing chunk file", nil, []Option{WithChunkedData(filepath.Join(t.TempDir(), "nope.chunks"))}},
