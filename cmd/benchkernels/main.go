@@ -30,7 +30,7 @@ type Result struct {
 	// "BenchmarkBaseCycle/kernels=blocked".
 	Name string `json:"name"`
 	// Iterations is the b.N the line reports.
-	Iterations int64 `json:"iterations"`
+	Iterations int64   `json:"iterations"`
 	NsPerOp    float64 `json:"ns_per_op"`
 	// BytesPerOp and AllocsPerOp are present when -benchmem was on.
 	BytesPerOp  *float64 `json:"bytes_per_op,omitempty"`

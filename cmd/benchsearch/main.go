@@ -52,13 +52,13 @@ type WorkerResult struct {
 
 // Report is the BENCH_search.json schema.
 type Report struct {
-	N          int     `json:"n"`
-	Seed       uint64  `json:"seed"`
-	StartJList []int   `json:"start_j_list"`
-	Tries      int     `json:"tries"`
-	MaxCycles  int     `json:"max_cycles"`
-	HostCores  int     `json:"host_cores"`
-	GoMaxProcs int     `json:"gomaxprocs"`
+	N          int    `json:"n"`
+	Seed       uint64 `json:"seed"`
+	StartJList []int  `json:"start_j_list"`
+	Tries      int    `json:"tries"`
+	MaxCycles  int    `json:"max_cycles"`
+	HostCores  int    `json:"host_cores"`
+	GoMaxProcs int    `json:"gomaxprocs"`
 	// TrySeconds is every try's measured phase-time total, in schedule
 	// order — the cost vector the makespan model schedules.
 	TrySeconds            []float64      `json:"try_seconds"`
@@ -266,7 +266,7 @@ func makespan(costs []float64, order []int, workers int) float64 {
 
 func checkpointBytes(cls *autoclass.Classification) ([]byte, error) {
 	var buf bytes.Buffer
-	if err := autoclass.SaveCheckpoint(&buf, cls); err != nil {
+	if err := (&autoclass.Checkpoint{Classification: cls}).Save(&buf); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil

@@ -4,7 +4,7 @@
 // passing substrate, optionally under the simulated Meiko CS-2 clock.
 //
 // The command is a pure consumer of the repro facade: every capability is
-// reached through repro.Run's options (and repro.LoadCheckpoint /
+// reached through repro.Run's options (and repro.Checkpoint /
 // repro.Predict for the no-search classify path).
 //
 // Usage:
@@ -346,7 +346,7 @@ func run(args []string, w io.Writer) error {
 		}
 	}
 	if *checkpoint != "" {
-		if err := repro.SaveCheckpoint(*checkpoint, best.Best); err != nil {
+		if err := (&repro.Checkpoint{Classification: best.Best}).SaveFile(*checkpoint); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "checkpoint written to %s\n", *checkpoint)
@@ -419,10 +419,11 @@ func writeCasesFile(path string, cls *repro.Classification, ds *repro.Dataset) e
 // runClassify loads a checkpoint and classifies the dataset without
 // searching — the batch inference path.
 func runClassify(w io.Writer, ds *repro.Dataset, checkpointPath, casesPath string) error {
-	cls, err := repro.LoadCheckpoint(checkpointPath, ds)
-	if err != nil {
+	var ck repro.Checkpoint
+	if err := ck.LoadFile(checkpointPath, ds); err != nil {
 		return err
 	}
+	cls := ck.Classification
 	fmt.Fprintf(w, "classifying %d tuples with %d classes from %s\n", ds.N(), cls.J(), checkpointPath)
 	sizes := repro.ClassSizes(cls, ds)
 	fmt.Fprintf(w, "class sizes: %v\n", sizes)
@@ -458,7 +459,7 @@ func runResumable(w io.Writer, ds *repro.Dataset, cfg repro.SearchConfig, correl
 		}
 	}
 	if checkpoint != "" {
-		if err := repro.SaveCheckpoint(checkpoint, res.Best); err != nil {
+		if err := (&repro.Checkpoint{Classification: res.Best}).SaveFile(checkpoint); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "checkpoint written to %s\n", checkpoint)
@@ -494,7 +495,7 @@ func runModelSearch(w io.Writer, ds *repro.Dataset, cfg repro.SearchConfig, repo
 		}
 	}
 	if checkpoint != "" {
-		if err := repro.SaveCheckpoint(checkpoint, res.Best); err != nil {
+		if err := (&repro.Checkpoint{Classification: res.Best}).SaveFile(checkpoint); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "checkpoint written to %s\n", checkpoint)

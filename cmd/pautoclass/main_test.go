@@ -130,7 +130,7 @@ func TestCLICheckpointOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := autoclass.LoadCheckpointFile(ck, ds); err != nil {
+	if err := (&autoclass.Checkpoint{}).LoadFile(ck, ds); err != nil {
 		t.Fatalf("checkpoint unreadable: %v", err)
 	}
 }

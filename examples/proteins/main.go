@@ -53,13 +53,14 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 	ck := filepath.Join(dir, "families.json")
-	if err := repro.SaveCheckpoint(ck, res.Best); err != nil {
+	if err := (&repro.Checkpoint{Classification: res.Best}).SaveFile(ck); err != nil {
 		log.Fatal(err)
 	}
-	restored, err := repro.LoadCheckpoint(ck, ds)
-	if err != nil {
+	var loaded repro.Checkpoint
+	if err := loaded.LoadFile(ck, ds); err != nil {
 		log.Fatal(err)
 	}
+	restored := loaded.Classification
 	probe := ds.Row(0)
 	fmt.Printf("checkpoint round trip OK: new window classified to family %d (same as before: %v)\n",
 		restored.HardAssign(probe), restored.HardAssign(probe) == res.Best.HardAssign(probe))

@@ -16,8 +16,7 @@ import (
 // interruption; this file provides the equivalent: a JSON snapshot of a
 // classification's structure and parameters that can be reloaded against
 // the same dataset. The Checkpoint type is the one entry point — it
-// round-trips both plain classification snapshots and mid-search state;
-// the historical Save/Load function pairs remain as thin wrappers.
+// round-trips both plain classification snapshots and mid-search state.
 
 // Checkpoint is a versioned snapshot of a fitted (or mid-run)
 // classification, optionally pinned to its position in a BIG_LOOP search.
@@ -47,15 +46,17 @@ func (c *Checkpoint) Save(w io.Writer) error {
 			return fmt.Errorf("autoclass: search checkpoint before first cycle (last_post %v)", sp.LastPost)
 		}
 		ck.Search = &ckptSearchV1{
-			TryIndex:   sp.TryIndex,
-			StartJ:     sp.StartJ,
-			Try:        sp.Try,
-			TrySeed:    sp.TrySeed,
-			CycleInTry: sp.CycleInTry,
-			BelowTol:   sp.BelowTol,
-			LastPost:   sp.LastPost,
-			SearchSeed: sp.SearchSeed,
-			SyncStats:  sp.SyncStats,
+			TryIndex:      sp.TryIndex,
+			StartJ:        sp.StartJ,
+			Try:           sp.Try,
+			TrySeed:       sp.TrySeed,
+			CycleInTry:    sp.CycleInTry,
+			BelowTol:      sp.BelowTol,
+			LastPost:      sp.LastPost,
+			SearchSeed:    sp.SearchSeed,
+			SyncStats:     sp.SyncStats,
+			Reductions:    sp.Reductions,
+			ReducedValues: sp.ReducedValues,
 		}
 	}
 	enc := json.NewEncoder(w)
@@ -86,15 +87,17 @@ func (c *Checkpoint) Load(r io.Reader, ds *dataset.Dataset) error {
 	c.Search = nil
 	if ck.Search != nil {
 		c.Search = &SearchPoint{
-			TryIndex:   ck.Search.TryIndex,
-			StartJ:     ck.Search.StartJ,
-			Try:        ck.Search.Try,
-			TrySeed:    ck.Search.TrySeed,
-			CycleInTry: ck.Search.CycleInTry,
-			BelowTol:   ck.Search.BelowTol,
-			LastPost:   ck.Search.LastPost,
-			SearchSeed: ck.Search.SearchSeed,
-			SyncStats:  ck.Search.SyncStats,
+			TryIndex:      ck.Search.TryIndex,
+			StartJ:        ck.Search.StartJ,
+			Try:           ck.Search.Try,
+			TrySeed:       ck.Search.TrySeed,
+			CycleInTry:    ck.Search.CycleInTry,
+			BelowTol:      ck.Search.BelowTol,
+			LastPost:      ck.Search.LastPost,
+			SearchSeed:    ck.Search.SearchSeed,
+			SyncStats:     ck.Search.SyncStats,
+			Reductions:    ck.Search.Reductions,
+			ReducedValues: ck.Search.ReducedValues,
 		}
 	}
 	return nil
@@ -153,6 +156,10 @@ type ckptSearchV1 struct {
 	// SyncStats is the bounded-staleness global-statistics baseline at the
 	// snapshot's sync point; absent for synchronous (SyncEvery <= 1) runs.
 	SyncStats []float64 `json:"sync_stats,omitempty"`
+	// Reductions and ReducedValues count the try's reducer traffic so far;
+	// absent in snapshots written before they were recorded.
+	Reductions    int `json:"reductions,omitempty"`
+	ReducedValues int `json:"reduced_values,omitempty"`
 }
 
 // SearchPoint pins a checkpoint to its position in the BIG_LOOP search: the
@@ -185,6 +192,10 @@ type SearchPoint struct {
 	// SearchSeed is the search's root seed, so resume can detect a
 	// mismatched -seed flag instead of silently diverging.
 	SearchSeed uint64
+	// Reductions and ReducedValues count the try's reducer traffic over
+	// its first CycleInTry cycles (EngineState), so a resumed try reports
+	// the same totals as an uninterrupted one.
+	Reductions, ReducedValues int
 }
 
 type ckptBlock struct {
@@ -227,45 +238,6 @@ func buildCheckpoint(cls *Classification) (checkpointV1, error) {
 	return ck, nil
 }
 
-// SaveCheckpoint serializes the classification to w.
-//
-// Deprecated: use (&Checkpoint{Classification: cls}).Save(w).
-func SaveCheckpoint(w io.Writer, cls *Classification) error {
-	return (&Checkpoint{Classification: cls}).Save(w)
-}
-
-// SaveCheckpointSearch serializes the classification plus, when sp is
-// non-nil, its mid-search position.
-//
-// Deprecated: use (&Checkpoint{Classification: cls, Search: sp}).Save(w).
-func SaveCheckpointSearch(w io.Writer, cls *Classification, sp *SearchPoint) error {
-	return (&Checkpoint{Classification: cls, Search: sp}).Save(w)
-}
-
-// LoadCheckpoint reconstructs a classification from r, validating it
-// against the dataset's schema.
-//
-// Deprecated: use Checkpoint.Load.
-func LoadCheckpoint(r io.Reader, ds *dataset.Dataset) (*Classification, error) {
-	var ck Checkpoint
-	if err := ck.Load(r, ds); err != nil {
-		return nil, err
-	}
-	return ck.Classification, nil
-}
-
-// LoadCheckpointSearch is LoadCheckpoint that also returns the mid-search
-// position when the checkpoint carries one (nil otherwise).
-//
-// Deprecated: use Checkpoint.Load.
-func LoadCheckpointSearch(r io.Reader, ds *dataset.Dataset) (*Classification, *SearchPoint, error) {
-	var ck Checkpoint
-	if err := ck.Load(r, ds); err != nil {
-		return nil, nil, err
-	}
-	return ck.Classification, ck.Search, nil
-}
-
 // restoreClassification rebuilds the in-memory classification from its
 // serialized form, validating against the dataset's schema.
 func restoreClassification(ck *checkpointV1, ds *dataset.Dataset) (*Classification, error) {
@@ -279,6 +251,9 @@ func restoreClassification(ck *checkpointV1, ds *dataset.Dataset) (*Classificati
 	var pr model.Priors
 	if err := json.Unmarshal(ck.Priors, &pr); err != nil {
 		return nil, fmt.Errorf("autoclass: decode priors: %w", err)
+	}
+	if err := checkPriors(&pr, ds); err != nil {
+		return nil, err
 	}
 	cls, err := NewClassification(ds, spec, &pr, len(ck.Classes))
 	if err != nil {
@@ -306,20 +281,22 @@ func restoreClassification(ck *checkpointV1, ds *dataset.Dataset) (*Classificati
 	return cls, nil
 }
 
-// SaveCheckpointFile writes a checkpoint to path.
-//
-// Deprecated: use Checkpoint.SaveFile.
-func SaveCheckpointFile(path string, cls *Classification) error {
-	return (&Checkpoint{Classification: cls}).SaveFile(path)
-}
-
-// LoadCheckpointFile reads a checkpoint from path.
-//
-// Deprecated: use Checkpoint.LoadFile.
-func LoadCheckpointFile(path string, ds *dataset.Dataset) (*Classification, error) {
-	var ck Checkpoint
-	if err := ck.LoadFile(path, ds); err != nil {
-		return nil, err
+// checkPriors refuses decoded priors that do not cover the dataset's
+// schema: the terms index every per-attribute slice, so a short one would
+// panic at the first lookup instead of failing the load.
+func checkPriors(pr *model.Priors, ds *dataset.Dataset) error {
+	na := ds.NumAttrs()
+	for _, n := range []int{len(pr.Mean), len(pr.Sigma), len(pr.SigmaFloor), len(pr.GlobalFreq),
+		len(pr.LogMean), len(pr.LogSigma), len(pr.LogSigmaFloor), len(pr.NonPositive)} {
+		if n != na {
+			return fmt.Errorf("autoclass: checkpoint priors cover %d attributes, dataset has %d", n, na)
+		}
 	}
-	return ck.Classification, nil
+	for k := 0; k < na; k++ {
+		if a := ds.Attr(k); a.Type == dataset.Discrete && len(pr.GlobalFreq[k]) != a.Cardinality() {
+			return fmt.Errorf("autoclass: checkpoint priors have %d levels for %q, dataset has %d",
+				len(pr.GlobalFreq[k]), a.Name, a.Cardinality())
+		}
+	}
+	return nil
 }

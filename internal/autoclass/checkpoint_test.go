@@ -14,13 +14,14 @@ import (
 func TestCheckpointRoundTrip(t *testing.T) {
 	cls, ds := convergedClassification(t, 600)
 	var buf bytes.Buffer
-	if err := SaveCheckpoint(&buf, cls); err != nil {
+	if err := (&Checkpoint{Classification: cls}).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadCheckpoint(&buf, ds)
-	if err != nil {
+	var ck Checkpoint
+	if err := ck.Load(&buf, ds); err != nil {
 		t.Fatal(err)
 	}
+	got := ck.Classification
 	if got.J() != cls.J() || got.N != cls.N || got.Cycles != cls.Cycles || got.Converged != cls.Converged {
 		t.Fatalf("metadata mismatch: %+v", got)
 	}
@@ -56,15 +57,15 @@ func TestCheckpointResumeContinuesEM(t *testing.T) {
 	// the restored parameters, and keep cycling without degradation.
 	cls, ds := convergedClassification(t, 600)
 	var buf bytes.Buffer
-	if err := SaveCheckpoint(&buf, cls); err != nil {
+	if err := (&Checkpoint{Classification: cls}).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	raw := append([]byte(nil), buf.Bytes()...)
-	restored, err := LoadCheckpoint(bytes.NewReader(raw), ds)
-	if err != nil {
+	var ck Checkpoint
+	if err := ck.Load(bytes.NewReader(raw), ds); err != nil {
 		t.Fatal(err)
 	}
-	eng := mustEngine(t, ds, restored, DefaultConfig())
+	eng := mustEngine(t, ds, ck.Classification, DefaultConfig())
 	// Re-initializing from any seed then cycling re-enters EM; after one
 	// cycle the weights reflect the restored parameters, and the posterior
 	// should be near the checkpointed optimum (not the random-init level).
@@ -73,11 +74,11 @@ func TestCheckpointResumeContinuesEM(t *testing.T) {
 	}
 	// InitRandom's update_parameters overwrote the restored parameters, so
 	// restore them once more via the checkpoint and cycle directly.
-	restored2, err := LoadCheckpoint(bytes.NewReader(raw), ds)
-	if err != nil {
+	var ck2 Checkpoint
+	if err := ck2.Load(bytes.NewReader(raw), ds); err != nil {
 		t.Fatal(err)
 	}
-	eng2 := mustEngine(t, ds, restored2, DefaultConfig())
+	eng2 := mustEngine(t, ds, ck2.Classification, DefaultConfig())
 	if err := eng2.InitRandom(1); err != nil {
 		t.Fatal(err)
 	}
@@ -93,17 +94,17 @@ func TestCheckpointResumeContinuesEM(t *testing.T) {
 func TestCheckpointFileRoundTrip(t *testing.T) {
 	cls, ds := convergedClassification(t, 300)
 	path := filepath.Join(t.TempDir(), "ck.json")
-	if err := SaveCheckpointFile(path, cls); err != nil {
+	if err := (&Checkpoint{Classification: cls}).SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadCheckpointFile(path, ds)
-	if err != nil {
+	var ck Checkpoint
+	if err := ck.LoadFile(path, ds); err != nil {
 		t.Fatal(err)
 	}
-	if got.J() != cls.J() {
+	if got := ck.Classification; got.J() != cls.J() {
 		t.Fatalf("J=%d", got.J())
 	}
-	if _, err := LoadCheckpointFile(filepath.Join(t.TempDir(), "missing.json"), ds); err == nil {
+	if err := ck.LoadFile(filepath.Join(t.TempDir(), "missing.json"), ds); err == nil {
 		t.Fatal("missing file accepted")
 	}
 }
@@ -117,13 +118,14 @@ func TestCheckpointSearchPointRoundTrip(t *testing.T) {
 		SearchSeed: ^uint64(0),
 	}
 	var buf bytes.Buffer
-	if err := SaveCheckpointSearch(&buf, cls, sp); err != nil {
+	if err := (&Checkpoint{Classification: cls, Search: sp}).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, gotSP, err := LoadCheckpointSearch(bytes.NewReader(buf.Bytes()), ds)
-	if err != nil {
+	var ck Checkpoint
+	if err := ck.Load(bytes.NewReader(buf.Bytes()), ds); err != nil {
 		t.Fatal(err)
 	}
+	got, gotSP := ck.Classification, ck.Search
 	if gotSP == nil {
 		t.Fatal("search point lost in round trip")
 	}
@@ -135,44 +137,45 @@ func TestCheckpointSearchPointRoundTrip(t *testing.T) {
 	}
 	// Plain checkpoints stay search-point-free through the new loader.
 	buf.Reset()
-	if err := SaveCheckpoint(&buf, cls); err != nil {
+	if err := (&Checkpoint{Classification: cls}).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, sp2, err := LoadCheckpointSearch(&buf, ds); err != nil || sp2 != nil {
-		t.Fatalf("plain checkpoint: sp=%v err=%v", sp2, err)
+	if err := ck.Load(&buf, ds); err != nil || ck.Search != nil {
+		t.Fatalf("plain checkpoint: sp=%v err=%v", ck.Search, err)
 	}
 	// A pre-first-cycle snapshot (-Inf LastPost) cannot be encoded and must
 	// be rejected, not silently mangled.
 	bad := &SearchPoint{LastPost: math.Inf(-1)}
-	if err := SaveCheckpointSearch(&bytes.Buffer{}, cls, bad); err == nil {
+	if err := (&Checkpoint{Classification: cls, Search: bad}).Save(&bytes.Buffer{}); err == nil {
 		t.Error("non-finite LastPost accepted")
 	}
 }
 
 func TestCheckpointErrors(t *testing.T) {
 	_, ds := convergedClassification(t, 100)
-	if err := SaveCheckpoint(&bytes.Buffer{}, nil); err == nil {
+	if err := (&Checkpoint{}).Save(&bytes.Buffer{}); err == nil {
 		t.Error("nil classification accepted")
 	}
-	if _, err := LoadCheckpoint(strings.NewReader("not json"), ds); err == nil {
+	var ck Checkpoint
+	if err := ck.Load(strings.NewReader("not json"), ds); err == nil {
 		t.Error("garbage accepted")
 	}
-	if _, err := LoadCheckpoint(strings.NewReader(`{"version":99}`), ds); err == nil {
+	if err := ck.Load(strings.NewReader(`{"version":99}`), ds); err == nil {
 		t.Error("bad version accepted")
 	}
-	if _, err := LoadCheckpoint(strings.NewReader(`{"version":1,"classes":[]}`), ds); err == nil {
+	if err := ck.Load(strings.NewReader(`{"version":1,"classes":[]}`), ds); err == nil {
 		t.Error("no classes accepted")
 	}
 	// Schema mismatch: checkpoint from the 2-attribute dataset loaded
 	// against a 1-attribute dataset.
 	cls2, _ := convergedClassification(t, 100)
 	var buf bytes.Buffer
-	if err := SaveCheckpoint(&buf, cls2); err != nil {
+	if err := (&Checkpoint{Classification: cls2}).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	other := dataset.MustNew("one", []dataset.Attribute{{Name: "x", Type: dataset.Real}})
 	other.AppendRow([]float64{1})
-	if _, err := LoadCheckpoint(&buf, other); err == nil {
+	if err := ck.Load(&buf, other); err == nil {
 		t.Error("schema mismatch accepted")
 	}
 }
@@ -180,21 +183,13 @@ func TestCheckpointErrors(t *testing.T) {
 // TestCheckpointTypeRoundTrip covers the unified Checkpoint type directly:
 // one Save/Load pair must round-trip both a plain classification snapshot
 // (Search nil in, nil out) and a mid-search snapshot (SearchPoint preserved
-// field-for-field), through both the stream and the file forms. The legacy
-// function wrappers are byte-compatible with it by construction.
+// field-for-field), through both the stream and the file forms.
 func TestCheckpointTypeRoundTrip(t *testing.T) {
 	cls, ds := convergedClassification(t, 600)
 
 	var plain bytes.Buffer
 	if err := (&Checkpoint{Classification: cls}).Save(&plain); err != nil {
 		t.Fatal(err)
-	}
-	var legacy bytes.Buffer
-	if err := SaveCheckpoint(&legacy, cls); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(plain.Bytes(), legacy.Bytes()) {
-		t.Fatal("Checkpoint.Save and SaveCheckpoint produced different bytes")
 	}
 	var got Checkpoint
 	if err := got.Load(bytes.NewReader(plain.Bytes()), ds); err != nil {

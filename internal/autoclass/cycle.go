@@ -242,6 +242,8 @@ type Engine struct {
 	lastPost    float64
 	started     bool
 	initSeconds float64
+	// Reducer traffic of the try so far (EngineState).
+	reductions, reducedValues int
 
 	// Optional observability hooks; both nil-safe and off the per-row hot
 	// path (consulted once per cycle, never inside the row loops).
@@ -356,12 +358,18 @@ type EngineState struct {
 	// together with the classification's W/LogLik — fully determines the
 	// continuation. Nil on the synchronous path.
 	SyncStats []float64
+	// Reductions and ReducedValues count the try's Reducer traffic so far,
+	// so a snapshot carries the counts an interrupted try has accumulated.
+	Reductions, ReducedValues int
 }
 
 // State snapshots the engine at a cycle boundary (call it from a CycleHook
 // or between BaseCycle calls).
 func (e *Engine) State() EngineState {
-	st := EngineState{Cycles: e.cls.Cycles, BelowTol: e.belowTol, LastPost: e.lastPost}
+	st := EngineState{
+		Cycles: e.cls.Cycles, BelowTol: e.belowTol, LastPost: e.lastPost,
+		Reductions: e.reductions, ReducedValues: e.reducedValues,
+	}
 	if e.staleActive() && e.syncStats != nil {
 		st.SyncStats = append([]float64(nil), e.syncStats...)
 	}
@@ -375,6 +383,7 @@ func (e *Engine) State() EngineState {
 func (e *Engine) Restore(st EngineState) {
 	e.belowTol = st.BelowTol
 	e.lastPost = st.LastPost
+	e.reductions, e.reducedValues = st.Reductions, st.ReducedValues
 	e.started = true
 	e.initSeconds = 0
 	if e.staleActive() && st.SyncStats != nil {
@@ -700,6 +709,8 @@ func (e *Engine) RunFrom(from int) (EMResult, error) {
 		res.ApproxSeconds += cs.ApproxSeconds
 		res.ReducedValues += cs.ReducedValues
 		res.Reductions += cs.Reductions
+		e.reducedValues += cs.ReducedValues
+		e.reductions += cs.Reductions
 		res.History = append(res.History, cs.LogPost)
 		delta := CycleDelta(cs.LogPost, e.lastPost)
 		// The convergence tracker advances only at synchronization points:

@@ -69,16 +69,19 @@ type ModelSearchResult struct {
 	PerSpec []SpecResult
 }
 
-// SearchModelsWith drives the model-level search over an arbitrary
-// per-spec runner, mirroring SearchWith at the level above.
-func SearchModelsWith(run func(cand SpecCandidate) (*SearchResult, error),
-	candidates []SpecCandidate) (*ModelSearchResult, error) {
+// SearchModels runs the sequential two-level search: for every candidate
+// model form, the full BIG_LOOP; the best classification across forms wins.
+// charger may be nil.
+func SearchModels(ds *dataset.Dataset, candidates []SpecCandidate, cfg SearchConfig, charger Charger) (*ModelSearchResult, error) {
+	if ds.N() == 0 {
+		return nil, errors.New("autoclass: empty dataset")
+	}
 	if len(candidates) == 0 {
 		return nil, errors.New("autoclass: no model candidates")
 	}
 	out := &ModelSearchResult{}
 	for _, cand := range candidates {
-		res, err := run(cand)
+		res, err := Search(ds, cand.Spec, cfg, &SearchOptions{Charger: charger})
 		if err != nil {
 			return nil, fmt.Errorf("autoclass: model %q: %w", cand.Name, err)
 		}
@@ -89,15 +92,4 @@ func SearchModelsWith(run func(cand SpecCandidate) (*SearchResult, error),
 		}
 	}
 	return out, nil
-}
-
-// SearchModels runs the sequential two-level search: for every candidate
-// model form, the full BIG_LOOP; the best classification across forms wins.
-func SearchModels(ds *dataset.Dataset, candidates []SpecCandidate, cfg SearchConfig, charger Charger) (*ModelSearchResult, error) {
-	if ds.N() == 0 {
-		return nil, errors.New("autoclass: empty dataset")
-	}
-	return SearchModelsWith(func(cand SpecCandidate) (*SearchResult, error) {
-		return Search(ds, cand.Spec, cfg, charger)
-	}, candidates)
 }

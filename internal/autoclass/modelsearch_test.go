@@ -1,7 +1,6 @@
 package autoclass
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/datagen"
@@ -81,10 +80,8 @@ func TestSearchModelsValidation(t *testing.T) {
 }
 
 func TestSearchModelsWithErrorPropagates(t *testing.T) {
-	boom := fmt.Errorf("spec failed")
-	_, err := SearchModelsWith(func(cand SpecCandidate) (*SearchResult, error) {
-		return nil, boom
-	}, []SpecCandidate{{Name: "x", Spec: model.Spec{}}})
+	ds := paperDS(t, 60)
+	_, err := SearchModels(ds, []SpecCandidate{{Name: "x", Spec: model.Spec{}}}, quickSearchConfig(), nil)
 	if err == nil {
 		t.Fatal("runner error swallowed")
 	}

@@ -3,6 +3,7 @@ package autoclass
 import (
 	"errors"
 	"fmt"
+	"os"
 
 	"repro/internal/dataset"
 	"repro/internal/model"
@@ -40,8 +41,8 @@ type SearchConfig struct {
 	// an already-committed (finalJ, score) basin, recording them as
 	// early-stopped duplicates. The decision depends on commit timing, so
 	// this is the one knob excluded from the bitwise-identity guarantee;
-	// it only takes effect with SearchParallelism > 1 on the native engine
-	// paths (Search/SearchObserved and the resumable search).
+	// it only takes effect with SearchParallelism > 1 on the sequential
+	// engine (Search).
 	BasinEarlyStop bool
 }
 
@@ -108,11 +109,9 @@ type SearchResult struct {
 }
 
 // TrialRunner executes one classification try: build a classification with
-// startJ classes, initialize it from seed, and run EM to convergence. The
-// sequential and parallel engines plug in here; the BIG_LOOP logic above it
-// is identical (and in the parallel case runs replicated on every rank,
-// driven entirely by globally reduced quantities, so all ranks make the
-// same decisions).
+// startJ classes, initialize it from seed, and run EM to convergence. It is
+// the plug-in point for runners outside this package (SearchWith); the
+// engines in this repository run through the scheduler's VariantRunner.
 type TrialRunner func(startJ int, seed uint64) (*Classification, EMResult, error)
 
 // SearchWith drives the BIG_LOOP over an arbitrary TrialRunner. With
@@ -123,135 +122,111 @@ type TrialRunner func(startJ int, seed uint64) (*Classification, EMResult, error
 // in schedule order inside the scheduler, so the result is bitwise
 // identical to the sequential BIG_LOOP at any worker count.
 func SearchWith(run TrialRunner, cfg SearchConfig) (*SearchResult, error) {
-	return SearchWithObserver(run, cfg, nil)
+	sched, err := NewSearchScheduler(cfg, cfg.SearchWorkers())
+	if err != nil {
+		return nil, err
+	}
+	return sched.Run(nil, func(int) VariantRunner {
+		return func(v Variant) (*Classification, EMResult, error) { return run(v.StartJ, v.Seed) }
+	})
 }
 
-// SearchWithObserver is SearchWith with a search observer receiving try
-// lifecycle events (claims and commit verdicts; cycle events only come
-// from the native engine paths, which own the engines). A nil observer is
-// exactly SearchWith.
-func SearchWithObserver(run TrialRunner, cfg SearchConfig, so SearchObserver) (*SearchResult, error) {
-	workers := cfg.SearchWorkers()
-	sched, err := NewSearchScheduler(cfg, workers)
-	if err != nil {
-		return nil, err
-	}
-	sched.SetObserver(so)
-	res, err := sched.run(func(int) TrialRunner { return run }, workers)
-	if err != nil {
-		return nil, err
-	}
-	if res.Best == nil {
-		return nil, errors.New("autoclass: search produced no classification")
-	}
-	return res, nil
+// SearchOptions carries the optional parts of a sequential search. The
+// zero value (or a nil pointer) runs a plain, uninstrumented search.
+type SearchOptions struct {
+	// Charger charges engine work to a virtual clock. A charger is not safe
+	// for concurrent use, so charged searches run one variant at a time
+	// regardless of SearchParallelism.
+	Charger Charger
+	// Profile, Cycles and Observer instrument every try's engine: the phase
+	// profile, the cycle observer and the search observer. Instrumentation
+	// never perturbs the trajectory.
+	Profile  *trace.Profile
+	Cycles   CycleObserver
+	Observer SearchObserver
+	// StatePath makes the search resumable: progress persists to this file
+	// after every committed try, and a search started against a file that
+	// holds the progress of the same search over the same dataset skips the
+	// completed tries (see SearchState). On resume the search observer's
+	// first events report a Done count that already includes the restored
+	// prefix. The file stays in place, so a finished search run again
+	// returns at once.
+	StatePath string
 }
 
 // Search runs the sequential BIG_LOOP over a whole dataset, deriving priors
-// from its summary. charger may be nil.
-func Search(ds *dataset.Dataset, spec model.Spec, cfg SearchConfig, charger Charger) (*SearchResult, error) {
-	return SearchObserved(ds, spec, cfg, charger, nil, nil, nil)
-}
-
-// SearchObserved is Search with per-try engine instrumentation: the phase
-// profile, cycle observer and search observer, when non-nil, are installed
-// on every try's engine — the same wiring the parallel path applies
-// through pautoclass.Options. Instrumentation never perturbs the
-// trajectory: the result is bitwise identical to Search's.
-func SearchObserved(ds *dataset.Dataset, spec model.Spec, cfg SearchConfig,
-	charger Charger, profile *trace.Profile, co CycleObserver, so SearchObserver) (*SearchResult, error) {
+// from its summary. opts may be nil.
+func Search(ds *dataset.Dataset, spec model.Spec, cfg SearchConfig, opts *SearchOptions) (*SearchResult, error) {
 	if ds.N() == 0 {
 		return nil, errors.New("autoclass: empty dataset")
 	}
-	workers := searchWorkersFor(cfg, charger)
+	if opts == nil {
+		opts = &SearchOptions{}
+	}
+	workers := cfg.SearchWorkers()
+	if opts.Charger != nil {
+		workers = 1
+	}
 	sched, err := NewSearchScheduler(cfg, workers)
 	if err != nil {
 		return nil, err
 	}
-	sched.SetObserver(so)
+	sched.SetObserver(opts.Observer)
+	var st *SearchState
+	if opts.StatePath != "" {
+		raw, err := os.ReadFile(opts.StatePath)
+		if err != nil && !os.IsNotExist(err) {
+			return nil, err
+		}
+		if st, err = LoadSearchState(raw, cfg, ds, EngineSequential); err != nil {
+			return nil, fmt.Errorf("autoclass: state file %s: %w", opts.StatePath, err)
+		}
+		st.Path = opts.StatePath
+	}
 	pr := model.NewPriors(ds, ds.Summarize())
-	makeRunner := nativeRunnerFactory(ds, spec, pr, cfg, charger, profile, co, so, sched, workers)
-	res, err := sched.run(makeRunner, workers)
-	if err != nil {
-		return nil, err
-	}
-	if res.Best == nil {
-		return nil, errors.New("autoclass: search produced no classification")
-	}
-	return res, nil
+	return sched.Run(st, nativeRunners(ds, spec, pr, cfg, opts, sched))
 }
 
-// searchWorkersFor resolves the variant worker count for the native engine
-// paths. A charger (the simulated-network clock) is not safe for
-// concurrent use, so charged runs stay sequential regardless of
-// SearchParallelism.
-func searchWorkersFor(cfg SearchConfig, charger Charger) int {
-	if charger != nil {
-		return 1
-	}
-	return cfg.SearchWorkers()
-}
-
-// nativeRunnerFactory builds the per-slot TrialRunner of the sequential
-// engine paths (Search, SearchObserved and the resumable search). With
+// nativeRunners builds the per-slot runners of the sequential engine. With
 // several workers the variants share one dataset view — and through it one
 // columnar mirror — and a shared cycle observer is serialized behind a
-// lock. Passing a nil scheduler disables basin early termination (used
-// when regenerating a lost best, which must never be cut short).
-func nativeRunnerFactory(ds *dataset.Dataset, spec model.Spec, pr *model.Priors, cfg SearchConfig,
-	charger Charger, profile *trace.Profile, co CycleObserver, so SearchObserver,
-	sched *SearchScheduler, workers int) func(slot int) TrialRunner {
-	if workers > 1 && co != nil {
-		co = &lockedCycleObserver{o: co}
-	}
+// lock.
+func nativeRunners(ds *dataset.Dataset, spec model.Spec, pr *model.Priors, cfg SearchConfig,
+	opts *SearchOptions, sched *SearchScheduler) func(slot int) VariantRunner {
+	co := opts.Cycles
 	var sharedView *dataset.View
-	if workers > 1 {
+	if sched.workers > 1 {
 		sharedView = ds.All()
-	}
-	// A TrialRunner only sees (startJ, seed); recover the full Variant for
-	// TryCycle events from the deterministic schedule expansion.
-	type vkey struct {
-		startJ int
-		seed   uint64
-	}
-	var vmap map[vkey]Variant
-	var total int
-	if so != nil {
-		vs := cfg.Variants()
-		total = len(vs)
-		vmap = make(map[vkey]Variant, total)
-		for _, v := range vs {
-			vmap[vkey{v.StartJ, v.Seed}] = v
+		if co != nil {
+			co = &lockedCycleObserver{o: co}
 		}
 	}
-	return func(slot int) TrialRunner {
-		return func(startJ int, seed uint64) (*Classification, EMResult, error) {
+	return func(int) VariantRunner {
+		return func(v Variant) (*Classification, EMResult, error) {
 			view := sharedView
 			if view == nil {
 				view = ds.All()
 			}
-			cls, err := NewClassification(ds, spec, pr, startJ)
+			cls, err := NewClassification(ds, spec, pr, v.StartJ)
 			if err != nil {
 				return nil, EMResult{}, err
 			}
-			eng, err := NewEngine(view, cls, cfg.EM, nil, charger)
+			eng, err := NewEngine(view, cls, cfg.EM, nil, opts.Charger)
 			if err != nil {
 				return nil, EMResult{}, err
 			}
-			eng.SetProfile(profile)
+			eng.SetProfile(opts.Profile)
 			cyc := co
-			if so != nil {
-				if v, ok := vmap[vkey{startJ, seed}]; ok {
-					cyc = NewTryCycleObserver(so, co, v, total)
-				}
+			if opts.Observer != nil {
+				cyc = NewTryCycleObserver(opts.Observer, co, v, len(sched.variants))
 			}
 			if cyc != nil {
 				eng.SetCycleObserver(cyc)
 			}
-			if cfg.BasinEarlyStop && workers > 1 && sched != nil {
+			if cfg.BasinEarlyStop && sched.workers > 1 {
 				installBasinStop(eng, cls, sched, cfg.EM)
 			}
-			if err := eng.InitRandom(seed); err != nil {
+			if err := eng.InitRandom(v.Seed); err != nil {
 				return nil, EMResult{}, err
 			}
 			em, err := eng.Run()

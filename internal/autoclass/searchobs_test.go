@@ -62,7 +62,7 @@ func TestSearchObserverTrajectoryBitwise(t *testing.T) {
 		c := cfg
 		c.SearchParallelism = par
 		rec := &recordingObserver{}
-		res, err := SearchObserved(ds, spec, c, nil, nil, nil, rec)
+		res, err := Search(ds, spec, c, &SearchOptions{Observer: rec})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func TestSearchObserverEventStream(t *testing.T) {
 	cfg := resumeCfg()
 	spec := model.DefaultSpec(ds)
 	rec := &recordingObserver{}
-	res, err := SearchObserved(ds, spec, cfg, nil, nil, nil, rec)
+	res, err := Search(ds, spec, cfg, &SearchOptions{Observer: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,14 +178,14 @@ func TestSearchObserverResumeDoneIncludesPrefix(t *testing.T) {
 	cfg := resumeCfg()
 	spec := model.DefaultSpec(ds)
 	statePath := filepath.Join(t.TempDir(), "state.json")
-	if _, err := SearchWithCheckpointFile(ds, spec, cfg, nil, statePath); err != nil {
+	if _, err := Search(ds, spec, cfg, &SearchOptions{StatePath: statePath}); err != nil {
 		t.Fatal(err)
 	}
 	const keep = 2
 	truncateState(t, statePath, keep)
 
 	rec := &recordingObserver{}
-	res, err := SearchWithCheckpointFileObserved(ds, spec, cfg, nil, statePath, nil, nil, rec)
+	res, err := Search(ds, spec, cfg, &SearchOptions{StatePath: statePath, Observer: rec})
 	if err != nil {
 		t.Fatal(err)
 	}

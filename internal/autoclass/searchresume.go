@@ -9,29 +9,34 @@ import (
 	"strings"
 
 	"repro/internal/dataset"
-	"repro/internal/model"
-	"repro/internal/trace"
 )
 
 // AutoClass C checkpoints its search so that multi-day classification runs
 // survive interruption (the paper's motivating runs took 130–400 hours).
-// This file provides the BIG_LOOP-level equivalent: the search driver
-// persists each committed try and the best classification so far; an
-// interrupted search re-launched with the same configuration skips the
-// completed tries — the try seeds are derived deterministically, so the
-// resumed search is indistinguishable from an uninterrupted one. Tries
-// commit (and therefore persist) in schedule order even under variant
-// parallelism, so the state file is always a consistent prefix of the
-// sequential schedule.
+// This file provides the BIG_LOOP-level equivalent: the scheduler persists
+// each committed try and the best classification so far; an interrupted
+// search re-launched with the same configuration skips the completed tries
+// — the try seeds are derived deterministically, so the resumed search is
+// indistinguishable from an uninterrupted one. Tries commit (and therefore
+// persist) in schedule order even under variant parallelism, so the state
+// file is always a consistent prefix of the sequential schedule.
+//
+// One state format serves both engines. The sequential engine (Search)
+// writes it at try boundaries; the SPMD engine (pautoclass.Search) also
+// writes a mid-try snapshot (in_try) every few cycles from rank 0. The file
+// records the row count n and the engine that wrote it, and a resume under
+// another dataset size or the other engine is refused: the two engines
+// derive priors differently (one summary vs. Allreduced partial sums), so
+// their trajectories differ in the last bits and a mixed search would be
+// neither.
 
 // SearchFingerprint pins every configuration knob that shapes a search
 // trajectory. Resuming a state file recorded under a different fingerprint
-// would silently mix tries from two incompatible searches, so both the
-// sequential and the parallel (pautoclass) resume paths embed it in their
-// state files and refuse mismatches. Worker counts (SearchParallelism,
-// EM.Parallelism) are deliberately excluded: both are bitwise-invariant
-// (see parallel.go and searchsched.go), so a search may be resumed under a
-// different degree of parallelism.
+// would silently mix tries from two incompatible searches, so the state
+// file embeds it and a resume refuses mismatches. Worker counts
+// (SearchParallelism, EM.Parallelism) are deliberately excluded: both are
+// bitwise-invariant (see parallel.go and searchsched.go), so a search may
+// be resumed under a different degree of parallelism.
 type SearchFingerprint struct {
 	DupScoreTol    float64     `json:"dup_score_tol"`
 	MaxCycles      int         `json:"max_cycles"`
@@ -106,216 +111,242 @@ func (f SearchFingerprint) Diff(g SearchFingerprint) []string {
 	return d
 }
 
-// searchStateV1 is the serialized search progress.
-type searchStateV1 struct {
+// SearchEngine names the engine family that wrote a state file.
+type SearchEngine string
+
+const (
+	// EngineSequential is the one-process engine of Search.
+	EngineSequential SearchEngine = "sequential"
+	// EngineSPMD is the replicated-rank engine of pautoclass.Search.
+	EngineSPMD SearchEngine = "spmd"
+)
+
+// stateFileV1 is the serialized search progress.
+//
+// Files written before the engine was recorded carry no "engine" field. A
+// file without it is read by its shape: the SPMD engine always recorded n,
+// the sequential engine never did, so n > 0 marks an SPMD file, and a file
+// with neither field is a sequential one whose row count cannot be checked.
+type stateFileV1 struct {
 	Version int `json:"version"`
-	// Config fingerprint — a resume against a different search is refused.
+	// Engine and N identify the engine and dataset size that wrote the
+	// file; StartJList, Tries, Seed and Fingerprint the search.
+	Engine      SearchEngine      `json:"engine,omitempty"`
+	N           int               `json:"n,omitempty"`
 	StartJList  []int             `json:"start_j_list"`
 	Tries       int               `json:"tries"`
 	Seed        uint64            `json:"seed"`
 	Fingerprint SearchFingerprint `json:"fingerprint"`
-	// Completed tries in execution order.
+	// Completed tries in schedule order.
 	Completed []TryResult `json:"completed"`
-	// Best is the best-so-far classification checkpoint (the JSON produced
-	// by SaveCheckpoint), empty until a non-duplicate try completes.
-	Best json.RawMessage `json:"best,omitempty"`
-	// BestTry is the best classification's try record.
-	BestTry TryResult `json:"best_try"`
-	// Totals accumulates phase statistics.
+	// Best is the best-so-far classification (Checkpoint JSON), empty
+	// until a non-duplicate try completes; BestTry is its try record.
+	Best    json.RawMessage `json:"best,omitempty"`
+	BestTry TryResult       `json:"best_try"`
+	// Totals accumulates phase statistics over completed tries.
 	Totals EMResult `json:"totals"`
+	// InTry is a mid-try snapshot (Checkpoint JSON with a SearchPoint) of
+	// try len(Completed), written only by the SPMD engine: a sequential
+	// search with several variant workers has several tries in flight.
+	InTry json.RawMessage `json:"in_try,omitempty"`
 }
 
-// matches reports (as a descriptive error) any disagreement between the
-// recorded search identity and the configuration attempting to resume it.
-func (st *searchStateV1) matches(cfg SearchConfig) error {
-	if st.Tries != cfg.Tries {
-		return fmt.Errorf("Tries %d vs %d", st.Tries, cfg.Tries)
-	}
-	if st.Seed != cfg.Seed {
-		return fmt.Errorf("Seed %d vs %d", st.Seed, cfg.Seed)
-	}
-	if len(st.StartJList) != len(cfg.StartJList) {
-		return fmt.Errorf("StartJList %v vs %v", st.StartJList, cfg.StartJList)
-	}
-	for i, j := range st.StartJList {
-		if cfg.StartJList[i] != j {
-			return fmt.Errorf("StartJList %v vs %v", st.StartJList, cfg.StartJList)
+// check refuses a state file that another search wrote — a different
+// engine, dataset size, schedule or trajectory-shaping knob — with an
+// error naming the field.
+func (f *stateFileV1) check(cfg SearchConfig, n int, engine SearchEngine) error {
+	written := f.Engine
+	if written == "" {
+		written = EngineSequential
+		if f.N > 0 {
+			written = EngineSPMD
 		}
 	}
-	if d := st.Fingerprint.Diff(cfg.Fingerprint()); len(d) > 0 {
+	if written != engine {
+		return fmt.Errorf("engine %s vs %s", written, engine)
+	}
+	if f.N != n && (f.Engine != "" || f.N != 0) {
+		return fmt.Errorf("n %d vs %d", f.N, n)
+	}
+	if f.Tries != cfg.Tries {
+		return fmt.Errorf("Tries %d vs %d", f.Tries, cfg.Tries)
+	}
+	if f.Seed != cfg.Seed {
+		return fmt.Errorf("Seed %d vs %d", f.Seed, cfg.Seed)
+	}
+	if len(f.StartJList) != len(cfg.StartJList) {
+		return fmt.Errorf("StartJList %v vs %v", f.StartJList, cfg.StartJList)
+	}
+	for i, j := range f.StartJList {
+		if cfg.StartJList[i] != j {
+			return fmt.Errorf("StartJList %v vs %v", f.StartJList, cfg.StartJList)
+		}
+	}
+	if d := f.Fingerprint.Diff(cfg.Fingerprint()); len(d) > 0 {
 		return errors.New(strings.Join(d, "; "))
+	}
+	if len(f.InTry) > 0 && engine != EngineSPMD {
+		return errors.New("in_try snapshot in a sequential state")
 	}
 	return nil
 }
 
-// SearchWithCheckpointFile runs the BIG_LOOP, persisting its progress to
-// statePath after every committed try. If statePath already holds the
-// progress of an identical search configuration, the completed tries are
-// skipped and the search continues where it stopped. The state file is
-// left in place on success so a finished search re-launched again returns
-// immediately.
-func SearchWithCheckpointFile(ds *dataset.Dataset, spec model.Spec, cfg SearchConfig,
-	charger Charger, statePath string) (*SearchResult, error) {
-	return SearchWithCheckpointFileObserved(ds, spec, cfg, charger, statePath, nil, nil, nil)
+// SearchState is the progress of a resumable search, restored by
+// SearchScheduler.Run and rewritten after every commit. Path is the file it
+// persists to; an empty Path keeps it in memory (the SPMD ranks other than
+// 0, whose rank 0 writes for the group).
+type SearchState struct {
+	Path string
+
+	file  stateFileV1
+	best  *Classification // decoded file.Best
+	inTry *Checkpoint     // decoded file.InTry
 }
 
-// SearchWithCheckpointFileObserved is SearchWithCheckpointFile with the
-// same per-try engine instrumentation SearchObserved wires: the phase
-// profile, cycle observer and search observer, when non-nil, are installed
-// on every try's engine. On resume the search observer's first events
-// report a Done count that already includes the restored prefix.
-// Instrumentation never perturbs the trajectory.
-func SearchWithCheckpointFileObserved(ds *dataset.Dataset, spec model.Spec, cfg SearchConfig,
-	charger Charger, statePath string, profile *trace.Profile, co CycleObserver,
-	so SearchObserver) (*SearchResult, error) {
-	if ds.N() == 0 {
-		return nil, errors.New("autoclass: empty dataset")
-	}
-	pr := model.NewPriors(ds, ds.Summarize())
-	workers := searchWorkersFor(cfg, charger)
-	return searchWithStateFile(cfg, workers, statePath, so,
-		func(sched *SearchScheduler) func(slot int) TrialRunner {
-			return nativeRunnerFactory(ds, spec, pr, cfg, charger, profile, co, so, sched, workers)
-		},
-		func(raw []byte) (*Classification, error) {
-			return LoadCheckpoint(bytes.NewReader(raw), ds)
-		},
-		func(cls *Classification) ([]byte, error) {
-			var buf bytes.Buffer
-			if err := SaveCheckpoint(&buf, cls); err != nil {
-				return nil, err
-			}
-			return buf.Bytes(), nil
-		})
-}
-
-// searchWithStateFile is the resumable search core, parameterized over the
-// runner factory and the best-classification codec so tests can exercise
-// the resume bookkeeping with synthetic trial runners. makeRunner receives
-// the scheduler (nil when building the regeneration runner, which must
-// never be cut by basin early termination).
-func searchWithStateFile(cfg SearchConfig, workers int, statePath string,
-	so SearchObserver,
-	makeRunner func(sched *SearchScheduler) func(slot int) TrialRunner,
-	loadBest func([]byte) (*Classification, error),
-	saveBest func(*Classification) ([]byte, error)) (*SearchResult, error) {
-	if statePath == "" {
-		return nil, errors.New("autoclass: empty state path")
-	}
-	sched, err := NewSearchScheduler(cfg, workers)
-	if err != nil {
-		return nil, err
-	}
-	sched.SetObserver(so)
-	state := &searchStateV1{
+// LoadSearchState parses the bytes of a state file (empty: a fresh search)
+// for a search of cfg over ds by the given engine. It refuses a file
+// another search wrote and decodes the best classification and the mid-try
+// snapshot against ds.
+func LoadSearchState(raw []byte, cfg SearchConfig, ds *dataset.Dataset, engine SearchEngine) (*SearchState, error) {
+	st := &SearchState{file: stateFileV1{
 		Version:     1,
 		StartJList:  append([]int(nil), cfg.StartJList...),
 		Tries:       cfg.Tries,
 		Seed:        cfg.Seed,
 		Fingerprint: cfg.Fingerprint(),
-	}
-	if raw, err := os.ReadFile(statePath); err == nil {
-		var prev searchStateV1
-		if err := json.Unmarshal(raw, &prev); err != nil {
-			return nil, fmt.Errorf("autoclass: corrupt search state %s: %w", statePath, err)
+	}}
+	if len(raw) > 0 {
+		var f stateFileV1
+		if err := json.Unmarshal(raw, &f); err != nil {
+			return nil, fmt.Errorf("corrupt search state: %w", err)
 		}
-		if prev.Version != 1 {
-			return nil, fmt.Errorf("autoclass: unsupported search state version %d", prev.Version)
+		if f.Version != 1 {
+			return nil, fmt.Errorf("unsupported search state version %d", f.Version)
 		}
-		if err := prev.matches(cfg); err != nil {
-			return nil, fmt.Errorf("autoclass: state file %s belongs to a different search configuration (%w)", statePath, err)
+		if err := f.check(cfg, ds.N(), engine); err != nil {
+			return nil, fmt.Errorf("belongs to a different search (%w)", err)
 		}
-		state = &prev
-	} else if !os.IsNotExist(err) {
-		return nil, err
+		st.file = f
 	}
-
-	// Restore the best-so-far classification and hand the completed prefix
-	// to the scheduler, which verifies every recorded seed against the
-	// derived chain.
-	var best *Classification
-	if len(state.Best) > 0 {
-		best, err = loadBest(state.Best)
-		if err != nil {
-			return nil, fmt.Errorf("autoclass: restoring best classification: %w", err)
+	// A file written before the engine was recorded is rewritten in the
+	// current shape at the next commit.
+	st.file.Engine, st.file.N = engine, ds.N()
+	if len(st.file.Best) > 0 {
+		var ck Checkpoint
+		if err := ck.Load(bytes.NewReader(st.file.Best), ds); err != nil {
+			return nil, fmt.Errorf("restoring best classification: %w", err)
 		}
+		st.best = ck.Classification
 	}
-	if err := sched.restore(state.Completed, best, state.BestTry, state.Totals); err != nil {
-		return nil, err
-	}
-
-	// Persist progress after every in-order commit. The best classification
-	// is re-serialized only when it changes.
-	lastSavedBest := best
-	bestRaw := []byte(state.Best)
-	sched.onCommit = func(res *SearchResult) error {
-		state.Completed = res.Tries
-		state.Totals = res.Totals
-		state.BestTry = res.BestTry
-		if res.Best != nil && res.Best != lastSavedBest {
-			raw, err := saveBest(res.Best)
-			if err != nil {
-				return err
-			}
-			bestRaw = raw
-			lastSavedBest = res.Best
+	if len(st.file.InTry) > 0 {
+		ck := &Checkpoint{}
+		if err := ck.Load(bytes.NewReader(st.file.InTry), ds); err != nil {
+			return nil, fmt.Errorf("restoring mid-try snapshot: %w", err)
 		}
-		state.Best = bestRaw
-		return writeSearchState(statePath, state)
-	}
-
-	res, err := sched.run(makeRunner(sched), workers)
-	if err != nil {
-		return nil, err
-	}
-
-	// Robustness: if the restored state recorded a better try than anything
-	// we hold a classification for (e.g. the embedded best was lost to a
-	// partial write), regenerate it — the try seed makes that exact.
-	bestRecorded := TryResult{}
-	haveRecorded := false
-	for _, tr := range res.Tries {
-		if tr.Duplicate {
-			continue
-		}
-		if !haveRecorded || tr.Score > bestRecorded.Score {
-			bestRecorded = tr
-			haveRecorded = true
-		}
-	}
-	if haveRecorded && (res.Best == nil || bestRecorded.Score > res.BestTry.Score) {
-		regen := makeRunner(nil)(0)
-		cls, _, err := regen(bestRecorded.StartJ, bestRecorded.Seed)
-		if err != nil {
+		if err := checkInTry(ck.Search, len(st.file.Completed), cfg); err != nil {
 			return nil, err
 		}
-		res.Best = cls
-		res.BestTry = bestRecorded
-		state.BestTry = bestRecorded
-		raw, err := saveBest(cls)
-		if err != nil {
-			return nil, err
-		}
-		state.Best = raw
-		if err := writeSearchState(statePath, state); err != nil {
-			return nil, err
-		}
+		st.inTry = ck
 	}
-	if res.Best == nil {
-		return nil, errors.New("autoclass: search produced no classification")
-	}
-	return res, nil
+	return st, nil
 }
 
-// writeSearchState persists the state atomically (write temp, rename).
-func writeSearchState(path string, st *searchStateV1) error {
-	raw, err := json.Marshal(st)
+// checkInTry refuses a mid-try snapshot that is not for try `next` of
+// cfg's schedule.
+func checkInTry(sp *SearchPoint, next int, cfg SearchConfig) error {
+	vs := cfg.Variants()
+	switch {
+	case sp == nil:
+		return errors.New("mid-try snapshot lacks a search point")
+	case sp.TryIndex != next || next >= len(vs):
+		return fmt.Errorf("mid-try snapshot is for try %d, resume reached try %d", sp.TryIndex, next)
+	case sp.TrySeed != vs[next].Seed || sp.SearchSeed != cfg.Seed:
+		return fmt.Errorf("mid-try snapshot seed mismatch (rerun with -seed %d)", sp.SearchSeed)
+	case sp.StartJ != vs[next].StartJ || sp.Try != vs[next].Try:
+		return fmt.Errorf("mid-try snapshot is for J=%d #%d, schedule has J=%d #%d", sp.StartJ, sp.Try, vs[next].StartJ, vs[next].Try)
+	case sp.CycleInTry < 1 || sp.CycleInTry > cfg.EM.MaxCycles:
+		return fmt.Errorf("mid-try snapshot at cycle %d outside 1..%d", sp.CycleInTry, cfg.EM.MaxCycles)
+	}
+	return nil
+}
+
+// InTry returns the mid-try snapshot a resumed search continues variant v
+// from, or nil when v starts from scratch.
+func (st *SearchState) InTry(v Variant) *Checkpoint {
+	if st == nil || st.inTry == nil || st.inTry.Search.TryIndex != v.Index {
+		return nil
+	}
+	return st.inTry
+}
+
+// SaveInTry persists ck, a mid-try snapshot of the running try, together
+// with the committed progress. Only the SPMD engine, which runs one try at
+// a time, takes mid-try snapshots.
+func (st *SearchState) SaveInTry(ck *Checkpoint) error {
+	var buf bytes.Buffer
+	if err := ck.Save(&buf); err != nil {
+		return err
+	}
+	st.file.InTry = buf.Bytes()
+	return st.write()
+}
+
+// commit records the scheduler's progress after an in-order commit and
+// persists it. The best classification is re-serialized only when it
+// changes.
+func (st *SearchState) commit(res *SearchResult) error {
+	st.file.Completed = res.Tries
+	st.file.Totals = res.Totals
+	st.file.BestTry = res.BestTry
+	st.file.InTry, st.inTry = nil, nil
+	if res.Best != nil && res.Best != st.best {
+		var buf bytes.Buffer
+		if err := (&Checkpoint{Classification: res.Best}).Save(&buf); err != nil {
+			return err
+		}
+		st.file.Best = buf.Bytes()
+		st.best = res.Best
+	}
+	return st.write()
+}
+
+// regenerateBest restores a best classification the state recorded but
+// does not hold — a state truncated by hand or cut by a partial write: if
+// a committed non-duplicate try outscores the held best, it is rerun (its
+// seed makes that exact) and persisted.
+func (st *SearchState) regenerateBest(res *SearchResult, run VariantRunner) error {
+	best := -1
+	for i, tr := range res.Tries {
+		if !tr.Duplicate && (best < 0 || tr.Score > res.Tries[best].Score) {
+			best = i
+		}
+	}
+	if best < 0 || (res.Best != nil && res.Tries[best].Score <= res.BestTry.Score) {
+		return nil
+	}
+	tr := res.Tries[best]
+	cls, _, err := run(Variant{Index: best, StartJ: tr.StartJ, Try: tr.Try, Seed: tr.Seed})
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
+	res.Best, res.BestTry = cls, tr
+	return st.commit(res)
+}
+
+// write persists the state atomically (write temp, rename), so a crash
+// mid-write leaves the previous state intact. A state without a Path is
+// not written.
+func (st *SearchState) write() error {
+	if st.Path == "" {
+		return nil
+	}
+	raw, err := json.Marshal(&st.file)
+	if err != nil {
+		return err
+	}
+	tmp := st.Path + ".tmp"
 	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	return os.Rename(tmp, st.Path)
 }

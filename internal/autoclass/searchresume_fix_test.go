@@ -1,7 +1,6 @@
 package autoclass
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"os"
@@ -16,25 +15,27 @@ import (
 // Regression tests for the ISSUE 6 resume-path fixes: totals accumulation,
 // seed-drift detection, fingerprint coverage and instrumentation wiring.
 
-// fakeStateSearch drives searchWithStateFile over the deterministic
+// fakeStateSearch drives a resumable scheduler run over the deterministic
 // synthetic runner, with the real checkpoint codec for the best
 // classification.
 func fakeStateSearch(tb testing.TB, cfg SearchConfig, statePath string, run TrialRunner) (*SearchResult, error) {
 	ds := paperDS(tb, 60)
-	return searchWithStateFile(cfg, cfg.SearchWorkers(), statePath, nil,
-		func(*SearchScheduler) func(int) TrialRunner {
-			return func(int) TrialRunner { return run }
-		},
-		func(raw []byte) (*Classification, error) {
-			return LoadCheckpoint(bytes.NewReader(raw), ds)
-		},
-		func(cls *Classification) ([]byte, error) {
-			var buf bytes.Buffer
-			if err := SaveCheckpoint(&buf, cls); err != nil {
-				return nil, err
-			}
-			return buf.Bytes(), nil
-		})
+	raw, err := os.ReadFile(statePath)
+	if err != nil && !os.IsNotExist(err) {
+		return nil, err
+	}
+	st, err := LoadSearchState(raw, cfg, ds, EngineSequential)
+	if err != nil {
+		return nil, err
+	}
+	st.Path = statePath
+	sched, err := NewSearchScheduler(cfg, cfg.SearchWorkers())
+	if err != nil {
+		return nil, err
+	}
+	return sched.Run(st, func(int) VariantRunner {
+		return func(v Variant) (*Classification, EMResult, error) { return run(v.StartJ, v.Seed) }
+	})
 }
 
 // TestResumedTotalsMatchUninterrupted (satellite 1): a search interrupted
@@ -106,22 +107,22 @@ func TestResumeRejectsSeedDrift(t *testing.T) {
 	cfg := resumeCfg()
 	spec := model.DefaultSpec(ds)
 	statePath := filepath.Join(t.TempDir(), "state.json")
-	if _, err := SearchWithCheckpointFile(ds, spec, cfg, nil, statePath); err != nil {
+	if _, err := Search(ds, spec, cfg, &SearchOptions{StatePath: statePath}); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(statePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st searchStateV1
+	var st stateFileV1
 	if err := json.Unmarshal(raw, &st); err != nil {
 		t.Fatal(err)
 	}
 	st.Completed[1].Seed ^= 1
-	if err := writeSearchState(statePath, &st); err != nil {
+	if err := (&SearchState{Path: statePath, file: st}).write(); err != nil {
 		t.Fatal(err)
 	}
-	_, err = SearchWithCheckpointFile(ds, spec, cfg, nil, statePath)
+	_, err = Search(ds, spec, cfg, &SearchOptions{StatePath: statePath})
 	if err == nil {
 		t.Fatal("drifted seed chain accepted")
 	}
@@ -139,7 +140,7 @@ func TestResumeRejectsChangedTrajectoryConfig(t *testing.T) {
 	cfg := resumeCfg()
 	spec := model.DefaultSpec(ds)
 	statePath := filepath.Join(t.TempDir(), "state.json")
-	if _, err := SearchWithCheckpointFile(ds, spec, cfg, nil, statePath); err != nil {
+	if _, err := Search(ds, spec, cfg, &SearchOptions{StatePath: statePath}); err != nil {
 		t.Fatal(err)
 	}
 	for name, mutate := range map[string]func(*SearchConfig){
@@ -153,7 +154,7 @@ func TestResumeRejectsChangedTrajectoryConfig(t *testing.T) {
 	} {
 		other := cfg
 		mutate(&other)
-		_, err := SearchWithCheckpointFile(ds, spec, other, nil, statePath)
+		_, err := Search(ds, spec, other, &SearchOptions{StatePath: statePath})
 		if err == nil {
 			t.Errorf("changed %s accepted on resume", name)
 			continue
@@ -167,7 +168,7 @@ func TestResumeRejectsChangedTrajectoryConfig(t *testing.T) {
 	other := cfg
 	other.SearchParallelism = 4
 	other.EM.Parallelism = 2
-	if _, err := SearchWithCheckpointFile(ds, spec, other, nil, statePath); err != nil {
+	if _, err := Search(ds, spec, other, &SearchOptions{StatePath: statePath}); err != nil {
 		t.Errorf("changed worker counts refused on resume: %v", err)
 	}
 }
@@ -185,7 +186,7 @@ func (o *trailObserver) ObserveCycle(info CycleInfo) {
 
 // TestCheckpointedSearchWiresInstrumentation (satellite 4): the resumable
 // search must install the profile and cycle observer on every try's engine,
-// like SearchObserved does, without perturbing the trajectory.
+// like the plain observed search does, without perturbing the trajectory.
 func TestCheckpointedSearchWiresInstrumentation(t *testing.T) {
 	ds := paperDS(t, 400)
 	cfg := resumeCfg()
@@ -193,7 +194,7 @@ func TestCheckpointedSearchWiresInstrumentation(t *testing.T) {
 
 	refProf := trace.New()
 	refObs := &trailObserver{}
-	ref, err := SearchObserved(ds, spec, cfg, nil, refProf, refObs, nil)
+	ref, err := Search(ds, spec, cfg, &SearchOptions{Profile: refProf, Cycles: refObs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestCheckpointedSearchWiresInstrumentation(t *testing.T) {
 	ckptProf := trace.New()
 	ckptObs := &trailObserver{}
 	statePath := filepath.Join(t.TempDir(), "state.json")
-	res, err := SearchWithCheckpointFileObserved(ds, spec, cfg, nil, statePath, ckptProf, ckptObs, nil)
+	res, err := Search(ds, spec, cfg, &SearchOptions{StatePath: statePath, Profile: ckptProf, Cycles: ckptObs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +229,7 @@ func TestCheckpointedSearchWiresInstrumentation(t *testing.T) {
 	}
 	// Instrumentation must not perturb the search result.
 	if !sameTries(res.Tries, ref.Tries) || res.BestTry != ref.BestTry {
-		t.Fatal("instrumented checkpointed search diverged from SearchObserved")
+		t.Fatal("instrumented checkpointed search diverged from the observed search")
 	}
 }
 
@@ -248,11 +249,11 @@ func TestResumableSearchParallelMatchesSequential(t *testing.T) {
 	par := cfg
 	par.SearchParallelism = 4
 	statePath := filepath.Join(t.TempDir(), "state.json")
-	if _, err := SearchWithCheckpointFile(ds, spec, par, nil, statePath); err != nil {
+	if _, err := Search(ds, spec, par, &SearchOptions{StatePath: statePath}); err != nil {
 		t.Fatal(err)
 	}
 	truncateState(t, statePath, 2)
-	resumed, err := SearchWithCheckpointFile(ds, spec, cfg, nil, statePath) // resume sequentially
+	resumed, err := Search(ds, spec, cfg, &SearchOptions{StatePath: statePath}) // resume sequentially
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func TestResumableSearchMatchesPlainSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	statePath := filepath.Join(t.TempDir(), "state.json")
-	resumable, err := SearchWithCheckpointFile(ds, spec, cfg, nil, statePath)
+	resumable, err := Search(ds, spec, cfg, &SearchOptions{StatePath: statePath})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,15 +50,15 @@ func TestResumeSkipsCompletedTries(t *testing.T) {
 	statePath := filepath.Join(t.TempDir(), "state.json")
 
 	// Run the full search once, writing state as it goes.
-	full, err := SearchWithCheckpointFile(ds, spec, cfg, nil, statePath)
+	full, err := Search(ds, spec, cfg, &SearchOptions{StatePath: statePath})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Re-launching with a complete state must not run any engine work:
 	// verify via the charger, which only fires inside engine phases.
 	var charged float64
-	again, err := SearchWithCheckpointFile(ds, spec, cfg,
-		chargerFunc(func(u float64) { charged += u }), statePath)
+	again, err := Search(ds, spec, cfg, &SearchOptions{
+		Charger: chargerFunc(func(u float64) { charged += u }), StatePath: statePath})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,13 +85,13 @@ func TestResumeAfterInterruption(t *testing.T) {
 
 	// "Interrupt": run the checkpointed search, then truncate its state to
 	// the first 3 completed tries, simulating a kill mid-search.
-	if _, err := SearchWithCheckpointFile(ds, spec, cfg, nil, statePath); err != nil {
+	if _, err := Search(ds, spec, cfg, &SearchOptions{StatePath: statePath}); err != nil {
 		t.Fatal(err)
 	}
 	truncateState(t, statePath, 3)
 
 	// Resume: must redo only tries 4..6 and land on the reference result.
-	resumed, err := SearchWithCheckpointFile(ds, spec, cfg, nil, statePath)
+	resumed, err := Search(ds, spec, cfg, &SearchOptions{StatePath: statePath})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func truncateState(t *testing.T, path string, n int) {
 		t.Fatal(err)
 	}
 	// Round-trip through the real struct to stay schema-correct.
-	var st searchStateV1
+	var st stateFileV1
 	if err := json.Unmarshal(raw, &st); err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func truncateState(t *testing.T, path string, n int) {
 		st.Best = nil
 		st.BestTry = TryResult{}
 	}
-	if err := writeSearchState(path, &st); err != nil {
+	if err := (&SearchState{Path: path, file: st}).write(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -157,17 +157,17 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 	cfg := resumeCfg()
 	spec := model.DefaultSpec(ds)
 	statePath := filepath.Join(t.TempDir(), "state.json")
-	if _, err := SearchWithCheckpointFile(ds, spec, cfg, nil, statePath); err != nil {
+	if _, err := Search(ds, spec, cfg, &SearchOptions{StatePath: statePath}); err != nil {
 		t.Fatal(err)
 	}
 	other := cfg
 	other.Seed++
-	if _, err := SearchWithCheckpointFile(ds, spec, other, nil, statePath); err == nil {
+	if _, err := Search(ds, spec, other, &SearchOptions{StatePath: statePath}); err == nil {
 		t.Fatal("mismatched config resumed")
 	}
 	other = cfg
 	other.StartJList = []int{3}
-	if _, err := SearchWithCheckpointFile(ds, spec, other, nil, statePath); err == nil {
+	if _, err := Search(ds, spec, other, &SearchOptions{StatePath: statePath}); err == nil {
 		t.Fatal("mismatched start list resumed")
 	}
 }
@@ -179,10 +179,7 @@ func TestResumeRejectsCorruptState(t *testing.T) {
 	if err := os.WriteFile(statePath, []byte("not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SearchWithCheckpointFile(ds, model.DefaultSpec(ds), cfg, nil, statePath); err == nil {
+	if _, err := Search(ds, model.DefaultSpec(ds), cfg, &SearchOptions{StatePath: statePath}); err == nil {
 		t.Fatal("corrupt state accepted")
-	}
-	if _, err := SearchWithCheckpointFile(ds, model.DefaultSpec(ds), cfg, nil, ""); err == nil {
-		t.Fatal("empty state path accepted")
 	}
 }

@@ -93,6 +93,13 @@ func (c SearchConfig) SearchWorkers() int {
 // the run. The scheduler commits such tries as early-stopped duplicates.
 var errBasinStop = errors.New("autoclass: try stopped in already-seen basin")
 
+// VariantRunner executes one scheduled variant: build a classification with
+// v.StartJ classes, initialize it from v.Seed, and run EM to convergence.
+// It receives the whole Variant, so a runner that reports per-try events or
+// resumes a mid-try snapshot needs no lookup from (startJ, seed) back to the
+// schedule.
+type VariantRunner func(v Variant) (*Classification, EMResult, error)
+
 // tryOutcome buffers one finished variant until its commit turn.
 type tryOutcome struct {
 	cls *Classification
@@ -111,6 +118,7 @@ type tryOutcome struct {
 type SearchScheduler struct {
 	cfg      SearchConfig
 	variants []Variant
+	workers  int
 	order    []int // claim order: promise-sorted variant indexes
 	claim    atomic.Int64
 
@@ -122,7 +130,7 @@ type SearchScheduler struct {
 	err       error
 	stopped   bool
 	// onCommit, when set, runs after every in-order commit (under the
-	// scheduler lock) — the resumable search persists its state here.
+	// scheduler lock) — a resumable search persists its state here.
 	onCommit func(*SearchResult) error
 	// obs, when set, receives try lifecycle notifications: claims in
 	// execution order, commit verdicts in schedule order (under the lock).
@@ -146,9 +154,9 @@ func (s *SearchScheduler) notifyTry(ev TryEvent) {
 }
 
 // NewSearchScheduler validates the configuration and builds a scheduler
-// for its variants. workers only selects the claim order: with workers <= 1
-// variants are claimed in schedule order (the sequential BIG_LOOP), with
-// workers > 1 in promise order.
+// for its variants. workers sizes Run's pool and selects the claim order:
+// with workers <= 1 variants are claimed in schedule order (the sequential
+// BIG_LOOP), with workers > 1 in promise order.
 func NewSearchScheduler(cfg SearchConfig, workers int) (*SearchScheduler, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -156,6 +164,7 @@ func NewSearchScheduler(cfg SearchConfig, workers int) (*SearchScheduler, error)
 	s := &SearchScheduler{
 		cfg:       cfg,
 		variants:  cfg.Variants(),
+		workers:   workers,
 		res:       &SearchResult{},
 		bestScore: math.Inf(-1),
 		pending:   make(map[int]*tryOutcome),
@@ -347,10 +356,15 @@ func (s *SearchScheduler) apply(v Variant, o *tryOutcome) {
 }
 
 // inBasin reports whether (finalJ, score) falls within DupScoreTol of an
-// already-committed non-duplicate try — the early-termination test.
+// already-committed non-duplicate try — the early-termination test. Once
+// every variant has committed, the only try still running is a lost best
+// being regenerated (SearchState), which must never be cut.
 func (s *SearchScheduler) inBasin(finalJ int, score float64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.nextIdx == len(s.variants) {
+		return false
+	}
 	for _, tr := range s.res.Tries {
 		if tr.Duplicate || tr.FinalJ != finalJ {
 			continue
@@ -363,8 +377,8 @@ func (s *SearchScheduler) inBasin(finalJ int, score float64) bool {
 }
 
 // result returns the folded result once every variant has committed,
-// without the no-classification check (the resumable search may still
-// regenerate a lost best afterwards).
+// without the no-classification check (Run may still regenerate a lost best
+// afterwards).
 func (s *SearchScheduler) result() (*SearchResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -390,42 +404,62 @@ func (s *SearchScheduler) Result() (*SearchResult, error) {
 	return res, nil
 }
 
-// run drives the scheduler over a worker pool: each of the `workers` slots
-// gets its own TrialRunner from makeRunner and loops claim → execute →
-// commit until the schedule drains. With workers <= 1 the loop runs inline
-// on the calling goroutine — execution order, observer callback order and
-// results are exactly the historical sequential BIG_LOOP's.
-func (s *SearchScheduler) run(makeRunner func(slot int) TrialRunner, workers int) (*SearchResult, error) {
-	if workers <= 1 {
-		runOne := makeRunner(0)
-		for {
-			v, ok := s.Next()
-			if !ok {
-				break
-			}
-			cls, em, err := runOne(v.StartJ, v.Seed)
-			s.Commit(v, cls, em, err)
+// Run is the BIG_LOOP driver behind every search entry point: each of the
+// scheduler's worker slots gets its own VariantRunner from makeRunner and
+// loops claim → execute → commit until the schedule drains. With one
+// worker the loop runs inline on the calling goroutine — execution order,
+// observer callback order and results are exactly the historical
+// sequential BIG_LOOP's.
+//
+// A non-nil st makes the search resumable: its committed prefix is restored
+// before the first claim, every commit is persisted to it, and a best
+// classification the state recorded but lost is regenerated at the end.
+func (s *SearchScheduler) Run(st *SearchState, makeRunner func(slot int) VariantRunner) (*SearchResult, error) {
+	if st != nil {
+		if err := s.restore(st.file.Completed, st.best, st.file.BestTry, st.file.Totals); err != nil {
+			return nil, err
 		}
-		return s.result()
+		s.onCommit = st.commit
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(slot int) {
-			defer wg.Done()
-			runOne := makeRunner(slot)
-			for {
-				v, ok := s.Next()
-				if !ok {
-					return
-				}
-				cls, em, err := runOne(v.StartJ, v.Seed)
-				s.Commit(v, cls, em, err)
-			}
-		}(w)
+	if s.workers <= 1 {
+		s.drain(makeRunner(0))
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < s.workers; w++ {
+			wg.Add(1)
+			go func(slot int) {
+				defer wg.Done()
+				s.drain(makeRunner(slot))
+			}(w)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
-	return s.result()
+	res, err := s.result()
+	if err != nil {
+		return nil, err
+	}
+	if st != nil {
+		if err := st.regenerateBest(res, makeRunner(0)); err != nil {
+			return nil, err
+		}
+	}
+	if res.Best == nil {
+		return nil, errors.New("autoclass: search produced no classification")
+	}
+	return res, nil
+}
+
+// drain is one worker's loop: claim, execute, commit, until no variant is
+// left to claim.
+func (s *SearchScheduler) drain(run VariantRunner) {
+	for {
+		v, ok := s.Next()
+		if !ok {
+			return
+		}
+		cls, em, err := run(v)
+		s.Commit(v, cls, em, err)
+	}
 }
 
 // lockedCycleObserver serializes ObserveCycle calls when one observer is

@@ -152,7 +152,7 @@ func TestSearchParallelismBitwiseIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	var refBest bytes.Buffer
-	if err := SaveCheckpoint(&refBest, ref.Best); err != nil {
+	if err := (&Checkpoint{Classification: ref.Best}).Save(&refBest); err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 8} {
@@ -174,7 +174,7 @@ func TestSearchParallelismBitwiseIdentical(t *testing.T) {
 			t.Fatalf("workers=%d: deterministic totals diverged", workers)
 		}
 		var best bytes.Buffer
-		if err := SaveCheckpoint(&best, res.Best); err != nil {
+		if err := (&Checkpoint{Classification: res.Best}).Save(&best); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(best.Bytes(), refBest.Bytes()) {

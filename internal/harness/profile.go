@@ -173,7 +173,7 @@ func RunSeqAnchor(cfg SeqAnchorConfig) (*SeqAnchorResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := autoclass.Search(ds, model.DefaultSpec(ds), cfg.Search, clk); err != nil {
+		if _, err := autoclass.Search(ds, model.DefaultSpec(ds), cfg.Search, &autoclass.SearchOptions{Charger: clk}); err != nil {
 			return nil, err
 		}
 		res.Seconds = append(res.Seconds, clk.Elapsed())

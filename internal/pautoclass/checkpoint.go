@@ -1,21 +1,15 @@
 package pautoclass
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
 	"os"
-	"strings"
 
 	"repro/internal/autoclass"
 	"repro/internal/dataset"
-	"repro/internal/model"
 	"repro/internal/mpi"
-	"repro/internal/rng"
-	"repro/internal/stats"
 )
 
 // The distributed checkpoint protocol leans on the package's SPMD
@@ -26,13 +20,22 @@ import (
 // serializes its own (identical) copy. On resume the state file is read by
 // rank 0 and broadcast, so every rank restores from the same bytes even if
 // only rank 0's filesystem holds the checkpoint, and the restored search
-// re-enters the trajectory bitwise — with any rank count, since the
-// trajectory never depended on the partitioning.
+// re-enters the trajectory bitwise. The state does not record the rank
+// count, and the parallel priors' reduction order makes scores differ in
+// the last bits across rank counts, so resume on the same count.
+//
+// The state file is autoclass.SearchState, the format the sequential engine
+// writes too, tagged as SPMD-written; only the SPMD engine adds a mid-try
+// snapshot (in_try). The scheduler's commit hook writes it on rank 0 after
+// every try; the per-try runner (trial.run) restores a mid-try snapshot,
+// writes a new one every Every cycles and polls Interrupt.
 
-// Checkpoint configures distributed checkpointing of a parallel search.
+// Checkpoint configures distributed checkpointing of a parallel search
+// (Options.Checkpoint). The zero value disables it.
 type Checkpoint struct {
 	// Path is the search state file. Rank 0 writes it; on resume rank 0
-	// reads it and broadcasts, so only rank 0's filesystem needs it.
+	// reads it and broadcasts, so only rank 0's filesystem needs it. Every
+	// and Interrupt require it.
 	Path string
 	// Every takes a mid-try snapshot after that many cycles within a try
 	// (<= 0 checkpoints only at try boundaries).
@@ -49,77 +52,38 @@ type Checkpoint struct {
 	Interrupt func() bool
 }
 
-// ErrInterrupted is returned by SearchCheckpointed when Checkpoint.Interrupt
+// ErrInterrupted is returned (wrapped) by Search when Checkpoint.Interrupt
 // requested a stop. The state file then holds a resumable snapshot: calling
-// SearchCheckpointed again with the same arguments continues the search
-// bitwise-identically. mpi.RunWith wraps rank errors with %w, so callers can
-// errors.Is through it.
+// Search again with the same arguments continues the search
+// bitwise-identically. Search and mpi.RunWith wrap errors with %w, so
+// callers can errors.Is through them.
 var ErrInterrupted = errors.New("pautoclass: search interrupted")
 
-// parSearchStateV1 is the serialized parallel search progress — the
-// sequential searchStateV1 plus an optional mid-try engine checkpoint.
-type parSearchStateV1 struct {
-	Version int `json:"version"`
-	// Config fingerprint — a resume against a different search is refused.
-	StartJList  []int                       `json:"start_j_list"`
-	Tries       int                         `json:"tries"`
-	Seed        uint64                      `json:"seed"`
-	N           int                         `json:"n"`
-	Fingerprint autoclass.SearchFingerprint `json:"fingerprint"`
-	// Completed tries in execution order.
-	Completed []autoclass.TryResult `json:"completed"`
-	// Best is the best-so-far classification checkpoint, empty until a
-	// non-duplicate try completes; BestTry is its try record.
-	Best    json.RawMessage     `json:"best,omitempty"`
-	BestTry autoclass.TryResult `json:"best_try"`
-	// Totals accumulates phase statistics over completed tries.
-	Totals autoclass.EMResult `json:"totals"`
-	// InTry is a mid-try snapshot (SaveCheckpointSearch output) when the
-	// last checkpoint was taken inside a try, nil at try boundaries.
-	InTry json.RawMessage `json:"in_try,omitempty"`
-}
-
-// matches reports (as a descriptive error) any disagreement between the
-// recorded search identity and the configuration attempting to resume it.
-// Beyond the schedule and seed it covers the full trajectory fingerprint
-// (DupScoreTol and the EM knobs) — resuming under a changed tolerance or
-// engine configuration would silently mix tries from incompatible searches.
-func (st *parSearchStateV1) matches(cfg autoclass.SearchConfig, n int) error {
-	if st.Tries != cfg.Tries {
-		return fmt.Errorf("Tries %d vs %d", st.Tries, cfg.Tries)
-	}
-	if st.Seed != cfg.Seed {
-		return fmt.Errorf("Seed %d vs %d", st.Seed, cfg.Seed)
-	}
-	if st.N != n {
-		return fmt.Errorf("N %d vs %d", st.N, n)
-	}
-	if len(st.StartJList) != len(cfg.StartJList) {
-		return fmt.Errorf("StartJList %v vs %v", st.StartJList, cfg.StartJList)
-	}
-	for i, j := range st.StartJList {
-		if cfg.StartJList[i] != j {
-			return fmt.Errorf("StartJList %v vs %v", st.StartJList, cfg.StartJList)
+// loadState reads the state file on rank 0 and broadcasts its bytes, so
+// every rank restores from identical bytes even if only rank 0's
+// filesystem holds the file. A missing file starts a fresh search. Only
+// rank 0's state keeps the path, so only rank 0 writes.
+func loadState(comm *mpi.Comm, path string, cfg autoclass.SearchConfig, ds *dataset.Dataset) (*autoclass.SearchState, error) {
+	var raw []byte
+	if comm.Rank() == 0 {
+		r, err := os.ReadFile(path)
+		if err != nil && !os.IsNotExist(err) {
+			return nil, err
 		}
+		raw = r
 	}
-	if d := st.Fingerprint.Diff(cfg.Fingerprint()); len(d) > 0 {
-		return errors.New(strings.Join(d, "; "))
-	}
-	return nil
-}
-
-// writeParState persists the state atomically (write temp, rename), so a
-// crash mid-write leaves the previous checkpoint intact.
-func writeParState(path string, st *parSearchStateV1) error {
-	raw, err := json.Marshal(st)
+	raw, err := bcastBytes(comm, 0, raw)
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("pautoclass: broadcasting checkpoint state: %w", err)
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
-		return err
+	st, err := autoclass.LoadSearchState(raw, cfg, ds, autoclass.EngineSPMD)
+	if err != nil {
+		return nil, fmt.Errorf("pautoclass: state file %s: %w", path, err)
 	}
-	return os.Rename(tmp, path)
+	if comm.Rank() == 0 {
+		st.Path = path
+	}
+	return st, nil
 }
 
 // bcastBytes broadcasts a byte slice from root to every rank: length first,
@@ -192,338 +156,75 @@ func leBytes(v uint64) [8]byte {
 	return b
 }
 
-// SearchCheckpointed is Search with distributed checkpoint/restart: the
-// search persists its progress to ck.Path (completed tries after every try,
-// plus a mid-try engine snapshot every ck.Every cycles) and, when ck.Path
-// already holds the progress of an identical search over the same dataset,
-// resumes where it stopped. A resumed search produces the bitwise-identical
-// SearchResult to an uninterrupted one. Only the Full strategy is
-// supported.
-func SearchCheckpointed(comm *mpi.Comm, ds *dataset.Dataset, spec model.Spec,
-	cfg autoclass.SearchConfig, opts Options, ck Checkpoint) (*autoclass.SearchResult, error) {
-	if ds.N() == 0 {
-		return nil, errors.New("pautoclass: empty dataset")
-	}
-	if ck.Path == "" {
-		return nil, errors.New("pautoclass: empty checkpoint path")
-	}
-	if opts.Strategy != Full {
-		return nil, fmt.Errorf("pautoclass: checkpointing supports only the %v strategy", Full)
-	}
-	if len(cfg.StartJList) == 0 || cfg.Tries < 1 {
-		return nil, errors.New("pautoclass: empty search schedule")
-	}
-	view, err := PartitionView(comm, ds)
-	if err != nil {
-		return nil, err
-	}
-	opts.install(comm)
-	pr, err := ParallelPriors(comm, view, &opts)
-	if err != nil {
-		return nil, err
-	}
-
-	// Rank 0 reads the state file (missing file → fresh search) and
-	// broadcasts it so every rank restores from identical bytes.
-	var raw []byte
-	if comm.Rank() == 0 {
-		r, err := os.ReadFile(ck.Path)
-		if err != nil && !os.IsNotExist(err) {
-			return nil, err
-		}
-		raw = r
-	}
-	raw, err = bcastBytes(comm, 0, raw)
-	if err != nil {
-		return nil, fmt.Errorf("pautoclass: broadcasting checkpoint state: %w", err)
-	}
-	state := &parSearchStateV1{
-		Version:     1,
-		StartJList:  append([]int(nil), cfg.StartJList...),
-		Tries:       cfg.Tries,
-		Seed:        cfg.Seed,
-		N:           ds.N(),
-		Fingerprint: cfg.Fingerprint(),
-	}
-	if len(raw) > 0 {
-		var prev parSearchStateV1
-		if err := json.Unmarshal(raw, &prev); err != nil {
-			return nil, fmt.Errorf("pautoclass: corrupt search state %s: %w", ck.Path, err)
-		}
-		if prev.Version != 1 {
-			return nil, fmt.Errorf("pautoclass: unsupported search state version %d", prev.Version)
-		}
-		if err := prev.matches(cfg, ds.N()); err != nil {
-			return nil, fmt.Errorf("pautoclass: state file %s belongs to a different search (%w)", ck.Path, err)
-		}
-		state = &prev
-	}
-
-	res := &autoclass.SearchResult{
-		Tries:  append([]autoclass.TryResult(nil), state.Completed...),
-		Totals: state.Totals,
-	}
-	if len(state.Best) > 0 {
-		best, err := autoclass.LoadCheckpoint(bytes.NewReader(state.Best), ds)
-		if err != nil {
-			return nil, fmt.Errorf("pautoclass: restoring best classification: %w", err)
-		}
-		res.Best = best
-		res.BestTry = state.BestTry
-	}
-
-	var charger autoclass.Charger
-	if opts.Clock != nil {
-		charger = opts.Clock
-		opts.Clock.SetParallelism(opts.EM.EffectiveParallelism())
-	}
-	comm.SetAllreduceAlgo(opts.AllreduceAlgo)
-	reducer := &allreduceReducer{comm: comm, clock: opts.Clock, algo: opts.AllreduceAlgo}
-
-	// Deterministic seed chain, identical to SearchWith's: one draw per
-	// scheduled try, consumed even for tries that are skipped on resume, so
-	// the stream position always matches the try index.
-	seeds := rng.New(cfg.Seed)
-	tryIndex := 0
-	// Every rank runs the identical loop, so search lifecycle events are
-	// emitted on rank 0 only; a resumed search's first events report a Done
-	// count that already includes the restored prefix.
-	total := len(cfg.StartJList) * cfg.Tries
-	emitObs := opts.SearchObs
-	if comm.Rank() != 0 {
-		emitObs = nil
-	}
-	for _, startJ := range cfg.StartJList {
-		for try := 0; try < cfg.Tries; try++ {
-			trySeed := seeds.Uint64()
-			if tryIndex < len(state.Completed) {
-				if got := state.Completed[tryIndex].Seed; got != trySeed {
-					return nil, fmt.Errorf("pautoclass: try %d seed mismatch (state %d, derived %d)", tryIndex, got, trySeed)
-				}
-				tryIndex++
-				continue
-			}
-
-			// Try boundary: an agreed stop needs no snapshot — the state
-			// file already holds every completed try.
-			if ck.Interrupt != nil {
-				stop, err := agreeInterrupt(comm, ck.Interrupt)
-				if err != nil {
-					return nil, err
-				}
-				if stop {
-					return nil, ErrInterrupted
-				}
-			}
-
-			if emitObs != nil {
-				emitObs.ObserveTry(autoclass.TryEvent{
-					Kind: autoclass.TryClaimed, Index: tryIndex,
-					StartJ: startJ, Try: try, Seed: trySeed,
-					Done: len(res.Tries), Total: total,
-				})
-			}
-
-			// Mid-try resume: the state file ended inside this try.
-			var cls *autoclass.Classification
-			var eng *autoclass.Engine
-			startCycle := 0
-			if len(state.InTry) > 0 {
-				c, sp, err := autoclass.LoadCheckpointSearch(bytes.NewReader(state.InTry), ds)
-				if err != nil {
-					return nil, fmt.Errorf("pautoclass: restoring mid-try checkpoint: %w", err)
-				}
-				switch {
-				case sp == nil:
-					return nil, errors.New("pautoclass: mid-try checkpoint lacks a search point")
-				case sp.TryIndex != tryIndex:
-					return nil, fmt.Errorf("pautoclass: mid-try checkpoint is for try %d, resume reached try %d", sp.TryIndex, tryIndex)
-				case sp.TrySeed != trySeed || sp.SearchSeed != cfg.Seed:
-					return nil, fmt.Errorf("pautoclass: mid-try checkpoint seed mismatch (rerun with -seed %d)", sp.SearchSeed)
-				case sp.StartJ != startJ:
-					return nil, fmt.Errorf("pautoclass: mid-try checkpoint startJ %d, schedule has %d", sp.StartJ, startJ)
-				}
-				cls = c
-				eng, err = autoclass.NewEngine(view, cls, opts.EM, reducer, charger)
-				if err != nil {
-					return nil, err
-				}
-				eng.Restore(autoclass.EngineState{
-					Cycles:    cls.Cycles,
-					BelowTol:  sp.BelowTol,
-					LastPost:  sp.LastPost,
-					SyncStats: sp.SyncStats,
-				})
-				startCycle = sp.CycleInTry
-			} else {
-				cls, err = autoclass.NewClassification(ds, spec, pr, startJ)
-				if err != nil {
-					return nil, err
-				}
-				eng, err = autoclass.NewEngine(view, cls, opts.EM, reducer, charger)
-				if err != nil {
-					return nil, err
-				}
-				if err := eng.InitRandom(trySeed); err != nil {
-					return nil, err
-				}
-			}
-			state.InTry = nil
-			eng.SetProfile(opts.Profile)
-			var cyc autoclass.CycleObserver
-			if opts.Obs != nil {
-				cyc = opts.Obs
-			}
-			if emitObs != nil {
-				cyc = autoclass.NewTryCycleObserver(emitObs, cyc,
-					autoclass.Variant{Index: tryIndex, StartJ: startJ, Try: try, Seed: trySeed}, total)
-			}
-			if cyc != nil {
-				eng.SetCycleObserver(cyc)
-			}
-			if ck.Every > 0 || ck.Interrupt != nil {
-				ti, sj, tn, ts := tryIndex, startJ, try, trySeed
-				// Under bounded staleness the hook only fires at sync
-				// points (see RunFrom), so the modular cadence could miss
-				// every firing when ck.Every and SyncEvery are misaligned;
-				// snapshot at the first sync point ck.Every cycles after
-				// the previous snapshot instead. The synchronous path keeps
-				// the exact historical cadence.
-				stale := opts.EM.EffectiveSyncEvery() > 1
-				lastSnap := startCycle
-				eng.SetCycleHook(func(cycle int, converged bool) error {
-					stop := false
-					if ck.Interrupt != nil {
-						s, err := agreeInterrupt(comm, ck.Interrupt)
-						if err != nil {
-							return err
-						}
-						stop = s
-					}
-					// The final cycle's state is persisted at the try
-					// boundary below; no mid-try snapshot needed. A stop
-					// request racing with convergence lets the try finish —
-					// the between-tries poll catches it.
-					snap := ck.Every > 0 && (cycle+1)%ck.Every == 0
-					if stale {
-						snap = ck.Every > 0 && cycle+1-lastSnap >= ck.Every
-					}
-					if converged || (!snap && !stop) {
-						return nil
-					}
-					// Group-consistent snapshot: every rank proposes its
-					// cycle; agreement is the SPMD invariant holding. A
-					// mismatch means the trajectory has already diverged —
-					// refuse to write a checkpoint that lies about it.
-					agreed, err := comm.AllreduceFloat64(mpi.Min, float64(cycle))
-					if err != nil {
-						return fmt.Errorf("pautoclass: checkpoint agreement: %w", err)
-					}
-					if int(agreed) != cycle {
-						return fmt.Errorf("pautoclass: rank %d at cycle %d but group minimum is %v (SPMD divergence)", comm.Rank(), cycle, agreed)
-					}
-					lastSnap = cycle + 1
-					if comm.Rank() == 0 {
-						st := eng.State()
-						sp := &autoclass.SearchPoint{
-							TryIndex:   ti,
-							StartJ:     sj,
-							Try:        tn,
-							TrySeed:    ts,
-							CycleInTry: cycle + 1,
-							BelowTol:   st.BelowTol,
-							LastPost:   st.LastPost,
-							SearchSeed: cfg.Seed,
-							SyncStats:  st.SyncStats,
-						}
-						var buf bytes.Buffer
-						if err := autoclass.SaveCheckpointSearch(&buf, cls, sp); err != nil {
-							return err
-						}
-						state.InTry = buf.Bytes()
-						if err := writeParState(ck.Path, state); err != nil {
-							return err
-						}
-					}
-					if stop {
-						return ErrInterrupted
-					}
-					return nil
-				})
-			}
-			em, err := eng.RunFrom(startCycle)
+// snapshotHook is the checkpoint protocol inside a running try: at every
+// cycle boundary it polls the interrupt, and every ck.Every cycles — or on
+// an agreed stop — the group agrees on the cycle and rank 0 writes a
+// mid-try snapshot of variant v.
+func (t *trial) snapshotHook(eng *autoclass.Engine, v autoclass.Variant, from int) autoclass.CycleHook {
+	ck := t.opts.Checkpoint
+	// Under bounded staleness the hook only fires at sync points (see
+	// RunFrom), so the modular cadence could miss every firing when
+	// ck.Every and SyncEvery are misaligned; snapshot at the first sync
+	// point ck.Every cycles after the previous snapshot instead. The
+	// synchronous path keeps the exact historical cadence.
+	stale := t.opts.EM.EffectiveSyncEvery() > 1
+	lastSnap := from
+	return func(cycle int, converged bool) error {
+		stop := false
+		if ck.Interrupt != nil {
+			s, err := agreeInterrupt(t.comm, ck.Interrupt)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			tr := autoclass.TryResult{
-				StartJ: startJ, FinalJ: cls.J(), Try: try, Seed: trySeed,
-				// startCycle cycles ran before the interruption; em counts
-				// only the cycles since resume.
-				Cycles: startCycle + em.Cycles, Converged: em.Converged,
-				LogLik: cls.LogLik, LogPost: cls.LogPost, Score: cls.Score(),
-			}
-			tryIndex++
-			res.Totals.Cycles += em.Cycles
-			res.Totals.WtsSeconds += em.WtsSeconds
-			res.Totals.ParamsSeconds += em.ParamsSeconds
-			res.Totals.ApproxSeconds += em.ApproxSeconds
-			res.Totals.InitSeconds += em.InitSeconds
-			res.Totals.ReducedValues += em.ReducedValues
-			res.Totals.Reductions += em.Reductions
-			for _, prev := range res.Tries {
-				if !prev.Duplicate && prev.FinalJ == tr.FinalJ &&
-					stats.RelDiff(prev.Score, tr.Score) < cfg.DupScoreTol {
-					tr.Duplicate = true
-					break
-				}
-			}
-			res.Tries = append(res.Tries, tr)
-			if !tr.Duplicate && (res.Best == nil || tr.Score > res.BestTry.Score) {
-				res.Best = cls
-				res.BestTry = tr
-			}
-			if emitObs != nil {
-				kind := autoclass.TryConverged
-				if tr.Duplicate {
-					kind = autoclass.TryDuplicate
-				}
-				ev := autoclass.TryEvent{
-					// tryIndex was already advanced past this try above.
-					Kind: kind, Index: tryIndex - 1, StartJ: startJ, Try: try,
-					Seed: trySeed, Cycles: tr.Cycles, J: tr.FinalJ,
-					LogPost: tr.LogPost, Score: tr.Score, Converged: tr.Converged,
-					Done: len(res.Tries), Total: total,
-					BestScore: math.Inf(-1),
-				}
-				if res.Best != nil {
-					ev.BestScore = res.BestTry.Score
-					ev.BestJ = res.BestTry.FinalJ
-				}
-				emitObs.ObserveTry(ev)
-			}
-			// Try boundary: persist completed progress (rank 0 only — every
-			// rank holds the identical state, no agreement needed because the
-			// try just finished through globally reduced quantities).
-			state.InTry = nil
-			state.Completed = res.Tries
-			state.Totals = res.Totals
-			state.BestTry = res.BestTry
-			if res.Best != nil {
-				var buf bytes.Buffer
-				if err := autoclass.SaveCheckpoint(&buf, res.Best); err != nil {
-					return nil, err
-				}
-				state.Best = buf.Bytes()
-			}
-			if comm.Rank() == 0 {
-				if err := writeParState(ck.Path, state); err != nil {
-					return nil, err
-				}
+			stop = s
+		}
+		// The final cycle's state is persisted at the try boundary; no
+		// mid-try snapshot needed. A stop request racing with convergence
+		// lets the try finish — the between-tries poll catches it.
+		snap := ck.Every > 0 && (cycle+1)%ck.Every == 0
+		if stale {
+			snap = ck.Every > 0 && cycle+1-lastSnap >= ck.Every
+		}
+		if converged || (!snap && !stop) {
+			return nil
+		}
+		// Group-consistent snapshot: every rank proposes its cycle;
+		// agreement is the SPMD invariant holding. A mismatch means the
+		// trajectory has already diverged — refuse to write a checkpoint
+		// that lies about it.
+		agreed, err := t.comm.AllreduceFloat64(mpi.Min, float64(cycle))
+		if err != nil {
+			return fmt.Errorf("pautoclass: checkpoint agreement: %w", err)
+		}
+		if int(agreed) != cycle {
+			return fmt.Errorf("pautoclass: rank %d at cycle %d but group minimum is %v (SPMD divergence)", t.comm.Rank(), cycle, agreed)
+		}
+		lastSnap = cycle + 1
+		if t.comm.Rank() == 0 {
+			st := eng.State()
+			err := t.state.SaveInTry(&autoclass.Checkpoint{
+				Classification: eng.Classification(),
+				Search: &autoclass.SearchPoint{
+					TryIndex:      v.Index,
+					StartJ:        v.StartJ,
+					Try:           v.Try,
+					TrySeed:       v.Seed,
+					CycleInTry:    cycle + 1,
+					BelowTol:      st.BelowTol,
+					LastPost:      st.LastPost,
+					SearchSeed:    t.seed,
+					SyncStats:     st.SyncStats,
+					Reductions:    st.Reductions,
+					ReducedValues: st.ReducedValues,
+				},
+			})
+			if err != nil {
+				return err
 			}
 		}
+		if stop {
+			return ErrInterrupted
+		}
+		return nil
 	}
-	if res.Best == nil {
-		return nil, errors.New("pautoclass: search produced no classification")
-	}
-	return res, nil
 }

@@ -22,10 +22,16 @@ import (
 func clsBytes(t *testing.T, cls *autoclass.Classification) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := autoclass.SaveCheckpoint(&buf, cls); err != nil {
+	if err := (&autoclass.Checkpoint{Classification: cls}).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// checkpointed returns opts with checkpointing configured.
+func checkpointed(opts Options, ck Checkpoint) Options {
+	opts.Checkpoint = ck
+	return opts
 }
 
 // TestCheckpointingDoesNotPerturbSearch: the checkpoint hook communicates
@@ -39,8 +45,7 @@ func TestCheckpointingDoesNotPerturbSearch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "search.ckpt")
 	var ckRes *autoclass.SearchResult
 	err := mpi.Run(3, func(c *mpi.Comm) error {
-		res, err := SearchCheckpointed(c, ds, model.DefaultSpec(ds), cfg, DefaultOptions(),
-			Checkpoint{Path: path, Every: 2})
+		res, err := Search(c, ds, model.DefaultSpec(ds), cfg, checkpointed(DefaultOptions(), Checkpoint{Path: path, Every: 2}))
 		if err != nil {
 			return err
 		}
@@ -61,8 +66,7 @@ func TestCheckpointingDoesNotPerturbSearch(t *testing.T) {
 	// A finished search re-launched against its own state file returns
 	// immediately with the identical result.
 	err = mpi.Run(3, func(c *mpi.Comm) error {
-		res, err := SearchCheckpointed(c, ds, model.DefaultSpec(ds), cfg, DefaultOptions(),
-			Checkpoint{Path: path, Every: 2})
+		res, err := Search(c, ds, model.DefaultSpec(ds), cfg, checkpointed(DefaultOptions(), Checkpoint{Path: path, Every: 2}))
 		if err != nil {
 			return err
 		}
@@ -115,7 +119,7 @@ func TestKillAndResumeBitwiseIdentical(t *testing.T) {
 				victim: {Faults: []mpi.Fault{{Op: "send", Peer: -1, After: 150}}},
 			}
 			errs, err := rn.kill(p, rcfg, plans, func(c *mpi.Comm) error {
-				_, err := SearchCheckpointed(c, ds, model.DefaultSpec(ds), cfg, DefaultOptions(), ck)
+				_, err := Search(c, ds, model.DefaultSpec(ds), cfg, checkpointed(DefaultOptions(), ck))
 				return err
 			})
 			if err != nil {
@@ -131,7 +135,7 @@ func TestKillAndResumeBitwiseIdentical(t *testing.T) {
 			// Resume on healthy transports; must complete and match the
 			// uninterrupted run bit for bit.
 			err = rn.healthy(p, rcfg, func(c *mpi.Comm) error {
-				res, err := SearchCheckpointed(c, ds, model.DefaultSpec(ds), cfg, DefaultOptions(), ck)
+				res, err := Search(c, ds, model.DefaultSpec(ds), cfg, checkpointed(DefaultOptions(), ck))
 				if err != nil {
 					return err
 				}
@@ -180,7 +184,7 @@ func TestInterruptAndResumeBitwiseIdentical(t *testing.T) {
 				return cycles > 3
 			},
 		}
-		_, err := SearchCheckpointed(c, ds, model.DefaultSpec(ds), cfg, DefaultOptions(), ck)
+		_, err := Search(c, ds, model.DefaultSpec(ds), cfg, checkpointed(DefaultOptions(), ck))
 		if errors.Is(err, ErrInterrupted) {
 			stopped.Store(true)
 			return nil
@@ -203,8 +207,7 @@ func TestInterruptAndResumeBitwiseIdentical(t *testing.T) {
 	// Resume without an interrupt; the result must match the uninterrupted
 	// reference bitwise.
 	err = mpi.Run(p, func(c *mpi.Comm) error {
-		res, err := SearchCheckpointed(c, ds, model.DefaultSpec(ds), cfg, DefaultOptions(),
-			Checkpoint{Path: path})
+		res, err := Search(c, ds, model.DefaultSpec(ds), cfg, checkpointed(DefaultOptions(), Checkpoint{Path: path}))
 		if err != nil {
 			return err
 		}
@@ -238,7 +241,7 @@ func TestInterruptBetweenTries(t *testing.T) {
 		// most one cycle — and with Every unset, the boundary poll is the
 		// only snapshot writer exercised.
 		ck := Checkpoint{Path: path, Interrupt: func() bool { return true }}
-		_, err := SearchCheckpointed(c, ds, model.DefaultSpec(ds), cfg, DefaultOptions(), ck)
+		_, err := Search(c, ds, model.DefaultSpec(ds), cfg, checkpointed(DefaultOptions(), ck))
 		if !errors.Is(err, ErrInterrupted) {
 			return fmt.Errorf("want ErrInterrupted, got %v", err)
 		}
@@ -259,7 +262,7 @@ func TestInterruptBetweenTries(t *testing.T) {
 				cycles++
 				return cycles > 5
 			}}
-			res, err := SearchCheckpointed(c, ds, model.DefaultSpec(ds), cfg, DefaultOptions(), ck)
+			res, err := Search(c, ds, model.DefaultSpec(ds), cfg, checkpointed(DefaultOptions(), ck))
 			if errors.Is(err, ErrInterrupted) {
 				return nil
 			}

@@ -173,7 +173,7 @@ func TestStaleChunkedMatchesMaterialized(t *testing.T) {
 		victim: {Faults: []mpi.Fault{{Op: "send", Peer: -1, After: 60}}},
 	}
 	errs, err := mpi.RunFaultyMem(p, rcfg, plans, func(c *mpi.Comm) error {
-		_, err := SearchCheckpointed(c, cached, model.DefaultSpec(cached), cfg, opts, ck)
+		_, err := Search(c, cached, model.DefaultSpec(cached), cfg, checkpointed(opts, ck))
 		return err
 	})
 	if err != nil {
@@ -186,7 +186,7 @@ func TestStaleChunkedMatchesMaterialized(t *testing.T) {
 		t.Fatalf("no checkpoint was written before the crash: %v", err)
 	}
 	err = mpi.RunWith(p, rcfg, func(c *mpi.Comm) error {
-		res, err := SearchCheckpointed(c, cached, model.DefaultSpec(cached), cfg, opts, ck)
+		res, err := Search(c, cached, model.DefaultSpec(cached), cfg, checkpointed(opts, ck))
 		if err != nil {
 			return err
 		}

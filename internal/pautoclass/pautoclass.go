@@ -92,21 +92,20 @@ type Options struct {
 	// update_wts / update_parameters / update_approximations table).
 	Profile *trace.Profile
 	// SearchObs, when non-nil, receives try lifecycle events from the
-	// replicated BIG_LOOP (Search, SearchCheckpointed). Every rank runs the
-	// identical search loop, so events are emitted on rank 0 only — the
-	// same Options value may be handed to every rank. Like Obs, it is
-	// notification-only and never perturbs the trajectory.
+	// replicated BIG_LOOP (Search). Every rank runs the identical search
+	// loop, so events are emitted on rank 0 only — the same Options value
+	// may be handed to every rank. Like Obs, it is notification-only and
+	// never perturbs the trajectory.
 	SearchObs autoclass.SearchObserver
-
-	// cycleObs, when set, is a fully composed per-try cycle observer (the
-	// TryCycle emitter chained to Obs) that the search drivers install in
-	// place of Obs on the try's engine.
-	cycleObs autoclass.CycleObserver
+	// Checkpoint, when its Path is set, makes Search resumable (see
+	// Checkpoint). Only the Full strategy supports it; RunTrial and
+	// SearchHybrid ignore it.
+	Checkpoint Checkpoint
 }
 
 // install wires the rank's observer into the communicator, the virtual
-// clock, and (via engine setters at the call sites) the EM engines. It is
-// idempotent, so Search and RunTrial may both call it.
+// clock, and (via engine setters in trial.run) the EM engines. It is
+// idempotent, so Search and newTrial may both call it.
 func (o *Options) install(comm *mpi.Comm) {
 	if o.Obs == nil {
 		return
@@ -321,14 +320,34 @@ func ParallelPriors(comm *mpi.Comm, view *dataset.View, opts *Options) (*model.P
 // group must call it with identical arguments.
 func RunTrial(comm *mpi.Comm, view *dataset.View, pr *model.Priors, spec model.Spec,
 	startJ int, seed uint64, opts Options) (*autoclass.Classification, autoclass.EMResult, error) {
-	var zero autoclass.EMResult
 	if comm == nil || view == nil || pr == nil {
-		return nil, zero, errors.New("pautoclass: nil comm, view or priors")
+		return nil, autoclass.EMResult{}, errors.New("pautoclass: nil comm, view or priors")
 	}
-	cls, err := autoclass.NewClassification(view.Dataset(), spec, pr, startJ)
-	if err != nil {
-		return nil, zero, err
-	}
+	return newTrial(comm, view, pr, spec, opts).run(autoclass.Variant{StartJ: startJ, Seed: seed})
+}
+
+// trial is the SPMD engine's per-try runner, shared by Search (through the
+// variant scheduler), SearchHybrid and RunTrial. Every rank of the group
+// runs the same variants in the same order.
+type trial struct {
+	comm    *mpi.Comm
+	view    *dataset.View
+	pr      *model.Priors
+	spec    model.Spec
+	opts    Options
+	charger autoclass.Charger
+	reducer autoclass.Reducer
+	// so and total turn each try's cycles into TryCycle events; set on
+	// rank 0 of an observed Search only.
+	so    autoclass.SearchObserver
+	total int
+	// state and seed drive the checkpoint protocol of a checkpointed
+	// Search (see checkpoint.go); state is nil otherwise.
+	state *autoclass.SearchState
+	seed  uint64
+}
+
+func newTrial(comm *mpi.Comm, view *dataset.View, pr *model.Priors, spec model.Spec, opts Options) *trial {
 	// A nil *simnet.Clock must become a nil Charger interface, not a
 	// non-nil interface wrapping a nil pointer.
 	var charger autoclass.Charger
@@ -338,33 +357,46 @@ func RunTrial(comm *mpi.Comm, view *dataset.View, pr *model.Priors, spec model.S
 	}
 	comm.SetAllreduceAlgo(opts.AllreduceAlgo)
 	opts.install(comm)
-	switch opts.Strategy {
+	return &trial{
+		comm: comm, view: view, pr: pr, spec: spec, opts: opts, charger: charger,
+		reducer: &allreduceReducer{comm: comm, clock: opts.Clock, algo: opts.AllreduceAlgo},
+	}
+}
+
+// run executes variant v on this rank under the selected strategy.
+func (t *trial) run(v autoclass.Variant) (*autoclass.Classification, autoclass.EMResult, error) {
+	var zero autoclass.EMResult
+	if ck := t.opts.Checkpoint; t.state != nil && ck.Interrupt != nil {
+		// Try boundary: an agreed stop needs no snapshot — the state file
+		// already holds every committed try.
+		stop, err := agreeInterrupt(t.comm, ck.Interrupt)
+		if err != nil {
+			return nil, zero, err
+		}
+		if stop {
+			return nil, zero, ErrInterrupted
+		}
+	}
+	var co autoclass.CycleObserver
+	if t.opts.Obs != nil {
+		co = t.opts.Obs
+	}
+	if t.so != nil {
+		co = autoclass.NewTryCycleObserver(t.so, co, v, t.total)
+	}
+	switch t.opts.Strategy {
 	case Full:
-		eng, err := autoclass.NewEngine(view, cls, opts.EM,
-			&allreduceReducer{comm: comm, clock: opts.Clock, algo: opts.AllreduceAlgo}, charger)
-		if err != nil {
-			return nil, zero, err
-		}
-		eng.SetProfile(opts.Profile)
-		if opts.cycleObs != nil {
-			eng.SetCycleObserver(opts.cycleObs)
-		} else if opts.Obs != nil {
-			eng.SetCycleObserver(opts.Obs)
-		}
-		if err := eng.InitRandom(seed); err != nil {
-			return nil, zero, err
-		}
-		res, err := eng.Run()
-		if err != nil {
-			return nil, zero, err
-		}
-		return cls, res, nil
+		return t.runFull(v, co)
 	case WtsOnly:
-		eng, err := newWtsOnlyEngine(comm, view, cls, opts)
+		cls, err := autoclass.NewClassification(t.view.Dataset(), t.spec, t.pr, v.StartJ)
 		if err != nil {
 			return nil, zero, err
 		}
-		if err := eng.InitRandom(seed); err != nil {
+		eng, err := newWtsOnlyEngine(t.comm, t.view, cls, t.opts, co)
+		if err != nil {
+			return nil, zero, err
+		}
+		if err := eng.InitRandom(v.Seed); err != nil {
 			return nil, zero, err
 		}
 		res, err := eng.Run()
@@ -373,16 +405,90 @@ func RunTrial(comm *mpi.Comm, view *dataset.View, pr *model.Priors, spec model.S
 		}
 		return cls, res, nil
 	default:
-		return nil, zero, fmt.Errorf("pautoclass: unknown strategy %d", int(opts.Strategy))
+		return nil, zero, fmt.Errorf("pautoclass: unknown strategy %d", int(t.opts.Strategy))
 	}
 }
 
-// Search runs the full replicated BIG_LOOP in parallel. Every rank returns
-// the identical SearchResult.
+// runFull runs v on the Full-strategy engine, continuing from the state's
+// mid-try snapshot when the checkpoint holds one for v.
+func (t *trial) runFull(v autoclass.Variant, co autoclass.CycleObserver) (*autoclass.Classification, autoclass.EMResult, error) {
+	var zero autoclass.EMResult
+	in := t.state.InTry(v)
+	var cls *autoclass.Classification
+	if in != nil {
+		cls = in.Classification
+	} else {
+		c, err := autoclass.NewClassification(t.view.Dataset(), t.spec, t.pr, v.StartJ)
+		if err != nil {
+			return nil, zero, err
+		}
+		cls = c
+	}
+	eng, err := autoclass.NewEngine(t.view, cls, t.opts.EM, t.reducer, t.charger)
+	if err != nil {
+		return nil, zero, err
+	}
+	eng.SetProfile(t.opts.Profile)
+	if co != nil {
+		eng.SetCycleObserver(co)
+	}
+	from := 0
+	if in != nil {
+		sp := in.Search
+		eng.Restore(autoclass.EngineState{
+			Cycles: cls.Cycles, BelowTol: sp.BelowTol, LastPost: sp.LastPost, SyncStats: sp.SyncStats,
+			Reductions: sp.Reductions, ReducedValues: sp.ReducedValues,
+		})
+		from = sp.CycleInTry
+	} else if err := eng.InitRandom(v.Seed); err != nil {
+		return nil, zero, err
+	}
+	if ck := t.opts.Checkpoint; t.state != nil && (ck.Every > 0 || ck.Interrupt != nil) {
+		eng.SetCycleHook(t.snapshotHook(eng, v, from))
+	}
+	em, err := eng.RunFrom(from)
+	if err != nil {
+		return nil, zero, err
+	}
+	if in != nil {
+		// em counts only the cycles since the resume; the snapshot carries
+		// the try's earlier cycles and reducer traffic.
+		em.Cycles += in.Search.CycleInTry
+		em.Reductions += in.Search.Reductions
+		em.ReducedValues += in.Search.ReducedValues
+	}
+	return cls, em, nil
+}
+
+// Search runs the full replicated BIG_LOOP in parallel. Every rank drives
+// its own copy of the variant scheduler with one worker: the SPMD runner
+// communicates through this rank's communicator, so two tries must never
+// run concurrently on one rank — their collectives would interleave.
+// Variant parallelism for the SPMD engine splits the rank budget across
+// communicator groups instead (SearchHybrid). Every rank returns the
+// identical SearchResult.
+//
+// With opts.Checkpoint.Path set the search persists its progress (committed
+// tries after every try, plus a mid-try snapshot every Checkpoint.Every
+// cycles) and, when the file already holds the progress of the identical
+// search over the same dataset by this engine, resumes where it stopped,
+// bitwise-identically to an uninterrupted run. Only the Full strategy
+// supports checkpointing.
 func Search(comm *mpi.Comm, ds *dataset.Dataset, spec model.Spec,
 	cfg autoclass.SearchConfig, opts Options) (*autoclass.SearchResult, error) {
 	if ds.N() == 0 {
 		return nil, errors.New("pautoclass: empty dataset")
+	}
+	ck := opts.Checkpoint
+	switch {
+	case ck.Path == "" && (ck.Every != 0 || ck.Interrupt != nil):
+		return nil, errors.New("pautoclass: checkpoint Every and Interrupt need a Path")
+	case ck.Path != "" && opts.Strategy != Full:
+		return nil, fmt.Errorf("pautoclass: checkpointing supports only the %v strategy", Full)
+	}
+	sched, err := autoclass.NewSearchScheduler(cfg, 1)
+	if err != nil {
+		return nil, err
 	}
 	view, err := PartitionView(comm, ds)
 	if err != nil {
@@ -393,53 +499,19 @@ func Search(comm *mpi.Comm, ds *dataset.Dataset, spec model.Spec,
 	if err != nil {
 		return nil, err
 	}
-	// Rank 0 alone adapts each try's cycle stream into TryCycle events; the
-	// scheduler below (also rank-0-only) supplies claims and commit
-	// verdicts. Other ranks run the identical unobserved loop.
-	emit := searchEmitter(comm, cfg, opts)
-	runner := func(startJ int, seed uint64) (*autoclass.Classification, autoclass.EMResult, error) {
-		return RunTrial(comm, view, pr, spec, startJ, seed, emit(startJ, seed))
-	}
-	// The SPMD runner communicates through this rank's communicator, so two
-	// tries must never run concurrently on one rank — their collectives
-	// would interleave. Variant parallelism for the SPMD engine is a
-	// budget-split decision across communicator groups, not within one:
-	// see SearchHybrid.
-	cfg.SearchParallelism = 1
+	t := newTrial(comm, view, pr, spec, opts)
+	t.seed = cfg.Seed
+	// Every rank runs the identical loop, so rank 0 alone reports it: the
+	// scheduler supplies claims and commit verdicts, the runner TryCycle
+	// events.
 	if opts.SearchObs != nil && comm.Rank() == 0 {
-		return autoclass.SearchWithObserver(runner, cfg, opts.SearchObs)
+		sched.SetObserver(opts.SearchObs)
+		t.so, t.total = opts.SearchObs, len(cfg.Variants())
 	}
-	return autoclass.SearchWith(runner, cfg)
-}
-
-// searchEmitter returns a per-try Options decorator: on rank 0 with a
-// search observer installed, it composes the TryCycle emitter for the
-// variant identified by (startJ, seed) in front of the rank's cycle
-// observer; everywhere else it returns opts unchanged.
-func searchEmitter(comm *mpi.Comm, cfg autoclass.SearchConfig, opts Options) func(startJ int, seed uint64) Options {
-	if opts.SearchObs == nil || comm.Rank() != 0 {
-		return func(int, uint64) Options { return opts }
-	}
-	type vkey struct {
-		startJ int
-		seed   uint64
-	}
-	vs := cfg.Variants()
-	vmap := make(map[vkey]autoclass.Variant, len(vs))
-	for _, v := range vs {
-		vmap[vkey{v.StartJ, v.Seed}] = v
-	}
-	return func(startJ int, seed uint64) Options {
-		v, ok := vmap[vkey{startJ, seed}]
-		if !ok {
-			return opts
+	if ck.Path != "" {
+		if t.state, err = loadState(comm, ck.Path, cfg, ds); err != nil {
+			return nil, err
 		}
-		o := opts
-		var next autoclass.CycleObserver
-		if opts.Obs != nil {
-			next = opts.Obs
-		}
-		o.cycleObs = autoclass.NewTryCycleObserver(opts.SearchObs, next, v, len(vs))
-		return o
 	}
+	return sched.Run(t.state, func(int) autoclass.VariantRunner { return t.run })
 }

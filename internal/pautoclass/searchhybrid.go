@@ -19,8 +19,8 @@ import (
 // communicator groups of Procs/Variants ranks each, every group running
 // whole tries pulled from the shared variant scheduler. Group 0's rank 0
 // claims nothing special — each group's rank 0 claims the next variant and
-// broadcasts its schedule index to its group, so all ranks of a group enter
-// RunTrial with identical arguments (the SPMD contract).
+// broadcasts its schedule index to its group, so all ranks of a group run
+// the identical variant (the SPMD contract).
 //
 // Determinism: variants commit through the autoclass scheduler in schedule
 // order, so the hybrid result at V groups × R ranks is bitwise identical to
@@ -115,6 +115,7 @@ func SearchHybrid(ds *dataset.Dataset, spec model.Spec, cfg autoclass.SearchConf
 				if err != nil {
 					return err
 				}
+				t := newTrial(comm, view, pr, spec, opts)
 				for {
 					// The group's rank 0 claims the next variant; the
 					// broadcast index keeps every rank of the group on the
@@ -133,7 +134,7 @@ func SearchHybrid(ds *dataset.Dataset, spec model.Spec, cfg autoclass.SearchConf
 						return nil
 					}
 					vr := variants[claim]
-					cls, em, runErr := RunTrial(comm, view, pr, spec, vr.StartJ, vr.Seed, opts)
+					cls, em, runErr := t.run(vr)
 					if comm.Rank() == 0 {
 						sched.Commit(vr, cls, em, runErr)
 					}

@@ -58,7 +58,7 @@ func sameTryRecords(a, b []autoclass.TryResult) bool {
 func checkpointBytes(t *testing.T, cls *autoclass.Classification) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := autoclass.SaveCheckpoint(&buf, cls); err != nil {
+	if err := (&autoclass.Checkpoint{Classification: cls}).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -110,8 +110,8 @@ func TestParallelSearchObserverOncePerEvent(t *testing.T) {
 	}
 }
 
-// SearchCheckpointed with an observer on every rank: same trajectory as the
-// plain parallel search, events once per lifecycle point.
+// A checkpointed Search with an observer on every rank: same trajectory as
+// the plain parallel search, events once per lifecycle point.
 func TestSearchCheckpointedObserver(t *testing.T) {
 	const p = 2
 	ds := paperDS(t, 240)
@@ -125,8 +125,7 @@ func TestSearchCheckpointedObserver(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "search.ckpt")
 	var res *autoclass.SearchResult
 	err := mpi.Run(p, func(c *mpi.Comm) error {
-		r, err := SearchCheckpointed(c, ds, model.DefaultSpec(ds), cfg, opts,
-			Checkpoint{Path: path, Every: 2})
+		r, err := Search(c, ds, model.DefaultSpec(ds), cfg, checkpointed(opts, Checkpoint{Path: path, Every: 2}))
 		if err != nil {
 			return err
 		}
@@ -166,8 +165,7 @@ func TestSearchCheckpointedObserver(t *testing.T) {
 	// result without re-running — and therefore without emitting any events.
 	before := rec.len()
 	err = mpi.Run(p, func(c *mpi.Comm) error {
-		_, err := SearchCheckpointed(c, ds, model.DefaultSpec(ds), cfg, opts,
-			Checkpoint{Path: path, Every: 2})
+		_, err := Search(c, ds, model.DefaultSpec(ds), cfg, checkpointed(opts, Checkpoint{Path: path, Every: 2}))
 		return err
 	})
 	if err != nil {
@@ -201,7 +199,7 @@ func TestSearchCheckpointedObserverResumeDone(t *testing.T) {
 				cycles++
 				return cycles > 5
 			}}
-			res, err := SearchCheckpointed(c, ds, model.DefaultSpec(ds), cfg, opts, ck)
+			res, err := Search(c, ds, model.DefaultSpec(ds), cfg, checkpointed(opts, ck))
 			if errors.Is(err, ErrInterrupted) {
 				return nil
 			}

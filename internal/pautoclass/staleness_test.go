@@ -300,7 +300,7 @@ func TestStaleKillAndResumeBitwiseIdentical(t *testing.T) {
 		victim: {Faults: []mpi.Fault{{Op: "send", Peer: -1, After: 60}}},
 	}
 	errs, err := mpi.RunFaultyMem(p, rcfg, plans, func(c *mpi.Comm) error {
-		_, err := SearchCheckpointed(c, ds, model.DefaultSpec(ds), cfg, opts, ck)
+		_, err := Search(c, ds, model.DefaultSpec(ds), cfg, checkpointed(opts, ck))
 		return err
 	})
 	if err != nil {
@@ -314,7 +314,7 @@ func TestStaleKillAndResumeBitwiseIdentical(t *testing.T) {
 	}
 
 	err = mpi.RunWith(p, rcfg, func(c *mpi.Comm) error {
-		res, err := SearchCheckpointed(c, ds, model.DefaultSpec(ds), cfg, opts, ck)
+		res, err := Search(c, ds, model.DefaultSpec(ds), cfg, checkpointed(opts, ck))
 		if err != nil {
 			return err
 		}
@@ -336,7 +336,7 @@ func TestStaleFingerprintRefusesDifferentSchedule(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "search.ckpt")
 	ck := Checkpoint{Path: path, Every: 2}
 	err := mpi.Run(2, func(c *mpi.Comm) error {
-		_, err := SearchCheckpointed(c, ds, model.DefaultSpec(ds), cfg, opts, ck)
+		_, err := Search(c, ds, model.DefaultSpec(ds), cfg, checkpointed(opts, ck))
 		return err
 	})
 	if err != nil {
@@ -344,7 +344,7 @@ func TestStaleFingerprintRefusesDifferentSchedule(t *testing.T) {
 	}
 	cfg2, opts2 := staleConfig(2)
 	err = mpi.Run(2, func(c *mpi.Comm) error {
-		_, err := SearchCheckpointed(c, ds, model.DefaultSpec(ds), cfg2, opts2, ck)
+		_, err := Search(c, ds, model.DefaultSpec(ds), cfg2, checkpointed(opts2, ck))
 		if err == nil {
 			return nil
 		}
@@ -360,7 +360,7 @@ func TestStaleFingerprintRefusesDifferentSchedule(t *testing.T) {
 	// require the error on rank 0 explicitly.
 	var refused bool
 	err = mpi.Run(2, func(c *mpi.Comm) error {
-		_, err := SearchCheckpointed(c, ds, model.DefaultSpec(ds), cfg2, opts2, ck)
+		_, err := Search(c, ds, model.DefaultSpec(ds), cfg2, checkpointed(opts2, ck))
 		if c.Rank() == 0 && err != nil {
 			refused = true
 		}

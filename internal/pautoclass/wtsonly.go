@@ -53,7 +53,8 @@ type wtsOnlyEngine struct {
 	cycleObs autoclass.CycleObserver
 }
 
-func newWtsOnlyEngine(comm *mpi.Comm, view *dataset.View, cls *autoclass.Classification, opts Options) (*wtsOnlyEngine, error) {
+func newWtsOnlyEngine(comm *mpi.Comm, view *dataset.View, cls *autoclass.Classification,
+	opts Options, co autoclass.CycleObserver) (*wtsOnlyEngine, error) {
 	if view == nil || cls == nil {
 		return nil, errors.New("pautoclass: nil view or classification")
 	}
@@ -78,12 +79,7 @@ func newWtsOnlyEngine(comm *mpi.Comm, view *dataset.View, cls *autoclass.Classif
 		lastPost: math.Inf(-1),
 		parts:    parts,
 		profile:  opts.Profile,
-	}
-	if opts.Obs != nil {
-		e.cycleObs = opts.Obs
-	}
-	if opts.cycleObs != nil {
-		e.cycleObs = opts.cycleObs
+		cycleObs: co,
 	}
 	return e, nil
 }

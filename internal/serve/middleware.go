@@ -170,7 +170,7 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 				"path", r.URL.Path,
 				"status", sr.code,
 				"bytes", sr.bytes,
-				"duration_ms", float64(elapsed.Microseconds())/1e3,
+				"duration_ms", float64(elapsed.Microseconds()) / 1e3,
 			}
 			if panicked != nil {
 				attrs = append(attrs, "panic", fmt.Sprint(panicked),

@@ -9,7 +9,7 @@
 //
 //	request.json — the submitted JobRequest (immutable)
 //	status.json  — the job's current JobStatus (rewritten on transitions)
-//	search.ckpt  — the pautoclass.SearchCheckpointed state file
+//	search.ckpt  — the checkpointed pautoclass.Search state file
 //	model.ckpt   — the fitted best classification, once the job is done
 //
 // Jobs run one at a time on a single runner goroutine; training itself is
@@ -467,11 +467,12 @@ func (s *Server) runJob(id string) {
 		opts.EM = cfg.EM
 		opts.Obs = o.Rank(c.Rank())
 		opts.SearchObs = searchObs
-		r, err := pautoclass.SearchCheckpointed(c, ds, spec, cfg, opts, pautoclass.Checkpoint{
+		opts.Checkpoint = pautoclass.Checkpoint{
 			Path:      s.jobPath(id, "search.ckpt"),
 			Every:     s.cfg.Every,
 			Interrupt: s.stopping.Load,
-		})
+		}
+		r, err := pautoclass.Search(c, ds, spec, cfg, opts)
 		if err != nil {
 			return err
 		}

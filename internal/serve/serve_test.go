@@ -179,7 +179,7 @@ func TestServeTrainPredictE2E(t *testing.T) {
 		t.Fatalf("done status incomplete: %+v", done)
 	}
 
-	// The daemon trained through SearchCheckpointed on 2 ranks; the direct
+	// The daemon trained through a checkpointed Search on 2 ranks; the direct
 	// pipeline must land on the bitwise-identical model.
 	ref := referenceSearch(t, trainDS, quickSpec, 2)
 	saved, err := os.ReadFile(s.jobPath(st.ID, "model.ckpt"))

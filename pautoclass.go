@@ -37,10 +37,9 @@
 //	o := repro.NewRunObserver(1)
 //	res, _ := repro.Run(ds, repro.WithObserver(o))
 //
-// The legacy Cluster / ClusterCorrelated / ClusterModels / ClusterParallel
-// functions remain as deprecated wrappers over Run. A long-running serving
-// front-end (async training jobs + batch prediction over HTTP) ships as
-// cmd/pautoclassd.
+// Fitted classifications persist through Checkpoint (SaveFile/LoadFile). A
+// long-running serving front-end (async training jobs + batch prediction
+// over HTTP) ships as cmd/pautoclassd.
 //
 // The heavy lifting lives in the internal packages (see DESIGN.md for the
 // system inventory); this package is the stable facade.
@@ -186,30 +185,6 @@ func MeikoCS2() Machine { return simnet.MeikoCS2() }
 // PentiumPC returns the paper's sequential anchor machine model.
 func PentiumPC() Machine { return simnet.PentiumPC() }
 
-// Cluster runs the sequential AutoClass search over the dataset with the
-// independent-attribute model.
-//
-// Deprecated: use Run(ds, WithSearchConfig(cfg)).
-func Cluster(ds *Dataset, cfg SearchConfig) (*SearchResult, error) {
-	r, err := Run(ds, WithSearchConfig(cfg))
-	if err != nil {
-		return nil, err
-	}
-	return r.Search, nil
-}
-
-// ClusterCorrelated is Cluster with all real attributes modeled jointly by
-// a full-covariance Gaussian per class (AutoClass multi_normal_cn).
-//
-// Deprecated: use Run(ds, WithSearchConfig(cfg), WithCorrelated()).
-func ClusterCorrelated(ds *Dataset, cfg SearchConfig) (*SearchResult, error) {
-	r, err := Run(ds, WithSearchConfig(cfg), WithCorrelated())
-	if err != nil {
-		return nil, err
-	}
-	return r.Search, nil
-}
-
 // Strategy selects the parallelization variant.
 type Strategy = pautoclass.Strategy
 
@@ -251,40 +226,9 @@ type ParallelStats struct {
 	VirtualSeconds, VirtualCommSeconds float64
 }
 
-// ClusterParallel runs the P-AutoClass search across pc.Procs ranks and
-// returns rank 0's result (all ranks produce the identical classification).
-//
-// Deprecated: use Run(ds, WithSearchConfig(cfg), WithParallel(pc)).
-func ClusterParallel(ds *Dataset, cfg SearchConfig, pc ParallelConfig) (*SearchResult, *ParallelStats, error) {
-	r, err := Run(ds, WithSearchConfig(cfg), WithParallel(pc))
-	if err != nil {
-		return nil, nil, err
-	}
-	return r.Search, &r.Stats, nil
-}
-
 // BuildReport renders the classification as an AutoClass-style report.
 func BuildReport(cls *Classification, ds *Dataset) *Report {
 	return autoclass.BuildReport(cls, ds)
-}
-
-// SaveCheckpoint and LoadCheckpoint persist classifications as JSON.
-//
-// Deprecated: use Checkpoint.SaveFile.
-func SaveCheckpoint(path string, cls *Classification) error {
-	return (&Checkpoint{Classification: cls}).SaveFile(path)
-}
-
-// LoadCheckpoint restores a classification saved by SaveCheckpoint,
-// validating it against the dataset's schema.
-//
-// Deprecated: use Checkpoint.LoadFile.
-func LoadCheckpoint(path string, ds *Dataset) (*Classification, error) {
-	var ck Checkpoint
-	if err := ck.LoadFile(path, ds); err != nil {
-		return nil, err
-	}
-	return ck.Classification, nil
 }
 
 // PaperDataset generates n tuples of the paper's synthetic evaluation
@@ -303,20 +247,6 @@ func PCCluster() Machine { return simnet.PCCluster() }
 // ModelSearchResult is the outcome of the two-level search (model forms ×
 // class counts).
 type ModelSearchResult = autoclass.ModelSearchResult
-
-// ClusterModels runs AutoClass's full two-level search: for every
-// applicable model form (independent attributes; correlated reals when the
-// dataset has two or more; log-normal reals when all are positive), the
-// complete BIG_LOOP — keeping the best classification across forms.
-//
-// Deprecated: use Run(ds, WithSearchConfig(cfg), WithModelSearch()).
-func ClusterModels(ds *Dataset, cfg SearchConfig) (*ModelSearchResult, error) {
-	r, err := Run(ds, WithSearchConfig(cfg), WithModelSearch())
-	if err != nil {
-		return nil, err
-	}
-	return r.Models, nil
-}
 
 // CaseAssignment is one instance's class-membership record.
 type CaseAssignment = autoclass.CaseAssignment

@@ -19,10 +19,11 @@ func TestFacadeSequentialCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Cluster(ds, quickCfg())
+	run, err := Run(ds, WithSearchConfig(quickCfg()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := run.Search
 	if res.Best.J() < 4 || res.Best.J() > 6 {
 		t.Fatalf("best J=%d, expected about 5", res.Best.J())
 	}
@@ -38,14 +39,17 @@ func TestFacadeParallelMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := quickCfg()
-	seq, err := Cluster(ds, cfg)
+	seqRun, err := Run(ds, WithSearchConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, stats, err := ClusterParallel(ds, cfg, ParallelConfig{Procs: 4})
+	seq := seqRun.Search
+	run, err := Run(ds, WithSearchConfig(cfg), WithParallel(ParallelConfig{Procs: 4}))
 	if err != nil {
 		t.Fatal(err)
 	}
+	par := run.Search
+	stats := &run.Stats
 	if par.Best.J() != seq.Best.J() {
 		t.Fatalf("parallel J=%d, sequential %d", par.Best.J(), seq.Best.J())
 	}
@@ -64,10 +68,11 @@ func TestFacadeVirtualMachine(t *testing.T) {
 	}
 	cfg := quickCfg()
 	m := MeikoCS2()
-	_, stats, err := ClusterParallel(ds, cfg, ParallelConfig{Procs: 4, Machine: &m})
+	run, err := Run(ds, WithSearchConfig(cfg), WithParallel(ParallelConfig{Procs: 4, Machine: &m}))
 	if err != nil {
 		t.Fatal(err)
 	}
+	stats := &run.Stats
 	if stats.VirtualSeconds <= 0 || stats.VirtualCommSeconds <= 0 {
 		t.Fatalf("virtual stats %+v", stats)
 	}
@@ -83,10 +88,11 @@ func TestFacadeTCP(t *testing.T) {
 	}
 	cfg := quickCfg()
 	cfg.StartJList = []int{3}
-	res, _, err := ClusterParallel(ds, cfg, ParallelConfig{Procs: 3, UseTCP: true})
+	run, err := Run(ds, WithSearchConfig(cfg), WithParallel(ParallelConfig{Procs: 3, UseTCP: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := run.Search
 	if res.Best.J() < 1 {
 		t.Fatal("no classification")
 	}
@@ -109,18 +115,20 @@ func TestFacadeDatasetRoundTripAndCheckpoint(t *testing.T) {
 	if back.N() != ds.N() {
 		t.Fatalf("round trip N=%d", back.N())
 	}
-	res, err := Cluster(ds, quickCfg())
+	run, err := Run(ds, WithSearchConfig(quickCfg()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := run.Search
 	ckPath := filepath.Join(dir, "ck.json")
-	if err := SaveCheckpoint(ckPath, res.Best); err != nil {
+	if err := (&Checkpoint{Classification: res.Best}).SaveFile(ckPath); err != nil {
 		t.Fatal(err)
 	}
-	cls, err := LoadCheckpoint(ckPath, ds)
-	if err != nil {
+	var ck Checkpoint
+	if err := ck.LoadFile(ckPath, ds); err != nil {
 		t.Fatal(err)
 	}
+	cls := ck.Classification
 	if cls.J() != res.Best.J() {
 		t.Fatalf("checkpoint J=%d", cls.J())
 	}
@@ -131,24 +139,25 @@ func TestFacadeCorrelated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ClusterCorrelated(ds, quickCfg())
+	run, err := Run(ds, WithSearchConfig(quickCfg()), WithCorrelated())
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := run.Search
 	if res.Best.J() < 1 {
 		t.Fatal("no classification")
 	}
 }
 
 func TestFacadeValidation(t *testing.T) {
-	if _, err := Cluster(nil, quickCfg()); err == nil {
+	if _, err := Run(nil, WithSearchConfig(quickCfg())); err == nil {
 		t.Error("nil dataset accepted")
 	}
 	ds, _ := PaperDataset(10, 1)
-	if _, _, err := ClusterParallel(ds, quickCfg(), ParallelConfig{Procs: 0}); err == nil {
+	if _, err := Run(ds, WithSearchConfig(quickCfg()), WithParallel(ParallelConfig{Procs: 0})); err == nil {
 		t.Error("zero procs accepted")
 	}
-	if _, err := ClusterCorrelated(nil, quickCfg()); err == nil {
+	if _, err := Run(nil, WithSearchConfig(quickCfg()), WithCorrelated()); err == nil {
 		t.Error("nil dataset accepted by correlated")
 	}
 }
@@ -185,10 +194,11 @@ func TestFacadeClusterModels(t *testing.T) {
 	}
 	cfg := quickCfg()
 	cfg.StartJList = []int{5}
-	res, err := ClusterModels(ds, cfg)
+	run, err := Run(ds, WithSearchConfig(cfg), WithModelSearch())
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := run.Models
 	// Two reals with negative values: independent + correlated candidates.
 	if len(res.PerSpec) != 2 {
 		t.Fatalf("per-spec results %d", len(res.PerSpec))
@@ -196,7 +206,7 @@ func TestFacadeClusterModels(t *testing.T) {
 	if res.Best == nil || res.BestSpec == "" {
 		t.Fatal("no best model")
 	}
-	if _, err := ClusterModels(nil, cfg); err == nil {
+	if _, err := Run(nil, WithSearchConfig(cfg), WithModelSearch()); err == nil {
 		t.Fatal("nil dataset accepted")
 	}
 }
@@ -206,10 +216,11 @@ func TestFacadeCasesAndSharpness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Cluster(ds, quickCfg())
+	run, err := Run(ds, WithSearchConfig(quickCfg()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := run.Search
 	cases := AssignCases(res.Best, ds, 0.5)
 	if len(cases) != ds.N() {
 		t.Fatalf("%d cases", len(cases))
@@ -244,10 +255,11 @@ func TestFacadeEvaluateRecoversPlantedStructure(t *testing.T) {
 	}
 	cfg := quickCfg()
 	cfg.StartJList = []int{5}
-	res, err := Cluster(ds, cfg)
+	run, err := Run(ds, WithSearchConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := run.Search
 	ct, err := Evaluate(res.Best, ds, labels)
 	if err != nil {
 		t.Fatal(err)

@@ -27,8 +27,7 @@ import (
 //
 // Option combinations mirror the engine's real capabilities; impossible
 // ones (e.g. WithModelSearch with WithParallel) are rejected with an error
-// rather than silently ignored. The result is bitwise identical to the
-// legacy entry point each combination replaces.
+// rather than silently ignored.
 func Run(ds *Dataset, opts ...Option) (*Result, error) {
 	rc := runConfig{search: DefaultSearchConfig()}
 	for _, opt := range opts {
@@ -246,7 +245,10 @@ func WithMemoryBudget(budget int64) Option {
 // the bitwise-identical result to an uninterrupted run. every sets the
 // cycles between mid-try snapshots in a parallel run (<= 0 snapshots only
 // at try boundaries); the sequential path checkpoints at try boundaries
-// regardless.
+// regardless. Sequential and parallel runs share one state-file format,
+// which records the dataset's row count and the engine that wrote it: a
+// file is refused by a run over another dataset size or by the other
+// engine, whose priors — and so trajectory — differ in the last bits.
 func WithCheckpoint(path string, every int) Option {
 	return func(rc *runConfig) { rc.ckptPath = path; rc.ckptEvery = every }
 }
@@ -342,13 +344,9 @@ func runSequential(ds *Dataset, rc runConfig) (*Result, error) {
 	if rc.observer != nil {
 		co = rc.observer.Rank(0)
 	}
-	var res *SearchResult
-	var err error
-	if rc.ckptPath != "" {
-		res, err = autoclass.SearchWithCheckpointFileObserved(ds, spec, rc.search, nil, rc.ckptPath, rc.profile, co, rc.searchObs)
-	} else {
-		res, err = autoclass.SearchObserved(ds, spec, rc.search, nil, rc.profile, co, rc.searchObs)
-	}
+	res, err := autoclass.Search(ds, spec, rc.search, &autoclass.SearchOptions{
+		Profile: rc.profile, Cycles: co, Observer: rc.searchObs, StatePath: rc.ckptPath,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -372,10 +370,8 @@ func runParallel(ds *Dataset, rc runConfig) (*Result, error) {
 			}
 			opts.Clock = clk
 		}
-		// The observer-wiring bugfix: the legacy ClusterParallel dropped
-		// Obs/Profile on the floor unless callers reached into
-		// internal/pautoclass. pautoclass.Search's install() binds the
-		// observer to the communicator and the virtual clock.
+		// pautoclass.Search's install() binds the observer to the
+		// communicator and the virtual clock.
 		if rc.observer != nil {
 			opts.Obs = rc.observer.Rank(c.Rank())
 			if pc.Machine != nil && c.Rank() == 0 {
@@ -387,14 +383,8 @@ func runParallel(ds *Dataset, rc runConfig) (*Result, error) {
 		}
 		// Handed to every rank; pautoclass emits on rank 0 only.
 		opts.SearchObs = rc.searchObs
-		var r *SearchResult
-		var err error
-		if rc.ckptPath != "" {
-			r, err = pautoclass.SearchCheckpointed(c, ds, model.DefaultSpec(ds), rc.search, opts,
-				pautoclass.Checkpoint{Path: rc.ckptPath, Every: rc.ckptEvery})
-		} else {
-			r, err = pautoclass.Search(c, ds, model.DefaultSpec(ds), rc.search, opts)
-		}
+		opts.Checkpoint = pautoclass.Checkpoint{Path: rc.ckptPath, Every: rc.ckptEvery}
+		r, err := pautoclass.Search(c, ds, model.DefaultSpec(ds), rc.search, opts)
 		if err != nil {
 			return err
 		}

@@ -12,16 +12,15 @@ import (
 	"repro/internal/pautoclass"
 )
 
-// The facade-equivalence suite: the legacy functions are now wrappers over
-// Run, so comparing Run to them would be circular. Every test here compares
-// Run's output to a DIRECT internal-package invocation of the engine the
-// option combination selects — same J, same try records, bitwise-identical
-// best classification.
+// The facade-equivalence suite: every test here compares Run's output to a
+// DIRECT internal-package invocation of the engine the option combination
+// selects — same J, same try records, bitwise-identical best
+// classification.
 
 func runClsBytes(t *testing.T, cls *Classification) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := autoclass.SaveCheckpoint(&buf, cls); err != nil {
+	if err := (&Checkpoint{Classification: cls}).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -142,8 +141,8 @@ func TestRunMatchesDirectSequentialCheckpoint(t *testing.T) {
 	ds := runTestDataset(t, 400)
 	cfg := runQuickCfg()
 	dir := t.TempDir()
-	want, err := autoclass.SearchWithCheckpointFile(ds, model.DefaultSpec(ds), cfg, nil,
-		filepath.Join(dir, "direct.ckpt"))
+	want, err := autoclass.Search(ds, model.DefaultSpec(ds), cfg,
+		&autoclass.SearchOptions{StatePath: filepath.Join(dir, "direct.ckpt")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,9 +187,9 @@ func TestRunMatchesDirectParallelCheckpoint(t *testing.T) {
 	assertSameSearch(t, r.Search, want)
 }
 
-// TestRunObserverWiring is the regression test for the ClusterParallel
-// observer bug: the legacy facade silently dropped observer and profile
-// wiring, so metrics stayed empty unless callers bypassed the facade.
+// TestRunObserverWiring is the regression test for a facade observer bug:
+// the parallel path once silently dropped observer and profile wiring, so
+// metrics stayed empty unless callers bypassed the facade.
 // Through WithObserver/WithProfile the engines must actually report — and
 // observation must not perturb the trajectory.
 func TestRunObserverWiring(t *testing.T) {
