@@ -14,7 +14,8 @@ vet:
 # The hybrid engine runs goroutine pools inside every rank; keep the race
 # detector on the whole tree so new concurrency is checked on every PR.
 # The bitwise-across-Parallelism, chunked-equivalence and FoldRowLogLik
-# properties, and the resume, interrupt, observer and hybrid search
+# properties, the block step's sweep equivalence (four goroutines sharing
+# one kernel set), and the resume, interrupt, observer and hybrid search
 # properties (every try commits through the concurrent variant scheduler),
 # then run at several GOMAXPROCS values, so a one-core host cannot hide a
 # race; the exp kernel's self-check must fall back when FMA
@@ -22,7 +23,7 @@ vet:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,2,4 \
-		-run 'Concurrent|AcrossParallelism|ParallelismInvariance|ParallelismBitwise|FusedTraining|ChunkedMatches|ChunkedAligned|FoldRowLogLik|RaceFree|HybridTrajectory|PredictRanksBitwise|Resum|Interrupt|SearchObserver|SearchHybrid|KillAndResume' \
+		-run 'Concurrent|AcrossParallelism|ParallelismInvariance|ParallelismBitwise|FusedTraining|ChunkedMatches|ChunkedAligned|FoldRowLogLik|RaceFree|HybridTrajectory|PredictRanksBitwise|Resum|Interrupt|SearchObserver|SearchHybrid|KillAndResume|Sweeps' \
 		./internal/model ./internal/autoclass ./internal/pautoclass
 	GODEBUG=cpu.fma=off $(GO) test -run Exp ./internal/stats
 	GOARCH=arm64 $(GO) vet ./...

@@ -61,9 +61,9 @@ func itoa(v int) string {
 // RowShardSize, so the block grid inside every shard is identical whether a
 // shard is processed alone or as part of a larger sequential range — the
 // blocked path stays bitwise deterministic for every Parallelism setting.
-// A block holds one 2 KiB log-probability vector per class, so the
-// per-worker scratch grows with J (128 KiB at J=64); the class-major
-// normalizer streams through it one contiguous class vector at a time.
+// A block holds one 2 KiB vector per class, so the per-worker scratch
+// grows with J (128 KiB at J=64); the block step's three sweeps stream
+// through it one contiguous class vector at a time.
 const KernelBlockRows = 256
 
 // The chunked data plane's grid must stay in lockstep with the kernel
@@ -125,11 +125,12 @@ func (ks *kernelSet) prepare(classes []*Class) {
 
 // blockScratch is one worker's scratch, owned by exactly one goroutine at
 // a time: per-class block vectors (KernelBlockRows long) that hold the
-// log-memberships and then, in place, the normalized weights; a synthesized
-// weight column for the crisp initialization; the kernels' own scratch;
-// the normalizer's per-row vectors; a per-row log-membership vector for the
-// Reference path; and — on chunk-backed views — the worker's chunk cursor,
-// pinning exactly the chunk under its blocks.
+// log-memberships and then, in place, the exponentials and weights of the
+// block step; a synthesized weight column for the crisp initialization;
+// the kernels' own scratch; the normalizer's per-row vectors; a per-row
+// log-membership vector for the Reference path; and — on chunk-backed
+// views — the worker's chunk cursor, pinning exactly the chunk under its
+// blocks.
 type blockScratch struct {
 	lp   [][]float64
 	wcol []float64
@@ -149,45 +150,6 @@ func (bs *blockScratch) grow(j int) {
 	}
 	if len(bs.logp) < j {
 		bs.logp = make([]float64, j)
-	}
-}
-
-// logMembership evaluates rows [lo, hi) of cols under every class: on
-// return lp[cj][:hi-lo] holds log π_j plus every term's blocked
-// log-likelihood.
-func (bs *blockScratch) logMembership(classes []*Class, kerns [][]model.Kernel, cols *dataset.Columns, lo, hi int) [][]float64 {
-	lp := bs.lp[:len(classes)]
-	for cj, cl := range classes {
-		v := lp[cj][:hi-lo]
-		for r := range v {
-			v[r] = cl.LogPi
-		}
-		for _, k := range kerns[cj] {
-			k.BlockLogProb(cols, lo, hi, v, &bs.ks)
-		}
-	}
-	return lp
-}
-
-// emBlock is the fused E+M step of one row block [lo, hi) of cols, shared
-// by the engine's fused pass and the StreamTrainer: log-memberships,
-// class-major normalization, the class sums and log-likelihood folded into
-// acc[:J+1], then every class's weight vector — the scratch the
-// normalizer just filled — folded straight into its terms' statistics in
-// acc[J+1:] at the (class, term) offsets offs.
-func (bs *blockScratch) emBlock(classes []*Class, kerns [][]model.Kernel, cols *dataset.Columns, lo, hi int, acc []float64, offs []int) {
-	j := len(classes)
-	m := hi - lo
-	w := bs.logMembership(classes, kerns, cols, lo, hi)
-	bs.norm.normalize(w, m)
-	bs.norm.fold(w, m, acc[:j+1])
-	buf := acc[j+1:]
-	ti := 0
-	for cj := range classes {
-		for _, k := range kerns[cj] {
-			k.BlockAccumulateStats(cols, w[cj][:m], lo, hi, buf[offs[ti]:offs[ti+1]], &bs.ks)
-			ti++
-		}
 	}
 }
 

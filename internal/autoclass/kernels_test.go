@@ -60,27 +60,27 @@ func specClassification(t testing.TB, ds *dataset.Dataset, spec model.Spec, j in
 }
 
 // blockedEStep runs the E-step half of the fused pass over all of the
-// engine's rows on one worker — per block the kernels, the class-major
-// normalizer and the class-sum fold — accumulating {w_j, logLik} into out.
-// When wts is non-nil it also receives every row's weights, row-major n×J.
+// engine's rows on one worker — per block sweeps 1 and 2 of the block
+// step and the scale-and-fold of sweep 3 without the statistics —
+// accumulating {w_j, logLik} into out. When wts is non-nil it also
+// receives every row's weights, row-major n×J.
 func blockedEStep(eng *Engine, out, wts []float64) {
 	n := eng.view.N()
 	j := eng.cls.J()
 	eng.prepareKernels()
 	bs := eng.workerScratch(1, j)[0]
+	var best [KernelBlockRows]int
 	for blo := 0; blo < n; blo += KernelBlockRows {
 		bhi := min(blo+KernelBlockRows, n)
 		m := bhi - blo
 		cols, clo, chi := eng.block(bs, blo, bhi)
-		w := bs.logMembership(eng.cls.Classes, eng.kerns.k, cols, clo, chi)
-		bs.norm.normalize(w, m)
-		bs.norm.fold(w, m, out)
+		v := bs.score(eng.cls.Classes, eng.kerns.k, cols, clo, chi)
+		bs.norm.expSum(v, m, &out[j])
 		if wts != nil {
-			for cj, v := range w {
-				for r, x := range v[:m] {
-					wts[(blo+r)*j+cj] = x
-				}
-			}
+			bs.norm.scaleArgmax(v, m, wts[blo*j:bhi*j], best[:m])
+		}
+		for cj := range v {
+			out[cj] = new(model.NormalRun).Fold(v[cj][:m], bs.norm.inv[:m], out[cj], false)
 		}
 	}
 	eng.closeCursors()
@@ -115,8 +115,8 @@ func blockedStats(eng *Engine, wts, buf []float64, offs []int) {
 }
 
 // TestBlockedMatchesReferencePhases is the property test of the blocked
-// kernels: on the same classification state, the blocked E-step (kernels
-// plus the class-major normalizer) must reproduce the reference per-row
+// kernels: on the same classification state, the blocked E-step (the
+// block step's sweeps) must reproduce the reference per-row
 // weights, class sums and log-likelihood, the fused pass the reference
 // class sums and log-likelihood, and the blocked statistics accumulation
 // the reference statistics vectors, to ≤1e-12 relative — across every term

@@ -11,19 +11,22 @@ import (
 // A cycle's two data-parallel phases — update_wts's E-step and the
 // statistics accumulation of update_parameters — evaluate the same
 // parameters (terms update only after the statistics exchange), so the
-// blocked engine runs them as one pass: each row block computes its
-// weights in block scratch, folds them into the class sums AND the
-// sufficient statistics immediately, and drops them. No n×J weights
+// blocked engine runs them as one pass: each row block runs the block
+// step (three sweeps per class, see normalize.go), which computes the
+// block's weights in scratch and folds them into the class sums AND
+// the sufficient statistics before the next block. No n×J weights
 // matrix exists — at out-of-core row counts it would dwarf any chunk
 // budget (100M rows × 8 classes is 6.4 GB) — and memory per worker is one
 // chunk pin plus O(J·KernelBlockRows) scratch, independent of n. The
 // synchronous cycle, the bounded-staleness cycle and the crisp
-// initialization all use it, on materialized and chunk-backed views alike.
+// initialization (which folds its hash-derived 0/1 weights instead of
+// running the block step) all use it, on materialized and chunk-backed
+// views alike.
 //
 // Fusing changes no arithmetic against running the paper's two phases as
 // separate passes over a stored weights matrix: the weight values are
-// identical (same parameters, same normalizer); per statistics slot the
-// accumulation order within a shard is identical; the shard merge is the
+// identical (same parameters, same softmax, bitwise); per statistics slot
+// the accumulation order within a shard is identical; the shard merge is the
 // same ascending-order merge (merging the concatenated
 // {w_j, logLik | statistics} shard buffers element-wise is
 // element-identical to merging the two segments separately); and the

@@ -6,72 +6,98 @@ import (
 	"repro/internal/stats"
 )
 
-// The class-major block normalizer: the E-step's per-row softmax, shared by
-// every blocked path — the engine's fused pass, the StreamTrainer and the
-// Predictor.
+// The blocked E+M step: three sweeps per class over one KernelBlockRows
+// block, shared by every blocked path — the engine's fused pass (and so
+// the synchronous, bounded-staleness and chunked cycles), the
+// StreamTrainer and, for its first two sweeps, the Predictor.
 //
-// The kernels leave one contiguous KernelBlockRows vector of
-// log-memberships per class. Normalizing row by row would stride across J
-// separate vectors for every row and call math.Exp once per element; the
-// normalizer instead walks each class vector end to end with per-row
-// running state, and exponentiates whole vectors with stats.ExpInPlace.
+// Each class owns one contiguous block vector v. The step walks it three
+// times, each time end to end with per-row running state:
 //
-// Every float64 is the one the row-major loop produces, because each
-// per-row quantity sees the same operations in the same order:
+//  1. Score and max (blockScratch.score): v = log π_j plus every term's
+//     log-likelihood, in term order, with the row maximum folded in the
+//     same loop. Consecutive single_normal_cn terms over columns without a
+//     missing mask are evaluated together, two per loop, by
+//     model.NormalRun; every other term adds its own kernel's
+//     BlockLogProb.
+//  2. Exp and sum (normScratch.expSum): v = exp(v − max), added into the
+//     row sums, by stats.ExpShiftSum. A per-row step then sets the
+//     log-evidence z = max + log(sum) and the reciprocal 1/sum.
+//  3. Scale, fold and statistics (blockScratch.foldStats): w = v·(1/sum),
+//     summed into the class weight W_j, with the first two such normal
+//     terms' Σw·x, Σw·x² and Σw accumulated in registers in the same loop
+//     (model.NormalRun again). Other terms read w, stored back into v,
+//     through BlockAccumulateStats.
+//     The Predictor instead scales into its row-major memberships and
+//     takes each row's MAP class (normScratch.scaleArgmax).
 //
+// Every float64 is the one the unfused composition — fill, per-term
+// BlockLogProb, row-major softmax, fold, per-term BlockAccumulateStats —
+// produces, because each quantity sees the same operations in the same
+// order:
+//
+//   - v adds the terms in term order, each as the kernel's expression
+//     (c − d·d·inv2 for a normal term, which model.NormalRun evaluates
+//     next to the kernel that defines it), so a run split into pieces of
+//     at most two terms adds exactly what separate kernels add;
 //   - the row maximum starts at −Inf and takes strictly greater values,
 //     classes in ascending order;
-//   - each class value has the maximum subtracted and is exponentiated
-//     (stats.ExpInPlace is math.Exp bit for bit);
-//   - the row sum adds the exponentials in ascending class order, and every
-//     exponential is multiplied by 1/sum;
-//   - the log-evidence is max + log(sum);
-//   - a row scoring −Inf in every class gets the uniform weight 1/J and
-//     log-evidence −Inf (it adds no evidence).
+//   - each exponential is math.Exp(v − max) bit for bit, and the row sum
+//     adds the exponentials in ascending class order;
+//   - the log-evidence is max + log(sum), and every weight is v·(1/sum),
+//     rounded before it is added anywhere (the float64 conversion forbids
+//     fusing the multiply into a following add);
+//   - W_j adds the weights in ascending row order, starting from the
+//     running class sum, and the log-likelihood adds every row's
+//     log-evidence in ascending row order;
+//   - a normal term's statistics accumulate w·x, (w·x)·x and w in
+//     ascending row order from zero, as its BlockAccumulateStats does —
+//     the Σw of every fused term is the same sum, so it is kept once;
+//   - a row scoring −Inf in every class ("dead") gets the uniform weight
+//     1/J and log-evidence −Inf (it adds no evidence): the per-row step
+//     sets its class values to 1 and its reciprocal to 1/J, so sweep 3
+//     computes 1·(1/J).
 //
-// normalize_test.go keeps the row-major loop as the oracle and checks this
-// bitwise, including all-−Inf rows and NaN log-probabilities (where only
-// the payload of a NaN class sum may differ; Go leaves NaN payloads
-// unspecified).
+// sweeps_test.go keeps the unfused composition as the oracle and checks
+// this bitwise over normal runs of 1 to 5 terms, mixed term kinds, missing
+// masks, −Inf, NaN and dead rows; normalize_test.go checks sweeps 2 and 3
+// against the row-major softmax loop they replaced. NaN class sums match
+// as NaN only: Go leaves NaN payloads unspecified.
 
 // normScratch is the normalizer's per-row state for one block.
 type normScratch struct {
-	max  [KernelBlockRows]float64
-	inv  [KernelBlockRows]float64 // row sums, then their reciprocals
-	z    [KernelBlockRows]float64 // per-row log-evidence
-	best [KernelBlockRows]int     // per-row MAP class (Predictor only)
+	max [KernelBlockRows]float64 // row maxima; the Predictor's best weights
+	inv [KernelBlockRows]float64 // row sums, then their reciprocals
+	z   [KernelBlockRows]float64 // per-row log-evidence
 }
 
-// normalize rewrites w[cj][:m], class cj's log-memberships of the block's
-// m rows, into normalized weights in place, and leaves each row's
-// log-evidence in ns.z[:m].
-func (ns *normScratch) normalize(w [][]float64, m int) {
-	mx := ns.max[:m]
-	for r := range mx {
-		mx[r] = math.Inf(-1)
-	}
-	for _, v := range w {
-		for r, x := range v[:m] {
-			if x > mx[r] {
-				mx[r] = x
-			}
+// foldMax folds v into the running row maxima mx: strictly greater values
+// win, so a NaN never does.
+func foldMax(mx, v []float64) {
+	mx = mx[:len(v)]
+	for r, x := range v {
+		if x > mx[r] {
+			mx[r] = x
 		}
 	}
+}
+
+// expSum is sweep 2 and the per-row step over the block's m rows: with the
+// row maxima in ns.max, it rewrites each class vector v[cj][:m] into
+// exp(v − max), leaves each row's log-evidence in ns.z and the reciprocal
+// of its sum in ns.inv, and adds the log-evidence of every row that has
+// any into *ll. A dead row's class values become 1 and its reciprocal 1/J.
+func (ns *normScratch) expSum(v [][]float64, m int, ll *float64) {
+	mx := ns.max[:m]
 	sum := ns.inv[:m]
 	for r := range sum {
 		sum[r] = 0
 	}
-	for _, v := range w {
-		v = v[:m]
-		for r := range v {
-			v[r] -= mx[r]
-		}
-		stats.ExpInPlace(v)
-		for r, x := range v {
-			sum[r] += x
-		}
+	for _, x := range v {
+		stats.ExpShiftSum(x[:m], mx, sum)
 	}
 	z := ns.z[:m]
+	l := *ll
 	dead := false
 	for r, s := range sum {
 		if math.IsInf(mx[r], -1) {
@@ -81,57 +107,44 @@ func (ns *normScratch) normalize(w [][]float64, m int) {
 		}
 		z[r] = mx[r] + math.Log(s)
 		sum[r] = 1 / s
-	}
-	for _, v := range w {
-		v = v[:m]
-		for r := range v {
-			v[r] *= sum[r]
+		if !math.IsInf(z[r], -1) {
+			l += z[r]
 		}
 	}
+	*ll = l
 	if dead {
-		u := 1 / float64(len(w))
+		u := 1 / float64(len(v))
 		for r := range z {
 			if math.IsInf(mx[r], -1) {
-				for _, v := range w {
-					v[r] = u
+				sum[r] = u
+				for _, x := range v {
+					x[r] = 1
 				}
 			}
 		}
 	}
 }
 
-// fold adds a normalized block into acc = {w_0 … w_{J−1}, logLik}: each
-// class's weights in ascending row order, then the log-evidence of every
-// row that has any.
-func (ns *normScratch) fold(w [][]float64, m int, acc []float64) {
-	for cj, v := range w {
-		s := acc[cj]
-		for _, x := range v[:m] {
-			s += x
-		}
-		acc[cj] = s
-	}
-	ll := acc[len(w)]
-	for _, z := range ns.z[:m] {
-		if !math.IsInf(z, -1) {
-			ll += z
-		}
-	}
-	acc[len(w)] = ll
-}
-
-// argmax leaves in ns.best[:m] each row's first class of maximum weight.
-func (ns *normScratch) argmax(w [][]float64, m int) {
-	best := ns.best[:m]
+// scaleArgmax is the Predictor's sweep 3: it writes each row's weights
+// v·(1/sum) into the row-major memberships mem (J per row) and its first
+// class of maximum weight into best.
+func (ns *normScratch) scaleArgmax(v [][]float64, m int, mem []float64, best []int) {
+	j := len(v)
+	inv := ns.inv[:m]
 	bv := ns.max[:m]
-	copy(bv, w[0][:m])
-	for r := range best {
+	best = best[:m]
+	for r, x := range v[0][:m] {
+		w := x * inv[r]
+		mem[r*j] = w
+		bv[r] = w
 		best[r] = 0
 	}
-	for cj := 1; cj < len(w); cj++ {
-		for r, x := range w[cj][:m] {
-			if x > bv[r] {
-				bv[r] = x
+	for cj := 1; cj < j; cj++ {
+		for r, x := range v[cj][:m] {
+			w := x * inv[r]
+			mem[r*j+cj] = w
+			if w > bv[r] {
+				bv[r] = w
 				best[r] = cj
 			}
 		}

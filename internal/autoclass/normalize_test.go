@@ -5,13 +5,14 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/model"
 	"repro/internal/rng"
 )
 
 // rowMajorNormalize is the row-major normalization loop every blocked path
 // (the two-pass E-step, the fused chunk pass, the Predictor and the
-// StreamTrainer) ran before the class-major normalizer replaced it — kept
-// as the normalizer's bitwise oracle. lp[cj][r] holds class cj's
+// StreamTrainer) ran before the class-major sweeps replaced it — kept as
+// their bitwise oracle. lp[cj][r] holds class cj's
 // log-membership of row r; the row's weights land in wts[r*J:(r+1)*J],
 // its log-evidence in z[r] (−Inf for a row with none), its MAP class in
 // best[r], and the class sums and log-likelihood accumulate into acc.
@@ -110,11 +111,13 @@ func sameSums(t *testing.T, got, want []float64) {
 	}
 }
 
-// TestClassMajorNormalizerMatchesRowMajor: the class-major normalizer plus
-// its fold and argmax reproduce the row-major oracle bitwise — weights,
-// class sums, log-likelihood, per-row log-evidence and MAP — for class
-// counts from 1 to 64 and block lengths around the 4-lane quads and the
-// full block.
+// TestClassMajorNormalizerMatchesRowMajor: the class-major normalizer —
+// the row maxima folded class by class, sweep 2 with its per-row step,
+// and both forms of sweep 3 (the Predictor's scale-and-argmax and the
+// scale-and-fold of the class sums, which stores the weights) — reproduces
+// the row-major oracle bitwise: weights, class sums, log-likelihood,
+// per-row log-evidence and MAP, for class counts from 1 to 64 and block
+// lengths around the 4-lane quads and the full block.
 func TestClassMajorNormalizerMatchesRowMajor(t *testing.T) {
 	r := rng.New(12)
 	for _, j := range []int{1, 2, 3, 8, 64} {
@@ -139,22 +142,34 @@ func TestClassMajorNormalizerMatchesRowMajor(t *testing.T) {
 					wantBest := make([]int, m)
 					rowMajorNormalize(oracleIn, m, wantW, wantAcc, wantZ, wantBest)
 
-					bs.norm.normalize(lp, m)
+					mx := bs.norm.max[:m]
+					for row := range mx {
+						mx[row] = math.Inf(-1)
+					}
+					for _, v := range lp {
+						foldMax(mx, v[:m])
+					}
 					gotAcc := append([]float64(nil), acc0...)
-					bs.norm.fold(lp, m, gotAcc)
-					bs.norm.argmax(lp, m)
+					bs.norm.expSum(lp, m, &gotAcc[j])
 					gotW := make([]float64, m*j)
+					gotBest := make([]int, m)
+					bs.norm.scaleArgmax(lp, m, gotW, gotBest)
+					for cj, v := range lp {
+						gotAcc[cj] = new(model.NormalRun).Fold(v[:m], bs.norm.inv[:m], gotAcc[cj], true)
+					}
+					stored := make([]float64, m*j)
 					for cj, v := range lp {
 						for row, x := range v[:m] {
-							gotW[row*j+cj] = x
+							stored[row*j+cj] = x
 						}
 					}
 					sameBits(t, "weights", gotW, wantW)
+					sameBits(t, "stored weights", stored, wantW)
 					sameSums(t, gotAcc, wantAcc)
 					sameBits(t, "log-evidence", bs.norm.z[:m], wantZ)
 					for row := 0; row < m; row++ {
-						if bs.norm.best[row] != wantBest[row] {
-							t.Fatalf("row %d MAP %d, oracle %d", row, bs.norm.best[row], wantBest[row])
+						if gotBest[row] != wantBest[row] {
+							t.Fatalf("row %d MAP %d, oracle %d", row, gotBest[row], wantBest[row])
 						}
 					}
 				}

@@ -322,15 +322,15 @@ func (pr *Predictor) scoreRowsReference(lo, hi int, p *Prediction, ps *blockScra
 	return ll
 }
 
-// scoreRowsBlocked is the blocked hot path: per KernelBlockRows block, the
-// kernels produce every class's log-membership vector, the class-major
-// normalizer turns them into memberships and per-row log-evidence, and the
-// MAP classes, the row-major membership write-back and the log-likelihood
-// follow — no interface call and no allocation per row. Blocks never
-// straddle shard boundaries (KernelBlockRows divides RowShardSize), so the
-// block grid — and therefore every float64 — is identical for every
-// Parallelism setting; nor do they straddle chunk boundaries, so the same
-// holds across chunk backings.
+// scoreRowsBlocked is the blocked hot path: per KernelBlockRows block,
+// sweeps 1 and 2 of the block step produce every class's exponentials and
+// each row's log-evidence, and one more sweep per class scales them into
+// the row-major memberships and takes the MAP classes — no interface call
+// and no allocation per row. Blocks never straddle shard boundaries
+// (KernelBlockRows divides RowShardSize), so the block grid — and
+// therefore every float64 — is identical for every Parallelism setting;
+// nor do they straddle chunk boundaries, so the same holds across chunk
+// backings.
 func (pr *Predictor) scoreRowsBlocked(lo, hi int, p *Prediction, ps *blockScratch) float64 {
 	j := p.J
 	ll := 0.0
@@ -338,23 +338,11 @@ func (pr *Predictor) scoreRowsBlocked(lo, hi int, p *Prediction, ps *blockScratc
 		bhi := min(blo+KernelBlockRows, hi)
 		m := bhi - blo
 		cols, clo, chi := pr.block(ps, blo, bhi)
-		w := ps.logMembership(pr.cls.Classes, pr.kerns.k, cols, clo, chi)
-		ps.norm.normalize(w, m)
-		ps.norm.argmax(w, m)
-		copy(p.MAP[blo:bhi], ps.norm.best[:m])
-		mem := p.Memberships[blo*j : bhi*j]
-		for cj, v := range w {
-			for r, x := range v[:m] {
-				mem[r*j+cj] = x
-			}
-		}
+		v := ps.score(pr.cls.Classes, pr.kerns.k, cols, clo, chi)
+		ps.norm.expSum(v, m, &ll)
+		ps.norm.scaleArgmax(v, m, p.Memberships[blo*j:bhi*j], p.MAP[blo:bhi])
 		if pr.cfg.RowLogLik {
 			copy(p.RowLL[blo:bhi], ps.norm.z[:m])
-		}
-		for _, z := range ps.norm.z[:m] {
-			if !math.IsInf(z, -1) {
-				ll += z
-			}
 		}
 	}
 	return ll

@@ -178,7 +178,7 @@ func Search(ds *dataset.Dataset, spec model.Spec, cfg SearchConfig, opts *Search
 		if err != nil && !os.IsNotExist(err) {
 			return nil, err
 		}
-		if st, err = LoadSearchState(raw, cfg, ds, EngineSequential); err != nil {
+		if st, err = LoadSearchState(raw, cfg, ds, EngineSequential, 0); err != nil {
 			return nil, fmt.Errorf("autoclass: state file %s: %w", opts.StatePath, err)
 		}
 		st.Path = opts.StatePath

@@ -28,7 +28,10 @@ import (
 // another dataset size or the other engine is refused: the two engines
 // derive priors differently (one summary vs. Allreduced partial sums), so
 // their trajectories differ in the last bits and a mixed search would be
-// neither.
+// neither. For the same reason an SPMD file records its rank count, and a
+// resume under another rank count is refused: the order in which the ranks'
+// partial sums reduce moves the last bits of the priors, and so of every
+// score.
 
 // SearchFingerprint pins every configuration knob that shapes a search
 // trajectory. Resuming a state file recorded under a different fingerprint
@@ -127,12 +130,16 @@ const (
 // file without it is read by its shape: the SPMD engine always recorded n,
 // the sequential engine never did, so n > 0 marks an SPMD file, and a file
 // with neither field is a sequential one whose row count cannot be checked.
+// Likewise an SPMD file written before the rank count was recorded carries
+// no "ranks" field, and its rank count cannot be checked.
 type stateFileV1 struct {
 	Version int `json:"version"`
-	// Engine and N identify the engine and dataset size that wrote the
-	// file; StartJList, Tries, Seed and Fingerprint the search.
+	// Engine, N and Ranks identify the engine, dataset size and SPMD rank
+	// count (zero for the sequential engine) that wrote the file;
+	// StartJList, Tries, Seed and Fingerprint the search.
 	Engine      SearchEngine      `json:"engine,omitempty"`
 	N           int               `json:"n,omitempty"`
+	Ranks       int               `json:"ranks,omitempty"`
 	StartJList  []int             `json:"start_j_list"`
 	Tries       int               `json:"tries"`
 	Seed        uint64            `json:"seed"`
@@ -152,9 +159,9 @@ type stateFileV1 struct {
 }
 
 // check refuses a state file that another search wrote — a different
-// engine, dataset size, schedule or trajectory-shaping knob — with an
-// error naming the field.
-func (f *stateFileV1) check(cfg SearchConfig, n int, engine SearchEngine) error {
+// engine, dataset size, rank count, schedule or trajectory-shaping knob —
+// with an error naming the field.
+func (f *stateFileV1) check(cfg SearchConfig, n, ranks int, engine SearchEngine) error {
 	written := f.Engine
 	if written == "" {
 		written = EngineSequential
@@ -167,6 +174,9 @@ func (f *stateFileV1) check(cfg SearchConfig, n int, engine SearchEngine) error 
 	}
 	if f.N != n && (f.Engine != "" || f.N != 0) {
 		return fmt.Errorf("n %d vs %d", f.N, n)
+	}
+	if f.Ranks != ranks && f.Ranks != 0 {
+		return fmt.Errorf("ranks %d vs %d", f.Ranks, ranks)
 	}
 	if f.Tries != cfg.Tries {
 		return fmt.Errorf("Tries %d vs %d", f.Tries, cfg.Tries)
@@ -204,10 +214,11 @@ type SearchState struct {
 }
 
 // LoadSearchState parses the bytes of a state file (empty: a fresh search)
-// for a search of cfg over ds by the given engine. It refuses a file
-// another search wrote and decodes the best classification and the mid-try
+// for a search of cfg over ds by the given engine — on ranks ranks for the
+// SPMD engine, zero for the sequential one. It refuses a file another
+// search wrote and decodes the best classification and the mid-try
 // snapshot against ds.
-func LoadSearchState(raw []byte, cfg SearchConfig, ds *dataset.Dataset, engine SearchEngine) (*SearchState, error) {
+func LoadSearchState(raw []byte, cfg SearchConfig, ds *dataset.Dataset, engine SearchEngine, ranks int) (*SearchState, error) {
 	st := &SearchState{file: stateFileV1{
 		Version:     1,
 		StartJList:  append([]int(nil), cfg.StartJList...),
@@ -223,14 +234,14 @@ func LoadSearchState(raw []byte, cfg SearchConfig, ds *dataset.Dataset, engine S
 		if f.Version != 1 {
 			return nil, fmt.Errorf("unsupported search state version %d", f.Version)
 		}
-		if err := f.check(cfg, ds.N(), engine); err != nil {
+		if err := f.check(cfg, ds.N(), ranks, engine); err != nil {
 			return nil, fmt.Errorf("belongs to a different search (%w)", err)
 		}
 		st.file = f
 	}
-	// A file written before the engine was recorded is rewritten in the
-	// current shape at the next commit.
-	st.file.Engine, st.file.N = engine, ds.N()
+	// A file written before the engine or the rank count was recorded is
+	// rewritten in the current shape at the next commit.
+	st.file.Engine, st.file.N, st.file.Ranks = engine, ds.N(), ranks
 	if len(st.file.Best) > 0 {
 		var ck Checkpoint
 		if err := ck.Load(bytes.NewReader(st.file.Best), ds); err != nil {

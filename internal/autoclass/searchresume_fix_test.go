@@ -24,7 +24,7 @@ func fakeStateSearch(tb testing.TB, cfg SearchConfig, statePath string, run Tria
 	if err != nil && !os.IsNotExist(err) {
 		return nil, err
 	}
-	st, err := LoadSearchState(raw, cfg, ds, EngineSequential)
+	st, err := LoadSearchState(raw, cfg, ds, EngineSequential, 0)
 	if err != nil {
 		return nil, err
 	}

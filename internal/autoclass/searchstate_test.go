@@ -84,6 +84,15 @@ func TestLegacySequentialStateResumes(t *testing.T) {
 	}
 }
 
+// engineRanks is the rank count a test loads a state file with: two for
+// the SPMD engine, none for the sequential one.
+func engineRanks(e SearchEngine) int {
+	if e == EngineSPMD {
+		return 2
+	}
+	return 0
+}
+
 // A file written before the engine was recorded is attributed by its
 // shape — n marks the SPMD engine — and refused by the other engine.
 func TestLegacyStateEngineInferred(t *testing.T) {
@@ -97,14 +106,14 @@ func TestLegacyStateEngineInferred(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LoadSearchState(raw, cfg, ds, want); err != nil {
+		if _, err := LoadSearchState(raw, cfg, ds, want, engineRanks(want)); err != nil {
 			t.Errorf("%s: refused by its own engine: %v", name, err)
 		}
 		other := EngineSPMD
 		if want == EngineSPMD {
 			other = EngineSequential
 		}
-		_, err = LoadSearchState(raw, cfg, ds, other)
+		_, err = LoadSearchState(raw, cfg, ds, other, engineRanks(other))
 		if err == nil || !strings.Contains(err.Error(), "engine") {
 			t.Errorf("%s: resumed by the %s engine: %v", name, other, err)
 		}
@@ -152,7 +161,7 @@ func FuzzSearchState(f *testing.F) {
 	run := fakeRunner(f)
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		for _, engine := range []SearchEngine{EngineSequential, EngineSPMD} {
-			st, err := LoadSearchState(raw, cfg, ds, engine)
+			st, err := LoadSearchState(raw, cfg, ds, engine, engineRanks(engine))
 			if err != nil {
 				continue
 			}

@@ -392,11 +392,19 @@ func parseChunkFile(f *os.File) (*chunkFile, error) {
 	}
 	m := &cf.meta
 	cf.na = len(m.Attrs)
+	if cf.na == 0 {
+		return nil, errors.New("dataset: chunk file has no attributes")
+	}
+	for i := range m.Attrs {
+		if err := m.Attrs[i].Validate(); err != nil {
+			return nil, fmt.Errorf("dataset: chunk file schema: %w", err)
+		}
+	}
 	if err := ValidateChunkRows(m.ChunkRows); err != nil {
 		return nil, err
 	}
-	if m.NRows < 0 {
-		return nil, fmt.Errorf("dataset: chunk file row count %d", m.NRows)
+	if m.NRows < 0 || int64(m.NRows) > st.Size()/(8*int64(cf.na)) {
+		return nil, fmt.Errorf("dataset: chunk file row count %d does not fit a %d-byte file", m.NRows, st.Size())
 	}
 	nc := NumChunksFor(m.NRows, m.ChunkRows)
 	if len(m.ChunkOff) != nc {
@@ -411,7 +419,65 @@ func parseChunkFile(f *os.File) (*chunkFile, error) {
 			return nil, fmt.Errorf("dataset: chunk %d spans [%d,%d), impossible", c, lo, hi)
 		}
 	}
+	if err := cf.checkChunks(); err != nil {
+		return nil, err
+	}
 	return cf, nil
+}
+
+// checkChunks reads every chunk's column flags and the values of every
+// discrete column — nothing else, so opening stays cheap. A chunk's span
+// must hold the masks its flags announce, and every discrete value must
+// be a level index, or NaN in a chunk that stores the column's missing
+// mask. The kernels and the summary index level tables with these values,
+// so a bad one would otherwise surface as a panic far from the file.
+func (cf *chunkFile) checkChunks() error {
+	attrs := cf.meta.Attrs
+	flags := make([]byte, (cf.na+7)/8)
+	var vals []float64
+	for c := 0; c < cf.numChunks(); c++ {
+		lo := cf.offs[c]
+		if _, err := cf.f.ReadAt(flags, lo); err != nil {
+			return fmt.Errorf("dataset: reading chunk %d flags: %w", c, err)
+		}
+		r := cf.rowsOf(c)
+		masked := 0
+		for k := range attrs {
+			if flags[k/8]&(1<<(k%8)) != 0 {
+				masked++
+			}
+		}
+		if cf.offs[c+1]-lo < cf.chunkDataLen(c)+int64(masked)*int64(r) {
+			return fmt.Errorf("dataset: chunk %d is too short for its %d missing masks", c, masked)
+		}
+		if cap(vals) < r {
+			vals = make([]float64, r)
+		}
+		vals = vals[:r]
+		for k, a := range attrs {
+			if a.Type != Discrete {
+				continue
+			}
+			off := lo + cf.flagsPad() + int64(k)*int64(r)*8
+			if _, err := cf.f.ReadAt(bytesOfF64(vals), off); err != nil {
+				return fmt.Errorf("dataset: reading chunk %d attribute %q: %w", c, a.Name, err)
+			}
+			hasMask := flags[k/8]&(1<<(k%8)) != 0
+			for i, v := range vals {
+				row := c*cf.meta.ChunkRows + i
+				if IsMissing(v) {
+					if !hasMask {
+						return fmt.Errorf("dataset: chunk %d, attribute %q, row %d: missing value but the chunk stores no missing mask for the column", c, a.Name, row)
+					}
+					continue
+				}
+				if idx := int(v); float64(idx) != v || idx < 0 || idx >= len(a.Levels) {
+					return fmt.Errorf("dataset: chunk %d, attribute %q, row %d: value %v is not a level index (%d levels)", c, a.Name, row, v, len(a.Levels))
+				}
+			}
+		}
+	}
+	return nil
 }
 
 func (cf *chunkFile) Close() error { return cf.f.Close() }

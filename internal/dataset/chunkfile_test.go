@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -324,4 +325,108 @@ func TestMmapReopenStable(t *testing.T) {
 	if !a.Equal(ds) || !b.Equal(a) {
 		t.Error("re-opened mapping differs")
 	}
+}
+
+// patchChunkValue rewrites row i of attribute k in chunk c of the chunk
+// file at path to v, in place.
+func patchChunkValue(t *testing.T, path string, c, k, i int, v float64) {
+	t.Helper()
+	cf, err := openChunkFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := cf.offs[c] + cf.flagsPad() + (int64(k)*int64(cf.rowsOf(c))+int64(i))*8
+	cf.Close()
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteAt(bytesOfF64([]float64{v}), off); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOpenChunkedRejectsBadDiscreteCodes: a discrete value that is not a
+// level index, or a NaN in a chunk that stores no missing mask for its
+// column, makes OpenChunked return an error naming the chunk, the
+// attribute and the row in every backing — instead of a panic later in
+// Summarize or the multinomial kernel.
+func TestOpenChunkedRejectsBadDiscreteCodes(t *testing.T) {
+	ds := MustNew("nomiss", []Attribute{
+		{Name: "x", Type: Real},
+		{Name: "sstate", Type: Discrete, Levels: []string{"h", "e", "c"}},
+	})
+	for i := 0; i < 600; i++ {
+		if err := ds.AppendRow([]float64{float64(i), float64(i % 3)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []struct {
+		name      string
+		chunk, i  int
+		v         float64
+		wantError string
+	}{
+		{"level out of range", 1, 3, 7, `chunk 1, attribute "sstate", row 259: value 7 is not a level index`},
+		{"fractional level", 2, 0, 1.5, `chunk 2, attribute "sstate", row 512: value 1.5 is not a level index`},
+		{"missing without mask", 0, 0, math.NaN(), `chunk 0, attribute "sstate", row 0: missing value but the chunk stores no missing mask`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "bad.chunks")
+			if err := WriteChunked(path, ds, 256); err != nil {
+				t.Fatal(err)
+			}
+			patchChunkValue(t, path, tc.chunk, 1, tc.i, tc.v)
+			for _, mode := range []ChunkMode{ChunkAuto, ChunkInMemory, ChunkMmap, ChunkCached} {
+				d, err := OpenChunked(path, ChunkOptions{Mode: mode})
+				if err == nil {
+					d.Close()
+					t.Fatalf("mode %d: bad discrete value accepted", mode)
+				}
+				if !strings.Contains(err.Error(), tc.wantError) {
+					t.Fatalf("mode %d: error %q does not contain %q", mode, err, tc.wantError)
+				}
+			}
+		})
+	}
+}
+
+// FuzzOpenChunked: any bytes, written to a file, either fail to open or
+// open as a chunk-backed dataset whose chunks can all be walked and
+// summarized — in the eager and the bounded-cache backing — without a
+// panic. The seed corpus holds valid files, files with bad discrete
+// codes, and truncated or inconsistent layouts.
+func FuzzOpenChunked(f *testing.F) {
+	path, _ := writeChunkFixture(f, 20, 256)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(b)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p := filepath.Join(t.TempDir(), "fuzz.chunks")
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []ChunkMode{ChunkInMemory, ChunkCached} {
+			d, err := OpenChunked(p, ChunkOptions{Mode: mode})
+			if err != nil {
+				continue
+			}
+			d.Summarize()
+			st := d.ChunkStore()
+			for c := 0; c < st.NumChunks(); c++ {
+				cols := st.Acquire(c)
+				for k := 0; k < cols.NumAttrs(); k++ {
+					_ = cols.Col(k)[:cols.N()]
+				}
+				st.Release(c)
+			}
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
 }

@@ -77,15 +77,17 @@ func ReadCSV(r io.Reader, name string) (*Dataset, error) {
 				attrs[k].Levels = append(attrs[k].Levels, tok)
 			}
 		}
-		if len(attrs[k].Levels) < 2 {
-			// A constant or all-missing column cannot be modeled as a
-			// multinomial; pad a synthetic second level so the schema
-			// stays valid (its probability will be driven to the prior).
-			for len(attrs[k].Levels) < 2 {
-				filler := fmt.Sprintf("_level%d", len(attrs[k].Levels))
-				levelIdx[k][filler] = len(attrs[k].Levels)
-				attrs[k].Levels = append(attrs[k].Levels, filler)
+		// A constant or all-missing column cannot be modeled as a
+		// multinomial; pad synthetic levels so the schema stays valid
+		// (their probability will be driven to the prior), skipping a
+		// name the data already uses.
+		for i := len(attrs[k].Levels); len(attrs[k].Levels) < 2; i++ {
+			filler := fmt.Sprintf("_level%d", i)
+			if _, taken := levelIdx[k][filler]; taken {
+				continue
 			}
+			levelIdx[k][filler] = len(attrs[k].Levels)
+			attrs[k].Levels = append(attrs[k].Levels, filler)
 		}
 	}
 	ds, err := New(name, attrs)

@@ -98,6 +98,21 @@ only,2
 	}
 }
 
+// A constant column whose one value is spelled like the synthetic
+// filler level still gets two distinct levels.
+func TestReadCSVConstantColumnNamedLikeFiller(t *testing.T) {
+	ds, err := ReadCSV(strings.NewReader("a,b\n_level1,1\n_level1,2\n"), "filler")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ds.Attr(0).Levels; len(got) != 2 || got[0] != "_level1" || got[1] == got[0] {
+		t.Fatalf("levels %v", got)
+	}
+	if ds.Value(1, 0) != 0 {
+		t.Fatalf("row 1 value %v, want level 0", ds.Value(1, 0))
+	}
+}
+
 func TestReadCSVErrors(t *testing.T) {
 	cases := map[string]string{
 		"empty":      "",

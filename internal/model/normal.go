@@ -138,16 +138,12 @@ func (k *normalKernel) Refresh() {
 	k.inv2 = 1 / (2 * k.t.sigma * k.t.sigma)
 }
 
+// BlockLogProb skips missing values. The engine scores columns without a
+// missing value through NormalRun, two terms per loop, so this per-term
+// loop serves the masked columns.
 func (k *normalKernel) BlockLogProb(cols *dataset.Columns, lo, hi int, out []float64, _ *Scratch) {
 	col := cols.Col(k.t.attr)[lo:hi]
 	mean, c, inv2 := k.mean, k.c, k.inv2
-	if !cols.HasMissing(k.t.attr) {
-		for i, x := range col {
-			d := x - mean
-			out[i] += c - d*d*inv2
-		}
-		return
-	}
 	for i, x := range col {
 		if x == x { // NaN encodes missing
 			d := x - mean
@@ -178,9 +174,180 @@ func (k *normalKernel) BlockAccumulateStats(cols *dataset.Columns, wts []float64
 			}
 		}
 	}
+	addNormalStats(st, sx, sxx, sw)
+}
+
+// addNormalStats adds one block's sums into a normal term's statistics
+// slot [Σw·x, Σw·x², Σw].
+func addNormalStats(st []float64, sx, sxx, sw float64) {
 	st[0] += sx
 	st[1] += sxx
 	st[2] += sw
+}
+
+// normalRunMax is the most terms a NormalRun holds. Longer runs of normal
+// terms split into consecutive runs; no benchmarked model has a class with
+// more than two normal terms over columns without missing values.
+const normalRunMax = 2
+
+// NormalRun is up to two single_normal_cn terms of one class over columns
+// without missing values, bound to one row block, whose kernels the block
+// step evaluates in one loop per sweep: Score adds their log-densities,
+// Fold accumulates their statistics from the weights. Each term keeps its
+// kernel's expression c − d·d·inv2 and its statistics layout, and every
+// sum runs in ascending row order, so a run adds exactly what its kernels'
+// BlockLogProb and BlockAccumulateStats add one after the other.
+type NormalRun struct {
+	n  int
+	k  [normalRunMax]*normalKernel
+	x  [normalRunMax][]float64
+	st [normalRunMax][]float64
+}
+
+// Add appends k, over rows [lo, hi) of cols and with the statistics slot st
+// (nil when only scoring), and reports whether it did: k must be the
+// kernel of a single_normal_cn term over a column with no missing value,
+// and the run must have room.
+func (run *NormalRun) Add(k Kernel, cols *dataset.Columns, lo, hi int, st []float64) bool {
+	nk, ok := k.(*normalKernel)
+	if !ok || run.n == normalRunMax || cols.HasMissing(nk.t.attr) {
+		return false
+	}
+	run.k[run.n] = nk
+	run.x[run.n] = cols.Col(nk.t.attr)[lo:hi]
+	run.st[run.n] = st
+	run.n++
+	return true
+}
+
+// Holds reports whether k is one of the run's kernels.
+func (run *NormalRun) Holds(k Kernel) bool {
+	for _, nk := range run.k[:run.n] {
+		if Kernel(nk) == k {
+			return true
+		}
+	}
+	return false
+}
+
+// Score adds the run's log-densities into the class vector v in term
+// order, starting each row from logPi instead of v when first, and, when
+// fold, folds each row's final value into the row maxima mx (strictly
+// greater wins). Each length has a loop for a run that starts the class
+// and one for a run that continues it: a per-row choice between the two
+// starting values costs more than the duplicated loop.
+func (run *NormalRun) Score(v, mx []float64, logPi float64, first, fold bool) {
+	mx = mx[:len(v)]
+	switch run.n {
+	case 1:
+		x0 := run.x[0][:len(v)]
+		m0, c0, q0 := run.k[0].mean, run.k[0].c, run.k[0].inv2
+		if first {
+			for r := range v {
+				s := logPi
+				d := x0[r] - m0
+				s += c0 - d*d*q0
+				v[r] = s
+				if fold && s > mx[r] {
+					mx[r] = s
+				}
+			}
+			return
+		}
+		for r := range v {
+			s := v[r]
+			d := x0[r] - m0
+			s += c0 - d*d*q0
+			v[r] = s
+			if fold && s > mx[r] {
+				mx[r] = s
+			}
+		}
+	case 2:
+		x0, x1 := run.x[0][:len(v)], run.x[1][:len(v)]
+		m0, c0, q0 := run.k[0].mean, run.k[0].c, run.k[0].inv2
+		m1, c1, q1 := run.k[1].mean, run.k[1].c, run.k[1].inv2
+		if first {
+			for r := range v {
+				s := logPi
+				d := x0[r] - m0
+				s += c0 - d*d*q0
+				d = x1[r] - m1
+				s += c1 - d*d*q1
+				v[r] = s
+				if fold && s > mx[r] {
+					mx[r] = s
+				}
+			}
+			return
+		}
+		for r := range v {
+			s := v[r]
+			d := x0[r] - m0
+			s += c0 - d*d*q0
+			d = x1[r] - m1
+			s += c1 - d*d*q1
+			v[r] = s
+			if fold && s > mx[r] {
+				mx[r] = s
+			}
+		}
+	}
+}
+
+// Fold scales the class vector v by the row reciprocals inv into weights,
+// stored back into v when store, adds them to W in ascending row order,
+// adds each term's Σw·x, Σ(w·x)·x and Σw over the block into its slot, and
+// returns W. An empty run only scales and sums. Each weight is rounded
+// before it is added anywhere: the float64 conversion forbids fusing the
+// multiply into a following add.
+func (run *NormalRun) Fold(v, inv []float64, W float64, store bool) float64 {
+	inv = inv[:len(v)]
+	switch run.n {
+	case 0:
+		for r := range v {
+			w := float64(v[r] * inv[r])
+			W += w
+			if store {
+				v[r] = w
+			}
+		}
+	case 1:
+		x0 := run.x[0][:len(v)]
+		var sx0, sxx0, sw float64
+		for r := range v {
+			w := float64(v[r] * inv[r])
+			W += w
+			if store {
+				v[r] = w
+			}
+			wx := w * x0[r]
+			sx0 += wx
+			sxx0 += wx * x0[r]
+			sw += w
+		}
+		addNormalStats(run.st[0], sx0, sxx0, sw)
+	case 2:
+		x0, x1 := run.x[0][:len(v)], run.x[1][:len(v)]
+		var sx0, sxx0, sx1, sxx1, sw float64
+		for r := range v {
+			w := float64(v[r] * inv[r])
+			W += w
+			if store {
+				v[r] = w
+			}
+			wx := w * x0[r]
+			sx0 += wx
+			sxx0 += wx * x0[r]
+			wx = w * x1[r]
+			sx1 += wx
+			sxx1 += wx * x1[r]
+			sw += w
+		}
+		addNormalStats(run.st[0], sx0, sxx0, sw)
+		addNormalStats(run.st[1], sx1, sxx1, sw)
+	}
+	return W
 }
 
 // KLTo implements Term: the closed-form Gaussian divergence

@@ -76,7 +76,7 @@ func loadState(comm *mpi.Comm, path string, cfg autoclass.SearchConfig, ds *data
 	if err != nil {
 		return nil, fmt.Errorf("pautoclass: broadcasting checkpoint state: %w", err)
 	}
-	st, err := autoclass.LoadSearchState(raw, cfg, ds, autoclass.EngineSPMD)
+	st, err := autoclass.LoadSearchState(raw, cfg, ds, autoclass.EngineSPMD, comm.Size())
 	if err != nil {
 		return nil, fmt.Errorf("pautoclass: state file %s: %w", path, err)
 	}

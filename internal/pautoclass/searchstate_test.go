@@ -142,6 +142,45 @@ func TestStateFileRefusesOtherEngine(t *testing.T) {
 	}
 }
 
+// SPMD scores differ in the last bits across rank counts — the ranks'
+// partial sums reduce in another order — so a state file interrupted at
+// two ranks must not resume at three, while it still resumes at two.
+func TestStateFileRefusesOtherRankCount(t *testing.T) {
+	ds := paperDS(t, 240)
+	spec := model.DefaultSpec(ds)
+	cfg := quickSearchConfig()
+	path := filepath.Join(t.TempDir(), "search.ckpt")
+	err := mpi.Run(2, func(c *mpi.Comm) error {
+		polls := 0
+		_, err := Search(c, ds, spec, cfg, checkpointed(DefaultOptions(), Checkpoint{
+			Path:      path,
+			Interrupt: func() bool { polls++; return polls > 3 },
+		}))
+		if !errors.Is(err, ErrInterrupted) {
+			return errors.Join(errors.New("want ErrInterrupted"), err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = mpi.Run(3, func(c *mpi.Comm) error {
+		_, err := Search(c, ds, spec, cfg, checkpointed(DefaultOptions(), Checkpoint{Path: path}))
+		if err == nil || !strings.Contains(err.Error(), "ranks 2 vs 3") {
+			t.Errorf("rank %d: a 2-rank state resumed at 3 ranks: %v", c.Rank(), err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := runParallelSearch(t, ds, 2, cfg, DefaultOptions())
+	res := runParallelSearch(t, ds, 2, cfg, checkpointed(DefaultOptions(), Checkpoint{Path: path}))
+	if !reflect.DeepEqual(res.Tries, ref.Tries) {
+		t.Fatalf("resumed tries diverged:\nref:    %+v\nresume: %+v", ref.Tries, res.Tries)
+	}
+}
+
 // An SPMD state file written before the state formats merged, stopped
 // inside its second try, resumes bitwise to the uninterrupted search.
 func TestLegacySPMDStateResumes(t *testing.T) {

@@ -58,8 +58,13 @@ type JobStatus struct {
 	// RequestID is the submitting HTTP request's ID (X-Request-Id), kept
 	// so logs and statuses correlate back to the original submission.
 	RequestID string `json:"request_id,omitempty"`
-	Error     string `json:"error,omitempty"`
-	ModelID   string `json:"model_id,omitempty"`
+	// Procs is the rank count the job trains on, fixed when it first
+	// starts: the request's, else the server's default at that time. A
+	// restarted server resumes the job on it, because the job's search
+	// state file resumes only on the rank count that wrote it.
+	Procs   int    `json:"procs,omitempty"`
+	Error   string `json:"error,omitempty"`
+	ModelID string `json:"model_id,omitempty"`
 	// Fitted-model summary, present once done.
 	J         int       `json:"j,omitempty"`
 	Score     float64   `json:"score,omitempty"`

@@ -18,7 +18,7 @@
 // cooperatively through Checkpoint.Interrupt — the group agrees on a stop
 // cycle, persists a resumable snapshot and returns ErrInterrupted — and the
 // job goes back to the queue, so a restarted server resumes it bitwise
-// where it stopped.
+// where it stopped, on the rank count its status recorded.
 package serve
 
 import (
@@ -409,8 +409,8 @@ func (s *Server) runner() {
 }
 
 // runJob trains one job on Procs in-process ranks through the checkpointed
-// distributed search. Interrupts requeue the job; anything else finishes
-// it.
+// distributed search, on the rank count its status recorded when it first
+// started. Interrupts requeue the job; anything else finishes it.
 func (s *Server) runJob(id string) {
 	if s.stopping.Load() {
 		// Close raced the dequeue; leave the job queued on disk.
@@ -423,6 +423,7 @@ func (s *Server) runJob(id string) {
 		return
 	}
 	req := j.Req
+	procs := j.Status.Procs
 	s.mu.Unlock()
 
 	ds, err := buildDataset(req.Name, req.Attrs, req.Rows)
@@ -435,7 +436,9 @@ func (s *Server) runJob(id string) {
 		s.finishJob(id, nil, err)
 		return
 	}
-	procs := req.Procs
+	if procs == 0 {
+		procs = req.Procs
+	}
 	if procs == 0 {
 		procs = s.cfg.Procs
 	}
@@ -443,7 +446,10 @@ func (s *Server) runJob(id string) {
 	o := obs.NewRun(procs)
 	o.SetMachineLabel("pautoclassd")
 	tracker := newProgressTracker()
-	s.setState(id, func(st *JobStatus) { st.State = StateRunning })
+	s.setState(id, func(st *JobStatus) {
+		st.State = StateRunning
+		st.Procs = procs
+	})
 	s.mu.Lock()
 	s.lastRun = o
 	s.running = id

@@ -345,6 +345,22 @@ func TestServeConcurrentPredict(t *testing.T) {
 // directory resumes and finishes it — landing on the bitwise-identical
 // model to an uninterrupted run.
 func TestServeKillAndRestart(t *testing.T) {
+	killAndRestart(t, 2)
+}
+
+// TestServeRestartUnderOtherProcs: a job that took the server's default
+// rank count resumes on that count after a restart with another default —
+// its SPMD state file refuses any other — and lands on the model of an
+// uninterrupted run on the first count.
+func TestServeRestartUnderOtherProcs(t *testing.T) {
+	killAndRestart(t, 3)
+}
+
+// killAndRestart submits a job without a rank count to a server with the
+// default 2, closes the server mid-search, finishes the job on a new server
+// over the same directory with the default restartProcs, and checks the
+// model against an uninterrupted 2-rank search.
+func killAndRestart(t *testing.T, restartProcs int) {
 	dir := t.TempDir()
 	// Enough work that the job is still mid-search when we pull the plug.
 	longSpec := &SearchSpec{StartJList: []int{2, 3, 4, 5}, Tries: 2, MaxCycles: 200, Parallelism: 1}
@@ -377,7 +393,8 @@ func TestServeKillAndRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The interrupted job must be resumable: back to queued on disk.
+	// The interrupted job must be resumable: back to queued on disk, with
+	// the rank count it ran on.
 	var onDisk JobStatus
 	if err := readJSON(s1.jobPath(st.ID, "status.json"), &onDisk); err != nil {
 		t.Fatal(err)
@@ -388,16 +405,21 @@ func TestServeKillAndRestart(t *testing.T) {
 	if onDisk.State != StateQueued {
 		t.Fatalf("interrupted job persisted as %q, want %q", onDisk.State, StateQueued)
 	}
+	if onDisk.Procs != 2 {
+		t.Fatalf("interrupted job persisted procs %d, want 2", onDisk.Procs)
+	}
 
 	// A fresh server over the same directory re-enqueues and finishes it.
-	s2, err := New(Config{Dir: dir, Procs: 2, Every: 1})
+	s2, err := New(Config{Dir: dir, Procs: restartProcs, Every: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
 	ts2 := httptest.NewServer(s2)
 	defer ts2.Close()
-	waitState(t, ts2.Client(), ts2.URL, st.ID, StateDone, 3*time.Minute)
+	if done := waitState(t, ts2.Client(), ts2.URL, st.ID, StateDone, 3*time.Minute); done.Procs != 2 {
+		t.Errorf("resumed job reports procs %d, want 2", done.Procs)
+	}
 
 	ref := referenceSearch(t, trainDS, longSpec, 2)
 	saved, err := os.ReadFile(s2.jobPath(st.ID, "model.ckpt"))

@@ -2,38 +2,46 @@ package stats
 
 import "math"
 
-// ExpInPlace replaces every x[i] with math.Exp(x[i]), bit for bit.
+// ExpShiftSum is the exp-and-sum sweep of a softmax: for every i < len(v)
+// it sets v[i] = math.Exp(v[i] − shift[i]), bit for bit, and adds that
+// value into sum[i]. shift and sum must be at least as long as v.
 //
 // On amd64 with AVX2 and FMA it evaluates four lanes at once with the
 // arithmetic of the FMA branch of the Go runtime's own amd64 math.Exp: the
 // same range reduction, the same fused polynomial steps in the same order,
-// the same rounding. It vectorizes only quads whose lanes all lie in
-// [−expGate, expGate], where that branch can reach neither its subnormal
-// nor its overflow code, and only after an init-time self-check has shown
-// the vector path reproduces math.Exp on this machine. math.Exp switches
-// to its non-FMA branch when the runtime turns FMA off (for example
-// GODEBUG=cpu.fma=off), and the self-check then disables the vector path.
-// Every other quad, the tail, and every other platform call math.Exp.
-func ExpInPlace(x []float64) {
+// the same rounding. The subtraction and the add are single correctly
+// rounded operations, as in scalar code. It vectorizes only quads whose
+// shifted lanes all lie in [−expGate, expGate], where that branch can
+// reach neither its subnormal nor its overflow code, and only after an
+// init-time self-check has shown the vector path reproduces the scalar
+// loop on this machine. math.Exp switches to its non-FMA branch when the
+// runtime turns FMA off (for example GODEBUG=cpu.fma=off), and the
+// self-check then disables the vector path. Every other quad, the tail,
+// and every other platform run the scalar loop.
+func ExpShiftSum(v, shift, sum []float64) {
+	shift, sum = shift[:len(v)], sum[:len(v)]
 	i := 0
 	if fastExp {
-		for len(x)-i >= 4 {
-			i += expQuads(x[i:])
-			if len(x)-i < 4 {
+		for len(v)-i >= 4 {
+			i += expShiftSumQuads(v[i:], shift[i:], sum[i:])
+			if len(v)-i < 4 {
 				break
 			}
-			// x[i:i+4] has a lane outside the gate (or NaN).
-			expScalar(x[i : i+4])
+			// v[i:i+4] has a shifted lane outside the gate (or NaN).
+			expShiftSumScalar(v[i:i+4], shift[i:i+4], sum[i:i+4])
 			i += 4
 		}
 	}
-	expScalar(x[i:])
+	expShiftSumScalar(v[i:], shift[i:], sum[i:])
 }
 
-// expScalar is the portable fallback of ExpInPlace.
-func expScalar(x []float64) {
-	for i, v := range x {
-		x[i] = math.Exp(v)
+// expShiftSumScalar is the portable loop of ExpShiftSum.
+func expShiftSumScalar(v, shift, sum []float64) {
+	shift, sum = shift[:len(v)], sum[:len(v)]
+	for i, x := range v {
+		e := math.Exp(x - shift[i])
+		v[i] = e
+		sum[i] += e
 	}
 }
 
@@ -63,16 +71,29 @@ func expProbe() []float64 {
 	return p
 }
 
-// expSelfCheck reports whether quads reproduce math.Exp bit for bit on the
-// probe vector.
-func expSelfCheck(quads func([]float64) int) bool {
+// expSelfCheck reports whether quads reproduces expShiftSumScalar bit for
+// bit on the probe vector. Every shift is nonzero — dyadic, so the shifted
+// probe keeps the probe's values near the gate edges — and every sum
+// starts nonzero, so a kernel that drops either operand fails.
+func expSelfCheck(quads func(v, shift, sum []float64) int) bool {
 	p := expProbe()
-	got := append([]float64(nil), p...)
-	if quads(got) != len(got) {
+	v := make([]float64, len(p))
+	shift := make([]float64, len(p))
+	sum := make([]float64, len(p))
+	for i, x := range p {
+		shift[i] = float64(i%7) - 2.75
+		v[i] = x + shift[i]
+		sum[i] = float64(i%5) + 0.5
+	}
+	wantV := append([]float64(nil), v...)
+	wantSum := append([]float64(nil), sum...)
+	expShiftSumScalar(wantV, shift, wantSum)
+	if quads(v, shift, sum) != len(v) {
 		return false
 	}
-	for i, v := range p {
-		if math.Float64bits(got[i]) != math.Float64bits(math.Exp(v)) {
+	for i := range v {
+		if math.Float64bits(v[i]) != math.Float64bits(wantV[i]) ||
+			math.Float64bits(sum[i]) != math.Float64bits(wantSum[i]) {
 			return false
 		}
 	}

@@ -1,16 +1,18 @@
 package stats
 
-// fastExp enables the 4-wide path of ExpInPlace: the CPU and OS support
-// AVX2 and FMA, and the vector path reproduces math.Exp on the probe.
-var fastExp = hasAVX2FMA() && expSelfCheck(expQuads)
+// fastExp enables the 4-wide path of ExpShiftSum: the CPU and OS support
+// AVX2 and FMA, and the vector path reproduces the scalar loop on the
+// probe.
+var fastExp = hasAVX2FMA() && expSelfCheck(expShiftSumQuads)
 
-// expQuads exponentiates x in place with AVX2 and FMA, four lanes at a
-// time, from the start of x up to the first quad with a lane outside
-// [−expGate, expGate] (or NaN). It returns the number of elements done, a
-// multiple of 4; elements from there on are untouched.
+// expShiftSumQuads runs ExpShiftSum with AVX2 and FMA, four lanes at a
+// time, from the start of v up to the first quad with a shifted lane
+// outside [−expGate, expGate] (or NaN). It returns the number of elements
+// done, a multiple of 4; elements from there on are untouched. shift and
+// sum must be at least as long as v.
 //
 //go:noescape
-func expQuads(x []float64) int
+func expShiftSumQuads(v, shift, sum []float64) int
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

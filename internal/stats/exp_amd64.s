@@ -1,12 +1,14 @@
 #include "textflag.h"
 
-// Four-lane exp with the arithmetic of the FMA branch of the Go runtime's
-// amd64 math.Exp (src/math/exp_amd64.s): the same constants, the same
-// range reduction, the same fused and unfused steps in the same order, so
-// every lane rounds exactly as a scalar math.Exp call does. Only quads
-// whose lanes all lie in [-708, 708] are evaluated here; there the scaled
-// exponent stays in [-1021, 1021] and the scalar code never reaches its
-// subnormal or overflow branches.
+// Four-lane exp-and-sum: v = exp(v - shift), sum += v, with the exp
+// computed by the arithmetic of the FMA branch of the Go runtime's amd64
+// math.Exp (src/math/exp_amd64.s): the same constants, the same range
+// reduction, the same fused and unfused steps in the same order, so every
+// lane rounds exactly as a scalar math.Exp call does. The subtraction and
+// the add are the single correctly rounded operations of the scalar loop.
+// Only quads whose shifted lanes all lie in [-708, 708] are evaluated
+// here; there the scaled exponent stays in [-1021, 1021] and the scalar
+// code never reaches its subnormal or overflow branches.
 
 // QUAD places one float64 or int64 constant in all four lanes of a
 // 32-byte read-only vector.
@@ -34,10 +36,12 @@ QUAD(expC7, $1.9841269841269841270e-4)
 QUAD(expC8, $2.4801587301587301587e-5)
 QUAD(expBias, $1023)
 
-// func expQuads(x []float64) int
-TEXT ·expQuads(SB), NOSPLIT, $0-32
-	MOVQ x_base+0(FP), SI
-	MOVQ x_len+8(FP), CX
+// func expShiftSumQuads(v, shift, sum []float64) int
+TEXT ·expShiftSumQuads(SB), NOSPLIT, $0-80
+	MOVQ v_base+0(FP), SI
+	MOVQ v_len+8(FP), CX
+	MOVQ shift_base+24(FP), DI
+	MOVQ sum_base+48(FP), R8
 	SHRQ $2, CX
 	XORQ AX, AX
 
@@ -45,6 +49,7 @@ loop:
 	TESTQ CX, CX
 	JZ    done
 	VMOVUPD (SI)(AX*8), Y0
+	VSUBPD  (DI)(AX*8), Y0, Y0
 
 	// Gate: every |x| <= 708, ordered (a NaN lane fails).
 	VANDPD    expAbs<>(SB), Y0, Y1
@@ -92,13 +97,15 @@ loop:
 	VMULPD    Y3, Y0, Y0
 
 	VMOVUPD Y0, (SI)(AX*8)
+	VADDPD  (R8)(AX*8), Y0, Y0
+	VMOVUPD Y0, (R8)(AX*8)
 	ADDQ    $4, AX
 	DECQ    CX
 	JMP     loop
 
 done:
 	VZEROUPPER
-	MOVQ AX, ret+24(FP)
+	MOVQ AX, ret+72(FP)
 	RET
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)

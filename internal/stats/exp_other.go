@@ -2,8 +2,8 @@
 
 package stats
 
-// fastExp is false off amd64: ExpInPlace calls math.Exp.
+// fastExp is false off amd64: ExpShiftSum runs its scalar loop.
 const fastExp = false
 
-// expQuads does no element off amd64.
-func expQuads(x []float64) int { return 0 }
+// expShiftSumQuads does no element off amd64.
+func expShiftSumQuads(v, shift, sum []float64) int { return 0 }

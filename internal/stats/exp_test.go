@@ -9,7 +9,7 @@ import (
 	"repro/internal/rng"
 )
 
-// expInputs returns the exactness corpus of TestExpInPlaceMatchesMathExp:
+// expInputs returns the exactness corpus of TestExpShiftSumMatchesMathExp:
 // more than 4M inputs, uniform over [−750, 720], dense near 0, packed
 // around the ±708 gate edges, across the subnormal-result band
 // [−745.2, −708], and the special values ±0, ±Inf and NaN.
@@ -43,62 +43,102 @@ func expInputs() []float64 {
 	return xs
 }
 
-// checkExp fails unless got[i] is math.Exp(in[i]) bit for bit.
-func checkExp(t *testing.T, what string, in, got []float64) {
+// checkExpShiftSum fails unless v[i] is math.Exp(in[i] − shift[i]) and
+// sum[i] is sum0[i] plus that value, bit for bit.
+func checkExpShiftSum(t *testing.T, what string, in, shift, sum0, v, sum []float64) {
 	t.Helper()
 	for i, x := range in {
-		want := math.Exp(x)
-		if math.Float64bits(got[i]) != math.Float64bits(want) {
-			t.Fatalf("%s: exp(%v) [%#x] = %v [%#x], math.Exp gives %v [%#x]",
-				what, x, math.Float64bits(x), got[i], math.Float64bits(got[i]), want, math.Float64bits(want))
+		want := math.Exp(x - shift[i])
+		if math.Float64bits(v[i]) != math.Float64bits(want) {
+			t.Fatalf("%s: exp(%v − %v) [%#x] = %v [%#x], math.Exp gives %v [%#x]",
+				what, x, shift[i], math.Float64bits(x-shift[i]), v[i], math.Float64bits(v[i]), want, math.Float64bits(want))
+		}
+		if wantSum := sum0[i] + want; math.Float64bits(sum[i]) != math.Float64bits(wantSum) {
+			t.Fatalf("%s: sum %v + exp(%v − %v) = %v, want %v", what, sum0[i], x, shift[i], sum[i], wantSum)
 		}
 	}
 }
 
-func TestExpInPlaceMatchesMathExp(t *testing.T) {
-	in := expInputs()
-	if len(in) < 4_000_000 {
-		t.Fatalf("corpus has %d inputs, want at least 4M", len(in))
+// shiftedCorpus returns the corpus as ExpShiftSum operands: unshifted
+// (every shift 0, so the shifted inputs are the corpus itself) or with a
+// nonzero dyadic shift per element added to the input, plus starting sums.
+func shiftedCorpus(in []float64, shifted bool) (v, shift, sum []float64) {
+	r := rng.New(7)
+	v = make([]float64, len(in))
+	shift = make([]float64, len(in))
+	sum = make([]float64, len(in))
+	for i, x := range in {
+		if shifted {
+			shift[i] = float64(i%9) - 4.5
+		}
+		v[i] = x + shift[i]
+		sum[i] = 100 * r.Float64()
 	}
-	got := append([]float64(nil), in...)
-	ExpInPlace(got)
-	checkExp(t, "ExpInPlace", in, got)
-
-	// The portable fallback alone.
-	got = append(got[:0], in...)
-	expScalar(got)
-	checkExp(t, "expScalar", in, got)
+	return v, shift, sum
 }
 
-// TestExpInPlaceLengthsAndAlignment covers every length 0…9 (whole quads,
-// tails, and both together) at every start offset into a shared backing
-// array, so quads are also evaluated off 32-byte alignment, with gate
-// violations planted at each position.
-func TestExpInPlaceLengthsAndAlignment(t *testing.T) {
+func TestExpShiftSumMatchesMathExp(t *testing.T) {
+	corpus := expInputs()
+	if len(corpus) < 4_000_000 {
+		t.Fatalf("corpus has %d inputs, want at least 4M", len(corpus))
+	}
+	for _, shifted := range []bool{false, true} {
+		in, shift, sum0 := shiftedCorpus(corpus, shifted)
+		v := append([]float64(nil), in...)
+		sum := append([]float64(nil), sum0...)
+		ExpShiftSum(v, shift, sum)
+		checkExpShiftSum(t, "ExpShiftSum", in, shift, sum0, v, sum)
+
+		// The portable loop alone.
+		v = append(v[:0], in...)
+		sum = append(sum[:0], sum0...)
+		expShiftSumScalar(v, shift, sum)
+		checkExpShiftSum(t, "expShiftSumScalar", in, shift, sum0, v, sum)
+	}
+}
+
+// TestExpShiftSumLengthsAndAlignment covers every length 0…9 (whole quads,
+// tails, and both together) at every start offset into shared backing
+// arrays, so quads are also evaluated off 32-byte alignment, with gate
+// violations planted at each position — in the input or in the shift —
+// and checks that nothing outside the window changes.
+func TestExpShiftSumLengthsAndAlignment(t *testing.T) {
 	base := []float64{-3.5, 0.25, 707.9, -1e-7, 2, -708, 708, -0.5, 12, -20, 1, 3}
+	shifts := []float64{0, -1.5, 0.75, 0, 3, 0, 0, -2, 0.5, 1, 0, -0.25}
 	odd := []float64{-709, 710, math.NaN(), math.Inf(-1), -800}
+	oddShift := []float64{0, 0, 0, 0, 0, math.Inf(1), math.NaN(), -750, 720}
 	for n := 0; n <= 9; n++ {
 		for off := 0; off < 4; off++ {
 			for plant := -1; plant < n; plant++ {
-				for _, bad := range odd {
-					if plant < 0 && bad != odd[0] {
+				for bi, bad := range oddShift {
+					if plant < 0 && bi > 0 {
 						continue
 					}
-					backing := make([]float64, off+n+3)
-					for i := range backing {
-						backing[i] = base[i%len(base)]
+					size := off + n + 3
+					v := make([]float64, size)
+					shift := make([]float64, size)
+					sum := make([]float64, size)
+					for i := range v {
+						v[i] = base[i%len(base)]
+						shift[i] = shifts[i%len(shifts)]
+						sum[i] = float64(i) + 0.5
 					}
 					if plant >= 0 {
-						backing[off+plant] = bad
+						if bad == 0 {
+							v[off+plant] = odd[bi%len(odd)]
+						} else {
+							shift[off+plant] = bad
+						}
 					}
-					in := append([]float64(nil), backing...)
-					ExpInPlace(backing[off : off+n])
-					checkExp(t, "window", in[off:off+n], backing[off:off+n])
-					for i := range backing {
+					in := append([]float64(nil), v...)
+					sum0 := append([]float64(nil), sum...)
+					ExpShiftSum(v[off:off+n], shift[off:off+n+3], sum[off:off+n+3])
+					checkExpShiftSum(t, "window", in[off:off+n], shift[off:off+n], sum0[off:off+n], v[off:off+n], sum[off:off+n])
+					for i := range v {
 						if i >= off && i < off+n {
 							continue
 						}
-						if math.Float64bits(backing[i]) != math.Float64bits(in[i]) {
+						if math.Float64bits(v[i]) != math.Float64bits(in[i]) || math.Float64bits(sum[i]) != math.Float64bits(sum0[i]) {
 							t.Fatalf("n=%d off=%d: element %d outside the window changed", n, off, i)
 						}
 					}
@@ -108,23 +148,42 @@ func TestExpInPlaceLengthsAndAlignment(t *testing.T) {
 	}
 }
 
+// scalarQuads is the portable loop in the shape of the vector kernel.
+func scalarQuads(v, shift, sum []float64) int {
+	expShiftSumScalar(v, shift, sum)
+	return len(v)
+}
+
 // TestExpSelfCheck: the self-check passes for the vector path on this
 // machine whenever math.Exp runs its FMA branch, and rejects a kernel that
-// is off by one ulp. Under GODEBUG=cpu.fma=off math.Exp runs its non-FMA
-// branch, so the self-check must have turned the vector path off.
+// is off by one ulp, one that ignores the shift or the starting sum, and
+// one that stops early. Under GODEBUG=cpu.fma=off math.Exp runs its
+// non-FMA branch, so the self-check must have turned the vector path off.
 func TestExpSelfCheck(t *testing.T) {
-	if !expSelfCheck(func(x []float64) int { expScalar(x); return len(x) }) {
-		t.Fatal("self-check rejects math.Exp itself")
+	if !expSelfCheck(scalarQuads) {
+		t.Fatal("self-check rejects the scalar loop itself")
 	}
-	if expSelfCheck(func(x []float64) int {
-		expScalar(x)
-		x[len(x)/2] = math.Nextafter(x[len(x)/2], 0)
-		return len(x)
-	}) {
-		t.Fatal("self-check accepts a kernel one ulp off")
+	broken := map[string]func(v, shift, sum []float64) int{
+		"one ulp off": func(v, shift, sum []float64) int {
+			n := scalarQuads(v, shift, sum)
+			v[len(v)/2] = math.Nextafter(v[len(v)/2], 0)
+			return n
+		},
+		"shift ignored": func(v, shift, sum []float64) int {
+			return scalarQuads(v, make([]float64, len(v)), sum)
+		},
+		"sum overwritten": func(v, shift, sum []float64) int {
+			for i := range sum {
+				sum[i] = 0
+			}
+			return scalarQuads(v, shift, sum)
+		},
+		"stops early": func(v, shift, sum []float64) int { return 0 },
 	}
-	if expSelfCheck(func(x []float64) int { return 0 }) {
-		t.Fatal("self-check accepts a kernel that stops early")
+	for name, quads := range broken {
+		if expSelfCheck(quads) {
+			t.Fatalf("self-check accepts a kernel with its %s", name)
+		}
 	}
 	if strings.Contains(os.Getenv("GODEBUG"), "cpu.fma=off") && fastExp {
 		t.Fatal("vector exp enabled although math.Exp runs its non-FMA branch")
@@ -132,23 +191,26 @@ func TestExpSelfCheck(t *testing.T) {
 	t.Logf("vector exp enabled: %v", fastExp)
 }
 
-func BenchmarkExpInPlace(b *testing.B) {
+func BenchmarkExpShiftSum(b *testing.B) {
 	r := rng.New(1)
 	src := make([]float64, 256)
+	shift := make([]float64, 256)
 	for i := range src {
 		src[i] = -40 * r.Float64()
+		shift[i] = r.Float64()
 	}
-	x := make([]float64, len(src))
-	b.Run("ExpInPlace", func(b *testing.B) {
+	v := make([]float64, len(src))
+	sum := make([]float64, len(src))
+	b.Run("ExpShiftSum", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			copy(x, src)
-			ExpInPlace(x)
+			copy(v, src)
+			ExpShiftSum(v, shift, sum)
 		}
 	})
 	b.Run("math.Exp", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			copy(x, src)
-			expScalar(x)
+			copy(v, src)
+			expShiftSumScalar(v, shift, sum)
 		}
 	})
 }
