@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench bench-kernels bench-predict bench-search bench-ooc bench-serve check trace-smoke faults api apicheck serve-smoke obs-smoke async-smoke ooc-smoke serve-load-smoke
+.PHONY: build test vet race bench bench-kernels bench-predict bench-search bench-ooc bench-serve check trace-smoke faults fuzz-smoke api apicheck serve-smoke obs-smoke async-smoke ooc-smoke serve-load-smoke
 
 build:
 	$(GO) build ./...
@@ -16,14 +16,15 @@ vet:
 # The bitwise-across-Parallelism, chunked-equivalence and FoldRowLogLik
 # properties, the block step's sweep equivalence (four goroutines sharing
 # one kernel set), and the resume, interrupt, observer and hybrid search
-# properties (every try commits through the concurrent variant scheduler),
+# properties (every try commits through the concurrent variant scheduler)
+# and the vector kernels of model.NormalRun against their Go loops,
 # then run at several GOMAXPROCS values, so a one-core host cannot hide a
 # race; the exp kernel's self-check must fall back when FMA
 # is off; and its non-amd64 fallback must keep compiling.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,2,4 \
-		-run 'Concurrent|AcrossParallelism|ParallelismInvariance|ParallelismBitwise|FusedTraining|ChunkedMatches|ChunkedAligned|FoldRowLogLik|RaceFree|HybridTrajectory|PredictRanksBitwise|Resum|Interrupt|SearchObserver|SearchHybrid|KillAndResume|Sweeps' \
+		-run 'Concurrent|AcrossParallelism|ParallelismInvariance|ParallelismBitwise|FusedTraining|ChunkedMatches|ChunkedAligned|FoldRowLogLik|RaceFree|HybridTrajectory|PredictRanksBitwise|Resum|Interrupt|SearchObserver|SearchHybrid|KillAndResume|Sweeps|NormalRunScore|FoldLanes' \
 		./internal/model ./internal/autoclass ./internal/pautoclass
 	GODEBUG=cpu.fma=off $(GO) test -run Exp ./internal/stats
 	GOARCH=arm64 $(GO) vet ./...
@@ -56,6 +57,16 @@ faults:
 	$(GO) test -race -timeout 180s \
 		-run 'Fault|Flaky|Timeout|Deadline|Retry|Race|Checkpoint|Resume|KillAndResume' \
 		./internal/mpi ./internal/autoclass ./internal/pautoclass ./cmd/pautoclass
+
+# Fuzz smoke: every native fuzz target of the repository for 15 s each.
+# Their seed corpora under testdata/fuzz run as plain tests in `make test`;
+# a crasher found here is a bug to fix, and its input joins the corpus.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzSearchState$$' -fuzztime 15s ./internal/autoclass
+	$(GO) test -run '^$$' -fuzz '^FuzzOpenChunked$$' -fuzztime 15s ./internal/dataset
+	$(GO) test -run '^$$' -fuzz '^FuzzReadCSVWith$$' -fuzztime 15s ./internal/dataset
+	$(GO) test -run '^$$' -fuzz '^FuzzTCPFrame$$' -fuzztime 15s ./internal/mpi
+	$(GO) test -run '^$$' -fuzz '^FuzzOpenRegistry$$' -fuzztime 15s ./internal/serve
 
 # Batch-scoring comparison on the serving hot path: 10k held-out rows at
 # J=8 under the blocked kernels vs the per-row reference oracle, emitted

@@ -18,7 +18,8 @@ import (
 //     log-likelihood, in term order, with the row maximum folded in the
 //     same loop. Consecutive single_normal_cn terms over columns without a
 //     missing mask are evaluated together, two per loop, by
-//     model.NormalRun; every other term adds its own kernel's
+//     model.NormalRun (on amd64 a pair that starts the class runs four
+//     rows per AVX register); every other term adds its own kernel's
 //     BlockLogProb.
 //  2. Exp and sum (normScratch.expSum): v = exp(v − max), added into the
 //     row sums, by stats.ExpShiftSum. A per-row step then sets the
@@ -27,7 +28,10 @@ import (
 //     summed into the class weight W_j, with the first two such normal
 //     terms' Σw·x, Σw·x² and Σw accumulated in registers in the same loop
 //     (model.NormalRun again). Other terms read w, stored back into v,
-//     through BlockAccumulateStats.
+//     through BlockAccumulateStats. Four consecutive classes that each
+//     hold exactly one such run and no other term, over the same columns,
+//     fold together (model.FoldLanes), one class per AVX lane on amd64
+//     when the runs hold two terms.
 //     The Predictor instead scales into its row-major memberships and
 //     takes each row's MAP class (normScratch.scaleArgmax).
 //
@@ -41,7 +45,9 @@ import (
 //     next to the kernel that defines it), so a run split into pieces of
 //     at most two terms adds exactly what separate kernels add;
 //   - the row maximum starts at −Inf and takes strictly greater values,
-//     classes in ascending order;
+//     classes in ascending order; the vector sweep 1 takes it with
+//     VMAXPD(s, mx), which returns s only when s > mx and mx on a tie
+//     (+0 and −0 included), on s ≤ mx and on NaN: the strict > itself;
 //   - each exponential is math.Exp(v − max) bit for bit, and the row sum
 //     adds the exponentials in ascending class order;
 //   - the log-evidence is max + log(sum), and every weight is v·(1/sum),
@@ -49,7 +55,9 @@ import (
 //     fusing the multiply into a following add);
 //   - W_j adds the weights in ascending row order, starting from the
 //     running class sum, and the log-likelihood adds every row's
-//     log-evidence in ascending row order;
+//     log-evidence in ascending row order; the vector sweep 3 gives each
+//     class its own lane, so every lane still adds its class's rows in
+//     ascending order;
 //   - a normal term's statistics accumulate w·x, (w·x)·x and w in
 //     ascending row order from zero, as its BlockAccumulateStats does —
 //     the Σw of every fused term is the same sum, so it is kept once;
@@ -59,8 +67,8 @@ import (
 //     computes 1·(1/J).
 //
 // sweeps_test.go keeps the unfused composition as the oracle and checks
-// this bitwise over normal runs of 1 to 5 terms, mixed term kinds, missing
-// masks, −Inf, NaN and dead rows; normalize_test.go checks sweeps 2 and 3
+// this bitwise over normal runs of 1 to 6 terms, mixed term kinds, missing
+// masks, −Inf, NaN and dead rows, and J from 1 to 8 and 64; normalize_test.go checks sweeps 2 and 3
 // against the row-major softmax loop they replaced. NaN class sums match
 // as NaN only: Go leaves NaN payloads unspecified.
 

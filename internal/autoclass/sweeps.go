@@ -61,6 +61,8 @@ func fill(v []float64, x float64) {
 // by the engine's fused pass and the StreamTrainer: the three sweeps,
 // with the class sums and log-likelihood folded into acc[:J+1] and every
 // term's statistics into acc[J+1:] at the (class, term) offsets offs.
+// Sweep 3 takes the classes model.Lanes at a time where foldLanes can,
+// and one at a time otherwise.
 func (bs *blockScratch) emBlock(classes []*Class, kerns [][]model.Kernel, cols *dataset.Columns, lo, hi int, acc []float64, offs []int) {
 	j := len(classes)
 	m := hi - lo
@@ -68,11 +70,46 @@ func (bs *blockScratch) emBlock(classes []*Class, kerns [][]model.Kernel, cols *
 	bs.norm.expSum(v, m, &acc[j])
 	buf := acc[j+1:]
 	ti := 0
-	for cj := range classes {
+	for cj := 0; cj < j; {
+		if g := cj + model.Lanes; g <= j && bs.foldLanes(v[cj:g], acc[cj:g], kerns[cj:g], cols, lo, hi, buf, offs[ti:]) {
+			for _, ks := range kerns[cj:g] {
+				ti += len(ks)
+			}
+			cj = g
+			continue
+		}
 		n := len(kerns[cj])
 		acc[cj] = bs.foldStats(v[cj][:m], acc[cj], kerns[cj], cols, lo, hi, buf, offs[ti:ti+n+1])
 		ti += n
+		cj++
 	}
+}
+
+// foldLanes is sweep 3 of model.Lanes consecutive classes at once, with
+// their vectors v and class sums W: when every class's terms all fit one
+// model.NormalRun and the runs share their columns, model.FoldLanes folds
+// them together (one class per vector lane where its kernel runs) and
+// foldLanes reports true. Otherwise it reports false and does nothing.
+func (bs *blockScratch) foldLanes(v [][]float64, W []float64, kerns [][]model.Kernel, cols *dataset.Columns, lo, hi int, buf []float64, slots []int) bool {
+	var runs [model.Lanes]model.NormalRun
+	var vs [model.Lanes][]float64
+	var ws [model.Lanes]float64
+	ti := 0
+	for l, ks := range kerns[:model.Lanes] {
+		for _, k := range ks {
+			if !runs[l].Add(k, cols, lo, hi, buf[slots[ti]:slots[ti+1]]) {
+				return false
+			}
+			ti++
+		}
+		vs[l] = v[l][:hi-lo]
+		ws[l] = W[l]
+	}
+	if !model.FoldLanes(&runs, &vs, bs.norm.inv[:hi-lo], &ws) {
+		return false
+	}
+	copy(W, ws[:])
+	return true
 }
 
 // foldStats is sweep 3 of one class: it scales the class vector v into

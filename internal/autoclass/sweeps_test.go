@@ -234,16 +234,19 @@ func runSweeps(bs *blockScratch, classes []*Class, ks *kernelSet, cols *dataset.
 // log-evidence and log-likelihood through the Predictor's — for normal
 // runs of 1 to 6 terms (split into pieces of two), runs after and before
 // other term kinds, masked normal columns inside a run, rows scoring −Inf,
-// NaN and −Inf everywhere, J ∈ {1, 2, 3, 8, 64} and block lengths 1 to 256.
-// The same blocks then run on four goroutines at once, each with its own
-// scratch and all sharing one kernel set, and must repeat the results.
+// NaN and −Inf everywhere, J ∈ {1, …, 8, 64} and block lengths 1 to 256.
+// Classes of one or two normal terms take sweep 3 model.Lanes at a time,
+// so J from 4 to 7 puts 0 to 3 classes after a group; "NNM" adds a term
+// after the run, so no group is taken. The same blocks then run on four
+// goroutines at once, each with its own scratch and all sharing one
+// kernel set, and must repeat the results.
 func TestSweepsMatchUnfusedBlockStep(t *testing.T) {
-	scenarios := []string{"N", "NN", "NNN", "NNNN", "NNNNN", "NNNNNNnN", "MNNnNLGNN", "NNNM", "nnM"}
+	scenarios := []string{"N", "NN", "NNN", "NNNN", "NNNNN", "NNNNNNnN", "MNNnNLGNN", "NNNM", "nnM", "NNM"}
 	for _, terms := range scenarios {
 		ds, spec := sweepScenario(t, terms, 600)
 		cols := ds.All().Columns()
 		pr := model.NewPriors(ds, ds.Summarize())
-		for _, j := range []int{1, 2, 3, 8, 64} {
+		for _, j := range []int{1, 2, 3, 4, 5, 6, 7, 8, 64} {
 			t.Run(fmt.Sprintf("%s/J%d", terms, j), func(t *testing.T) {
 				cls, err := NewClassification(ds, spec, pr, j)
 				if err != nil {

@@ -120,17 +120,30 @@ func TestFig8Validation(t *testing.T) {
 
 func TestProfileMatchesPaperClaims(t *testing.T) {
 	cfg := DefaultProfileConfig()
-	// Keep the unit test quick but let initialization amortize: the 99.5%
+	// Keep each run quick but let initialization amortize: the 99.5%
 	// share is a property of runs with enough cycles per try.
 	cfg.N = 4000
 	cfg.Search.EM.MaxCycles = 40
-	res, err := RunProfile(cfg)
-	if err != nil {
-		t.Fatal(err)
+	// The claims are checked on the wall and phase times summed over five
+	// runs. A single run lasts about 0.3 s, and its base_cycle share sits
+	// about a percent above the bound, so one scheduler stall of a few
+	// milliseconds outside base_cycle on a loaded host could sink it.
+	var sum ProfileResult
+	var res *ProfileResult
+	for i := 0; i < 5; i++ {
+		var err error
+		if res, err = RunProfile(cfg); err != nil {
+			t.Fatal(err)
+		}
+		sum.TotalSeconds += res.TotalSeconds
+		sum.WtsSeconds += res.WtsSeconds
+		sum.ParamsSeconds += res.ParamsSeconds
+		sum.ApproxSeconds += res.ApproxSeconds
 	}
-	if bad := res.CheckShape(); len(bad) != 0 {
+	t.Logf("base_cycle share %.4f of %.3f s", sum.BaseCycleShare(), sum.TotalSeconds)
+	if bad := sum.CheckShape(); len(bad) != 0 {
 		t.Fatalf("profile violations: %v (wts=%.3f params=%.3f approx=%.3f total=%.3f)",
-			bad, res.WtsSeconds, res.ParamsSeconds, res.ApproxSeconds, res.TotalSeconds)
+			bad, sum.WtsSeconds, sum.ParamsSeconds, sum.ApproxSeconds, sum.TotalSeconds)
 	}
 	tbl := res.Table()
 	for _, want := range []string{"update_wts", "update_parameters", "99.5%"} {

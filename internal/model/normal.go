@@ -233,14 +233,25 @@ func (run *NormalRun) Holds(k Kernel) bool {
 // Score adds the run's log-densities into the class vector v in term
 // order, starting each row from logPi instead of v when first, and, when
 // fold, folds each row's final value into the row maxima mx (strictly
-// greater wins). Each length has a loop for a run that starts the class
-// and one for a run that continues it: a per-row choice between the two
-// starting values costs more than the duplicated loop.
+// greater wins). Where the vector kernels run (normal_amd64.s) and the
+// run holds two terms, starts its class and folds, the rows up to the
+// last multiple of four go four to a register; the rest, and every other
+// run, take the Go loop.
 func (run *NormalRun) Score(v, mx []float64, logPi float64, first, fold bool) {
+	mx = mx[:len(v)]
+	q := run.scoreQuads(v, mx, logPi, first, fold)
+	run.score(v[q:], mx[q:], q, logPi, first, fold)
+}
+
+// score is Score's Go loop over the rows off, off+1, … of the run's block.
+// Each length has a loop for a run that starts the class and one for a
+// run that continues it: a per-row choice between the two starting values
+// costs more than the duplicated loop.
+func (run *NormalRun) score(v, mx []float64, off int, logPi float64, first, fold bool) {
 	mx = mx[:len(v)]
 	switch run.n {
 	case 1:
-		x0 := run.x[0][:len(v)]
+		x0 := run.x[0][off : off+len(v)]
 		m0, c0, q0 := run.k[0].mean, run.k[0].c, run.k[0].inv2
 		if first {
 			for r := range v {
@@ -264,7 +275,7 @@ func (run *NormalRun) Score(v, mx []float64, logPi float64, first, fold bool) {
 			}
 		}
 	case 2:
-		x0, x1 := run.x[0][:len(v)], run.x[1][:len(v)]
+		x0, x1 := run.x[0][off:off+len(v)], run.x[1][off:off+len(v)]
 		m0, c0, q0 := run.k[0].mean, run.k[0].c, run.k[0].inv2
 		m1, c1, q1 := run.k[1].mean, run.k[1].c, run.k[1].inv2
 		if first {
@@ -295,6 +306,13 @@ func (run *NormalRun) Score(v, mx []float64, logPi float64, first, fold bool) {
 	}
 }
 
+// runSums is the running state of one run's Fold: the class sum W, each
+// term's Σw·x and Σ(w·x)·x, and the Σw the terms share.
+type runSums struct {
+	w, sw   float64
+	sx, sxx [normalRunMax]float64
+}
+
 // Fold scales the class vector v by the row reciprocals inv into weights,
 // stored back into v when store, adds them to W in ascending row order,
 // adds each term's Σw·x, Σ(w·x)·x and Σw over the block into its slot, and
@@ -302,7 +320,17 @@ func (run *NormalRun) Score(v, mx []float64, logPi float64, first, fold bool) {
 // before it is added anywhere: the float64 conversion forbids fusing the
 // multiply into a following add.
 func (run *NormalRun) Fold(v, inv []float64, W float64, store bool) float64 {
+	s := runSums{w: W}
+	run.fold(v, inv, 0, store, &s)
+	run.flush(&s)
+	return s.w
+}
+
+// fold is Fold's Go loop over the rows off, off+1, … of the run's block:
+// it continues the sums in s.
+func (run *NormalRun) fold(v, inv []float64, off int, store bool, s *runSums) {
 	inv = inv[:len(v)]
+	W := s.w
 	switch run.n {
 	case 0:
 		for r := range v {
@@ -313,8 +341,8 @@ func (run *NormalRun) Fold(v, inv []float64, W float64, store bool) float64 {
 			}
 		}
 	case 1:
-		x0 := run.x[0][:len(v)]
-		var sx0, sxx0, sw float64
+		x0 := run.x[0][off : off+len(v)]
+		sx0, sxx0, sw := s.sx[0], s.sxx[0], s.sw
 		for r := range v {
 			w := float64(v[r] * inv[r])
 			W += w
@@ -326,10 +354,10 @@ func (run *NormalRun) Fold(v, inv []float64, W float64, store bool) float64 {
 			sxx0 += wx * x0[r]
 			sw += w
 		}
-		addNormalStats(run.st[0], sx0, sxx0, sw)
+		s.sx[0], s.sxx[0], s.sw = sx0, sxx0, sw
 	case 2:
-		x0, x1 := run.x[0][:len(v)], run.x[1][:len(v)]
-		var sx0, sxx0, sx1, sxx1, sw float64
+		x0, x1 := run.x[0][off:off+len(v)], run.x[1][off:off+len(v)]
+		sx0, sxx0, sx1, sxx1, sw := s.sx[0], s.sxx[0], s.sx[1], s.sxx[1], s.sw
 		for r := range v {
 			w := float64(v[r] * inv[r])
 			W += w
@@ -344,10 +372,74 @@ func (run *NormalRun) Fold(v, inv []float64, W float64, store bool) float64 {
 			sxx1 += wx * x1[r]
 			sw += w
 		}
-		addNormalStats(run.st[0], sx0, sxx0, sw)
-		addNormalStats(run.st[1], sx1, sxx1, sw)
+		s.sx[0], s.sxx[0], s.sx[1], s.sxx[1], s.sw = sx0, sxx0, sx1, sxx1, sw
 	}
-	return W
+	s.w = W
+}
+
+// flush adds each term's sums into its statistics slot.
+func (run *NormalRun) flush(s *runSums) {
+	for t := 0; t < run.n; t++ {
+		addNormalStats(run.st[t], s.sx[t], s.sxx[t], s.sw)
+	}
+}
+
+// Lanes is the number of classes FoldLanes folds at once, one per lane of
+// a 256-bit vector.
+const Lanes = 4
+
+// laneSums is runSums for Lanes runs at once, element l of every array
+// belonging to lane l — the layout the vector kernel keeps in registers.
+type laneSums struct {
+	w, sw   [Lanes]float64
+	sx, sxx [normalRunMax][Lanes]float64
+}
+
+// FoldLanes folds Lanes classes at once without storing their weights:
+// runs[l], bound to the same row block as the others, holds the normal
+// terms of class l, v[l] is that class's vector and W[l] its running
+// class sum, and inv holds the row reciprocals every class shares. It
+// leaves W[l] and every statistics slot exactly as
+// runs[l].Fold(v[l], inv, W[l], false) would, one class after another:
+// each lane scales its own class's values and adds them in ascending row
+// order, so no sum changes its order. Where the vector kernels run and
+// the runs hold two terms, the rows up to the last multiple of four go
+// one class per lane; the rest, and every row elsewhere, run Fold's Go
+// loop. It reports false, doing nothing, when the runs do not all hold
+// the same non-empty list of columns.
+func FoldLanes(runs *[Lanes]NormalRun, v *[Lanes][]float64, inv []float64, W *[Lanes]float64) bool {
+	n := runs[0].n
+	if n == 0 {
+		return false
+	}
+	for l := 1; l < Lanes; l++ {
+		if runs[l].n != n {
+			return false
+		}
+		for t := 0; t < n; t++ {
+			if runs[l].k[t].t.attr != runs[0].k[t].t.attr {
+				return false
+			}
+		}
+	}
+	m := len(v[0])
+	inv = inv[:m]
+	vs := *v
+	for l := range vs {
+		vs[l] = vs[l][:m]
+	}
+	ls := laneSums{w: *W}
+	q := foldLaneQuads(runs, &vs, inv, &ls)
+	for l := range runs {
+		s := runSums{w: ls.w[l], sw: ls.sw[l]}
+		for t := 0; t < n; t++ {
+			s.sx[t], s.sxx[t] = ls.sx[t][l], ls.sxx[t][l]
+		}
+		runs[l].fold(vs[l][q:], inv[q:], q, false, &s)
+		runs[l].flush(&s)
+		W[l] = s.w
+	}
+	return true
 }
 
 // KLTo implements Term: the closed-form Gaussian divergence

@@ -3,6 +3,7 @@ package mpi
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -351,9 +352,8 @@ func (o *tcpConnOut) close() {
 }
 
 // tcpConnIn reads messages from one directed edge. recv is only ever called
-// by the owning rank's goroutine, so the raw byte scratch is reused across
-// messages (header included — it occupies the first 8 bytes before the
-// payload read reuses the buffer); the decoded []float64 is freshly
+// by the owning rank's goroutine, so the raw byte scratch readFrame reads
+// through is reused across messages; the decoded []float64 is freshly
 // allocated because the Recv contract hands ownership to the caller.
 type tcpConnIn struct {
 	conn          net.Conn
@@ -369,7 +369,7 @@ func newTCPConnIn(conn net.Conn, rank, peer int, deadline *atomic.Int64) *tcpCon
 }
 
 // armReadDeadline applies the per-op deadline (or clears a stale one) before
-// the header read. One arm covers both reads of the frame: the deadline
+// the header read. One arm covers every read of the frame: the deadline
 // bounds the whole operation, not each syscall.
 func (in *tcpConnIn) armReadDeadline() time.Duration {
 	d := time.Duration(in.deadline.Load())
@@ -383,11 +383,13 @@ func (in *tcpConnIn) armReadDeadline() time.Duration {
 	return d
 }
 
-// recvError converts a socket read timeout into the typed *TimeoutError. A
-// timeout may abandon a partially read frame, desynchronizing the stream —
-// timeouts are fail-stop, the edge must not be reused.
+// recvError converts a socket read timeout, also one that cut a frame
+// short, into the typed *TimeoutError. A timeout may abandon a partially
+// read frame, desynchronizing the stream — timeouts are fail-stop, the
+// edge must not be reused.
 func (in *tcpConnIn) recvError(err error, after time.Duration) error {
-	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
 		return &TimeoutError{Op: "recv", Rank: in.rank, Peer: in.peer, After: after}
 	}
 	return err
@@ -395,28 +397,58 @@ func (in *tcpConnIn) recvError(err error, after time.Duration) error {
 
 func (in *tcpConnIn) recv() (int, []float64, error) {
 	d := in.armReadDeadline()
-	if cap(in.raw) < 8 {
-		in.raw = make([]byte, 64)
+	if in.raw == nil {
+		in.raw = make([]byte, frameStep)
 	}
-	hdr := in.raw[:8]
-	if _, err := io.ReadFull(in.br, hdr); err != nil {
+	tag, data, err := readFrame(in.br, in.raw)
+	if err != nil {
 		return 0, nil, in.recvError(err, d)
 	}
-	tag := int(binary.LittleEndian.Uint32(hdr[0:4]))
-	count := binary.LittleEndian.Uint32(hdr[4:8])
-	if count > 1<<28 {
-		return 0, nil, fmt.Errorf("mpi: unreasonable tcp payload of %d values", count)
+	return tag, data, nil
+}
+
+// maxFrameValues is the largest value count a frame header may announce.
+const maxFrameValues = 1 << 28
+
+// frameStep is the size of the scratch a frame's payload is read through.
+const frameStep = 32 << 10
+
+// readFrame reads one frame from r — uint32 tag, uint32 count, count
+// float64 values, little-endian — through the scratch buf, at least 8
+// bytes long. It reads the payload len(buf)/8 values at a time and at
+// most doubles the decoded slice after each read, so a header that
+// announces more values than the stream carries costs memory in
+// proportion to the bytes received, not to the count. An error reading
+// the header is returned as is; one reading the payload reports a
+// truncated frame and wraps it.
+func readFrame(r io.Reader, buf []byte) (tag int, data []float64, err error) {
+	hdr := buf[:8]
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return 0, nil, err
 	}
-	if cap(in.raw) < int(8*count) {
-		in.raw = make([]byte, 8*count)
+	tag = int(binary.LittleEndian.Uint32(hdr[0:4]))
+	c := binary.LittleEndian.Uint32(hdr[4:8])
+	if c > maxFrameValues {
+		return 0, nil, fmt.Errorf("mpi: unreasonable tcp payload of %d values", c)
 	}
-	raw := in.raw[:8*count]
-	if _, err := io.ReadFull(in.br, raw); err != nil {
-		return 0, nil, fmt.Errorf("mpi: truncated tcp frame: %w", in.recvError(err, d))
-	}
-	data := make([]float64, count)
-	for i := range data {
-		data[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+	count := int(c)
+	data = make([]float64, 0)
+	for step := len(buf) / 8; len(data) < count; {
+		n := min(count-len(data), step)
+		raw := buf[:8*n]
+		if _, err := io.ReadFull(r, raw); err != nil {
+			return 0, nil, fmt.Errorf("mpi: truncated tcp frame: %w", err)
+		}
+		k := len(data)
+		if k+n > cap(data) {
+			grown := make([]float64, k, min(count, max(2*cap(data), k+n)))
+			copy(grown, data)
+			data = grown
+		}
+		data = data[:k+n]
+		for i := range data[k:] {
+			data[k+i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
 	}
 	return tag, data, nil
 }

@@ -76,8 +76,44 @@ func openRegistry(dir string) (*registry, error) {
 		if r.st.Models == nil {
 			r.st.Models = map[string]*regModel{}
 		}
+		if err := r.st.validate(); err != nil {
+			return nil, fmt.Errorf("serve: load registry: %w", err)
+		}
 	}
 	return r, nil
+}
+
+// validate checks a loaded registry.json against what publish and
+// activate write: every entry present, keyed by its own valid ID (the key
+// becomes a path element), versions positive and strictly increasing
+// (publish appends the last one plus one), and the active version 0 or
+// one of them.
+func (st *registryState) validate() error {
+	for key, m := range st.Models {
+		if m == nil {
+			return fmt.Errorf("model %q: null entry", key)
+		}
+		if err := validModelID(key); err != nil {
+			return fmt.Errorf("model %q: %w", key, err)
+		}
+		if m.ID != key {
+			return fmt.Errorf("model %q: entry has id %q", key, m.ID)
+		}
+		last := 0
+		for _, ver := range m.Versions {
+			if ver.Version < 1 {
+				return fmt.Errorf("model %q: version %d is not positive", key, ver.Version)
+			}
+			if ver.Version <= last {
+				return fmt.Errorf("model %q: version %d after version %d is a duplicate or out of order", key, ver.Version, last)
+			}
+			last = ver.Version
+		}
+		if m.Active != 0 && !m.hasVersion(m.Active) {
+			return fmt.Errorf("model %q: active version %d is not among its versions", key, m.Active)
+		}
+	}
+	return nil
 }
 
 // persist writes registry.json atomically. Callers hold r.mu.

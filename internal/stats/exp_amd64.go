@@ -3,7 +3,7 @@ package stats
 // fastExp enables the 4-wide path of ExpShiftSum: the CPU and OS support
 // AVX2 and FMA, and the vector path reproduces the scalar loop on the
 // probe.
-var fastExp = hasAVX2FMA() && expSelfCheck(expShiftSumQuads)
+var fastExp = HasAVX2FMA() && expSelfCheck(expShiftSumQuads)
 
 // expShiftSumQuads runs ExpShiftSum with AVX2 and FMA, four lanes at a
 // time, from the start of v up to the first quad with a shifted lane
@@ -18,9 +18,10 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
 
-// hasAVX2FMA reports CPU support for AVX2 and FMA with the YMM register
-// state enabled by the OS.
-func hasAVX2FMA() bool {
+// HasAVX2FMA reports CPU support for AVX2 and FMA with the YMM register
+// state enabled by the OS. It is the one CPU probe of the repository: the
+// vector kernels of package model gate on it too.
+func HasAVX2FMA() bool {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
 		return false

@@ -11,7 +11,7 @@ import (
 // must accept the vector kernel — otherwise a broken kernel would silently
 // fall back to math.Exp and the exactness tests would never run it.
 func TestExpVectorPathEnabled(t *testing.T) {
-	if !hasAVX2FMA() || strings.Contains(os.Getenv("GODEBUG"), "cpu.") {
+	if !HasAVX2FMA() || strings.Contains(os.Getenv("GODEBUG"), "cpu.") {
 		t.Skip("no AVX2+FMA, or GODEBUG changes the CPU features math.Exp sees")
 	}
 	if !fastExp {
