@@ -16,16 +16,17 @@ vet:
 # The bitwise-across-Parallelism, chunked-equivalence and FoldRowLogLik
 # properties, the block step's sweep equivalence (four goroutines sharing
 # one kernel set), and the resume, interrupt, observer and hybrid search
-# properties (every try commits through the concurrent variant scheduler)
-# and the vector kernels of model.NormalRun against their Go loops,
+# properties (every try commits through the concurrent variant scheduler),
+# the vector kernels of model.NormalRun against their Go loops and the
+# daemon's warm predict scorers (several dispatchers on one queue),
 # then run at several GOMAXPROCS values, so a one-core host cannot hide a
 # race; the exp kernel's self-check must fall back when FMA
 # is off; and its non-amd64 fallback must keep compiling.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,2,4 \
-		-run 'Concurrent|AcrossParallelism|ParallelismInvariance|ParallelismBitwise|FusedTraining|ChunkedMatches|ChunkedAligned|FoldRowLogLik|RaceFree|HybridTrajectory|PredictRanksBitwise|Resum|Interrupt|SearchObserver|SearchHybrid|KillAndResume|Sweeps|NormalRunScore|FoldLanes' \
-		./internal/model ./internal/autoclass ./internal/pautoclass
+		-run 'Concurrent|AcrossParallelism|ParallelismInvariance|ParallelismBitwise|FusedTraining|ChunkedMatches|ChunkedAligned|FoldRowLogLik|RaceFree|HybridTrajectory|PredictRanksBitwise|Resum|Interrupt|SearchObserver|SearchHybrid|KillAndResume|Sweeps|NormalRunScore|FoldLanes|ServeBatchingBitwise|ServePredictKillRestart' \
+		./internal/model ./internal/autoclass ./internal/pautoclass ./internal/serve
 	GODEBUG=cpu.fma=off $(GO) test -run Exp ./internal/stats
 	GOARCH=arm64 $(GO) vet ./...
 
@@ -67,6 +68,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSVWith$$' -fuzztime 15s ./internal/dataset
 	$(GO) test -run '^$$' -fuzz '^FuzzTCPFrame$$' -fuzztime 15s ./internal/mpi
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenRegistry$$' -fuzztime 15s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzPredictRequest$$' -fuzztime 15s ./internal/serve
 
 # Batch-scoring comparison on the serving hot path: 10k held-out rows at
 # J=8 under the blocked kernels vs the per-row reference oracle, emitted
@@ -122,7 +124,7 @@ bench-ooc:
 	$(GO) run ./cmd/benchooc -o BENCH_ooc.json
 
 # Predict-tier load benchmark: sustained concurrent traffic against the
-# registry-served batching predict path with rank-sharded workers, every
+# registry-served batching predict path on two warm scorers, every
 # response byte-checked against solo baselines across a daemon restart,
 # emitted as BENCH_serve.json (p50/p99, QPS, bytes/req, cache hit rate).
 bench-serve:

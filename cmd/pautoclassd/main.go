@@ -57,9 +57,8 @@ func main() {
 	procs := flag.Int("procs", 2, "default ranks per training run")
 	every := flag.Int("every", 4, "mid-try checkpoint cadence in cycles")
 	maxBody := flag.Int64("max-body-bytes", 0, "request body cap on data routes (0 = 64 MiB default)")
-	predictProcs := flag.Int("predict-procs", 1, "predict worker ranks per batch (>1 = scale-out sharding)")
-	predictTCP := flag.Bool("predict-tcp", false, "run predict worker ranks on the loopback TCP transport")
-	predictPar := flag.Int("predict-parallelism", 0, "goroutines per predict rank (0 = one)")
+	predictProcs := flag.Int("predict-procs", 1, "warm scorers per model version, each draining its queue and scoring whole batches")
+	predictPar := flag.Int("predict-parallelism", 0, "goroutines per warm scorer's scoring pass (0 = one)")
 	predictQueue := flag.Int("predict-queue", 0, "per-model-version predict queue depth (0 = 64 default)")
 	predictBatch := flag.Int("predict-batch-rows", 0, "max coalesced rows per scoring pass (0 = 4096 default)")
 	predictInflight := flag.Int("predict-inflight", 0, "server-wide predict admission cap (0 = 256 default)")
@@ -79,7 +78,6 @@ func main() {
 		Logger: log, EnablePprof: *enablePprof,
 		MaxBodyBytes:        *maxBody,
 		PredictProcs:        *predictProcs,
-		PredictTCP:          *predictTCP,
 		PredictParallelism:  *predictPar,
 		PredictQueueDepth:   *predictQueue,
 		PredictMaxBatchRows: *predictBatch,

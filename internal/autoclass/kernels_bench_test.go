@@ -1,12 +1,15 @@
 package autoclass
 
 import (
+	"runtime"
+	"sync"
 	"testing"
 )
 
 // benchEngine builds a warmed-up single-rank engine over the paper's
 // synthetic two-real-attribute dataset at J=8 — the configuration of the
-// paper's Fig. 8 runs — in the given kernel mode.
+// paper's Fig. 8 runs — in the given kernel mode, and warms the runtime's
+// thread pool (warmThreads).
 func benchEngine(b *testing.B, n, j int, mode KernelMode) *Engine {
 	b.Helper()
 	ds := paperDS(b, n)
@@ -21,7 +24,34 @@ func benchEngine(b *testing.B, n, j int, mode KernelMode) *Engine {
 	if _, err := eng.BaseCycle(); err != nil {
 		b.Fatal(err)
 	}
+	warmThreads(runtime.GOMAXPROCS(0) + 2)
 	return eng
+}
+
+// warmThreads makes the runtime start n more OS threads now, in set-up. A
+// fresh process starts few; when the scheduler later wants another (say,
+// to look for work as sysmon preempts the timed loop) and none is idle, it
+// starts one and allocates its bookkeeping, about 5 KB, on the heap. Born
+// inside the timed loop, that thread reads as 2–4 B/op in about one fresh
+// run in ten. Each goroutine here holds a thread of its own until all n
+// hold one; unlocked, the threads stay idle for the scheduler to reuse.
+func warmThreads(n int) {
+	var started, done sync.WaitGroup
+	release := make(chan struct{})
+	started.Add(n)
+	done.Add(n)
+	for i := 0; i < n; i++ {
+		go func() {
+			defer done.Done()
+			runtime.LockOSThread()
+			defer runtime.UnlockOSThread()
+			started.Done()
+			<-release
+		}()
+	}
+	started.Wait()
+	close(release)
+	done.Wait()
 }
 
 // BenchmarkUpdateWts measures the E-step alone — the phase the paper's

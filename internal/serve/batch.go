@@ -5,32 +5,29 @@ import (
 
 	"repro/internal/autoclass"
 	"repro/internal/dataset"
-	"repro/internal/mpi"
-	"repro/internal/pautoclass"
 )
 
 // Request batching: each servable model version gets one batcher — a
-// bounded queue plus a dispatcher goroutine that owns a warm
-// autoclass.Predictor (cached kernels, reused buffers). Concurrent predict
-// requests against the same version coalesce into a single scoring pass:
-// the dispatcher drains whatever is queued (up to Config.PredictMaxBatchRows
+// bounded queue drained by Config.PredictProcs dispatcher goroutines. Each
+// dispatcher owns a warm scorer (an autoclass.Predictor with its cached
+// kernels and scratch, plus the Prediction buffer it reuses), so the
+// dispatchers share nothing but the queue. Concurrent predict requests
+// against the same version coalesce into a single scoring pass: a
+// dispatcher drains whatever is queued (up to Config.PredictMaxBatchRows
 // rows), lays the requests out back to back with each one padded to the
 // next KernelBlockRows multiple by all-missing rows, scores once, and
-// slices the results back per request.
+// slices the results back per request. With several dispatchers,
+// independent batches of one version score side by side.
 //
-// Coalescing is invisible in the bits. Every per-row output is a pure
-// function of that row; padding rows land in their own kernel blocks (the
-// per-request alignment guarantees no block straddles two requests) and are
-// sliced away; and each request's log-likelihood is rebuilt from the
-// gathered per-row log-evidence with autoclass.FoldRowLogLik — the exact
-// association of scoring that request alone. TestFoldRowLogLikSubBatch
-// (autoclass) proves the layout identity; TestServeBatchingBitwise proves
-// it end to end over HTTP.
-//
-// Scale-out mode (Config.PredictProcs > 1) swaps the warm single-process
-// scorer for pautoclass.Predict: the same batch sharded across ranks on
-// the in-process or loopback-TCP transport, bitwise identical again
-// (TestPredictRanksBitwise).
+// Neither coalescing nor the dispatcher count shows in the bits. Every
+// per-row output is a pure function of that row; padding rows land in
+// their own kernel blocks (the per-request alignment guarantees no block
+// straddles two requests) and are sliced away; and each request's
+// log-likelihood is rebuilt from the gathered per-row log-evidence with
+// autoclass.FoldRowLogLik — the exact association of scoring that request
+// alone. TestFoldRowLogLikSubBatch (autoclass) proves the layout identity;
+// TestServeBatchingBitwise proves it end to end over HTTP at one, two and
+// three dispatchers.
 
 // predictJob is one HTTP request's unit of work.
 type predictJob struct {
@@ -59,13 +56,18 @@ type batcher struct {
 	cls   *autoclass.Classification
 	attrs []dataset.Attribute
 	queue chan *predictJob
-
-	// Dispatcher-owned warm state; never touched from other goroutines.
-	pred *autoclass.Predictor
-	buf  *autoclass.Prediction
 }
 
-// batcherFor returns (creating on first use) the batcher serving key.
+// scorer is one dispatcher's warm state, never touched from another
+// goroutine: its own Predictor (kernels and scratch), built on the first
+// batch, and the Prediction buffer every batch reuses.
+type scorer struct {
+	pred *autoclass.Predictor
+	buf  autoclass.Prediction
+}
+
+// batcherFor returns (creating on first use) the batcher serving key and
+// starts its Config.PredictProcs dispatchers.
 func (s *Server) batcherFor(key batcherKey, m *loadedModel) (*batcher, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -87,8 +89,10 @@ func (s *Server) batcherFor(key batcherKey, m *loadedModel) (*batcher, error) {
 		queue: make(chan *predictJob, s.cfg.PredictQueueDepth),
 	}
 	s.batchers[key] = b
-	s.batcherWG.Add(1)
-	go b.run()
+	s.batcherWG.Add(s.cfg.PredictProcs)
+	for i := 0; i < s.cfg.PredictProcs; i++ {
+		go b.run()
+	}
 	return b, nil
 }
 
@@ -105,10 +109,11 @@ func (s *Server) warmBatchers(model string) int {
 	return n
 }
 
-// run is the dispatcher loop: block for one job, greedily coalesce
-// whatever else is queued, score once, answer everyone.
+// run is one dispatcher's loop: block for one job, greedily coalesce
+// whatever else is queued, score once on its own scorer, answer everyone.
 func (b *batcher) run() {
 	defer b.s.batcherWG.Done()
+	var sc scorer
 	maxRows := b.s.cfg.PredictMaxBatchRows
 	for {
 		select {
@@ -128,19 +133,19 @@ func (b *batcher) run() {
 				}
 			}
 			b.s.gPredQueue.Add(float64(-len(jobs)))
-			b.dispatch(jobs, rows)
+			b.dispatch(&sc, jobs, rows)
 		}
 	}
 }
 
 // dispatch scores one coalesced batch and answers every job in it.
-func (b *batcher) dispatch(jobs []*predictJob, rows int) {
+func (b *batcher) dispatch(sc *scorer, jobs []*predictJob, rows int) {
 	b.s.hBatchRows.Observe(float64(rows))
 	b.s.hBatchReqs.Observe(float64(len(jobs)))
 
 	if len(jobs) == 1 {
 		// Single request: score it directly, no copy, no padding.
-		p, err := b.score(jobs[0].ds)
+		p, err := b.score(sc, jobs[0].ds)
 		if err != nil {
 			jobs[0].resp <- predictOut{err: err}
 			return
@@ -176,7 +181,7 @@ func (b *batcher) dispatch(jobs []*predictJob, rows int) {
 			}
 		}
 	}
-	p, err := b.score(batch)
+	p, err := b.score(sc, batch)
 	if err != nil {
 		b.fail(jobs, err)
 		return
@@ -192,46 +197,23 @@ func (b *batcher) fail(jobs []*predictJob, err error) {
 	}
 }
 
-// score runs one batch through the configured scorer with per-row
+// score runs one batch through the dispatcher's warm scorer with per-row
 // log-evidence on, so sliceResponse can rebuild sub-batch log-likelihoods
-// bitwise.
-func (b *batcher) score(ds *dataset.Dataset) (*autoclass.Prediction, error) {
-	cfg := autoclass.PredictConfig{Parallelism: b.s.cfg.PredictParallelism, RowLogLik: true}
-	if procs := b.s.cfg.PredictProcs; procs > 1 {
-		// Scale-out: shard the batch across predict worker ranks.
-		run := mpi.Run
-		if b.s.cfg.PredictTCP {
-			run = mpi.RunTCP
-		}
-		var out *autoclass.Prediction
-		err := run(procs, func(c *mpi.Comm) error {
-			p, err := pautoclass.Predict(c, b.cls, ds, cfg)
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 0 {
-				out = p
-			}
-			return nil
-		})
+// bitwise. Kernels and buffers persist across calls; the returned
+// Prediction is the scorer's buffer, valid until its next batch.
+func (b *batcher) score(sc *scorer, ds *dataset.Dataset) (*autoclass.Prediction, error) {
+	if sc.pred == nil {
+		pred, err := autoclass.NewPredictor(b.cls, autoclass.PredictConfig{
+			Parallelism: b.s.cfg.PredictParallelism, RowLogLik: true})
 		if err != nil {
 			return nil, err
 		}
-		return out, nil
+		sc.pred = pred
 	}
-	// Warm single-process path: kernels and buffers persist across calls.
-	if b.pred == nil {
-		pred, err := autoclass.NewPredictor(b.cls, cfg)
-		if err != nil {
-			return nil, err
-		}
-		b.pred = pred
-		b.buf = &autoclass.Prediction{}
-	}
-	if err := b.pred.PredictInto(ds.All(), b.buf); err != nil {
+	if err := sc.pred.PredictInto(ds.All(), &sc.buf); err != nil {
 		return nil, err
 	}
-	return b.buf, nil
+	return &sc.buf, nil
 }
 
 // sliceResponse extracts one request's rows [off, off+n) from a scored

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"sort"
@@ -176,16 +177,34 @@ func writeBody(w http.ResponseWriter, code int, v any) {
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			httpError(w, http.StatusRequestEntityTooLarge, CodeRequestTooLarge,
-				"request body exceeds the %d byte limit", mbe.Limit)
-			return false
-		}
-		httpError(w, http.StatusBadRequest, CodeInvalidRequest, "decode request: %v", err)
+		bodyError(w, err)
 		return false
 	}
 	return true
+}
+
+// readBody reads a whole request body under the server's size limit,
+// writing the error response itself on failure.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		bodyError(w, err)
+		return nil, false
+	}
+	return body, true
+}
+
+// bodyError answers a request body that failed to read or decode: 413
+// past the size limit, 400 otherwise.
+func bodyError(w http.ResponseWriter, err error) {
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		httpError(w, http.StatusRequestEntityTooLarge, CodeRequestTooLarge,
+			"request body exceeds the %d byte limit", mbe.Limit)
+		return
+	}
+	httpError(w, http.StatusBadRequest, CodeInvalidRequest, "decode request: %v", err)
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -256,33 +275,38 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 }
 
 // handlePredict is the batched, cached, admission-controlled scoring
-// route. Request flow: resolve the servable model version → response-cache
-// lookup → admission (global in-flight cap, per-version bounded queue) →
-// coalesced scoring on the version's batcher → cache fill.
+// route. Request flow: decode the body (decodePredict) → resolve the
+// servable model version → response-cache lookup → admission (global
+// in-flight cap, per-version bounded queue) → coalesced scoring on one of
+// the version's warm scorers → cache fill.
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	var req PredictRequest
-	if !s.decodeBody(w, r, &req) {
+	body, ok := s.readBody(w, r)
+	if !ok {
 		return
 	}
-	if len(req.Rows) == 0 {
+	req, err := decodePredict(body)
+	if err != nil {
+		bodyError(w, err)
+		return
+	}
+	if req.n == 0 {
 		httpError(w, http.StatusBadRequest, CodeInvalidRequest, "no rows")
 		return
 	}
-	if req.Version < 0 {
-		httpError(w, http.StatusBadRequest, CodeInvalidRequest, "version %d < 0", req.Version)
+	if req.version < 0 {
+		httpError(w, http.StatusBadRequest, CodeInvalidRequest, "version %d < 0", req.version)
 		return
 	}
 
 	var (
 		m   *loadedModel
 		key batcherKey
-		err error
 	)
-	if v, attrs, found := s.models.resolve(id, req.Version); found {
+	if v, attrs, found := s.models.resolve(id, req.version); found {
 		switch {
-		case v == 0 && req.Version != 0:
-			httpError(w, http.StatusNotFound, CodeNotFound, "model %q has no version %d", id, req.Version)
+		case v == 0 && req.version != 0:
+			httpError(w, http.StatusNotFound, CodeNotFound, "model %q has no version %d", id, req.version)
 			return
 		case v == 0:
 			httpError(w, http.StatusConflict, CodeModelNotReady, "model %q has no active version", id)
@@ -296,7 +320,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		key = batcherKey{model: id, version: v}
 	} else {
 		// Deprecated: predicting by bare job ID, bypassing the registry.
-		if req.Version != 0 {
+		if req.version != 0 {
 			httpError(w, http.StatusBadRequest, CodeInvalidRequest,
 				"version pins require a registered model; %q is not registered", id)
 			return
@@ -311,16 +335,16 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		key = batcherKey{model: id, version: 0}
 	}
 
-	ds, err := buildDataset("predict", m.attrs, req.Rows)
+	ds, err := req.dataset(m.attrs)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, CodeInvalidRequest, "%v", err)
 		return
 	}
 
 	ck := cacheKey{model: id, version: key.version, rows: hashRows(ds)}
-	if body := s.cache.get(ck); body != nil {
+	if hit := s.cache.get(ck); hit != nil {
 		s.cCacheHits.Add(1)
-		s.writePredict(w, body, "hit")
+		s.writePredict(w, hit, "hit")
 		return
 	}
 	s.cCacheMisses.Add(1)
@@ -373,16 +397,16 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	s.cPredicts.Add(1)
 	s.cPredictRows.Add(float64(out.resp.N))
-	body, err := json.Marshal(out.resp)
+	resp, err := json.Marshal(out.resp)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, CodeInternal, "%v", err)
 		return
 	}
 	// Trailing newline matches json.Encoder output, so cached replays are
 	// byte-identical to the pre-cache wire format.
-	body = append(body, '\n')
-	s.cache.put(ck, body)
-	s.writePredict(w, body, "miss")
+	resp = append(resp, '\n')
+	s.cache.put(ck, resp)
+	s.writePredict(w, resp, "miss")
 }
 
 // writePredict writes a prediction body with its cache disposition.

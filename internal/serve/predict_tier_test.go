@@ -363,7 +363,8 @@ func TestServeRegistryLifecycle(t *testing.T) {
 // TestServeBatchingBitwise is the tentpole acceptance test: concurrent
 // clients with distinct request shapes force the batcher to coalesce, and
 // every response must be byte-identical to the same request scored alone
-// on an idle server — at 1 rank and with scale-out predict workers.
+// on an idle server — on one warm scorer, and on two and three scorers
+// draining the same queue.
 func TestServeBatchingBitwise(t *testing.T) {
 	dir := t.TempDir()
 	// Cache off: repeats must come from real scoring, not replay.
@@ -429,8 +430,8 @@ func TestServeBatchingBitwise(t *testing.T) {
 	ts.Close()
 	s.Close()
 
-	// Scale-out predict workers over the same registry state: bitwise
-	// identical to the single-process baselines at every rank count.
+	// Two and three warm scorers over the same registry state: bitwise
+	// identical to the one-scorer baselines whichever scorer takes a batch.
 	for _, procs := range []int{2, 3} {
 		s2, err := New(Config{Dir: dir, Procs: 1, PredictCacheEntries: -1, PredictProcs: procs})
 		if err != nil {
@@ -444,7 +445,7 @@ func TestServeBatchingBitwise(t *testing.T) {
 				t.Fatalf("procs=%d req %d: status %d", procs, i, code)
 			}
 			if !bytes.Equal(body, baseline[i]) {
-				t.Fatalf("procs=%d req %d: sharded response differs from single-process", procs, i)
+				t.Fatalf("procs=%d req %d: response differs from the one-scorer baseline", procs, i)
 			}
 		}
 		hammer(ts2.URL)

@@ -76,15 +76,13 @@ type Config struct {
 	// Default 256.
 	PredictMaxInflight int
 	// PredictParallelism shards each scoring pass over this many
-	// goroutines per rank (0 = one). Parallelism never changes the bits.
+	// goroutines per scorer (0 = one). Parallelism never changes the bits.
 	PredictParallelism int
-	// PredictProcs > 1 turns on scale-out predict: each batch is sharded
-	// across that many worker ranks (see PredictTCP for the transport).
-	// Responses are bitwise identical at every rank count. Default 1.
+	// PredictProcs is the number of warm scorers per model version: that
+	// many dispatcher goroutines drain the version's one queue, each
+	// scoring its own coalesced batches on its own Predictor. Responses
+	// are bitwise identical at every count. Default 1.
 	PredictProcs int
-	// PredictTCP moves the predict worker ranks onto the loopback-TCP
-	// transport instead of in-process goroutine ranks.
-	PredictTCP bool
 	// PredictCacheEntries bounds the response LRU cache; -1 disables it.
 	// Default 256.
 	PredictCacheEntries int

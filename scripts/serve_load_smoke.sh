@@ -3,7 +3,7 @@
 #
 # Runs the benchserve harness on a small workload: train a model, publish
 # it into the registry, restart the predict tier on the same state
-# directory with rank-sharded workers, then drive sustained concurrent
+# directory with two warm scorers, then drive sustained concurrent
 # predict traffic while byte-checking every 200 response against the
 # solo-request baselines. The emitted report must show the bitwise
 # self-check passed, finite ordered percentiles, and real throughput.
