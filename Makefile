@@ -17,18 +17,23 @@ vet:
 # properties, the block step's sweep equivalence (four goroutines sharing
 # one kernel set), and the resume, interrupt, observer and hybrid search
 # properties (every try commits through the concurrent variant scheduler),
-# the vector kernels of model.NormalRun against their Go loops and the
-# daemon's warm predict scorers (several dispatchers on one queue),
-# then run at several GOMAXPROCS values, so a one-core host cannot hide a
-# race; the exp kernel's self-check must fall back when FMA
-# is off; and its non-amd64 fallback must keep compiling.
+# the vector kernels of model.NormalRun and model.FoldMax against their Go
+# loops (masked runs included) and the daemon's warm predict scorers
+# (several dispatchers on one queue), then run at several GOMAXPROCS
+# values, so a one-core host cannot hide a race; the exp kernel's
+# self-check must fall back when FMA is off; its non-amd64 fallback must
+# keep compiling; and on 386, where no vector kernel builds, the Go loops
+# run as the whole path against the unfused oracle.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,2,4 \
-		-run 'Concurrent|AcrossParallelism|ParallelismInvariance|ParallelismBitwise|FusedTraining|ChunkedMatches|ChunkedAligned|FoldRowLogLik|RaceFree|HybridTrajectory|PredictRanksBitwise|Resum|Interrupt|SearchObserver|SearchHybrid|KillAndResume|Sweeps|NormalRunScore|FoldLanes|ServeBatchingBitwise|ServePredictKillRestart' \
+		-run 'Concurrent|AcrossParallelism|ParallelismInvariance|ParallelismBitwise|FusedTraining|ChunkedMatches|ChunkedAligned|FoldRowLogLik|RaceFree|HybridTrajectory|PredictRanksBitwise|Resum|Interrupt|SearchObserver|SearchHybrid|KillAndResume|Sweeps|NormalRunScore|FoldLanes|FoldMax|ServeBatchingBitwise|ServePredictKillRestart' \
 		./internal/model ./internal/autoclass ./internal/pautoclass ./internal/serve
 	GODEBUG=cpu.fma=off $(GO) test -run Exp ./internal/stats
 	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=386 $(GO) vet ./...
+	GOARCH=386 $(GO) test ./internal/model ./internal/stats
+	GOARCH=386 $(GO) test -run 'Sweeps|NormalRun|FoldLanes|Normaliz|Chunked|Parallelism|Bitwise|Kernel' ./internal/autoclass
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...

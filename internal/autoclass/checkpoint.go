@@ -1,6 +1,7 @@
 package autoclass
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"math"
 	"os"
 
+	"repro/internal/atomicfile"
 	"repro/internal/dataset"
 	"repro/internal/model"
 )
@@ -103,17 +105,14 @@ func (c *Checkpoint) Load(r io.Reader, ds *dataset.Dataset) error {
 	return nil
 }
 
-// SaveFile writes the checkpoint to path.
+// SaveFile writes the checkpoint to path atomically: a failed write leaves
+// the previous file, and no temporary file.
 func (c *Checkpoint) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := c.Save(&buf); err != nil {
 		return err
 	}
-	defer f.Close()
-	if err := c.Save(f); err != nil {
-		return err
-	}
-	return f.Close()
+	return atomicfile.Write(path, buf.Bytes())
 }
 
 // LoadFile fills the checkpoint from the file at path.

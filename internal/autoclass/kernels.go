@@ -126,18 +126,17 @@ func (ks *kernelSet) prepare(classes []*Class) {
 // blockScratch is one worker's scratch, owned by exactly one goroutine at
 // a time: per-class block vectors (KernelBlockRows long) that hold the
 // log-memberships and then, in place, the exponentials and weights of the
-// block step; a synthesized weight column for the crisp initialization;
-// the kernels' own scratch; the normalizer's per-row vectors; a per-row
-// log-membership vector for the Reference path; and — on chunk-backed
-// views — the worker's chunk cursor, pinning exactly the chunk under its
-// blocks.
+// block step; the crisp initialization's class counts; the kernels' own
+// scratch; the normalizer's per-row vectors; a per-row log-membership
+// vector for the Reference path; and — on chunk-backed views — the
+// worker's chunk cursor, pinning exactly the chunk under its blocks.
 type blockScratch struct {
-	lp   [][]float64
-	wcol []float64
-	logp []float64
-	ks   model.Scratch
-	norm normScratch
-	cur  dataset.ChunkCursor
+	lp     [][]float64
+	counts []float64
+	logp   []float64
+	ks     model.Scratch
+	norm   normScratch
+	cur    dataset.ChunkCursor
 }
 
 // grow sizes the scratch for j classes, allocating only when j grows.
@@ -145,34 +144,34 @@ func (bs *blockScratch) grow(j int) {
 	for len(bs.lp) < j {
 		bs.lp = append(bs.lp, make([]float64, KernelBlockRows))
 	}
-	if bs.wcol == nil {
-		bs.wcol = make([]float64, KernelBlockRows)
-	}
 	if len(bs.logp) < j {
 		bs.logp = make([]float64, j)
+		bs.counts = make([]float64, j)
 	}
 }
 
 // crispStatsBlock folds rows [lo, hi) of cols into the statistics under
-// the crisp initial assignment: class cj's weight column is 1 where the
-// hash assigns the row (global index first+r) to cj and 0 elsewhere — the
-// values a materialized crisp weights matrix would hold.
-func (bs *blockScratch) crispStatsBlock(classes []*Class, kerns [][]model.Kernel, cols *dataset.Columns, lo, hi, first int, seed uint64, buf []float64, offs []int) {
+// the crisp initial assignment, and adds the assignment's class counts
+// into W: class cj's weight column is 1 where the hash assigns the row
+// (global index first+r) to cj and 0 elsewhere — the values a
+// materialized crisp weights matrix would hold. Each row is hashed once,
+// and the 0/1 columns go through sweep 3's own fold with every reciprocal
+// 1, which leaves each weight as it is (w·1 = w): every term adds the
+// sums its BlockAccumulateStats would add over the same column, in the
+// same order.
+func (bs *blockScratch) crispStatsBlock(classes []*Class, kerns [][]model.Kernel, cols *dataset.Columns, lo, hi, first int, seed uint64, W, buf []float64, offs []int) {
 	j := len(classes)
-	wcol := bs.wcol[:hi-lo]
-	ti := 0
-	for cj := range classes {
-		for r := range wcol {
-			wcol[r] = 0
-			if InitialClass(seed, first+r, j) == cj {
-				wcol[r] = 1
-			}
-		}
-		for _, k := range kerns[cj] {
-			k.BlockAccumulateStats(cols, wcol, lo, hi, buf[offs[ti]:offs[ti+1]], &bs.ks)
-			ti++
-		}
+	m := hi - lo
+	v := bs.lp[:j]
+	for _, x := range v {
+		clear(x[:m])
 	}
+	inv := bs.norm.inv[:m]
+	for r := range inv {
+		inv[r] = 1
+		v[InitialClass(seed, first+r, j)][r] = 1
+	}
+	bs.foldClasses(v, W, kerns, cols, lo, hi, buf, offs)
 }
 
 // workerScratch returns per-worker scratch sized for j classes, reused

@@ -1,9 +1,12 @@
 package autoclass
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
+
+	"repro/internal/datagen"
 )
 
 // benchEngine builds a warmed-up single-rank engine over the paper's
@@ -85,6 +88,43 @@ func BenchmarkBaseCycle(b *testing.B) {
 	for _, mode := range []KernelMode{Blocked, Reference} {
 		b.Run("kernels="+mode.String(), func(b *testing.B) {
 			eng := benchEngine(b, 10000, 8, mode)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.BaseCycle(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkMaskedCycle measures one full cycle over ProteinMixture with 5%
+// missing values — the model of the out-of-core workload, three normal
+// terms and a multinomial per class, every column masked — on one worker
+// (the unsharded pass, as BenchmarkBaseCycle) at J=8 and J=64. Its name
+// stays outside the kernel comparison's BenchmarkUpdateWts|BenchmarkBaseCycle
+// pattern.
+func BenchmarkMaskedCycle(b *testing.B) {
+	ds, _, err := datagen.ProteinMixture().Generate(20000, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := datagen.InjectMissing(ds, 0.05, 11); err != nil {
+		b.Fatal(err)
+	}
+	for _, j := range []int{8, 64} {
+		b.Run(fmt.Sprintf("J=%d", j), func(b *testing.B) {
+			cfg := DefaultConfig()
+			cfg.PruneClasses = false
+			eng := mustEngine(b, ds, mustClassification(b, ds, j), cfg)
+			if err := eng.InitRandom(1); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := eng.BaseCycle(); err != nil {
+				b.Fatal(err)
+			}
+			warmThreads(runtime.GOMAXPROCS(0) + 2)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -95,13 +95,14 @@ func blockedStats(eng *Engine, wts, buf []float64, offs []int) {
 	j := eng.cls.J()
 	eng.prepareKernels()
 	bs := eng.workerScratch(1, j)[0]
+	col := make([]float64, KernelBlockRows)
 	for blo := 0; blo < n; blo += KernelBlockRows {
 		bhi := min(blo+KernelBlockRows, n)
 		m := bhi - blo
 		cols, clo, chi := eng.block(bs, blo, bhi)
 		ti := 0
 		for cj := range eng.cls.Classes {
-			wcol := bs.wcol[:m]
+			wcol := col[:m]
 			for r := range wcol {
 				wcol[r] = wts[(blo+r)*j+cj]
 			}

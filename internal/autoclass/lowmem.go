@@ -160,7 +160,7 @@ func (e *Engine) initRows(lo, hi int, buf []float64, offs []int, bs *blockScratc
 	for blo := lo; blo < hi; blo += KernelBlockRows {
 		bhi := min(blo+KernelBlockRows, hi)
 		cols, clo, chi := e.block(bs, blo, bhi)
-		bs.crispStatsBlock(e.cls.Classes, e.kerns.k, cols, clo, chi, start+blo, seed, buf, offs)
+		bs.crispStatsBlock(e.cls.Classes, e.kerns.k, cols, clo, chi, start+blo, seed, bs.counts[:e.cls.J()], buf, offs)
 	}
 }
 

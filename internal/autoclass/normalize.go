@@ -16,22 +16,26 @@ import (
 //
 //  1. Score and max (blockScratch.score): v = log π_j plus every term's
 //     log-likelihood, in term order, with the row maximum folded in the
-//     same loop. Consecutive single_normal_cn terms over columns without a
-//     missing mask are evaluated together, two per loop, by
-//     model.NormalRun (on amd64 a pair that starts the class runs four
-//     rows per AVX register); every other term adds its own kernel's
-//     BlockLogProb.
+//     same loop. Consecutive single_normal_cn terms are evaluated
+//     together, up to three per loop, by model.NormalRun; a masked run
+//     (one of its columns has a missing value) skips each term's missing
+//     rows. On amd64 an unmasked pair that starts the class and a run of
+//     three that starts it run four rows per AVX register. Every other
+//     term adds its own kernel's BlockLogProb, and a class whose last
+//     term is not in a run folds the maximum in a pass of its own
+//     (model.FoldMax, four rows per register on amd64).
 //  2. Exp and sum (normScratch.expSum): v = exp(v − max), added into the
 //     row sums, by stats.ExpShiftSum. A per-row step then sets the
 //     log-evidence z = max + log(sum) and the reciprocal 1/sum.
-//  3. Scale, fold and statistics (blockScratch.foldStats): w = v·(1/sum),
-//     summed into the class weight W_j, with the first two such normal
-//     terms' Σw·x, Σw·x² and Σw accumulated in registers in the same loop
+//  3. Scale, fold and statistics (blockScratch.foldClasses): w =
+//     v·(1/sum), summed into the class weight W_j, with the first three
+//     normal terms' Σw·x, Σw·x² and Σw accumulated in the same loop
 //     (model.NormalRun again). Other terms read w, stored back into v,
-//     through BlockAccumulateStats. Four consecutive classes that each
-//     hold exactly one such run and no other term, over the same columns,
-//     fold together (model.FoldLanes), one class per AVX lane on amd64
-//     when the runs hold two terms.
+//     through BlockAccumulateStats. Four consecutive classes whose runs
+//     hold the same columns fold together (model.FoldLanes), one class
+//     per AVX lane on amd64 for unmasked runs of two that store nothing
+//     and for runs of three, whose kernel stores each class's weights
+//     class-major before its 4×4 transpose when another term reads them.
 //     The Predictor instead scales into its row-major memberships and
 //     takes each row's MAP class (normScratch.scaleArgmax).
 //
@@ -43,9 +47,12 @@ import (
 //   - v adds the terms in term order, each as the kernel's expression
 //     (c − d·d·inv2 for a normal term, which model.NormalRun evaluates
 //     next to the kernel that defines it), so a run split into pieces of
-//     at most two terms adds exactly what separate kernels add;
+//     at most three terms adds exactly what separate kernels add; a
+//     masked term leaves s as it was where its x is missing, as its
+//     kernel does, and the vector sweep 1 keeps the old s there with
+//     VBLENDVPD on VCMPPD's ordered mask, bit for bit, −0 included;
 //   - the row maximum starts at −Inf and takes strictly greater values,
-//     classes in ascending order; the vector sweep 1 takes it with
+//     classes in ascending order; the vector kernels take it with
 //     VMAXPD(s, mx), which returns s only when s > mx and mx on a tie
 //     (+0 and −0 included), on s ≤ mx and on NaN: the strict > itself;
 //   - each exponential is math.Exp(v − max) bit for bit, and the row sum
@@ -59,35 +66,29 @@ import (
 //     class its own lane, so every lane still adds its class's rows in
 //     ascending order;
 //   - a normal term's statistics accumulate w·x, (w·x)·x and w in
-//     ascending row order from zero, as its BlockAccumulateStats does —
-//     the Σw of every fused term is the same sum, so it is kept once;
+//     ascending row order from +0, as its BlockAccumulateStats does — in
+//     an unmasked run the Σw of every term is the same sum, so it is kept
+//     once, and each masked term keeps its own over its known rows; the
+//     vector sweep 3 ANDs a missing row's x and w to +0, and adding +0 is
+//     exact because a round-to-nearest sum that starts at +0 never holds
+//     −0;
 //   - a row scoring −Inf in every class ("dead") gets the uniform weight
 //     1/J and log-evidence −Inf (it adds no evidence): the per-row step
 //     sets its class values to 1 and its reciprocal to 1/J, so sweep 3
 //     computes 1·(1/J).
 //
 // sweeps_test.go keeps the unfused composition as the oracle and checks
-// this bitwise over normal runs of 1 to 6 terms, mixed term kinds, missing
-// masks, −Inf, NaN and dead rows, and J from 1 to 8 and 64; normalize_test.go checks sweeps 2 and 3
-// against the row-major softmax loop they replaced. NaN class sums match
-// as NaN only: Go leaves NaN payloads unspecified.
+// this bitwise over normal runs of 1 to 6 terms, mixed term kinds, masked
+// runs (ProteinMixture's three reals and a multinomial among them), −Inf,
+// NaN and dead rows, and J from 1 to 8 and 64; normalize_test.go checks
+// sweeps 2 and 3 against the row-major softmax loop they replaced. NaN
+// class sums match as NaN only: Go leaves NaN payloads unspecified.
 
 // normScratch is the normalizer's per-row state for one block.
 type normScratch struct {
 	max [KernelBlockRows]float64 // row maxima; the Predictor's best weights
 	inv [KernelBlockRows]float64 // row sums, then their reciprocals
 	z   [KernelBlockRows]float64 // per-row log-evidence
-}
-
-// foldMax folds v into the running row maxima mx: strictly greater values
-// win, so a NaN never does.
-func foldMax(mx, v []float64) {
-	mx = mx[:len(v)]
-	for r, x := range v {
-		if x > mx[r] {
-			mx[r] = x
-		}
-	}
 }
 
 // expSum is sweep 2 and the per-row step over the block's m rows: with the

@@ -147,7 +147,7 @@ func TestClassMajorNormalizerMatchesRowMajor(t *testing.T) {
 						mx[row] = math.Inf(-1)
 					}
 					for _, v := range lp {
-						foldMax(mx, v[:m])
+						model.FoldMax(mx, v[:m])
 					}
 					gotAcc := append([]float64(nil), acc0...)
 					bs.norm.expSum(lp, m, &gotAcc[j])

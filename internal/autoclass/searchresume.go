@@ -5,9 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"strings"
 
+	"repro/internal/atomicfile"
 	"repro/internal/dataset"
 )
 
@@ -344,9 +344,9 @@ func (st *SearchState) regenerateBest(res *SearchResult, run VariantRunner) erro
 	return st.commit(res)
 }
 
-// write persists the state atomically (write temp, rename), so a crash
-// mid-write leaves the previous state intact. A state without a Path is
-// not written.
+// write persists the state atomically (write temp, rename), so a crash or
+// a failed write leaves the previous state intact. A state without a Path
+// is not written.
 func (st *SearchState) write() error {
 	if st.Path == "" {
 		return nil
@@ -355,9 +355,5 @@ func (st *SearchState) write() error {
 	if err != nil {
 		return err
 	}
-	tmp := st.Path + ".tmp"
-	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, st.Path)
+	return atomicfile.Write(st.Path, raw)
 }

@@ -2,10 +2,12 @@ package autoclass
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/atomicfile"
 	"repro/internal/model"
 )
 
@@ -104,6 +106,63 @@ func TestResumeAfterInterruption(t *testing.T) {
 	for i := range ref.Tries {
 		if resumed.Tries[i].Seed != ref.Tries[i].Seed {
 			t.Fatalf("try %d seed diverged after resume", i)
+		}
+	}
+}
+
+// TestStateWriteFaults: a state write that fails — short, out of space, or
+// at the rename — fails the search and leaves the state file as the last
+// good write left it, with no temporary file beside it; the search
+// resumed from that file lands on the uninterrupted one bit for bit.
+func TestStateWriteFaults(t *testing.T) {
+	ds := paperDS(t, 700)
+	cfg := resumeCfg()
+	spec := model.DefaultSpec(ds)
+	ref, err := Search(ds, spec, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fault := range []atomicfile.Fault{atomicfile.ShortWrite, atomicfile.NoSpace, atomicfile.RenameFails} {
+		dir := t.TempDir()
+		statePath := filepath.Join(dir, "state.json")
+		disarm := atomicfile.Inject(statePath, 2, fault)
+		_, err := Search(ds, spec, cfg, &SearchOptions{StatePath: statePath})
+		disarm()
+		if err == nil {
+			t.Fatalf("fault %d: search succeeded through a failed state write", fault)
+		}
+		ents, err := os.ReadDir(dir)
+		if err != nil || len(ents) != 1 {
+			t.Fatalf("fault %d: state directory holds %v (%v), want only state.json", fault, ents, err)
+		}
+		raw, err := os.ReadFile(statePath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st stateFileV1
+		if err := json.Unmarshal(raw, &st); err != nil {
+			t.Fatalf("fault %d: the previous state no longer parses: %v", fault, err)
+		}
+		if len(st.Completed) != 2 {
+			t.Fatalf("fault %d: state holds %d tries, want the 2 of the last good write", fault, len(st.Completed))
+		}
+		for i, tr := range st.Completed {
+			if tr != ref.Tries[i] {
+				t.Fatalf("fault %d: state try %d is %+v, reference %+v", fault, i, tr, ref.Tries[i])
+			}
+		}
+		resumed, err := Search(ds, spec, cfg, &SearchOptions{StatePath: statePath})
+		if err != nil {
+			t.Fatalf("fault %d: resume: %v", fault, err)
+		}
+		if math.Float64bits(resumed.Best.LogPost) != math.Float64bits(ref.Best.LogPost) || resumed.BestTry != ref.BestTry || len(resumed.Tries) != len(ref.Tries) {
+			t.Fatalf("fault %d: resumed best %v (%d tries), reference %v (%d tries)", fault, resumed.Best.LogPost, len(resumed.Tries), ref.Best.LogPost, len(ref.Tries))
+		}
+		for i := range ref.Tries {
+			got, want := resumed.Tries[i], ref.Tries[i]
+			if got != want || math.Float64bits(got.Score) != math.Float64bits(want.Score) || math.Float64bits(got.LogLik) != math.Float64bits(want.LogLik) {
+				t.Fatalf("fault %d: resumed try %d is %+v, reference %+v", fault, i, got, want)
+			}
 		}
 	}
 }

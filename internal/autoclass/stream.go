@@ -182,14 +182,11 @@ func (st *StreamTrainer) mergeShard() {
 
 // foldInitBlock accumulates the crisp assignment's class counts and
 // statistics for rows [blo, bhi) of the batch — the engine's blocked
-// initialization with the global row index carried by the trainer.
+// initialization with the global row index carried by the trainer. The
+// counts are sums of 0/1 weights, so they are exact in any order.
 func (st *StreamTrainer) foldInitBlock(cols *dataset.Columns, blo, bhi int) {
 	j := st.cls.J()
-	wj := st.shard[:j]
-	for r := 0; r < bhi-blo; r++ {
-		wj[InitialClass(st.seed, st.rows+r, j)]++
-	}
-	st.ws.crispStatsBlock(st.cls.Classes, st.kerns.k, cols, blo, bhi, st.rows, st.seed, st.shard[j+1:], st.offs)
+	st.ws.crispStatsBlock(st.cls.Classes, st.kerns.k, cols, blo, bhi, st.rows, st.seed, st.shard[:j], st.shard[j+1:], st.offs)
 }
 
 // closePass merges the trailing partial shard and returns the cycle's row

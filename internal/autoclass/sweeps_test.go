@@ -232,16 +232,20 @@ func runSweeps(bs *blockScratch, classes []*Class, ks *kernelSet, cols *dataset.
 // composition bitwise — class sums, log-likelihood and every term's
 // statistics through the engine's step; memberships, MAP classes,
 // log-evidence and log-likelihood through the Predictor's — for normal
-// runs of 1 to 6 terms (split into pieces of two), runs after and before
-// other term kinds, masked normal columns inside a run, rows scoring −Inf,
-// NaN and −Inf everywhere, J ∈ {1, …, 8, 64} and block lengths 1 to 256.
-// Classes of one or two normal terms take sweep 3 model.Lanes at a time,
-// so J from 4 to 7 puts 0 to 3 classes after a group; "NNM" adds a term
-// after the run, so no group is taken. The same blocks then run on four
-// goroutines at once, each with its own scratch and all sharing one
-// kernel set, and must repeat the results.
+// runs of 1 to 6 terms (split into pieces of three), runs after and
+// before other term kinds, masked normal columns inside a run, rows
+// scoring −Inf, NaN and −Inf everywhere, J ∈ {1, …, 8, 64} and block
+// lengths 1 to 256. Sweep 3 takes model.Lanes classes at a time, so J
+// from 4 to 7 puts 0 to 3 classes after a group. "nnnM" is
+// ProteinMixture's shape: a masked run of three that starts its class
+// without folding the maximum, then a term that reads the weights the
+// group stores; "nnn" folds the maximum in the run and stores nothing,
+// "nNnM" mixes masked and unmasked columns in one run, and "nnnnM" adds a
+// one-term masked run that continues its class. The same blocks then run
+// on four goroutines at once, each with its own scratch and all sharing
+// one kernel set, and must repeat the results.
 func TestSweepsMatchUnfusedBlockStep(t *testing.T) {
-	scenarios := []string{"N", "NN", "NNN", "NNNN", "NNNNN", "NNNNNNnN", "MNNnNLGNN", "NNNM", "nnM", "NNM"}
+	scenarios := []string{"N", "NN", "NNN", "NNNN", "NNNNN", "NNNNNNnN", "MNNnNLGNN", "NNNM", "nnM", "NNM", "nnnM", "nnn", "nNnM", "nnnnM"}
 	for _, terms := range scenarios {
 		ds, spec := sweepScenario(t, terms, 600)
 		cols := ds.All().Columns()

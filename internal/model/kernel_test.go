@@ -31,7 +31,7 @@ func kernelCases(t *testing.T, n int) []struct {
 	for i := 0; i < n; i++ {
 		// Deterministic pseudo-random values; every 7th is missing.
 		u := func(salt int) float64 {
-			h := uint64(i*2654435761 + salt*40503)
+			h := uint64(i)*2654435761 + uint64(salt)*40503
 			return float64(h%10007) / 10007.0
 		}
 		miss := func(salt int) bool { return (i+salt)%7 == 0 }
@@ -150,7 +150,7 @@ func TestKernelMatchesTermStats(t *testing.T) {
 			kern := term.Kernel()
 			wts := make([]float64, n)
 			for i := range wts {
-				wts[i] = float64((i*2654435761)%1009) / 1009.0
+				wts[i] = float64((uint64(i)*2654435761)%1009) / 1009.0
 			}
 			for _, r := range [][2]int{{0, n}, {0, 1}, {1, n}, {n - 1, n}, {n / 3, 2 * n / 3}} {
 				lo, hi := r[0], r[1]
@@ -209,7 +209,7 @@ func TestKernelConcurrentBlockCalls(t *testing.T) {
 			kern := term.Kernel()
 			wts := make([]float64, n)
 			for i := range wts {
-				wts[i] = float64((i*2654435761)%1009) / 1009.0
+				wts[i] = float64((uint64(i)*2654435761)%1009) / 1009.0
 			}
 			wantLP := make([]float64, n)
 			kern.BlockLogProb(cols, 0, n, wantLP, &Scratch{})

@@ -138,9 +138,9 @@ func (k *normalKernel) Refresh() {
 	k.inv2 = 1 / (2 * k.t.sigma * k.t.sigma)
 }
 
-// BlockLogProb skips missing values. The engine scores columns without a
-// missing value through NormalRun, two terms per loop, so this per-term
-// loop serves the masked columns.
+// BlockLogProb skips missing values. The engine scores normal terms
+// through NormalRun, up to three per loop, so this per-term loop is the
+// Kernel interface's and the oracle the runs are tested against.
 func (k *normalKernel) BlockLogProb(cols *dataset.Columns, lo, hi int, out []float64, _ *Scratch) {
 	col := cols.Col(k.t.attr)[lo:hi]
 	mean, c, inv2 := k.mean, k.c, k.inv2
@@ -186,33 +186,37 @@ func addNormalStats(st []float64, sx, sxx, sw float64) {
 }
 
 // normalRunMax is the most terms a NormalRun holds. Longer runs of normal
-// terms split into consecutive runs; no benchmarked model has a class with
-// more than two normal terms over columns without missing values.
-const normalRunMax = 2
+// terms split into consecutive runs; a ProteinMixture class is three
+// normal terms followed by a multinomial.
+const normalRunMax = 3
 
-// NormalRun is up to two single_normal_cn terms of one class over columns
-// without missing values, bound to one row block, whose kernels the block
-// step evaluates in one loop per sweep: Score adds their log-densities,
-// Fold accumulates their statistics from the weights. Each term keeps its
-// kernel's expression c − d·d·inv2 and its statistics layout, and every
-// sum runs in ascending row order, so a run adds exactly what its kernels'
-// BlockLogProb and BlockAccumulateStats add one after the other.
+// NormalRun is up to three single_normal_cn terms of one class, bound to
+// one row block, whose kernels the block step evaluates in one loop per
+// sweep: Score adds their log-densities, Fold accumulates their statistics
+// from the weights. Each term keeps its kernel's expression c − d·d·inv2
+// and its statistics layout, and every sum runs in ascending row order, so
+// a run adds exactly what its kernels' BlockLogProb and
+// BlockAccumulateStats add one after the other. A run is masked when one
+// of its columns has a missing value: then, as its kernels do, each term
+// skips the rows where its x is missing (NaN) and keeps its own Σw over
+// its known rows, where an unmasked run keeps one Σw for all its terms.
 type NormalRun struct {
-	n  int
-	k  [normalRunMax]*normalKernel
-	x  [normalRunMax][]float64
-	st [normalRunMax][]float64
+	n      int
+	masked bool
+	k      [normalRunMax]*normalKernel
+	x      [normalRunMax][]float64
+	st     [normalRunMax][]float64
 }
 
 // Add appends k, over rows [lo, hi) of cols and with the statistics slot st
 // (nil when only scoring), and reports whether it did: k must be the
-// kernel of a single_normal_cn term over a column with no missing value,
-// and the run must have room.
+// kernel of a single_normal_cn term, and the run must have room.
 func (run *NormalRun) Add(k Kernel, cols *dataset.Columns, lo, hi int, st []float64) bool {
 	nk, ok := k.(*normalKernel)
-	if !ok || run.n == normalRunMax || cols.HasMissing(nk.t.attr) {
+	if !ok || run.n == normalRunMax {
 		return false
 	}
+	run.masked = run.masked || cols.HasMissing(nk.t.attr)
 	run.k[run.n] = nk
 	run.x[run.n] = cols.Col(nk.t.attr)[lo:hi]
 	run.st[run.n] = st
@@ -230,13 +234,21 @@ func (run *NormalRun) Holds(k Kernel) bool {
 	return false
 }
 
+// perTerm reports whether the run takes the masked Go loops: it is masked,
+// or it holds three terms, which the unmasked loops (the paper model's
+// runs of one or two) do not cover. The masked loops are exact for a
+// column without missing values too: no x is NaN there, and each term's
+// own Σw is the shared one.
+func (run *NormalRun) perTerm() bool { return run.masked || run.n == normalRunMax }
+
 // Score adds the run's log-densities into the class vector v in term
 // order, starting each row from logPi instead of v when first, and, when
 // fold, folds each row's final value into the row maxima mx (strictly
-// greater wins). Where the vector kernels run (normal_amd64.s) and the
-// run holds two terms, starts its class and folds, the rows up to the
-// last multiple of four go four to a register; the rest, and every other
-// run, take the Go loop.
+// greater wins). Where the vector kernels run (normal_amd64.s), the rows
+// up to the last multiple of four go four to a register for an unmasked
+// run of two terms that starts its class and folds, and for a run of
+// three that starts its class and does not fold; the rest, and every
+// other run, take the Go loop.
 func (run *NormalRun) Score(v, mx []float64, logPi float64, first, fold bool) {
 	mx = mx[:len(v)]
 	q := run.scoreQuads(v, mx, logPi, first, fold)
@@ -249,6 +261,10 @@ func (run *NormalRun) Score(v, mx []float64, logPi float64, first, fold bool) {
 // costs more than the duplicated loop.
 func (run *NormalRun) score(v, mx []float64, off int, logPi float64, first, fold bool) {
 	mx = mx[:len(v)]
+	if run.perTerm() {
+		run.scoreMasked(v, mx, off, logPi, first, fold)
+		return
+	}
 	switch run.n {
 	case 1:
 		x0 := run.x[0][off : off+len(v)]
@@ -306,11 +322,34 @@ func (run *NormalRun) score(v, mx []float64, off int, logPi float64, first, fold
 	}
 }
 
-// runSums is the running state of one run's Fold: the class sum W, each
-// term's Σw·x and Σ(w·x)·x, and the Σw the terms share.
+// scoreMasked is score for a run that takes the masked loops: a row's s
+// starts from logPi or v, and each term adds its expression to it only
+// where its x is known, so a missing x leaves s as it was, bit for bit.
+func (run *NormalRun) scoreMasked(v, mx []float64, off int, logPi float64, first, fold bool) {
+	for r := range v {
+		s := v[r]
+		if first {
+			s = logPi
+		}
+		for t, k := range run.k[:run.n] {
+			if x := run.x[t][off+r]; x == x {
+				d := x - k.mean
+				s += k.c - d*d*k.inv2
+			}
+		}
+		v[r] = s
+		if fold && s > mx[r] {
+			mx[r] = s
+		}
+	}
+}
+
+// runSums is the running state of one run's Fold: the class sum W and
+// each term's Σw·x, Σ(w·x)·x and Σw. An unmasked run of one or two terms
+// keeps the Σw its terms share in sw[0] alone.
 type runSums struct {
-	w, sw   float64
-	sx, sxx [normalRunMax]float64
+	w           float64
+	sx, sxx, sw [normalRunMax]float64
 }
 
 // Fold scales the class vector v by the row reciprocals inv into weights,
@@ -330,6 +369,10 @@ func (run *NormalRun) Fold(v, inv []float64, W float64, store bool) float64 {
 // it continues the sums in s.
 func (run *NormalRun) fold(v, inv []float64, off int, store bool, s *runSums) {
 	inv = inv[:len(v)]
+	if run.perTerm() {
+		run.foldMasked(v, inv, off, store, s)
+		return
+	}
 	W := s.w
 	switch run.n {
 	case 0:
@@ -342,7 +385,7 @@ func (run *NormalRun) fold(v, inv []float64, off int, store bool, s *runSums) {
 		}
 	case 1:
 		x0 := run.x[0][off : off+len(v)]
-		sx0, sxx0, sw := s.sx[0], s.sxx[0], s.sw
+		sx0, sxx0, sw := s.sx[0], s.sxx[0], s.sw[0]
 		for r := range v {
 			w := float64(v[r] * inv[r])
 			W += w
@@ -354,10 +397,10 @@ func (run *NormalRun) fold(v, inv []float64, off int, store bool, s *runSums) {
 			sxx0 += wx * x0[r]
 			sw += w
 		}
-		s.sx[0], s.sxx[0], s.sw = sx0, sxx0, sw
+		s.sx[0], s.sxx[0], s.sw[0] = sx0, sxx0, sw
 	case 2:
 		x0, x1 := run.x[0][off:off+len(v)], run.x[1][off:off+len(v)]
-		sx0, sxx0, sx1, sxx1, sw := s.sx[0], s.sxx[0], s.sx[1], s.sxx[1], s.sw
+		sx0, sxx0, sx1, sxx1, sw := s.sx[0], s.sxx[0], s.sx[1], s.sxx[1], s.sw[0]
 		for r := range v {
 			w := float64(v[r] * inv[r])
 			W += w
@@ -372,7 +415,29 @@ func (run *NormalRun) fold(v, inv []float64, off int, store bool, s *runSums) {
 			sxx1 += wx * x1[r]
 			sw += w
 		}
-		s.sx[0], s.sxx[0], s.sx[1], s.sxx[1], s.sw = sx0, sxx0, sx1, sxx1, sw
+		s.sx[0], s.sxx[0], s.sx[1], s.sxx[1], s.sw[0] = sx0, sxx0, sx1, sxx1, sw
+	}
+	s.w = W
+}
+
+// foldMasked is fold for a run that takes the masked loops: each term adds
+// w·x, (w·x)·x and w into its own sums only where its x is known.
+func (run *NormalRun) foldMasked(v, inv []float64, off int, store bool, s *runSums) {
+	W := s.w
+	for r := range v {
+		w := float64(v[r] * inv[r])
+		W += w
+		if store {
+			v[r] = w
+		}
+		for t := range run.k[:run.n] {
+			if x := run.x[t][off+r]; x == x {
+				wx := w * x
+				s.sx[t] += wx
+				s.sxx[t] += wx * x
+				s.sw[t] += w
+			}
+		}
 	}
 	s.w = W
 }
@@ -380,7 +445,11 @@ func (run *NormalRun) fold(v, inv []float64, off int, store bool, s *runSums) {
 // flush adds each term's sums into its statistics slot.
 func (run *NormalRun) flush(s *runSums) {
 	for t := 0; t < run.n; t++ {
-		addNormalStats(run.st[t], s.sx[t], s.sxx[t], s.sw)
+		sw := s.sw[t]
+		if !run.perTerm() {
+			sw = s.sw[0]
+		}
+		addNormalStats(run.st[t], s.sx[t], s.sxx[t], sw)
 	}
 }
 
@@ -389,25 +458,25 @@ func (run *NormalRun) flush(s *runSums) {
 const Lanes = 4
 
 // laneSums is runSums for Lanes runs at once, element l of every array
-// belonging to lane l — the layout the vector kernel keeps in registers.
+// belonging to lane l — the layout the vector kernels keep in registers.
 type laneSums struct {
-	w, sw   [Lanes]float64
-	sx, sxx [normalRunMax][Lanes]float64
+	w           [Lanes]float64
+	sx, sxx, sw [normalRunMax][Lanes]float64
 }
 
-// FoldLanes folds Lanes classes at once without storing their weights:
-// runs[l], bound to the same row block as the others, holds the normal
-// terms of class l, v[l] is that class's vector and W[l] its running
-// class sum, and inv holds the row reciprocals every class shares. It
-// leaves W[l] and every statistics slot exactly as
-// runs[l].Fold(v[l], inv, W[l], false) would, one class after another:
-// each lane scales its own class's values and adds them in ascending row
-// order, so no sum changes its order. Where the vector kernels run and
-// the runs hold two terms, the rows up to the last multiple of four go
-// one class per lane; the rest, and every row elsewhere, run Fold's Go
-// loop. It reports false, doing nothing, when the runs do not all hold
-// the same non-empty list of columns.
-func FoldLanes(runs *[Lanes]NormalRun, v *[Lanes][]float64, inv []float64, W *[Lanes]float64) bool {
+// FoldLanes folds Lanes classes at once: runs[l], bound to the same row
+// block as the others, holds the normal terms of class l, v[l] is that
+// class's vector and W[l] its running class sum, and inv holds the row
+// reciprocals every class shares. It leaves W[l], v[l] and every
+// statistics slot exactly as runs[l].Fold(v[l], inv, W[l], store) would,
+// one class after another: each lane scales its own class's values and
+// adds them in ascending row order, so no sum changes its order. Where
+// the vector kernels run, the rows up to the last multiple of four go one
+// class per lane for unmasked runs of two terms that do not store and for
+// runs of three; the rest, and every row elsewhere, run Fold's Go loop.
+// It reports false, doing nothing, when the runs do not all hold the same
+// non-empty list of columns.
+func FoldLanes(runs *[Lanes]NormalRun, v *[Lanes][]float64, inv []float64, W *[Lanes]float64, store bool) bool {
 	n := runs[0].n
 	if n == 0 {
 		return false
@@ -429,17 +498,32 @@ func FoldLanes(runs *[Lanes]NormalRun, v *[Lanes][]float64, inv []float64, W *[L
 		vs[l] = vs[l][:m]
 	}
 	ls := laneSums{w: *W}
-	q := foldLaneQuads(runs, &vs, inv, &ls)
+	q := foldLaneQuads(runs, &vs, inv, store, &ls)
 	for l := range runs {
-		s := runSums{w: ls.w[l], sw: ls.sw[l]}
+		s := runSums{w: ls.w[l]}
 		for t := 0; t < n; t++ {
-			s.sx[t], s.sxx[t] = ls.sx[t][l], ls.sxx[t][l]
+			s.sx[t], s.sxx[t], s.sw[t] = ls.sx[t][l], ls.sxx[t][l], ls.sw[t][l]
 		}
-		runs[l].fold(vs[l][q:], inv[q:], q, false, &s)
+		if q < m {
+			runs[l].fold(vs[l][q:], inv[q:], q, store, &s)
+		}
 		runs[l].flush(&s)
 		W[l] = s.w
 	}
 	return true
+}
+
+// FoldMax folds v into the running row maxima mx: strictly greater values
+// win, so a NaN never does. Where the vector kernels run, the rows up to
+// the last multiple of four go four to a register.
+func FoldMax(mx, v []float64) {
+	mx = mx[:len(v)]
+	q := foldMaxQuads(mx, v)
+	for r, x := range v[q:] {
+		if x > mx[q+r] {
+			mx[q+r] = x
+		}
+	}
 }
 
 // KLTo implements Term: the closed-form Gaussian divergence

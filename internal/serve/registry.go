@@ -10,6 +10,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/atomicfile"
 )
 
 // The model registry: named, versioned, explicitly published models. A
@@ -169,10 +171,11 @@ func (r *registry) publish(id, jobID string, attrs []AttrSpec, j int, score floa
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	// A new model joins the registry only once its first artifact is on
+	// disk: a failed write must not list an empty model.
 	m := r.st.Models[id]
 	if m == nil {
 		m = &regModel{ID: id, Attrs: attrs}
-		r.st.Models[id] = m
 	}
 	next := 1
 	if n := len(m.Versions); n > 0 {
@@ -192,13 +195,10 @@ func (r *registry) publish(id, jobID string, attrs []AttrSpec, j int, score floa
 	}
 	// Artifact first, registry.json second: a crash between the two leaves
 	// an orphaned file, never a registered version without its bits.
-	tmp := dst + ".tmp"
-	if err := os.WriteFile(tmp, art, 0o644); err != nil {
+	if err := atomicfile.Write(dst, art); err != nil {
 		return ModelVersion{}, 0, err
 	}
-	if err := os.Rename(tmp, dst); err != nil {
-		return ModelVersion{}, 0, err
-	}
+	r.st.Models[id] = m
 	m.Versions = append(m.Versions, ver)
 	if activate || m.Active == 0 {
 		m.Active = next

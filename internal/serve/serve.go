@@ -38,6 +38,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/atomicfile"
 	"repro/internal/autoclass"
 	"repro/internal/model"
 	"repro/internal/mpi"
@@ -602,11 +603,7 @@ func writeJSON(path string, v any) error {
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return atomicfile.Write(path, b)
 }
 
 func readJSON(path string, v any) error {
