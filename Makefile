@@ -23,7 +23,8 @@ vet:
 # values, so a one-core host cannot hide a race; the exp kernel's
 # self-check must fall back when FMA is off; its non-amd64 fallback must
 # keep compiling; and on 386, where no vector kernel builds, the Go loops
-# run as the whole path against the unfused oracle.
+# run as the whole path against the unfused oracle, the per-row test
+# oracle and the per-row WtsOnly engine.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,2,4 \
@@ -33,7 +34,8 @@ race:
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=386 $(GO) vet ./...
 	GOARCH=386 $(GO) test ./internal/model ./internal/stats
-	GOARCH=386 $(GO) test -run 'Sweeps|NormalRun|FoldLanes|Normaliz|Chunked|Parallelism|Bitwise|Kernel' ./internal/autoclass
+	GOARCH=386 $(GO) test -run 'Sweeps|NormalRun|FoldLanes|Normaliz|Chunked|Parallelism|Bitwise|Kernel|BlockedMatchesReference' ./internal/autoclass
+	GOARCH=386 $(GO) test -run 'WtsOnlyEqualsFull' ./internal/pautoclass
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...

@@ -51,7 +51,6 @@ func run(args []string, w io.Writer) error {
 	syncDriftTol := fs.Float64("sync-drift-tol", 0.05, "with -sync-every > 1: relative log-likelihood drift that forces an early synchronization (0 disables the bound)")
 	strategy := fs.String("strategy", "full", "parallel strategy: full or wtsonly")
 	granularity := fs.String("granularity", "perterm", "statistics exchange: perterm or packed")
-	kernels := fs.String("kernels", "blocked", "term evaluation path: blocked (columnar kernels) or reference (per-row bitwise oracle)")
 	machine := fs.String("machine", "none", "virtual machine model: none, meiko or pentium")
 	correlated := fs.Bool("correlated", false, "model real attributes with a joint covariance term")
 	models := fs.Bool("models", false, "run the model-level search over every applicable model form (sequential only)")
@@ -152,14 +151,6 @@ func run(args []string, w io.Writer) error {
 		cfg.EM.Granularity = repro.Packed
 	default:
 		return fmt.Errorf("unknown granularity %q", *granularity)
-	}
-	switch *kernels {
-	case "blocked":
-		cfg.EM.Kernels = repro.Blocked
-	case "reference":
-		cfg.EM.Kernels = repro.Reference
-	default:
-		return fmt.Errorf("unknown kernels %q", *kernels)
 	}
 	var mach *repro.Machine
 	switch *machine {

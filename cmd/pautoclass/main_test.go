@@ -330,8 +330,6 @@ func TestCLIChunkedErrors(t *testing.T) {
 		"negative-budget":        {"-chunked", chunkPath, "-memory-budget", "-3MiB"},
 		"chunked-wtsonly": {"-chunked", chunkPath, "-procs", "2", "-strategy", "wtsonly",
 			"-start-j", "2", "-tries", "1", "-max-cycles", "5"},
-		"chunked-reference": {"-chunked", chunkPath, "-kernels", "reference",
-			"-start-j", "2", "-tries", "1", "-max-cycles", "5"},
 	}
 	for name, args := range cases {
 		if err := run(args, &buf); err == nil {

@@ -85,11 +85,6 @@ type Config struct {
 	// changing the worker count never changes the search trajectory. See
 	// parallel.go for the determinism invariant.
 	Parallelism int
-	// Kernels selects the term-evaluation path of the two data-parallel
-	// phases. The zero value is Blocked (the fast columnar kernels), so
-	// zero-valued Configs get the fast path; set Reference for the per-row
-	// path that is bitwise identical to the seed engine. See kernels.go.
-	Kernels KernelMode
 	// SyncEvery is the bounded-staleness schedule of the parallel engine:
 	// each rank runs up to SyncEvery local EM cycles on stale global
 	// parameters, folding its local sufficient-statistic deltas back into
@@ -140,9 +135,6 @@ func (c Config) validate() error {
 	if c.ConvergeWindow < 1 {
 		return errors.New("autoclass: ConvergeWindow < 1")
 	}
-	if c.Kernels != Blocked && c.Kernels != Reference {
-		return fmt.Errorf("autoclass: unknown kernel mode %d", int(c.Kernels))
-	}
 	if c.SyncEvery < 0 {
 		return errors.New("autoclass: negative SyncEvery")
 	}
@@ -153,12 +145,12 @@ func (c Config) validate() error {
 // values exchanged through the Reducer.
 type CycleStats struct {
 	// WtsSeconds, ParamsSeconds and ApproxSeconds are the wall-clock
-	// durations of the three phases. Blocked kernels run the E-step and
-	// the statistics accumulation as one fused pass over the data
-	// (lowmem.go), so WtsSeconds covers that whole pass plus the weights
-	// reduction, and ParamsSeconds only the statistics exchange and the
-	// term updates. The Reference oracle keeps the two-pass split, with
-	// the accumulation pass in ParamsSeconds.
+	// durations of the three phases. The engine runs the E-step and the
+	// statistics accumulation as one fused pass over the data (lowmem.go),
+	// so WtsSeconds covers that whole pass plus the weights reduction, and
+	// ParamsSeconds only the statistics exchange and the term updates. The
+	// WtsOnly baseline in package pautoclass keeps the paper's two-pass
+	// split, with the accumulation pass in ParamsSeconds.
 	WtsSeconds, ParamsSeconds, ApproxSeconds float64
 	// ReducedValues counts float64s passed through the Reducer.
 	ReducedValues int
@@ -237,8 +229,7 @@ type Engine struct {
 	reducer Reducer
 	charger Charger
 
-	wts         []float64 // Reference only: local weights, n_local × J, row-major
-	belowTol    int       // consecutive cycles below RelDelta
+	belowTol    int // consecutive cycles below RelDelta
 	lastPost    float64
 	started     bool
 	initSeconds float64
@@ -300,12 +291,6 @@ func NewEngine(view *dataset.View, cls *Classification, cfg Config, red Reducer,
 		lastPost: math.Inf(-1),
 	}
 	if view.Dataset().Chunked() {
-		// The chunk-backed data plane serves only the blocked kernels: the
-		// Reference per-row path walks row slices that virtual datasets do
-		// not have.
-		if cfg.Kernels != Blocked {
-			return nil, errors.New("autoclass: Reference kernels require a materialized dataset")
-		}
 		src, err := view.ChunkSrc()
 		if err != nil {
 			return nil, err
@@ -342,8 +327,8 @@ func (e *Engine) SetCycleHook(h CycleHook) { e.cycleHook = h }
 // EngineState is the cycle-boundary snapshot of the engine's mutable search
 // state beyond the Classification itself: together with the classification
 // (parameters, weights, posterior) it is sufficient to continue the run —
-// the per-item weights matrix is recomputed from the parameters at the top
-// of the next BaseCycle, so it never needs to be persisted.
+// the per-item weights are recomputed from the parameters in the next
+// BaseCycle, so they never need to be persisted.
 type EngineState struct {
 	// Cycles is the classification's total cycle count at the snapshot.
 	Cycles int
@@ -415,27 +400,6 @@ func (e *Engine) reduce(buf []float64) (int, error) {
 	return len(buf), nil
 }
 
-// wtsRows runs the E-step over rows [lo, hi), writing each row's weights
-// into e.wts and accumulating the class sums and log-likelihood into out
-// (length J+1). logp is caller-owned scratch of length J. It only reads
-// shared classification state, so disjoint row ranges may run concurrently.
-func (e *Engine) wtsRows(lo, hi int, out, logp []float64) {
-	j := e.cls.J()
-	for i := lo; i < hi; i++ {
-		row := e.view.Row(i)
-		e.cls.LogMembership(row, logp)
-		z := stats.NormalizeLog(logp)
-		w := e.wts[i*j : (i+1)*j]
-		for cj := 0; cj < j; cj++ {
-			w[cj] = logp[cj]
-			out[cj] += logp[cj]
-		}
-		if !math.IsInf(z, -1) {
-			out[j] += z
-		}
-	}
-}
-
 // exchangeStats reduces the accumulated statistics globally and
 // re-estimates every term — the exchange half of update_parameters,
 // shared by the synchronous cycle and the initialization. With PerTerm
@@ -489,64 +453,46 @@ func exchangeClassStats(cls *Classification, g Granularity, reduce func([]float6
 	return reducedValues, reductions, nil
 }
 
-// statOffsets rebuilds the (class, term) statistics offset table in place
-// (class pruning can shrink it), allocating only when it grows, and
-// returns it with the total statistics length.
-func (e *Engine) statOffsets() ([]int, int) {
-	offs := e.offs[:0]
+// statOffsets rebuilds the (class, term) statistics offset table of cls
+// in offs (class pruning can shrink it), allocating only when it grows,
+// and returns it with the total statistics length. The engine and the
+// StreamTrainer share it, with the two bookkeeping steps below.
+func statOffsets(cls *Classification, offs []int) ([]int, int) {
+	offs = offs[:0]
 	total := 0
-	for _, cl := range e.cls.Classes {
+	for _, cl := range cls.Classes {
 		for _, term := range cl.Terms {
 			offs = append(offs, total)
 			total += term.StatsSize()
 		}
 	}
-	offs = append(offs, total)
-	e.offs = offs
-	return offs, total
-}
-
-// statsRows folds rows [lo, hi) into buf, which holds every (class, term)
-// statistics vector back to back at the offsets in offs (len(offs) is the
-// term count + 1). AccumulateStats only reads term state and writes the
-// caller's slice, so disjoint row ranges may run concurrently on disjoint
-// buffers.
-func (e *Engine) statsRows(lo, hi int, buf []float64, offs []int) {
-	j := e.cls.J()
-	for i := lo; i < hi; i++ {
-		row := e.view.Row(i)
-		ti := 0
-		for cj, cl := range e.cls.Classes {
-			w := e.wts[i*j+cj]
-			for _, term := range cl.Terms {
-				term.AccumulateStats(row, w, buf[offs[ti]:offs[ti+1]])
-				ti++
-			}
-		}
-	}
+	return append(offs, total), total
 }
 
 // updateApproximations refreshes the cached posterior quantities — the
-// cheap third phase whose cost the paper found negligible (§3.1).
-func (e *Engine) updateApproximations() {
-	e.cls.UpdateClassWeightsFromW()
-	e.cls.RefreshPosterior()
-	e.charge(float64(e.cls.J()) * float64(e.cls.NumAttrColumns()+4))
+// cheap third phase whose cost the paper found negligible (§3.1) — and
+// charges it to ch (nil disables accounting).
+func updateApproximations(cls *Classification, ch Charger) {
+	cls.UpdateClassWeightsFromW()
+	cls.RefreshPosterior()
+	if ch != nil {
+		ch.ChargeOps(float64(cls.J()) * float64(cls.NumAttrColumns()+4))
+	}
 }
 
 // pruneDeadClasses removes classes whose global weight fell below
-// MinClassWeight. The decision uses globally reduced W values, so every rank prunes
-// identically. It returns the kept class indices when classes were removed
-// and nil when nothing changed, so the bounded-staleness path can compact
-// its sync baselines with the same mapping.
-func (e *Engine) pruneDeadClasses() []int {
-	if !e.cfg.PruneClasses || e.cls.J() <= 1 {
+// cfg.MinClassWeight. The decision uses globally reduced W values, so every
+// rank prunes identically. It returns the kept class indices when classes
+// were removed and nil when nothing changed, so the bounded-staleness path
+// can compact its sync baselines with the same mapping.
+func pruneDeadClasses(cls *Classification, cfg Config) []int {
+	if !cfg.PruneClasses || cls.J() <= 1 {
 		return nil
 	}
-	j := e.cls.J()
+	j := cls.J()
 	keep := make([]int, 0, j)
-	for cj, cl := range e.cls.Classes {
-		if cl.W >= e.cfg.MinClassWeight {
+	for cj, cl := range cls.Classes {
+		if cl.W >= cfg.MinClassWeight {
 			keep = append(keep, cj)
 		}
 	}
@@ -556,8 +502,8 @@ func (e *Engine) pruneDeadClasses() []int {
 	if len(keep) == 0 {
 		// Keep the heaviest class rather than dying completely.
 		best := 0
-		for cj, cl := range e.cls.Classes {
-			if cl.W > e.cls.Classes[best].W {
+		for cj, cl := range cls.Classes {
+			if cl.W > cls.Classes[best].W {
 				best = cj
 			}
 		}
@@ -567,10 +513,10 @@ func (e *Engine) pruneDeadClasses() []int {
 	// no weights matrix to compact.
 	newClasses := make([]*Class, len(keep))
 	for ni, cj := range keep {
-		newClasses[ni] = e.cls.Classes[cj]
+		newClasses[ni] = cls.Classes[cj]
 	}
-	e.cls.Classes = newClasses
-	e.cls.UpdateClassWeightsFromW()
+	cls.Classes = newClasses
+	cls.UpdateClassWeightsFromW()
 	return keep
 }
 
@@ -607,7 +553,6 @@ func (e *Engine) BaseCycle() (CycleStats, error) {
 	cs.WtsSeconds = time.Since(t0).Seconds()
 
 	t1 := time.Now()
-	e.statsPass(combined[j+1:], offs)
 	rv, rn, err := e.exchangeStats(combined[j+1:], offs)
 	if err != nil {
 		return cs, err
@@ -618,10 +563,10 @@ func (e *Engine) BaseCycle() (CycleStats, error) {
 	cs.ParamsSeconds = time.Since(t1).Seconds()
 
 	t2 := time.Now()
-	e.updateApproximations()
+	updateApproximations(e.cls, e.charger)
 	cs.ApproxSeconds = time.Since(t2).Seconds()
 
-	e.pruneDeadClasses()
+	pruneDeadClasses(e.cls, e.cfg)
 	e.cls.Cycles++
 	cs.LogPost = e.cls.LogPost
 	return cs, nil

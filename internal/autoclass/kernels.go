@@ -5,58 +5,6 @@ import (
 	"repro/internal/model"
 )
 
-// KernelMode selects how the engine's two data-parallel phases evaluate the
-// model terms.
-type KernelMode int
-
-const (
-	// Blocked is the default: column-major blocked kernels with per-cycle
-	// constants precomputed once per (class, term) — no interface call and
-	// no recomputed invariant on the per-row hot path. Results agree with
-	// Reference to ≤1e-12 relative and are themselves fully deterministic
-	// (fixed block grid inside the fixed shard grid), so trajectories are
-	// bitwise reproducible for any Parallelism within Blocked mode.
-	Blocked KernelMode = iota
-	// Reference is the seed engine's per-row Term path, retained as the
-	// bitwise ground truth the blocked kernels are tested against.
-	Reference
-)
-
-// String implements fmt.Stringer.
-func (m KernelMode) String() string {
-	switch m {
-	case Blocked:
-		return "blocked"
-	case Reference:
-		return "reference"
-	default:
-		return "KernelMode(" + itoa(int(m)) + ")"
-	}
-}
-
-// itoa avoids importing strconv for one error-path formatting.
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var b [24]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		b[i] = '-'
-	}
-	return string(b[i:])
-}
-
 // KernelBlockRows is the row-block size of the blocked kernels. It divides
 // RowShardSize, so the block grid inside every shard is identical whether a
 // shard is processed alone or as part of a larger sequential range — the
@@ -127,16 +75,25 @@ func (ks *kernelSet) prepare(classes []*Class) {
 // a time: per-class block vectors (KernelBlockRows long) that hold the
 // log-memberships and then, in place, the exponentials and weights of the
 // block step; the crisp initialization's class counts; the kernels' own
-// scratch; the normalizer's per-row vectors; a per-row log-membership
-// vector for the Reference path; and — on chunk-backed views — the
-// worker's chunk cursor, pinning exactly the chunk under its blocks.
+// scratch; the normalizer's per-row vectors; and — on chunk-backed views —
+// the worker's chunk cursor, pinning exactly the chunk under its blocks.
+//
+// placementPad keeps norm at the offset the block step was tuned with
+// (120 bytes in). The block step's hot arrays are norm's three inline
+// 2 KiB vectors and the separately allocated class vectors: without the
+// pad, norm sits 24 bytes earlier and train-paper's train_s read 3.0%
+// slower (10 of 10 alternating benchmark pairs, 2-vCPU Xeon @ 2.1 GHz)
+// with every float64 unchanged. The mechanism, possibly 4K aliasing
+// between stores to one array and loads from another, is not
+// established. Reorder or resize these fields only with an A/B of
+// train-paper.
 type blockScratch struct {
-	lp     [][]float64
-	counts []float64
-	logp   []float64
-	ks     model.Scratch
-	norm   normScratch
-	cur    dataset.ChunkCursor
+	lp           [][]float64
+	counts       []float64
+	placementPad [24]byte
+	ks           model.Scratch
+	norm         normScratch
+	cur          dataset.ChunkCursor
 }
 
 // grow sizes the scratch for j classes, allocating only when j grows.
@@ -144,8 +101,7 @@ func (bs *blockScratch) grow(j int) {
 	for len(bs.lp) < j {
 		bs.lp = append(bs.lp, make([]float64, KernelBlockRows))
 	}
-	if len(bs.logp) < j {
-		bs.logp = make([]float64, j)
+	if len(bs.counts) < j {
 		bs.counts = make([]float64, j)
 	}
 }

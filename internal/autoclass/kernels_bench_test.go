@@ -11,13 +11,11 @@ import (
 
 // benchEngine builds a warmed-up single-rank engine over the paper's
 // synthetic two-real-attribute dataset at J=8 — the configuration of the
-// paper's Fig. 8 runs — in the given kernel mode, and warms the runtime's
-// thread pool (warmThreads).
-func benchEngine(b *testing.B, n, j int, mode KernelMode) *Engine {
+// paper's Fig. 8 runs — and warms the runtime's thread pool (warmThreads).
+func benchEngine(b *testing.B, n, j int) *Engine {
 	b.Helper()
 	ds := paperDS(b, n)
 	cfg := DefaultConfig()
-	cfg.Kernels = mode
 	cfg.PruneClasses = false
 	cls := mustClassification(b, ds, j)
 	eng := mustEngine(b, ds, cls, cfg)
@@ -58,45 +56,62 @@ func warmThreads(n int) {
 }
 
 // BenchmarkUpdateWts measures the E-step alone — the phase the paper's
-// Fig. 4 profile singles out as the dominant base_cycle cost — under both
-// kernel modes: the fused pass's E-step half (kernels plus the class-major
-// normalizer) against the reference per-row loop.
+// Fig. 4 profile singles out as the dominant base_cycle cost: the fused
+// pass's E-step half (kernels plus the class-major normalizer) as
+// kernels=blocked, against the per-row oracle (refEStep) as
+// kernels=reference. cmd/benchkernels pairs the two names.
 func BenchmarkUpdateWts(b *testing.B) {
-	for _, mode := range []KernelMode{Blocked, Reference} {
-		b.Run("kernels="+mode.String(), func(b *testing.B) {
-			eng := benchEngine(b, 10000, 8, mode)
-			n, j := eng.view.N(), eng.cls.J()
-			out := make([]float64, j+1)
-			logp := make([]float64, j)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if mode == Blocked {
-					blockedEStep(eng, out, nil)
-				} else {
-					eng.wtsRows(0, n, out, logp)
-				}
-			}
-		})
-	}
+	b.Run("kernels=blocked", func(b *testing.B) {
+		eng := benchEngine(b, 10000, 8)
+		out := make([]float64, eng.cls.J()+1)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			blockedEStep(eng, out, nil)
+		}
+	})
+	b.Run("kernels=reference", func(b *testing.B) {
+		eng := benchEngine(b, 10000, 8)
+		n, j := eng.view.N(), eng.cls.J()
+		out := make([]float64, j+1)
+		wts := make([]float64, n*j)
+		logp := make([]float64, j)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			refEStep(eng, out, wts, logp)
+		}
+	})
 }
 
-// BenchmarkBaseCycle measures one full E+M+approximation cycle under both
-// kernel modes — the ISSUE-4 acceptance benchmark (≥2× single-rank
-// speedup for Blocked vs Reference, B/op not increased).
+// BenchmarkBaseCycle measures one full E+M+approximation cycle: the
+// engine's BaseCycle as kernels=blocked, against the per-row oracle's
+// two-pass cycle (refCycle) as kernels=reference — the ISSUE-4 acceptance
+// benchmark (≥2× single-rank speedup, B/op not increased).
 func BenchmarkBaseCycle(b *testing.B) {
-	for _, mode := range []KernelMode{Blocked, Reference} {
-		b.Run("kernels="+mode.String(), func(b *testing.B) {
-			eng := benchEngine(b, 10000, 8, mode)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.BaseCycle(); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("kernels=blocked", func(b *testing.B) {
+		eng := benchEngine(b, 10000, 8)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := eng.BaseCycle(); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
+	b.Run("kernels=reference", func(b *testing.B) {
+		eng := benchEngine(b, 10000, 8)
+		n, j := eng.view.N(), eng.cls.J()
+		wts := make([]float64, n*j)
+		logp := make([]float64, j)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := refCycle(eng, wts, logp); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkMaskedCycle measures one full cycle over ProteinMixture with 5%

@@ -2,6 +2,7 @@ package autoclass
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/datagen"
@@ -11,9 +12,9 @@ import (
 )
 
 // kernelScenario is one dataset × model-spec combination for the blocked
-// vs reference differential tests. Between them the scenarios cover every
-// term kind, missing-value patterns (none, sparse, partial multi-normal
-// blocks) and the log-normal support guard.
+// vs per-row oracle differential tests. Between them the scenarios cover
+// every term kind, missing-value patterns (none, sparse, partial
+// multi-normal blocks) and the log-normal support guard.
 type kernelScenario struct {
 	name string
 	ds   *dataset.Dataset
@@ -115,20 +116,121 @@ func blockedStats(eng *Engine, wts, buf []float64, offs []int) {
 	eng.closeCursors()
 }
 
+// refEStep is the per-row E-step oracle: every row of the engine's view
+// through Classification.LogMembership and stats.NormalizeLog, its weights
+// written row-major into wts (n×J) and added, with its log-evidence, into
+// out = {w_0 … w_{J−1}, logLik}. logp is one row's scratch (length J).
+func refEStep(eng *Engine, out, wts, logp []float64) {
+	j := eng.cls.J()
+	for i := 0; i < eng.view.N(); i++ {
+		eng.cls.LogMembership(eng.view.Row(i), logp)
+		z := stats.NormalizeLog(logp)
+		w := wts[i*j : (i+1)*j]
+		for cj := 0; cj < j; cj++ {
+			w[cj] = logp[cj]
+			out[cj] += logp[cj]
+		}
+		if !math.IsInf(z, -1) {
+			out[j] += z
+		}
+	}
+}
+
+// refStats is the per-row statistics oracle: every row's weights from the
+// row-major matrix wts folded through Term.AccumulateStats into buf, which
+// holds every (class, term) statistics vector at the offsets in offs.
+func refStats(eng *Engine, wts, buf []float64, offs []int) {
+	j := eng.cls.J()
+	for i := 0; i < eng.view.N(); i++ {
+		row := eng.view.Row(i)
+		ti := 0
+		for cj, cl := range eng.cls.Classes {
+			w := wts[i*j+cj]
+			for _, term := range cl.Terms {
+				term.AccumulateStats(row, w, buf[offs[ti]:offs[ti+1]])
+				ti++
+			}
+		}
+	}
+}
+
+// refCycle is one synchronous base_cycle of a sequential engine (nil
+// Reducer) as the paper's two passes: refEStep into the weights matrix
+// wts (at least n×J), the class weights and log-likelihood, refStats over
+// the matrix, the statistics exchange, update_approximations and class
+// death. With pruning off it allocates nothing once the engine's buffers
+// are warm.
+func refCycle(eng *Engine, wts, logp []float64) error {
+	n, j := eng.view.N(), eng.cls.J()
+	offs, total := statOffsets(eng.cls, eng.offs)
+	eng.offs = offs
+	combined := eng.passBuf(j + 1 + total)
+	refEStep(eng, combined[:j+1], wts[:n*j], logp[:j])
+	for cj, cl := range eng.cls.Classes {
+		cl.W = combined[cj]
+	}
+	eng.cls.LogLik = combined[j]
+	refStats(eng, wts[:n*j], combined[j+1:], offs)
+	if _, _, err := eng.exchangeStats(combined[j+1:], offs); err != nil {
+		return err
+	}
+	updateApproximations(eng.cls, eng.charger)
+	pruneDeadClasses(eng.cls, eng.cfg)
+	eng.cls.Cycles++
+	return nil
+}
+
+// refSearch runs the BIG_LOOP with every try on the per-row oracle: the
+// engine's crisp initialization, then refCycle until the engine's
+// convergence rule holds or the cycle cap is reached.
+func refSearch(t testing.TB, ds *dataset.Dataset, spec model.Spec, cfg SearchConfig) *SearchResult {
+	t.Helper()
+	pr := model.NewPriors(ds, ds.Summarize())
+	res, err := SearchWith(func(startJ int, seed uint64) (*Classification, EMResult, error) {
+		var em EMResult
+		cls, err := NewClassification(ds, spec, pr, startJ)
+		if err != nil {
+			return nil, em, err
+		}
+		eng, err := NewEngine(ds.All(), cls, cfg.EM, nil, nil)
+		if err != nil {
+			return nil, em, err
+		}
+		if err := eng.InitRandom(seed); err != nil {
+			return nil, em, err
+		}
+		wts := make([]float64, ds.N()*startJ)
+		logp := make([]float64, startJ)
+		for em.Cycles < cfg.EM.MaxCycles && !em.Converged {
+			if err := refCycle(eng, wts, logp); err != nil {
+				return nil, em, err
+			}
+			em.Cycles++
+			em.History = append(em.History, cls.LogPost)
+			em.Converged = eng.convergedAfter(cls.LogPost)
+		}
+		cls.Converged = em.Converged
+		return cls, em, nil
+	}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestBlockedMatchesReferencePhases is the property test of the blocked
 // kernels: on the same classification state, the blocked E-step (the
-// block step's sweeps) must reproduce the reference per-row
-// weights, class sums and log-likelihood, the fused pass the reference
-// class sums and log-likelihood, and the blocked statistics accumulation
-// the reference statistics vectors, to ≤1e-12 relative — across every term
-// kind, missing-value pattern, and dataset sizes straddling the
-// KernelBlockRows and RowShardSize boundaries.
+// block step's sweeps) must reproduce the per-row oracle's weights, class
+// sums and log-likelihood, the fused pass the oracle's class sums and
+// log-likelihood, and the blocked statistics accumulation the oracle's
+// statistics vectors, to ≤1e-12 relative — across every term kind,
+// missing-value pattern, and dataset sizes straddling the KernelBlockRows
+// and RowShardSize boundaries.
 func TestBlockedMatchesReferencePhases(t *testing.T) {
 	for _, n := range []int{1, 255, 256, 257, 1300} {
 		for _, sc := range kernelScenarios(t, n) {
 			t.Run(fmt.Sprintf("%s/n=%d", sc.name, n), func(t *testing.T) {
 				cfg := DefaultConfig()
-				cfg.Kernels = Reference
 				cfg.PruneClasses = false
 				cls := specClassification(t, sc.ds, sc.spec, 3)
 				eng, err := NewEngine(sc.ds.All(), cls, cfg, nil, nil)
@@ -138,18 +240,19 @@ func TestBlockedMatchesReferencePhases(t *testing.T) {
 				if err := eng.InitRandom(5); err != nil {
 					t.Fatal(err)
 				}
-				// A couple of reference cycles move the parameters to a
+				// A couple of per-row oracle cycles move the parameters to a
 				// realistic mid-run state.
+				j := cls.J()
+				wtsR := make([]float64, n*j)
+				logp := make([]float64, j)
 				for c := 0; c < 2; c++ {
-					if _, err := eng.BaseCycle(); err != nil {
+					if err := refCycle(eng, wtsR, logp); err != nil {
 						t.Fatal(err)
 					}
 				}
-				j := cls.J()
 				// E-step, both paths from the identical parameter state.
 				outR := make([]float64, j+1)
-				eng.wtsRows(0, n, outR, make([]float64, j))
-				wtsR := append([]float64(nil), eng.wts...)
+				refEStep(eng, outR, wtsR, logp)
 				outB := make([]float64, j+1)
 				wtsB := make([]float64, n*j)
 				blockedEStep(eng, outB, wtsB)
@@ -164,26 +267,16 @@ func TestBlockedMatchesReferencePhases(t *testing.T) {
 					}
 				}
 				// The fused pass's E-step half.
-				eng.cfg.Kernels = Blocked
 				combined, _ := eng.localPass()
-				eng.cfg.Kernels = Reference
 				for k := range outR {
 					if !stats.AlmostEqual(combined[k], outR[k], 1e-12) {
 						t.Fatalf("fused pass accumulator %d: blocked %v, reference %v", k, combined[k], outR[k])
 					}
 				}
 				// M-step over identical weights.
-				offs := []int{}
-				total := 0
-				for _, cl := range cls.Classes {
-					for _, term := range cl.Terms {
-						offs = append(offs, total)
-						total += term.StatsSize()
-					}
-				}
-				offs = append(offs, total)
+				offs, total := statOffsets(cls, nil)
 				bufR := make([]float64, total)
-				eng.statsRows(0, n, bufR, offs)
+				refStats(eng, wtsR, bufR, offs)
 				bufB := make([]float64, total)
 				blockedStats(eng, wtsR, bufB, offs)
 				for s := range bufR {
@@ -197,29 +290,25 @@ func TestBlockedMatchesReferencePhases(t *testing.T) {
 }
 
 // TestKernelTrajectoriesAgree is the full-search trajectory test: for every
-// term kind and Parallelism ∈ {1, N}, a BIG_LOOP search under Blocked and
-// under Reference kernels must discover the same class count and assign
-// every case to the same class. (The two modes associate floating point
-// differently, so posteriors agree to tolerance rather than bitwise.)
+// term kind and Parallelism ∈ {1, N}, a BIG_LOOP search on the engine and
+// one on the per-row oracle (refSearch) must discover the same class count
+// and assign every case to the same class. (The two paths associate
+// floating point differently, so posteriors agree to tolerance rather
+// than bitwise.)
 func TestKernelTrajectoriesAgree(t *testing.T) {
 	for _, sc := range kernelScenarios(t, 900) {
 		for _, par := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/par=%d", sc.name, par), func(t *testing.T) {
-				run := func(mode KernelMode) *SearchResult {
-					cfg := DefaultSearchConfig()
-					cfg.StartJList = []int{2, 4}
-					cfg.Tries = 1
-					cfg.EM.MaxCycles = 60
-					cfg.EM.Parallelism = par
-					cfg.EM.Kernels = mode
-					res, err := Search(sc.ds, sc.spec, cfg, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					return res
+				cfg := DefaultSearchConfig()
+				cfg.StartJList = []int{2, 4}
+				cfg.Tries = 1
+				cfg.EM.MaxCycles = 60
+				cfg.EM.Parallelism = par
+				blocked, err := Search(sc.ds, sc.spec, cfg, nil)
+				if err != nil {
+					t.Fatal(err)
 				}
-				blocked := run(Blocked)
-				reference := run(Reference)
+				reference := refSearch(t, sc.ds, sc.spec, cfg)
 				if blocked.Best.J() != reference.Best.J() {
 					t.Fatalf("class counts diverged: blocked J=%d, reference J=%d",
 						blocked.Best.J(), reference.Best.J())
@@ -239,10 +328,9 @@ func TestKernelTrajectoriesAgree(t *testing.T) {
 	}
 }
 
-// TestBlockedDeterministicAcrossParallelism: within Blocked mode the fixed
-// block-inside-shard grid must make the trajectory bitwise identical for
-// every Parallelism ≥ 1 — the same invariant the reference sharded path
-// guarantees.
+// TestBlockedDeterministicAcrossParallelism: the fixed block-inside-shard
+// grid must make the trajectory bitwise identical for every
+// Parallelism ≥ 1.
 func TestBlockedDeterministicAcrossParallelism(t *testing.T) {
 	ds := paperDS(t, 1500)
 	run := func(par int) *SearchResult {
@@ -251,7 +339,6 @@ func TestBlockedDeterministicAcrossParallelism(t *testing.T) {
 		cfg.Tries = 1
 		cfg.EM.MaxCycles = 30
 		cfg.EM.Parallelism = par
-		cfg.EM.Kernels = Blocked
 		res, err := Search(ds, model.DefaultSpec(ds), cfg, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -269,38 +356,56 @@ func TestBlockedDeterministicAcrossParallelism(t *testing.T) {
 }
 
 // TestUpdatePhasesDoNotAllocate extends the AllocsPerRun guards to the
-// hot path itself: after warm-up, the local pass (the fused pass under
-// Blocked, the E-step pass under Reference) and a whole BaseCycle, which
-// adds the Reference statistics pass and the exchange, must run
-// allocation-free in BOTH kernel modes — the per-cycle buffers live in
-// engine scratch and the kernel cache is fully steady-state.
+// hot path itself: after warm-up, the fused local pass and a whole
+// BaseCycle, which adds the exchange, must run allocation-free — the
+// per-cycle buffers live in engine scratch and the kernel cache is fully
+// steady-state. The per-row oracle's E-step and cycle must be
+// allocation-free too, so the B/op comparison of BenchmarkUpdateWts and
+// BenchmarkBaseCycle measures the engine alone.
 func TestUpdatePhasesDoNotAllocate(t *testing.T) {
-	for _, mode := range []KernelMode{Blocked, Reference} {
-		t.Run(mode.String(), func(t *testing.T) {
-			ds := paperDS(t, 1000)
-			cfg := DefaultConfig()
-			cfg.Kernels = mode
-			cfg.PruneClasses = false
-			cls := mustClassification(t, ds, 4)
-			eng := mustEngine(t, ds, cls, cfg)
-			if err := eng.InitRandom(3); err != nil {
+	warm := func(t *testing.T) *Engine {
+		ds := paperDS(t, 1000)
+		cfg := DefaultConfig()
+		cfg.PruneClasses = false
+		eng := mustEngine(t, ds, mustClassification(t, ds, 4), cfg)
+		if err := eng.InitRandom(3); err != nil {
+			t.Fatal(err)
+		}
+		for c := 0; c < 2; c++ {
+			if _, err := eng.BaseCycle(); err != nil {
 				t.Fatal(err)
 			}
-			for c := 0; c < 2; c++ {
-				if _, err := eng.BaseCycle(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if n := testing.AllocsPerRun(20, func() { eng.localPass() }); n != 0 {
-				t.Errorf("local pass allocates %v times per cycle", n)
-			}
-			if n := testing.AllocsPerRun(20, func() {
-				if _, err := eng.BaseCycle(); err != nil {
-					t.Fatal(err)
-				}
-			}); n != 0 {
-				t.Errorf("BaseCycle allocates %v times per cycle", n)
-			}
-		})
+		}
+		return eng
 	}
+	t.Run("blocked", func(t *testing.T) {
+		eng := warm(t)
+		if n := testing.AllocsPerRun(20, func() { eng.localPass() }); n != 0 {
+			t.Errorf("local pass allocates %v times per cycle", n)
+		}
+		if n := testing.AllocsPerRun(20, func() {
+			if _, err := eng.BaseCycle(); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("BaseCycle allocates %v times per cycle", n)
+		}
+	})
+	t.Run("reference", func(t *testing.T) {
+		eng := warm(t)
+		n, j := eng.view.N(), eng.cls.J()
+		out := make([]float64, j+1)
+		wts := make([]float64, n*j)
+		logp := make([]float64, j)
+		if a := testing.AllocsPerRun(20, func() { refEStep(eng, out, wts, logp) }); a != 0 {
+			t.Errorf("oracle E-step allocates %v times per cycle", a)
+		}
+		if a := testing.AllocsPerRun(20, func() {
+			if err := refCycle(eng, wts, logp); err != nil {
+				t.Fatal(err)
+			}
+		}); a != 0 {
+			t.Errorf("oracle cycle allocates %v times per cycle", a)
+		}
+	})
 }

@@ -33,29 +33,22 @@ import (
 // reduce sequence — w_j first, then the per-term (or packed) statistics
 // exchange — is the same. The chunked-equivalence and kill/resume
 // property tests assert the resulting trajectories across backings, chunk
-// sizes and Parallelism.
-//
-// The Reference oracle keeps the seed engine's two passes over a
-// materialized weights matrix: its local pass runs the E-step (wtsRows)
-// and statsPass, called at the M-step, the accumulation (statsRows), so
-// its phase timings keep the seed engine's two-pass split — the TPROF
-// experiment profiles them.
+// sizes and Parallelism. The per-row two-pass oracle lives in the tests
+// (kernels_test.go); the paper's two-pass algorithm itself runs as the
+// WtsOnly baseline of package pautoclass, which the TPROF experiment
+// profiles.
 
 // localPass runs the data-parallel work of a cycle against the current
 // parameters and returns the LOCAL (unreduced) {w_0 … w_{J−1}, logLik |
-// statistics} buffer with the (class, term) statistics offsets. The
-// statistics segment is complete once statsPass has run.
+// statistics} buffer with the (class, term) statistics offsets.
 func (e *Engine) localPass() ([]float64, []int) {
 	n := e.view.N()
 	j := e.cls.J()
-	offs, total := e.statOffsets()
+	offs, total := statOffsets(e.cls, e.offs)
+	e.offs = offs
 	width := j + 1 + total
 	combined := e.passBuf(width)
-	if e.cfg.Kernels == Blocked {
-		e.prepareKernels()
-	} else if len(e.wts) != n*j {
-		e.wts = make([]float64, n*j)
-	}
+	e.prepareKernels()
 	if shards := NumRowShards(n); e.cfg.Parallelism != 0 && shards > 0 {
 		workers := e.cfg.Workers(shards)
 		bufs := e.scratch.get(shards, width)
@@ -87,16 +80,10 @@ func (e *Engine) passBuf(width int) []float64 {
 	return buf
 }
 
-// passRows folds rows [lo, hi) into acc = {w_j, logLik | statistics}
-// (Reference: into {w_j, logLik} and rows [lo, hi) of the weights
-// matrix). It only reads shared classification state and writes acc, bs
-// and its own matrix rows, so disjoint row ranges may run concurrently.
+// passRows folds rows [lo, hi) into acc = {w_j, logLik | statistics}. It
+// only reads shared classification state and writes acc and bs, so
+// disjoint row ranges may run concurrently.
 func (e *Engine) passRows(lo, hi int, acc []float64, offs []int, bs *blockScratch) {
-	if e.cfg.Kernels == Reference {
-		j := e.cls.J()
-		e.wtsRows(lo, hi, acc[:j+1], bs.logp[:j])
-		return
-	}
 	for blo := lo; blo < hi; blo += KernelBlockRows {
 		bhi := min(blo+KernelBlockRows, hi)
 		cols, clo, chi := e.block(bs, blo, bhi)
@@ -104,39 +91,15 @@ func (e *Engine) passRows(lo, hi int, acc []float64, offs []int, bs *blockScratc
 	}
 }
 
-// statsPass completes the statistics segment buf of a local pass. The
-// fused blocked pass has filled it already; the Reference oracle runs its
-// accumulation pass over the weights matrix here.
-func (e *Engine) statsPass(buf []float64, offs []int) {
-	if e.cfg.Kernels != Reference {
-		return
-	}
-	n := e.view.N()
-	if shards := NumRowShards(n); e.cfg.Parallelism != 0 && shards > 0 {
-		bufs := e.scratch.get(shards, len(buf))
-		ParallelFor(e.cfg.Workers(shards), shards, func(_, s int) {
-			lo, hi := RowShardRange(s, n)
-			e.statsRows(lo, hi, bufs[s], offs)
-		})
-		mergeShards(buf, bufs)
-	} else {
-		e.statsRows(0, n, buf, offs)
-	}
-}
-
 // initStats folds the local rows into the statistics under the crisp
-// initial assignment of InitRandom. The blocked path synthesizes each
-// class's 0/1 weight column from the assignment hash; the Reference path
-// reads the materialized crisp weights matrix.
+// initial assignment of InitRandom, synthesizing each class's 0/1 weight
+// column from the assignment hash.
 func (e *Engine) initStats(seed uint64) ([]float64, []int) {
 	n := e.view.N()
 	j := e.cls.J()
-	offs, total := e.statOffsets()
+	offs, total := statOffsets(e.cls, e.offs)
+	e.offs = offs
 	buf := e.passBuf(total)
-	if e.cfg.Kernels == Reference {
-		e.statsPass(buf, offs)
-		return buf, offs
-	}
 	e.prepareKernels()
 	if shards := NumRowShards(n); e.cfg.Parallelism != 0 && shards > 0 {
 		workers := e.cfg.Workers(shards)
@@ -154,7 +117,7 @@ func (e *Engine) initStats(seed uint64) ([]float64, []int) {
 	return buf, offs
 }
 
-// initRows is the blocked initStats over rows [lo, hi).
+// initRows is initStats over rows [lo, hi).
 func (e *Engine) initRows(lo, hi int, buf []float64, offs []int, bs *blockScratch, seed uint64) {
 	start := e.view.Start()
 	for blo := lo; blo < hi; blo += KernelBlockRows {
@@ -181,12 +144,6 @@ func (e *Engine) InitRandom(seed uint64) error {
 		return errors.New("autoclass: no classes to initialize")
 	}
 	start := e.view.Start()
-	if e.cfg.Kernels == Reference {
-		e.wts = make([]float64, n*j)
-		for i := 0; i < n; i++ {
-			e.wts[i*j+InitialClass(seed, start+i, j)] = 1
-		}
-	}
 	wj := make([]float64, j)
 	for i := 0; i < n; i++ {
 		wj[InitialClass(seed, start+i, j)]++
@@ -205,7 +162,7 @@ func (e *Engine) InitRandom(seed uint64) error {
 	}
 	a := float64(e.cls.NumAttrColumns())
 	e.charge(float64(n) * float64(j) * a)
-	e.updateApproximations()
+	updateApproximations(e.cls, e.charger)
 	e.started = true
 	e.initSeconds = time.Since(t0).Seconds()
 	return nil

@@ -150,22 +150,6 @@ func TestFusedParallelismInvariance(t *testing.T) {
 	}
 }
 
-// TestChunkedEngineRejections: the chunk plane serves only the blocked
-// kernels.
-func TestChunkedEngineRejections(t *testing.T) {
-	ds := mixedMissDS(t, 600)
-	vd, err := dataset.ChunkedCopy(ds, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cls := mustClassification(t, ds, 2)
-	cfg := DefaultConfig()
-	cfg.Kernels = Reference
-	if _, err := NewEngine(vd.All(), cls, cfg, nil, nil); err == nil {
-		t.Error("Reference kernels accepted on a chunk-backed dataset")
-	}
-}
-
 // TestPredictChunkedMatchesMaterialized: batch inference over every chunk
 // backing returns bitwise the memberships, MAP assignments and held-out
 // log-likelihood of the materialized scorer.
@@ -193,14 +177,6 @@ func TestPredictChunkedMatchesMaterialized(t *testing.T) {
 				}
 			}
 		}
-	}
-	// Reference kernels have no chunk plane.
-	vd, err := dataset.ChunkedCopy(ds, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Predict(cls, vd, PredictConfig{Kernels: Reference}); err == nil {
-		t.Error("Reference predict accepted on a chunk-backed dataset")
 	}
 }
 
@@ -268,7 +244,7 @@ func TestFusedSteadyStateZeroAlloc(t *testing.T) {
 	n := eng.view.N()
 	j := eng.cls.J()
 	eng.prepareKernels()
-	offs, total := eng.statOffsets()
+	offs, total := statOffsets(eng.cls, nil)
 	width := j + 1 + total
 	bufs := eng.scratch.get(1, width)
 	bs := eng.workerScratch(1, j)[0]

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/dataset"
-	"repro/internal/stats"
 )
 
 // Batch inference: applying a fitted Classification to new cases at scale.
@@ -15,29 +14,26 @@ import (
 // so the per-row cost of the E-step dominates everything. The batch scorer
 // therefore reuses the engine's blocked machinery (dataset.Columns mirror,
 // model.Kernel per (class, term), the class-major block normalizer) for a
-// hot path with zero interface calls per row, and the per-row Term path as the
-// reference oracle the blocked results are tested against.
+// hot path with zero interface calls per row. The tests hold it against a
+// per-row oracle built on Classification.LogMembership (predict_test.go).
 //
 // Determinism mirrors the training engine's invariant: the shard and block
 // grids depend only on the row count, per-shard log-likelihood partial sums
 // are merged in ascending shard order, and per-row outputs are written to
 // disjoint slices — so results are bitwise identical for every
-// Parallelism >= 1 within a kernel mode. On chunk-backed datasets the
-// scorer walks the chunk plane through per-worker cursors; the block grid
-// never straddles a chunk (KernelBlockRows == ChunkAlign), so results are
-// also bitwise identical across chunk backings and sizes.
+// Parallelism value. On chunk-backed datasets the scorer walks the chunk
+// plane through per-worker cursors; the block grid never straddles a
+// chunk (KernelBlockRows == ChunkAlign), so results are also bitwise
+// identical across chunk backings and sizes.
 
-// PredictConfig controls the batch scorer. The zero value is the fast path:
-// blocked kernels on a single worker.
+// PredictConfig controls the batch scorer. The zero value scores on a
+// single worker.
 type PredictConfig struct {
 	// Parallelism selects the worker count, with the same encoding as
 	// Config.Parallelism: 0 or 1 one worker, >1 that many worker
 	// goroutines, <0 runtime.GOMAXPROCS(0). Results are bitwise identical
-	// for every value within a kernel mode.
+	// for every value.
 	Parallelism int
-	// Kernels selects Blocked (columnar kernels, the default) or Reference
-	// (the per-row Term oracle). Chunk-backed datasets require Blocked.
-	Kernels KernelMode
 	// RowLogLik additionally records each row's log-evidence
 	// log Σ_j π_j·p(x_i|j) in Prediction.RowLL (−Inf for rows contributing
 	// no evidence). The serving tier uses it to recover a sub-batch's
@@ -159,19 +155,15 @@ type Predictor struct {
 	// Per-call data plane: the monolithic column mirror on a materialized
 	// view, or the chunk source walked by per-worker cursors on a
 	// chunk-backed one.
-	view    *dataset.View
 	cols    *dataset.Columns
 	chunked bool
 	src     dataset.ChunkSrc
 }
 
-// NewPredictor validates the configuration and builds a reusable scorer.
+// NewPredictor builds a reusable scorer.
 func NewPredictor(cls *Classification, cfg PredictConfig) (*Predictor, error) {
 	if cls == nil {
 		return nil, errors.New("autoclass: nil classification")
-	}
-	if cfg.Kernels != Blocked && cfg.Kernels != Reference {
-		return nil, errors.New("autoclass: unknown kernel mode")
 	}
 	return &Predictor{cls: cls, cfg: cfg}, nil
 }
@@ -213,24 +205,18 @@ func (pr *Predictor) PredictInto(view *dataset.View, p *Prediction) error {
 	if n == 0 {
 		return nil
 	}
-	pr.view = view
 	pr.chunked = view.Dataset().Chunked()
 	if pr.chunked {
-		if pr.cfg.Kernels != Blocked {
-			return errors.New("autoclass: Reference kernels require a materialized dataset")
-		}
 		src, err := view.ChunkSrc()
 		if err != nil {
 			return err
 		}
 		pr.src = src
 		pr.cols = nil
-	} else if pr.cfg.Kernels == Blocked {
+	} else {
 		pr.cols = view.Columns()
 	}
-	if pr.cfg.Kernels == Blocked {
-		pr.kerns.prepare(pr.cls.Classes)
-	}
+	pr.kerns.prepare(pr.cls.Classes)
 	// Unlike the training engine, there is no seed-sequential legacy mode to
 	// preserve: the scorer always runs on the fixed shard grid, so every
 	// Parallelism value — including 0 — accumulates the log-likelihood in
@@ -290,48 +276,17 @@ func (pr *Predictor) block(ps *blockScratch, blo, bhi int) (cols *dataset.Column
 }
 
 // scoreRows scores rows [lo, hi) into p and returns their log-likelihood
-// contribution. Disjoint row ranges may run concurrently: every write goes
-// to a per-row slice of p or the local scratch.
-func (pr *Predictor) scoreRows(lo, hi int, p *Prediction, ps *blockScratch) float64 {
-	if pr.cfg.Kernels == Blocked {
-		return pr.scoreRowsBlocked(lo, hi, p, ps)
-	}
-	return pr.scoreRowsReference(lo, hi, p, ps)
-}
-
-// scoreRowsReference is the per-row oracle: Term.LogProb through
-// LogMembership, then NormalizeLog — the exact code path of
-// Classification.Predict, row by row.
-func (pr *Predictor) scoreRowsReference(lo, hi int, p *Prediction, ps *blockScratch) float64 {
-	j := p.J
-	ll := 0.0
-	logp := ps.logp[:j]
-	for i := lo; i < hi; i++ {
-		pr.cls.LogMembership(pr.view.Row(i), logp)
-		z := stats.NormalizeLog(logp)
-		mem := p.Memberships[i*j : (i+1)*j]
-		copy(mem, logp)
-		p.MAP[i] = argmax(mem)
-		if pr.cfg.RowLogLik {
-			p.RowLL[i] = z
-		}
-		if !math.IsInf(z, -1) {
-			ll += z
-		}
-	}
-	return ll
-}
-
-// scoreRowsBlocked is the blocked hot path: per KernelBlockRows block,
-// sweeps 1 and 2 of the block step produce every class's exponentials and
-// each row's log-evidence, and one more sweep per class scales them into
-// the row-major memberships and takes the MAP classes — no interface call
-// and no allocation per row. Blocks never straddle shard boundaries
+// contribution: per KernelBlockRows block, sweeps 1 and 2 of the block
+// step produce every class's exponentials and each row's log-evidence, and
+// one more sweep per class scales them into the row-major memberships and
+// takes the MAP classes — no interface call and no allocation per row.
+// Disjoint row ranges may run concurrently: every write goes to a per-row
+// slice of p or the local scratch. Blocks never straddle shard boundaries
 // (KernelBlockRows divides RowShardSize), so the block grid — and
 // therefore every float64 — is identical for every Parallelism setting;
 // nor do they straddle chunk boundaries, so the same holds across chunk
 // backings.
-func (pr *Predictor) scoreRowsBlocked(lo, hi int, p *Prediction, ps *blockScratch) float64 {
+func (pr *Predictor) scoreRows(lo, hi int, p *Prediction, ps *blockScratch) float64 {
 	j := p.J
 	ll := 0.0
 	for blo := lo; blo < hi; blo += KernelBlockRows {
@@ -371,15 +326,4 @@ func FoldRowLogLik(rowLL []float64) float64 {
 		total += ll
 	}
 	return total
-}
-
-// argmax returns the index of the first maximum of xs.
-func argmax(xs []float64) int {
-	best := 0
-	for i := 1; i < len(xs); i++ {
-		if xs[i] > xs[best] {
-			best = i
-		}
-	}
-	return best
 }

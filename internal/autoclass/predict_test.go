@@ -74,6 +74,36 @@ func holdout(t testing.TB, name string, n int) *dataset.Dataset {
 	return ds
 }
 
+// refPredict is the per-row predict oracle: every row of the view through
+// Classification.LogMembership and stats.NormalizeLog — the code path of
+// Classification.Predict — with each row's first class of maximum
+// membership as its MAP class, its log-evidence in RowLL, and LogLik
+// folded from RowLL by FoldRowLogLik, the fixed shard grid's ascending
+// fold.
+func refPredict(cls *Classification, view *dataset.View) *Prediction {
+	n, j := view.N(), cls.J()
+	p := &Prediction{J: j, Memberships: make([]float64, n*j), MAP: make([]int, n), RowLL: make([]float64, n)}
+	for i := 0; i < n; i++ {
+		mem := p.Membership(i)
+		cls.LogMembership(view.Row(i), mem)
+		p.RowLL[i] = stats.NormalizeLog(mem)
+		p.MAP[i] = argmax(mem)
+	}
+	p.LogLik = FoldRowLogLik(p.RowLL)
+	return p
+}
+
+// argmax returns the index of the first maximum of xs.
+func argmax(xs []float64) int {
+	best := 0
+	for i := 1; i < len(xs); i++ {
+		if xs[i] > xs[best] {
+			best = i
+		}
+	}
+	return best
+}
+
 // TestPredictBlockedMatchesReference is the predict property test: on new
 // data (missing values included, plus an all-missing row) the blocked batch
 // path must reproduce the per-row reference oracle's memberships and
@@ -85,11 +115,8 @@ func TestPredictBlockedMatchesReference(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/n=%d", sc.name, n), func(t *testing.T) {
 				cls := fitScenario(t, sc, 3, 8)
 				ds := holdout(t, sc.name, n)
-				ref, err := Predict(cls, ds, PredictConfig{Kernels: Reference})
-				if err != nil {
-					t.Fatal(err)
-				}
-				blk, err := Predict(cls, ds, PredictConfig{Kernels: Blocked})
+				ref := refPredict(cls, ds.All())
+				blk, err := Predict(cls, ds, PredictConfig{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -114,18 +141,15 @@ func TestPredictBlockedMatchesReference(t *testing.T) {
 	}
 }
 
-// TestPredictMatchesPerRowAPI pins the scorer to the established per-row
-// public API: reference-mode memberships must be bitwise what
+// TestPredictMatchesPerRowAPI pins the per-row predict oracle to the
+// established per-row public API: its memberships must be bitwise what
 // Classification.Predict returns, MAP what HardAssign returns, and LogLik
 // what HeldoutLogLik computes.
 func TestPredictMatchesPerRowAPI(t *testing.T) {
 	sc := kernelScenarios(t, 600)[1] // paper_missing
 	cls := fitScenario(t, sc, 3, 8)
 	ds := holdout(t, sc.name, 700)
-	p, err := Predict(cls, ds, PredictConfig{Kernels: Reference})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := refPredict(cls, ds.All())
 	for i := 0; i < ds.N(); i++ {
 		row := ds.Row(i)
 		want := cls.Predict(row)
@@ -144,38 +168,36 @@ func TestPredictMatchesPerRowAPI(t *testing.T) {
 	}
 }
 
-// TestPredictDeterministicAcrossParallelism: within a kernel mode, every
-// Parallelism setting — including 0 and GOMAXPROCS — must produce
-// bitwise-identical predictions (the scorer always runs the fixed shard
-// grid, unlike the training engine's seed-sequential legacy mode).
+// TestPredictDeterministicAcrossParallelism: every Parallelism setting —
+// including 0 and GOMAXPROCS — must produce bitwise-identical predictions
+// (the scorer always runs the fixed shard grid, unlike the training
+// engine's seed-sequential legacy mode).
 func TestPredictDeterministicAcrossParallelism(t *testing.T) {
 	sc := kernelScenarios(t, 600)[0]
 	cls := fitScenario(t, sc, 4, 8)
 	ds := holdout(t, "paper_missing", 3000)
-	for _, mode := range []KernelMode{Blocked, Reference} {
-		base, err := Predict(cls, ds, PredictConfig{Kernels: mode, Parallelism: 1})
+	base, err := Predict(cls, ds, PredictConfig{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []int{0, 3, 8, -1} {
+		got, err := Predict(cls, ds, PredictConfig{Parallelism: par})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, par := range []int{0, 3, 8, -1} {
-			got, err := Predict(cls, ds, PredictConfig{Kernels: mode, Parallelism: par})
-			if err != nil {
-				t.Fatal(err)
+		for i := range base.Memberships {
+			if got.Memberships[i] != base.Memberships[i] {
+				t.Fatalf("par=%d: membership %d = %v, want %v",
+					par, i, got.Memberships[i], base.Memberships[i])
 			}
-			for i := range base.Memberships {
-				if got.Memberships[i] != base.Memberships[i] {
-					t.Fatalf("%v par=%d: membership %d = %v, want %v",
-						mode, par, i, got.Memberships[i], base.Memberships[i])
-				}
+		}
+		for i := range base.MAP {
+			if got.MAP[i] != base.MAP[i] {
+				t.Fatalf("par=%d: MAP %d = %d, want %d", par, i, got.MAP[i], base.MAP[i])
 			}
-			for i := range base.MAP {
-				if got.MAP[i] != base.MAP[i] {
-					t.Fatalf("%v par=%d: MAP %d = %d, want %d", mode, par, i, got.MAP[i], base.MAP[i])
-				}
-			}
-			if got.LogLik != base.LogLik {
-				t.Fatalf("%v par=%d: loglik %v, want %v", mode, par, got.LogLik, base.LogLik)
-			}
+		}
+		if got.LogLik != base.LogLik {
+			t.Fatalf("par=%d: loglik %v, want %v", par, got.LogLik, base.LogLik)
 		}
 	}
 }

@@ -48,7 +48,11 @@ type SearchFingerprint struct {
 	MinClassWeight float64     `json:"min_class_weight"`
 	PruneClasses   bool        `json:"prune_classes"`
 	Granularity    Granularity `json:"granularity"`
-	Kernels        KernelMode  `json:"kernels"`
+	// Kernels is 0 in every file written now: every search runs the
+	// blocked kernels. A file holding 1 came from a per-row search mode
+	// that no longer exists and followed another trajectory, so a resume
+	// refuses it by name.
+	Kernels int `json:"kernels"`
 	// SyncEvery and SyncDriftTol pin the bounded-staleness schedule.
 	// Normalized: a synchronous search records {0, 0} regardless of how it
 	// was spelled (SyncEvery 0 vs 1, any tolerance — neither shapes a
@@ -68,7 +72,6 @@ func (c SearchConfig) Fingerprint() SearchFingerprint {
 		MinClassWeight: c.EM.MinClassWeight,
 		PruneClasses:   c.EM.PruneClasses,
 		Granularity:    c.EM.Granularity,
-		Kernels:        c.EM.Kernels,
 	}
 	if l := c.EM.EffectiveSyncEvery(); l > 1 {
 		fp.SyncEvery = l
@@ -103,7 +106,7 @@ func (f SearchFingerprint) Diff(g SearchFingerprint) []string {
 		d = append(d, fmt.Sprintf("Granularity %v vs %v", f.Granularity, g.Granularity))
 	}
 	if f.Kernels != g.Kernels {
-		d = append(d, fmt.Sprintf("Kernels %d vs %d", int(f.Kernels), int(g.Kernels)))
+		d = append(d, fmt.Sprintf("Kernels %d vs %d", f.Kernels, g.Kernels))
 	}
 	if f.SyncEvery != g.SyncEvery {
 		d = append(d, fmt.Sprintf("SyncEvery %d vs %d", f.SyncEvery, g.SyncEvery))

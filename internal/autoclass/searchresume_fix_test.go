@@ -150,7 +150,6 @@ func TestResumeRejectsChangedTrajectoryConfig(t *testing.T) {
 		"ConvergeWindow": func(c *SearchConfig) { c.EM.ConvergeWindow++ },
 		"MinClassWeight": func(c *SearchConfig) { c.EM.MinClassWeight *= 2 },
 		"PruneClasses":   func(c *SearchConfig) { c.EM.PruneClasses = !c.EM.PruneClasses },
-		"Kernels":        func(c *SearchConfig) { c.EM.Kernels = Reference },
 	} {
 		other := cfg
 		mutate(&other)
@@ -162,6 +161,45 @@ func TestResumeRejectsChangedTrajectoryConfig(t *testing.T) {
 		if !strings.Contains(err.Error(), name) {
 			t.Errorf("changed %s: error %q does not name the knob", name, err)
 		}
+	}
+	// The kernel path is no longer a SearchConfig knob, but a file whose
+	// fingerprint records the per-row search mode (kernels 1) followed
+	// another trajectory and must be refused by name; the 0 every file
+	// holds today resumes.
+	setKernels := func(v int) {
+		t.Helper()
+		raw, err := os.ReadFile(statePath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var file map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &file); err != nil {
+			t.Fatal(err)
+		}
+		var fp map[string]any
+		if err := json.Unmarshal(file["fingerprint"], &fp); err != nil {
+			t.Fatal(err)
+		}
+		fp["kernels"] = v
+		if file["fingerprint"], err = json.Marshal(fp); err != nil {
+			t.Fatal(err)
+		}
+		if raw, err = json.Marshal(file); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(statePath, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	setKernels(1)
+	if _, err := Search(ds, spec, cfg, &SearchOptions{StatePath: statePath}); err == nil {
+		t.Error("state file with kernels 1 accepted on resume")
+	} else if !strings.Contains(err.Error(), "Kernels") {
+		t.Errorf("kernels 1: error %q does not name the knob", err)
+	}
+	setKernels(0)
+	if _, err := Search(ds, spec, cfg, &SearchOptions{StatePath: statePath}); err != nil {
+		t.Errorf("state file with kernels 0 refused on resume: %v", err)
 	}
 	// Worker counts are bitwise-invariant and must NOT be fingerprinted:
 	// resuming under a different parallelism is legitimate.

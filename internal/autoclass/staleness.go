@@ -180,14 +180,14 @@ func (e *Engine) staleCycle() (CycleStats, error) {
 	}
 
 	t2 := time.Now()
-	e.updateApproximations()
+	updateApproximations(e.cls, e.charger)
 	cs.ApproxSeconds = time.Since(t2).Seconds()
 
 	if cs.Synced {
 		// Class death is a group decision: it happens only at sync points,
 		// where W is globally merged and identical on every rank. The sync
 		// baselines are compacted with the same keep mapping.
-		if keep := e.pruneDeadClasses(); keep != nil {
+		if keep := pruneDeadClasses(e.cls, e.cfg); keep != nil {
 			e.compactBaselines(keep, j)
 		}
 	}
@@ -205,7 +205,6 @@ func (e *Engine) staleCycle() (CycleStats, error) {
 func (e *Engine) mergeParameters(bootstrap bool, frac float64, buf []float64, offs []int) (reducedValues, reductions int, err error) {
 	n := e.view.N()
 	j := e.cls.J()
-	e.statsPass(buf, offs)
 	ex := buf // the buffer that travels through the Reducer
 	if !bootstrap {
 		if len(e.syncStats) != len(buf) {
@@ -263,7 +262,6 @@ func (e *Engine) mergeParameters(bootstrap bool, frac float64, buf []float64, of
 func (e *Engine) localParameters(frac float64, buf []float64, offs []int) error {
 	n := e.view.N()
 	j := e.cls.J()
-	e.statsPass(buf, offs)
 	if len(e.syncStats) != len(buf) {
 		return fmt.Errorf("autoclass: sync baseline holds %d statistics, model needs %d", len(e.syncStats), len(buf))
 	}

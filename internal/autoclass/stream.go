@@ -60,16 +60,12 @@ const (
 // configuration is interpreted as for NewEngine, except that Parallelism
 // is ignored (folding is sequential; the caller drives the batches) — the
 // trajectory matches an engine running the deterministic sharded path.
-// Only the Blocked kernels stream.
 func NewStreamTrainer(cls *Classification, cfg Config, red Reducer, ch Charger) (*StreamTrainer, error) {
 	if cls == nil {
 		return nil, errors.New("autoclass: nil classification")
 	}
 	if err := cfg.validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Kernels != Blocked {
-		return nil, errors.New("autoclass: streaming requires the Blocked kernels")
 	}
 	if cfg.EffectiveSyncEvery() > 1 {
 		return nil, errors.New("autoclass: SyncEvery > 1 is not supported when streaming")
@@ -99,15 +95,7 @@ func (st *StreamTrainer) prepare() {
 	j := len(classes)
 	st.kerns.prepare(classes)
 	st.ws.grow(j)
-	offs := st.offs[:0]
-	total := 0
-	for _, cl := range classes {
-		for _, term := range cl.Terms {
-			offs = append(offs, total)
-			total += term.StatsSize()
-		}
-	}
-	offs = append(offs, total)
+	offs, total := statOffsets(st.cls, st.offs)
 	st.offs = offs
 	width := j + 1 + total
 	if cap(st.combined) < width {
@@ -220,7 +208,7 @@ func (st *StreamTrainer) FinishInit() error {
 	}
 	a := float64(st.cls.NumAttrColumns())
 	st.charge(float64(n) * float64(j) * a)
-	st.updateApproximations()
+	updateApproximations(st.cls, st.charger)
 	st.lastN = n
 	st.phase = streamEM
 	st.initSecs = time.Since(st.t0).Seconds()
@@ -274,53 +262,14 @@ func (st *StreamTrainer) Flush() (CycleStats, error) {
 	cs.ParamsSeconds = time.Since(t1).Seconds()
 
 	t2 := time.Now()
-	st.updateApproximations()
+	updateApproximations(st.cls, st.charger)
 	cs.ApproxSeconds = time.Since(t2).Seconds()
 
-	st.pruneDeadClasses()
+	pruneDeadClasses(st.cls, st.cfg)
 	st.cls.Cycles++
 	cs.LogPost = st.cls.LogPost
 	st.prepare()
 	return cs, nil
-}
-
-func (st *StreamTrainer) updateApproximations() {
-	st.cls.UpdateClassWeightsFromW()
-	st.cls.RefreshPosterior()
-	st.charge(float64(st.cls.J()) * float64(st.cls.NumAttrColumns()+4))
-}
-
-// pruneDeadClasses mirrors the engine's class-death rule (there is no
-// weights matrix to compact on the streaming path).
-func (st *StreamTrainer) pruneDeadClasses() {
-	if !st.cfg.PruneClasses || st.cls.J() <= 1 {
-		return
-	}
-	j := st.cls.J()
-	keep := make([]int, 0, j)
-	for cj, cl := range st.cls.Classes {
-		if cl.W >= st.cfg.MinClassWeight {
-			keep = append(keep, cj)
-		}
-	}
-	if len(keep) == j {
-		return
-	}
-	if len(keep) == 0 {
-		best := 0
-		for cj, cl := range st.cls.Classes {
-			if cl.W > st.cls.Classes[best].W {
-				best = cj
-			}
-		}
-		keep = []int{best}
-	}
-	newClasses := make([]*Class, len(keep))
-	for ni, cj := range keep {
-		newClasses[ni] = st.cls.Classes[cj]
-	}
-	st.cls.Classes = newClasses
-	st.cls.UpdateClassWeightsFromW()
 }
 
 // Classification returns the trainer's (mutated in place) classification.

@@ -155,11 +155,6 @@ func TestStreamTrainerRejections(t *testing.T) {
 	cfg.Parallelism = 1
 	cls := mustClassification(t, ds, 2)
 
-	refCfg := cfg
-	refCfg.Kernels = Reference
-	if _, err := NewStreamTrainer(cls, refCfg, nil, nil); err == nil {
-		t.Error("Reference kernels accepted for streaming")
-	}
 	staleCfg := cfg
 	staleCfg.SyncEvery = 2
 	if _, err := NewStreamTrainer(cls, staleCfg, nil, nil); err == nil {

@@ -6,6 +6,8 @@ import (
 
 	"repro/internal/autoclass"
 	"repro/internal/model"
+	"repro/internal/mpi"
+	"repro/internal/pautoclass"
 	"repro/internal/simnet"
 	"repro/internal/trace"
 )
@@ -17,23 +19,18 @@ import (
 type ProfileConfig struct {
 	// N is the dataset size (the paper profiles a 14K-tuple run).
 	N int
-	// Search configures the sequential BIG_LOOP.
+	// Search configures the BIG_LOOP.
 	Search autoclass.SearchConfig
 	// DataSeed seeds the workload generator.
 	DataSeed uint64
 }
 
-// DefaultProfileConfig uses the paper's 14K-tuple anchor. TPROF profiles
-// the paper's per-row algorithm, so it pins Kernels to Reference: the
-// blocked kernels exist precisely to shrink base_cycle's share of the
-// total, which would move the measurement away from the claim under test
-// (the KERN experiment in EXPERIMENTS.md quantifies that shift).
+// DefaultProfileConfig uses the paper's 14K-tuple anchor.
 func DefaultProfileConfig() ProfileConfig {
 	search := autoclass.DefaultSearchConfig()
 	search.StartJList = []int{2, 4, 8}
 	search.Tries = 1
 	search.EM.MaxCycles = 20
-	search.EM.Kernels = autoclass.Reference
 	return ProfileConfig{N: 14000, Search: search, DataSeed: 42}
 }
 
@@ -66,7 +63,13 @@ func (r *ProfileResult) ApproxShare() float64 {
 	return r.ApproxSeconds / base
 }
 
-// RunProfile executes the sequential profiling run.
+// RunProfile executes the profiling run. It profiles the paper's
+// sequential per-row algorithm — an E-step into an n×J weights matrix,
+// then a statistics pass over it — which is the WtsOnly engine on one
+// rank. The Full engine fuses the two passes over blocked kernels, so it
+// cannot show update_parameters' share, and its blocked kernels exist
+// precisely to shrink base_cycle's share of the total (the KERN
+// experiment in EXPERIMENTS.md quantifies that shift).
 func RunProfile(cfg ProfileConfig) (*ProfileResult, error) {
 	if cfg.N < 1 {
 		return nil, fmt.Errorf("harness: profile N=%d", cfg.N)
@@ -75,8 +78,14 @@ func RunProfile(cfg ProfileConfig) (*ProfileResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	var res *autoclass.SearchResult
 	start := time.Now()
-	res, err := autoclass.Search(ds, model.DefaultSpec(ds), cfg.Search, nil)
+	err = mpi.Run(1, func(c *mpi.Comm) error {
+		opts := pautoclass.Options{EM: cfg.Search.EM, Strategy: pautoclass.WtsOnly}
+		var err error
+		res, err = pautoclass.Search(c, ds, model.DefaultSpec(ds), cfg.Search, opts)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -67,9 +67,9 @@ func (s Strategy) String() string {
 // Options configures a parallel run on one rank.
 type Options struct {
 	// EM configures the parameter-level search, including the intra-rank
-	// Parallelism and the Kernels evaluation path — both flow unchanged
-	// into every rank's engine (the WtsOnly baseline ignores Kernels; see
-	// wtsonly.go).
+	// Parallelism, which flows unchanged into every rank's engine. The
+	// Full engine evaluates terms with the blocked kernels, the WtsOnly
+	// baseline row by row (see wtsonly.go).
 	EM autoclass.Config
 	// Strategy selects Full (P-AutoClass) or WtsOnly (baseline).
 	Strategy Strategy

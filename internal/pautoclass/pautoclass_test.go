@@ -27,10 +27,16 @@ func paperDS(t testing.TB, n int) *dataset.Dataset {
 // returns rank 0's result.
 func runParallelSearch(t testing.TB, ds *dataset.Dataset, p int, cfg autoclass.SearchConfig, opts Options) *autoclass.SearchResult {
 	t.Helper()
+	return runParallelSearchSpec(t, ds, model.DefaultSpec(ds), p, cfg, opts)
+}
+
+// runParallelSearchSpec is runParallelSearch under the given model spec.
+func runParallelSearchSpec(t testing.TB, ds *dataset.Dataset, spec model.Spec, p int, cfg autoclass.SearchConfig, opts Options) *autoclass.SearchResult {
+	t.Helper()
 	var mu sync.Mutex
 	var out *autoclass.SearchResult
 	err := mpi.Run(p, func(c *mpi.Comm) error {
-		res, err := Search(c, ds, model.DefaultSpec(ds), cfg, opts)
+		res, err := Search(c, ds, spec, cfg, opts)
 		if err != nil {
 			return err
 		}
@@ -189,9 +195,54 @@ func TestParallelRanksAgreeBitForBit(t *testing.T) {
 	}
 }
 
+// kernelScenarios builds the four datasets × model specs of the kernel
+// tests in internal/autoclass at n rows: between them every term kind,
+// missing-value patterns (none, sparse, partial multi-normal blocks) and
+// the log-normal support guard.
+func kernelScenarios(t testing.TB, n int) []struct {
+	name string
+	ds   *dataset.Dataset
+	spec model.Spec
+} {
+	t.Helper()
+	inject := func(ds *dataset.Dataset, frac float64, seed uint64) *dataset.Dataset {
+		if _, err := datagen.InjectMissing(ds, frac, seed); err != nil {
+			t.Fatal(err)
+		}
+		return ds
+	}
+	paper := paperDS(t, n)
+	paperMiss := inject(paperDS(t, n), 0.15, 9)
+	protein, _, err := datagen.ProteinMixture().Generate(n, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	protein = inject(protein, 0.1, 13)
+	logn, _, err := datagen.LogNormalMixture(n, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logn = inject(logn, 0.1, 19)
+	return []struct {
+		name string
+		ds   *dataset.Dataset
+		spec model.Spec
+	}{
+		{"paper_default", paper, model.DefaultSpec(paper)},
+		{"paper_missing", paperMiss, model.DefaultSpec(paperMiss)},
+		{"protein_correlated_missing", protein, model.CorrelatedSpec(protein)},
+		{"lognormal_missing", logn, model.LogNormalSpec(logn)},
+	}
+}
+
+// TestWtsOnlyEqualsFull is the trajectory oracle of the blocked kernels.
+// The two parallel strategies are independent implementations of the same
+// EM — Full on the blocked kernels, WtsOnly row by row through the terms —
+// so they must converge to the same classification: the same class count,
+// the same log posterior to 1e-6, and the same class for every case. The
+// cases cover every term kind and missing-value pattern, one and three
+// ranks, one and four workers per rank, and both statistics granularities.
 func TestWtsOnlyEqualsFull(t *testing.T) {
-	// The two parallel strategies are independent implementations of the
-	// same EM; they must converge to the same classification.
 	ds := paperDS(t, 800)
 	cfg := quickSearchConfig()
 	full := runParallelSearch(t, ds, 3, cfg, Options{EM: cfg.EM, Strategy: Full})
@@ -201,6 +252,70 @@ func TestWtsOnlyEqualsFull(t *testing.T) {
 	}
 	if !stats.AlmostEqual(full.Best.LogPost, wts.Best.LogPost, 1e-6) {
 		t.Fatalf("logpost differs: %v vs %v", full.Best.LogPost, wts.Best.LogPost)
+	}
+	for _, sc := range kernelScenarios(t, 900) {
+		for _, p := range []int{1, 3} {
+			for _, par := range []int{1, 4} {
+				for _, gran := range []autoclass.Granularity{autoclass.PerTerm, autoclass.Packed} {
+					t.Run(fmt.Sprintf("%s/P=%d/par=%d/%v", sc.name, p, par, gran), func(t *testing.T) {
+						cfg := autoclass.DefaultSearchConfig()
+						cfg.StartJList = []int{2, 4}
+						cfg.Tries = 1
+						cfg.EM.MaxCycles = 60
+						cfg.EM.Parallelism = par
+						cfg.EM.Granularity = gran
+						full := runParallelSearchSpec(t, sc.ds, sc.spec, p, cfg, Options{EM: cfg.EM, Strategy: Full})
+						wts := runParallelSearchSpec(t, sc.ds, sc.spec, p, cfg, Options{EM: cfg.EM, Strategy: WtsOnly})
+						if full.Best.J() != wts.Best.J() {
+							t.Fatalf("J differs: Full %d, WtsOnly %d", full.Best.J(), wts.Best.J())
+						}
+						if !stats.AlmostEqual(full.Best.LogPost, wts.Best.LogPost, 1e-6) {
+							t.Fatalf("logpost differs: Full %v, WtsOnly %v", full.Best.LogPost, wts.Best.LogPost)
+						}
+						for i := 0; i < sc.ds.N(); i++ {
+							row := sc.ds.Row(i)
+							if f, w := full.Best.HardAssign(row), wts.Best.HardAssign(row); f != w {
+								t.Fatalf("case %d assigned to class %d under Full, %d under WtsOnly", i, f, w)
+							}
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestKernelModesAgreeAcrossGranularities is the parallel leg of the
+// kernel trajectory guarantee on a 2-rank run: under both statistics
+// granularities, a search on the blocked kernels (Full) and one on the
+// per-row path (WtsOnly) must discover the same class count and assign
+// every case to the same class.
+func TestKernelModesAgreeAcrossGranularities(t *testing.T) {
+	ds := paperDS(t, 800)
+	for _, gran := range []autoclass.Granularity{autoclass.PerTerm, autoclass.Packed} {
+		t.Run(fmt.Sprint(gran), func(t *testing.T) {
+			run := func(strategy Strategy) *autoclass.SearchResult {
+				cfg := quickSearchConfig()
+				cfg.EM.Granularity = gran
+				return runParallelSearch(t, ds, 2, cfg, Options{EM: cfg.EM, Strategy: strategy})
+			}
+			blocked := run(Full)
+			perRow := run(WtsOnly)
+			if blocked.Best.J() != perRow.Best.J() {
+				t.Fatalf("class counts diverged: blocked J=%d, per-row J=%d",
+					blocked.Best.J(), perRow.Best.J())
+			}
+			if !stats.AlmostEqual(blocked.Best.LogPost, perRow.Best.LogPost, 1e-6) {
+				t.Fatalf("posteriors diverged: blocked %v, per-row %v",
+					blocked.Best.LogPost, perRow.Best.LogPost)
+			}
+			for i := 0; i < ds.N(); i++ {
+				row := ds.Row(i)
+				if b, r := blocked.Best.HardAssign(row), perRow.Best.HardAssign(row); b != r {
+					t.Fatalf("case %d assigned to class %d on the blocked path, %d on the per-row path", i, b, r)
+				}
+			}
+		})
 	}
 }
 

@@ -29,9 +29,12 @@ import (
 // It is also a deliberately independent second implementation of the EM
 // cycle: the differential tests require wtsOnly and Full to converge to the
 // same classification, each checking the other. For the same reason it
-// ignores Config.Kernels and always evaluates terms through the per-row
-// reference path — a second blocked implementation would weaken the
-// cross-check.
+// evaluates terms row by row through Term.LogProb and Term.AccumulateStats
+// instead of the Full engine's blocked kernels — a second blocked
+// implementation would weaken the cross-check. Run on one rank it is the
+// paper's sequential per-row algorithm, an E-step into a weights matrix
+// and then a statistics pass over it, which the TPROF experiment profiles
+// (internal/harness/profile.go).
 type wtsOnlyEngine struct {
 	comm  *mpi.Comm
 	view  *dataset.View
@@ -61,8 +64,8 @@ func newWtsOnlyEngine(comm *mpi.Comm, view *dataset.View, cls *autoclass.Classif
 	if view.Dataset().Chunked() {
 		// The baseline's whole premise — rank 0 holds a dataset replica and
 		// the gathered n×J weight matrix — is the memory cost the chunked
-		// data plane exists to avoid; it also evaluates terms through the
-		// per-row reference path, which virtual datasets do not serve.
+		// data plane exists to avoid; it also evaluates terms row by row,
+		// through row slices that virtual datasets do not serve.
 		return nil, errors.New("pautoclass: the wts-only baseline requires a materialized dataset; use the Full strategy for chunk-backed data")
 	}
 	parts, err := dataset.BlockPartition(view.Dataset().N(), comm.Size())
@@ -98,16 +101,16 @@ func (e *wtsOnlyEngine) InitRandom(seed uint64) error {
 	j := e.cls.J()
 	e.wts = make([]float64, n*j)
 	start := e.view.Start()
-	for i := 0; i < n; i++ {
-		e.wts[i*j+autoclass.InitialClass(seed, start+i, j)] = 1
-	}
-	e.charge(float64(n))
+	// The crisp class weights are counted while the matrix is written:
+	// sums of 0/1 weights are exact integers in any order, so they are
+	// bitwise the column sums of the matrix.
 	wj := make([]float64, j+1)
 	for i := 0; i < n; i++ {
-		for cj := 0; cj < j; cj++ {
-			wj[cj] += e.wts[i*j+cj]
-		}
+		cj := autoclass.InitialClass(seed, start+i, j)
+		e.wts[i*j+cj] = 1
+		wj[cj]++
 	}
+	e.charge(float64(n))
 	if err := e.reduceWts(wj); err != nil {
 		return err
 	}
@@ -210,9 +213,14 @@ func (e *wtsOnlyEngine) parametersOnRoot() error {
 	paramLen *= j
 	buf := make([]float64, paramLen)
 	if e.comm.Rank() == 0 {
-		full := make([]float64, e.ds.N()*j)
-		for r, rg := range e.parts {
-			copy(full[rg.Lo*j:rg.Hi*j], parts[r])
+		// A single part already holds every row in order; otherwise the
+		// parts are reassembled into one n×J matrix.
+		full := parts[0]
+		if len(parts) > 1 {
+			full = make([]float64, e.ds.N()*j)
+			for r, rg := range e.parts {
+				copy(full[rg.Lo*j:rg.Hi*j], parts[r])
+			}
 		}
 		// One row-major pass accumulating every (class, term) statistic,
 		// sharded across workers when the hybrid mode is on (the root's

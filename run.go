@@ -225,9 +225,8 @@ func WithProfile(p *Profile) Option {
 // bounded pread cache where mapping is unavailable); combine with
 // WithMemoryBudget to cap resident bytes explicitly. The search trajectory
 // is bitwise identical to a run over the materialized rows for every
-// backing and chunk size. Requires the Blocked kernels (the default); the
-// WtsOnly parallel strategy, which gathers the full weight matrix to a
-// dataset replica on rank 0, is rejected.
+// backing and chunk size. The WtsOnly parallel strategy, which gathers the
+// full weight matrix to a dataset replica on rank 0, is rejected.
 func WithChunkedData(path string) Option {
 	return func(rc *runConfig) { rc.chunkPath = path }
 }
@@ -312,12 +311,9 @@ func (rc *runConfig) validate() error {
 		return errors.New("repro: WithMemoryBudget needs WithChunkedData")
 	}
 	if rc.chunkPath != "" {
-		// The engine rejects these too (a caller may hand Run an already
+		// The engine rejects it too (a caller may hand Run an already
 		// chunk-backed dataset), but failing here names the option.
-		switch {
-		case rc.search.EM.Kernels != Blocked:
-			return errors.New("repro: WithChunkedData requires the Blocked kernels")
-		case rc.par != nil && rc.par.Strategy == WtsOnly:
+		if rc.par != nil && rc.par.Strategy == WtsOnly {
 			return errors.New("repro: the WtsOnly strategy requires a materialized dataset")
 		}
 	}
@@ -501,18 +497,6 @@ func NewProfile() *Profile { return trace.New() }
 // a fitted classification and, for mid-search snapshots, its SearchPoint.
 type Checkpoint = autoclass.Checkpoint
 
-// KernelMode selects the E/M-step implementation (SearchConfig.EM.Kernels).
-type KernelMode = autoclass.KernelMode
-
-// Kernel modes.
-const (
-	// Blocked runs the columnar blocked kernels (the default, fastest).
-	Blocked = autoclass.Blocked
-	// Reference runs the per-row oracle the blocked kernels are verified
-	// against.
-	Reference = autoclass.Reference
-)
-
 // Granularity selects how update_parameters exchanges statistics
 // (SearchConfig.EM.Granularity).
 type Granularity = autoclass.Granularity
@@ -531,13 +515,14 @@ const (
 // log-likelihood.
 type Prediction = autoclass.Prediction
 
-// PredictConfig tunes Predict (zero value: blocked kernels, one worker).
+// PredictConfig tunes Predict: the worker count and whether per-row
+// log-evidence is recorded (zero value: one worker, no per-row values).
 type PredictConfig = autoclass.PredictConfig
 
 // Predict scores every row of ds under a fitted classification — the batch
-// inference path. It runs on the blocked kernels by default, shards rows
-// across PredictConfig.Parallelism workers, and is safe for concurrent
-// calls on one classification; results are bitwise identical for every
+// inference path. It runs on the blocked kernels, shards rows across
+// PredictConfig.Parallelism workers, and is safe for concurrent calls on
+// one classification; results are bitwise identical for every
 // Parallelism value.
 func Predict(cls *Classification, ds *Dataset, cfg PredictConfig) (*Prediction, error) {
 	if cls == nil || ds == nil {
@@ -553,7 +538,7 @@ func Predict(cls *Classification, ds *Dataset, cfg PredictConfig) (*Prediction, 
 // build one per goroutine, or call Predict, which does exactly that.
 type Predictor = autoclass.Predictor
 
-// NewPredictor validates the configuration and builds a reusable scorer.
+// NewPredictor builds a reusable scorer.
 func NewPredictor(cls *Classification, cfg PredictConfig) (*Predictor, error) {
 	if cls == nil {
 		return nil, errors.New("repro: nil classification")

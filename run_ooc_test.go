@@ -77,8 +77,6 @@ func TestRunChunkedStaleSync(t *testing.T) {
 func TestRunChunkedOptionValidation(t *testing.T) {
 	ds := runTestDataset(t, 300)
 	path := writeChunkFile(t, ds, 256)
-	refCfg := runQuickCfg()
-	refCfg.EM.Kernels = Reference
 	cases := []struct {
 		name string
 		ds   *Dataset
@@ -87,7 +85,6 @@ func TestRunChunkedOptionValidation(t *testing.T) {
 		{"chunked with dataset", ds, []Option{WithChunkedData(path)}},
 		{"budget without chunked", ds, []Option{WithMemoryBudget(1 << 20)}},
 		{"negative budget", nil, []Option{WithChunkedData(path), WithMemoryBudget(-1)}},
-		{"chunked+reference kernels", nil, []Option{WithChunkedData(path), WithSearchConfig(refCfg)}},
 		{"chunked+wtsonly", nil, []Option{WithChunkedData(path),
 			WithParallel(ParallelConfig{Procs: 2, Strategy: WtsOnly})}},
 		{"missing chunk file", nil, []Option{WithChunkedData(filepath.Join(t.TempDir(), "nope.chunks"))}},
