@@ -80,7 +80,7 @@ func run(args []string, w io.Writer) error {
 	bodies := fs.Int("bodies", 6, "distinct predict bodies cycled by the clients")
 	clients := fs.Int("clients", 8, "concurrent load clients")
 	perClient := fs.Int("per-client", 50, "requests per client in the load phase")
-	predictProcs := fs.Int("predict-procs", 2, "predict worker ranks in the scale-out phase")
+	predictProcs := fs.Int("predict-procs", 2, "warm scorers per model version in the scale-out phase")
 	seed := fs.Uint64("seed", 29, "workload seed")
 	out := fs.String("o", "BENCH_serve.json", "output path (- for stdout)")
 	if err := fs.Parse(args); err != nil {

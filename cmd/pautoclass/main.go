@@ -44,7 +44,7 @@ func run(args []string, w io.Writer) error {
 	startJ := fs.String("start-j", "2,4,8,16,24,50,64", "comma-separated start_j_list")
 	tries := fs.Int("tries", 2, "random restarts per start J")
 	maxCycles := fs.Int("max-cycles", 200, "base_cycle cap per try")
-	parallelism := fs.Int("parallelism", 0, "intra-rank worker goroutines per base_cycle (0 = sequential, -1 = GOMAXPROCS)")
+	parallelism := fs.Int("parallelism", 0, "intra-rank worker goroutines per base_cycle (0 or 1 = one worker, -1 = GOMAXPROCS; never changes the result)")
 	searchParallelism := fs.Int("search-parallelism", 0, "concurrent BIG_LOOP variants (0/1 = one try at a time, -1 = GOMAXPROCS); with -procs P the rank budget splits into this many groups (P must be divisible); bitwise identical to the sequential order for every value")
 	seed := fs.Uint64("seed", 1, "search seed")
 	syncEvery := fs.Int("sync-every", 1, "bounded-staleness schedule for -procs > 1: local EM cycles per global synchronization (1 = fully synchronous, the paper's path)")

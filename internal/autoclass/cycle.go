@@ -70,18 +70,15 @@ type Config struct {
 	PruneClasses bool
 	// Granularity selects the statistics-exchange pattern (parallel only).
 	Granularity Granularity
-	// Parallelism selects the intra-rank execution mode of the two
-	// data-parallel phases (the E-step of update_wts and the statistics
-	// accumulation of update_parameters):
+	// Parallelism is the intra-rank worker count of every pass over the
+	// data (the fused E+M pass of a cycle and the crisp initialization):
 	//
-	//	 0 — historical strictly-sequential row loop (the default;
-	//	     bit-for-bit the seed engine's numerics);
-	//	 1 — the deterministic sharded path on a single worker;
-	//	>1 — the sharded path on that many worker goroutines;
-	//	<0 — the sharded path on runtime.GOMAXPROCS(0) workers.
+	//	0, 1 — one worker (0 is the default);
+	//	  >1 — that many worker goroutines;
+	//	  <0 — runtime.GOMAXPROCS(0) workers.
 	//
-	// The sharded path merges fixed-size row shards in ascending shard
-	// order, so its results are bitwise identical for every value >= 1 —
+	// Every pass folds fixed-size row shards and merges them in ascending
+	// shard order, so its results are bitwise identical for every value —
 	// changing the worker count never changes the search trajectory. See
 	// parallel.go for the determinism invariant.
 	Parallelism int
@@ -261,17 +258,18 @@ type Engine struct {
 	staleBuf  []float64  // delta / working-model scratch, reused
 	pollBuf   [1]float64 // drift-bound agreement flag
 
-	// Blocked-kernel state (see kernels.go): the view's column-major
-	// mirror, the (class, term) kernel set, and per-worker scratch.
-	cols     *dataset.Columns
+	// Blocked-kernel state (see kernels.go): the (class, term) kernel set,
+	// per-worker scratch, and the view's chunk plane, which every pass
+	// (lowmem.go) walks through per-worker cursors — the dataset's own
+	// chunk store, or for a materialized view an in-memory store over the
+	// view's column mirror.
 	kerns    kernelSet
 	blockScr []*blockScratch
-
-	// Chunk-backed ("out-of-core") state: when the view's dataset is
-	// chunk-backed the fused pass (lowmem.go) walks its chunk plane
-	// through per-worker cursors instead of a monolithic mirror.
-	chunked bool
-	src     dataset.ChunkSrc
+	src      dataset.ChunkSrc
+	// passLoop is the fused pass's shard-loop body, built once so that a
+	// steady-state pass allocates no closure; it reads the shard buffers,
+	// offsets and worker scratch the pass sets up.
+	passLoop func(worker, shard int)
 }
 
 // NewEngine validates inputs and builds an engine.
@@ -282,6 +280,10 @@ func NewEngine(view *dataset.View, cls *Classification, cfg Config, red Reducer,
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	src, err := view.ChunkSrc()
+	if err != nil {
+		return nil, err
+	}
 	e := &Engine{
 		view:     view,
 		cls:      cls,
@@ -289,14 +291,11 @@ func NewEngine(view *dataset.View, cls *Classification, cfg Config, red Reducer,
 		reducer:  red,
 		charger:  ch,
 		lastPost: math.Inf(-1),
+		src:      src,
 	}
-	if view.Dataset().Chunked() {
-		src, err := view.ChunkSrc()
-		if err != nil {
-			return nil, err
-		}
-		e.chunked = true
-		e.src = src
+	e.passLoop = func(worker, s int) {
+		lo, hi := RowShardRange(s, e.view.N())
+		e.passRows(lo, hi, e.scratch.bufs[s], e.offs, e.blockScr[worker])
 	}
 	return e, nil
 }
@@ -407,20 +406,14 @@ func (e *Engine) reduce(buf []float64) (int, error) {
 // exactly as in the paper's Fig. 5; with Packed granularity all statistics
 // travel in one reduction.
 func (e *Engine) exchangeStats(buf []float64, offs []int) (reducedValues, reductions int, err error) {
-	return exchangeClassStats(e.cls, e.cfg.Granularity, e.reduce, buf, offs)
-}
-
-// exchangeClassStats is the engine-independent core of exchangeStats,
-// shared with the streaming trainer.
-func exchangeClassStats(cls *Classification, g Granularity, reduce func([]float64) (int, error), buf []float64, offs []int) (reducedValues, reductions int, err error) {
-	switch g {
+	switch g := e.cfg.Granularity; g {
 	case PerTerm:
 		ti := 0
-		for cj, cl := range cls.Classes {
+		for cj, cl := range e.cls.Classes {
 			for bi, term := range cl.Terms {
 				st := buf[offs[ti]:offs[ti+1]]
 				ti++
-				v, err := reduce(st)
+				v, err := e.reduce(st)
 				if err != nil {
 					return reducedValues, reductions, fmt.Errorf("autoclass: reduce class %d block %d: %w", cj, bi, err)
 				}
@@ -432,7 +425,7 @@ func exchangeClassStats(cls *Classification, g Granularity, reduce func([]float6
 			}
 		}
 	case Packed:
-		v, err := reduce(buf)
+		v, err := e.reduce(buf)
 		if err != nil {
 			return reducedValues, reductions, fmt.Errorf("autoclass: packed reduce: %w", err)
 		}
@@ -441,7 +434,7 @@ func exchangeClassStats(cls *Classification, g Granularity, reduce func([]float6
 			reductions++
 		}
 		ti := 0
-		for _, cl := range cls.Classes {
+		for _, cl := range e.cls.Classes {
 			for _, term := range cl.Terms {
 				term.Update(buf[offs[ti]:offs[ti+1]])
 				ti++
@@ -455,8 +448,7 @@ func exchangeClassStats(cls *Classification, g Granularity, reduce func([]float6
 
 // statOffsets rebuilds the (class, term) statistics offset table of cls
 // in offs (class pruning can shrink it), allocating only when it grows,
-// and returns it with the total statistics length. The engine and the
-// StreamTrainer share it, with the two bookkeeping steps below.
+// and returns it with the total statistics length.
 func statOffsets(cls *Classification, offs []int) ([]int, int) {
 	offs = offs[:0]
 	total := 0

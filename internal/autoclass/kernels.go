@@ -6,9 +6,9 @@ import (
 )
 
 // KernelBlockRows is the row-block size of the blocked kernels. It divides
-// RowShardSize, so the block grid inside every shard is identical whether a
-// shard is processed alone or as part of a larger sequential range — the
-// blocked path stays bitwise deterministic for every Parallelism setting.
+// RowShardSize, so no block straddles a shard and the block grid depends
+// only on the row count — the blocked path stays bitwise deterministic for
+// every Parallelism setting.
 // A block holds one 2 KiB vector per class, so the per-worker scratch
 // grows with J (128 KiB at J=64); the block step's three sweeps stream
 // through it one contiguous class vector at a time.
@@ -27,8 +27,7 @@ var (
 // identity. When the class/term structure is unchanged the kernels are
 // merely Refreshed against the current parameters, so the steady state
 // allocates nothing; pruning (or a restored classification) changes the
-// term set and triggers a rebuild. Shared by the engine, the Predictor and
-// the StreamTrainer.
+// term set and triggers a rebuild. Shared by the engine and the Predictor.
 type kernelSet struct {
 	k     [][]model.Kernel
 	terms [][]model.Term
@@ -74,23 +73,22 @@ func (ks *kernelSet) prepare(classes []*Class) {
 // blockScratch is one worker's scratch, owned by exactly one goroutine at
 // a time: per-class block vectors (KernelBlockRows long) that hold the
 // log-memberships and then, in place, the exponentials and weights of the
-// block step; the crisp initialization's class counts; the kernels' own
-// scratch; the normalizer's per-row vectors; and — on chunk-backed views —
-// the worker's chunk cursor, pinning exactly the chunk under its blocks.
+// block step; the kernels' own scratch; the normalizer's per-row vectors;
+// and the worker's chunk cursor, pinning exactly the chunk under its
+// blocks.
 //
 // placementPad keeps norm at the offset the block step was tuned with
-// (120 bytes in). The block step's hot arrays are norm's three inline
-// 2 KiB vectors and the separately allocated class vectors: without the
-// pad, norm sits 24 bytes earlier and train-paper's train_s read 3.0%
-// slower (10 of 10 alternating benchmark pairs, 2-vCPU Xeon @ 2.1 GHz)
-// with every float64 unchanged. The mechanism, possibly 4K aliasing
-// between stores to one array and loads from another, is not
+// (120 bytes in; TestBlockScratchNormOffset pins it). The block step's hot
+// arrays are norm's three inline 2 KiB vectors and the separately
+// allocated class vectors: with norm 24 bytes earlier, train-paper's
+// train_s read 3.0% slower (10 of 10 alternating benchmark pairs, 2-vCPU
+// Xeon @ 2.1 GHz) with every float64 unchanged. The mechanism, possibly
+// 4K aliasing between stores to one array and loads from another, is not
 // established. Reorder or resize these fields only with an A/B of
-// train-paper.
+// train-paper, and size the pad so that norm stays at 120.
 type blockScratch struct {
 	lp           [][]float64
-	counts       []float64
-	placementPad [24]byte
+	placementPad [48]byte
 	ks           model.Scratch
 	norm         normScratch
 	cur          dataset.ChunkCursor
@@ -100,9 +98,6 @@ type blockScratch struct {
 func (bs *blockScratch) grow(j int) {
 	for len(bs.lp) < j {
 		bs.lp = append(bs.lp, make([]float64, KernelBlockRows))
-	}
-	if len(bs.counts) < j {
-		bs.counts = make([]float64, j)
 	}
 }
 
@@ -131,18 +126,15 @@ func (bs *blockScratch) crispStatsBlock(classes []*Class, kerns [][]model.Kernel
 }
 
 // workerScratch returns per-worker scratch sized for j classes, reused
-// across cycles. On a chunk-backed view each worker's cursor is pointed at
-// the view's chunk source for the coming pass.
+// across cycles, with each worker's cursor pointed at the view's chunk
+// source for the coming pass.
 func (e *Engine) workerScratch(workers, j int) []*blockScratch {
 	for len(e.blockScr) < workers {
 		e.blockScr = append(e.blockScr, &blockScratch{})
 	}
-	for w := 0; w < workers; w++ {
-		bs := e.blockScr[w]
+	for _, bs := range e.blockScr[:workers] {
 		bs.grow(j)
-		if e.chunked {
-			bs.cur.Reset(e.src)
-		}
+		bs.cur.Reset(e.src)
 	}
 	return e.blockScr
 }
@@ -151,30 +143,7 @@ func (e *Engine) workerScratch(workers, j int) []*blockScratch {
 // end of each pass so a bounded-residency backing can evict freely
 // between passes.
 func (e *Engine) closeCursors() {
-	if !e.chunked {
-		return
-	}
 	for _, bs := range e.blockScr {
 		bs.cur.Close()
 	}
-}
-
-// block resolves the view-local row block [blo, bhi) to the Columns the
-// kernels should walk: the monolithic mirror itself on a materialized
-// view, or the cursor-pinned chunk (with chunk-local bounds) on a
-// chunk-backed one.
-func (e *Engine) block(bs *blockScratch, blo, bhi int) (cols *dataset.Columns, lo, hi int) {
-	if e.chunked {
-		return bs.cur.Block(blo, bhi)
-	}
-	return e.cols, blo, bhi
-}
-
-// prepareKernels readies the blocked path for a pass: the column-major
-// mirror (built lazily once per view) and the kernel set.
-func (e *Engine) prepareKernels() {
-	if !e.chunked && e.cols == nil {
-		e.cols = e.view.Columns()
-	}
-	e.kerns.prepare(e.cls.Classes)
 }

@@ -117,7 +117,7 @@ func BenchmarkBaseCycle(b *testing.B) {
 // BenchmarkMaskedCycle measures one full cycle over ProteinMixture with 5%
 // missing values — the model of the out-of-core workload, three normal
 // terms and a multinomial per class, every column masked — on one worker
-// (the unsharded pass, as BenchmarkBaseCycle) at J=8 and J=64. Its name
+// (as BenchmarkBaseCycle) at J=8 and J=64. Its name
 // stays outside the kernel comparison's BenchmarkUpdateWts|BenchmarkBaseCycle
 // pattern.
 func BenchmarkMaskedCycle(b *testing.B) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"unsafe"
 
 	"repro/internal/datagen"
 	"repro/internal/dataset"
@@ -68,13 +69,13 @@ func specClassification(t testing.TB, ds *dataset.Dataset, spec model.Spec, j in
 func blockedEStep(eng *Engine, out, wts []float64) {
 	n := eng.view.N()
 	j := eng.cls.J()
-	eng.prepareKernels()
+	eng.kerns.prepare(eng.cls.Classes)
 	bs := eng.workerScratch(1, j)[0]
 	var best [KernelBlockRows]int
 	for blo := 0; blo < n; blo += KernelBlockRows {
 		bhi := min(blo+KernelBlockRows, n)
 		m := bhi - blo
-		cols, clo, chi := eng.block(bs, blo, bhi)
+		cols, clo, chi := bs.cur.Block(blo, bhi)
 		v := bs.score(eng.cls.Classes, eng.kerns.k, cols, clo, chi)
 		bs.norm.expSum(v, m, &out[j])
 		if wts != nil {
@@ -94,13 +95,13 @@ func blockedEStep(eng *Engine, out, wts []float64) {
 func blockedStats(eng *Engine, wts, buf []float64, offs []int) {
 	n := eng.view.N()
 	j := eng.cls.J()
-	eng.prepareKernels()
+	eng.kerns.prepare(eng.cls.Classes)
 	bs := eng.workerScratch(1, j)[0]
 	col := make([]float64, KernelBlockRows)
 	for blo := 0; blo < n; blo += KernelBlockRows {
 		bhi := min(blo+KernelBlockRows, n)
 		m := bhi - blo
-		cols, clo, chi := eng.block(bs, blo, bhi)
+		cols, clo, chi := bs.cur.Block(blo, bhi)
 		ti := 0
 		for cj := range eng.cls.Classes {
 			wcol := col[:m]
@@ -352,6 +353,19 @@ func TestBlockedDeterministicAcrossParallelism(t *testing.T) {
 			t.Fatalf("Parallelism %d changed the blocked trajectory: %v != %v",
 				par, got.Best.LogPost, base.Best.LogPost)
 		}
+	}
+}
+
+// TestBlockScratchNormOffset pins the block scratch's tuned layout: norm
+// sits 120 bytes into blockScratch wherever a pointer is 8 bytes. Adding,
+// deleting or resizing a field in front of it moves it, and a move read
+// slower on train-paper with every float64 unchanged.
+func TestBlockScratchNormOffset(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the tuned offset is for 8-byte pointers")
+	}
+	if off := unsafe.Offsetof(blockScratch{}.norm); off != 120 {
+		t.Fatalf("blockScratch.norm is at offset %d, want 120: resize placementPad as its comment in kernels.go says", off)
 	}
 }
 

@@ -20,8 +20,10 @@ import (
 // chunk pin plus O(J·KernelBlockRows) scratch, independent of n. The
 // synchronous cycle, the bounded-staleness cycle and the crisp
 // initialization (which folds its hash-derived 0/1 weights instead of
-// running the block step) all use it, on materialized and chunk-backed
-// views alike.
+// running the block step) all use it, each on the fixed shard grid and
+// each reading its blocks through per-worker chunk cursors — over the
+// dataset's chunk store, or over the in-memory store View.ChunkSrc builds
+// from a materialized view's column mirror.
 //
 // Fusing changes no arithmetic against running the paper's two phases as
 // separate passes over a stored weights matrix: the weight values are
@@ -46,25 +48,30 @@ func (e *Engine) localPass() ([]float64, []int) {
 	j := e.cls.J()
 	offs, total := statOffsets(e.cls, e.offs)
 	e.offs = offs
-	width := j + 1 + total
-	combined := e.passBuf(width)
-	e.prepareKernels()
-	if shards := NumRowShards(n); e.cfg.Parallelism != 0 && shards > 0 {
-		workers := e.cfg.Workers(shards)
-		bufs := e.scratch.get(shards, width)
-		scr := e.workerScratch(workers, j)
-		ParallelFor(workers, shards, func(worker, s int) {
-			lo, hi := RowShardRange(s, n)
-			e.passRows(lo, hi, bufs[s], offs, scr[worker])
-		})
-		mergeShards(combined, bufs)
-	} else {
-		e.passRows(0, n, combined, offs, e.workerScratch(1, j)[0])
-	}
-	e.closeCursors()
+	combined := e.foldShards(j+1+total, e.passLoop)
 	a := float64(e.cls.NumAttrColumns())
 	e.charge(float64(n) * float64(j) * (a + 1))
 	return combined, offs
+}
+
+// foldShards runs one pass over the view on the fixed shard grid: body
+// folds shard s's rows into e.scratch.bufs[s], zeroed and width long, with
+// worker w's scratch and chunk cursor in e.blockScr[w]; Config.Workers
+// workers claim the shards, and the shard buffers then merge in ascending
+// order into the returned pass buffer. Every addition's order depends
+// only on the row count, so the result is bitwise the same for every
+// worker count.
+func (e *Engine) foldShards(width int, body func(worker, shard int)) []float64 {
+	shards := NumRowShards(e.view.N())
+	workers := e.cfg.Workers(shards)
+	bufs := e.scratch.get(shards, width)
+	e.workerScratch(workers, e.cls.J())
+	e.kerns.prepare(e.cls.Classes)
+	ParallelFor(workers, shards, body)
+	e.closeCursors()
+	combined := e.passBuf(width)
+	mergeShards(combined, bufs)
+	return combined
 }
 
 // passBuf returns the engine's merged pass buffer, zeroed, with the given
@@ -86,45 +93,31 @@ func (e *Engine) passBuf(width int) []float64 {
 func (e *Engine) passRows(lo, hi int, acc []float64, offs []int, bs *blockScratch) {
 	for blo := lo; blo < hi; blo += KernelBlockRows {
 		bhi := min(blo+KernelBlockRows, hi)
-		cols, clo, chi := e.block(bs, blo, bhi)
+		cols, clo, chi := bs.cur.Block(blo, bhi)
 		bs.emBlock(e.cls.Classes, e.kerns.k, cols, clo, chi, acc, offs)
 	}
 }
 
-// initStats folds the local rows into the statistics under the crisp
-// initial assignment of InitRandom, synthesizing each class's 0/1 weight
-// column from the assignment hash.
+// initStats folds the local rows under the crisp initial assignment of
+// InitRandom, synthesizing each class's 0/1 weight column from the
+// assignment hash, and returns the LOCAL {n_0 … n_{J−1} | statistics}
+// buffer — the class counts, then the statistics — with the (class, term)
+// statistics offsets.
 func (e *Engine) initStats(seed uint64) ([]float64, []int) {
-	n := e.view.N()
 	j := e.cls.J()
 	offs, total := statOffsets(e.cls, e.offs)
 	e.offs = offs
-	buf := e.passBuf(total)
-	e.prepareKernels()
-	if shards := NumRowShards(n); e.cfg.Parallelism != 0 && shards > 0 {
-		workers := e.cfg.Workers(shards)
-		bufs := e.scratch.get(shards, total)
-		scr := e.workerScratch(workers, j)
-		ParallelFor(workers, shards, func(worker, s int) {
-			lo, hi := RowShardRange(s, n)
-			e.initRows(lo, hi, bufs[s], offs, scr[worker], seed)
-		})
-		mergeShards(buf, bufs)
-	} else {
-		e.initRows(0, n, buf, offs, e.workerScratch(1, j)[0], seed)
-	}
-	e.closeCursors()
-	return buf, offs
-}
-
-// initRows is initStats over rows [lo, hi).
-func (e *Engine) initRows(lo, hi int, buf []float64, offs []int, bs *blockScratch, seed uint64) {
 	start := e.view.Start()
-	for blo := lo; blo < hi; blo += KernelBlockRows {
-		bhi := min(blo+KernelBlockRows, hi)
-		cols, clo, chi := e.block(bs, blo, bhi)
-		bs.crispStatsBlock(e.cls.Classes, e.kerns.k, cols, clo, chi, start+blo, seed, bs.counts[:e.cls.J()], buf, offs)
-	}
+	buf := e.foldShards(j+total, func(worker, s int) {
+		lo, hi := RowShardRange(s, e.view.N())
+		acc, bs := e.scratch.bufs[s], e.blockScr[worker]
+		for blo := lo; blo < hi; blo += KernelBlockRows {
+			bhi := min(blo+KernelBlockRows, hi)
+			cols, clo, chi := bs.cur.Block(blo, bhi)
+			bs.crispStatsBlock(e.cls.Classes, e.kerns.k, cols, clo, chi, start+blo, seed, acc[:j], acc[j:], offs)
+		}
+	})
+	return buf, offs
 }
 
 // InitRandom seeds the classification: every item is crisply assigned to a
@@ -133,9 +126,10 @@ func (e *Engine) initRows(lo, hi int, buf []float64, offs []int, bs *blockScratc
 // parameters. All ranks calling InitRandom with the same seed produce the
 // identical initial classification.
 //
-// The crisp class weights are counted straight from the hash. Adding the
-// zeros a materialized crisp matrix would hold is exact, so they are
-// bitwise the weights that matrix produces.
+// The crisp class weights are the counts the initialization pass folds
+// beside the statistics: sums of 0/1 weights, exact integers in any
+// order, so they are bitwise the column sums a materialized crisp matrix
+// would give.
 func (e *Engine) InitRandom(seed uint64) error {
 	t0 := time.Now()
 	n := e.view.N()
@@ -143,11 +137,8 @@ func (e *Engine) InitRandom(seed uint64) error {
 	if j < 1 {
 		return errors.New("autoclass: no classes to initialize")
 	}
-	start := e.view.Start()
-	wj := make([]float64, j)
-	for i := 0; i < n; i++ {
-		wj[InitialClass(seed, start+i, j)]++
-	}
+	buf, offs := e.initStats(seed)
+	wj := buf[:j]
 	e.charge(float64(n))
 	if _, err := e.reduce(wj); err != nil {
 		return fmt.Errorf("autoclass: init reduce: %w", err)
@@ -156,8 +147,7 @@ func (e *Engine) InitRandom(seed uint64) error {
 		cl.W = wj[cj]
 	}
 	e.cls.UpdateClassWeightsFromW()
-	buf, offs := e.initStats(seed)
-	if _, _, err := e.exchangeStats(buf, offs); err != nil {
+	if _, _, err := e.exchangeStats(buf[j:], offs); err != nil {
 		return err
 	}
 	a := float64(e.cls.NumAttrColumns())

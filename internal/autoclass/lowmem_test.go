@@ -150,6 +150,50 @@ func TestFusedParallelismInvariance(t *testing.T) {
 	}
 }
 
+// TestInitRandomClassCounts: after InitRandom(seed) each class's W is the
+// exact number of the view's rows i that the assignment hash sends to it,
+// InitialClass(seed, start+i, J) == cj — the counts the initialization
+// pass folds beside its statistics — at one worker and at four, and on the
+// chunk plane. The view starts past row 0, so the counts must hash global
+// row indices.
+func TestInitRandomClassCounts(t *testing.T) {
+	ds := paperDS(t, 3*RowShardSize+57)
+	cds, err := dataset.ChunkedCopy(ds, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const j, seed = 5, 9
+	for _, c := range []struct {
+		name string
+		ds   *dataset.Dataset
+		par  int
+	}{{"parallelism0", ds, 0}, {"parallelism4", ds, 4}, {"chunked", cds, 0}} {
+		view, err := c.ds.View(dataset.ChunkAlign, c.ds.N()-dataset.ChunkAlign-3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]float64, j)
+		for i := 0; i < view.N(); i++ {
+			want[InitialClass(seed, view.Start()+i, j)]++
+		}
+		cfg := DefaultConfig()
+		cfg.Parallelism = c.par
+		cls := mustClassification(t, c.ds, j)
+		eng, err := NewEngine(view, cls, cfg, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.InitRandom(seed); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]float64, j)
+		for cj, cl := range cls.Classes {
+			got[cj] = cl.W
+		}
+		sameBits(t, c.name+" class counts", got, want)
+	}
+}
+
 // TestPredictChunkedMatchesMaterialized: batch inference over every chunk
 // backing returns bitwise the memberships, MAP assignments and held-out
 // log-likelihood of the materialized scorer.
@@ -243,7 +287,7 @@ func TestFusedSteadyStateZeroAlloc(t *testing.T) {
 	}
 	n := eng.view.N()
 	j := eng.cls.J()
-	eng.prepareKernels()
+	eng.kerns.prepare(eng.cls.Classes)
 	offs, total := statOffsets(eng.cls, nil)
 	width := j + 1 + total
 	bufs := eng.scratch.get(1, width)

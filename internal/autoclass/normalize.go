@@ -8,8 +8,8 @@ import (
 
 // The blocked E+M step: three sweeps per class over one KernelBlockRows
 // block, shared by every blocked path — the engine's fused pass (and so
-// the synchronous, bounded-staleness and chunked cycles), the
-// StreamTrainer and, for its first two sweeps, the Predictor.
+// the synchronous and bounded-staleness cycles) and, for its first two
+// sweeps, the Predictor.
 //
 // Each class owns one contiguous block vector v. The step walks it three
 // times, each time end to end with per-row running state:

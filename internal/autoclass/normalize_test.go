@@ -10,12 +10,12 @@ import (
 )
 
 // rowMajorNormalize is the row-major normalization loop every blocked path
-// (the two-pass E-step, the fused chunk pass, the Predictor and the
-// StreamTrainer) ran before the class-major sweeps replaced it — kept as
-// their bitwise oracle. lp[cj][r] holds class cj's
-// log-membership of row r; the row's weights land in wts[r*J:(r+1)*J],
-// its log-evidence in z[r] (−Inf for a row with none), its MAP class in
-// best[r], and the class sums and log-likelihood accumulate into acc.
+// (the two-pass E-step, the fused chunk pass and the Predictor) ran before
+// the class-major sweeps replaced it — kept as their bitwise oracle.
+// lp[cj][r] holds class cj's log-membership of row r; the row's weights
+// land in wts[r*J:(r+1)*J], its log-evidence in z[r] (−Inf for a row with
+// none), its MAP class in best[r], and the class sums and log-likelihood
+// accumulate into acc.
 func rowMajorNormalize(lp [][]float64, m int, wts, acc, z []float64, best []int) {
 	j := len(lp)
 	for r := 0; r < m; r++ {

@@ -21,9 +21,10 @@ import (
 // Floating-point addition is not associative, so the shard grid is fixed —
 // boundaries depend only on the local row count, never on the worker count
 // — and the per-shard accumulators are merged in ascending shard order
-// after all workers finish. The reduced values are therefore bitwise
-// identical for every Parallelism >= 1, no matter how many workers ran or
-// how the scheduler interleaved them.
+// after all workers finish. Every pass runs this grid — one worker is
+// the same loop with no goroutines — so the reduced values are bitwise
+// identical for every Parallelism value, no matter how many workers ran
+// or how the scheduler interleaved them.
 
 // RowShardSize is the fixed shard width (rows) of the deterministic
 // parallel path. It is a compile-time constant on purpose: shard boundaries

@@ -12,7 +12,7 @@ import (
 // Training amortizes one model over many EM cycles; serving inverts the
 // ratio — one fitted model is applied to an unbounded stream of fresh rows,
 // so the per-row cost of the E-step dominates everything. The batch scorer
-// therefore reuses the engine's blocked machinery (dataset.Columns mirror,
+// therefore reuses the engine's blocked machinery (the view's chunk plane,
 // model.Kernel per (class, term), the class-major block normalizer) for a
 // hot path with zero interface calls per row. The tests hold it against a
 // per-row oracle built on Classification.LogMembership (predict_test.go).
@@ -21,10 +21,11 @@ import (
 // grids depend only on the row count, per-shard log-likelihood partial sums
 // are merged in ascending shard order, and per-row outputs are written to
 // disjoint slices — so results are bitwise identical for every
-// Parallelism value. On chunk-backed datasets the scorer walks the chunk
-// plane through per-worker cursors; the block grid never straddles a
-// chunk (KernelBlockRows == ChunkAlign), so results are also bitwise
-// identical across chunk backings and sizes.
+// Parallelism value. The scorer walks the view's chunk plane through
+// per-worker cursors (for a materialized view, the in-memory store over
+// its column mirror); the block grid never straddles a chunk
+// (KernelBlockRows == ChunkAlign), so results are also bitwise identical
+// across chunk backings and sizes.
 
 // PredictConfig controls the batch scorer. The zero value scores on a
 // single worker.
@@ -151,13 +152,6 @@ type Predictor struct {
 	loop func(worker, shard int)
 	curP *Prediction
 	curN int
-
-	// Per-call data plane: the monolithic column mirror on a materialized
-	// view, or the chunk source walked by per-worker cursors on a
-	// chunk-backed one.
-	cols    *dataset.Columns
-	chunked bool
-	src     dataset.ChunkSrc
 }
 
 // NewPredictor builds a reusable scorer.
@@ -205,24 +199,16 @@ func (pr *Predictor) PredictInto(view *dataset.View, p *Prediction) error {
 	if n == 0 {
 		return nil
 	}
-	pr.chunked = view.Dataset().Chunked()
-	if pr.chunked {
-		src, err := view.ChunkSrc()
-		if err != nil {
-			return err
-		}
-		pr.src = src
-		pr.cols = nil
-	} else {
-		pr.cols = view.Columns()
+	src, err := view.ChunkSrc()
+	if err != nil {
+		return err
 	}
 	pr.kerns.prepare(pr.cls.Classes)
-	// Unlike the training engine, there is no seed-sequential legacy mode to
-	// preserve: the scorer always runs on the fixed shard grid, so every
-	// Parallelism value — including 0 — accumulates the log-likelihood in
+	// Like the training engine, the scorer always runs on the fixed shard
+	// grid, so every Parallelism value accumulates the log-likelihood in
 	// the same per-shard grouping and the result is bitwise identical.
 	shards := NumRowShards(n)
-	workers := pr.prepare(Config{Parallelism: pr.cfg.Parallelism}.Workers(shards))
+	workers := pr.prepare(Config{Parallelism: pr.cfg.Parallelism}.Workers(shards), src)
 	if cap(pr.lls) < shards {
 		pr.lls = make([]float64, shards)
 	}
@@ -236,10 +222,8 @@ func (pr *Predictor) PredictInto(view *dataset.View, p *Prediction) error {
 	}
 	ParallelFor(len(workers), shards, pr.loop)
 	pr.curP = nil
-	if pr.chunked {
-		for _, ps := range pr.scratch {
-			ps.cur.Close()
-		}
+	for _, ps := range pr.scratch {
+		ps.cur.Close()
 	}
 	// Ascending-shard merge keeps the total bitwise identical for every
 	// worker count.
@@ -250,29 +234,17 @@ func (pr *Predictor) PredictInto(view *dataset.View, p *Prediction) error {
 }
 
 // prepare returns `workers` scratch instances, reused across calls and
-// grown on demand. On a chunk-backed view each worker's cursor is pointed
-// at the view's chunk source.
-func (pr *Predictor) prepare(workers int) []*blockScratch {
+// grown on demand, with each worker's cursor pointed at the view's chunk
+// source src.
+func (pr *Predictor) prepare(workers int, src dataset.ChunkSrc) []*blockScratch {
 	for len(pr.scratch) < workers {
 		pr.scratch = append(pr.scratch, &blockScratch{})
 	}
 	for _, ps := range pr.scratch[:workers] {
 		ps.grow(pr.cls.J())
-		if pr.chunked {
-			ps.cur.Reset(pr.src)
-		}
+		ps.cur.Reset(src)
 	}
 	return pr.scratch[:workers]
-}
-
-// block resolves the view-local row block [blo, bhi) to the Columns the
-// kernels should walk — the monolithic mirror, or the cursor-pinned chunk
-// with chunk-local bounds.
-func (pr *Predictor) block(ps *blockScratch, blo, bhi int) (cols *dataset.Columns, lo, hi int) {
-	if pr.chunked {
-		return ps.cur.Block(blo, bhi)
-	}
-	return pr.cols, blo, bhi
 }
 
 // scoreRows scores rows [lo, hi) into p and returns their log-likelihood
@@ -292,7 +264,7 @@ func (pr *Predictor) scoreRows(lo, hi int, p *Prediction, ps *blockScratch) floa
 	for blo := lo; blo < hi; blo += KernelBlockRows {
 		bhi := min(blo+KernelBlockRows, hi)
 		m := bhi - blo
-		cols, clo, chi := pr.block(ps, blo, bhi)
+		cols, clo, chi := ps.cur.Block(blo, bhi)
 		v := ps.score(pr.cls.Classes, pr.kerns.k, cols, clo, chi)
 		ps.norm.expSum(v, m, &ll)
 		ps.norm.scaleArgmax(v, m, p.Memberships[blo*j:bhi*j], p.MAP[blo:bhi])

@@ -170,8 +170,7 @@ func TestPredictMatchesPerRowAPI(t *testing.T) {
 
 // TestPredictDeterministicAcrossParallelism: every Parallelism setting —
 // including 0 and GOMAXPROCS — must produce bitwise-identical predictions
-// (the scorer always runs the fixed shard grid, unlike the training
-// engine's seed-sequential legacy mode).
+// (the scorer always runs the fixed shard grid).
 func TestPredictDeterministicAcrossParallelism(t *testing.T) {
 	sc := kernelScenarios(t, 600)[0]
 	cls := fitScenario(t, sc, 4, 8)

@@ -38,8 +38,10 @@ import (
 // would silently mix tries from two incompatible searches, so the state
 // file embeds it and a resume refuses mismatches. Worker counts
 // (SearchParallelism, EM.Parallelism) are deliberately excluded: both are
-// bitwise-invariant (see parallel.go and searchsched.go), so a search may
-// be resumed under a different degree of parallelism.
+// bitwise-invariant — every pass folds the same fixed shard grid on any
+// number of workers, 0 included (see parallel.go), and tries commit in
+// schedule order (see searchsched.go) — so a search may be resumed under
+// a different degree of parallelism.
 type SearchFingerprint struct {
 	DupScoreTol    float64     `json:"dup_score_tol"`
 	MaxCycles      int         `json:"max_cycles"`

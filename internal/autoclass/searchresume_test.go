@@ -1,6 +1,7 @@
 package autoclass
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"os"
@@ -163,6 +164,49 @@ func TestStateWriteFaults(t *testing.T) {
 			if got != want || math.Float64bits(got.Score) != math.Float64bits(want.Score) || math.Float64bits(got.LogLik) != math.Float64bits(want.LogLik) {
 				t.Fatalf("fault %d: resumed try %d is %+v, reference %+v", fault, i, got, want)
 			}
+		}
+	}
+}
+
+// TestResumeAcrossParallelism: the state fingerprint leaves EM.Parallelism
+// out because no worker count moves a bit, so a search checkpointed at one
+// worker count, cut short and resumed at another must land on the
+// uninterrupted search's tries and best classification bytes — in both
+// directions, and with 0 on one side. 3000 rows span three 1024-row
+// shards, so a worker count that folded the rows in another grouping
+// would show here.
+func TestResumeAcrossParallelism(t *testing.T) {
+	ds := paperDS(t, 3000)
+	spec := model.DefaultSpec(ds)
+	for _, c := range []struct{ from, to int }{{0, 4}, {4, 0}} {
+		from, to := resumeCfg(), resumeCfg()
+		from.EM.Parallelism = c.from
+		to.EM.Parallelism = c.to
+		ref, err := Search(ds, spec, from, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		statePath := filepath.Join(t.TempDir(), "state.json")
+		if _, err := Search(ds, spec, from, &SearchOptions{StatePath: statePath}); err != nil {
+			t.Fatal(err)
+		}
+		truncateState(t, statePath, 3)
+		resumed, err := Search(ds, spec, to, &SearchOptions{StatePath: statePath})
+		if err != nil {
+			t.Fatalf("%d -> %d: resume: %v", c.from, c.to, err)
+		}
+		if !sameTries(resumed.Tries, ref.Tries) || resumed.BestTry != ref.BestTry {
+			t.Fatalf("%d -> %d: resumed tries diverged\n%+v\nvs\n%+v", c.from, c.to, resumed.Tries, ref.Tries)
+		}
+		var got, want bytes.Buffer
+		if err := (&Checkpoint{Classification: resumed.Best}).Save(&got); err != nil {
+			t.Fatal(err)
+		}
+		if err := (&Checkpoint{Classification: ref.Best}).Save(&want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%d -> %d: resumed best classification differs from the uninterrupted search", c.from, c.to)
 		}
 	}
 }

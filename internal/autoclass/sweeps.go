@@ -57,8 +57,8 @@ func fill(v []float64, x float64) {
 	}
 }
 
-// emBlock is the fused E+M step of one row block [lo, hi) of cols, shared
-// by the engine's fused pass and the StreamTrainer: the three sweeps,
+// emBlock is the fused E+M step of one row block [lo, hi) of cols, the
+// body of the engine's fused pass: the three sweeps,
 // with the class sums and log-likelihood folded into acc[:J+1] and every
 // term's statistics into acc[J+1:] at the (class, term) offsets offs.
 func (bs *blockScratch) emBlock(classes []*Class, kerns [][]model.Kernel, cols *dataset.Columns, lo, hi int, acc []float64, offs []int) {

@@ -45,17 +45,17 @@ func runTrialHistory(t testing.TB, p, par int, strategy Strategy) []float64 {
 }
 
 // TestHybridTrajectoryMatchesAcrossParallelism is the SPMD determinism
-// acceptance test: on a multi-rank run, Parallelism N must reproduce the
-// Parallelism 1 log-posterior trajectory bit for bit, because the fixed
-// shard grid makes every rank's reduced contributions independent of its
-// worker count.
+// acceptance test: on a multi-rank run, every Parallelism value (0
+// included) must reproduce the Parallelism 1 log-posterior trajectory bit
+// for bit, because the fixed shard grid makes every rank's reduced
+// contributions independent of its worker count.
 func TestHybridTrajectoryMatchesAcrossParallelism(t *testing.T) {
 	for _, strategy := range []Strategy{Full, WtsOnly} {
 		want := runTrialHistory(t, 3, 1, strategy)
 		if len(want) == 0 {
 			t.Fatalf("%v: empty trajectory", strategy)
 		}
-		for _, par := range []int{2, 4} {
+		for _, par := range []int{0, 2, 4} {
 			got := runTrialHistory(t, 3, par, strategy)
 			if len(got) != len(want) {
 				t.Fatalf("%v Parallelism %d: %d cycles vs %d", strategy, par, len(got), len(want))

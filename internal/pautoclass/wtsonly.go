@@ -138,8 +138,8 @@ func (e *wtsOnlyEngine) reduceWts(buf []float64) error {
 }
 
 // updateWts is the parallel E-step, identical to P-AutoClass's — including
-// the hybrid intra-rank mode: with cfg.Parallelism != 0 the local rows are
-// sharded over worker goroutines on the same fixed grid, merged in shard
+// the hybrid intra-rank mode: the local rows are sharded over
+// cfg.Workers worker goroutines on the same fixed grid, merged in shard
 // order, so the baseline stays deterministic and directly comparable.
 func (e *wtsOnlyEngine) updateWts() error {
 	n := e.view.N()
@@ -148,41 +148,36 @@ func (e *wtsOnlyEngine) updateWts() error {
 		e.wts = make([]float64, n*j)
 	}
 	out := make([]float64, j+1)
-	wtsRows := func(lo, hi int, out, logp []float64) {
+	shards := autoclass.NumRowShards(n)
+	workers := e.cfg.Workers(shards)
+	bufs := make([][]float64, shards)
+	for s := range bufs {
+		bufs[s] = make([]float64, j+1)
+	}
+	logps := make([][]float64, workers)
+	for w := range logps {
+		logps[w] = make([]float64, j)
+	}
+	autoclass.ParallelFor(workers, shards, func(worker, s int) {
+		lo, hi := autoclass.RowShardRange(s, n)
+		acc, logp := bufs[s], logps[worker]
 		for i := lo; i < hi; i++ {
 			e.cls.LogMembership(e.view.Row(i), logp)
 			z := stats.NormalizeLog(logp)
 			w := e.wts[i*j : (i+1)*j]
 			for cj := 0; cj < j; cj++ {
 				w[cj] = logp[cj]
-				out[cj] += logp[cj]
+				acc[cj] += logp[cj]
 			}
 			if !math.IsInf(z, -1) {
-				out[j] += z
+				acc[j] += z
 			}
 		}
-	}
-	if shards := autoclass.NumRowShards(n); e.cfg.Parallelism != 0 && shards > 0 {
-		workers := e.cfg.Workers(shards)
-		bufs := make([][]float64, shards)
-		for s := range bufs {
-			bufs[s] = make([]float64, j+1)
+	})
+	for _, buf := range bufs {
+		for k, v := range buf {
+			out[k] += v
 		}
-		logps := make([][]float64, workers)
-		for w := range logps {
-			logps[w] = make([]float64, j)
-		}
-		autoclass.ParallelFor(workers, shards, func(worker, s int) {
-			lo, hi := autoclass.RowShardRange(s, n)
-			wtsRows(lo, hi, bufs[s], logps[worker])
-		})
-		for _, buf := range bufs {
-			for k, v := range buf {
-				out[k] += v
-			}
-		}
-	} else {
-		wtsRows(0, n, out, make([]float64, j))
 	}
 	a := float64(e.cls.NumAttrColumns())
 	e.charge(float64(n) * float64(j) * (a + 1))
@@ -223,8 +218,8 @@ func (e *wtsOnlyEngine) parametersOnRoot() error {
 			}
 		}
 		// One row-major pass accumulating every (class, term) statistic,
-		// sharded across workers when the hybrid mode is on (the root's
-		// recompute covers ALL rows, so multicore helps it most of all).
+		// sharded across the hybrid mode's workers (the root's recompute
+		// covers ALL rows, so multicore helps it most of all).
 		offs := make([]int, 0, 8)
 		total := 0
 		for _, cl := range e.cls.Classes {
@@ -235,7 +230,14 @@ func (e *wtsOnlyEngine) parametersOnRoot() error {
 		}
 		offs = append(offs, total)
 		nAll := e.ds.N()
-		statsRows := func(lo, hi int, buf []float64) {
+		shards := autoclass.NumRowShards(nAll)
+		bufs := make([][]float64, shards)
+		for s := range bufs {
+			bufs[s] = make([]float64, total)
+		}
+		autoclass.ParallelFor(e.cfg.Workers(shards), shards, func(_, s int) {
+			lo, hi := autoclass.RowShardRange(s, nAll)
+			buf := bufs[s]
 			for i := lo; i < hi; i++ {
 				row := e.ds.Row(i)
 				ti := 0
@@ -247,25 +249,12 @@ func (e *wtsOnlyEngine) parametersOnRoot() error {
 					}
 				}
 			}
-		}
+		})
 		stBuf := make([]float64, total)
-		if shards := autoclass.NumRowShards(nAll); e.cfg.Parallelism != 0 && shards > 0 {
-			workers := e.cfg.Workers(shards)
-			bufs := make([][]float64, shards)
-			for s := range bufs {
-				bufs[s] = make([]float64, total)
+		for _, b := range bufs {
+			for k, v := range b {
+				stBuf[k] += v
 			}
-			autoclass.ParallelFor(workers, shards, func(_, s int) {
-				lo, hi := autoclass.RowShardRange(s, nAll)
-				statsRows(lo, hi, bufs[s])
-			})
-			for _, b := range bufs {
-				for k, v := range b {
-					stBuf[k] += v
-				}
-			}
-		} else {
-			statsRows(0, nAll, stBuf)
 		}
 		ti := 0
 		for _, cl := range e.cls.Classes {
