@@ -24,7 +24,8 @@ vet:
 # self-check must fall back when FMA is off; its non-amd64 fallback must
 # keep compiling; and on 386, where no vector kernel builds, the Go loops
 # run as the whole path against the unfused oracle, the per-row test
-# oracle and the per-row WtsOnly engine.
+# oracle and the per-row WtsOnly engine, and the column store and the
+# chunk file's unsafe views run on a 32-bit platform.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,2,4 \
@@ -33,7 +34,7 @@ race:
 	GODEBUG=cpu.fma=off $(GO) test -run Exp ./internal/stats
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=386 $(GO) vet ./...
-	GOARCH=386 $(GO) test ./internal/model ./internal/stats
+	GOARCH=386 $(GO) test ./internal/model ./internal/stats ./internal/dataset
 	GOARCH=386 $(GO) test -run 'Sweeps|NormalRun|FoldLanes|Normaliz|Chunked|Parallelism|Bitwise|Kernel|BlockedMatchesReference' ./internal/autoclass
 	GOARCH=386 $(GO) test -run 'WtsOnlyEqualsFull' ./internal/pautoclass
 
@@ -73,6 +74,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSearchState$$' -fuzztime 15s ./internal/autoclass
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenChunked$$' -fuzztime 15s ./internal/dataset
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSVWith$$' -fuzztime 15s ./internal/dataset
+	$(GO) test -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime 15s ./internal/dataset
 	$(GO) test -run '^$$' -fuzz '^FuzzTCPFrame$$' -fuzztime 15s ./internal/mpi
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenRegistry$$' -fuzztime 15s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzPredictRequest$$' -fuzztime 15s ./internal/serve

@@ -364,7 +364,7 @@ func train(client *http.Client, base string, rows int, seed uint64) (string, err
 func wireRows(ds *dataset.Dataset) [][]*float64 {
 	rows := make([][]*float64, ds.N())
 	for i := range rows {
-		src := ds.Row(i)
+		src := ds.RowTo(nil, i)
 		row := make([]*float64, len(src))
 		for k, v := range src {
 			if !dataset.IsMissing(v) {

@@ -283,13 +283,23 @@ func writeChunkedDataset(t *testing.T, n, chunkRows int) string {
 	return path
 }
 
-// TestCLIChunkedRun: -chunked trains out of core from a chunk file; the
-// printed summary matches a run over the same rows loaded in memory, and
-// -memory-budget bounds residency without changing it.
+// TestCLIChunkedRun: -chunked trains out of core from a chunk file; under
+// either strategy the printed summary matches a run over the same rows
+// loaded in memory, and -memory-budget bounds residency without changing
+// it.
 func TestCLIChunkedRun(t *testing.T) {
 	dataPath := writeDataset(t, 1024)
 	chunkPath := writeChunkedDataset(t, 1024, 256)
-	common := []string{"-start-j", "2,5", "-tries", "1", "-max-cycles", "30", "-procs", "2"}
+	for _, strategy := range []string{"full", "wtsonly"} {
+		common := []string{"-start-j", "2,5", "-tries", "1", "-max-cycles", "30", "-procs", "2", "-strategy", strategy}
+		checkChunkedRun(t, dataPath, chunkPath, common)
+	}
+}
+
+// checkChunkedRun requires the -chunked runs, with and without a memory
+// budget, to print what the -data run prints, wall time aside.
+func checkChunkedRun(t *testing.T, dataPath, chunkPath string, common []string) {
+	t.Helper()
 	var want bytes.Buffer
 	if err := run(append([]string{"-data", dataPath}, common...), &want); err != nil {
 		t.Fatal(err)
@@ -328,8 +338,6 @@ func TestCLIChunkedErrors(t *testing.T) {
 		"budget-without-chunked": {"-data", dataPath, "-memory-budget", "1MiB"},
 		"bad-budget":             {"-chunked", chunkPath, "-memory-budget", "lots"},
 		"negative-budget":        {"-chunked", chunkPath, "-memory-budget", "-3MiB"},
-		"chunked-wtsonly": {"-chunked", chunkPath, "-procs", "2", "-strategy", "wtsonly",
-			"-start-j", "2", "-tries", "1", "-max-cycles", "5"},
 	}
 	for name, args := range cases {
 		if err := run(args, &buf); err == nil {

@@ -61,7 +61,7 @@ func main() {
 		log.Fatal(err)
 	}
 	restored := loaded.Classification
-	probe := ds.Row(0)
+	probe := ds.RowTo(nil, 0)
 	fmt.Printf("checkpoint round trip OK: new window classified to family %d (same as before: %v)\n",
 		restored.HardAssign(probe), restored.HardAssign(probe) == res.Best.HardAssign(probe))
 }

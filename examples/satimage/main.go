@@ -50,8 +50,9 @@ func main() {
 	for c := range confusion {
 		confusion[c] = make([]int, len(mix.Components))
 	}
+	row := make([]float64, ds.NumAttrs())
 	for i := 0; i < ds.N(); i++ {
-		confusion[res.Best.HardAssign(ds.Row(i))][truth[i]]++
+		confusion[res.Best.HardAssign(ds.RowTo(row, i))][truth[i]]++
 	}
 	names := []string{"water", "soil", "crops", "forest", "urban"}
 	fmt.Println("discovered class -> dominant true cover (purity):")

@@ -336,7 +336,7 @@ func TestPredictMembership(t *testing.T) {
 	}
 	// Probabilities normalized, hard assignment consistent.
 	for i := 0; i < 50; i++ {
-		row := ds.Row(i)
+		row := ds.RowTo(nil, i)
 		p := cls.Predict(row)
 		if !stats.AlmostEqual(stats.Sum(p), 1, 1e-9) {
 			t.Fatalf("membership sums to %v", stats.Sum(p))
@@ -538,7 +538,7 @@ func TestLogNormalSpecEndToEnd(t *testing.T) {
 	agree := 0
 	assign := make(map[[2]int]int)
 	for i := 0; i < ds.N(); i++ {
-		assign[[2]int{labels[i], cls.HardAssign(ds.Row(i))}]++
+		assign[[2]int{labels[i], cls.HardAssign(ds.RowTo(nil, i))}]++
 	}
 	for l := 0; l < 3; l++ {
 		best := 0

@@ -34,7 +34,7 @@ func TestAssignCasesStructure(t *testing.T) {
 			}
 		}
 		// Best entry equals the prediction's max.
-		probs := cls.Predict(ds.Row(ca.Index))
+		probs := cls.Predict(ds.RowTo(nil, ca.Index))
 		best := 0.0
 		for _, p := range probs {
 			if p > best {

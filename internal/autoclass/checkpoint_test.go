@@ -42,8 +42,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	// Predictions identical.
 	for i := 0; i < 20; i++ {
-		a := cls.Predict(ds.Row(i))
-		b := got.Predict(ds.Row(i))
+		a := cls.Predict(ds.RowTo(nil, i))
+		b := got.Predict(ds.RowTo(nil, i))
 		for j := range a {
 			if a[j] != b[j] {
 				t.Fatalf("prediction mismatch on row %d", i)

@@ -261,8 +261,8 @@ type Engine struct {
 	// Blocked-kernel state (see kernels.go): the (class, term) kernel set,
 	// per-worker scratch, and the view's chunk plane, which every pass
 	// (lowmem.go) walks through per-worker cursors — the dataset's own
-	// chunk store, or for a materialized view an in-memory store over the
-	// view's column mirror.
+	// chunk store, or for an in-memory dataset a store of windows of its
+	// columns.
 	kerns    kernelSet
 	blockScr []*blockScratch
 	src      dataset.ChunkSrc

@@ -76,10 +76,11 @@ func BenchmarkUpdateWts(b *testing.B) {
 		out := make([]float64, j+1)
 		wts := make([]float64, n*j)
 		logp := make([]float64, j)
+		row := make([]float64, eng.view.Dataset().NumAttrs())
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			refEStep(eng, out, wts, logp)
+			refEStep(eng, out, wts, logp, row)
 		}
 	})
 }
@@ -104,10 +105,11 @@ func BenchmarkBaseCycle(b *testing.B) {
 		n, j := eng.view.N(), eng.cls.J()
 		wts := make([]float64, n*j)
 		logp := make([]float64, j)
+		row := make([]float64, eng.view.Dataset().NumAttrs())
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := refCycle(eng, wts, logp); err != nil {
+			if err := refCycle(eng, wts, logp, row); err != nil {
 				b.Fatal(err)
 			}
 		}

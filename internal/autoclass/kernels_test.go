@@ -120,11 +120,12 @@ func blockedStats(eng *Engine, wts, buf []float64, offs []int) {
 // refEStep is the per-row E-step oracle: every row of the engine's view
 // through Classification.LogMembership and stats.NormalizeLog, its weights
 // written row-major into wts (n×J) and added, with its log-evidence, into
-// out = {w_0 … w_{J−1}, logLik}. logp is one row's scratch (length J).
-func refEStep(eng *Engine, out, wts, logp []float64) {
+// out = {w_0 … w_{J−1}, logLik}. logp and row are one row's scratch
+// (lengths J and NumAttrs).
+func refEStep(eng *Engine, out, wts, logp, row []float64) {
 	j := eng.cls.J()
 	for i := 0; i < eng.view.N(); i++ {
-		eng.cls.LogMembership(eng.view.Row(i), logp)
+		eng.cls.LogMembership(eng.view.RowTo(row, i), logp)
 		z := stats.NormalizeLog(logp)
 		w := wts[i*j : (i+1)*j]
 		for cj := 0; cj < j; cj++ {
@@ -139,11 +140,12 @@ func refEStep(eng *Engine, out, wts, logp []float64) {
 
 // refStats is the per-row statistics oracle: every row's weights from the
 // row-major matrix wts folded through Term.AccumulateStats into buf, which
-// holds every (class, term) statistics vector at the offsets in offs.
-func refStats(eng *Engine, wts, buf []float64, offs []int) {
+// holds every (class, term) statistics vector at the offsets in offs. row
+// is one row's scratch (length NumAttrs).
+func refStats(eng *Engine, wts, buf []float64, offs []int, row []float64) {
 	j := eng.cls.J()
 	for i := 0; i < eng.view.N(); i++ {
-		row := eng.view.Row(i)
+		eng.view.RowTo(row, i)
 		ti := 0
 		for cj, cl := range eng.cls.Classes {
 			w := wts[i*j+cj]
@@ -161,17 +163,17 @@ func refStats(eng *Engine, wts, buf []float64, offs []int) {
 // the matrix, the statistics exchange, update_approximations and class
 // death. With pruning off it allocates nothing once the engine's buffers
 // are warm.
-func refCycle(eng *Engine, wts, logp []float64) error {
+func refCycle(eng *Engine, wts, logp, row []float64) error {
 	n, j := eng.view.N(), eng.cls.J()
 	offs, total := statOffsets(eng.cls, eng.offs)
 	eng.offs = offs
 	combined := eng.passBuf(j + 1 + total)
-	refEStep(eng, combined[:j+1], wts[:n*j], logp[:j])
+	refEStep(eng, combined[:j+1], wts[:n*j], logp[:j], row)
 	for cj, cl := range eng.cls.Classes {
 		cl.W = combined[cj]
 	}
 	eng.cls.LogLik = combined[j]
-	refStats(eng, wts[:n*j], combined[j+1:], offs)
+	refStats(eng, wts[:n*j], combined[j+1:], offs, row)
 	if _, _, err := eng.exchangeStats(combined[j+1:], offs); err != nil {
 		return err
 	}
@@ -202,8 +204,9 @@ func refSearch(t testing.TB, ds *dataset.Dataset, spec model.Spec, cfg SearchCon
 		}
 		wts := make([]float64, ds.N()*startJ)
 		logp := make([]float64, startJ)
+		row := make([]float64, ds.NumAttrs())
 		for em.Cycles < cfg.EM.MaxCycles && !em.Converged {
-			if err := refCycle(eng, wts, logp); err != nil {
+			if err := refCycle(eng, wts, logp, row); err != nil {
 				return nil, em, err
 			}
 			em.Cycles++
@@ -246,14 +249,15 @@ func TestBlockedMatchesReferencePhases(t *testing.T) {
 				j := cls.J()
 				wtsR := make([]float64, n*j)
 				logp := make([]float64, j)
+				row := make([]float64, sc.ds.NumAttrs())
 				for c := 0; c < 2; c++ {
-					if err := refCycle(eng, wtsR, logp); err != nil {
+					if err := refCycle(eng, wtsR, logp, row); err != nil {
 						t.Fatal(err)
 					}
 				}
 				// E-step, both paths from the identical parameter state.
 				outR := make([]float64, j+1)
-				refEStep(eng, outR, wtsR, logp)
+				refEStep(eng, outR, wtsR, logp, row)
 				outB := make([]float64, j+1)
 				wtsB := make([]float64, n*j)
 				blockedEStep(eng, outB, wtsB)
@@ -277,7 +281,7 @@ func TestBlockedMatchesReferencePhases(t *testing.T) {
 				// M-step over identical weights.
 				offs, total := statOffsets(cls, nil)
 				bufR := make([]float64, total)
-				refStats(eng, wtsR, bufR, offs)
+				refStats(eng, wtsR, bufR, offs, row)
 				bufB := make([]float64, total)
 				blockedStats(eng, wtsR, bufB, offs)
 				for s := range bufR {
@@ -319,7 +323,7 @@ func TestKernelTrajectoriesAgree(t *testing.T) {
 						blocked.Best.LogPost, reference.Best.LogPost)
 				}
 				for i := 0; i < sc.ds.N(); i++ {
-					row := sc.ds.Row(i)
+					row := sc.ds.RowTo(nil, i)
 					if b, r := blocked.Best.HardAssign(row), reference.Best.HardAssign(row); b != r {
 						t.Fatalf("case %d assigned to class %d under blocked, %d under reference", i, b, r)
 					}
@@ -411,11 +415,12 @@ func TestUpdatePhasesDoNotAllocate(t *testing.T) {
 		out := make([]float64, j+1)
 		wts := make([]float64, n*j)
 		logp := make([]float64, j)
-		if a := testing.AllocsPerRun(20, func() { refEStep(eng, out, wts, logp) }); a != 0 {
+		row := make([]float64, eng.view.Dataset().NumAttrs())
+		if a := testing.AllocsPerRun(20, func() { refEStep(eng, out, wts, logp, row) }); a != 0 {
 			t.Errorf("oracle E-step allocates %v times per cycle", a)
 		}
 		if a := testing.AllocsPerRun(20, func() {
-			if err := refCycle(eng, wts, logp); err != nil {
+			if err := refCycle(eng, wts, logp, row); err != nil {
 				t.Fatal(err)
 			}
 		}); a != 0 {

@@ -22,8 +22,8 @@ import (
 // initialization (which folds its hash-derived 0/1 weights instead of
 // running the block step) all use it, each on the fixed shard grid and
 // each reading its blocks through per-worker chunk cursors — over the
-// dataset's chunk store, or over the in-memory store View.ChunkSrc builds
-// from a materialized view's column mirror.
+// dataset's chunk store, or over the in-memory store View.ChunkSrc cuts
+// from an in-memory dataset's columns.
 //
 // Fusing changes no arithmetic against running the paper's two phases as
 // separate passes over a stored weights matrix: the weight values are

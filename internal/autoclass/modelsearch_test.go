@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/dataset"
 	"repro/internal/model"
 )
 
@@ -103,10 +104,14 @@ func TestSearchModelsCorrelatedWinsOnCorrelatedData(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Introduce correlation by shearing y toward x.
-	sheared := ds.Clone()
-	for i := 0; i < sheared.N(); i++ {
-		row := sheared.Row(i)
+	sheared := dataset.MustNew(ds.Name, ds.Attrs())
+	row := make([]float64, ds.NumAttrs())
+	for i := 0; i < ds.N(); i++ {
+		ds.RowTo(row, i)
 		row[1] = row[1]*0.3 + row[0]*0.95
+		if err := sheared.AppendRow(row); err != nil {
+			t.Fatal(err)
+		}
 	}
 	cfg := DefaultSearchConfig()
 	cfg.StartJList = []int{2}

@@ -22,8 +22,8 @@ import (
 // are merged in ascending shard order, and per-row outputs are written to
 // disjoint slices — so results are bitwise identical for every
 // Parallelism value. The scorer walks the view's chunk plane through
-// per-worker cursors (for a materialized view, the in-memory store over
-// its column mirror); the block grid never straddles a chunk
+// per-worker cursors (for an in-memory dataset, a store of windows of its
+// columns); the block grid never straddles a chunk
 // (KernelBlockRows == ChunkAlign), so results are also bitwise identical
 // across chunk backings and sizes.
 

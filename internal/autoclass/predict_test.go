@@ -66,9 +66,10 @@ func holdout(t testing.TB, name string, n int) *dataset.Dataset {
 	// Blank out one mid-dataset row entirely: every term must skip it, so
 	// it exercises the no-evidence (prior-weights) fallback.
 	if n > 2 {
-		row := ds.Row(n / 2)
-		for k := range row {
-			row[k] = dataset.Missing
+		for k := 0; k < ds.NumAttrs(); k++ {
+			if err := ds.SetMissing(n/2, k); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	return ds
@@ -85,7 +86,7 @@ func refPredict(cls *Classification, view *dataset.View) *Prediction {
 	p := &Prediction{J: j, Memberships: make([]float64, n*j), MAP: make([]int, n), RowLL: make([]float64, n)}
 	for i := 0; i < n; i++ {
 		mem := p.Membership(i)
-		cls.LogMembership(view.Row(i), mem)
+		cls.LogMembership(view.RowTo(nil, i), mem)
 		p.RowLL[i] = stats.NormalizeLog(mem)
 		p.MAP[i] = argmax(mem)
 	}
@@ -151,7 +152,7 @@ func TestPredictMatchesPerRowAPI(t *testing.T) {
 	ds := holdout(t, sc.name, 700)
 	p := refPredict(cls, ds.All())
 	for i := 0; i < ds.N(); i++ {
-		row := ds.Row(i)
+		row := ds.RowTo(nil, i)
 		want := cls.Predict(row)
 		got := p.Membership(i)
 		for j := range want {
@@ -228,7 +229,7 @@ func TestPredictInvariants(t *testing.T) {
 	// The all-missing row carries no evidence: its memberships are exactly
 	// the prior mixing weights the per-row API reports for it.
 	blank := n / 2
-	want := cls.Predict(ds.Row(blank))
+	want := cls.Predict(ds.RowTo(nil, blank))
 	for j, v := range p.Membership(blank) {
 		if !stats.AlmostEqual(v, want[j], 1e-12) {
 			t.Fatalf("all-missing row class %d: membership %v, want prior weight %v", j, v, want[j])

@@ -187,26 +187,19 @@ func Search(ds *dataset.Dataset, spec model.Spec, cfg SearchConfig, opts *Search
 	return sched.Run(st, nativeRunners(ds, spec, pr, cfg, opts, sched))
 }
 
-// nativeRunners builds the per-slot runners of the sequential engine. With
-// several workers the variants share one dataset view — and through it one
-// columnar mirror — and a shared cycle observer is serialized behind a
+// nativeRunners builds the per-slot runners of the sequential engine.
+// Every try reads one dataset view — and through it one chunk plane — and
+// with several workers a shared cycle observer is serialized behind a
 // lock.
 func nativeRunners(ds *dataset.Dataset, spec model.Spec, pr *model.Priors, cfg SearchConfig,
 	opts *SearchOptions, sched *SearchScheduler) func(slot int) VariantRunner {
+	view := ds.All()
 	co := opts.Cycles
-	var sharedView *dataset.View
-	if sched.workers > 1 {
-		sharedView = ds.All()
-		if co != nil {
-			co = &lockedCycleObserver{o: co}
-		}
+	if sched.workers > 1 && co != nil {
+		co = &lockedCycleObserver{o: co}
 	}
 	return func(int) VariantRunner {
 		return func(v Variant) (*Classification, EMResult, error) {
-			view := sharedView
-			if view == nil {
-				view = ds.All()
-			}
 			cls, err := NewClassification(ds, spec, pr, v.StartJ)
 			if err != nil {
 				return nil, EMResult{}, err

@@ -2,6 +2,7 @@ package autoclass
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/datagen"
@@ -33,6 +34,30 @@ func TestSearchFindsPlantedJ(t *testing.T) {
 	}
 	if res.BestTry.Score != res.Best.Score() {
 		t.Fatalf("best try score %v != classification score %v", res.BestTry.Score, res.Best.Score())
+	}
+}
+
+// TestSearchTriesShareOneView: every try of a sequential search reads one
+// view of the dataset, so a try copies none of the data. Over 100,000 rows
+// three extra tries must allocate less than one copy of the columns.
+func TestSearchTriesShareOneView(t *testing.T) {
+	ds := paperDS(t, 100000)
+	allocated := func(tries int) int64 {
+		cfg := DefaultSearchConfig()
+		cfg.StartJList = []int{4}
+		cfg.Tries = tries
+		cfg.EM.MaxCycles = 1
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Search(ds, model.DefaultSpec(ds), cfg, nil); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return int64(after.TotalAlloc - before.TotalAlloc)
+	}
+	one, four := allocated(1), allocated(4)
+	if extra, copyBytes := four-one, int64(ds.N()*ds.NumAttrs()*8); extra >= copyBytes {
+		t.Errorf("3 extra tries allocated %d B, a column copy is %d B (1 try: %d B, 4 tries: %d B)", extra, copyBytes, one, four)
 	}
 }
 

@@ -306,18 +306,20 @@ func LogNormalMixture(n int, seed uint64) (*dataset.Dataset, []int, error) {
 
 // InjectMissing replaces each value of ds independently with Missing with
 // probability rate, returning the number of values blanked. It mutates the
-// dataset in place via row rewriting.
+// in-memory dataset in place (Dataset.SetMissing), drawing row by row.
 func InjectMissing(ds *dataset.Dataset, rate float64, seed uint64) (int, error) {
 	if rate < 0 || rate >= 1 {
 		return 0, fmt.Errorf("datagen: missing rate %v out of [0,1)", rate)
 	}
 	r := rng.New(seed)
 	blanked := 0
+	row := make([]float64, ds.NumAttrs())
 	for i := 0; i < ds.N(); i++ {
-		row := ds.Row(i)
-		for k := range row {
-			if !dataset.IsMissing(row[k]) && r.Float64() < rate {
-				row[k] = dataset.Missing
+		for k, v := range ds.RowTo(row, i) {
+			if !dataset.IsMissing(v) && r.Float64() < rate {
+				if err := ds.SetMissing(i, k); err != nil {
+					return blanked, fmt.Errorf("datagen: %w", err)
+				}
 				blanked++
 			}
 		}

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"sync"
 	"unsafe"
@@ -114,9 +113,7 @@ type ChunkWriter struct {
 	offs []int64 // sealed chunk offsets
 	rows int     // total rows appended
 
-	cur     [][]float64 // open chunk, column-major
-	curMiss [][]bool    // lazily allocated masks for the open chunk
-	curN    int
+	cur Columns // open chunk
 
 	err    error
 	closed bool
@@ -127,7 +124,7 @@ type ChunkWriter struct {
 // Seek). The schema is validated; chunkRows must satisfy
 // ValidateChunkRows.
 func NewChunkWriter(ws io.WriteSeeker, name string, attrs []Attribute, chunkRows int) (*ChunkWriter, error) {
-	if _, err := New(name, attrs); err != nil {
+	if err := checkSchema(attrs); err != nil {
 		return nil, err
 	}
 	if err := ValidateChunkRows(chunkRows); err != nil {
@@ -140,11 +137,10 @@ func NewChunkWriter(ws io.WriteSeeker, name string, attrs []Attribute, chunkRows
 		attrs:     append([]Attribute(nil), attrs...),
 		chunkRows: chunkRows,
 		na:        len(attrs),
-		cur:       make([][]float64, len(attrs)),
-		curMiss:   make([][]bool, len(attrs)),
+		cur:       Columns{cols: make([][]float64, len(attrs)), missing: make([][]bool, len(attrs))},
 	}
-	for k := range w.cur {
-		w.cur[k] = make([]float64, 0, chunkRows)
+	for k := range w.cur.cols {
+		w.cur.cols[k] = make([]float64, 0, chunkRows)
 	}
 	var hdr [chunkDataStart]byte
 	copy(hdr[:8], chunkMagic)
@@ -165,7 +161,8 @@ func (w *ChunkWriter) Rows() int { return w.rows }
 func (w *ChunkWriter) ChunkRows() int { return w.chunkRows }
 
 // AppendRow appends one instance, sealing the open chunk to the file when
-// it reaches chunkRows rows. Validation matches Dataset.AppendRow.
+// it reaches chunkRows rows. It validates and stores the row exactly as
+// Dataset.AppendRow does.
 func (w *ChunkWriter) AppendRow(row []float64) error {
 	if w.err != nil {
 		return w.err
@@ -173,35 +170,12 @@ func (w *ChunkWriter) AppendRow(row []float64) error {
 	if w.closed {
 		return errors.New("dataset: AppendRow after Close")
 	}
-	if len(row) != w.na {
-		return fmt.Errorf("dataset: row has %d values, schema has %d attributes", len(row), w.na)
+	if err := checkRow(w.attrs, row); err != nil {
+		return err
 	}
-	for k, v := range row {
-		if IsMissing(v) {
-			continue
-		}
-		a := &w.attrs[k]
-		if a.Type == Discrete {
-			idx := int(v)
-			if float64(idx) != v || idx < 0 || idx >= len(a.Levels) {
-				return fmt.Errorf("dataset: row value %v is not a valid level index for discrete attribute %q", v, a.Name)
-			}
-		} else if math.IsInf(v, 0) {
-			return fmt.Errorf("dataset: infinite value for real attribute %q", a.Name)
-		}
-	}
-	for k, v := range row {
-		w.cur[k] = append(w.cur[k], v)
-		if IsMissing(v) {
-			if w.curMiss[k] == nil {
-				w.curMiss[k] = make([]bool, w.chunkRows)
-			}
-			w.curMiss[k][w.curN] = true
-		}
-	}
-	w.curN++
+	w.cur.appendRow(row)
 	w.rows++
-	if w.curN == w.chunkRows {
+	if w.cur.n == w.chunkRows {
 		w.err = w.seal()
 	}
 	return w.err
@@ -209,14 +183,14 @@ func (w *ChunkWriter) AppendRow(row []float64) error {
 
 // seal writes the open chunk and resets the buffer.
 func (w *ChunkWriter) seal() error {
-	if w.curN == 0 {
+	if w.cur.n == 0 {
 		return nil
 	}
 	w.offs = append(w.offs, w.off)
 	flagsLen := (w.na + 7) / 8
 	flags := make([]byte, pad8(int64(flagsLen)))
-	for k := range w.curMiss {
-		if w.curMiss[k] != nil {
+	for k, m := range w.cur.missing {
+		if m != nil {
 			flags[k/8] |= 1 << (k % 8)
 		}
 	}
@@ -224,18 +198,18 @@ func (w *ChunkWriter) seal() error {
 		return err
 	}
 	w.off += int64(len(flags))
-	for k := range w.cur {
-		b := bytesOfF64(w.cur[k][:w.curN])
+	for _, col := range w.cur.cols {
+		b := bytesOfF64(col)
 		if _, err := w.bw.Write(b); err != nil {
 			return err
 		}
 		w.off += int64(len(b))
 	}
-	for k := range w.curMiss {
-		if w.curMiss[k] == nil {
+	for _, m := range w.cur.missing {
+		if m == nil {
 			continue
 		}
-		b := bytesOfBool(w.curMiss[k][:w.curN])
+		b := bytesOfBool(m)
 		if _, err := w.bw.Write(b); err != nil {
 			return err
 		}
@@ -248,11 +222,11 @@ func (w *ChunkWriter) seal() error {
 		}
 		w.off += p
 	}
-	for k := range w.cur {
-		w.cur[k] = w.cur[k][:0]
-		w.curMiss[k] = nil
+	for k := range w.cur.cols {
+		w.cur.cols[k] = w.cur.cols[k][:0]
+		w.cur.missing[k] = nil
 	}
-	w.curN = 0
+	w.cur.n = 0
 	return nil
 }
 
@@ -560,7 +534,7 @@ const (
 	// falls back to ChunkCached otherwise. The default.
 	ChunkAuto ChunkMode = iota
 	// ChunkInMemory eagerly loads every chunk into RAM — the file-loading
-	// twin of the materialized default, mostly for equivalence tests.
+	// twin of an in-memory dataset, mostly for equivalence tests.
 	ChunkInMemory
 	// ChunkMmap memory-maps the file (error where unsupported): the OS
 	// page cache is the residency policy.
@@ -601,10 +575,9 @@ func (o *ChunkOptions) residentCap(cf *chunkFile) int {
 	return b
 }
 
-// OpenChunked opens a chunk file as a chunk-backed ("virtual") Dataset.
-// The returned dataset has no row-major storage; kernels walk its chunk
-// plane, and the backing (selected by opts.Mode) decides how many bytes
-// are resident at once. Close releases the file and any mapping.
+// OpenChunked opens a chunk file as a chunk-backed Dataset. Every read
+// goes through the backing selected by opts.Mode, which decides how many
+// bytes are resident at once. Close releases the file and any mapping.
 func OpenChunked(path string, opts ChunkOptions) (*Dataset, error) {
 	cf, err := openChunkFile(path)
 	if err != nil {

@@ -10,8 +10,9 @@ import "fmt"
 // sequence of fixed-size row chunks whose size is a multiple of the kernel
 // block, behind the ChunkStore interface. Three backings implement it:
 //
-//   - the in-memory default, zero-copy windows over a View's monolithic
-//     column mirror (memChunkStore, below);
+//   - in memory: an in-memory dataset's own one-chunk column store
+//     (colStore, columns.go), and zero-copy windows of its columns on a
+//     chunk grid (memChunkStore, below), which views and ChunkedCopy cut;
 //   - a memory-mapped chunk file (mmapStore, chunkfile.go);
 //   - a bounded-residency cache that pins at most B chunks in RAM and
 //     faults the rest from the file on demand (cachedStore, chunkfile.go).
@@ -73,10 +74,9 @@ func ValidateChunkRows(cr int) error {
 	return nil
 }
 
-// memChunkStore is the in-memory backing: fixed-size windows over one
-// monolithic column mirror. Chunks alias the mirror's flat backing array,
-// so the store adds only slice headers on top of the Columns a view builds
-// anyway.
+// memChunkStore is the in-memory chunk grid: fixed-size windows of one
+// column block. Chunks alias the block's columns, so the store adds only
+// slice headers.
 type memChunkStore struct {
 	rows      int
 	na        int
@@ -84,8 +84,8 @@ type memChunkStore struct {
 	chunks    []Columns
 }
 
-// ChunkColumns slices a monolithic mirror into an in-memory chunk store
-// with the given chunk size (which must satisfy ValidateChunkRows).
+// ChunkColumns slices a column block into an in-memory chunk store with
+// the given chunk size (which must satisfy ValidateChunkRows).
 func ChunkColumns(cols *Columns, chunkRows int) (ChunkStore, error) {
 	if err := ValidateChunkRows(chunkRows); err != nil {
 		return nil, err

@@ -243,7 +243,7 @@ func TestAlignedBlockPartition(t *testing.T) {
 
 // TestVirtualDataset covers the chunk-backed dataset mode built over the
 // in-memory store: Value/RowTo/Summarize/Head/Equal must agree with the
-// materialized original, and Row/AppendRow must refuse.
+// in-memory original, and AppendRow must refuse.
 func TestVirtualDataset(t *testing.T) {
 	n := 1500
 	ds := mkMixedDataset(t, n)
@@ -269,21 +269,13 @@ func TestVirtualDataset(t *testing.T) {
 			}
 		}
 		got := vd.RowTo(nil, i)
-		want := ds.Row(i)
+		want := ds.RowTo(nil, i)
 		for k := range got {
 			if !sameFloat(got[k], want[k]) {
 				t.Fatalf("RowTo(%d)[%d]: %v != %v", i, k, got[k], want[k])
 			}
 		}
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("Row on virtual dataset did not panic")
-			}
-		}()
-		vd.Row(0)
-	}()
 	if err := vd.AppendRow(make([]float64, ds.NumAttrs())); err == nil {
 		t.Error("AppendRow on virtual dataset accepted")
 	}
@@ -334,9 +326,9 @@ func TestVirtualDataset(t *testing.T) {
 	}
 }
 
-// TestViewChunkSrc covers both sides of View.ChunkSrc: the materialized
-// path (store sliced from the mirror, cached) and the chunk-backed path
-// (dataset's own store, Base = view start, grid check).
+// TestViewChunkSrc covers both sides of View.ChunkSrc: the in-memory
+// path (store of windows of the view's columns, cached) and the
+// chunk-backed path (dataset's own store, Base = view start, grid check).
 func TestViewChunkSrc(t *testing.T) {
 	ds := mkMixedDataset(t, 2000)
 	v := ds.All()
@@ -345,7 +337,7 @@ func TestViewChunkSrc(t *testing.T) {
 		t.Fatal(err)
 	}
 	if src.Base != 0 || src.Store.NumRows() != 2000 {
-		t.Fatalf("materialized src %+v", src)
+		t.Fatalf("in-memory src %+v", src)
 	}
 	src2, _ := v.ChunkSrc()
 	if src2.Store != src.Store {

@@ -2,8 +2,8 @@ package dataset
 
 import (
 	"math"
-	"sync"
 	"testing"
+	"unsafe"
 )
 
 func columnsTestDS(t *testing.T) *Dataset {
@@ -72,32 +72,46 @@ func TestColumnsMirrorsView(t *testing.T) {
 	}
 }
 
-// TestColumnsCachedPerView checks that the mirror is built once per view —
-// repeated and concurrent calls return the same instance.
-func TestColumnsCachedPerView(t *testing.T) {
-	ds := columnsTestDS(t)
-	v := ds.All()
-	first := v.Columns()
-	if v.Columns() != first {
-		t.Fatal("second Columns() call rebuilt the mirror")
-	}
-	var wg sync.WaitGroup
-	got := make([]*Columns, 8)
-	for g := range got {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			got[g] = v.Columns()
-		}(g)
-	}
-	wg.Wait()
-	for g, c := range got {
-		if c != first {
-			t.Fatalf("goroutine %d saw a different mirror", g)
+// TestViewsAliasDatasetStorage: views of an in-memory dataset cut their
+// Columns and chunk plane out of the dataset's own column storage. Two
+// views — one aligned, one starting off the ChunkAlign grid as an SPMD
+// rank's may — read the same bytes, on a chunk grid relative to the
+// view's first row, and neither copies them.
+func TestViewsAliasDatasetStorage(t *testing.T) {
+	ds := mkMixedDataset(t, 2*DefaultChunkRows+100)
+	own := ds.ChunkStore().Acquire(0)
+	defer ds.ChunkStore().Release(0)
+	for _, start := range []int{0, 300} {
+		v, err := ds.View(start, ds.N()-start)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Distinct views build distinct mirrors.
-	if ds.All().Columns() == first {
-		t.Fatal("distinct views share a mirror")
+		cols := v.Columns()
+		if v.Columns() != cols {
+			t.Fatalf("view at %d: second Columns() call cut a new window", start)
+		}
+		src, err := v.ChunkSrc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if src.Base != 0 || src.Store.ChunkRows() != DefaultChunkRows {
+			t.Fatalf("view at %d: chunk plane base %d, %d-row chunks", start, src.Base, src.Store.ChunkRows())
+		}
+		for k := 0; k < ds.NumAttrs(); k++ {
+			if unsafe.SliceData(cols.Col(k)) != &own.Col(k)[start] {
+				t.Fatalf("view at %d: Columns().Col(%d) does not alias the dataset's column", start, k)
+			}
+			for c := 0; c < src.Store.NumChunks(); c++ {
+				g := start + c*DefaultChunkRows
+				ch := src.Store.Acquire(c)
+				if unsafe.SliceData(ch.Col(k)) != &own.Col(k)[g] {
+					t.Errorf("view at %d, chunk %d: column %d does not alias the dataset's column", start, c, k)
+				}
+				if m := ch.Missing(k); m != nil && unsafe.SliceData(m) != &own.Missing(k)[g] {
+					t.Errorf("view at %d, chunk %d: mask %d does not alias the dataset's mask", start, c, k)
+				}
+				src.Store.Release(c)
+			}
+		}
 	}
 }

@@ -141,20 +141,20 @@ type CSVOptions struct {
 	Sink *ChunkWriter
 }
 
-// csvSizer is the reader face of the pre-sizing estimate: bytes.Reader,
-// strings.Reader and bufio.Reader all report the unread length.
-type csvSizer interface{ Len() int }
+// sizer is the reader face of the pre-sizing estimates (CSV and binary):
+// bytes.Reader and strings.Reader report the unread length.
+type sizer interface{ Len() int }
 
-// csvStatter matches *os.File.
-type csvStatter interface{ Stat() (fs.FileInfo, error) }
+// statter matches *os.File.
+type statter interface{ Stat() (fs.FileInfo, error) }
 
-// csvReaderSize reports the reader's remaining byte count, or -1 when it
-// is not cheaply knowable.
-func csvReaderSize(r io.Reader) int64 {
+// readerSize reports the reader's remaining byte count, or -1 when it is
+// not cheaply knowable.
+func readerSize(r io.Reader) int64 {
 	switch v := r.(type) {
-	case csvSizer:
+	case sizer:
 		return int64(v.Len())
-	case csvStatter:
+	case statter:
 		if fi, err := v.Stat(); err == nil && fi.Mode().IsRegular() {
 			return fi.Size()
 		}
@@ -184,7 +184,7 @@ func readCSVWith(r io.Reader, name string, opts CSVOptions) (*Dataset, int, erro
 		ds, err := ReadCSV(r, name)
 		return ds, 0, err
 	}
-	size := csvReaderSize(r)
+	size := readerSize(r)
 	cr := csv.NewReader(r)
 	cr.TrimLeadingSpace = true
 	header, err := cr.Read()
@@ -207,10 +207,12 @@ func readCSVWith(r io.Reader, name string, opts CSVOptions) (*Dataset, int, erro
 		}
 	}
 	var ds *Dataset
+	var own *colStore
 	if opts.Sink == nil {
 		if ds, err = New(name, attrs); err != nil {
 			return nil, 0, err
 		}
+		own = ds.own()
 	}
 	row := make([]float64, ncol)
 	reallocs := 0
@@ -272,12 +274,12 @@ func readCSVWith(r io.Reader, name string, opts CSVOptions) (*Dataset, int, erro
 			if hint > 0 {
 				ds.Grow(hint)
 			}
-			prevCap = cap(ds.data)
+			prevCap = cap(own.cols[0])
 		}
 		if err := ds.AppendRow(row); err != nil {
 			return nil, reallocs, fmt.Errorf("dataset: csv row %d: %w", ri, err)
 		}
-		if c := cap(ds.data); c != prevCap {
+		if c := cap(own.cols[0]); c != prevCap {
 			reallocs++
 			prevCap = c
 		}

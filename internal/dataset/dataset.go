@@ -1,8 +1,8 @@
 // Package dataset defines the tabular data representation shared by the
 // sequential and parallel AutoClass engines: typed attributes (real-valued
-// and discrete), row storage with missing-value support, global summary
-// statistics used to set the Bayesian priors, and partitioning of rows
-// across the ranks of a multicomputer.
+// and discrete), column-major storage with missing-value support, global
+// summary statistics used to set the Bayesian priors, and partitioning of
+// rows across the ranks of a multicomputer.
 package dataset
 
 import (
@@ -90,47 +90,77 @@ var Missing = math.NaN()
 // IsMissing reports whether v encodes a missing value.
 func IsMissing(v float64) bool { return math.IsNaN(v) }
 
-// Dataset is an immutable-by-convention table of instances. Two storage
-// modes share the one type so every consumer keeps its signature:
+// Dataset is an immutable-by-convention table of instances, stored
+// column-major behind a ChunkStore. Every read — Value, RowTo, Summarize,
+// Head, Equal, and the kernels' views — goes through that store, so the
+// backing decides only where the values live:
 //
-//   - materialized (the default): rows stored contiguously (row-major) in
-//     data, so that block partitions are cache-friendly slices of the
-//     underlying array;
-//   - chunk-backed ("virtual", built by OpenChunked): no row-major storage
-//     at all — values live in a ChunkStore whose backing may be a memory
-//     map or a bounded-residency cache over a file, letting the dataset
-//     exceed RAM. Row (which returns an alias) is unavailable in this
-//     mode; use RowTo, Value, or the chunk plane itself.
+//   - in memory (built by New): the dataset's own store, one contiguous
+//     slice per attribute served as a single chunk, which AppendRow, Grow
+//     and SetMissing write;
+//   - chunk-backed (built by OpenChunked or ChunkedCopy): a read-only
+//     store whose backing may be a memory map or a bounded-residency cache
+//     over a file, letting the dataset exceed RAM.
 type Dataset struct {
 	// Name labels the dataset in reports.
 	Name  string
 	attrs []Attribute
-	data  []float64 // row-major, len == n*len(attrs); nil when chunk-backed
-	n     int
-
-	// chunks is non-nil exactly when the dataset is chunk-backed; closer
-	// releases the backing resources (file handle, memory map).
-	chunks ChunkStore
+	store ChunkStore
+	// closer releases a chunk-backed dataset's resources (file handle,
+	// memory map); nil when there are none.
 	closer func() error
 }
 
-// New creates an empty dataset with the given schema. The attribute slice
-// is copied. It returns an error if the schema is invalid.
-func New(name string, attrs []Attribute) (*Dataset, error) {
+// checkSchema validates a schema: at least one attribute, each valid, with
+// unique names.
+func checkSchema(attrs []Attribute) error {
 	if len(attrs) == 0 {
-		return nil, errors.New("dataset: no attributes")
+		return errors.New("dataset: no attributes")
 	}
 	names := make(map[string]bool, len(attrs))
 	for i := range attrs {
 		if err := attrs[i].Validate(); err != nil {
-			return nil, err
+			return err
 		}
 		if names[attrs[i].Name] {
-			return nil, fmt.Errorf("dataset: duplicate attribute name %q", attrs[i].Name)
+			return fmt.Errorf("dataset: duplicate attribute name %q", attrs[i].Name)
 		}
 		names[attrs[i].Name] = true
 	}
-	return &Dataset{Name: name, attrs: append([]Attribute(nil), attrs...)}, nil
+	return nil
+}
+
+// checkRow validates one row against a schema: one value per attribute,
+// every discrete value a level index and every real finite, Missing
+// allowed anywhere.
+func checkRow(attrs []Attribute, row []float64) error {
+	if len(row) != len(attrs) {
+		return fmt.Errorf("dataset: row has %d values, schema has %d attributes", len(row), len(attrs))
+	}
+	for k, v := range row {
+		if IsMissing(v) {
+			continue
+		}
+		a := &attrs[k]
+		if a.Type == Discrete {
+			idx := int(v)
+			if float64(idx) != v || idx < 0 || idx >= len(a.Levels) {
+				return fmt.Errorf("dataset: row value %v is not a valid level index for discrete attribute %q", v, a.Name)
+			}
+		} else if math.IsInf(v, 0) {
+			return fmt.Errorf("dataset: infinite value for real attribute %q", a.Name)
+		}
+	}
+	return nil
+}
+
+// New creates an empty in-memory dataset with the given schema. The
+// attribute slice is copied. It returns an error if the schema is invalid.
+func New(name string, attrs []Attribute) (*Dataset, error) {
+	if err := checkSchema(attrs); err != nil {
+		return nil, err
+	}
+	return &Dataset{Name: name, attrs: append([]Attribute(nil), attrs...), store: newColStore(len(attrs))}, nil
 }
 
 // MustNew is New that panics on error, for tests and generators with
@@ -144,7 +174,7 @@ func MustNew(name string, attrs []Attribute) *Dataset {
 }
 
 // N returns the number of instances.
-func (d *Dataset) N() int { return d.n }
+func (d *Dataset) N() int { return d.store.NumRows() }
 
 // NumAttrs returns the number of attributes.
 func (d *Dataset) NumAttrs() int { return len(d.attrs) }
@@ -155,16 +185,23 @@ func (d *Dataset) Attr(k int) *Attribute { return &d.attrs[k] }
 // Attrs returns the schema. Callers must not modify it.
 func (d *Dataset) Attrs() []Attribute { return d.attrs }
 
-// Chunked reports whether the dataset is chunk-backed (built by
-// OpenChunked) rather than materialized in row-major RAM.
-func (d *Dataset) Chunked() bool { return d.chunks != nil }
+// own returns the in-memory dataset's own column storage, or nil for a
+// chunk-backed dataset.
+func (d *Dataset) own() *colStore {
+	s, _ := d.store.(*colStore)
+	return s
+}
 
-// ChunkStore returns the chunk backing of a chunk-backed dataset, or nil
-// for a materialized one.
-func (d *Dataset) ChunkStore() ChunkStore { return d.chunks }
+// Chunked reports whether the dataset is chunk-backed (built by
+// OpenChunked or ChunkedCopy) rather than in memory and appendable.
+func (d *Dataset) Chunked() bool { return d.own() == nil }
+
+// ChunkStore returns the store that holds the dataset's values: its own
+// one-chunk column store when in memory, the chunk backing otherwise.
+func (d *Dataset) ChunkStore() ChunkStore { return d.store }
 
 // Close releases the resources behind a chunk-backed dataset (file handle,
-// memory map). It is a no-op for materialized datasets. The dataset must
+// memory map). It is a no-op for in-memory datasets. The dataset must
 // not be used after Close.
 func (d *Dataset) Close() error {
 	if d.closer == nil {
@@ -177,9 +214,9 @@ func (d *Dataset) Close() error {
 
 // ChunkedCopy returns a chunk-backed dataset presenting d's rows through
 // an in-memory chunk store on the given chunk grid — the cheapest way to
-// put a materialized dataset on the chunk plane (chunks alias one column
-// mirror; no file involved). chunkRows must be a positive multiple of
-// ChunkAlign.
+// put an in-memory dataset on the aligned chunk plane (chunks are windows
+// of d's columns; no copy, no file). chunkRows must be a positive multiple
+// of ChunkAlign.
 func ChunkedCopy(d *Dataset, chunkRows int) (*Dataset, error) {
 	if d == nil {
 		return nil, errors.New("dataset: nil dataset")
@@ -194,130 +231,100 @@ func ChunkedCopy(d *Dataset, chunkRows int) (*Dataset, error) {
 	return fromChunks(d.Name, d.attrs, store, nil)
 }
 
-// fromChunks builds a chunk-backed dataset over a validated schema.
+// fromChunks builds a chunk-backed dataset over a schema.
 func fromChunks(name string, attrs []Attribute, store ChunkStore, closer func() error) (*Dataset, error) {
-	d, err := New(name, attrs)
-	if err != nil {
+	if err := checkSchema(attrs); err != nil {
 		return nil, err
 	}
 	if store.NumAttrs() != len(attrs) {
 		return nil, fmt.Errorf("dataset: chunk store has %d columns, schema %d", store.NumAttrs(), len(attrs))
 	}
-	d.n = store.NumRows()
-	d.chunks = store
-	d.closer = closer
-	return d, nil
+	return &Dataset{Name: name, attrs: append([]Attribute(nil), attrs...), store: store, closer: closer}, nil
 }
 
-// Grow pre-allocates capacity for n additional rows.
+// Grow pre-allocates capacity for n additional rows. It is a no-op for a
+// chunk-backed dataset.
 func (d *Dataset) Grow(n int) {
-	need := (d.n + n) * len(d.attrs)
-	if cap(d.data) < need {
-		bigger := make([]float64, len(d.data), need)
-		copy(bigger, d.data)
-		d.data = bigger
+	if s := d.own(); s != nil {
+		s.grow(n)
 	}
 }
 
 // AppendRow appends one instance. len(row) must equal NumAttrs; discrete
 // values must be valid level indices (or Missing).
 func (d *Dataset) AppendRow(row []float64) error {
-	if d.chunks != nil {
+	s := d.own()
+	if s == nil {
 		return errors.New("dataset: cannot append to a chunk-backed dataset")
 	}
-	if len(row) != len(d.attrs) {
-		return fmt.Errorf("dataset: row has %d values, schema has %d attributes", len(row), len(d.attrs))
+	if err := checkRow(d.attrs, row); err != nil {
+		return err
 	}
-	for k, v := range row {
-		if IsMissing(v) {
-			continue
-		}
-		a := &d.attrs[k]
-		if a.Type == Discrete {
-			idx := int(v)
-			if float64(idx) != v || idx < 0 || idx >= len(a.Levels) {
-				return fmt.Errorf("dataset: row value %v is not a valid level index for discrete attribute %q", v, a.Name)
-			}
-		} else if math.IsInf(v, 0) {
-			return fmt.Errorf("dataset: infinite value for real attribute %q", a.Name)
-		}
-	}
-	d.data = append(d.data, row...)
-	d.n++
+	s.appendRow(row)
 	return nil
 }
 
-// Value returns the value of attribute k for instance i. On a chunk-backed
-// dataset this faults the covering chunk per call; it is meant for
-// reports, spot checks and tests, not hot loops — those walk the chunk
-// plane directly.
-func (d *Dataset) Value(i, k int) float64 {
-	if d.chunks != nil {
-		cr := d.chunks.ChunkRows()
-		c := i / cr
-		cols := d.chunks.Acquire(c)
-		v := cols.Col(k)[i-c*cr]
-		d.chunks.Release(c)
-		return v
+// SetMissing blanks value k of instance i in place. A chunk-backed dataset
+// is read-only and refuses. Views taken before the call keep the missing
+// masks they were cut with, so blank values before taking views.
+func (d *Dataset) SetMissing(i, k int) error {
+	s := d.own()
+	if s == nil {
+		return errors.New("dataset: cannot modify a chunk-backed dataset")
 	}
-	return d.data[i*len(d.attrs)+k]
+	s.setMissing(i, k)
+	return nil
 }
 
-// Row returns instance i as a slice aliasing the underlying storage.
-// Callers must treat it as read-only. Chunk-backed datasets have no
-// row-major storage to alias — callers that must handle both modes use
-// RowTo instead; Row panics to surface the misuse.
-func (d *Dataset) Row(i int) []float64 {
-	if d.chunks != nil {
-		panic("dataset: Row on a chunk-backed dataset; use RowTo")
-	}
-	w := len(d.attrs)
-	return d.data[i*w : (i+1)*w : (i+1)*w]
+// Value returns the value of attribute k for instance i. It resolves the
+// covering chunk per call, so it is meant for reports, spot checks and
+// tests, not hot loops — those walk the chunk plane directly.
+func (d *Dataset) Value(i, k int) float64 {
+	cr := d.store.ChunkRows()
+	c := i / cr
+	v := d.store.Acquire(c).Col(k)[i-c*cr]
+	d.store.Release(c)
+	return v
 }
 
 // RowTo gathers instance i into dst (which must have NumAttrs capacity;
-// nil allocates) and returns it. It works in both storage modes — the
-// mode-agnostic counterpart of Row for code off the hot path.
+// nil allocates) and returns it.
 func (d *Dataset) RowTo(dst []float64, i int) []float64 {
 	w := len(d.attrs)
 	if cap(dst) < w {
 		dst = make([]float64, w)
 	}
 	dst = dst[:w]
-	if d.chunks == nil {
-		copy(dst, d.data[i*w:(i+1)*w])
-		return dst
-	}
-	cr := d.chunks.ChunkRows()
+	cr := d.store.ChunkRows()
 	c := i / cr
-	cols := d.chunks.Acquire(c)
+	cols := d.store.Acquire(c)
 	li := i - c*cr
-	for k := 0; k < w; k++ {
-		dst[k] = cols.Col(k)[li]
+	for k := range dst {
+		dst[k] = cols.cols[k][li]
 	}
-	d.chunks.Release(c)
+	d.store.Release(c)
 	return dst
 }
 
 // View returns a zero-copy window over rows [start, start+count).
 func (d *Dataset) View(start, count int) (*View, error) {
-	if start < 0 || count < 0 || start+count > d.n {
-		return nil, fmt.Errorf("dataset: view [%d,%d) out of range 0..%d", start, start+count, d.n)
+	if start < 0 || count < 0 || start+count > d.N() {
+		return nil, fmt.Errorf("dataset: view [%d,%d) out of range 0..%d", start, start+count, d.N())
 	}
 	return &View{ds: d, start: start, count: count}, nil
 }
 
 // All returns a view over every row.
 func (d *Dataset) All() *View {
-	v, _ := d.View(0, d.n)
+	v, _ := d.View(0, d.N())
 	return v
 }
 
 // View is a contiguous, zero-copy window over a dataset's rows. The
 // parallel engine gives each rank a View of its local partition. Views are
-// created by View/All and passed by pointer; the lazily built column-major
-// mirror (see Columns) is cached on the view, which makes the struct
-// non-copyable once Columns has been called.
+// created by View/All and passed by pointer; the column windows and chunk
+// plane (see Columns and ChunkSrc) are cut on first use and cached on the
+// view, which makes the struct non-copyable once either has been called.
 type View struct {
 	ds    *Dataset
 	start int
@@ -343,12 +350,7 @@ func (v *View) Dataset() *Dataset { return v.ds }
 // Value returns attribute k of the view-local instance i.
 func (v *View) Value(i, k int) float64 { return v.ds.Value(v.start+i, k) }
 
-// Row returns the view-local instance i (read-only alias).
-func (v *View) Row(i int) []float64 { return v.ds.Row(v.start + i) }
-
-// RowTo copies view row i into dst and returns dst[:NumAttrs]. Unlike Row
-// it works on chunk-backed datasets, so it is the row accessor for code
-// that must serve both planes.
+// RowTo copies view row i into dst and returns dst[:NumAttrs].
 func (v *View) RowTo(dst []float64, i int) []float64 { return v.ds.RowTo(dst, v.start+i) }
 
 // Summary holds per-attribute global statistics of a dataset. AutoClass
@@ -375,10 +377,14 @@ type Summary struct {
 	MissingCount []int
 }
 
-// Summarize scans the dataset once and returns its Summary.
+// Summarize scans the dataset once, chunk by chunk and column by column,
+// and returns its Summary. Per attribute the values are folded in
+// ascending row order and the per-attribute accumulators are independent,
+// so the Summary (and every prior derived from it) is bitwise the same for
+// every backing and chunk size.
 func (d *Dataset) Summarize() *Summary {
 	s := &Summary{
-		N:            d.n,
+		N:            d.N(),
 		Real:         make([]stats.Moments, len(d.attrs)),
 		LogReal:      make([]stats.Moments, len(d.attrs)),
 		NonPositive:  make([]int, len(d.attrs)),
@@ -394,15 +400,14 @@ func (d *Dataset) Summarize() *Summary {
 			s.Counts[k] = make([]int, d.attrs[k].Cardinality())
 		}
 	}
-	if d.chunks != nil {
-		d.summarizeChunked(s)
-		return s
-	}
-	for i := 0; i < d.n; i++ {
-		row := d.Row(i)
-		for k, v := range row {
-			s.add(d, k, v)
+	for c := 0; c < d.store.NumChunks(); c++ {
+		cols := d.store.Acquire(c)
+		for k := range d.attrs {
+			for _, v := range cols.Col(k) {
+				s.add(d, k, v)
+			}
 		}
+		d.store.Release(c)
 	}
 	return s
 }
@@ -432,75 +437,34 @@ func (s *Summary) add(d *Dataset, k int, v float64) {
 	}
 }
 
-// summarizeChunked scans the chunk plane column by column. Per attribute
-// the values are folded in ascending row order — the same order the
-// row-major scan uses — and the per-attribute accumulators are
-// independent, so the resulting Summary (and every prior derived from it)
-// is bitwise identical to the materialized scan's.
-func (d *Dataset) summarizeChunked(s *Summary) {
-	nc := d.chunks.NumChunks()
-	for c := 0; c < nc; c++ {
-		cols := d.chunks.Acquire(c)
-		for k := range d.attrs {
-			for _, v := range cols.Col(k) {
-				s.add(d, k, v)
-			}
-		}
-		d.chunks.Release(c)
-	}
-}
-
 // Clone returns a deep copy of the dataset. Cloning a chunk-backed dataset
-// materializes it into row-major RAM — the caller is asserting it fits.
+// loads it into memory — the caller is asserting it fits.
 func (d *Dataset) Clone() *Dataset {
-	return d.Head(d.n)
+	return d.Head(d.N())
 }
 
-// Head returns a new dataset containing only the first n rows (or all rows
-// if n exceeds N). The schema is shared by copy; the result is always
-// materialized, even when d is chunk-backed.
+// Head returns a new in-memory dataset containing only the first n rows
+// (or all rows if n exceeds N), with a deep copy of the schema.
 func (d *Dataset) Head(n int) *Dataset {
-	if n > d.n {
-		n = d.n
+	n = min(n, d.N())
+	attrs := append([]Attribute(nil), d.attrs...)
+	for i := range attrs {
+		attrs[i].Levels = append([]string(nil), attrs[i].Levels...)
 	}
-	c := &Dataset{
-		Name:  d.Name,
-		attrs: append([]Attribute(nil), d.attrs...),
-		n:     n,
+	s := newColStore(len(attrs))
+	s.grow(n)
+	row := make([]float64, len(attrs))
+	for i := 0; i < n; i++ {
+		s.appendRow(d.RowTo(row, i))
 	}
-	for i := range c.attrs {
-		c.attrs[i].Levels = append([]string(nil), d.attrs[i].Levels...)
-	}
-	if d.chunks == nil {
-		c.data = append([]float64(nil), d.data[:n*len(d.attrs)]...)
-		return c
-	}
-	na := len(d.attrs)
-	c.data = make([]float64, n*na)
-	cr := d.chunks.ChunkRows()
-	for lo := 0; lo < n; lo += cr {
-		ci := lo / cr
-		cols := d.chunks.Acquire(ci)
-		m := n - lo
-		if m > cols.N() {
-			m = cols.N()
-		}
-		for k := 0; k < na; k++ {
-			col := cols.Col(k)
-			for i := 0; i < m; i++ {
-				c.data[(lo+i)*na+k] = col[i]
-			}
-		}
-		d.chunks.Release(ci)
-	}
-	return c
+	return &Dataset{Name: d.Name, attrs: attrs, store: s}
 }
 
 // Equal reports whether two datasets have identical schemas and values
-// (NaNs compare equal so that missing values match). It works across
-// storage modes, comparing values through the mode-agnostic accessor.
+// (NaNs compare equal so that missing values match), whatever their
+// backings.
 func (d *Dataset) Equal(o *Dataset) bool {
-	if d.n != o.n || len(d.attrs) != len(o.attrs) {
+	if d.N() != o.N() || len(d.attrs) != len(o.attrs) {
 		return false
 	}
 	for k := range d.attrs {
@@ -514,19 +478,12 @@ func (d *Dataset) Equal(o *Dataset) bool {
 			}
 		}
 	}
-	if d.chunks == nil && o.chunks == nil {
-		for i, v := range d.data {
-			w := o.data[i]
-			if v != w && !(math.IsNaN(v) && math.IsNaN(w)) {
-				return false
-			}
-		}
-		return true
-	}
-	for i := 0; i < d.n; i++ {
-		for k := range d.attrs {
-			v, w := d.Value(i, k), o.Value(i, k)
-			if v != w && !(math.IsNaN(v) && math.IsNaN(w)) {
+	ra, rb := make([]float64, len(d.attrs)), make([]float64, len(d.attrs))
+	for i := 0; i < d.N(); i++ {
+		d.RowTo(ra, i)
+		o.RowTo(rb, i)
+		for k, v := range ra {
+			if w := rb[k]; v != w && !(math.IsNaN(v) && math.IsNaN(w)) {
 				return false
 			}
 		}

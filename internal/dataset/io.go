@@ -50,7 +50,7 @@ func WriteText(w io.Writer, d *Dataset) error {
 	}
 	fmt.Fprintln(bw, "---")
 	rowBuf := make([]float64, len(d.attrs))
-	for i := 0; i < d.n; i++ {
+	for i := 0; i < d.N(); i++ {
 		row := d.RowTo(rowBuf, i)
 		for k, v := range row {
 			if k > 0 {
@@ -211,12 +211,12 @@ func WriteBinary(w io.Writer, d *Dataset) error {
 			writeStr(l)
 		}
 	}
-	if err := binary.Write(bw, binary.LittleEndian, uint64(d.n)); err != nil {
+	if err := binary.Write(bw, binary.LittleEndian, uint64(d.N())); err != nil {
 		return err
 	}
 	buf := make([]byte, 8)
 	row := make([]float64, len(d.attrs))
-	for i := 0; i < d.n; i++ {
+	for i := 0; i < d.N(); i++ {
 		for _, v := range d.RowTo(row, i) {
 			binary.LittleEndian.PutUint64(buf, math.Float64bits(v))
 			if _, err := bw.Write(buf); err != nil {
@@ -227,8 +227,13 @@ func WriteBinary(w io.Writer, d *Dataset) error {
 	return bw.Flush()
 }
 
+// binPresizeCells caps ReadBinary's pre-sizing when the input's size is
+// unknown: 512 KiB of values, after which append grows the columns.
+const binPresizeCells = 1 << 16
+
 // ReadBinary parses a dataset in the binary format.
 func ReadBinary(r io.Reader) (*Dataset, error) {
+	size := readerSize(r)
 	br := bufio.NewReader(r)
 	var magic [4]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
@@ -307,11 +312,17 @@ func ReadBinary(r io.Reader) (*Dataset, error) {
 	if err := binary.Read(br, binary.LittleEndian, &nrows); err != nil {
 		return nil, err
 	}
-	total := nrows * uint64(nattrs)
-	if total > 1<<33 {
-		return nil, fmt.Errorf("dataset: unreasonable cell count %d", total)
+	if nrows > (1<<33)/uint64(nattrs) {
+		return nil, fmt.Errorf("dataset: unreasonable row count %d for %d attributes", nrows, nattrs)
 	}
-	ds.data = make([]float64, 0, total)
+	// The header's row count is a claim the body may not back: pre-size
+	// for no more rows than the input can hold, or a fixed block when its
+	// size is unknown, and let append grow the rest.
+	presize := uint64(binPresizeCells) / uint64(nattrs)
+	if size >= 0 {
+		presize = uint64(size) / (8 * uint64(nattrs))
+	}
+	ds.Grow(int(min(nrows, presize)))
 	buf := make([]byte, 8)
 	row := make([]float64, nattrs)
 	for i := uint64(0); i < nrows; i++ {

@@ -2,12 +2,15 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
 
-func sampleDataset(t *testing.T) *Dataset {
+func sampleDataset(t testing.TB) *Dataset {
 	t.Helper()
 	ds := MustNew("sample", []Attribute{
 		{Name: "x", Type: Real},
@@ -128,6 +131,72 @@ func TestReadBinaryErrors(t *testing.T) {
 	if _, err := ReadBinary(bytes.NewReader(bad)); err == nil {
 		t.Error("bad version accepted")
 	}
+}
+
+// claimRowsInput is a 45-byte binary stream — the header of an empty
+// two-attribute dataset — whose row count claims 2^22 rows it does not
+// carry.
+func claimRowsInput(t testing.TB) []byte {
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, MustNew("d", twoRealSchema())); err != nil {
+		t.Fatal(err)
+	}
+	b := buf.Bytes()
+	binary.LittleEndian.PutUint64(b[len(b)-8:], 1<<22)
+	return b
+}
+
+// TestReadBinaryBoundsPresize: a header's row count buys no memory the
+// input does not back. The claiming stream must fail as truncated at row 0
+// having allocated far less than its claimed 64 MiB — from a reader that
+// reports its size and from an opaque stream alike.
+func TestReadBinaryBoundsPresize(t *testing.T) {
+	in := claimRowsInput(t)
+	for name, r := range map[string]io.Reader{
+		"sized":  bytes.NewReader(in),
+		"stream": struct{ io.Reader }{bytes.NewReader(in)},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadBinary(r)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "truncated at row 0") {
+			t.Errorf("%s: err = %v, want truncation at row 0", name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+			t.Errorf("%s: %d B allocated for a %d-byte input", name, got, len(in))
+		}
+	}
+}
+
+// FuzzReadBinary: any bytes give an error or a dataset that survives a
+// WriteBinary/ReadBinary round trip unchanged.
+func FuzzReadBinary(f *testing.F) {
+	for _, ds := range []*Dataset{sampleDataset(f), MustNew("empty", mixedSchema())} {
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, ds); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add(claimRowsInput(f))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		ds, err := ReadBinary(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, ds); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadBinary(&buf)
+		if err != nil {
+			t.Fatalf("re-reading a written dataset: %v", err)
+		}
+		if !back.Equal(ds) || back.Name != ds.Name {
+			t.Fatal("binary round trip changed the dataset")
+		}
+	})
 }
 
 func TestSaveLoadFile(t *testing.T) {

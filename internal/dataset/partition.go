@@ -40,18 +40,6 @@ func BlockPartition(n, p int) ([]Range, error) {
 	return out, nil
 }
 
-// BlockRange returns just rank r's block of a BlockPartition(n, p).
-func BlockRange(n, p, r int) (Range, error) {
-	if r < 0 || r >= p {
-		return Range{}, fmt.Errorf("dataset: rank %d out of %d", r, p)
-	}
-	parts, err := BlockPartition(n, p)
-	if err != nil {
-		return Range{}, err
-	}
-	return parts[r], nil
-}
-
 // SplitShuffled deterministically shuffles the rows and splits them into a
 // training set with ceil(trainFrac·N) rows and a test set with the rest —
 // the held-out evaluation path. trainFrac must lie in (0, 1).

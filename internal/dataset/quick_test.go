@@ -141,8 +141,8 @@ func TestQuickPartitionViewsCoverage(t *testing.T) {
 		idx := 0
 		for _, v := range views {
 			for i := 0; i < v.N(); i++ {
-				want := ds.Row(idx)
-				got := v.Row(i)
+				want := ds.RowTo(nil, idx)
+				got := v.RowTo(nil, i)
 				for k := range want {
 					if got[k] != want[k] && !(math.IsNaN(got[k]) && math.IsNaN(want[k])) {
 						return false

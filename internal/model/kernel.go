@@ -4,7 +4,7 @@ import "repro/internal/dataset"
 
 // Kernel is a Term's blocked evaluation path. Where Term scores and
 // accumulates one row at a time through an interface call, a Kernel walks a
-// contiguous block of rows of a column-major mirror (dataset.Columns) in
+// contiguous block of rows in column-major layout (dataset.Columns) in
 // one call, with the term's per-cycle invariants — log σ and the Gaussian
 // normalizer for the normal terms, the log-probability table for the
 // multinomial, the Cholesky factor and log-determinant for the

@@ -86,7 +86,7 @@ func fitTerm(term Term, ds *dataset.Dataset, phase int) {
 	st := make([]float64, term.StatsSize())
 	for i := 0; i < ds.N(); i++ {
 		w := 0.1 + float64((i*31+phase*17)%100)/100.0
-		term.AccumulateStats(ds.Row(i), w, st)
+		term.AccumulateStats(ds.RowTo(nil, i), w, st)
 	}
 	term.Update(st)
 }
@@ -117,7 +117,7 @@ func TestKernelMatchesTermLogProb(t *testing.T) {
 					}
 					kern.BlockLogProb(cols, lo, hi, out, &Scratch{})
 					for i := lo; i < hi; i++ {
-						want := 10.5 + term.LogProb(tc.ds.Row(i))
+						want := 10.5 + term.LogProb(tc.ds.RowTo(nil, i))
 						if !stats.AlmostEqual(out[i-lo], want, 1e-12) {
 							t.Fatalf("phase %d rows [%d,%d): row %d logprob %v, reference %v",
 								phase, lo, hi, i, out[i-lo], want)
@@ -156,7 +156,7 @@ func TestKernelMatchesTermStats(t *testing.T) {
 				lo, hi := r[0], r[1]
 				ref := make([]float64, term.StatsSize())
 				for i := lo; i < hi; i++ {
-					term.AccumulateStats(tc.ds.Row(i), wts[i], ref)
+					term.AccumulateStats(tc.ds.RowTo(nil, i), wts[i], ref)
 				}
 				got := make([]float64, term.StatsSize())
 				kern.BlockAccumulateStats(cols, wts[lo:hi], lo, hi, got, &Scratch{})

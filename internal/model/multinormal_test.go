@@ -94,7 +94,7 @@ func TestMVNUpdateRecoversCovariance(t *testing.T) {
 	term := newMultiNormalTerm([]int{0, 1}, pr)
 	st := make([]float64, term.StatsSize())
 	for i := 0; i < ds.N(); i++ {
-		term.AccumulateStats(ds.Row(i), 1, st)
+		term.AccumulateStats(ds.RowTo(nil, i), 1, st)
 	}
 	term.Update(st)
 	// Reference covariance.

@@ -2,6 +2,7 @@ package pautoclass
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/model"
 	"repro/internal/mpi"
+	"repro/internal/stats"
 )
 
 // chunkFileDS writes ds to a chunk file and opens it with the given
@@ -120,19 +122,39 @@ func TestParallelChunkedAlignedPartition(t *testing.T) {
 	sameSearchBits(t, "cached-vs-mem", got, want)
 }
 
-// TestWtsOnlyRejectsChunked: the baseline gathers the full weight matrix
-// to a root dataset replica — exactly what out-of-core storage cannot
-// provide — so it must refuse chunk-backed datasets loudly.
-func TestWtsOnlyRejectsChunked(t *testing.T) {
-	ds := paperDS(t, 1024)
-	cds := chunkFileDS(t, ds, 512, dataset.ChunkOptions{})
+// TestWtsOnlyChunkedMatchesMaterialized: the wts-only baseline reads its
+// rows through RowTo and reassembles the gathered weights on the partition
+// PartitionView cuts, so it runs on chunk-backed data too. With ChunkAlign·P
+// dividing n the aligned partition is the in-memory one, and a search over
+// the chunk plane is bitwise the search over the in-memory rows — on the
+// in-memory chunk grid and on a two-chunk cache over a file. Off that grid
+// (n = 2100, P = 3) the ranks' views start on ChunkAlign multiples, and
+// the baseline must still agree with the Full strategy on the same data.
+func TestWtsOnlyChunkedMatchesMaterialized(t *testing.T) {
+	ds := paperDS(t, 2048)
 	cfg := quickSearchConfig()
-	err := mpi.Run(2, func(c *mpi.Comm) error {
-		_, err := Search(c, cds, model.DefaultSpec(cds), cfg, Options{EM: cfg.EM, Strategy: WtsOnly})
-		return err
-	})
-	if err == nil {
-		t.Fatal("wts-only search over a chunk-backed dataset succeeded")
+	opts := Options{EM: cfg.EM, Strategy: WtsOnly}
+	mem, err := dataset.ChunkedCopy(ds, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backings := map[string]*dataset.Dataset{
+		"mem":         mem,
+		"file-cached": chunkFileDS(t, ds, 512, dataset.ChunkOptions{Mode: dataset.ChunkCached, Chunks: 2}),
+	}
+	for _, p := range []int{2, 4} {
+		want := runParallelSearch(t, ds, p, cfg, opts)
+		for name, cds := range backings {
+			sameSearchBits(t, fmt.Sprintf("%s/P=%d", name, p), runParallelSearch(t, cds, p, cfg, opts), want)
+		}
+	}
+
+	odd := chunkFileDS(t, paperDS(t, 2100), 512, dataset.ChunkOptions{Mode: dataset.ChunkCached, Chunks: 2})
+	full := runParallelSearch(t, odd, 3, cfg, Options{EM: cfg.EM, Strategy: Full})
+	wts := runParallelSearch(t, odd, 3, cfg, opts)
+	if full.Best.J() != wts.Best.J() || !stats.AlmostEqual(full.Best.LogPost, wts.Best.LogPost, 1e-6) {
+		t.Fatalf("unaligned 3-rank run: Full J=%d logpost %v, WtsOnly J=%d logpost %v",
+			full.Best.J(), full.Best.LogPost, wts.Best.J(), wts.Best.LogPost)
 	}
 }
 

@@ -121,24 +121,25 @@ func DefaultOptions() Options {
 	return Options{EM: autoclass.DefaultConfig(), Strategy: Full}
 }
 
-// PartitionView returns this rank's block of the dataset. Chunk-backed
-// datasets partition on the ChunkAlign grid so every rank's view starts on
-// a kernel-block boundary and the blocked kernels stay chunk-contained;
+// partition returns the row blocks of p ranks. Chunk-backed datasets
+// partition on the ChunkAlign grid so every rank's view starts on a
+// kernel-block boundary and the blocked kernels stay chunk-contained;
 // alignment uses ChunkAlign — not the chunk size — so the partition is
 // identical for every chunk size and backing.
-func PartitionView(comm *mpi.Comm, ds *dataset.Dataset) (*dataset.View, error) {
+func partition(ds *dataset.Dataset, p int) ([]dataset.Range, error) {
 	if ds.Chunked() {
-		parts, err := dataset.AlignedBlockPartition(ds.N(), comm.Size(), dataset.ChunkAlign)
-		if err != nil {
-			return nil, err
-		}
-		rg := parts[comm.Rank()]
-		return ds.View(rg.Lo, rg.Len())
+		return dataset.AlignedBlockPartition(ds.N(), p, dataset.ChunkAlign)
 	}
-	rg, err := dataset.BlockRange(ds.N(), comm.Size(), comm.Rank())
+	return dataset.BlockPartition(ds.N(), p)
+}
+
+// PartitionView returns this rank's block of the dataset's partition.
+func PartitionView(comm *mpi.Comm, ds *dataset.Dataset) (*dataset.View, error) {
+	parts, err := partition(ds, comm.Size())
 	if err != nil {
 		return nil, err
 	}
+	rg := parts[comm.Rank()]
 	return ds.View(rg.Lo, rg.Len())
 }
 

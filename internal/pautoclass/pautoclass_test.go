@@ -273,7 +273,7 @@ func TestWtsOnlyEqualsFull(t *testing.T) {
 							t.Fatalf("logpost differs: Full %v, WtsOnly %v", full.Best.LogPost, wts.Best.LogPost)
 						}
 						for i := 0; i < sc.ds.N(); i++ {
-							row := sc.ds.Row(i)
+							row := sc.ds.RowTo(nil, i)
 							if f, w := full.Best.HardAssign(row), wts.Best.HardAssign(row); f != w {
 								t.Fatalf("case %d assigned to class %d under Full, %d under WtsOnly", i, f, w)
 							}
@@ -310,7 +310,7 @@ func TestKernelModesAgreeAcrossGranularities(t *testing.T) {
 					blocked.Best.LogPost, perRow.Best.LogPost)
 			}
 			for i := 0; i < ds.N(); i++ {
-				row := ds.Row(i)
+				row := ds.RowTo(nil, i)
 				if b, r := blocked.Best.HardAssign(row), perRow.Best.HardAssign(row); b != r {
 					t.Fatalf("case %d assigned to class %d on the blocked path, %d on the per-row path", i, b, r)
 				}

@@ -35,9 +35,10 @@ func predictFixture(t *testing.T, n int) (*autoclass.Classification, *dataset.Da
 		t.Fatal(err)
 	}
 	if n > 2 {
-		row := ho.Row(n / 2)
-		for k := range row {
-			row[k] = dataset.Missing
+		for k := 0; k < ho.NumAttrs(); k++ {
+			if err := ho.SetMissing(n/2, k); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	return res.Best, ho

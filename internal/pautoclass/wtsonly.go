@@ -61,14 +61,9 @@ func newWtsOnlyEngine(comm *mpi.Comm, view *dataset.View, cls *autoclass.Classif
 	if view == nil || cls == nil {
 		return nil, errors.New("pautoclass: nil view or classification")
 	}
-	if view.Dataset().Chunked() {
-		// The baseline's whole premise — rank 0 holds a dataset replica and
-		// the gathered n×J weight matrix — is the memory cost the chunked
-		// data plane exists to avoid; it also evaluates terms row by row,
-		// through row slices that virtual datasets do not serve.
-		return nil, errors.New("pautoclass: the wts-only baseline requires a materialized dataset; use the Full strategy for chunk-backed data")
-	}
-	parts, err := dataset.BlockPartition(view.Dataset().N(), comm.Size())
+	// The gathered weights are reassembled on the partition the ranks'
+	// views were cut from.
+	parts, err := partition(view.Dataset(), comm.Size())
 	if err != nil {
 		return nil, err
 	}
@@ -155,14 +150,16 @@ func (e *wtsOnlyEngine) updateWts() error {
 		bufs[s] = make([]float64, j+1)
 	}
 	logps := make([][]float64, workers)
+	rows := make([][]float64, workers)
 	for w := range logps {
 		logps[w] = make([]float64, j)
+		rows[w] = make([]float64, e.ds.NumAttrs())
 	}
 	autoclass.ParallelFor(workers, shards, func(worker, s int) {
 		lo, hi := autoclass.RowShardRange(s, n)
-		acc, logp := bufs[s], logps[worker]
+		acc, logp, row := bufs[s], logps[worker], rows[worker]
 		for i := lo; i < hi; i++ {
-			e.cls.LogMembership(e.view.Row(i), logp)
+			e.cls.LogMembership(e.view.RowTo(row, i), logp)
 			z := stats.NormalizeLog(logp)
 			w := e.wts[i*j : (i+1)*j]
 			for cj := 0; cj < j; cj++ {
@@ -235,11 +232,16 @@ func (e *wtsOnlyEngine) parametersOnRoot() error {
 		for s := range bufs {
 			bufs[s] = make([]float64, total)
 		}
-		autoclass.ParallelFor(e.cfg.Workers(shards), shards, func(_, s int) {
+		workers := e.cfg.Workers(shards)
+		rows := make([][]float64, workers)
+		for w := range rows {
+			rows[w] = make([]float64, e.ds.NumAttrs())
+		}
+		autoclass.ParallelFor(workers, shards, func(worker, s int) {
 			lo, hi := autoclass.RowShardRange(s, nAll)
 			buf := bufs[s]
 			for i := lo; i < hi; i++ {
-				row := e.ds.Row(i)
+				row := e.ds.RowTo(rows[worker], i)
 				ti := 0
 				for cj, cl := range e.cls.Classes {
 					w := full[i*j+cj]

@@ -34,7 +34,7 @@ func wireRows(ds *dataset.Dataset) ([]AttrSpec, [][]*float64) {
 	}
 	rows := make([][]*float64, ds.N())
 	for i := range rows {
-		src := ds.Row(i)
+		src := ds.RowTo(nil, i)
 		row := make([]*float64, len(src))
 		for k, v := range src {
 			if !dataset.IsMissing(v) {

@@ -149,10 +149,10 @@ func WriteChunkedDataset(path string, ds *Dataset, chunkRows int) error {
 	return dataset.WriteChunked(path, ds, chunkRows)
 }
 
-// OpenChunkedDataset opens a chunk file as a chunk-backed dataset: no
-// row-major storage, kernels walk the chunk plane, and opts decides how
-// many bytes stay resident. The caller owns Close. Run with WithChunkedData
-// does the open/close housekeeping itself.
+// OpenChunkedDataset opens a chunk file as a chunk-backed dataset: every
+// read goes through the file's chunks, and opts decides how many bytes
+// stay resident. The caller owns Close. Run with WithChunkedData does the
+// open/close housekeeping itself.
 func OpenChunkedDataset(path string, opts ChunkOptions) (*Dataset, error) {
 	return dataset.OpenChunked(path, opts)
 }

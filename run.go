@@ -217,16 +217,16 @@ func WithProfile(p *Profile) Option {
 	return func(rc *runConfig) { rc.profile = p }
 }
 
-// WithChunkedData trains out of core: instead of a materialized dataset
+// WithChunkedData trains out of core: instead of an in-memory dataset
 // (pass nil), Run opens the chunk file at path — written by
 // WriteChunkedDataset or streamed by a CSV ChunkWriter sink — as a
 // chunk-backed dataset, runs the search over its chunk plane, and closes it
 // on return. By default the file is memory-mapped (falling back to a
 // bounded pread cache where mapping is unavailable); combine with
 // WithMemoryBudget to cap resident bytes explicitly. The search trajectory
-// is bitwise identical to a run over the materialized rows for every
-// backing and chunk size. The WtsOnly parallel strategy, which gathers the
-// full weight matrix to a dataset replica on rank 0, is rejected.
+// is bitwise identical to a run over the in-memory rows for every backing
+// and chunk size; a parallel run, under either strategy, matches when its
+// rank partition lands on the 256-row grid (n a multiple of 256·Procs).
 func WithChunkedData(path string) Option {
 	return func(rc *runConfig) { rc.chunkPath = path }
 }
@@ -309,13 +309,6 @@ func (rc *runConfig) validate() error {
 	}
 	if rc.memBudget > 0 && rc.chunkPath == "" {
 		return errors.New("repro: WithMemoryBudget needs WithChunkedData")
-	}
-	if rc.chunkPath != "" {
-		// The engine rejects it too (a caller may hand Run an already
-		// chunk-backed dataset), but failing here names the option.
-		if rc.par != nil && rc.par.Strategy == WtsOnly {
-			return errors.New("repro: the WtsOnly strategy requires a materialized dataset")
-		}
 	}
 	return nil
 }

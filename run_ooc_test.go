@@ -17,7 +17,8 @@ func writeChunkFile(t *testing.T, ds *Dataset, chunkRows int) string {
 
 // TestRunWithChunkedData: an out-of-core run over the chunk file — with
 // and without a resident-byte budget — reproduces the in-memory search
-// bit for bit, sequential and parallel alike.
+// bit for bit, sequential and parallel alike, under both parallel
+// strategies.
 func TestRunWithChunkedData(t *testing.T) {
 	ds := runTestDataset(t, 1024)
 	cfg := runQuickCfg()
@@ -53,6 +54,17 @@ func TestRunWithChunkedData(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameSearch(t, gotPar.Search, wantPar.Search)
+
+	wts := WithParallel(ParallelConfig{Procs: 2, Strategy: WtsOnly})
+	wantWts, err := Run(ds, WithSearchConfig(cfg), wts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotWts, err := Run(nil, WithChunkedData(path), WithMemoryBudget(64<<10), WithSearchConfig(cfg), wts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameSearch(t, gotWts.Search, wantWts.Search)
 }
 
 // TestRunChunkedStaleSync: bounded staleness runs out of core. With
@@ -74,24 +86,32 @@ func TestRunChunkedStaleSync(t *testing.T) {
 	assertSameSearch(t, got.Search, want.Search)
 }
 
+// TestRunChunkedOptionValidation: Run refuses the chunk-file option
+// combinations that cannot be served and accepts WtsOnly over a chunk
+// file (whose result TestRunWithChunkedData checks bit for bit).
 func TestRunChunkedOptionValidation(t *testing.T) {
 	ds := runTestDataset(t, 300)
 	path := writeChunkFile(t, ds, 256)
 	cases := []struct {
-		name string
-		ds   *Dataset
-		opts []Option
+		name   string
+		ds     *Dataset
+		opts   []Option
+		accept bool
 	}{
-		{"chunked with dataset", ds, []Option{WithChunkedData(path)}},
-		{"budget without chunked", ds, []Option{WithMemoryBudget(1 << 20)}},
-		{"negative budget", nil, []Option{WithChunkedData(path), WithMemoryBudget(-1)}},
+		{"chunked with dataset", ds, []Option{WithChunkedData(path)}, false},
+		{"budget without chunked", ds, []Option{WithMemoryBudget(1 << 20)}, false},
+		{"negative budget", nil, []Option{WithChunkedData(path), WithMemoryBudget(-1)}, false},
 		{"chunked+wtsonly", nil, []Option{WithChunkedData(path),
-			WithParallel(ParallelConfig{Procs: 2, Strategy: WtsOnly})}},
-		{"missing chunk file", nil, []Option{WithChunkedData(filepath.Join(t.TempDir(), "nope.chunks"))}},
+			WithParallel(ParallelConfig{Procs: 2, Strategy: WtsOnly})}, true},
+		{"missing chunk file", nil, []Option{WithChunkedData(filepath.Join(t.TempDir(), "nope.chunks"))}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := Run(tc.ds, tc.opts...); err == nil {
+			_, err := Run(tc.ds, append(tc.opts, WithSearchConfig(runQuickCfg()))...)
+			switch {
+			case tc.accept && err != nil:
+				t.Errorf("%s: refused: %v", tc.name, err)
+			case !tc.accept && err == nil:
 				t.Errorf("%s: accepted", tc.name)
 			}
 		})

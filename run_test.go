@@ -385,7 +385,7 @@ func TestPredictFacade(t *testing.T) {
 		t.Fatalf("Predict loglik %v, HeldoutLogLik %v", p.LogLik, got)
 	}
 	for i := 0; i < p.N(); i++ {
-		if want := r.Best().HardAssign(heldout.Row(i)); p.MAP[i] != want {
+		if want := r.Best().HardAssign(heldout.RowTo(nil, i)); p.MAP[i] != want {
 			t.Fatalf("row %d: MAP %d, HardAssign %d", i, p.MAP[i], want)
 		}
 	}
