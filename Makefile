@@ -24,8 +24,9 @@ vet:
 # self-check must fall back when FMA is off; its non-amd64 fallback must
 # keep compiling; and on 386, where no vector kernel builds, the Go loops
 # run as the whole path against the unfused oracle, the per-row test
-# oracle and the per-row WtsOnly engine, and the column store and the
-# chunk file's unsafe views run on a 32-bit platform.
+# oracle and the per-row WtsOnly engine, the column store and the chunk
+# file's unsafe views run on a 32-bit platform, and atomicfile swaps
+# through 386's own renameat2 number.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,2,4 \
@@ -34,7 +35,7 @@ race:
 	GODEBUG=cpu.fma=off $(GO) test -run Exp ./internal/stats
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=386 $(GO) vet ./...
-	GOARCH=386 $(GO) test ./internal/model ./internal/stats ./internal/dataset
+	GOARCH=386 $(GO) test ./internal/model ./internal/stats ./internal/dataset ./internal/atomicfile
 	GOARCH=386 $(GO) test -run 'Sweeps|NormalRun|FoldLanes|Normaliz|Chunked|Parallelism|Bitwise|Kernel|BlockedMatchesReference' ./internal/autoclass
 	GOARCH=386 $(GO) test -run 'WtsOnlyEqualsFull' ./internal/pautoclass
 

@@ -1,10 +1,12 @@
 package atomicfile
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"syscall"
 	"testing"
 )
@@ -56,6 +58,104 @@ func TestInjectMatchesSuffix(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustHold(t, dir, path, "ok")
+}
+
+// TestWriteReplacesByExchange reports which way a Write replaced a file:
+// on linux amd64, 386 and arm64 it must be the exchange, and a Write to a
+// fresh path renames because the exchange finds no file to swap with.
+func TestWriteReplacesByExchange(t *testing.T) {
+	switch runtime.GOOS + "/" + runtime.GOARCH {
+	case "linux/amd64", "linux/386", "linux/arm64":
+	default:
+		t.Skipf("%s/%s has no exchange: Write renames", runtime.GOOS, runtime.GOARCH)
+	}
+	var swaps []error
+	defer watchExchange(func(a, b string) error {
+		err := swap(a, b)
+		swaps = append(swaps, err)
+		return err
+	})()
+	dir := t.TempDir()
+	path := filepath.Join(dir, "state.json")
+	for _, data := range []string{"first", "second"} {
+		if err := Write(path, []byte(data)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(swaps) != 2 || !errors.Is(swaps[0], syscall.ENOENT) {
+		t.Fatalf("exchange results %v, want ENOENT for the fresh path, then one more", swaps)
+	}
+	var errno syscall.Errno
+	if errors.As(swaps[1], &errno) {
+		t.Skipf("the filesystem under %s refuses the exchange (errno %d, %v): Write renames", dir, int(errno), errno)
+	}
+	if swaps[1] != nil {
+		t.Fatalf("replacing Write: exchange failed with %v", swaps[1])
+	}
+	t.Log("a replacing Write took the exchange")
+	mustHold(t, dir, path, "second")
+}
+
+// TestWriteFallsBackToRename: when the exchange fails, Write renames and
+// still replaces the file, leaving nothing else behind.
+func TestWriteFallsBackToRename(t *testing.T) {
+	defer watchExchange(func(a, b string) error { return syscall.EINVAL })()
+	dir := t.TempDir()
+	path := filepath.Join(dir, "state.json")
+	for _, data := range []string{"first", "second", "third"} {
+		if err := Write(path, []byte(data)); err != nil {
+			t.Fatal(err)
+		}
+		mustHold(t, dir, path, data)
+	}
+}
+
+// TestWriteKeepsOpenHandles: a reader that opened the old version keeps
+// reading it, whole, after a Write replaced the file.
+func TestWriteKeepsOpenHandles(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "state.json")
+	old := bytes.Repeat([]byte("old version "), 1000)
+	if err := Write(path, old); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := Write(path, []byte("new version")); err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(f)
+	if err != nil || !bytes.Equal(got, old) {
+		t.Fatalf("the open handle read %d bytes (%v), want the %d bytes of the old version", len(got), err, len(old))
+	}
+	mustHold(t, dir, path, "new version")
+}
+
+// BenchmarkWriteReplace writes 40 KB over one path b.N times: the
+// replacing Write a checkpointed search makes after every try.
+func BenchmarkWriteReplace(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "state.json")
+	data := bytes.Repeat([]byte{'x'}, 40<<10)
+	if err := Write(path, data); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := Write(path, data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// watchExchange makes Write swap through fn until the returned function
+// restores the real exchange.
+func watchExchange(fn func(a, b string) error) (restore func()) {
+	exchange = fn
+	return func() { exchange = swap }
 }
 
 // mustHold fails unless path holds want and dir holds no other file.

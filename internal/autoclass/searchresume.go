@@ -309,12 +309,15 @@ func (st *SearchState) SaveInTry(ck *Checkpoint) error {
 
 // commit records the scheduler's progress after an in-order commit and
 // persists it. The best classification is re-serialized only when it
-// changes.
+// changes, and never for a state without a Path, which is not written.
 func (st *SearchState) commit(res *SearchResult) error {
 	st.file.Completed = res.Tries
 	st.file.Totals = res.Totals
 	st.file.BestTry = res.BestTry
 	st.file.InTry, st.inTry = nil, nil
+	if st.Path == "" {
+		return nil
+	}
 	if res.Best != nil && res.Best != st.best {
 		var buf bytes.Buffer
 		if err := (&Checkpoint{Classification: res.Best}).Save(&buf); err != nil {

@@ -168,6 +168,36 @@ func TestStateWriteFaults(t *testing.T) {
 	}
 }
 
+// TestPathlessCommitSkipsBest: a state without a Path (an SPMD rank other
+// than 0) is never written, so its commit serializes no best
+// classification; it still drops the finished try's mid-try snapshot. A
+// state with a Path records the best.
+func TestPathlessCommitSkipsBest(t *testing.T) {
+	ds := paperDS(t, 240)
+	cfg := resumeCfg()
+	res, err := Search(ds, model.DefaultSpec(ds), cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"", filepath.Join(t.TempDir(), "state.json")} {
+		st, err := LoadSearchState(nil, cfg, ds, EngineSPMD, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Path = path
+		st.file.InTry, st.inTry = []byte("{}"), &Checkpoint{}
+		if err := st.commit(res); err != nil {
+			t.Fatal(err)
+		}
+		if st.file.InTry != nil || st.inTry != nil {
+			t.Errorf("path %q: the commit kept the mid-try snapshot", path)
+		}
+		if wrote := len(st.file.Best) > 0; wrote != (path != "") {
+			t.Errorf("path %q: the commit serialized a best of %d bytes", path, len(st.file.Best))
+		}
+	}
+}
+
 // TestResumeAcrossParallelism: the state fingerprint leaves EM.Parallelism
 // out because no worker count moves a bit, so a search checkpointed at one
 // worker count, cut short and resumed at another must land on the

@@ -178,14 +178,16 @@ func (t *trial) snapshotHook(eng *autoclass.Engine, v autoclass.Variant, from in
 			}
 			stop = s
 		}
-		// The final cycle's state is persisted at the try boundary; no
-		// mid-try snapshot needed. A stop request racing with convergence
-		// lets the try finish — the between-tries poll catches it.
+		// The try's final cycle — converged or the last MaxCycles allows,
+		// which every rank computes alike — is persisted at the try
+		// boundary; no mid-try snapshot needed. A stop request on that
+		// cycle lets the try finish — the between-tries poll catches it.
+		final := converged || cycle+1 >= t.opts.EM.MaxCycles
 		snap := ck.Every > 0 && (cycle+1)%ck.Every == 0
 		if stale {
 			snap = ck.Every > 0 && cycle+1-lastSnap >= ck.Every
 		}
-		if converged || (!snap && !stop) {
+		if final || (!snap && !stop) {
 			return nil
 		}
 		// Group-consistent snapshot: every rank proposes its cycle;

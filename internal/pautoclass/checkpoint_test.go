@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/atomicfile"
 	"repro/internal/autoclass"
 	"repro/internal/model"
 	"repro/internal/mpi"
@@ -221,6 +222,36 @@ func TestInterruptAndResumeBitwiseIdentical(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNoSnapshotAtTryEnd: a try that runs to MaxCycles takes no mid-try
+// snapshot on its last cycle, since the try's commit replaces it at once.
+// With MaxCycles 8 and Every 4, a one-try search writes its state twice,
+// the cycle-4 snapshot and the commit, so a fault armed for the third
+// write never fires.
+func TestNoSnapshotAtTryEnd(t *testing.T) {
+	ds := paperDS(t, 240)
+	cfg := quickSearchConfig()
+	cfg.StartJList = []int{5}
+	cfg.EM.MaxCycles = 8
+	opts := checkpointed(DefaultOptions(), Checkpoint{Path: filepath.Join(t.TempDir(), "search.ckpt"), Every: 4})
+	opts.EM = cfg.EM
+	defer atomicfile.Inject("search.ckpt", 2, atomicfile.NoSpace)()
+	var res *autoclass.SearchResult
+	// The deadline turns rank 1's wait on a failed rank 0 into an error.
+	err := mpi.RunWith(2, mpi.RunConfig{OpDeadline: 10 * time.Second}, func(c *mpi.Comm) error {
+		r, err := Search(c, ds, model.DefaultSpec(ds), cfg, opts)
+		if c.Rank() == 0 {
+			res = r
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Tries) != 1 || res.Tries[0].Converged || res.Tries[0].Cycles != 8 {
+		t.Fatalf("tries %+v, want one try that ran all 8 cycles", res.Tries)
 	}
 }
 
