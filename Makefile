@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench bench-kernels bench-predict bench-search bench-ooc bench-serve check trace-smoke faults fuzz-smoke api apicheck serve-smoke obs-smoke async-smoke ooc-smoke serve-load-smoke
+.PHONY: build test vet fmtcheck race bench check trace-smoke faults fuzz-smoke api apicheck serve-smoke obs-smoke async-smoke
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,11 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Every Go file stays gofmt-formatted; the CI test job runs the same check.
+fmtcheck:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
+		echo "gofmt needed:" >&2; echo "$$out" >&2; exit 1; fi
 
 # The hybrid engine runs goroutine pools inside every rank; keep the race
 # detector on the whole tree so new concurrency is checked on every PR.
@@ -24,7 +29,8 @@ vet:
 # self-check must fall back when FMA is off; its non-amd64 fallback must
 # keep compiling; and on 386, where no vector kernel builds, the Go loops
 # run as the whole path against the unfused oracle, the per-row test
-# oracle and the per-row WtsOnly engine, the column store and the chunk
+# oracle and the per-row WtsOnly engine (and the kernel gate holds them no
+# slower than that oracle), the column store and the chunk
 # file's unsafe views run on a 32-bit platform, and atomicfile swaps
 # through 386's own renameat2 number.
 race:
@@ -41,14 +47,6 @@ race:
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
-
-# Blocked-vs-reference kernel comparison on the paper's two-real-attribute
-# dataset at J=8, emitted as BENCH_kernels.json (raw lines stay
-# benchstat-comparable: jq -r '.raw_lines[]' BENCH_kernels.json).
-bench-kernels:
-	$(GO) test -run '^$$' -bench 'BenchmarkUpdateWts|BenchmarkBaseCycle' \
-		-benchmem -count 1 ./internal/autoclass \
-		| tee /dev/stderr | $(GO) run ./cmd/benchkernels -o BENCH_kernels.json
 
 # Local equivalent of the CI trace-smoke job: a traced 4-rank Meiko run
 # whose Chrome trace, events and metrics land in /tmp for inspection.
@@ -79,22 +77,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTCPFrame$$' -fuzztime 15s ./internal/mpi
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenRegistry$$' -fuzztime 15s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzPredictRequest$$' -fuzztime 15s ./internal/serve
-
-# Batch-scoring comparison on the serving hot path: 10k held-out rows at
-# J=8 under the blocked kernels vs the per-row reference oracle, emitted
-# as BENCH_predict.json (same schema and tooling as BENCH_kernels.json).
-bench-predict:
-	$(GO) test -run '^$$' -bench 'BenchmarkPredict' -benchmem -count 1 \
-		./internal/autoclass \
-		| tee /dev/stderr | $(GO) run ./cmd/benchkernels -o BENCH_predict.json
-
-# Variant-parallel BIG_LOOP baseline: per-try costs measured once, the
-# scheduler's promise-order claim replayed on 1/2/4/8-worker pools for the
-# modeled makespan speedup (the headline — CI hosts are single-core), and
-# every worker count actually executed and checked bitwise against the
-# sequential oracle. Emitted as BENCH_search.json.
-bench-search:
-	$(GO) run ./cmd/benchsearch -o BENCH_search.json
 
 # api.txt is the committed exported surface of the facade package; `make
 # api` regenerates it after an intentional API change, `make apicheck`
@@ -127,30 +109,4 @@ obs-smoke: serve-smoke
 async-smoke:
 	./scripts/async_smoke.sh
 
-# Out-of-core data-plane benchmark: train and predict over a chunk file
-# with the bounded cache holding a tenth of the chunks, self-checked
-# bitwise against an in-memory load, emitted as BENCH_ooc.json.
-bench-ooc:
-	$(GO) run ./cmd/benchooc -o BENCH_ooc.json
-
-# Predict-tier load benchmark: sustained concurrent traffic against the
-# registry-served batching predict path on two warm scorers, every
-# response byte-checked against solo baselines across a daemon restart,
-# emitted as BENCH_serve.json (p50/p99, QPS, bytes/req, cache hit rate).
-bench-serve:
-	$(GO) run ./cmd/benchserve -o BENCH_serve.json
-
-# Predict-tier load smoke (EXPERIMENTS.md, SERVE recipe): a small
-# benchserve run whose bitwise self-check must pass and whose percentiles
-# must be finite, ordered and backed by real throughput.
-serve-load-smoke:
-	./scripts/serve_load_smoke.sh
-
-# Out-of-core smoke (EXPERIMENTS.md, OOC recipe): a small benchooc run
-# whose cache must page and whose trajectory must match in-memory
-# bitwise, plus the CLI path — datagen .chunks → pautoclass -chunked
-# under a 64KiB budget — compared verbatim against the materialized run.
-ooc-smoke:
-	./scripts/ooc_smoke.sh
-
-check: vet build test race apicheck
+check: fmtcheck vet build test race apicheck

@@ -72,6 +72,9 @@ func sameClassification(t *testing.T, a, b *Classification) {
 	sameBits(t, "{LogLik, LogPost}", []float64{a.LogLik, a.LogPost}, []float64{b.LogLik, b.LogPost})
 }
 
+// cachedChunks is the residency cap of chunkBackings' file-cached backing.
+const cachedChunks = 2
+
 // chunkBackings opens the dataset under every chunk backing: the in-memory
 // store over the materialized columns, and the chunk file under its three
 // modes. The returned datasets present identical rows.
@@ -90,7 +93,7 @@ func chunkBackings(t *testing.T, ds *dataset.Dataset, chunkRows int) map[string]
 	for name, opts := range map[string]dataset.ChunkOptions{
 		"file-inmemory": {Mode: dataset.ChunkInMemory},
 		"file-mmap":     {Mode: dataset.ChunkMmap},
-		"file-cached":   {Mode: dataset.ChunkCached, Chunks: 2},
+		"file-cached":   {Mode: dataset.ChunkCached, Chunks: cachedChunks},
 	} {
 		vd, err := dataset.OpenChunked(path, opts)
 		if err != nil {
@@ -109,7 +112,10 @@ func chunkBackings(t *testing.T, ds *dataset.Dataset, chunkRows int) map[string]
 // TestFusedTrainingMatchesClassic is the tentpole property test: training
 // on a chunk-backed dataset — any backing, any chunk size, including
 // partial final chunks — produces the bitwise-identical trajectory of the
-// classic two-pass engine on the materialized dataset.
+// classic two-pass engine on the materialized dataset. On the file-cached
+// backing, when the file holds more chunks than the cache, the pass must
+// also page: chunks load and are evicted, and residency stays within the
+// cap.
 func TestFusedTrainingMatchesClassic(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxCycles = 6
@@ -123,6 +129,12 @@ func TestFusedTrainingMatchesClassic(t *testing.T) {
 					gotHist, gotCls := trainTrajectory(t, vd, 4, cfg, 3)
 					sameBits(t, "history", gotHist, wantHist)
 					sameClassification(t, gotCls, wantCls)
+					if name == "file-cached" && vd.ChunkStore().NumChunks() > cachedChunks {
+						st := vd.ChunkStore().(interface{ Stats() dataset.CacheStats }).Stats()
+						if st.Loads == 0 || st.Evictions == 0 || st.HighWater > cachedChunks {
+							t.Errorf("cache %+v: want loads and evictions > 0, high water <= %d", st, cachedChunks)
+						}
+					}
 				})
 			}
 		}

@@ -142,7 +142,7 @@ func TestSearchWithParallelismBitwiseIdentical(t *testing.T) {
 // TestSearchParallelismBitwiseIdentical is the native-engine half of the
 // property (ISSUE 6 satellite): Tries order, duplicate marks and the best
 // checkpoint bytes are bitwise identical to the sequential oracle at
-// SearchParallelism ∈ {1, 2, 8}.
+// SearchParallelism ∈ {1, 2, 4, 8}.
 func TestSearchParallelismBitwiseIdentical(t *testing.T) {
 	ds := paperDS(t, 800)
 	spec := model.DefaultSpec(ds)
@@ -155,7 +155,7 @@ func TestSearchParallelismBitwiseIdentical(t *testing.T) {
 	if err := (&Checkpoint{Classification: ref.Best}).Save(&refBest); err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 2, 8} {
+	for _, workers := range []int{1, 2, 4, 8} {
 		c := cfg
 		c.SearchParallelism = workers
 		res, err := Search(ds, spec, c, nil)

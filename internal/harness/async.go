@@ -113,8 +113,7 @@ func asyncCell(cfg AsyncConfig, l, p int) (float64, int, error) {
 		if err != nil {
 			return err
 		}
-		opts := pautoclass.Options{EM: em, Strategy: pautoclass.Full, Clock: clk}
-		pr, err := pautoclass.ParallelPriors(c, view, &opts)
+		pr, err := pautoclass.ParallelPriors(c, view, &pautoclass.Options{Clock: clk})
 		if err != nil {
 			return err
 		}

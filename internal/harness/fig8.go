@@ -93,8 +93,7 @@ func scaleupCell(cfg Fig8Config, j, p int) (float64, error) {
 			if err != nil {
 				return err
 			}
-			opts := pautoclass.Options{EM: em, Strategy: cfg.Opts.Strategy, Clock: clk}
-			pr, err := pautoclass.ParallelPriors(c, view, &opts)
+			pr, err := pautoclass.ParallelPriors(c, view, &pautoclass.Options{Clock: clk})
 			if err != nil {
 				return err
 			}

@@ -83,7 +83,7 @@ func elapsedParallel(ds *dataset.Dataset, p int, opts Options, seed uint64) (ela
 		if err != nil {
 			return err
 		}
-		po := pautoclass.Options{EM: cfg.EM, Strategy: opts.Strategy, Clock: clk, AllreduceAlgo: opts.AllreduceAlgo}
+		po := pautoclass.Options{Strategy: opts.Strategy, Clock: clk, AllreduceAlgo: opts.AllreduceAlgo}
 		if _, err := pautoclass.Search(c, ds, model.DefaultSpec(ds), cfg, po); err != nil {
 			return err
 		}

@@ -81,7 +81,7 @@ func RunProfile(cfg ProfileConfig) (*ProfileResult, error) {
 	var res *autoclass.SearchResult
 	start := time.Now()
 	err = mpi.Run(1, func(c *mpi.Comm) error {
-		opts := pautoclass.Options{EM: cfg.Search.EM, Strategy: pautoclass.WtsOnly}
+		opts := pautoclass.Options{Strategy: pautoclass.WtsOnly}
 		var err error
 		res, err = pautoclass.Search(c, ds, model.DefaultSpec(ds), cfg.Search, opts)
 		return err

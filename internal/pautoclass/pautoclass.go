@@ -69,7 +69,9 @@ type Options struct {
 	// EM configures the parameter-level search, including the intra-rank
 	// Parallelism, which flows unchanged into every rank's engine. The
 	// Full engine evaluates terms with the blocked kernels, the WtsOnly
-	// baseline row by row (see wtsonly.go).
+	// baseline row by row (see wtsonly.go). Only RunTrial reads it: Search
+	// and SearchHybrid run their SearchConfig's EM, the configuration the
+	// state file's fingerprint records.
 	EM autoclass.Config
 	// Strategy selects Full (P-AutoClass) or WtsOnly (baseline).
 	Strategy Strategy
@@ -491,6 +493,7 @@ func Search(comm *mpi.Comm, ds *dataset.Dataset, spec model.Spec,
 	if err != nil {
 		return nil, err
 	}
+	opts.EM = cfg.EM
 	view, err := PartitionView(comm, ds)
 	if err != nil {
 		return nil, err

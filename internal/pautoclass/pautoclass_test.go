@@ -319,6 +319,32 @@ func TestKernelModesAgreeAcrossGranularities(t *testing.T) {
 	}
 }
 
+// TestSearchRunsConfigEM: Search and SearchHybrid run the SearchConfig's
+// EM, the configuration the state file's fingerprint records, whatever
+// EM the Options carry. With cfg.EM capped at 8 cycles and convergence
+// off, under DefaultOptions' engine defaults, no try may run past 8.
+func TestSearchRunsConfigEM(t *testing.T) {
+	ds := paperDS(t, 600)
+	cfg := quickSearchConfig()
+	cfg.EM.MaxCycles = 8
+	cfg.EM.RelDelta = 0
+	check := func(name string, res *autoclass.SearchResult) {
+		t.Helper()
+		for _, tr := range res.Tries {
+			if tr.Cycles > cfg.EM.MaxCycles {
+				t.Errorf("%s: try J=%d #%d ran %d cycles, cap %d", name, tr.StartJ, tr.Try, tr.Cycles, cfg.EM.MaxCycles)
+			}
+		}
+	}
+	check("Search", runParallelSearch(t, ds, 2, cfg, DefaultOptions()))
+	res, err := SearchHybrid(ds, model.DefaultSpec(ds), cfg, HybridConfig{Procs: 2, Variants: 2},
+		func(int, int) Options { return DefaultOptions() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("SearchHybrid", res)
+}
+
 func TestPackedGranularityEqualsPerTerm(t *testing.T) {
 	ds := paperDS(t, 800)
 	cfg := quickSearchConfig()

@@ -72,11 +72,11 @@ func (hc HybridConfig) groups() (v, r int, err error) {
 
 // SearchHybrid runs the BIG_LOOP as Variants concurrent variant groups of
 // Procs/Variants ranks each over one shared in-memory dataset. optsFor
-// returns the Options for a given (group, rankInGroup); it must not carry a
-// simnet Clock when Variants > 1 — the virtual timeline is a serial
-// construct and cannot span concurrent groups. Basin early termination
-// (SearchConfig.BasinEarlyStop) is not supported on the SPMD engine and is
-// ignored here.
+// returns the Options for a given (group, rankInGroup), whose EM is
+// replaced by cfg.EM; it must not carry a simnet Clock when Variants > 1 —
+// the virtual timeline is a serial construct and cannot span concurrent
+// groups. Basin early termination (SearchConfig.BasinEarlyStop) is not
+// supported on the SPMD engine and is ignored here.
 func SearchHybrid(ds *dataset.Dataset, spec model.Spec, cfg autoclass.SearchConfig,
 	hc HybridConfig, optsFor func(group, rank int) Options) (*autoclass.SearchResult, error) {
 	if ds.N() == 0 {
@@ -99,10 +99,11 @@ func SearchHybrid(ds *dataset.Dataset, spec model.Spec, cfg autoclass.SearchConf
 		go func(group int) {
 			defer wg.Done()
 			body := func(comm *mpi.Comm) error {
-				opts := Options{EM: cfg.EM, Strategy: Full}
+				opts := Options{Strategy: Full}
 				if optsFor != nil {
 					opts = optsFor(group, comm.Rank())
 				}
+				opts.EM = cfg.EM
 				if opts.Clock != nil && v > 1 {
 					return errors.New("pautoclass: hybrid search cannot charge a virtual clock across concurrent groups")
 				}

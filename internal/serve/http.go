@@ -682,12 +682,16 @@ func searchConfig(sp *SearchSpec) (autoclass.SearchConfig, error) {
 		cfg.EM.Parallelism = sp.Parallelism
 	}
 	for _, j := range cfg.StartJList {
-		if j < 1 {
-			return cfg, fmt.Errorf("start_j_list entry %d < 1", j)
+		if j < 1 || j > maxStartJ {
+			return cfg, fmt.Errorf("start_j_list entry %d out of range [1,%d]", j, maxStartJ)
 		}
 	}
 	if sp.Tries < 0 || sp.MaxCycles < 0 || sp.RelDelta < 0 {
 		return cfg, errors.New("negative search setting")
+	}
+	if cfg.Tries > maxSearchVariants/len(cfg.StartJList) {
+		return cfg, fmt.Errorf("search of %d start J × %d tries exceeds %d variants",
+			len(cfg.StartJList), cfg.Tries, maxSearchVariants)
 	}
 	return cfg, nil
 }

@@ -93,6 +93,15 @@ type Config struct {
 // ranks, so very large values only oversubscribe the host.
 const maxProcs = 64
 
+// maxStartJ and maxSearchVariants bound a job's search. A start J sizes
+// every try's classification, and the schedule (start_j_list × tries, one
+// Variant each) is built whole before the first try runs, so a request
+// past either bound would exhaust memory instead of training.
+const (
+	maxStartJ         = 4096
+	maxSearchVariants = 65536
+)
+
 // Server is the pautoclassd HTTP handler plus its job runner. Create with
 // New, serve it with net/http, stop it with Close.
 type Server struct {
@@ -469,7 +478,6 @@ func (s *Server) runJob(id string) {
 	var res *autoclass.SearchResult
 	err = mpi.Run(procs, func(c *mpi.Comm) error {
 		opts := pautoclass.DefaultOptions()
-		opts.EM = cfg.EM
 		opts.Obs = o.Rank(c.Rank())
 		opts.SearchObs = searchObs
 		opts.Checkpoint = pautoclass.Checkpoint{

@@ -507,3 +507,29 @@ func TestServeValidation(t *testing.T) {
 		t.Errorf("healthz: %d %+v", code, health)
 	}
 }
+
+// TestValidateJobBoundsSearch: a job whose search would exhaust memory once
+// it ran is refused at submission, with a 400 (handleSubmit answers every
+// validateJob error so): a start J above maxStartJ, or a schedule of more
+// than maxSearchVariants tries. Shapes at the bounds still pass. The test
+// calls validateJob alone, so no refused job ever runs.
+func TestValidateJobBoundsSearch(t *testing.T) {
+	base, _ := paperJob(t, 3, 1, nil)
+	for _, c := range []struct {
+		name string
+		spec SearchSpec
+		ok   bool
+	}{
+		{"start J at the bound", SearchSpec{StartJList: []int{2, maxStartJ}}, true},
+		{"start J past the bound", SearchSpec{StartJList: []int{1 << 30}}, false},
+		{"schedule at the bound", SearchSpec{StartJList: []int{2, 4}, Tries: maxSearchVariants / 2}, true},
+		{"schedule past the bound", SearchSpec{StartJList: []int{2, 4}, Tries: maxSearchVariants/2 + 1}, false},
+		{"default start J list, 10^8 tries", SearchSpec{Tries: 100000000}, false},
+	} {
+		req := base
+		req.Search = &c.spec
+		if err := validateJob(&req); (err == nil) != c.ok {
+			t.Errorf("%s: validateJob returned %v, want accepted %v", c.name, err, c.ok)
+		}
+	}
+}

@@ -351,7 +351,7 @@ func runParallel(ds *Dataset, rc runConfig) (*Result, error) {
 	stats := &ParallelStats{}
 	start := time.Now()
 	body := func(c *mpi.Comm) error {
-		opts := pautoclass.Options{EM: rc.search.EM, Strategy: pc.Strategy}
+		opts := pautoclass.Options{Strategy: pc.Strategy}
 		if pc.Machine != nil {
 			clk, err := simnet.NewClock(*pc.Machine)
 			if err != nil {
@@ -421,7 +421,7 @@ func runHybrid(ds *Dataset, rc runConfig, v int) (*Result, error) {
 		rcfg.Retry = mpi.RetryPolicy{MaxAttempts: pc.SendRetries}
 	}
 	optsFor := func(group, rank int) pautoclass.Options {
-		opts := pautoclass.Options{EM: rc.search.EM, Strategy: pc.Strategy}
+		opts := pautoclass.Options{Strategy: pc.Strategy}
 		if rc.observer != nil {
 			// Global rank = group-major flattening, so the observer built
 			// for Procs ranks sees every rank exactly once.
