@@ -58,13 +58,15 @@ trace-smoke:
 		-metrics-out /tmp/metrics.json -phase-profile
 
 # Fault-tolerance suite: fault-injection matrix (every collective ×
-# Allreduce algorithm × transport with a rank killed mid-collective),
-# deadline/retry semantics, and the kill-and-resume bitwise-identity
-# test. The hard -timeout makes a hang a failure, not a stall.
+# Allreduce algorithm × transport with a rank killed mid-collective and no
+# deadline, so the launcher's crash cascade alone releases the group),
+# deadline/retry semantics, the kill-and-resume bitwise-identity test, and
+# state writes that fail mid-search, in an SPMD search and in a daemon job.
+# The hard -timeout makes a hang a failure, not a stall.
 faults:
 	$(GO) test -race -timeout 180s \
 		-run 'Fault|Flaky|Timeout|Deadline|Retry|Race|Checkpoint|Resume|KillAndResume' \
-		./internal/mpi ./internal/autoclass ./internal/pautoclass ./cmd/pautoclass
+		./internal/mpi ./internal/autoclass ./internal/pautoclass ./internal/serve ./cmd/pautoclass
 
 # Fuzz smoke: every native fuzz target of the repository for 15 s each.
 # Their seed corpora under testdata/fuzz run as plain tests in `make test`;

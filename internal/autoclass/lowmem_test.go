@@ -114,8 +114,8 @@ func chunkBackings(t *testing.T, ds *dataset.Dataset, chunkRows int) map[string]
 // partial final chunks — produces the bitwise-identical trajectory of the
 // classic two-pass engine on the materialized dataset. On the file-cached
 // backing, when the file holds more chunks than the cache, the pass must
-// also page: chunks load and are evicted, and residency stays within the
-// cap.
+// also page: chunks load and are evicted, residency stays within the cap,
+// and every pass after the first hits the chunks the last one left.
 func TestFusedTrainingMatchesClassic(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxCycles = 6
@@ -129,10 +129,16 @@ func TestFusedTrainingMatchesClassic(t *testing.T) {
 					gotHist, gotCls := trainTrajectory(t, vd, 4, cfg, 3)
 					sameBits(t, "history", gotHist, wantHist)
 					sameClassification(t, gotCls, wantCls)
-					if name == "file-cached" && vd.ChunkStore().NumChunks() > cachedChunks {
+					if nc := vd.ChunkStore().NumChunks(); name == "file-cached" && nc > cachedChunks {
 						st := vd.ChunkStore().(interface{ Stats() dataset.CacheStats }).Stats()
 						if st.Loads == 0 || st.Evictions == 0 || st.HighWater > cachedChunks {
 							t.Errorf("cache %+v: want loads and evictions > 0, high water <= %d", st, cachedChunks)
+						}
+						// Every pass after the first finds cap − 1 chunks
+						// still resident from the pass before.
+						passes := (st.Hits + st.Loads) / uint64(nc)
+						if want := (passes - 1) * (cachedChunks - 1); st.Hits < want {
+							t.Errorf("cache %+v over %d passes of %d chunks: want >= %d hits", st, passes, nc, want)
 						}
 					}
 				})

@@ -706,24 +706,28 @@ type CacheStats struct {
 
 // cacheSlot is one resident-chunk frame of the cached backing.
 type cacheSlot struct {
-	chunk   int // -1 when free
-	pins    int
-	loading bool
-	buf     []byte
-	colsB   [][]float64
-	missB   [][]bool
-	cols    Columns
+	chunk    int // -1 when free
+	pins     int
+	loading  bool
+	released uint64 // the store's release count when pins last fell to 0
+	buf      []byte
+	colsB    [][]float64
+	missB    [][]bool
+	cols     Columns
 }
 
 // cachedStore keeps at most `cap` chunks resident, faulting the rest from
 // the file on demand with pread. A chunk is pinned while acquired;
-// eviction (clock scan) only takes unpinned slots. When every slot is
-// pinned and another chunk is needed, the store allocates a transient
-// overshoot slot rather than risk deadlock — HighWater records how far it
-// went, and overshoot frames are freed again at Release. Steady state
-// (pins ≤ cap) performs zero allocations per fault: slot buffers and
-// slice headers are reused, and the pread lands directly in the slot
-// buffer.
+// eviction takes the unpinned slot released most recently. The engine
+// scans the chunks forward, pass after pass, releasing each just before it
+// acquires the next, so evicting the oldest release would drop every chunk
+// before its next use, while evicting the newest keeps cap − 1 chunks
+// resident from one pass to the next. When every slot is pinned and
+// another chunk is needed, the store allocates a transient overshoot slot
+// rather than risk deadlock — HighWater records how far it went, and
+// overshoot frames are freed again at Release. Steady state (pins ≤ cap)
+// performs zero allocations per fault: slot buffers and slice headers are
+// reused, and the pread lands directly in the slot buffer.
 type cachedStore struct {
 	cf  *chunkFile
 	cap int
@@ -732,9 +736,11 @@ type cachedStore struct {
 	cond   *sync.Cond
 	slotOf []int32 // chunk → slot index, -1 when absent
 	slots  []*cacheSlot
-	clock  int
-	live   int // slots with an allocated buffer
-	stats  CacheStats
+	// releases counts the Releases that unpinned a slot; it orders the
+	// slots for eviction.
+	releases uint64
+	live     int // slots with an allocated buffer
+	stats    CacheStats
 }
 
 func newCachedStore(cf *chunkFile, capSlots int) *cachedStore {
@@ -826,6 +832,9 @@ func (s *cachedStore) Release(c int) {
 			slot.cols = Columns{}
 			s.live--
 			s.stats.Evictions++
+		} else {
+			s.releases++
+			slot.released = s.releases
 		}
 		s.cond.Broadcast()
 	}
@@ -862,17 +871,18 @@ func (s *cachedStore) claimSlot() *cacheSlot {
 		s.slots = append(s.slots, sl)
 		return sl
 	}
-	// Clock scan for an unpinned resident chunk to evict.
-	n := len(s.slots)
-	for i := 0; i < n; i++ {
-		sl := s.slots[(s.clock+i)%n]
-		if sl.pins == 0 && !sl.loading && sl.chunk >= 0 {
-			s.clock = (s.clock + i + 1) % n
-			s.slotOf[sl.chunk] = -1
-			sl.chunk = -1
-			s.stats.Evictions++
-			return sl
+	// Evict the unpinned resident chunk released most recently.
+	var victim *cacheSlot
+	for _, sl := range s.slots {
+		if sl.pins == 0 && !sl.loading && sl.chunk >= 0 && (victim == nil || sl.released > victim.released) {
+			victim = sl
 		}
+	}
+	if victim != nil {
+		s.slotOf[victim.chunk] = -1
+		victim.chunk = -1
+		s.stats.Evictions++
+		return victim
 	}
 	// Every slot pinned: overshoot rather than deadlock.
 	sl := &cacheSlot{chunk: -1}

@@ -190,8 +190,7 @@ func TestCachedStoreResidency(t *testing.T) {
 			}
 		}
 	}
-	// A sequential scan through a small FIFO cache never revisits a
-	// resident chunk; re-acquiring the last-touched chunk must hit.
+	// Re-acquiring the last-touched chunk must hit.
 	last := cs.NumChunks() - 1
 	cs.Acquire(last)
 	cs.Release(last)
@@ -285,7 +284,7 @@ func TestCachedStoreZeroAllocFault(t *testing.T) {
 	}
 	defer vd.Close()
 	cs := vd.ChunkStore()
-	// Warm every frame and the clock.
+	// Warm every frame.
 	for pass := 0; pass < 2; pass++ {
 		for c := 0; c < cs.NumChunks(); c++ {
 			cs.Acquire(c)

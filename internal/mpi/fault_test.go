@@ -10,15 +10,16 @@ import (
 
 // TestFlakyBudgetExhaustionPersistent is the regression test for the budget
 // underflow: the counter used to decrement past the sign guard, so after
-// exactly one injected failure the transport silently recovered. An
-// exhausted budget must fail every subsequent operation.
+// exactly one injected failure the transport silently recovered. A rule
+// without a Count must fail every matching operation once its After budget
+// is spent.
 func TestFlakyBudgetExhaustionPersistent(t *testing.T) {
-	g, err := NewMemGroup(2)
+	eps, err := newMemLinks(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ep0, _ := g.Endpoint(0)
-	f := NewFlakyTransport(ep0, 0, -1)
+	ep0 := eps[0]
+	f := NewFaultyTransport(ep0, FaultPlan{Faults: []Fault{{Op: "send", Peer: -1}}})
 	for i := 0; i < 5; i++ {
 		err := f.Send(1, i, []float64{1})
 		var inj *ErrInjected
@@ -34,8 +35,8 @@ func TestFlakyBudgetExhaustionPersistent(t *testing.T) {
 // TestFailOnceTransient checks the explicit one-shot mode: exactly one
 // retryable failure, then normal operation.
 func TestFailOnceTransient(t *testing.T) {
-	g, _ := NewMemGroup(2)
-	ep0, _ := g.Endpoint(0)
+	eps, _ := newMemLinks(2)
+	ep0 := eps[0]
 	f := NewFaultyTransport(ep0, FaultPlan{Faults: []Fault{FailOnce("send", -1, 1)}})
 	if err := f.Send(1, 0, []float64{1}); err != nil {
 		t.Fatalf("first send: %v", err)
@@ -61,8 +62,8 @@ func (o *countingFaultObserver) ObserveTimeout(op string)            { o.timeout
 // fault under a RetryTransport must be absorbed by the retry loop and
 // counted by the fault observer.
 func TestRetryRecoversOneShotFault(t *testing.T) {
-	g, _ := NewMemGroup(2)
-	ep0, _ := g.Endpoint(0)
+	eps, _ := newMemLinks(2)
+	ep0 := eps[0]
 	faulty := NewFaultyTransport(ep0, FaultPlan{Faults: []Fault{FailOnce("send", -1, 0)}})
 	rt := NewRetryTransport(faulty, RetryPolicy{MaxAttempts: 3, BaseDelay: time.Microsecond})
 	var obs countingFaultObserver
@@ -73,7 +74,7 @@ func TestRetryRecoversOneShotFault(t *testing.T) {
 	if got := obs.retries.Load(); got != 1 {
 		t.Fatalf("observed %d retries, want 1", got)
 	}
-	ep1, _ := g.Endpoint(1)
+	ep1 := eps[1]
 	data, err := ep1.Recv(0, 7)
 	if err != nil || len(data) != 1 || data[0] != 42 {
 		t.Fatalf("recv after retried send: %v %v", data, err)
@@ -83,8 +84,8 @@ func TestRetryRecoversOneShotFault(t *testing.T) {
 // TestRetryDoesNotRetryPersistentFault: persistent injected failures are not
 // transient, so the retry loop must give up immediately.
 func TestRetryDoesNotRetryPersistentFault(t *testing.T) {
-	g, _ := NewMemGroup(2)
-	ep0, _ := g.Endpoint(0)
+	eps, _ := newMemLinks(2)
+	ep0 := eps[0]
 	faulty := NewFaultyTransport(ep0, FaultPlan{Faults: []Fault{{Op: "send", Peer: -1}}})
 	rt := NewRetryTransport(faulty, RetryPolicy{MaxAttempts: 5, BaseDelay: time.Microsecond})
 	var obs countingFaultObserver
@@ -101,8 +102,8 @@ func TestRetryDoesNotRetryPersistentFault(t *testing.T) {
 // TestFaultPerPeerTargeting: a fault aimed at one peer leaves traffic to
 // other peers untouched.
 func TestFaultPerPeerTargeting(t *testing.T) {
-	g, _ := NewMemGroup(3)
-	ep0, _ := g.Endpoint(0)
+	eps, _ := newMemLinks(3)
+	ep0 := eps[0]
 	f := NewFaultyTransport(ep0, FaultPlan{Faults: []Fault{{Op: "send", Peer: 2}}})
 	if err := f.Send(1, 0, []float64{1}); err != nil {
 		t.Fatalf("send to healthy peer: %v", err)
@@ -116,8 +117,8 @@ func TestFaultPerPeerTargeting(t *testing.T) {
 // TestFaultDropAndDelay: drops report success without delivering; delays
 // stall the op but let it through.
 func TestFaultDropAndDelay(t *testing.T) {
-	g, _ := NewMemGroup(2)
-	ep0, _ := g.Endpoint(0)
+	eps, _ := newMemLinks(2)
+	ep0 := eps[0]
 	f := NewFaultyTransport(ep0, FaultPlan{Faults: []Fault{
 		{Op: "send", Peer: -1, Count: 1, Mode: FaultDrop},
 		// A firing Drop stops plan evaluation, so this rule first sees (and
@@ -135,12 +136,12 @@ func TestFaultDropAndDelay(t *testing.T) {
 		t.Fatalf("delayed send returned after %v, want >= 20ms", el)
 	}
 	// Only the delayed message must arrive; the dropped one vanished.
-	ep1, _ := g.Endpoint(1)
+	ep1 := eps[1]
 	if _, err := ep1.Recv(0, 1); err != nil {
 		t.Fatalf("recv of delayed message: %v", err)
 	}
 	select {
-	case msg := <-g.chans[0][1]:
+	case msg := <-ep0.(*memEndpoint).g.chans[0][1]:
 		t.Fatalf("dropped message was delivered: %+v", msg)
 	default:
 	}
@@ -149,8 +150,8 @@ func TestFaultDropAndDelay(t *testing.T) {
 // TestMemRecvDeadline: with a deadline armed, a Recv with no sender fails
 // with ErrTimeout in bounded time instead of hanging.
 func TestMemRecvDeadline(t *testing.T) {
-	g, _ := NewMemGroup(2)
-	ep0, _ := g.Endpoint(0)
+	eps, _ := newMemLinks(2)
+	ep0 := eps[0]
 	SetOpDeadline(ep0, 50*time.Millisecond)
 	start := time.Now()
 	_, err := ep0.Recv(1, 0)
@@ -169,19 +170,11 @@ func TestMemRecvDeadline(t *testing.T) {
 
 // TestTCPRecvDeadline is TestMemRecvDeadline over real sockets.
 func TestTCPRecvDeadline(t *testing.T) {
-	g, err := NewTCPGroup(2)
+	eps, err := newTCPLinks(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer g.Close()
-	ep0, err := g.Endpoint(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ep1, err := g.Endpoint(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ep0, ep1 := eps[0], eps[1]
 	defer ep0.Close()
 	defer ep1.Close()
 	SetOpDeadline(ep0, 50*time.Millisecond)
@@ -200,20 +193,11 @@ func TestTCPRecvDeadline(t *testing.T) {
 // panic on a closed queue channel (run under -race).
 func TestTCPSendCloseRace(t *testing.T) {
 	for iter := 0; iter < 20; iter++ {
-		g, err := NewTCPGroup(2)
+		eps, err := newTCPLinks(2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ep0, err := g.Endpoint(0)
-		if err != nil {
-			g.Close()
-			t.Fatal(err)
-		}
-		ep1, err := g.Endpoint(1)
-		if err != nil {
-			g.Close()
-			t.Fatal(err)
-		}
+		ep0, ep1 := eps[0], eps[1]
 		var wg sync.WaitGroup
 		for w := 0; w < 8; w++ {
 			wg.Add(1)
@@ -230,14 +214,25 @@ func TestTCPSendCloseRace(t *testing.T) {
 		ep0.Close()
 		wg.Wait()
 		ep1.Close()
-		g.Close()
 	}
 }
 
+// runVerdicts runs fn under RunWith and returns every rank's own result
+// (index = rank) beside RunWith's first failure.
+func runVerdicts(p int, cfg RunConfig, fn func(c *Comm) error) ([]error, error) {
+	errs := make([]error, p)
+	err := RunWith(p, cfg, func(c *Comm) error {
+		errs[c.Rank()] = fn(c)
+		return errs[c.Rank()]
+	})
+	return errs, err
+}
+
 // TestFaultMatrix kills one rank on its very first transport operation and
-// drives every collective, every Allreduce algorithm, over both transports.
-// Every healthy rank must return an error (no hangs, bounded by the
-// deadline), and the victim must report the injected error. The workload
+// drives every collective, every Allreduce algorithm, over both transports,
+// with no deadline: the launcher's cascade alone must release every rank.
+// Every healthy rank must return an error, and the victim must report the
+// injected error, which RunWith returns as the first failure. The workload
 // alternates the collective under test with a Barrier so that single-shot
 // collectives whose tree never touches the victim still observe the crash
 // through the Barrier's cascade.
@@ -247,11 +242,9 @@ func TestFaultMatrix(t *testing.T) {
 		victim = 2
 		iters  = 50
 	)
-	allreduce := func(algo AllreduceAlgo) func(c *Comm) error {
-		return func(c *Comm) error {
-			buf := []float64{float64(c.Rank()), 1, 2}
-			return c.Allreduce(Sum, buf)
-		}
+	allreduce := func(c *Comm) error {
+		buf := []float64{float64(c.Rank()), 1, 2}
+		return c.Allreduce(Sum, buf)
 	}
 	ops := []struct {
 		name string
@@ -261,9 +254,9 @@ func TestFaultMatrix(t *testing.T) {
 		{"barrier", ReduceBcast, func(c *Comm) error { return c.Barrier() }},
 		{"bcast", ReduceBcast, func(c *Comm) error { return c.Bcast(0, []float64{1, 2}) }},
 		{"reduce", ReduceBcast, func(c *Comm) error { return c.Reduce(0, Sum, []float64{1, 2}) }},
-		{"allreduce-reducebcast", ReduceBcast, allreduce(ReduceBcast)},
-		{"allreduce-recursivedoubling", RecursiveDoubling, allreduce(RecursiveDoubling)},
-		{"allreduce-ring", Ring, allreduce(Ring)},
+		{"allreduce-reducebcast", ReduceBcast, allreduce},
+		{"allreduce-recursivedoubling", RecursiveDoubling, allreduce},
+		{"allreduce-ring", Ring, allreduce},
 		{"reducescatter", ReduceBcast, func(c *Comm) error {
 			_, err := c.ReduceScatter(Sum, []float64{1, 2, 3, 4, 5})
 			return err
@@ -285,26 +278,21 @@ func TestFaultMatrix(t *testing.T) {
 			return err
 		}},
 	}
-	runners := []struct {
-		name string
-		run  func(p int, cfg RunConfig, plans map[int]FaultPlan, fn func(c *Comm) error) ([]error, error)
-	}{
-		{"mem", RunFaultyMem},
-		{"tcp", RunFaultyTCP},
-	}
-	for _, rn := range runners {
-		rn := rn
+	for _, tcp := range []bool{false, true} {
+		transport := "mem"
+		if tcp {
+			transport = "tcp"
+		}
 		for _, op := range ops {
-			op := op
-			t.Run(rn.name+"/"+op.name, func(t *testing.T) {
+			t.Run(transport+"/"+op.name, func(t *testing.T) {
 				t.Parallel()
-				cfg := RunConfig{Algo: op.algo, OpDeadline: 2 * time.Second}
 				// Both directions fail from the very first op, so the victim
 				// crashes no matter whether the collective starts with a send
 				// or a receive.
-				plans := map[int]FaultPlan{victim: {Faults: []Fault{{Op: "", Peer: -1}}}}
+				cfg := RunConfig{TCP: tcp, Faults: map[int]FaultPlan{victim: {Faults: []Fault{{Op: "", Peer: -1}}}}}
 				start := time.Now()
-				errs, err := rn.run(p, cfg, plans, func(c *Comm) error {
+				errs, err := runVerdicts(p, cfg, func(c *Comm) error {
+					c.SetAllreduceAlgo(op.algo)
 					for i := 0; i < iters; i++ {
 						if err := op.call(c); err != nil {
 							return err
@@ -316,22 +304,22 @@ func TestFaultMatrix(t *testing.T) {
 					return nil
 				})
 				elapsed := time.Since(start)
-				if err != nil {
-					t.Fatal(err)
-				}
 				var inj *ErrInjected
 				if !errors.As(errs[victim], &inj) {
 					t.Errorf("victim: got %v, want injected failure", errs[victim])
+				}
+				if !errors.As(err, &inj) {
+					t.Errorf("RunWith returned %v, want the victim's injected failure first", err)
 				}
 				for r, e := range errs {
 					if r != victim && e == nil {
 						t.Errorf("healthy rank %d returned nil, want error (crash not propagated)", r)
 					}
 				}
-				// The deadline (2s) bounds any single blocked operation; the
-				// generous multiple absorbs scheduler noise on loaded CI.
+				// The cascade releases every rank at once; the generous bound
+				// absorbs scheduler noise on loaded CI.
 				if elapsed > 15*time.Second {
-					t.Errorf("matrix case took %v, deadline did not bound the hang", elapsed)
+					t.Errorf("matrix case took %v, the cascade did not end the run", elapsed)
 				}
 			})
 		}

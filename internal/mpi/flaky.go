@@ -85,21 +85,18 @@ type faultState struct {
 }
 
 // FaultyTransport wraps a Transport and executes a FaultPlan against it —
-// the fault-injection hook used to verify that every layer above the
-// transport (collectives, reducers, the parallel engine, the BIG_LOOP
-// drivers) propagates communication failures instead of hanging or
-// corrupting state. A rank whose transport fails persistently behaves like
-// a crashed node from its own perspective; peers blocked on it observe
-// closed channels or reset connections from theirs.
+// the fault-injection hook (RunConfig.Faults) used to verify that every
+// layer above the transport (collectives, reducers, the parallel engine,
+// the BIG_LOOP drivers) propagates communication failures instead of
+// hanging or corrupting state. A rank whose transport fails persistently
+// behaves like a crashed node from its own perspective; once its function
+// returns, RunWith closes its links and peers blocked on it observe closed
+// channels or reset connections from theirs.
 type FaultyTransport struct {
 	inner  Transport
 	mu     sync.Mutex
 	faults []faultState
 }
-
-// FlakyTransport is the historical name for the budget-based fault
-// injector; it is now a FaultyTransport built by NewFlakyTransport.
-type FlakyTransport = FaultyTransport
 
 // NewFaultyTransport wraps inner with the given fault plan.
 func NewFaultyTransport(inner Transport, plan FaultPlan) *FaultyTransport {
@@ -108,23 +105,6 @@ func NewFaultyTransport(inner Transport, plan FaultPlan) *FaultyTransport {
 		t.faults[i] = faultState{Fault: f}
 	}
 	return t
-}
-
-// NewFlakyTransport wraps inner so that sends fail persistently after
-// sendBudget successful sends and receives fail persistently after
-// recvBudget successful receives. A negative budget disables failure for
-// that direction. (An exhausted budget used to recover after one error —
-// the counter decremented past the sign guard — which made "crashed" ranks
-// silently resurrect mid-collective.)
-func NewFlakyTransport(inner Transport, sendBudget, recvBudget int64) *FlakyTransport {
-	var plan FaultPlan
-	if sendBudget >= 0 {
-		plan.Faults = append(plan.Faults, Fault{Op: "send", Peer: -1, After: sendBudget})
-	}
-	if recvBudget >= 0 {
-		plan.Faults = append(plan.Faults, Fault{Op: "recv", Peer: -1, After: recvBudget})
-	}
-	return NewFaultyTransport(inner, plan)
 }
 
 func (t *FaultyTransport) Rank() int { return t.inner.Rank() }
@@ -205,110 +185,3 @@ func (t *FaultyTransport) Close() error { return t.inner.Close() }
 
 var _ Transport = (*FaultyTransport)(nil)
 var _ DeadlineTransport = (*FaultyTransport)(nil)
-
-// RunFaultyMem runs fn on p in-process ranks with per-rank fault plans and
-// returns the per-rank errors (index = rank) after every goroutine
-// finishes, so tests can assert both that victims failed with injected
-// errors and that no healthy rank hung. Peers of a failed rank may block
-// waiting for messages that will never arrive — exactly as on a real
-// multicomputer — so as each rank exits (crashed or finished) its outgoing
-// channels are closed. Messages already buffered stay readable, but a peer
-// blocked waiting for a message that will never come observes the closure
-// instead of deadlocking, exactly as a reset connection would surface on a
-// real machine. Failures therefore cascade: a crash can strand a healthy
-// rank mid-collective, which then errors and releases its own dependents in
-// turn.
-func RunFaultyMem(p int, cfg RunConfig, plans map[int]FaultPlan, fn func(c *Comm) error) ([]error, error) {
-	g, err := NewMemGroup(p)
-	if err != nil {
-		return nil, err
-	}
-	errs := make([]error, p)
-	done := make(chan int, p)
-	for r := 0; r < p; r++ {
-		ep, err := g.Endpoint(r)
-		if err != nil {
-			return nil, err
-		}
-		var tr Transport = ep
-		if plan, ok := plans[r]; ok && len(plan.Faults) > 0 {
-			tr = NewFaultyTransport(ep, plan)
-		}
-		comm := NewComm(cfg.wrap(tr))
-		comm.SetAllreduceAlgo(cfg.Algo)
-		go func(rank int, c *Comm) {
-			defer func() {
-				if rec := recover(); rec != nil {
-					errs[rank] = fmt.Errorf("mpi: rank %d panicked: %v", rank, rec)
-				}
-				done <- rank
-			}()
-			errs[rank] = fn(c)
-		}(r, comm)
-	}
-	for finished := 0; finished < p; finished++ {
-		rank := <-done
-		for d := 0; d < p; d++ {
-			if d != rank {
-				close(g.chans[rank][d])
-			}
-		}
-	}
-	return errs, nil
-}
-
-// RunFaultyTCP is RunFaultyMem over real loopback TCP sockets. The crash
-// cascade works through the sockets themselves: each rank closes its
-// endpoint the moment its function returns, so peers blocked on it observe
-// EOF or a reset instead of hanging.
-func RunFaultyTCP(p int, cfg RunConfig, plans map[int]FaultPlan, fn func(c *Comm) error) ([]error, error) {
-	g, err := NewTCPGroup(p)
-	if err != nil {
-		return nil, err
-	}
-	defer g.Close()
-	errs := make([]error, p)
-	var wg sync.WaitGroup
-	var launchErr error
-	for r := 0; r < p; r++ {
-		ep, err := g.Endpoint(r)
-		if err != nil {
-			launchErr = err
-			break
-		}
-		var tr Transport = ep
-		if plan, ok := plans[r]; ok && len(plan.Faults) > 0 {
-			tr = NewFaultyTransport(ep, plan)
-		}
-		comm := NewComm(cfg.wrap(tr))
-		comm.SetAllreduceAlgo(cfg.Algo)
-		wg.Add(1)
-		go func(rank int, c *Comm, raw Transport) {
-			defer wg.Done()
-			defer raw.Close()
-			defer func() {
-				if rec := recover(); rec != nil {
-					errs[rank] = fmt.Errorf("mpi: rank %d panicked: %v", rank, rec)
-				}
-			}()
-			errs[rank] = fn(c)
-		}(r, comm, ep)
-	}
-	if launchErr != nil {
-		g.Close()
-		wg.Wait()
-		return nil, launchErr
-	}
-	wg.Wait()
-	return errs, nil
-}
-
-// RunFlaky is RunFaultyMem with rank `victim`'s transport failing
-// persistently after the given send budget (negative disables injection).
-func RunFlaky(p int, victim int, sendBudget int64, fn func(c *Comm) error) ([]error, error) {
-	plans := map[int]FaultPlan{}
-	if sendBudget >= 0 {
-		plans[victim] = FaultPlan{Faults: []Fault{{Op: "send", Peer: -1, After: sendBudget}}}
-	}
-	return RunFaultyMem(p, RunConfig{}, plans, fn)
-}

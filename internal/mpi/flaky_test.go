@@ -5,13 +5,13 @@ import (
 	"testing"
 )
 
-func TestFlakyTransportBudgets(t *testing.T) {
-	g, err := NewMemGroup(2)
+func TestFlakySendBudget(t *testing.T) {
+	eps, err := newMemLinks(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ep0, _ := g.Endpoint(0)
-	f := NewFlakyTransport(ep0, 2, -1)
+	ep0 := eps[0]
+	f := NewFaultyTransport(ep0, FaultPlan{Faults: []Fault{{Op: "send", Peer: -1, After: 2}}})
 	if err := f.Send(1, 1, []float64{1}); err != nil {
 		t.Fatal(err)
 	}
@@ -24,20 +24,19 @@ func TestFlakyTransportBudgets(t *testing.T) {
 		t.Fatalf("third send: %v", err)
 	}
 	// Recv budget separate and currently unlimited.
-	ep1, _ := g.Endpoint(1)
+	ep1 := eps[1]
 	if _, err := ep1.Recv(0, 1); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestFlakyRecvBudget(t *testing.T) {
-	g, _ := NewMemGroup(2)
-	ep0, _ := g.Endpoint(0)
-	ep1, _ := g.Endpoint(1)
+	eps, _ := newMemLinks(2)
+	ep0, ep1 := eps[0], eps[1]
 	if err := ep1.Send(0, 7, []float64{1}); err != nil {
 		t.Fatal(err)
 	}
-	f := NewFlakyTransport(ep0, -1, 1)
+	f := NewFaultyTransport(ep0, FaultPlan{Faults: []Fault{{Op: "recv", Peer: -1, After: 1}}})
 	if _, err := f.Recv(1, 7); err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +49,8 @@ func TestCollectiveFailurePropagatesWithoutHanging(t *testing.T) {
 	// Rank 1's transport dies after 1 send, mid-Allreduce. Every rank must
 	// return (no deadlock) and at least the victim must report an error.
 	const p = 4
-	errs, err := RunFlaky(p, 1, 1, func(c *Comm) error {
+	cfg := RunConfig{Faults: map[int]FaultPlan{1: {Faults: []Fault{{Op: "send", Peer: -1, After: 1}}}}}
+	errs, err := runVerdicts(p, cfg, func(c *Comm) error {
 		buf := []float64{float64(c.Rank())}
 		for i := 0; i < 10; i++ {
 			if err := c.Allreduce(Sum, buf); err != nil {
@@ -59,8 +59,8 @@ func TestCollectiveFailurePropagatesWithoutHanging(t *testing.T) {
 		}
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
+	if err == nil {
+		t.Fatal("RunWith reported no failure")
 	}
 	if errs[1] == nil {
 		t.Fatal("victim rank reported no error")
@@ -79,11 +79,12 @@ func TestCollectiveFailurePropagatesWithoutHanging(t *testing.T) {
 func TestImmediateFailureAllRanksReturn(t *testing.T) {
 	// Victim fails on its very first send: peers blocked in Recv must be
 	// released by the simulated crash, not hang.
-	errs, err := RunFlaky(3, 0, 0, func(c *Comm) error {
+	cfg := RunConfig{Faults: map[int]FaultPlan{0: {Faults: []Fault{{Op: "send", Peer: -1}}}}}
+	errs, err := runVerdicts(3, cfg, func(c *Comm) error {
 		return c.Barrier()
 	})
-	if err != nil {
-		t.Fatal(err)
+	if err == nil {
+		t.Fatal("RunWith reported no failure")
 	}
 	if errs[0] == nil {
 		t.Fatal("victim rank reported no error")
@@ -91,7 +92,9 @@ func TestImmediateFailureAllRanksReturn(t *testing.T) {
 }
 
 func TestFlakyNegativeBudgetNeverFails(t *testing.T) {
-	errs, err := RunFlaky(3, 1, -1, func(c *Comm) error {
+	// A listed rank with an empty plan runs on its raw transport.
+	cfg := RunConfig{Faults: map[int]FaultPlan{1: {}}}
+	errs, err := runVerdicts(3, cfg, func(c *Comm) error {
 		v := []float64{1}
 		return c.Allreduce(Sum, v)
 	})

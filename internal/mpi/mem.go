@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -13,10 +12,10 @@ type memMessage struct {
 	data []float64
 }
 
-// MemGroup is a full mesh of buffered channels connecting p in-process
+// memMesh is a full mesh of buffered channels connecting p in-process
 // ranks — the moral equivalent of running MPI ranks as goroutines. It is
 // the default transport for tests, benchmarks and the simulated machine.
-type MemGroup struct {
+type memMesh struct {
 	p     int
 	chans [][]chan memMessage // chans[src][dst]
 }
@@ -26,32 +25,27 @@ type MemGroup struct {
 // keeps sends non-blocking, which the butterfly exchange relies on.
 const memChanCap = 1024
 
-// NewMemGroup creates the channel mesh for p ranks.
-func NewMemGroup(p int) (*MemGroup, error) {
+// newMemLinks creates the channel mesh for p ranks and returns each rank's
+// endpoint (index = rank). Each endpoint must be used by exactly one
+// goroutine.
+func newMemLinks(p int) ([]Transport, error) {
 	if p <= 0 {
 		return nil, fmt.Errorf("mpi: group of %d ranks", p)
 	}
-	g := &MemGroup{p: p, chans: make([][]chan memMessage, p)}
-	for s := 0; s < p; s++ {
+	g := &memMesh{p: p, chans: make([][]chan memMessage, p)}
+	links := make([]Transport, p)
+	for s := range links {
 		g.chans[s] = make([]chan memMessage, p)
-		for d := 0; d < p; d++ {
+		for d := range g.chans[s] {
 			g.chans[s][d] = make(chan memMessage, memChanCap)
 		}
+		links[s] = &memEndpoint{g: g, rank: s}
 	}
-	return g, nil
-}
-
-// Endpoint returns the transport endpoint for one rank. Each rank must be
-// used by exactly one goroutine.
-func (g *MemGroup) Endpoint(rank int) (Transport, error) {
-	if rank < 0 || rank >= g.p {
-		return nil, fmt.Errorf("mpi: rank %d out of group size %d", rank, g.p)
-	}
-	return &memEndpoint{g: g, rank: rank}, nil
+	return links, nil
 }
 
 type memEndpoint struct {
-	g          *MemGroup
+	g          *memMesh
 	rank       int
 	closed     atomic.Bool
 	opDeadline atomic.Int64 // nanoseconds; <= 0 blocks indefinitely
@@ -119,80 +113,15 @@ func (e *memEndpoint) Recv(src, tag int) ([]float64, error) {
 	return msg.data, nil
 }
 
+// Close fails this endpoint's further operations and closes its outgoing
+// channels. Peers still read what was sent; a peer waiting for more gets
+// ErrClosed. Close must not race a Send on the same endpoint.
 func (e *memEndpoint) Close() error {
-	e.closed.Store(true)
-	return nil
-}
-
-// RunConfig bundles the per-rank transport/communicator options of the Run*
-// helpers.
-type RunConfig struct {
-	// Algo selects the Allreduce algorithm (default ReduceBcast).
-	Algo AllreduceAlgo
-	// OpDeadline, when positive, arms a per-operation deadline on every
-	// endpoint: a stalled peer surfaces as ErrTimeout instead of a hang.
-	OpDeadline time.Duration
-	// Retry, when enabled, wraps every endpoint in a RetryTransport that
-	// retries transient send failures with exponential backoff.
-	Retry RetryPolicy
-}
-
-// wrap applies the config's deadline and retry layers to a raw endpoint.
-func (cfg RunConfig) wrap(t Transport) Transport {
-	if cfg.OpDeadline > 0 {
-		SetOpDeadline(t, cfg.OpDeadline)
+	if e.closed.Swap(true) {
+		return nil
 	}
-	if cfg.Retry.enabled() {
-		t = NewRetryTransport(t, cfg.Retry)
-	}
-	return t
-}
-
-// Run executes fn concurrently on p in-process ranks connected by a
-// MemGroup mesh and waits for all of them. Each rank receives its own Comm.
-// The returned error joins the per-rank failures (nil when every rank
-// succeeded). This is the local analogue of `mpirun -np p`.
-func Run(p int, fn func(c *Comm) error) error {
-	return RunWith(p, RunConfig{}, fn)
-}
-
-// RunAlgo is Run with an explicit Allreduce algorithm selection.
-func RunAlgo(p int, algo AllreduceAlgo, fn func(c *Comm) error) error {
-	return RunWith(p, RunConfig{Algo: algo}, fn)
-}
-
-// RunWith is Run with explicit transport options: collective algorithm,
-// per-operation deadline, and send retry policy.
-func RunWith(p int, cfg RunConfig, fn func(c *Comm) error) error {
-	g, err := NewMemGroup(p)
-	if err != nil {
-		return err
-	}
-	errs := make([]error, p)
-	var wg sync.WaitGroup
-	for r := 0; r < p; r++ {
-		ep, err := g.Endpoint(r)
-		if err != nil {
-			return err
-		}
-		comm := NewComm(cfg.wrap(ep))
-		comm.SetAllreduceAlgo(cfg.Algo)
-		wg.Add(1)
-		go func(rank int, c *Comm) {
-			defer wg.Done()
-			defer func() {
-				if rec := recover(); rec != nil {
-					errs[rank] = fmt.Errorf("mpi: rank %d panicked: %v", rank, rec)
-				}
-			}()
-			errs[rank] = fn(c)
-		}(r, comm)
-	}
-	wg.Wait()
-	for r, e := range errs {
-		if e != nil {
-			return fmt.Errorf("mpi: rank %d: %w", r, e)
-		}
+	for _, ch := range e.g.chans[e.rank] {
+		close(ch)
 	}
 	return nil
 }

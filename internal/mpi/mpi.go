@@ -778,7 +778,7 @@ type DeadlineTransport interface {
 
 // SetOpDeadline configures a per-operation deadline on t if its transport
 // chain supports one, reporting whether it did. Wrapper transports
-// (FlakyTransport, RetryTransport) forward to their inner transport.
+// (FaultyTransport, RetryTransport) forward to their inner transport.
 func SetOpDeadline(t Transport, d time.Duration) bool {
 	if dt, ok := t.(DeadlineTransport); ok {
 		dt.SetOpDeadline(d)

@@ -187,7 +187,8 @@ func TestReduceSumAllRoots(t *testing.T) {
 func TestAllreduceAllAlgosAllSizes(t *testing.T) {
 	for _, algo := range []AllreduceAlgo{ReduceBcast, RecursiveDoubling, Ring} {
 		for _, p := range groupSizes {
-			err := RunAlgo(p, algo, func(c *Comm) error {
+			err := Run(p, func(c *Comm) error {
+				c.SetAllreduceAlgo(algo)
 				n := 17 // awkward size to stress ring fragmentation
 				data := make([]float64, n)
 				for i := range data {
@@ -470,7 +471,8 @@ func TestQuickAllreduceMatchesSerial(t *testing.T) {
 		}
 		for _, algo := range []AllreduceAlgo{ReduceBcast, RecursiveDoubling, Ring} {
 			results := make([][]float64, p)
-			err := RunAlgo(p, algo, func(c *Comm) error {
+			err := Run(p, func(c *Comm) error {
+				c.SetAllreduceAlgo(algo)
 				buf := append([]float64(nil), inputs[c.Rank()]...)
 				if err := c.Allreduce(Sum, buf); err != nil {
 					return err
@@ -528,13 +530,12 @@ func BenchmarkAllreduceMem(b *testing.B) {
 	for _, p := range []int{2, 4, 8} {
 		for _, n := range []int{8, 1024} {
 			b.Run(fmt.Sprintf("p=%d/n=%d", p, n), func(b *testing.B) {
-				g, err := NewMemGroup(p)
+				links, err := newMemLinks(p)
 				if err != nil {
 					b.Fatal(err)
 				}
 				comms := make([]*Comm, p)
-				for r := 0; r < p; r++ {
-					ep, _ := g.Endpoint(r)
+				for r, ep := range links {
 					comms[r] = NewComm(ep)
 				}
 				bufs := make([][]float64, p)

@@ -16,7 +16,7 @@ func TestSetObserverRacesCollectives(t *testing.T) {
 	const p = 4
 	const rounds = 20
 	var observed atomic.Int64
-	err := RunTCP(p, func(c *Comm) error {
+	err := RunWith(p, RunConfig{TCP: true}, func(c *Comm) error {
 		obs := observerFunc(func(name string, steps, sent int) {
 			observed.Add(1)
 		})
@@ -65,7 +65,7 @@ func TestSetObserverRacesCollectives(t *testing.T) {
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("RunTCP: %v", err)
+		t.Fatalf("RunWith: %v", err)
 	}
 	if observed.Load() < int64(p) {
 		t.Fatalf("observer saw %d collectives, want at least %d (the post-churn barrier)", observed.Load(), p)

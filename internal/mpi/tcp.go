@@ -35,17 +35,12 @@ type tcpEdgeHello struct {
 	Src, Dst uint32
 }
 
-// TCPGroup is a set of TCP endpoints for an in-process test harness. For a
-// genuinely distributed deployment, use StartTCPRank on each machine with
-// the full address list.
-type TCPGroup struct {
-	eps []*tcpEndpoint
-}
-
-// NewTCPGroup starts p ranks on loopback listeners and fully connects them.
-// It is intended for tests and examples; all ranks live in this process but
-// every byte crosses a real TCP socket.
-func NewTCPGroup(p int) (*TCPGroup, error) {
+// newTCPLinks starts p ranks on loopback listeners, fully connects them and
+// returns each rank's endpoint (index = rank). All ranks live in this
+// process, but every byte crosses a real TCP socket. For a genuinely
+// distributed deployment, use StartTCPRank on each machine with the full
+// address list.
+func newTCPLinks(p int) ([]Transport, error) {
 	if p <= 0 {
 		return nil, fmt.Errorf("mpi: group of %d ranks", p)
 	}
@@ -62,7 +57,7 @@ func NewTCPGroup(p int) (*TCPGroup, error) {
 		listeners[r] = l
 		addrs[r] = l.Addr().String()
 	}
-	eps := make([]*tcpEndpoint, p)
+	links := make([]Transport, p)
 	errs := make([]error, p)
 	var wg sync.WaitGroup
 	for r := 0; r < p; r++ {
@@ -70,13 +65,17 @@ func NewTCPGroup(p int) (*TCPGroup, error) {
 		go func(rank int) {
 			defer wg.Done()
 			ep, err := connectTCPRank(rank, addrs, listeners[rank])
-			eps[rank], errs[rank] = ep, err
+			if err != nil {
+				errs[rank] = err
+				return
+			}
+			links[rank] = ep
 		}(r)
 	}
 	wg.Wait()
 	for r, err := range errs {
 		if err != nil {
-			for _, ep := range eps {
+			for _, ep := range links {
 				if ep != nil {
 					ep.Close()
 				}
@@ -84,26 +83,7 @@ func NewTCPGroup(p int) (*TCPGroup, error) {
 			return nil, fmt.Errorf("mpi: connecting rank %d: %w", r, err)
 		}
 	}
-	return &TCPGroup{eps: eps}, nil
-}
-
-// Endpoint returns the transport endpoint of one rank.
-func (g *TCPGroup) Endpoint(rank int) (Transport, error) {
-	if rank < 0 || rank >= len(g.eps) {
-		return nil, fmt.Errorf("mpi: rank %d out of group size %d", rank, len(g.eps))
-	}
-	return g.eps[rank], nil
-}
-
-// Close shuts down every endpoint.
-func (g *TCPGroup) Close() error {
-	var first error
-	for _, ep := range g.eps {
-		if err := ep.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return links, nil
 }
 
 // StartTCPRank connects one rank of a distributed group. addrs lists every
@@ -250,6 +230,7 @@ func newTCPConnOut(conn net.Conn, rank, peer int, deadline *atomic.Int64) *tcpCo
 
 func (o *tcpConnOut) writer() {
 	defer close(o.done)
+	defer o.conn.Close()
 	bw := bufio.NewWriter(o.conn)
 	// Encode header and payload into one reusable frame and hand it to the
 	// buffered writer in a single call: a value-at-a-time loop costs an
@@ -339,16 +320,15 @@ func (o *tcpConnOut) send(tag int, data []float64) error {
 	}
 }
 
-func (o *tcpConnOut) close() {
+// stop ends the queue: the writer sends the frames already queued, closes
+// the connection and exits.
+func (o *tcpConnOut) stop() {
 	o.mu.Lock()
-	already := o.closed
-	o.closed = true
-	if !already {
+	if !o.closed {
+		o.closed = true
 		close(o.queue)
 	}
 	o.mu.Unlock()
-	<-o.done
-	o.conn.Close()
 }
 
 // tcpConnIn reads messages from one directed edge. recv is only ever called
@@ -497,13 +477,16 @@ func (e *tcpEndpoint) Recv(src, tag int) ([]float64, error) {
 	return data, nil
 }
 
+// Close stops every outgoing edge before it waits for any, so each edge
+// drains its queued frames and closes on its own: a peer that is not
+// reading one edge cannot hold up the end-of-stream the others carry.
 func (e *tcpEndpoint) Close() error {
 	if e.closed.Swap(true) {
 		return nil
 	}
 	for _, o := range e.out {
 		if o != nil {
-			o.close()
+			o.stop()
 		}
 	}
 	for _, in := range e.in {
@@ -511,55 +494,9 @@ func (e *tcpEndpoint) Close() error {
 			in.conn.Close()
 		}
 	}
-	return nil
-}
-
-// RunTCP is Run over real loopback TCP sockets.
-func RunTCP(p int, fn func(c *Comm) error) error {
-	return RunTCPWith(p, RunConfig{}, fn)
-}
-
-// RunTCPWith is RunTCP with explicit transport options: collective
-// algorithm, per-operation deadline, and send retry policy.
-func RunTCPWith(p int, cfg RunConfig, fn func(c *Comm) error) error {
-	g, err := NewTCPGroup(p)
-	if err != nil {
-		return err
-	}
-	defer g.Close()
-	errs := make([]error, p)
-	var wg sync.WaitGroup
-	var launchErr error
-	for r := 0; r < p; r++ {
-		ep, err := g.Endpoint(r)
-		if err != nil {
-			// Already-launched ranks would block on their dead peers; close
-			// the group so they observe EOF, then join before returning.
-			launchErr = err
-			break
-		}
-		comm := NewComm(cfg.wrap(ep))
-		comm.SetAllreduceAlgo(cfg.Algo)
-		wg.Add(1)
-		go func(rank int, c *Comm) {
-			defer wg.Done()
-			defer func() {
-				if rec := recover(); rec != nil {
-					errs[rank] = fmt.Errorf("mpi: rank %d panicked: %v", rank, rec)
-				}
-			}()
-			errs[rank] = fn(c)
-		}(r, comm)
-	}
-	if launchErr != nil {
-		g.Close()
-		wg.Wait()
-		return launchErr
-	}
-	wg.Wait()
-	for r, e := range errs {
-		if e != nil {
-			return fmt.Errorf("mpi: rank %d: %w", r, e)
+	for _, o := range e.out {
+		if o != nil {
+			<-o.done
 		}
 	}
 	return nil

@@ -1,16 +1,19 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/stats"
 )
 
 func TestTCPSendRecv(t *testing.T) {
-	err := RunTCP(2, func(c *Comm) error {
+	err := RunWith(2, RunConfig{TCP: true}, func(c *Comm) error {
 		if c.Rank() == 0 {
 			if err := c.Send(1, 9, []float64{3.5, -2}); err != nil {
 				return err
@@ -40,7 +43,7 @@ func TestTCPSendRecv(t *testing.T) {
 
 func TestTCPCollectives(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 5, 8} {
-		err := RunTCP(p, func(c *Comm) error {
+		err := RunWith(p, RunConfig{TCP: true}, func(c *Comm) error {
 			if err := c.Barrier(); err != nil {
 				return err
 			}
@@ -72,7 +75,7 @@ func TestTCPCollectives(t *testing.T) {
 
 func TestTCPLargePayload(t *testing.T) {
 	const n = 100000
-	err := RunTCP(3, func(c *Comm) error {
+	err := RunWith(3, RunConfig{TCP: true}, func(c *Comm) error {
 		data := make([]float64, n)
 		for i := range data {
 			data[i] = float64(c.Rank() + 1)
@@ -93,14 +96,16 @@ func TestTCPLargePayload(t *testing.T) {
 }
 
 func TestTCPCloseThenUseFails(t *testing.T) {
-	g, err := NewTCPGroup(2)
+	eps, err := newTCPLinks(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ep0, _ := g.Endpoint(0)
-	if err := g.Close(); err != nil {
-		t.Fatal(err)
+	for _, ep := range eps {
+		if err := ep.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
+	ep0 := eps[0]
 	if err := ep0.Send(1, 1, []float64{1}); err == nil {
 		t.Fatal("send after close succeeded")
 	}
@@ -110,13 +115,13 @@ func TestTCPCloseThenUseFails(t *testing.T) {
 }
 
 func TestTCPGroupBadSize(t *testing.T) {
-	if _, err := NewTCPGroup(0); err == nil {
+	if _, err := newTCPLinks(0); err == nil {
 		t.Fatal("p=0 accepted")
 	}
 }
 
 func TestTCPManyCollectives(t *testing.T) {
-	err := RunTCP(4, func(c *Comm) error {
+	err := RunWith(4, RunConfig{TCP: true}, func(c *Comm) error {
 		for i := 0; i < 50; i++ {
 			v := []float64{1}
 			if err := c.Allreduce(Sum, v); err != nil {
@@ -134,13 +139,12 @@ func TestTCPManyCollectives(t *testing.T) {
 }
 
 func TestTCPPeerDisconnectSurfacesError(t *testing.T) {
-	g, err := NewTCPGroup(2)
+	eps, err := newTCPLinks(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer g.Close()
-	ep0, _ := g.Endpoint(0)
-	ep1, _ := g.Endpoint(1)
+	ep0, ep1 := eps[0], eps[1]
+	defer ep0.Close()
 	// Close rank 1's endpoint; rank 0's pending recv must fail, not hang.
 	done := make(chan error, 1)
 	go func() {
@@ -232,4 +236,39 @@ func TestStartTCPRankReleasesListenerOnError(t *testing.T) {
 		t.Fatalf("listener port not released after failed setup: %v", err)
 	}
 	rl.Close()
+}
+
+// TestFaultCascadePastFullTCPEdge: a rank that fails with a frame still queued
+// toward a peer that is not reading it closes its other edges at once, so
+// the cascade does not wait on the full edge. Rank 1 waits on rank 2, rank
+// 2 on rank 0, and rank 0 leaves more bytes toward rank 1 than the socket
+// buffers hold.
+func TestFaultCascadePastFullTCPEdge(t *testing.T) {
+	const n = 1 << 20 // 8 MiB of float64s
+	done := make(chan error, 1)
+	go func() {
+		done <- RunWith(3, RunConfig{TCP: true}, func(c *Comm) error {
+			switch c.Rank() {
+			case 0:
+				if err := c.Send(1, 0, make([]float64, n)); err != nil {
+					return err
+				}
+				return errors.New("rank 0 fails")
+			case 1:
+				_, err := c.Recv(2, 0)
+				return err
+			default:
+				_, err := c.Recv(0, 0)
+				return err
+			}
+		})
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "rank 0 fails") {
+			t.Fatalf("RunWith returned %v, want rank 0's failure first", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("ranks still blocked 10s after rank 0 failed")
+	}
 }

@@ -20,9 +20,9 @@ import (
 // serializes its own (identical) copy. On resume the state file is read by
 // rank 0 and broadcast, so every rank restores from the same bytes even if
 // only rank 0's filesystem holds the checkpoint, and the restored search
-// re-enters the trajectory bitwise. The state does not record the rank
-// count, and the parallel priors' reduction order makes scores differ in
-// the last bits across rank counts, so resume on the same count.
+// re-enters the trajectory bitwise. The parallel priors' reduction order
+// makes scores differ in the last bits across rank counts, so the state
+// records the rank count and a resume on another count is refused.
 //
 // The state file is autoclass.SearchState, the format the sequential engine
 // writes too, tagged as SPMD-written; only the SPMD engine adds a mid-try

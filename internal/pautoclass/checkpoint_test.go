@@ -2,12 +2,15 @@ package pautoclass
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -99,35 +102,29 @@ func TestKillAndResumeBitwiseIdentical(t *testing.T) {
 	ref := runParallelSearch(t, ds, p, cfg, DefaultOptions())
 	refBest := clsBytes(t, ref.Best)
 
-	runners := []struct {
-		name    string
-		kill    func(p int, rcfg mpi.RunConfig, plans map[int]mpi.FaultPlan, fn func(c *mpi.Comm) error) ([]error, error)
-		healthy func(p int, rcfg mpi.RunConfig, fn func(c *mpi.Comm) error) error
-	}{
-		{"mem", mpi.RunFaultyMem, mpi.RunWith},
-		{"tcp", mpi.RunFaultyTCP, mpi.RunTCPWith},
-	}
-	for _, rn := range runners {
-		rn := rn
-		t.Run(rn.name, func(t *testing.T) {
+	for _, tcp := range []bool{false, true} {
+		name := "mem"
+		if tcp {
+			name = "tcp"
+		}
+		t.Run(name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "search.ckpt")
 			ck := Checkpoint{Path: path, Every: 2}
-			rcfg := mpi.RunConfig{OpDeadline: 10 * time.Second}
 
 			// Kill: the victim's transport fails persistently after a send
 			// budget, several cycles into the first try — a crashed node.
 			plans := map[int]mpi.FaultPlan{
 				victim: {Faults: []mpi.Fault{{Op: "send", Peer: -1, After: 150}}},
 			}
-			errs, err := rn.kill(p, rcfg, plans, func(c *mpi.Comm) error {
+			errs, err := rankErrors(p, mpi.RunConfig{TCP: tcp, Faults: plans}, func(c *mpi.Comm) error {
 				_, err := Search(c, ds, model.DefaultSpec(ds), cfg, checkpointed(DefaultOptions(), ck))
 				return err
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
 			if errs[victim] == nil {
 				t.Fatal("victim completed the search; fault budget too large to interrupt it")
+			}
+			if err == nil {
+				t.Fatal("RunWith reported no failure")
 			}
 			if _, err := os.Stat(path); err != nil {
 				t.Fatalf("no checkpoint was written before the crash: %v", err)
@@ -135,7 +132,7 @@ func TestKillAndResumeBitwiseIdentical(t *testing.T) {
 
 			// Resume on healthy transports; must complete and match the
 			// uninterrupted run bit for bit.
-			err = rn.healthy(p, rcfg, func(c *mpi.Comm) error {
+			err = mpi.RunWith(p, mpi.RunConfig{TCP: tcp}, func(c *mpi.Comm) error {
 				res, err := Search(c, ds, model.DefaultSpec(ds), cfg, checkpointed(DefaultOptions(), ck))
 				if err != nil {
 					return err
@@ -239,8 +236,7 @@ func TestNoSnapshotAtTryEnd(t *testing.T) {
 	opts.EM = cfg.EM
 	defer atomicfile.Inject("search.ckpt", 2, atomicfile.NoSpace)()
 	var res *autoclass.SearchResult
-	// The deadline turns rank 1's wait on a failed rank 0 into an error.
-	err := mpi.RunWith(2, mpi.RunConfig{OpDeadline: 10 * time.Second}, func(c *mpi.Comm) error {
+	err := mpi.Run(2, func(c *mpi.Comm) error {
 		r, err := Search(c, ds, model.DefaultSpec(ds), cfg, opts)
 		if c.Rank() == 0 {
 			res = r
@@ -252,6 +248,82 @@ func TestNoSnapshotAtTryEnd(t *testing.T) {
 	}
 	if len(res.Tries) != 1 || res.Tries[0].Converged || res.Tries[0].Cycles != 8 {
 		t.Fatalf("tries %+v, want one try that ran all 8 cycles", res.Tries)
+	}
+}
+
+// TestSPMDStateWriteFaults is the SPMD twin of the sequential
+// TestStateWriteFaults: a state write that fails on rank 0 mid-search ends
+// the search on every rank under plain mpi.Run, with no deadline — rank 0's
+// closed links release its peer. The file keeps the tries of the last good
+// write, and a resume on the same rank count reproduces the uninterrupted
+// search bitwise.
+func TestSPMDStateWriteFaults(t *testing.T) {
+	const p = 2
+	ds := paperDS(t, 240)
+	cfg := quickSearchConfig()
+	cfg.StartJList = []int{2, 3, 4, 5}
+	ref := runParallelSearch(t, ds, p, cfg, DefaultOptions())
+	refBest := clsBytes(t, ref.Best)
+	for _, tc := range []struct {
+		name  string
+		fault atomicfile.Fault
+		cause error
+	}{
+		{"short_write", atomicfile.ShortWrite, io.ErrShortWrite},
+		{"no_space", atomicfile.NoSpace, syscall.ENOSPC},
+		{"rename", atomicfile.RenameFails, syscall.EIO},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "search.ckpt")
+			ck := Checkpoint{Path: path}
+			// Without Every, rank 0 writes once per committed try: the
+			// third commit fails with two of the four tries on disk.
+			const good = 2
+			disarm := atomicfile.Inject("search.ckpt", good, tc.fault)
+			defer disarm()
+			var returned atomic.Int32
+			done := make(chan error, 1)
+			go func() {
+				done <- mpi.Run(p, func(c *mpi.Comm) error {
+					defer returned.Add(1)
+					_, err := Search(c, ds, model.DefaultSpec(ds), cfg, checkpointed(DefaultOptions(), ck))
+					return err
+				})
+			}()
+			var err error
+			select {
+			case err = <-done:
+			case <-time.After(15 * time.Second):
+				t.Fatalf("search still blocked 15s after the fault (%d of %d ranks returned)", returned.Load(), p)
+			}
+			disarm()
+			if n := returned.Load(); n != p {
+				t.Fatalf("%d of %d ranks returned", n, p)
+			}
+			if !errors.Is(err, tc.cause) {
+				t.Fatalf("search error %v, want one wrapping %v", err, tc.cause)
+			}
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var st struct {
+				Completed []autoclass.TryResult `json:"completed"`
+			}
+			if err := json.Unmarshal(raw, &st); err != nil {
+				t.Fatalf("the last good state no longer parses: %v", err)
+			}
+			if !reflect.DeepEqual(st.Completed, ref.Tries[:good]) {
+				t.Fatalf("state holds tries %+v, want the %d of the last good write %+v", st.Completed, good, ref.Tries[:good])
+			}
+			res := runParallelSearch(t, ds, p, cfg, checkpointed(DefaultOptions(), ck))
+			if !bytes.Equal(clsBytes(t, res.Best), refBest) {
+				t.Error("resumed best classification differs from the uninterrupted run")
+			}
+			if !reflect.DeepEqual(res.Tries, ref.Tries) {
+				t.Errorf("resumed tries diverged:\nref:    %+v\nresume: %+v", ref.Tries, res.Tries)
+			}
+		})
 	}
 }
 

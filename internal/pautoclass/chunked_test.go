@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/autoclass"
 	"repro/internal/dataset"
@@ -189,25 +188,24 @@ func TestStaleChunkedMatchesMaterialized(t *testing.T) {
 	wantBest := clsBytes(t, want.Best)
 	path := filepath.Join(t.TempDir(), "search.ckpt")
 	ck := Checkpoint{Path: path, Every: 2}
-	rcfg := mpi.RunConfig{OpDeadline: 10 * time.Second}
 	const victim = 1
 	plans := map[int]mpi.FaultPlan{
 		victim: {Faults: []mpi.Fault{{Op: "send", Peer: -1, After: 60}}},
 	}
-	errs, err := mpi.RunFaultyMem(p, rcfg, plans, func(c *mpi.Comm) error {
+	errs, err := rankErrors(p, mpi.RunConfig{Faults: plans}, func(c *mpi.Comm) error {
 		_, err := Search(c, cached, model.DefaultSpec(cached), cfg, checkpointed(opts, ck))
 		return err
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if errs[victim] == nil {
 		t.Fatal("victim completed the search; fault budget too large to interrupt it")
+	}
+	if err == nil {
+		t.Fatal("RunWith reported no failure")
 	}
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("no checkpoint was written before the crash: %v", err)
 	}
-	err = mpi.RunWith(p, rcfg, func(c *mpi.Comm) error {
+	err = mpi.Run(p, func(c *mpi.Comm) error {
 		res, err := Search(c, cached, model.DefaultSpec(cached), cfg, checkpointed(opts, ck))
 		if err != nil {
 			return err

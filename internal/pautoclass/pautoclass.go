@@ -161,13 +161,6 @@ func NewAllreduceReducer(comm *mpi.Comm, clock *simnet.Clock) autoclass.Reducer 
 	return &allreduceReducer{comm: comm, clock: clock}
 }
 
-// NewAllreduceReducerAlgo is NewAllreduceReducer with an explicit
-// collective algorithm for both the exchange and the cost model.
-func NewAllreduceReducerAlgo(comm *mpi.Comm, clock *simnet.Clock, algo mpi.AllreduceAlgo) autoclass.Reducer {
-	comm.SetAllreduceAlgo(algo)
-	return &allreduceReducer{comm: comm, clock: clock, algo: algo}
-}
-
 // ReduceInPlace implements autoclass.Reducer.
 func (r *allreduceReducer) ReduceInPlace(buf []float64) error {
 	if err := r.comm.Allreduce(mpi.Sum, buf); err != nil {

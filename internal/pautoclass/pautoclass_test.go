@@ -53,6 +53,17 @@ func runParallelSearchSpec(t testing.TB, ds *dataset.Dataset, spec model.Spec, p
 	return out
 }
 
+// rankErrors runs fn under mpi.RunWith and returns every rank's own error
+// (index = rank) beside RunWith's first failure.
+func rankErrors(p int, cfg mpi.RunConfig, fn func(c *mpi.Comm) error) ([]error, error) {
+	errs := make([]error, p)
+	err := mpi.RunWith(p, cfg, func(c *mpi.Comm) error {
+		errs[c.Rank()] = fn(c)
+		return errs[c.Rank()]
+	})
+	return errs, err
+}
+
 func quickSearchConfig() autoclass.SearchConfig {
 	cfg := autoclass.DefaultSearchConfig()
 	cfg.StartJList = []int{2, 5}
@@ -369,7 +380,7 @@ func TestParallelOverTCP(t *testing.T) {
 	cfg.StartJList = []int{3}
 	mem := runParallelSearch(t, ds, 3, cfg, DefaultOptions())
 	var got *autoclass.SearchResult
-	err := mpi.RunTCP(3, func(c *mpi.Comm) error {
+	err := mpi.RunWith(3, mpi.RunConfig{TCP: true}, func(c *mpi.Comm) error {
 		res, err := Search(c, ds, model.DefaultSpec(ds), cfg, DefaultOptions())
 		if err != nil {
 			return err
@@ -603,15 +614,16 @@ func TestSearchSurvivesCommFailureWithoutHanging(t *testing.T) {
 	ds := paperDS(t, 300)
 	cfg := quickSearchConfig()
 	cfg.StartJList = []int{4}
-	errs, err := mpi.RunFlaky(4, 2, 25, func(c *mpi.Comm) error {
+	plans := map[int]mpi.FaultPlan{2: {Faults: []mpi.Fault{{Op: "send", Peer: -1, After: 25}}}}
+	errs, err := rankErrors(4, mpi.RunConfig{Faults: plans}, func(c *mpi.Comm) error {
 		_, err := Search(c, ds, model.DefaultSpec(ds), cfg, DefaultOptions())
 		return err
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if errs[2] == nil {
 		t.Fatal("victim rank completed despite injected failure")
+	}
+	if err == nil {
+		t.Fatal("RunWith reported no failure")
 	}
 	failed := 0
 	for _, e := range errs {

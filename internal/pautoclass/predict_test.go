@@ -113,7 +113,7 @@ func TestPredictTCPBitwise(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got *autoclass.Prediction
-	err = mpi.RunTCP(3, func(c *mpi.Comm) error {
+	err = mpi.RunWith(3, mpi.RunConfig{TCP: true}, func(c *mpi.Comm) error {
 		r, err := Predict(c, cls, ho, autoclass.PredictConfig{Parallelism: 2})
 		if err != nil {
 			return err

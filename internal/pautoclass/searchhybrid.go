@@ -40,11 +40,8 @@ type HybridConfig struct {
 	// split into V communicator groups of Procs/V ranks each, so Procs
 	// must be divisible by V. Values < 1 mean 1 (plain Search).
 	Variants int
-	// UseTCP selects loopback-TCP communicator groups instead of in-memory
-	// ones.
-	UseTCP bool
-	// Run is the per-group transport configuration (collective algorithm,
-	// deadlines, retry).
+	// Run is the per-group rank world configuration (transport, deadline,
+	// retry).
 	Run mpi.RunConfig
 	// SearchObs, when non-nil, receives claim and commit events from the
 	// shared variant scheduler. Claims arrive concurrently from the group
@@ -145,11 +142,7 @@ func SearchHybrid(ds *dataset.Dataset, spec model.Spec, cfg autoclass.SearchConf
 					// itself surfaces from the scheduler in schedule order.
 				}
 			}
-			run := mpi.RunWith
-			if hc.UseTCP {
-				run = mpi.RunTCPWith
-			}
-			groupErrs[group] = run(r, hc.Run, body)
+			groupErrs[group] = mpi.RunWith(r, hc.Run, body)
 		}(g)
 	}
 	wg.Wait()

@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/autoclass"
 	"repro/internal/model"
@@ -70,15 +69,15 @@ func TestSPMDResumedTotalsMatchUninterrupted(t *testing.T) {
 		plans := map[int]mpi.FaultPlan{
 			victim: {Faults: []mpi.Fault{{Op: "send", Peer: -1, After: 150}}},
 		}
-		errs, err := mpi.RunFaultyMem(p, mpi.RunConfig{OpDeadline: 10 * time.Second}, plans, func(c *mpi.Comm) error {
+		errs, err := rankErrors(p, mpi.RunConfig{Faults: plans}, func(c *mpi.Comm) error {
 			_, err := Search(c, ds, model.DefaultSpec(ds), cfg, checkpointed(DefaultOptions(), Checkpoint{Path: path, Every: 2}))
 			return err
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		if errs[victim] == nil {
 			t.Fatal("victim completed the search; fault budget too large to interrupt it")
+		}
+		if err == nil {
+			t.Fatal("RunWith reported no failure")
 		}
 		resume(t, path)
 	})

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/autoclass"
 	"repro/internal/datagen"
@@ -295,25 +294,24 @@ func TestStaleKillAndResumeBitwiseIdentical(t *testing.T) {
 
 	path := filepath.Join(t.TempDir(), "search.ckpt")
 	ck := Checkpoint{Path: path, Every: 2}
-	rcfg := mpi.RunConfig{OpDeadline: 10 * time.Second}
 	plans := map[int]mpi.FaultPlan{
 		victim: {Faults: []mpi.Fault{{Op: "send", Peer: -1, After: 60}}},
 	}
-	errs, err := mpi.RunFaultyMem(p, rcfg, plans, func(c *mpi.Comm) error {
+	errs, err := rankErrors(p, mpi.RunConfig{Faults: plans}, func(c *mpi.Comm) error {
 		_, err := Search(c, ds, model.DefaultSpec(ds), cfg, checkpointed(opts, ck))
 		return err
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if errs[victim] == nil {
 		t.Fatal("victim completed the search; fault budget too large to interrupt it")
+	}
+	if err == nil {
+		t.Fatal("RunWith reported no failure")
 	}
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("no checkpoint was written before the crash: %v", err)
 	}
 
-	err = mpi.RunWith(p, rcfg, func(c *mpi.Comm) error {
+	err = mpi.Run(p, func(c *mpi.Comm) error {
 		res, err := Search(c, ds, model.DefaultSpec(ds), cfg, checkpointed(opts, ck))
 		if err != nil {
 			return err

@@ -7,10 +7,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/atomicfile"
 	"repro/internal/autoclass"
 	"repro/internal/datagen"
 	"repro/internal/dataset"
@@ -336,6 +338,48 @@ func TestServeConcurrentPredict(t *testing.T) {
 		if !bytes.Equal(results[0], results[g]) {
 			t.Fatalf("client %d saw a different prediction than client 0", g)
 		}
+	}
+}
+
+// TestServeStateWriteFault: a state write that fails on rank 0 of a 2-rank
+// job fails the job instead of leaving it running, the server runs the next
+// job once the disk recovers, and Close returns.
+func TestServeStateWriteFault(t *testing.T) {
+	s, err := New(Config{Dir: t.TempDir(), Procs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	client := ts.Client()
+	disarm := atomicfile.Inject("search.ckpt", 0, atomicfile.NoSpace)
+	defer disarm()
+
+	req, _ := paperJob(t, 240, 5, quickSpec)
+	var st JobStatus
+	if code := postJSON(t, client, ts.URL+"/v1/jobs", req, &st); code != http.StatusAccepted {
+		t.Fatalf("submit: status %d", code)
+	}
+	failed := waitState(t, client, ts.URL, st.ID, StateFailed, 15*time.Second)
+	if !strings.Contains(failed.Error, "no space left on device") {
+		t.Errorf("failed job reports %q, want the state write's no space left on device", failed.Error)
+	}
+
+	disarm()
+	if code := postJSON(t, client, ts.URL+"/v1/jobs", req, &st); code != http.StatusAccepted {
+		t.Fatalf("second submit: status %d", code)
+	}
+	waitState(t, client, ts.URL, st.ID, StateDone, time.Minute)
+
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close still blocked after 10s")
 	}
 }
 

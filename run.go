@@ -391,21 +391,20 @@ func runParallel(ds *Dataset, rc runConfig) (*Result, error) {
 		}
 		return nil
 	}
-	rcfg := mpi.RunConfig{OpDeadline: pc.OpDeadline}
-	if pc.SendRetries > 0 {
-		rcfg.Retry = mpi.RetryPolicy{MaxAttempts: pc.SendRetries}
-	}
-	var err error
-	if pc.UseTCP {
-		err = mpi.RunTCPWith(pc.Procs, rcfg, body)
-	} else {
-		err = mpi.RunWith(pc.Procs, rcfg, body)
-	}
-	if err != nil {
+	if err := mpi.RunWith(pc.Procs, rankWorld(pc), body); err != nil {
 		return nil, err
 	}
 	stats.WallSeconds = time.Since(start).Seconds()
 	return &Result{Search: res, Stats: *stats}, nil
+}
+
+// rankWorld is the mpi rank world a ParallelConfig asks for.
+func rankWorld(pc ParallelConfig) mpi.RunConfig {
+	rcfg := mpi.RunConfig{TCP: pc.UseTCP, OpDeadline: pc.OpDeadline}
+	if pc.SendRetries > 0 {
+		rcfg.Retry = mpi.RetryPolicy{MaxAttempts: pc.SendRetries}
+	}
+	return rcfg
 }
 
 // runHybrid splits the parallel rank budget into v concurrent variant
@@ -416,10 +415,6 @@ func runHybrid(ds *Dataset, rc runConfig, v int) (*Result, error) {
 	pc := *rc.par
 	start := time.Now()
 	ranksPer := pc.Procs / v
-	rcfg := mpi.RunConfig{OpDeadline: pc.OpDeadline}
-	if pc.SendRetries > 0 {
-		rcfg.Retry = mpi.RetryPolicy{MaxAttempts: pc.SendRetries}
-	}
 	optsFor := func(group, rank int) pautoclass.Options {
 		opts := pautoclass.Options{Strategy: pc.Strategy}
 		if rc.observer != nil {
@@ -436,7 +431,7 @@ func runHybrid(ds *Dataset, rc runConfig, v int) (*Result, error) {
 		return opts
 	}
 	res, err := pautoclass.SearchHybrid(ds, model.DefaultSpec(ds), rc.search,
-		pautoclass.HybridConfig{Procs: pc.Procs, Variants: v, UseTCP: pc.UseTCP, Run: rcfg,
+		pautoclass.HybridConfig{Procs: pc.Procs, Variants: v, Run: rankWorld(pc),
 			SearchObs: rc.searchObs}, optsFor)
 	if err != nil {
 		return nil, err
