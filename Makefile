@@ -60,12 +60,13 @@ trace-smoke:
 # Fault-tolerance suite: fault-injection matrix (every collective ×
 # Allreduce algorithm × transport with a rank killed mid-collective and no
 # deadline, so the launcher's crash cascade alone releases the group),
-# deadline/retry semantics, the kill-and-resume bitwise-identity test, and
+# deadline semantics and the timeout counter, the kill-and-resume
+# bitwise-identity test, and
 # state writes that fail mid-search, in an SPMD search and in a daemon job.
 # The hard -timeout makes a hang a failure, not a stall.
 faults:
 	$(GO) test -race -timeout 180s \
-		-run 'Fault|Flaky|Timeout|Deadline|Retry|Race|Checkpoint|Resume|KillAndResume' \
+		-run 'Fault|Flaky|Timeout|Deadline|Race|Checkpoint|Resume|KillAndResume' \
 		./internal/mpi ./internal/autoclass ./internal/pautoclass ./internal/serve ./cmd/pautoclass
 
 # Fuzz smoke: every native fuzz target of the repository for 15 s each.

@@ -54,10 +54,9 @@ func run(args []string, w io.Writer) error {
 	machine := fs.String("machine", "none", "virtual machine model: none, meiko or pentium")
 	correlated := fs.Bool("correlated", false, "model real attributes with a joint covariance term")
 	models := fs.Bool("models", false, "run the model-level search over every applicable model form (sequential only)")
-	resume := fs.String("resume", "", "search-state file for checkpointed/resumable search (sequential or parallel)")
+	resume := fs.String("resume", "", "search-state file for checkpointed/resumable search; at -procs 1 it runs the sequential engine")
 	checkpointEvery := fs.Int("checkpoint-every", 8, "with -resume and -procs > 1: cycles between mid-try snapshots (0 = try boundaries only)")
 	opTimeout := fs.Duration("op-timeout", 0, "per-operation transport deadline; a stalled rank errors out instead of hanging (0 = none)")
-	sendRetries := fs.Int("send-retries", 1, "max attempts per send when the transport reports a transient fault (1 = no retry)")
 	cases := fs.String("cases", "", "write AutoClass-style case assignments of the best classification to this file")
 	classify := fs.String("classify", "", "skip the search: load this classification checkpoint and classify the dataset")
 	report := fs.Bool("report", false, "print the full class report")
@@ -65,7 +64,7 @@ func run(args []string, w io.Writer) error {
 	traceOut := fs.String("trace-out", "", "write a Chrome trace-event file (load in Perfetto) of the run to this path")
 	eventsOut := fs.String("events-out", "", "write the raw trace events as JSON lines to this path")
 	metricsOut := fs.String("metrics-out", "", "write per-rank metrics and the comm/compute breakdown as JSON to this path")
-	phaseProfile := fs.Bool("phase-profile", false, "print the per-phase wall-time table (update_wts / update_parameters / update_approximations)")
+	phaseProfile := fs.Bool("phase-profile", false, "print the per-phase wall-time table (update_wts / update_parameters / update_approximations / initialization) of the search's totals; a resumed search includes its restored tries")
 	pprofPrefix := fs.String("pprof", "", "write <prefix>.cpu.pprof and <prefix>.heap.pprof runtime profiles")
 	logFormat := fs.String("log-format", "text", "log format: text or json")
 	logLevel := fs.String("log-level", "warn", "log level: debug, info, warn or error")
@@ -195,22 +194,34 @@ func run(args []string, w io.Writer) error {
 	if *models {
 		return runModelSearch(w, ds, cfg, *report, *checkpoint)
 	}
-	if *correlated {
+	// -correlated, and -resume at -procs 1, run on the sequential engine:
+	// the engine whose state files -procs 1 -resume has always written.
+	var sequential string
+	switch {
+	case *correlated:
 		if *procs > 1 {
 			return fmt.Errorf("-correlated runs on the sequential engine; drop -procs")
 		}
-		if mach != nil {
-			return fmt.Errorf("-correlated runs on the sequential engine; drop -machine")
-		}
+		sequential = "-correlated"
+	case *resume != "" && *procs == 1:
+		sequential = "-resume at -procs 1"
 	}
-	if *resume != "" && *procs == 1 {
-		return runResumable(w, ds, cfg, *correlated, *resume, *report, *checkpoint, *cases)
+	if sequential != "" {
+		if mach != nil {
+			return fmt.Errorf("%s runs on the sequential engine; drop -machine", sequential)
+		}
+		if strat != repro.Full {
+			return fmt.Errorf("%s runs on the sequential engine; drop -strategy %s", sequential, *strategy)
+		}
 	}
 
 	fmt.Fprintf(w, "dataset %s: %d tuples, %d attributes\n", ds.Name, ds.N(), ds.NumAttrs())
 	fmt.Fprintf(w, "search: start_j_list=%v tries=%d procs=%d strategy=%s\n",
 		cfg.StartJList, cfg.Tries, *procs, strat)
-	if *resume != "" {
+	switch {
+	case *resume != "" && sequential != "":
+		fmt.Fprintf(w, "resumable search: state in %s, committed after every try\n", *resume)
+	case *resume != "":
 		fmt.Fprintf(w, "resumable parallel search: state in %s, snapshot every %d cycles\n", *resume, *checkpointEvery)
 	}
 
@@ -224,11 +235,6 @@ func run(args []string, w io.Writer) error {
 			obsRun.SetMachineLabel(mach.Name)
 		}
 	}
-	var profile *repro.Profile
-	if *phaseProfile {
-		profile = repro.NewProfile()
-	}
-
 	// The search observer fans out to the live progress line and, when an
 	// observability session exists, rank 0's recorder (so -metrics-out
 	// includes the search.* metrics). Events arrive once regardless of
@@ -244,24 +250,19 @@ func run(args []string, w io.Writer) error {
 	}
 
 	opts := []repro.Option{repro.WithSearchConfig(cfg)}
-	if *correlated {
-		// Sequential engine (validated above); everything else still wires
-		// through the same options.
+	switch {
+	case *correlated:
 		opts = append(opts, repro.WithCorrelated())
-	} else {
+	case sequential == "":
 		opts = append(opts, repro.WithParallel(repro.ParallelConfig{
-			Procs:       *procs,
-			Strategy:    strat,
-			Machine:     mach,
-			OpDeadline:  *opTimeout,
-			SendRetries: *sendRetries,
+			Procs:      *procs,
+			Strategy:   strat,
+			Machine:    mach,
+			OpDeadline: *opTimeout,
 		}))
 	}
 	if obsRun != nil {
 		opts = append(opts, repro.WithObserver(obsRun))
-	}
-	if profile != nil {
-		opts = append(opts, repro.WithProfile(profile))
 	}
 	if *resume != "" {
 		opts = append(opts, repro.WithCheckpoint(*resume, *checkpointEvery))
@@ -303,9 +304,9 @@ func run(args []string, w io.Writer) error {
 		fmt.Fprintf(w, "  virtual time on %s: %s", mach.Name, repro.FormatHMS(r.Stats.VirtualSeconds))
 	}
 	fmt.Fprintln(w)
-	if profile != nil {
+	if *phaseProfile {
 		fmt.Fprintln(w)
-		fmt.Fprint(w, profile.Table())
+		fmt.Fprint(w, best.Totals.PhaseTable(len(best.Tries)))
 	}
 	if obsRun != nil {
 		b := obsRun.Breakdown()
@@ -427,41 +428,6 @@ func runClassify(w io.Writer, ds *repro.Dataset, checkpointPath, casesPath strin
 		return nil
 	}
 	return repro.WriteCases(w, cls, ds, 0.1)
-}
-
-// runResumable runs the checkpointed/resumable sequential search.
-func runResumable(w io.Writer, ds *repro.Dataset, cfg repro.SearchConfig, correlated bool,
-	statePath string, report bool, checkpoint, casesPath string) error {
-	fmt.Fprintf(w, "dataset %s: %d tuples — resumable search, state in %s\n", ds.Name, ds.N(), statePath)
-	opts := []repro.Option{repro.WithSearchConfig(cfg), repro.WithCheckpoint(statePath, 0)}
-	if correlated {
-		opts = append(opts, repro.WithCorrelated())
-	}
-	r, err := repro.Run(ds, opts...)
-	if err != nil {
-		return err
-	}
-	res := r.Search
-	fmt.Fprintf(w, "best classification: %d classes, score %.4f (%d tries recorded)\n",
-		res.Best.J(), res.Best.Score(), len(res.Tries))
-	if report {
-		if _, err := repro.BuildReport(res.Best, ds).WriteTo(w); err != nil {
-			return err
-		}
-	}
-	if checkpoint != "" {
-		if err := (&repro.Checkpoint{Classification: res.Best}).SaveFile(checkpoint); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "checkpoint written to %s\n", checkpoint)
-	}
-	if casesPath != "" {
-		if err := writeCasesFile(casesPath, res.Best, ds); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "case assignments written to %s\n", casesPath)
-	}
-	return nil
 }
 
 // runModelSearch executes the two-level search (model forms × class counts)

@@ -137,6 +137,7 @@ func TestCLICheckpointOutput(t *testing.T) {
 
 func TestCLIErrors(t *testing.T) {
 	path := writeDataset(t, 50)
+	state := filepath.Join(t.TempDir(), "state.json")
 	var buf bytes.Buffer
 	cases := map[string][]string{
 		"no-data":         {},
@@ -146,6 +147,10 @@ func TestCLIErrors(t *testing.T) {
 		"bad-machine":     {"-data", path, "-machine", "cray"},
 		"bad-startj":      {"-data", path, "-start-j", "2,x"},
 		"bad-flag":        {"-zzz"},
+		// -resume at -procs 1 runs the sequential engine, which has
+		// neither a machine model nor the WtsOnly strategy.
+		"seq-resume-machine": {"-data", path, "-resume", state, "-machine", "meiko"},
+		"seq-resume-wtsonly": {"-data", path, "-resume", state, "-strategy", "wtsonly"},
 	}
 	for name, args := range cases {
 		if err := run(args, &buf); err == nil {
@@ -169,24 +174,36 @@ func TestCLIModelSearch(t *testing.T) {
 	}
 }
 
+// TestCLIResumeAndCases: -resume at -procs 1 runs the sequential engine on
+// the same path as every other search, so -phase-profile and -metrics-out
+// report on it, and the resumed run's table includes the restored tries.
 func TestCLIResumeAndCases(t *testing.T) {
 	path := writeDataset(t, 400)
 	dir := t.TempDir()
 	state := filepath.Join(dir, "state.json")
 	casesPath := filepath.Join(dir, "cases.txt")
+	metricsPath := filepath.Join(dir, "metrics.json")
 	args := []string{"-data", path, "-start-j", "3,5", "-tries", "1", "-max-cycles", "20",
-		"-resume", state, "-cases", casesPath}
+		"-resume", state, "-cases", casesPath, "-phase-profile", "-metrics-out", metricsPath}
 	var buf bytes.Buffer
 	if err := run(args, &buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "resumable search") {
-		t.Fatalf("output:\n%s", buf.String())
+	for _, want := range []string{"resumable search", "update_wts", "initialization", "metrics written to"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("output missing %q:\n%s", want, buf.String())
+		}
+	}
+	if fi, err := os.Stat(metricsPath); err != nil || fi.Size() == 0 {
+		t.Fatalf("metrics file: %v", err)
 	}
 	// Second run resumes instantly from the complete state.
 	buf.Reset()
 	if err := run(args, &buf); err != nil {
 		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "update_wts") {
+		t.Fatalf("resumed run printed no phase table:\n%s", buf.String())
 	}
 	if _, err := os.Stat(casesPath); err != nil {
 		t.Fatalf("cases file: %v", err)
@@ -200,7 +217,7 @@ func TestCLIParallelResume(t *testing.T) {
 	ck := filepath.Join(dir, "best.json")
 	args := []string{"-data", path, "-procs", "3", "-start-j", "3,5", "-tries", "1",
 		"-max-cycles", "20", "-resume", state, "-checkpoint-every", "4",
-		"-op-timeout", "30s", "-send-retries", "3", "-checkpoint", ck}
+		"-op-timeout", "30s", "-checkpoint", ck}
 	var buf bytes.Buffer
 	if err := run(args, &buf); err != nil {
 		t.Fatal(err)

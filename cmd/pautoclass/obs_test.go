@@ -31,7 +31,7 @@ func TestCLIObservabilityOutputs(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"update_wts", "update_parameters", "update_approximations",
+		"update_wts", "update_parameters", "update_approximations", "initialization",
 		"Comm/compute breakdown", "comm%",
 		"chrome trace written to", "trace events written to", "metrics written to",
 	} {

@@ -4,11 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // Reducer is the hook through which the parallel engine turns local
@@ -233,12 +233,11 @@ type Engine struct {
 	// Reducer traffic of the try so far (EngineState).
 	reductions, reducedValues int
 
-	// Optional observability hooks; both nil-safe and off the per-row hot
-	// path (consulted once per cycle, never inside the row loops).
-	profile  *trace.Profile
-	cycleObs CycleObserver
-	// cycleHook, unlike cycleObs, may perform communication (it carries the
-	// distributed checkpoint protocol) and may abort the run.
+	// Optional per-cycle hooks, off the per-row hot path (consulted once
+	// per cycle, never inside the row loops). cycleObs only observes;
+	// cycleHook may perform communication (it carries the distributed
+	// checkpoint protocol) and may abort the run.
+	cycleObs  CycleObserver
 	cycleHook CycleHook
 
 	scratch shardScratch // per-shard accumulators, reused across cycles
@@ -302,11 +301,6 @@ func NewEngine(view *dataset.View, cls *Classification, cfg Config, red Reducer,
 
 // Classification returns the engine's (mutated in place) classification.
 func (e *Engine) Classification() *Classification { return e.cls }
-
-// SetProfile installs a trace.Profile that accumulates the §3.1 phase
-// timings (update_wts / update_parameters / update_approximations /
-// initialization) across cycles and tries. Nil disables profiling.
-func (e *Engine) SetProfile(p *trace.Profile) { e.profile = p }
 
 // SetCycleObserver installs a CycleObserver notified after every completed
 // base_cycle. Nil disables observation.
@@ -575,9 +569,6 @@ func (e *Engine) convergedAfter(post float64) bool {
 	return e.belowTol >= e.cfg.ConvergeWindow
 }
 
-// observeCycle feeds the optional profile and cycle observer. It runs once
-// per cycle, outside the phase timers, and is a no-op when both hooks are
-// nil — the disabled path costs two nil checks and no allocations.
 // CycleDelta is the relative log-posterior change reported to cycle
 // observers: stats.RelDiff against the previous cycle, except on the first
 // cycle — measured against the -Inf starting posterior RelDiff is NaN, so
@@ -589,12 +580,10 @@ func CycleDelta(post, last float64) float64 {
 	return stats.RelDiff(post, last)
 }
 
+// observeCycle feeds the optional cycle observer. It runs once per cycle,
+// outside the phase timers, and is a no-op when no observer is installed —
+// the disabled path costs one nil check and no allocations.
 func (e *Engine) observeCycle(cycle int, cs CycleStats, delta float64) {
-	if e.profile != nil {
-		e.profile.Add(PhaseWts, cs.WtsSeconds)
-		e.profile.Add(PhaseParams, cs.ParamsSeconds)
-		e.profile.Add(PhaseApprox, cs.ApproxSeconds)
-	}
 	if e.cycleObs != nil {
 		e.cycleObs.ObserveCycle(CycleInfo{
 			Cycle:   cycle,
@@ -606,14 +595,42 @@ func (e *Engine) observeCycle(cycle int, cs CycleStats, delta float64) {
 	}
 }
 
-// Phase names used by the engine's trace.Profile instrumentation — shared
-// with the TPROF harness so every §3.1-style table uses the same labels.
+// Phase names: the rows of PhaseTable, the §3.1 profile that the CLI's
+// -phase-profile and the TPROF experiment print.
 const (
 	PhaseWts    = "update_wts"
 	PhaseParams = "update_parameters"
 	PhaseApprox = "update_approximations"
 	PhaseInit   = "initialization"
 )
+
+// PhaseTable renders r's phase seconds as the §3.1 profile table: one row
+// per phase with its share of their sum and its call count — r.Cycles for
+// the three base_cycle phases, tries for initialization. For a search r is
+// SearchResult.Totals and tries is len(SearchResult.Tries).
+func (r *EMResult) PhaseTable(tries int) string {
+	total := r.TotalSeconds()
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-28s %12s %8s %10s\n", "phase", "seconds", "share", "calls")
+	for _, row := range []struct {
+		name    string
+		seconds float64
+		calls   int
+	}{
+		{PhaseWts, r.WtsSeconds, r.Cycles},
+		{PhaseParams, r.ParamsSeconds, r.Cycles},
+		{PhaseApprox, r.ApproxSeconds, r.Cycles},
+		{PhaseInit, r.InitSeconds, tries},
+	} {
+		share := 0.0
+		if total > 0 {
+			share = 100 * row.seconds / total
+		}
+		fmt.Fprintf(&b, "%-28s %12.6f %7.2f%% %10d\n", row.name, row.seconds, share, row.calls)
+	}
+	fmt.Fprintf(&b, "%-28s %12.6f %7.2f%%\n", "total", total, 100.0)
+	return b.String()
+}
 
 // Run executes base_cycle until convergence or the cycle cap — AutoClass's
 // "new classification try" (paper Fig. 2). InitRandom must have been
@@ -632,9 +649,6 @@ func (e *Engine) RunFrom(from int) (EMResult, error) {
 		return res, errors.New("autoclass: Run before InitRandom")
 	}
 	res.InitSeconds = e.initSeconds
-	if e.profile != nil {
-		e.profile.Add(PhaseInit, e.initSeconds)
-	}
 	for cycle := from; cycle < e.cfg.MaxCycles; cycle++ {
 		cs, err := e.BaseCycle()
 		if err != nil {

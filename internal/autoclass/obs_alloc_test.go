@@ -6,9 +6,9 @@ import (
 )
 
 // TestDisabledObservabilityAddsNoAllocsToBaseCycle is the CI allocation
-// guard for the engine hooks: with no profile and no cycle observer
-// installed (the default), the per-cycle observation call must not allocate
-// — base_cycle's cost is unchanged by the instrumentation points.
+// guard for the engine hooks: with no cycle observer installed (the
+// default), the per-cycle observation call must not allocate — base_cycle's
+// cost is unchanged by the instrumentation points.
 func TestDisabledObservabilityAddsNoAllocsToBaseCycle(t *testing.T) {
 	ds := paperDS(t, 200)
 	cls := mustClassification(t, ds, 3)
@@ -27,8 +27,8 @@ func TestDisabledObservabilityAddsNoAllocsToBaseCycle(t *testing.T) {
 	}
 }
 
-// TestObserveCycleReportsToHooks verifies the wired path: profile phases
-// accumulate and the cycle observer sees the cycle's stats.
+// TestObserveCycleReportsToHooks verifies the wired path: the cycle
+// observer sees every cycle's stats.
 func TestObserveCycleReportsToHooks(t *testing.T) {
 	ds := paperDS(t, 200)
 	cls := mustClassification(t, ds, 3)

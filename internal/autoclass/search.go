@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/model"
-	"repro/internal/trace"
 )
 
 // PaperStartJList is the start_j_list the paper's experiments use (§4).
@@ -103,8 +102,9 @@ type SearchResult struct {
 	BestTry TryResult
 	// Tries records every try in execution order.
 	Tries []TryResult
-	// Totals accumulates the EM phase statistics over all tries — the
-	// input to the §3.1 profile table.
+	// Totals accumulates the EM phase statistics over all tries, restored
+	// ones included on a resumed search — the input to the §3.1 profile
+	// table (EMResult.PhaseTable).
 	Totals EMResult
 }
 
@@ -138,10 +138,10 @@ type SearchOptions struct {
 	// for concurrent use, so charged searches run one variant at a time
 	// regardless of SearchParallelism.
 	Charger Charger
-	// Profile, Cycles and Observer instrument every try's engine: the phase
-	// profile, the cycle observer and the search observer. Instrumentation
-	// never perturbs the trajectory.
-	Profile  *trace.Profile
+	// Cycles and Observer instrument every try's engine: the cycle
+	// observer and the search observer. Instrumentation never perturbs the
+	// trajectory. Phase times need no hook: they sum into the result's
+	// Totals.
 	Cycles   CycleObserver
 	Observer SearchObserver
 	// StatePath makes the search resumable: progress persists to this file
@@ -208,7 +208,6 @@ func nativeRunners(ds *dataset.Dataset, spec model.Spec, pr *model.Priors, cfg S
 			if err != nil {
 				return nil, EMResult{}, err
 			}
-			eng.SetProfile(opts.Profile)
 			cyc := co
 			if opts.Observer != nil {
 				cyc = NewTryCycleObserver(opts.Observer, co, v, len(sched.variants))

@@ -3,6 +3,8 @@ package autoclass
 import (
 	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/datagen"
@@ -104,6 +106,33 @@ func TestSearchRecordsAllTries(t *testing.T) {
 	}
 	if res.Totals.WtsSeconds <= 0 || res.Totals.ParamsSeconds <= 0 {
 		t.Fatal("phase timings not accumulated")
+	}
+}
+
+// TestPhaseTable: the §3.1 table renders the four phases in paper order
+// with their shares of the phase sum, the cycle count as the base_cycle
+// phases' calls and the try count as initialization's.
+func TestPhaseTable(t *testing.T) {
+	r := EMResult{Cycles: 40, WtsSeconds: 6, ParamsSeconds: 3, ApproxSeconds: 0.5, InitSeconds: 0.5}
+	lines := strings.Split(strings.TrimRight(r.PhaseTable(3), "\n"), "\n")
+	want := [][]string{
+		{"phase", "seconds", "share", "calls"},
+		{PhaseWts, "6.000000", "60.00%", "40"},
+		{PhaseParams, "3.000000", "30.00%", "40"},
+		{PhaseApprox, "0.500000", "5.00%", "40"},
+		{PhaseInit, "0.500000", "5.00%", "3"},
+		{"total", "10.000000", "100.00%"},
+	}
+	if len(lines) != len(want) {
+		t.Fatalf("table has %d lines, want %d:\n%s", len(lines), len(want), r.PhaseTable(3))
+	}
+	for i, line := range lines {
+		if got := strings.Fields(line); !slices.Equal(got, want[i]) {
+			t.Errorf("line %d = %q, want %q", i, got, want[i])
+		}
+	}
+	if empty := (&EMResult{}).PhaseTable(0); !strings.Contains(empty, "0.00%") {
+		t.Errorf("empty totals: shares not zero:\n%s", empty)
 	}
 }
 

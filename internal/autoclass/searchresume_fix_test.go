@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/model"
-	"repro/internal/trace"
 )
 
 // Regression tests for the ISSUE 6 resume-path fixes: totals accumulation,
@@ -223,24 +222,23 @@ func (o *trailObserver) ObserveCycle(info CycleInfo) {
 }
 
 // TestCheckpointedSearchWiresInstrumentation (satellite 4): the resumable
-// search must install the profile and cycle observer on every try's engine,
-// like the plain observed search does, without perturbing the trajectory.
+// search must install the cycle observer on every try's engine and time
+// every phase into its Totals, like the plain observed search does, without
+// perturbing the trajectory.
 func TestCheckpointedSearchWiresInstrumentation(t *testing.T) {
 	ds := paperDS(t, 400)
 	cfg := resumeCfg()
 	spec := model.DefaultSpec(ds)
 
-	refProf := trace.New()
 	refObs := &trailObserver{}
-	ref, err := Search(ds, spec, cfg, &SearchOptions{Profile: refProf, Cycles: refObs})
+	ref, err := Search(ds, spec, cfg, &SearchOptions{Cycles: refObs})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	ckptProf := trace.New()
 	ckptObs := &trailObserver{}
 	statePath := filepath.Join(t.TempDir(), "state.json")
-	res, err := Search(ds, spec, cfg, &SearchOptions{StatePath: statePath, Profile: ckptProf, Cycles: ckptObs})
+	res, err := Search(ds, spec, cfg, &SearchOptions{StatePath: statePath, Cycles: ckptObs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,13 +254,14 @@ func TestCheckpointedSearchWiresInstrumentation(t *testing.T) {
 			t.Fatalf("posterior trajectory diverged at cycle record %d", i)
 		}
 	}
-	for _, phase := range []string{PhaseWts, PhaseParams, PhaseInit} {
-		got, want := ckptProf.Get(phase), refProf.Get(phase)
-		if got.Calls != want.Calls {
-			t.Errorf("profile phase %s: %d calls, reference %d", phase, got.Calls, want.Calls)
-		}
-		if got.Seconds <= 0 {
-			t.Errorf("profile phase %s not timed", phase)
+	if res.Totals.Cycles != ref.Totals.Cycles {
+		t.Errorf("Totals.Cycles %d, reference %d", res.Totals.Cycles, ref.Totals.Cycles)
+	}
+	for phase, seconds := range map[string]float64{
+		PhaseWts: res.Totals.WtsSeconds, PhaseParams: res.Totals.ParamsSeconds, PhaseInit: res.Totals.InitSeconds,
+	} {
+		if seconds <= 0 {
+			t.Errorf("phase %s not timed", phase)
 		}
 	}
 	// Instrumentation must not perturb the search result.

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -26,14 +27,11 @@ func TestFlakyBudgetExhaustionPersistent(t *testing.T) {
 		if !errors.As(err, &inj) {
 			t.Fatalf("send %d after budget exhaustion: got %v, want injected failure", i, err)
 		}
-		if inj.Transient() {
-			t.Fatalf("send %d: persistent budget failure reported transient", i)
-		}
 	}
 }
 
 // TestFailOnceTransient checks the explicit one-shot mode: exactly one
-// retryable failure, then normal operation.
+// failure, then normal operation.
 func TestFailOnceTransient(t *testing.T) {
 	eps, _ := newMemLinks(2)
 	ep0 := eps[0]
@@ -43,59 +41,11 @@ func TestFailOnceTransient(t *testing.T) {
 	}
 	err := f.Send(1, 1, []float64{2})
 	var inj *ErrInjected
-	if !errors.As(err, &inj) || !inj.Transient() {
-		t.Fatalf("second send: got %v, want transient injected failure", err)
+	if !errors.As(err, &inj) {
+		t.Fatalf("second send: got %v, want injected failure", err)
 	}
 	if err := f.Send(1, 2, []float64{3}); err != nil {
 		t.Fatalf("third send after one-shot fault: %v", err)
-	}
-}
-
-type countingFaultObserver struct {
-	retries, timeouts atomic.Int64
-}
-
-func (o *countingFaultObserver) ObserveRetry(op string, attempt int) { o.retries.Add(1) }
-func (o *countingFaultObserver) ObserveTimeout(op string)            { o.timeouts.Add(1) }
-
-// TestRetryRecoversOneShotFault wires the full chain: a one-shot transient
-// fault under a RetryTransport must be absorbed by the retry loop and
-// counted by the fault observer.
-func TestRetryRecoversOneShotFault(t *testing.T) {
-	eps, _ := newMemLinks(2)
-	ep0 := eps[0]
-	faulty := NewFaultyTransport(ep0, FaultPlan{Faults: []Fault{FailOnce("send", -1, 0)}})
-	rt := NewRetryTransport(faulty, RetryPolicy{MaxAttempts: 3, BaseDelay: time.Microsecond})
-	var obs countingFaultObserver
-	rt.SetFaultObserver(&obs)
-	if err := rt.Send(1, 7, []float64{42}); err != nil {
-		t.Fatalf("send with retry: %v", err)
-	}
-	if got := obs.retries.Load(); got != 1 {
-		t.Fatalf("observed %d retries, want 1", got)
-	}
-	ep1 := eps[1]
-	data, err := ep1.Recv(0, 7)
-	if err != nil || len(data) != 1 || data[0] != 42 {
-		t.Fatalf("recv after retried send: %v %v", data, err)
-	}
-}
-
-// TestRetryDoesNotRetryPersistentFault: persistent injected failures are not
-// transient, so the retry loop must give up immediately.
-func TestRetryDoesNotRetryPersistentFault(t *testing.T) {
-	eps, _ := newMemLinks(2)
-	ep0 := eps[0]
-	faulty := NewFaultyTransport(ep0, FaultPlan{Faults: []Fault{{Op: "send", Peer: -1}}})
-	rt := NewRetryTransport(faulty, RetryPolicy{MaxAttempts: 5, BaseDelay: time.Microsecond})
-	var obs countingFaultObserver
-	rt.SetFaultObserver(&obs)
-	var inj *ErrInjected
-	if err := rt.Send(1, 0, []float64{1}); !errors.As(err, &inj) {
-		t.Fatalf("send: got %v, want injected failure", err)
-	}
-	if got := obs.retries.Load(); got != 0 {
-		t.Fatalf("observed %d retries on a persistent fault, want 0", got)
 	}
 }
 
@@ -186,6 +136,47 @@ func TestTCPRecvDeadline(t *testing.T) {
 	}
 	if el < 50*time.Millisecond || el > 5*time.Second {
 		t.Fatalf("recv timed out after %v, want ~50ms", el)
+	}
+}
+
+// timeoutObserver is a CollectiveObserver that also counts the timeouts
+// the Comm reports to it as a FaultObserver.
+type timeoutObserver struct {
+	timeouts atomic.Int64
+}
+
+func (o *timeoutObserver) ObserveCollective(string, int, int) {}
+func (o *timeoutObserver) ObserveTimeout(string)              { o.timeouts.Add(1) }
+
+// TestTimeoutObservedWithoutRetry: with nothing but the raw endpoint under
+// the Comm, an Allreduce that exceeds its deadline reaches the observer
+// installed with Comm.SetObserver, on both transports. Rank 1 stays silent
+// until rank 0's Allreduce has failed, so its links stay open and rank 0
+// times out instead of seeing them close.
+func TestTimeoutObservedWithoutRetry(t *testing.T) {
+	for name, tcp := range map[string]bool{"mem": false, "tcp": true} {
+		t.Run(name, func(t *testing.T) {
+			var obs timeoutObserver
+			done := make(chan struct{})
+			err := RunWith(2, RunConfig{OpDeadline: 50 * time.Millisecond, TCP: tcp}, func(c *Comm) error {
+				if c.Rank() == 1 {
+					<-done
+					return nil
+				}
+				defer close(done)
+				c.SetObserver(&obs)
+				if err := c.Allreduce(Sum, []float64{1}); !errors.Is(err, ErrTimeout) {
+					return fmt.Errorf("allreduce: got %v, want ErrTimeout", err)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if obs.timeouts.Load() < 1 {
+				t.Fatal("observer saw no timeout")
+			}
+		})
 	}
 }
 

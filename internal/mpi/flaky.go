@@ -35,21 +35,16 @@ type Fault struct {
 	// starts firing.
 	After int64
 	// Count bounds how many times the rule fires; <= 0 means forever.
-	// Count == 1 with Transient set is the explicit one-shot mode: exactly
-	// one failure, marked retryable.
 	Count int64
 	// Mode selects the effect; Delay is the sleep for FaultDelay.
 	Mode  FaultMode
 	Delay time.Duration
-	// Transient marks injected failures as retryable (ErrInjected reports
-	// Transient() == true, so a RetryTransport will retry them).
-	Transient bool
 }
 
-// FailOnce is the one-shot fault: the (after+1)-th matching operation fails
-// with a retryable error, everything else succeeds.
+// FailOnce is the one-shot fault: the (after+1)-th matching operation fails,
+// everything else succeeds.
 func FailOnce(op string, peer int, after int64) Fault {
-	return Fault{Op: op, Peer: peer, After: after, Count: 1, Transient: true}
+	return Fault{Op: op, Peer: peer, After: after, Count: 1}
 }
 
 // FaultPlan is the full injection schedule for one rank's transport. Rules
@@ -65,18 +60,12 @@ type ErrInjected struct {
 	Op   string
 	Rank int
 	Peer int
-	// Retryable mirrors the firing rule's Transient flag.
-	Retryable bool
 }
 
 // Error implements error.
 func (e *ErrInjected) Error() string {
 	return fmt.Sprintf("mpi: injected %s failure on rank %d", e.Op, e.Rank)
 }
-
-// Transient implements TransientError: one-shot injected failures are safe
-// to retry.
-func (e *ErrInjected) Transient() bool { return e.Retryable }
 
 // faultState tracks how often one rule has matched and fired.
 type faultState struct {
@@ -142,7 +131,7 @@ func (t *FaultyTransport) apply(op string, peer int) (time.Duration, bool, error
 		case FaultDrop:
 			return delay, true, nil
 		default: // FaultFail
-			return delay, false, &ErrInjected{Op: op, Rank: t.inner.Rank(), Peer: peer, Retryable: f.Transient}
+			return delay, false, &ErrInjected{Op: op, Rank: t.inner.Rank(), Peer: peer}
 		}
 	}
 	return delay, false, nil

@@ -180,23 +180,18 @@ func NewComm(t Transport) *Comm {
 // must select the same algorithm.
 func (c *Comm) SetAllreduceAlgo(a AllreduceAlgo) { c.algo = a }
 
-// SetObserver installs a CollectiveObserver (nil to disable). The observer
-// is stored atomically, so SetObserver is safe to call from any goroutine,
-// including while the rank's goroutine is inside a collective: the racing
-// collective reports to whichever observer it loads, never to a torn value.
+// SetObserver installs a CollectiveObserver (nil to disable). An observer
+// that also implements FaultObserver hears of every operation that fails
+// with ErrTimeout. The observer is stored atomically, so SetObserver is
+// safe to call from any goroutine, including while the rank's goroutine is
+// inside a collective: the racing collective reports to whichever observer
+// it loads, never to a torn value.
 func (c *Comm) SetObserver(o CollectiveObserver) {
 	if o == nil {
 		c.observer.Store(nil)
 		return
 	}
 	c.observer.Store(&observerRef{o: o})
-	// An observer that also understands fault events is forwarded to the
-	// transport chain, so retry/timeout counters need no extra wiring.
-	if fo, ok := o.(FaultObserver); ok {
-		if ft, ok := c.t.(faultObservable); ok {
-			ft.SetFaultObserver(fo)
-		}
-	}
 }
 
 // Observer returns the currently installed CollectiveObserver (nil if none).
@@ -222,7 +217,7 @@ func (c *Comm) Send(dst, tag int, data []float64) error {
 	if tag < 0 || tag >= 1<<20 {
 		return fmt.Errorf("mpi: user tag %d out of range", tag)
 	}
-	return c.t.Send(dst, tag, data)
+	return c.send(dst, tag, data)
 }
 
 // Recv blocks for the next message from src with the given user tag.
@@ -230,7 +225,7 @@ func (c *Comm) Recv(src, tag int) ([]float64, error) {
 	if tag < 0 || tag >= 1<<20 {
 		return nil, fmt.Errorf("mpi: user tag %d out of range", tag)
 	}
-	return c.t.Recv(src, tag)
+	return c.recv(src, tag)
 }
 
 // collTag builds a collective-phase tag. All ranks call collectives in the
@@ -245,6 +240,36 @@ func (c *Comm) collTag(phase int) int {
 func (c *Comm) observe(name string, steps, sent int) {
 	if r := c.observer.Load(); r != nil {
 		r.o.ObserveCollective(name, steps, sent)
+	}
+}
+
+// send and recv are the transport operations under every collective and
+// point-to-point message. One that fails with ErrTimeout is reported to
+// the installed observer when it implements FaultObserver.
+func (c *Comm) send(dst, tag int, data []float64) error {
+	err := c.t.Send(dst, tag, data)
+	if err != nil {
+		c.observeTimeout("send", err)
+	}
+	return err
+}
+
+func (c *Comm) recv(src, tag int) ([]float64, error) {
+	data, err := c.t.Recv(src, tag)
+	if err != nil {
+		c.observeTimeout("recv", err)
+	}
+	return data, err
+}
+
+func (c *Comm) observeTimeout(op string, err error) {
+	if !errors.Is(err, ErrTimeout) {
+		return
+	}
+	if r := c.observer.Load(); r != nil {
+		if fo, ok := r.o.(FaultObserver); ok {
+			fo.ObserveTimeout(op)
+		}
 	}
 }
 
@@ -357,10 +382,10 @@ func (c *Comm) ReduceScatter(op Op, data []float64) ([]float64, error) {
 		sendIdx := me - s
 		recvIdx := me - s - 1
 		tag := c.collTag(16) + s
-		if err := c.t.Send(next, tag, frag(sendIdx)); err != nil {
+		if err := c.send(next, tag, frag(sendIdx)); err != nil {
 			return nil, fmt.Errorf("mpi: reduce-scatter send: %w", err)
 		}
-		got, err := c.t.Recv(prev, tag)
+		got, err := c.recv(prev, tag)
 		if err != nil {
 			return nil, fmt.Errorf("mpi: reduce-scatter recv: %w", err)
 		}
@@ -377,12 +402,12 @@ func (c *Comm) ReduceScatter(op Op, data []float64) ([]float64, error) {
 	// part of the collective, so it counts toward the observed totals.
 	done := (me + 1) % p
 	tag := c.collTag(2048)
-	if err := c.t.Send(next, tag, frag(done)); err != nil {
+	if err := c.send(next, tag, frag(done)); err != nil {
 		return nil, fmt.Errorf("mpi: reduce-scatter realign send: %w", err)
 	}
 	steps++
 	sent += len(frag(done))
-	got, err := c.t.Recv(prev, tag)
+	got, err := c.recv(prev, tag)
 	if err != nil {
 		return nil, fmt.Errorf("mpi: reduce-scatter realign recv: %w", err)
 	}
@@ -400,7 +425,7 @@ func (c *Comm) Gather(root int, send []float64) ([][]float64, error) {
 	tag := c.collTag(0)
 	me, p := c.Rank(), c.Size()
 	if me != root {
-		if err := c.t.Send(root, tag, send); err != nil {
+		if err := c.send(root, tag, send); err != nil {
 			return nil, fmt.Errorf("mpi: gather send: %w", err)
 		}
 		c.observe("gather", 1, len(send))
@@ -412,7 +437,7 @@ func (c *Comm) Gather(root int, send []float64) ([][]float64, error) {
 		if r == root {
 			continue
 		}
-		data, err := c.t.Recv(r, tag)
+		data, err := c.recv(r, tag)
 		if err != nil {
 			return nil, fmt.Errorf("mpi: gather recv from %d: %w", r, err)
 		}
@@ -483,7 +508,7 @@ func (c *Comm) Scatter(root int, parts [][]float64) ([]float64, error) {
 			if r == root {
 				continue
 			}
-			if err := c.t.Send(r, tag, parts[r]); err != nil {
+			if err := c.send(r, tag, parts[r]); err != nil {
 				return nil, fmt.Errorf("mpi: scatter send to %d: %w", r, err)
 			}
 			sent += len(parts[r])
@@ -491,7 +516,7 @@ func (c *Comm) Scatter(root int, parts [][]float64) ([]float64, error) {
 		c.observe("scatter", p-1, sent)
 		return append([]float64(nil), parts[root]...), nil
 	}
-	data, err := c.t.Recv(root, tag)
+	data, err := c.recv(root, tag)
 	if err != nil {
 		return nil, fmt.Errorf("mpi: scatter recv: %w", err)
 	}
@@ -541,7 +566,7 @@ func (c *Comm) bcastTree(root int, data []float64) (steps, sent int, err error) 
 	if me != 0 {
 		// Parent is me with the lowest set bit cleared.
 		parent := me & (me - 1)
-		got, err := c.t.Recv(rrank(parent, root, p), tag)
+		got, err := c.recv(rrank(parent, root, p), tag)
 		if err != nil {
 			return steps, sent, err
 		}
@@ -559,7 +584,7 @@ func (c *Comm) bcastTree(root int, data []float64) (steps, sent int, err error) 
 	for mask := low >> 1; mask > 0; mask >>= 1 {
 		child := me | mask
 		if child != me && child < p {
-			if err := c.t.Send(rrank(child, root, p), tag, data); err != nil {
+			if err := c.send(rrank(child, root, p), tag, data); err != nil {
 				return steps, sent, err
 			}
 			steps++
@@ -580,7 +605,7 @@ func (c *Comm) reduceTree(root int, op Op, data []float64) (steps, sent int, err
 		if me&mask != 0 {
 			// I send my partial to my parent and am done.
 			parent := me &^ mask
-			if err := c.t.Send(rrank(parent, root, p), tag, data); err != nil {
+			if err := c.send(rrank(parent, root, p), tag, data); err != nil {
 				return steps, sent, err
 			}
 			steps++
@@ -589,7 +614,7 @@ func (c *Comm) reduceTree(root int, op Op, data []float64) (steps, sent int, err
 		}
 		child := me | mask
 		if child < p {
-			got, err := c.t.Recv(rrank(child, root, p), tag)
+			got, err := c.recv(rrank(child, root, p), tag)
 			if err != nil {
 				return steps, sent, err
 			}
@@ -622,13 +647,13 @@ func (c *Comm) allreduceRecursiveDoubling(op Op, data []float64) (steps, sent in
 	extra := p - p2
 	// Phase 1: ranks >= p2 fold into their partner below.
 	if me >= p2 {
-		if err := c.t.Send(me-p2, tag, data); err != nil {
+		if err := c.send(me-p2, tag, data); err != nil {
 			return steps, sent, err
 		}
 		steps++
 		sent += len(data)
 	} else if me < extra {
-		got, err := c.t.Recv(me+p2, tag)
+		got, err := c.recv(me+p2, tag)
 		if err != nil {
 			return steps, sent, err
 		}
@@ -642,10 +667,10 @@ func (c *Comm) allreduceRecursiveDoubling(op Op, data []float64) (steps, sent in
 		for mask := 1; mask < p2; mask <<= 1 {
 			partner := me ^ mask
 			ptag := c.collTag(16) + mask // distinct per stage
-			if err := c.t.Send(partner, ptag, data); err != nil {
+			if err := c.send(partner, ptag, data); err != nil {
 				return steps, sent, err
 			}
-			got, err := c.t.Recv(partner, ptag)
+			got, err := c.recv(partner, ptag)
 			if err != nil {
 				return steps, sent, err
 			}
@@ -658,13 +683,13 @@ func (c *Comm) allreduceRecursiveDoubling(op Op, data []float64) (steps, sent in
 	}
 	// Phase 3: results back to the extras.
 	if me < extra {
-		if err := c.t.Send(me+p2, tag+1, data); err != nil {
+		if err := c.send(me+p2, tag+1, data); err != nil {
 			return steps, sent, err
 		}
 		steps++
 		sent += len(data)
 	} else if me >= p2 {
-		got, err := c.t.Recv(me-p2, tag+1)
+		got, err := c.recv(me-p2, tag+1)
 		if err != nil {
 			return steps, sent, err
 		}
@@ -696,10 +721,10 @@ func (c *Comm) allreduceRing(op Op, data []float64) (steps, sent int, err error)
 		sendIdx := me - s
 		recvIdx := me - s - 1
 		tag := c.collTag(16) + s
-		if err := c.t.Send(next, tag, frag(sendIdx)); err != nil {
+		if err := c.send(next, tag, frag(sendIdx)); err != nil {
 			return steps, sent, err
 		}
-		got, err := c.t.Recv(prev, tag)
+		got, err := c.recv(prev, tag)
 		if err != nil {
 			return steps, sent, err
 		}
@@ -714,10 +739,10 @@ func (c *Comm) allreduceRing(op Op, data []float64) (steps, sent int, err error)
 		sendIdx := me + 1 - s
 		recvIdx := me - s
 		tag := c.collTag(2048) + s
-		if err := c.t.Send(next, tag, frag(sendIdx)); err != nil {
+		if err := c.send(next, tag, frag(sendIdx)); err != nil {
 			return steps, sent, err
 		}
-		got, err := c.t.Recv(prev, tag)
+		got, err := c.recv(prev, tag)
 		if err != nil {
 			return steps, sent, err
 		}
@@ -777,8 +802,8 @@ type DeadlineTransport interface {
 }
 
 // SetOpDeadline configures a per-operation deadline on t if its transport
-// chain supports one, reporting whether it did. Wrapper transports
-// (FaultyTransport, RetryTransport) forward to their inner transport.
+// chain supports one, reporting whether it did. FaultyTransport forwards to
+// its inner transport.
 func SetOpDeadline(t Transport, d time.Duration) bool {
 	if dt, ok := t.(DeadlineTransport); ok {
 		dt.SetOpDeadline(d)
@@ -787,20 +812,13 @@ func SetOpDeadline(t Transport, d time.Duration) bool {
 	return false
 }
 
-// FaultObserver is notified of fault-handling events on a transport chain:
-// send retries and operation timeouts. obs.Rank implements it, so installing
-// a rank recorder as the Comm's CollectiveObserver also wires these counters
-// when the transport chain supports fault observation (see RetryTransport).
-// Implementations must be safe for concurrent use.
+// FaultObserver is the optional fault interface of a CollectiveObserver:
+// the Comm reports each of its send and receive operations that fails with
+// ErrTimeout. obs.Rank implements it, so installing a rank recorder with
+// Comm.SetObserver also counts timeouts. Implementations must be safe for
+// concurrent use.
 type FaultObserver interface {
-	// ObserveRetry reports one retried send (attempt counts from 1).
-	ObserveRetry(op string, attempt int)
-	// ObserveTimeout reports one operation that failed with ErrTimeout.
+	// ObserveTimeout reports one operation ("send" or "recv") that failed
+	// with ErrTimeout.
 	ObserveTimeout(op string)
-}
-
-// faultObservable is implemented by transport wrappers that accept a
-// FaultObserver (RetryTransport). Comm.SetObserver forwards automatically.
-type faultObservable interface {
-	SetFaultObserver(o FaultObserver)
 }

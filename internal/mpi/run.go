@@ -13,18 +13,15 @@ type RunConfig struct {
 	TCP bool
 	// OpDeadline, when positive, arms a per-operation deadline on every
 	// endpoint: a live peer that stops answering surfaces as ErrTimeout
-	// instead of a hang.
+	// instead of a hang, and the Comm reports it to a FaultObserver.
 	OpDeadline time.Duration
-	// Retry, when enabled, wraps every endpoint in a RetryTransport that
-	// retries transient send failures with exponential backoff.
-	Retry RetryPolicy
 	// Faults injects each listed rank's plan into its transport (key =
 	// rank) — the fault-injection hook of the test suites.
 	Faults map[int]FaultPlan
 }
 
-// wrap layers rank's injected faults, the deadline and the retry policy
-// over its raw endpoint.
+// wrap layers rank's injected faults and the deadline over its raw
+// endpoint.
 func (cfg RunConfig) wrap(rank int, t Transport) Transport {
 	if plan := cfg.Faults[rank]; len(plan.Faults) > 0 {
 		t = NewFaultyTransport(t, plan)
@@ -32,13 +29,10 @@ func (cfg RunConfig) wrap(rank int, t Transport) Transport {
 	if cfg.OpDeadline > 0 {
 		SetOpDeadline(t, cfg.OpDeadline)
 	}
-	if cfg.Retry.enabled() {
-		t = NewRetryTransport(t, cfg.Retry)
-	}
 	return t
 }
 
-// Run is RunWith on the in-process channel mesh with no deadline, retry or
+// Run is RunWith on the in-process channel mesh with no deadline or
 // injected fault.
 func Run(p int, fn func(c *Comm) error) error {
 	return RunWith(p, RunConfig{}, fn)

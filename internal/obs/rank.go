@@ -31,7 +31,6 @@ const (
 	MetricSentValues    = "mpi.sent_values"
 	MetricCollSteps     = "mpi.steps"
 	MetricPayloadBytes  = "mpi.payload_bytes"
-	MetricRetries       = "mpi.send_retries"
 	MetricTimeouts      = "mpi.timeouts"
 	MetricTryClaimed    = "search.tries.claimed"
 	MetricTryCommitted  = "search.tries.committed"
@@ -69,7 +68,7 @@ type Rank struct {
 	cCycles, cReductions, cReducedValues *Counter
 	cWts, cParams, cApprox               *Counter
 	cOps, cComputeSec, cCommSec, cWait   *Counter
-	cRetries, cTimeouts                  *Counter
+	cTimeouts                            *Counter
 	cTryClaimed, cTryCommitted           *Counter
 	cTryDuplicate, cTryEarlyStop         *Counter
 	cSyncSkipped                         *Counter
@@ -116,7 +115,6 @@ func newRank(run *Run, rank int) *Rank {
 	r.cComputeSec = r.reg.Counter(MetricComputeSec)
 	r.cCommSec = r.reg.Counter(MetricCommSec)
 	r.cWait = r.reg.Counter(MetricWaitSec)
-	r.cRetries = r.reg.Counter(MetricRetries)
 	r.cTimeouts = r.reg.Counter(MetricTimeouts)
 	r.cTryClaimed = r.reg.Counter(MetricTryClaimed)
 	r.cTryCommitted = r.reg.Counter(MetricTryCommitted)
@@ -200,18 +198,8 @@ func (r *Rank) ObserveCollective(name string, steps, sentValues int) {
 	r.pendingValues = sentValues
 }
 
-// ObserveRetry implements mpi.FaultObserver: count transient-send retries.
-// Unlike collectives, retries may fire from the transport's own goroutines,
-// but the counter is atomic.
-func (r *Rank) ObserveRetry(op string, attempt int) {
-	if r == nil {
-		return
-	}
-	r.cRetries.Add(1)
-}
-
-// ObserveTimeout implements mpi.FaultObserver: count operations that hit
-// their per-op deadline.
+// ObserveTimeout implements mpi.FaultObserver: count the communicator's
+// operations that hit their per-op deadline.
 func (r *Rank) ObserveTimeout(op string) {
 	if r == nil {
 		return

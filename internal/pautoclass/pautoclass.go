@@ -36,7 +36,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/simnet"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // Strategy selects the parallelization approach.
@@ -90,9 +89,6 @@ type Options struct {
 	// engine callback. Observation never communicates, so trajectories are
 	// bitwise identical with or without it.
 	Obs *obs.Rank
-	// Profile, when non-nil, accumulates per-phase wall time (§3.1-style
-	// update_wts / update_parameters / update_approximations table).
-	Profile *trace.Profile
 	// SearchObs, when non-nil, receives try lifecycle events from the
 	// replicated BIG_LOOP (Search). Every rank runs the identical search
 	// loop, so events are emitted on rank 0 only — the same Options value
@@ -424,7 +420,6 @@ func (t *trial) runFull(v autoclass.Variant, co autoclass.CycleObserver) (*autoc
 	if err != nil {
 		return nil, zero, err
 	}
-	eng.SetProfile(t.opts.Profile)
 	if co != nil {
 		eng.SetCycleObserver(co)
 	}

@@ -41,7 +41,7 @@ type HybridConfig struct {
 	// must be divisible by V. Values < 1 mean 1 (plain Search).
 	Variants int
 	// Run is the per-group rank world configuration (transport, deadline,
-	// retry).
+	// injected faults).
 	Run mpi.RunConfig
 	// SearchObs, when non-nil, receives claim and commit events from the
 	// shared variant scheduler. Claims arrive concurrently from the group

@@ -11,7 +11,6 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/simnet"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // wtsOnlyEngine reproduces the parallelization strategy of the prior MIMD
@@ -50,9 +49,8 @@ type wtsOnlyEngine struct {
 	initSeconds float64
 	parts       []dataset.Range // block partition, for reassembling gathers
 
-	// Observability hooks, mirroring the Full engine's: both are nil-safe
-	// and purely passive, so the baseline's trajectory is unchanged by them.
-	profile  *trace.Profile
+	// Cycle observer, mirroring the Full engine's: nil-safe and purely
+	// passive, so the baseline's trajectory is unchanged by it.
 	cycleObs autoclass.CycleObserver
 }
 
@@ -76,7 +74,6 @@ func newWtsOnlyEngine(comm *mpi.Comm, view *dataset.View, cls *autoclass.Classif
 		clock:    opts.Clock,
 		lastPost: math.Inf(-1),
 		parts:    parts,
-		profile:  opts.Profile,
 		cycleObs: co,
 	}
 	return e, nil
@@ -383,9 +380,6 @@ func (e *wtsOnlyEngine) Run() (autoclass.EMResult, error) {
 		return res, errors.New("pautoclass: Run before InitRandom")
 	}
 	res.InitSeconds = e.initSeconds
-	if e.profile != nil {
-		e.profile.Add(autoclass.PhaseInit, e.initSeconds)
-	}
 	for cycle := 0; cycle < e.cfg.MaxCycles; cycle++ {
 		cs, err := e.BaseCycle()
 		if err != nil {
@@ -396,11 +390,6 @@ func (e *wtsOnlyEngine) Run() (autoclass.EMResult, error) {
 		res.ParamsSeconds += cs.ParamsSeconds
 		res.ApproxSeconds += cs.ApproxSeconds
 		res.History = append(res.History, cs.LogPost)
-		if e.profile != nil {
-			e.profile.Add(autoclass.PhaseWts, cs.WtsSeconds)
-			e.profile.Add(autoclass.PhaseParams, cs.ParamsSeconds)
-			e.profile.Add(autoclass.PhaseApprox, cs.ApproxSeconds)
-		}
 		if e.cycleObs != nil {
 			e.cycleObs.ObserveCycle(autoclass.CycleInfo{
 				Cycle:   cycle,

@@ -210,11 +210,9 @@ type ParallelConfig struct {
 	// in-process channels, exercising the distributed deployment path.
 	UseTCP bool
 	// OpDeadline bounds every transport operation; a stalled rank errors
-	// out instead of hanging the group (0 = no deadline).
+	// out instead of hanging the group (0 = no deadline), and a
+	// RunObserver counts the expiries in mpi.timeouts.
 	OpDeadline time.Duration
-	// SendRetries is the maximum attempts per send when the transport
-	// reports a transient fault (<= 1 = no retry).
-	SendRetries int
 }
 
 // ParallelStats reports timing of a parallel run.

@@ -12,7 +12,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pautoclass"
 	"repro/internal/simnet"
-	"repro/internal/trace"
 )
 
 // Run is the unified clustering entry point: every facade capability —
@@ -51,15 +50,6 @@ func Run(ds *Dataset, opts ...Option) (*Result, error) {
 	}
 	if ds == nil {
 		return nil, errors.New("repro: nil dataset")
-	}
-	if rc.searchPar != nil {
-		// Applied after the option loop so WithSearchParallelism composes
-		// with WithSearchConfig in either order.
-		rc.search.SearchParallelism = *rc.searchPar
-	}
-	if rc.syncEvery != nil {
-		// Same composition rule as WithSearchParallelism.
-		rc.search.EM.SyncEvery = *rc.syncEvery
 	}
 	if err := rc.validate(); err != nil {
 		return nil, err
@@ -100,13 +90,10 @@ type Option func(*runConfig)
 
 type runConfig struct {
 	search     SearchConfig
-	searchPar  *int
-	syncEvery  *int
 	correlated bool
 	models     bool
 	par        *ParallelConfig
 	observer   *RunObserver
-	profile    *Profile
 	searchObs  SearchObserver
 	ckptPath   string
 	ckptEvery  int
@@ -128,7 +115,13 @@ func (rc *runConfig) hybridGroups() int {
 	return v
 }
 
-// WithSearchConfig replaces the default BIG_LOOP settings.
+// WithSearchConfig replaces the default BIG_LOOP settings. Its
+// SearchParallelism n runs n tries at once, bitwise identical to one at a
+// time; with WithParallel it splits the rank budget into n communicator
+// groups of Procs/n ranks, at most Procs groups (Procs must be divisible by
+// n, and neither a simulated Machine nor a parallel WithCheckpoint is
+// supported). Its EM.SyncEvery sets the bounded-staleness schedule of a
+// parallel Full run.
 func WithSearchConfig(cfg SearchConfig) Option {
 	return func(rc *runConfig) { rc.search = cfg }
 }
@@ -146,36 +139,6 @@ func WithCorrelated() Option {
 // includes the correlated spec), WithParallel and WithCheckpoint.
 func WithModelSearch() Option {
 	return func(rc *runConfig) { rc.models = true }
-}
-
-// WithSearchParallelism runs the BIG_LOOP's independent (start_j, try)
-// variants on n concurrent workers instead of one at a time. The result is
-// bitwise identical to the sequential search for every n — variants commit
-// in schedule order regardless of completion order. n <= 1 keeps today's
-// sequential loop; n < 0 uses GOMAXPROCS. Composes with WithSearchConfig in
-// either order and with WithCheckpoint (resume may use a different n than
-// the interrupted run). Combined with WithParallel, the rank budget splits
-// into n communicator groups of Procs/n ranks each (Procs must be divisible
-// by n; incompatible with a simulated Machine and with parallel
-// WithCheckpoint).
-func WithSearchParallelism(n int) Option {
-	return func(rc *runConfig) { rc.searchPar = &n }
-}
-
-// WithSyncEvery sets the bounded-staleness schedule of a parallel run: each
-// rank runs up to l local EM cycles on stale global parameters, folding its
-// accumulated statistic deltas into the global model at the next Allreduce
-// (a corrective merge, not an overwrite), cutting the per-cycle collective
-// count by roughly 1/l. l <= 1 is the paper's fully synchronous path — the
-// default, and the bitwise reference the relaxed mode is validated against.
-// A drift bound (SearchConfig.EM.SyncDriftTol) forces an early global
-// synchronization when any rank's log-likelihood drifts too far from the
-// last synced value. Only the Full parallel strategy relaxes; sequential
-// runs and the WtsOnly baseline ignore the knob. Composes with
-// WithSearchConfig in either order and with WithCheckpoint (snapshots land
-// on sync points, so resume stays exact).
-func WithSyncEvery(l int) Option {
-	return func(rc *runConfig) { rc.syncEvery = &l }
 }
 
 // WithParallel runs the search as P-AutoClass across pc.Procs SPMD ranks.
@@ -201,20 +164,12 @@ func WithObserver(o *RunObserver) Option {
 // done/total and best-so-far score — to o while the search runs: the hook
 // behind live progress reporting (the daemon's /v1/jobs/{id}/progress, the
 // CLI's progress line). Observation is notification-only and never
-// perturbs the trajectory; with WithSearchParallelism > 1 (or a hybrid
-// parallel run) events arrive from several goroutines, so o must be safe
-// for concurrent use. In a parallel run events are emitted once (rank 0),
-// not once per rank. Incompatible with WithModelSearch.
+// perturbs the trajectory; with SearchConfig.SearchParallelism > 1 (or a
+// hybrid parallel run) events arrive from several goroutines, so o must be
+// safe for concurrent use. In a parallel run events are emitted once (rank
+// 0), not once per rank. Incompatible with WithModelSearch.
 func WithSearchObserver(o SearchObserver) Option {
 	return func(rc *runConfig) { rc.searchObs = o }
-}
-
-// WithProfile accumulates per-phase wall time (update_wts /
-// update_parameters / update_approximations) into p. In a parallel run
-// only rank 0 reports, keeping phase totals comparable to a sequential
-// run's.
-func WithProfile(p *Profile) Option {
-	return func(rc *runConfig) { rc.profile = p }
 }
 
 // WithChunkedData trains out of core: instead of an in-memory dataset
@@ -261,8 +216,8 @@ func (rc *runConfig) validate() error {
 			return errors.New("repro: WithModelSearch does not support WithParallel")
 		case rc.ckptPath != "":
 			return errors.New("repro: WithModelSearch does not support WithCheckpoint")
-		case rc.observer != nil || rc.profile != nil:
-			return errors.New("repro: WithModelSearch does not support WithObserver/WithProfile")
+		case rc.observer != nil:
+			return errors.New("repro: WithModelSearch does not support WithObserver")
 		case rc.searchObs != nil:
 			return errors.New("repro: WithModelSearch does not support WithSearchObserver")
 		}
@@ -279,10 +234,10 @@ func (rc *runConfig) validate() error {
 		}
 		if v := rc.hybridGroups(); v > 1 {
 			if rc.par.Machine != nil {
-				return errors.New("repro: WithSearchParallelism > 1 cannot charge a simulated Machine across concurrent variant groups")
+				return errors.New("repro: SearchConfig.SearchParallelism > 1 cannot charge a simulated Machine across concurrent variant groups")
 			}
 			if rc.ckptPath != "" {
-				return errors.New("repro: parallel WithCheckpoint does not support WithSearchParallelism > 1")
+				return errors.New("repro: parallel WithCheckpoint does not support SearchConfig.SearchParallelism > 1")
 			}
 			if rc.par.Procs%v != 0 {
 				return fmt.Errorf("repro: rank budget %d not divisible by %d variant groups", rc.par.Procs, v)
@@ -300,9 +255,6 @@ func (rc *runConfig) validate() error {
 	}
 	if rc.ckptPath == "" && rc.ckptEvery != 0 {
 		return errors.New("repro: WithCheckpoint needs a non-empty path")
-	}
-	if rc.syncEvery != nil && *rc.syncEvery < 0 {
-		return fmt.Errorf("repro: WithSyncEvery(%d)", *rc.syncEvery)
 	}
 	if rc.memBudget < 0 {
 		return fmt.Errorf("repro: WithMemoryBudget(%d)", rc.memBudget)
@@ -334,7 +286,7 @@ func runSequential(ds *Dataset, rc runConfig) (*Result, error) {
 		co = rc.observer.Rank(0)
 	}
 	res, err := autoclass.Search(ds, spec, rc.search, &autoclass.SearchOptions{
-		Profile: rc.profile, Cycles: co, Observer: rc.searchObs, StatePath: rc.ckptPath,
+		Cycles: co, Observer: rc.searchObs, StatePath: rc.ckptPath,
 	})
 	if err != nil {
 		return nil, err
@@ -367,9 +319,6 @@ func runParallel(ds *Dataset, rc runConfig) (*Result, error) {
 				rc.observer.SetMachineLabel(pc.Machine.Name)
 			}
 		}
-		if rc.profile != nil && c.Rank() == 0 {
-			opts.Profile = rc.profile
-		}
 		// Handed to every rank; pautoclass emits on rank 0 only.
 		opts.SearchObs = rc.searchObs
 		opts.Checkpoint = pautoclass.Checkpoint{Path: rc.ckptPath, Every: rc.ckptEvery}
@@ -400,11 +349,7 @@ func runParallel(ds *Dataset, rc runConfig) (*Result, error) {
 
 // rankWorld is the mpi rank world a ParallelConfig asks for.
 func rankWorld(pc ParallelConfig) mpi.RunConfig {
-	rcfg := mpi.RunConfig{TCP: pc.UseTCP, OpDeadline: pc.OpDeadline}
-	if pc.SendRetries > 0 {
-		rcfg.Retry = mpi.RetryPolicy{MaxAttempts: pc.SendRetries}
-	}
-	return rcfg
+	return mpi.RunConfig{TCP: pc.UseTCP, OpDeadline: pc.OpDeadline}
 }
 
 // runHybrid splits the parallel rank budget into v concurrent variant
@@ -421,12 +366,6 @@ func runHybrid(ds *Dataset, rc runConfig, v int) (*Result, error) {
 			// Global rank = group-major flattening, so the observer built
 			// for Procs ranks sees every rank exactly once.
 			opts.Obs = rc.observer.Rank(group*ranksPer + rank)
-		}
-		if rc.profile != nil && rank == 0 {
-			// Each group's rank 0 folds its tries into the shared profile
-			// (Profile is mutex-protected), keeping phase totals comparable
-			// to a sequential run over all tries.
-			opts.Profile = rc.profile
 		}
 		return opts
 	}
@@ -474,12 +413,6 @@ const (
 	// TryEarlyStopped fires when basin early termination cut a try.
 	TryEarlyStopped = autoclass.TryEarlyStopped
 )
-
-// Profile accumulates named phase wall times (use with WithProfile).
-type Profile = trace.Profile
-
-// NewProfile returns an empty phase profile.
-func NewProfile() *Profile { return trace.New() }
 
 // Checkpoint is the versioned classification snapshot: Save/Load round-trip
 // a fitted classification and, for mid-search snapshots, its SearchPoint.

@@ -68,13 +68,14 @@ func TestRunWithChunkedData(t *testing.T) {
 }
 
 // TestRunChunkedStaleSync: bounded staleness runs out of core. With
-// ChunkAlign·P | n a 2-rank WithSyncEvery(3) run over the chunk file
+// ChunkAlign·P | n a 2-rank run at EM.SyncEvery 3 over the chunk file
 // reproduces the materialized run bit for bit.
 func TestRunChunkedStaleSync(t *testing.T) {
 	ds := runTestDataset(t, 1024)
 	cfg := runQuickCfg()
+	cfg.EM.SyncEvery = 3
 	path := writeChunkFile(t, ds, 512)
-	opts := []Option{WithSearchConfig(cfg), WithSyncEvery(3), WithParallel(ParallelConfig{Procs: 2})}
+	opts := []Option{WithSearchConfig(cfg), WithParallel(ParallelConfig{Procs: 2})}
 	want, err := Run(ds, opts...)
 	if err != nil {
 		t.Fatal(err)

@@ -188,10 +188,10 @@ func TestRunMatchesDirectParallelCheckpoint(t *testing.T) {
 }
 
 // TestRunObserverWiring is the regression test for a facade observer bug:
-// the parallel path once silently dropped observer and profile wiring, so
-// metrics stayed empty unless callers bypassed the facade.
-// Through WithObserver/WithProfile the engines must actually report — and
-// observation must not perturb the trajectory.
+// the parallel path once silently dropped observer wiring, so metrics
+// stayed empty unless callers bypassed the facade. Through WithObserver the
+// engines must actually report — and observation must not perturb the
+// trajectory.
 func TestRunObserverWiring(t *testing.T) {
 	ds := runTestDataset(t, 400)
 	cfg := runQuickCfg()
@@ -201,9 +201,8 @@ func TestRunObserverWiring(t *testing.T) {
 	}
 
 	o := NewRunObserver(2)
-	prof := NewProfile()
 	observed, err := Run(ds, WithSearchConfig(cfg),
-		WithParallel(ParallelConfig{Procs: 2}), WithObserver(o), WithProfile(prof))
+		WithParallel(ParallelConfig{Procs: 2}), WithObserver(o))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,9 +214,6 @@ func TestRunObserverWiring(t *testing.T) {
 	}
 	if agg.Counters["mpi.collectives.allreduce"] == 0 {
 		t.Error("observer saw no collectives")
-	}
-	if prof.Get(autoclass.PhaseWts).Calls == 0 {
-		t.Error("profile recorded no update_wts phases")
 	}
 
 	// Sequential observer path.
@@ -238,9 +234,9 @@ func TestRunObserverWiring(t *testing.T) {
 
 func machinePtr(m Machine) *Machine { return &m }
 
-// TestRunSearchParallelism: WithSearchParallelism is bitwise-invariant —
-// sequential, variant-parallel, and option-order-swapped runs all land on
-// the identical result.
+// TestRunSearchParallelism: SearchConfig.SearchParallelism is
+// bitwise-invariant — sequential and variant-parallel runs land on the
+// identical result.
 func TestRunSearchParallelism(t *testing.T) {
 	ds := runTestDataset(t, 400)
 	cfg := runQuickCfg()
@@ -248,22 +244,17 @@ func TestRunSearchParallelism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Run(ds, WithSearchConfig(cfg), WithSearchParallelism(4))
+	cfg.SearchParallelism = 4
+	par, err := Run(ds, WithSearchConfig(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSameSearch(t, par.Search, ref.Search)
-	// Option order must not matter.
-	swapped, err := Run(ds, WithSearchParallelism(4), WithSearchConfig(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameSearch(t, swapped.Search, ref.Search)
 }
 
-// TestRunHybridParallelism: WithSearchParallelism(v) + WithParallel(Procs)
-// splits the budget into v groups of Procs/v ranks, bitwise identical to
-// the plain SPMD search over Procs/v ranks.
+// TestRunHybridParallelism: SearchConfig.SearchParallelism v with
+// WithParallel(Procs) splits the budget into v groups of Procs/v ranks,
+// bitwise identical to the plain SPMD search over Procs/v ranks.
 func TestRunHybridParallelism(t *testing.T) {
 	ds := runTestDataset(t, 400)
 	cfg := runQuickCfg()
@@ -271,18 +262,17 @@ func TestRunHybridParallelism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hyb, err := Run(ds, WithSearchConfig(cfg), WithSearchParallelism(2),
-		WithParallel(ParallelConfig{Procs: 4}))
+	cfg.SearchParallelism = 2
+	hyb, err := Run(ds, WithSearchConfig(cfg), WithParallel(ParallelConfig{Procs: 4}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSameSearch(t, hyb.Search, ref.Search)
 
-	// Observer and profile wire through the hybrid path too.
+	// The observer wires through the hybrid path too.
 	o := NewRunObserver(4)
-	prof := NewProfile()
-	obs, err := Run(ds, WithSearchConfig(cfg), WithSearchParallelism(2),
-		WithParallel(ParallelConfig{Procs: 4}), WithObserver(o), WithProfile(prof))
+	obs, err := Run(ds, WithSearchConfig(cfg),
+		WithParallel(ParallelConfig{Procs: 4}), WithObserver(o))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,30 +280,24 @@ func TestRunHybridParallelism(t *testing.T) {
 	if o.Aggregate().Snapshot().Counters["engine.cycles"] == 0 {
 		t.Error("hybrid observer saw no engine cycles")
 	}
-	if prof.Get(autoclass.PhaseWts).Calls == 0 {
-		t.Error("hybrid profile recorded no update_wts phases")
-	}
 }
 
 // TestRunCheckpointInstrumentation (satellite 4 at the facade): the
-// resumable sequential search now accepts WithObserver/WithProfile instead
-// of rejecting them, and reports the same instrumentation as the
+// resumable sequential search now accepts WithObserver instead of
+// rejecting it, and reports the same instrumentation and Totals as the
 // unresumable path.
 func TestRunCheckpointInstrumentation(t *testing.T) {
 	ds := runTestDataset(t, 400)
 	cfg := runQuickCfg()
 	refObs := NewRunObserver(1)
-	refProf := NewProfile()
-	ref, err := Run(ds, WithSearchConfig(cfg), WithObserver(refObs), WithProfile(refProf))
+	ref, err := Run(ds, WithSearchConfig(cfg), WithObserver(refObs))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	o := NewRunObserver(1)
-	prof := NewProfile()
 	path := filepath.Join(t.TempDir(), "obs.ckpt")
-	r, err := Run(ds, WithSearchConfig(cfg), WithCheckpoint(path, 0),
-		WithObserver(o), WithProfile(prof))
+	r, err := Run(ds, WithSearchConfig(cfg), WithCheckpoint(path, 0), WithObserver(o))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,14 +307,16 @@ func TestRunCheckpointInstrumentation(t *testing.T) {
 	if got != want {
 		t.Errorf("checkpointed observer saw %v cycles, reference %v", got, want)
 	}
-	if prof.Get(autoclass.PhaseWts).Calls != refProf.Get(autoclass.PhaseWts).Calls {
-		t.Errorf("checkpointed profile saw %d update_wts calls, reference %d",
-			prof.Get(autoclass.PhaseWts).Calls, refProf.Get(autoclass.PhaseWts).Calls)
+	if r.Search.Totals.Cycles != ref.Search.Totals.Cycles {
+		t.Errorf("checkpointed Totals.Cycles %d, reference %d",
+			r.Search.Totals.Cycles, ref.Search.Totals.Cycles)
 	}
 }
 
 func TestRunOptionValidation(t *testing.T) {
 	ds := runTestDataset(t, 120)
+	hybrid := DefaultSearchConfig()
+	hybrid.SearchParallelism = 2
 	cases := []struct {
 		name string
 		opts []Option
@@ -343,11 +329,11 @@ func TestRunOptionValidation(t *testing.T) {
 		{"zero procs", []Option{WithParallel(ParallelConfig{})}},
 		{"observer rank mismatch", []Option{WithObserver(NewRunObserver(4))}},
 		{"checkpoint without path", []Option{WithCheckpoint("", 4)}},
-		{"hybrid+machine", []Option{WithSearchParallelism(2),
+		{"hybrid+machine", []Option{WithSearchConfig(hybrid),
 			WithParallel(ParallelConfig{Procs: 2, Machine: machinePtr(MeikoCS2())})}},
-		{"hybrid+checkpoint", []Option{WithSearchParallelism(2), WithCheckpoint("x.ckpt", 0),
+		{"hybrid+checkpoint", []Option{WithSearchConfig(hybrid), WithCheckpoint("x.ckpt", 0),
 			WithParallel(ParallelConfig{Procs: 2})}},
-		{"hybrid indivisible budget", []Option{WithSearchParallelism(2),
+		{"hybrid indivisible budget", []Option{WithSearchConfig(hybrid),
 			WithParallel(ParallelConfig{Procs: 3})}},
 	}
 	for _, tc := range cases {
