@@ -26,19 +26,24 @@ fmtcheck:
 # loops (masked runs included) and the daemon's warm predict scorers
 # (several dispatchers on one queue), then run at several GOMAXPROCS
 # values, so a one-core host cannot hide a race; the exp kernel's
-# self-check must fall back when FMA is off; its non-amd64 fallback must
-# keep compiling; and on 386, where no vector kernel builds, the Go loops
-# run as the whole path against the unfused oracle, the per-row test
-# oracle and the per-row WtsOnly engine (and the kernel gate holds them no
-# slower than that oracle), the column store and the chunk
-# file's unsafe views run on a 32-bit platform, and atomicfile swaps
-# through 386's own renameat2 number.
+# self-checks must fall back when FMA is off; the log names the vector
+# stages this host takes (the eight-lane kernels need AVX-512F, and their
+# tests skip without it); the bitwise tests hold with the compiler free to
+# use FMA and AVX2 in Go code (GOAMD64=v3); the exp kernel's non-amd64
+# fallback must keep compiling; and on 386, where no vector kernel
+# builds, the Go loops run as the whole path against the unfused oracle,
+# the per-row test oracle and the per-row WtsOnly engine (and the kernel
+# gate holds them no slower than that oracle), the column store and the
+# chunk file's unsafe views run on a 32-bit platform, and atomicfile
+# swaps through 386's own renameat2 number.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,2,4 \
 		-run 'Concurrent|AcrossParallelism|ParallelismInvariance|ParallelismBitwise|FusedTraining|ChunkedMatches|ChunkedAligned|FoldRowLogLik|RaceFree|HybridTrajectory|PredictRanksBitwise|Resum|Interrupt|SearchObserver|SearchHybrid|KillAndResume|Sweeps|NormalRunScore|FoldLanes|FoldMax|ServeBatchingBitwise|ServePredictKillRestart' \
 		./internal/model ./internal/autoclass ./internal/pautoclass ./internal/serve
 	GODEBUG=cpu.fma=off $(GO) test -run Exp ./internal/stats
+	$(GO) test -v -run 'PathEnabled|Vectorized|ExpSelfCheck' ./internal/stats ./internal/model
+	GOAMD64=v3 $(GO) test ./internal/stats ./internal/model ./internal/autoclass
 	GOARCH=arm64 $(GO) vet ./...
 	GOARCH=386 $(GO) vet ./...
 	GOARCH=386 $(GO) test ./internal/model ./internal/stats ./internal/dataset ./internal/atomicfile

@@ -216,8 +216,18 @@ func run(args []string, w io.Writer) error {
 	}
 
 	fmt.Fprintf(w, "dataset %s: %d tuples, %d attributes\n", ds.Name, ds.N(), ds.NumAttrs())
-	fmt.Fprintf(w, "search: start_j_list=%v tries=%d procs=%d strategy=%s\n",
-		cfg.StartJList, cfg.Tries, *procs, strat)
+	if sequential != "" {
+		fmt.Fprintf(w, "search: start_j_list=%v tries=%d engine=sequential\n", cfg.StartJList, cfg.Tries)
+	} else {
+		fmt.Fprintf(w, "search: start_j_list=%v tries=%d procs=%d strategy=%s\n",
+			cfg.StartJList, cfg.Tries, *procs, strat)
+		// A variant group needs at least one rank, so the parallel engine
+		// runs at most -procs groups.
+		if v := cfg.SearchWorkers(); v > *procs {
+			fmt.Fprintf(w, "note: -search-parallelism %d asks for %d variant groups; -procs %d runs %d at a time\n",
+				*searchParallelism, v, *procs, *procs)
+		}
+	}
 	switch {
 	case *resume != "" && sequential != "":
 		fmt.Fprintf(w, "resumable search: state in %s, committed after every try\n", *resume)

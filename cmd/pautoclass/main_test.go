@@ -82,6 +82,83 @@ func TestCLISearchParallelism(t *testing.T) {
 	}
 }
 
+// TestCLIEngineHeader: the search header names the sequential engine
+// where it runs (-correlated, -resume at -procs 1) instead of a rank count
+// and a parallel strategy, which only the SPMD engine has.
+func TestCLIEngineHeader(t *testing.T) {
+	path := writeDataset(t, 300)
+	base := []string{"-data", path, "-start-j", "3", "-tries", "1", "-max-cycles", "10"}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{nil, "procs=1 strategy="},
+		{[]string{"-procs", "2"}, "procs=2 strategy="},
+		{[]string{"-correlated"}, "engine=sequential"},
+		{[]string{"-resume", filepath.Join(t.TempDir(), "state.json")}, "engine=sequential"},
+	} {
+		var buf bytes.Buffer
+		if err := run(append(tc.args, base...), &buf); err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		header := headerLine(t, buf.String())
+		if !strings.Contains(header, tc.want) {
+			t.Fatalf("%v: header %q, want %q in it", tc.args, header, tc.want)
+		}
+		if tc.want == "engine=sequential" && strings.Contains(header, "strategy=") {
+			t.Fatalf("%v: the sequential engine's header %q names a parallel strategy", tc.args, header)
+		}
+	}
+}
+
+// TestCLISearchParallelismCapNote: when -search-parallelism asks the
+// parallel engine for more variant groups than -procs has ranks, one note
+// under the header names the requested and the effective group count; a
+// request the ranks cover, and the sequential engine, which runs every
+// requested try at once, print none.
+func TestCLISearchParallelismCapNote(t *testing.T) {
+	path := writeDataset(t, 300)
+	base := []string{"-data", path, "-start-j", "2,3", "-tries", "2", "-max-cycles", "10"}
+	for _, tc := range []struct {
+		args []string
+		note string
+	}{
+		{[]string{"-search-parallelism", "4"}, "note: -search-parallelism 4 asks for 4 variant groups; -procs 1 runs 1 at a time"},
+		{[]string{"-procs", "2", "-search-parallelism", "8"}, "note: -search-parallelism 8 asks for 4 variant groups; -procs 2 runs 2 at a time"},
+		{[]string{"-procs", "2", "-search-parallelism", "2"}, ""},
+		{[]string{"-search-parallelism", "4", "-resume", filepath.Join(t.TempDir(), "state.json")}, ""},
+	} {
+		var buf bytes.Buffer
+		if err := run(append(tc.args, base...), &buf); err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		var notes []string
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if strings.HasPrefix(line, "note:") {
+				notes = append(notes, line)
+			}
+		}
+		switch {
+		case tc.note == "" && len(notes) > 0:
+			t.Fatalf("%v: unexpected %q", tc.args, notes)
+		case tc.note != "" && (len(notes) != 1 || notes[0] != tc.note):
+			t.Fatalf("%v: notes %q, want just %q", tc.args, notes, tc.note)
+		}
+	}
+}
+
+// headerLine returns the search header of a run's output.
+func headerLine(t *testing.T, out string) string {
+	t.Helper()
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "search: ") {
+			return line
+		}
+	}
+	t.Fatalf("no search header in:\n%s", out)
+	return ""
+}
+
 func bestLine(t *testing.T, out string) string {
 	t.Helper()
 	for _, line := range strings.Split(out, "\n") {

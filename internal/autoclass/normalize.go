@@ -20,13 +20,16 @@ import (
 //     together, up to three per loop, by model.NormalRun; a masked run
 //     (one of its columns has a missing value) skips each term's missing
 //     rows. On amd64 an unmasked pair that starts the class and a run of
-//     three that starts it run four rows per AVX register. Every other
+//     three that starts it run four rows per AVX register, and the pair
+//     eight rows per ZMM register where the CPU has AVX-512F. Every other
 //     term adds its own kernel's BlockLogProb, and a class whose last
 //     term is not in a run folds the maximum in a pass of its own
 //     (model.FoldMax, four rows per register on amd64).
 //  2. Exp and sum (normScratch.expSum): v = exp(v − max), added into the
-//     row sums, by stats.ExpShiftSum. A per-row step then sets the
-//     log-evidence z = max + log(sum) and the reciprocal 1/sum.
+//     row sums, by stats.ExpShiftSum: on amd64 eight lanes per ZMM
+//     register with AVX-512F, else four per YMM register with AVX2 and
+//     FMA. A per-row step then sets the log-evidence z = max + log(sum)
+//     and the reciprocal 1/sum.
 //  3. Scale, fold and statistics (blockScratch.foldClasses): w =
 //     v·(1/sum), summed into the class weight W_j, with the first three
 //     normal terms' Σw·x, Σw·x² and Σw accumulated in the same loop

@@ -246,12 +246,13 @@ func (run *NormalRun) perTerm() bool { return run.masked || run.n == normalRunMa
 // fold, folds each row's final value into the row maxima mx (strictly
 // greater wins). Where the vector kernels run (normal_amd64.s), the rows
 // up to the last multiple of four go four to a register for an unmasked
-// run of two terms that starts its class and folds, and for a run of
-// three that starts its class and does not fold; the rest, and every
-// other run, take the Go loop.
+// run of two terms that starts its class and folds — the whole octs eight
+// to a register with AVX-512F — and for a run of three that starts its
+// class and does not fold; the rest, and every other run, take the Go
+// loop.
 func (run *NormalRun) Score(v, mx []float64, logPi float64, first, fold bool) {
 	mx = mx[:len(v)]
-	q := run.scoreQuads(v, mx, logPi, first, fold)
+	_, q := run.scoreQuads(v, mx, logPi, first, fold)
 	run.score(v[q:], mx[q:], q, logPi, first, fold)
 }
 

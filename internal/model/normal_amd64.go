@@ -7,17 +7,23 @@ import "repro/internal/stats"
 // requires the YMM register state the kernels use.
 var vectorRuns = stats.HasAVX2FMA()
 
+// octRuns enables scoreAVX512, which also needs AVX-512F and the ZMM
+// register state.
+var octRuns = stats.HasAVX512()
+
 // scoreQuads runs Score over the rows of v up to the last multiple of four
-// with a vector kernel and returns how many it did. The kernels cover the
-// modes a benchmarked workload scores: an unmasked run of two terms that
-// starts its class and folds the row maximum (scoreAVX, the paper model),
-// and a run of three that starts its class and leaves the maximum to a
-// later term (scoreMaskAVX, ProteinMixture). They do none of any other
-// run, or without the kernels.
-func (run *NormalRun) scoreQuads(v, mx []float64, logPi float64, first, fold bool) int {
-	q := len(v) &^ 3
+// with vector kernels and returns how many rows it did, q, and how many of
+// them went eight to a register, o. The kernels cover the modes a
+// benchmarked workload scores: an unmasked run of two terms that starts
+// its class and folds the row maximum (the paper model: scoreAVX512 takes
+// the whole octs, scoreAVX a leftover quad or, without AVX-512, every
+// quad), and a run of three that starts its class and leaves the maximum
+// to a later term (scoreMaskAVX, ProteinMixture). They do none of any
+// other run, or without the kernels.
+func (run *NormalRun) scoreQuads(v, mx []float64, logPi float64, first, fold bool) (o, q int) {
+	q = len(v) &^ 3
 	if !vectorRuns || q == 0 || !first {
-		return 0
+		return 0, 0
 	}
 	switch {
 	case run.n == 2 && !run.masked && fold:
@@ -26,7 +32,14 @@ func (run *NormalRun) scoreQuads(v, mx []float64, logPi float64, first, fold boo
 			run.k[0].mean, run.k[0].c, run.k[0].inv2,
 			run.k[1].mean, run.k[1].c, run.k[1].inv2,
 		}
-		scoreAVX(&v[0], &mx[0], &run.x[0][:q][0], &run.x[1][:q][0], q/4, &k)
+		x0, x1 := run.x[0][:q], run.x[1][:q]
+		if octRuns {
+			o = q &^ 7
+			scoreAVX512(&v[0], &mx[0], &x0[0], &x1[0], o/8, &k)
+		}
+		if o < q {
+			scoreAVX(&v[o], &mx[o], &x0[o], &x1[o], (q-o)/4, &k)
+		}
 	case run.n == 3 && !fold:
 		k := [10]float64{
 			logPi,
@@ -36,9 +49,9 @@ func (run *NormalRun) scoreQuads(v, mx []float64, logPi float64, first, fold boo
 		}
 		scoreMaskAVX(&v[0], &run.x[0][:q][0], &run.x[1][:q][0], &run.x[2][:q][0], q/4, &k)
 	default:
-		return 0
+		return 0, 0
 	}
-	return q
+	return o, q
 }
 
 // foldLaneQuads runs FoldLanes over the rows of inv up to the last
@@ -83,6 +96,11 @@ func foldMaxQuads(mx, v []float64) int {
 //
 //go:noescape
 func scoreAVX(v, mx, x0, x1 *float64, quads int, k *[7]float64)
+
+// scoreAVX512 is scoreAVX over 8·octs rows, eight to a register.
+//
+//go:noescape
+func scoreAVX512(v, mx, x0, x1 *float64, octs int, k *[7]float64)
 
 // scoreMaskAVX is Score over 4·quads rows of a run of three normal terms,
 // masked or not, that starts its class and does not fold the maximum,

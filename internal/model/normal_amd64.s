@@ -1,8 +1,9 @@
 #include "textflag.h"
 
 // The vector kernels of NormalRun and FoldMax, four float64 lanes per AVX
-// register, for the runs a benchmarked workload scores: unmasked runs of
-// two normal terms (the paper's model) and runs of three, masked or not
+// register (eight per ZMM register for scoreAVX512, which needs AVX-512F),
+// for the runs a benchmarked workload scores: unmasked runs of two normal
+// terms (the paper's model) and runs of three, masked or not
 // (ProteinMixture's three reals with missing values). Each lane performs
 // exactly the correctly rounded operations of the Go loop it replaces, in
 // the same order, with no fused multiply-add, so every result is the Go
@@ -14,7 +15,9 @@
 //     maximum is VMAXPD with s as the first source and mx as the second,
 //     which returns s only when s > mx and mx on a tie (+0 and −0
 //     included), on s ≤ mx and when either is NaN: exactly the Go loop's
-//     strict `s > mx[r]`. foldMaxAVX is that maximum alone.
+//     strict `s > mx[r]`. scoreAVX512 is the same instruction sequence on
+//     eight rows per ZMM register; the EVEX forms round and compare as
+//     the VEX ones do. foldMaxAVX is that maximum alone.
 //   - scoreMaskAVX does the same five operations per term for a run of
 //     three that starts its class and does not fold. VCMPPD with the
 //     ordered predicate marks the lanes whose x is known (not NaN), and
@@ -75,6 +78,55 @@ score:
 	JMP     score
 
 scoreDone:
+	VZEROUPPER
+	RET
+
+// func scoreAVX512(v, mx, x0, x1 *float64, octs int, k *[7]float64)
+//
+// scoreAVX on eight rows per ZMM register: the same five operations per
+// term, the same VMAXPD(s, mx), all AVX-512F.
+TEXT ·scoreAVX512(SB), NOSPLIT, $0-48
+	MOVQ v+0(FP), SI
+	MOVQ mx+8(FP), DI
+	MOVQ x0+16(FP), R8
+	MOVQ x1+24(FP), R9
+	MOVQ octs+32(FP), CX
+	MOVQ k+40(FP), DX
+
+	VBROADCASTSD 0(DX), Z8   // logPi
+	VBROADCASTSD 8(DX), Z9   // mean₀
+	VBROADCASTSD 16(DX), Z10 // c₀
+	VBROADCASTSD 24(DX), Z11 // inv2₀
+	VBROADCASTSD 32(DX), Z12 // mean₁
+	VBROADCASTSD 40(DX), Z13 // c₁
+	VBROADCASTSD 48(DX), Z14 // inv2₁
+	SHLQ         $3, CX
+	XORQ         AX, AX
+
+score8:
+	CMPQ    AX, CX
+	JGE     score8Done
+	VMOVUPD (R8)(AX*8), Z1
+	VSUBPD  Z9, Z1, Z1
+	VMULPD  Z1, Z1, Z1
+	VMULPD  Z11, Z1, Z1
+	VSUBPD  Z1, Z10, Z1
+	VADDPD  Z1, Z8, Z0
+	VMOVUPD (R9)(AX*8), Z1
+	VSUBPD  Z12, Z1, Z1
+	VMULPD  Z1, Z1, Z1
+	VMULPD  Z14, Z1, Z1
+	VSUBPD  Z1, Z13, Z1
+	VADDPD  Z1, Z0, Z0
+	VMOVUPD Z0, (SI)(AX*8)
+
+	// mx = s > mx ? s : mx (Intel operand order: VMAXPD mx, s, [mx]).
+	VMAXPD  (DI)(AX*8), Z0, Z1
+	VMOVUPD Z1, (DI)(AX*8)
+	ADDQ    $8, AX
+	JMP     score8
+
+score8Done:
 	VZEROUPPER
 	RET
 

@@ -13,7 +13,9 @@ import (
 // the whole block, FoldLanes against four Fold calls, FoldMax against a
 // strict-> loop. Lengths 0–9 cover no quad, one and two quads and every
 // tail length; start offsets 0–3 move v, mx, inv and the columns across
-// alignments. The inputs plant NaN, ±Inf, +0/−0 ties and dead rows in v
+// alignments. Score runs lengths 0–17 at offsets 0–7, so its eight-lane
+// kernel takes no oct, one, two, and an oct followed by a quad and a tail,
+// at every alignment to 64 bytes. The inputs plant NaN, ±Inf, +0/−0 ties and dead rows in v
 // and mx, and columns that overflow d·d; the masked variants also plant
 // missing values (NaN) in the columns.
 
@@ -136,12 +138,12 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 	}
 }
 
-// TestNormalRunScoreMatchesGoLoop: Score, vector quads plus Go tail,
-// leaves v and mx bit for bit as the Go loop does over the whole block,
-// for unmasked runs of one to three terms in all four modes — the vector
-// kernels take the two-term run that starts its class and folds the
-// maximum and the three-term run that starts its class and does not fold,
-// the Go loop every other. mx holds NaN, ±Inf, ±0 and the row's own score
+// TestNormalRunScoreMatchesGoLoop: Score, vector octs and quads plus Go
+// tail, leaves v and mx bit for bit as the Go loop does over the whole
+// block, for unmasked runs of one to three terms in all four modes — the
+// vector kernels take the two-term run that starts its class and folds
+// the maximum and the three-term run that starts its class and does not
+// fold, the Go loop every other. mx holds NaN, ±Inf, ±0 and the row's own score
 // (a tie, ±0 ties included under the identity kernel), so a maximum that
 // keeps s on a tie or on NaN fails.
 func TestNormalRunScoreMatchesGoLoop(t *testing.T) {
@@ -162,8 +164,8 @@ func checkScoreMatchesGoLoop(t *testing.T, r *rng.Source, masked bool) {
 		for _, identity := range []bool{false, true} {
 			for _, first := range []bool{false, true} {
 				for _, fold := range []bool{false, true} {
-					for m := 0; m <= 9; m++ {
-						for off := 0; off <= 3; off++ {
+					for m := 0; m <= 17; m++ {
+						for off := 0; off <= 7; off++ {
 							for rep := 0; rep < 8; rep++ {
 								name := fmt.Sprintf("n=%d masked=%v identity=%v first=%v fold=%v m=%d off=%d rep=%d", n, masked, identity, first, fold, m, off, rep)
 								ks := vecKernels(r, n, identity)

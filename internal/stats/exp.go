@@ -10,23 +10,29 @@ import "math"
 // arithmetic of the FMA branch of the Go runtime's own amd64 math.Exp: the
 // same range reduction, the same fused polynomial steps in the same order,
 // the same rounding. The subtraction and the add are single correctly
-// rounded operations, as in scalar code. It vectorizes only quads whose
+// rounded operations, as in scalar code. It vectorizes only groups whose
 // shifted lanes all lie in [−expGate, expGate], where that branch can
 // reach neither its subnormal nor its overflow code, and only after an
 // init-time self-check has shown the vector path reproduces the scalar
-// loop on this machine. math.Exp switches to its non-FMA branch when the
+// loop on this machine. With AVX-512F as well, and a self-check of its
+// own passed, the same instructions run eight lanes at once first: an oct
+// that fails the gate falls to the quads, which do its passing half, and
+// the scalar loop takes each failing quad, the tail, and everything on
+// every other platform. math.Exp switches to its non-FMA branch when the
 // runtime turns FMA off (for example GODEBUG=cpu.fma=off), and the
-// self-check then disables the vector path. Every other quad, the tail,
-// and every other platform run the scalar loop.
+// self-checks then disable both vector stages.
 func ExpShiftSum(v, shift, sum []float64) {
 	shift, sum = shift[:len(v)], sum[:len(v)]
 	i := 0
-	if fastExp {
-		for len(v)-i >= 4 {
-			i += expShiftSumQuads(v[i:], shift[i:], sum[i:])
-			if len(v)-i < 4 {
-				break
-			}
+	for fastExp && len(v)-i >= 4 {
+		end := len(v)
+		if fastOcts {
+			i += expShiftSumOcts(v[i:], shift[i:], sum[i:])
+			// The quads take what is left of the oct at i.
+			end = min(end, i+8)
+		}
+		i += expShiftSumQuads(v[i:end], shift[i:end], sum[i:end])
+		if end-i >= 4 {
 			// v[i:i+4] has a shifted lane outside the gate (or NaN).
 			expShiftSumScalar(v[i:i+4], shift[i:i+4], sum[i:i+4])
 			i += 4
@@ -71,11 +77,11 @@ func expProbe() []float64 {
 	return p
 }
 
-// expSelfCheck reports whether quads reproduces expShiftSumScalar bit for
-// bit on the probe vector. Every shift is nonzero — dyadic, so the shifted
+// expSelfCheck reports whether kernel, a vector stage of ExpShiftSum,
+// reproduces expShiftSumScalar bit for bit on the probe vector. Every shift is nonzero — dyadic, so the shifted
 // probe keeps the probe's values near the gate edges — and every sum
 // starts nonzero, so a kernel that drops either operand fails.
-func expSelfCheck(quads func(v, shift, sum []float64) int) bool {
+func expSelfCheck(kernel func(v, shift, sum []float64) int) bool {
 	p := expProbe()
 	v := make([]float64, len(p))
 	shift := make([]float64, len(p))
@@ -88,7 +94,7 @@ func expSelfCheck(quads func(v, shift, sum []float64) int) bool {
 	wantV := append([]float64(nil), v...)
 	wantSum := append([]float64(nil), sum...)
 	expShiftSumScalar(wantV, shift, wantSum)
-	if quads(v, shift, sum) != len(v) {
+	if kernel(v, shift, sum) != len(v) {
 		return false
 	}
 	for i := range v {

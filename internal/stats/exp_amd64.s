@@ -108,6 +108,84 @@ done:
 	MOVQ AX, ret+72(FP)
 	RET
 
+// func expShiftSumOcts(v, shift, sum []float64) int
+//
+// The loop of expShiftSumQuads on eight lanes, instruction for
+// instruction: each constant is broadcast from the first lane of its QUAD,
+// the gate's comparison sets a K mask that must read 0xff, and k is
+// converted through the low half of a ZMM register. Every instruction is
+// AVX-512F; VPANDQ takes the place of VANDPD, which needs DQ on ZMM.
+TEXT ·expShiftSumOcts(SB), NOSPLIT, $0-80
+	MOVQ v_base+0(FP), SI
+	MOVQ v_len+8(FP), CX
+	MOVQ shift_base+24(FP), DI
+	MOVQ sum_base+48(FP), R8
+	SHRQ $3, CX
+	XORQ AX, AX
+
+octLoop:
+	TESTQ   CX, CX
+	JZ      octDone
+	VMOVUPD (SI)(AX*8), Z0
+	VSUBPD  (DI)(AX*8), Z0, Z0
+
+	// Gate: every |x| <= 708, ordered (a NaN lane fails).
+	VPANDQ.BCST expAbs<>(SB), Z0, Z1
+	VCMPPD.BCST $0x12, expGate<>(SB), Z1, K1
+	KMOVW       K1, DX
+	CMPL        DX, $0xff
+	JNE         octDone
+
+	// k = round(x·log2 e) under the current rounding mode.
+	VMULPD.BCST expLog2e<>(SB), Z0, Z1
+	VCVTPD2DQ   Z1, Y2
+	VCVTDQ2PD   Y2, Z1
+
+	// r = (x − k·ln2U − k·ln2L)/16, both subtractions fused.
+	VFNMADD231PD.BCST expLn2U<>(SB), Z1, Z0
+	VFNMADD231PD.BCST expLn2L<>(SB), Z1, Z0
+	VMULPD.BCST       expSixteenth<>(SB), Z0, Z0
+
+	// Taylor polynomial by fused Horner steps.
+	VBROADCASTSD     expC8<>(SB), Z1
+	VFMADD213PD.BCST expC7<>(SB), Z0, Z1
+	VFMADD213PD.BCST expC6<>(SB), Z0, Z1
+	VFMADD213PD.BCST expC5<>(SB), Z0, Z1
+	VFMADD213PD.BCST expC4<>(SB), Z0, Z1
+	VFMADD213PD.BCST expC3<>(SB), Z0, Z1
+	VFMADD213PD.BCST expC0<>(SB), Z0, Z1
+	VFMADD213PD.BCST expOne<>(SB), Z0, Z1
+	VMULPD           Z1, Z0, Z0
+
+	// Undo the /16 by squaring four times, the last step fused with the
+	// final +1.
+	VADDPD.BCST      expTwo<>(SB), Z0, Z1
+	VMULPD           Z1, Z0, Z0
+	VADDPD.BCST      expTwo<>(SB), Z0, Z1
+	VMULPD           Z1, Z0, Z0
+	VADDPD.BCST      expTwo<>(SB), Z0, Z1
+	VMULPD           Z1, Z0, Z0
+	VADDPD.BCST      expTwo<>(SB), Z0, Z1
+	VFMADD213PD.BCST expOne<>(SB), Z1, Z0
+
+	// Multiply by 2^k, built from the biased exponent bits.
+	VPMOVSXDQ   Y2, Z3
+	VPADDQ.BCST expBias<>(SB), Z3, Z3
+	VPSLLQ      $52, Z3, Z3
+	VMULPD      Z3, Z0, Z0
+
+	VMOVUPD Z0, (SI)(AX*8)
+	VADDPD  (R8)(AX*8), Z0, Z0
+	VMOVUPD Z0, (R8)(AX*8)
+	ADDQ    $8, AX
+	DECQ    CX
+	JMP     octLoop
+
+octDone:
+	VZEROUPPER
+	MOVQ AX, ret+72(FP)
+	RET
+
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxArg+0(FP), AX

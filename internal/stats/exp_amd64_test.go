@@ -18,3 +18,14 @@ func TestExpVectorPathEnabled(t *testing.T) {
 		t.Fatal("vector exp disabled: the kernel does not reproduce math.Exp on the probe")
 	}
 }
+
+// TestExpOctPathEnabled is TestExpVectorPathEnabled for the eight-lane
+// stage on a CPU with AVX-512F.
+func TestExpOctPathEnabled(t *testing.T) {
+	if !HasAVX512() || strings.Contains(os.Getenv("GODEBUG"), "cpu.") {
+		t.Skip("no AVX-512F, or GODEBUG changes the CPU features math.Exp sees")
+	}
+	if !fastOcts {
+		t.Fatal("eight-lane exp disabled: the oct kernel does not reproduce math.Exp on the probe")
+	}
+}

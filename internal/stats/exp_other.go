@@ -7,3 +7,9 @@ const fastExp = false
 
 // expShiftSumQuads does no element off amd64.
 func expShiftSumQuads(v, shift, sum []float64) int { return 0 }
+
+// fastOcts is false off amd64: ExpShiftSum has no 8-wide stage.
+const fastOcts = false
+
+// expShiftSumOcts does no element off amd64.
+func expShiftSumOcts(v, shift, sum []float64) int { return 0 }

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"strings"
@@ -77,6 +78,46 @@ func shiftedCorpus(in []float64, shifted bool) (v, shift, sum []float64) {
 	return v, shift, sum
 }
 
+// expStage is one vector stage of ExpShiftSum: its kernel, the lanes it
+// evaluates at once, and whether the probe and its self-check enabled it.
+type expStage struct {
+	name   string
+	kernel func(v, shift, sum []float64) int
+	width  int
+	on     bool
+}
+
+func expStages() []expStage {
+	return []expStage{
+		{"octs", expShiftSumOcts, 8, fastOcts},
+		{"quads", expShiftSumQuads, 4, fastExp},
+	}
+}
+
+// runStage is ExpShiftSum with st's kernel as its only vector stage: the
+// kernel takes every run of groups that pass the gate, and the scalar loop
+// each failing group and the tail. It returns how many elements the kernel
+// evaluated.
+func runStage(st expStage, v, shift, sum []float64) int {
+	shift, sum = shift[:len(v)], sum[:len(v)]
+	did, i := 0, 0
+	for len(v)-i >= st.width {
+		n := st.kernel(v[i:], shift[i:], sum[i:])
+		did += n
+		i += n
+		if len(v)-i >= st.width {
+			expShiftSumScalar(v[i:i+st.width], shift[i:i+st.width], sum[i:i+st.width])
+			i += st.width
+		}
+	}
+	expShiftSumScalar(v[i:], shift[i:], sum[i:])
+	return did
+}
+
+// TestExpShiftSumMatchesMathExp runs the corpus through ExpShiftSum, the
+// portable loop, and each vector stage the probe enables on its own — on
+// an AVX-512 host ExpShiftSum hands the quads only what a failing oct
+// leaves, so the quads get a run of their own.
 func TestExpShiftSumMatchesMathExp(t *testing.T) {
 	corpus := expInputs()
 	if len(corpus) < 4_000_000 {
@@ -94,52 +135,81 @@ func TestExpShiftSumMatchesMathExp(t *testing.T) {
 		sum = append(sum[:0], sum0...)
 		expShiftSumScalar(v, shift, sum)
 		checkExpShiftSum(t, "expShiftSumScalar", in, shift, sum0, v, sum)
+
+		for _, st := range expStages() {
+			if !st.on {
+				continue
+			}
+			v = append(v[:0], in...)
+			sum = append(sum[:0], sum0...)
+			did := runStage(st, v, shift, sum)
+			checkExpShiftSum(t, st.name, in, shift, sum0, v, sum)
+			if did == 0 {
+				t.Fatalf("%s evaluated none of the corpus", st.name)
+			}
+			t.Logf("shifted=%v: %s evaluated %d of %d inputs", shifted, st.name, did, len(in))
+		}
 	}
 }
 
-// TestExpShiftSumLengthsAndAlignment covers every length 0…9 (whole quads,
-// tails, and both together) at every start offset into shared backing
-// arrays, so quads are also evaluated off 32-byte alignment, with gate
-// violations planted at each position — in the input or in the shift —
-// and checks that nothing outside the window changes.
+// TestExpShiftSumLengthsAndAlignment covers every length 0…17 (whole octs
+// and quads, tails, and all of them together) at every start offset 0…7
+// into shared backing arrays, so octs and quads are also evaluated off
+// 64-byte alignment, with gate violations planted at each position — in
+// the input or in the shift — through ExpShiftSum and through each enabled
+// vector stage on its own, and checks that nothing outside the window
+// changes.
 func TestExpShiftSumLengthsAndAlignment(t *testing.T) {
 	base := []float64{-3.5, 0.25, 707.9, -1e-7, 2, -708, 708, -0.5, 12, -20, 1, 3}
 	shifts := []float64{0, -1.5, 0.75, 0, 3, 0, 0, -2, 0.5, 1, 0, -0.25}
 	odd := []float64{-709, 710, math.NaN(), math.Inf(-1), -800}
 	oddShift := []float64{0, 0, 0, 0, 0, math.Inf(1), math.NaN(), -750, 720}
-	for n := 0; n <= 9; n++ {
-		for off := 0; off < 4; off++ {
-			for plant := -1; plant < n; plant++ {
-				for bi, bad := range oddShift {
-					if plant < 0 && bi > 0 {
-						continue
-					}
-					size := off + n + 3
-					v := make([]float64, size)
-					shift := make([]float64, size)
-					sum := make([]float64, size)
-					for i := range v {
-						v[i] = base[i%len(base)]
-						shift[i] = shifts[i%len(shifts)]
-						sum[i] = float64(i) + 0.5
-					}
-					if plant >= 0 {
-						if bad == 0 {
-							v[off+plant] = odd[bi%len(odd)]
-						} else {
-							shift[off+plant] = bad
-						}
-					}
-					in := append([]float64(nil), v...)
-					sum0 := append([]float64(nil), sum...)
-					ExpShiftSum(v[off:off+n], shift[off:off+n+3], sum[off:off+n+3])
-					checkExpShiftSum(t, "window", in[off:off+n], shift[off:off+n], sum0[off:off+n], v[off:off+n], sum[off:off+n])
-					for i := range v {
-						if i >= off && i < off+n {
+	type path struct {
+		name string
+		run  func(v, shift, sum []float64)
+	}
+	runs := []path{{"ExpShiftSum", ExpShiftSum}}
+	for _, st := range expStages() {
+		if st.on {
+			runs = append(runs, path{st.name, func(v, shift, sum []float64) { runStage(st, v, shift, sum) }})
+		}
+	}
+	for _, r := range runs {
+		for n := 0; n <= 17; n++ {
+			for off := 0; off < 8; off++ {
+				for plant := -1; plant < n; plant++ {
+					for bi, bad := range oddShift {
+						if plant < 0 && bi > 0 {
 							continue
 						}
-						if math.Float64bits(v[i]) != math.Float64bits(in[i]) || math.Float64bits(sum[i]) != math.Float64bits(sum0[i]) {
-							t.Fatalf("n=%d off=%d: element %d outside the window changed", n, off, i)
+						size := off + n + 3
+						v := make([]float64, size)
+						shift := make([]float64, size)
+						sum := make([]float64, size)
+						for i := range v {
+							v[i] = base[i%len(base)]
+							shift[i] = shifts[i%len(shifts)]
+							sum[i] = float64(i) + 0.5
+						}
+						if plant >= 0 {
+							if bad == 0 {
+								v[off+plant] = odd[bi%len(odd)]
+							} else {
+								shift[off+plant] = bad
+							}
+						}
+						in := append([]float64(nil), v...)
+						sum0 := append([]float64(nil), sum...)
+						r.run(v[off:off+n], shift[off:off+n+3], sum[off:off+n+3])
+						what := fmt.Sprintf("%s n=%d off=%d plant=%d", r.name, n, off, plant)
+						checkExpShiftSum(t, what, in[off:off+n], shift[off:off+n], sum0[off:off+n], v[off:off+n], sum[off:off+n])
+						for i := range v {
+							if i >= off && i < off+n {
+								continue
+							}
+							if math.Float64bits(v[i]) != math.Float64bits(in[i]) || math.Float64bits(sum[i]) != math.Float64bits(sum0[i]) {
+								t.Fatalf("%s: element %d outside the window changed", what, i)
+							}
 						}
 					}
 				}
@@ -158,7 +228,8 @@ func scalarQuads(v, shift, sum []float64) int {
 // machine whenever math.Exp runs its FMA branch, and rejects a kernel that
 // is off by one ulp, one that ignores the shift or the starting sum, and
 // one that stops early. Under GODEBUG=cpu.fma=off math.Exp runs its
-// non-FMA branch, so the self-check must have turned the vector path off.
+// non-FMA branch, so the self-checks must have turned both vector stages
+// off.
 func TestExpSelfCheck(t *testing.T) {
 	if !expSelfCheck(scalarQuads) {
 		t.Fatal("self-check rejects the scalar loop itself")
@@ -185,12 +256,16 @@ func TestExpSelfCheck(t *testing.T) {
 			t.Fatalf("self-check accepts a kernel with its %s", name)
 		}
 	}
-	if strings.Contains(os.Getenv("GODEBUG"), "cpu.fma=off") && fastExp {
+	if strings.Contains(os.Getenv("GODEBUG"), "cpu.fma=off") && (fastExp || fastOcts) {
 		t.Fatal("vector exp enabled although math.Exp runs its non-FMA branch")
 	}
-	t.Logf("vector exp enabled: %v", fastExp)
+	t.Logf("vector exp enabled: quads %v, octs %v", fastExp, fastOcts)
 }
 
+// BenchmarkExpShiftSum times ExpShiftSum and each of its stages alone
+// over 256 elements that all pass the gate: octs, quads (each skipped
+// where the probe disables it) and the scalar loop. Every leg includes
+// the copy that restores v.
 func BenchmarkExpShiftSum(b *testing.B) {
 	r := rng.New(1)
 	src := make([]float64, 256)
@@ -207,7 +282,20 @@ func BenchmarkExpShiftSum(b *testing.B) {
 			ExpShiftSum(v, shift, sum)
 		}
 	})
-	b.Run("math.Exp", func(b *testing.B) {
+	for _, st := range expStages() {
+		b.Run(st.name, func(b *testing.B) {
+			if !st.on {
+				b.Skip("disabled by the CPU probe or its self-check")
+			}
+			for i := 0; i < b.N; i++ {
+				copy(v, src)
+				if st.kernel(v, shift, sum) != len(v) {
+					b.Fatal("kernel stopped at the gate")
+				}
+			}
+		})
+	}
+	b.Run("scalar", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			copy(v, src)
 			expShiftSumScalar(v, shift, sum)
