@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmtcheck race bench check trace-smoke faults fuzz-smoke api apicheck serve-smoke obs-smoke async-smoke
+.PHONY: build test vet fmtcheck race bench bench-tests check trace-smoke faults fuzz-smoke api apicheck serve-smoke obs-smoke
 
 build:
 	$(GO) build ./...
@@ -52,6 +52,13 @@ race:
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# The benchmark's vet and tests, as the CI bench-tests job runs them.
+# cmd/bench is a module of its own, so `go build ./...`, `go vet ./...`
+# and `go test ./...` never compile it: a deletion under internal/ can
+# break the benchmark while every other target stays green.
+bench-tests:
+	cd cmd/bench && $(GO) vet . && $(GO) test .
 
 # Local equivalent of the CI trace-smoke job: a traced 4-rank Meiko run
 # whose Chrome trace, events and metrics land in /tmp for inspection.
@@ -111,10 +118,4 @@ serve-smoke:
 # for the observability acceptance runbook (EXPERIMENTS.md, OBS recipe).
 obs-smoke: serve-smoke
 
-# Bounded-staleness smoke (EXPERIMENTS.md, ASYNC recipe): the same 4-rank
-# search at -sync-every 1 and 4 must agree on log-likelihood within 2%,
-# and the quick comm-fraction sweep must pass its shape checks.
-async-smoke:
-	./scripts/async_smoke.sh
-
-check: fmtcheck vet build test race apicheck
+check: fmtcheck vet build test race apicheck bench-tests

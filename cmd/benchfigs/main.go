@@ -37,7 +37,7 @@ type experiment struct {
 
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("benchfigs", flag.ContinueOnError)
-	fig := fs.String("fig", "all", "experiment: 6, 7, 8, profile, seq, ablation, algo, portability, async or all")
+	fig := fs.String("fig", "all", "experiment: 6, 7, 8, profile, seq, ablation, algo, portability or all")
 	quick := fs.Bool("quick", false, "reduced sweeps for a fast smoke run")
 	tsvDir := fs.String("tsv", "", "also write each experiment's series as TSV files into this directory")
 	if err := fs.Parse(args); err != nil {
@@ -57,7 +57,6 @@ func run(args []string, w io.Writer) error {
 		{"ablation", runAblation},
 		{"algo", runAlgo},
 		{"portability", runPortability},
-		{"async", runAsync},
 	}
 	want := *fig
 	if want == "7" {
@@ -245,27 +244,6 @@ func runPortability(quick bool, w io.Writer) error {
 	if chart, err := res.Chart(); err == nil {
 		fmt.Fprintln(w, chart)
 	}
-	printChecks(w, res.CheckShape())
-	fmt.Fprintln(w)
-	return nil
-}
-
-func runAsync(quick bool, w io.Writer) error {
-	cfg := harness.DefaultAsyncConfig()
-	if quick {
-		cfg.TuplesPerProc = 2000
-		cfg.Procs = []int{2, 4, 10}
-		cfg.SyncEvery = []int{1, 4}
-		cfg.Cycles = 4
-	}
-	res, err := harness.RunAsync(cfg)
-	if err != nil {
-		return err
-	}
-	if err := saveTSV("async", res); err != nil {
-		return err
-	}
-	fmt.Fprintln(w, res.Table())
 	printChecks(w, res.CheckShape())
 	fmt.Fprintln(w)
 	return nil

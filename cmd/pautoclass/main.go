@@ -47,8 +47,6 @@ func run(args []string, w io.Writer) error {
 	parallelism := fs.Int("parallelism", 0, "intra-rank worker goroutines per base_cycle (0 or 1 = one worker, -1 = GOMAXPROCS; never changes the result)")
 	searchParallelism := fs.Int("search-parallelism", 0, "concurrent BIG_LOOP variants (0/1 = one try at a time, -1 = GOMAXPROCS); with -procs P the rank budget splits into this many groups (P must be divisible); bitwise identical to the sequential order for every value")
 	seed := fs.Uint64("seed", 1, "search seed")
-	syncEvery := fs.Int("sync-every", 1, "bounded-staleness schedule for -procs > 1: local EM cycles per global synchronization (1 = fully synchronous, the paper's path)")
-	syncDriftTol := fs.Float64("sync-drift-tol", 0.05, "with -sync-every > 1: relative log-likelihood drift that forces an early synchronization (0 disables the bound)")
 	strategy := fs.String("strategy", "full", "parallel strategy: full or wtsonly")
 	granularity := fs.String("granularity", "perterm", "statistics exchange: perterm or packed")
 	machine := fs.String("machine", "none", "virtual machine model: none, meiko or pentium")
@@ -123,8 +121,6 @@ func run(args []string, w io.Writer) error {
 	cfg.Tries = *tries
 	cfg.EM.MaxCycles = *maxCycles
 	cfg.EM.Parallelism = *parallelism
-	cfg.EM.SyncEvery = *syncEvery
-	cfg.EM.SyncDriftTol = *syncDriftTol
 	cfg.SearchParallelism = *searchParallelism
 	cfg.StartJList = nil
 	for _, tok := range strings.Split(*startJ, ",") {

@@ -24,9 +24,8 @@
 //	GET  /healthz                     liveness
 //	GET  /readyz                      readiness (503 while draining)
 //
-// Every non-2xx response is {"error": {"code", "message"}, "error_string"}
-// with a stable machine-readable code; 429/503 backpressure responses add
-// Retry-After.
+// Every non-2xx response is {"error": {"code", "message"}} with a stable
+// machine-readable code; 429/503 backpressure responses add Retry-After.
 //
 // On SIGINT/SIGTERM a running search is stopped cooperatively: the rank
 // group agrees on a stop cycle, persists a resumable snapshot, and the job

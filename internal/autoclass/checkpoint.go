@@ -56,7 +56,6 @@ func (c *Checkpoint) Save(w io.Writer) error {
 			BelowTol:      sp.BelowTol,
 			LastPost:      sp.LastPost,
 			SearchSeed:    sp.SearchSeed,
-			SyncStats:     sp.SyncStats,
 			Reductions:    sp.Reductions,
 			ReducedValues: sp.ReducedValues,
 		}
@@ -97,7 +96,6 @@ func (c *Checkpoint) Load(r io.Reader, ds *dataset.Dataset) error {
 			BelowTol:      ck.Search.BelowTol,
 			LastPost:      ck.Search.LastPost,
 			SearchSeed:    ck.Search.SearchSeed,
-			SyncStats:     ck.Search.SyncStats,
 			Reductions:    ck.Search.Reductions,
 			ReducedValues: ck.Search.ReducedValues,
 		}
@@ -152,9 +150,6 @@ type ckptSearchV1 struct {
 	BelowTol   int     `json:"below_tol"`
 	LastPost   float64 `json:"last_post"`
 	SearchSeed uint64  `json:"search_seed"`
-	// SyncStats is the bounded-staleness global-statistics baseline at the
-	// snapshot's sync point; absent for synchronous (SyncEvery <= 1) runs.
-	SyncStats []float64 `json:"sync_stats,omitempty"`
 	// Reductions and ReducedValues count the try's reducer traffic so far;
 	// absent in snapshots written before they were recorded.
 	Reductions    int `json:"reductions,omitempty"`
@@ -183,11 +178,6 @@ type SearchPoint struct {
 	// BelowTol and LastPost restore the engine's convergence tracker.
 	BelowTol int
 	LastPost float64
-	// SyncStats restores the bounded-staleness baseline (EngineState.
-	// SyncStats); nil for synchronous runs. Snapshots are taken only at
-	// sync points, so the classification's own W/LogLik double as the
-	// synced weights baseline.
-	SyncStats []float64
 	// SearchSeed is the search's root seed, so resume can detect a
 	// mismatched -seed flag instead of silently diverging.
 	SearchSeed uint64

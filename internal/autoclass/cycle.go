@@ -82,30 +82,6 @@ type Config struct {
 	// changing the worker count never changes the search trajectory. See
 	// parallel.go for the determinism invariant.
 	Parallelism int
-	// SyncEvery is the bounded-staleness schedule of the parallel engine:
-	// each rank runs up to SyncEvery local EM cycles on stale global
-	// parameters, folding its local sufficient-statistic deltas back into
-	// the global model at the next synchronization. 0 or 1 (the default)
-	// is the paper's fully synchronous path — one global exchange per
-	// cycle, bitwise identical to the seed engine. Values > 1 only take
-	// effect on the parallel (Full-strategy) engine; the sequential engine
-	// and the WtsOnly baseline ignore it. See staleness.go.
-	SyncEvery int
-	// SyncDriftTol bounds the staleness when SyncEvery > 1: a stale cycle
-	// whose corrected local log-likelihood drifts from the last synced
-	// value by more than this relative tolerance forces an early global
-	// synchronization on every rank. <= 0 disables the bound (the schedule
-	// alone decides). Ignored when SyncEvery <= 1.
-	SyncDriftTol float64
-}
-
-// EffectiveSyncEvery normalizes the staleness schedule: 0 and 1 both mean
-// the synchronous path.
-func (c Config) EffectiveSyncEvery() int {
-	if c.SyncEvery < 1 {
-		return 1
-	}
-	return c.SyncEvery
 }
 
 // DefaultConfig returns the engine defaults.
@@ -117,8 +93,6 @@ func DefaultConfig() Config {
 		MinClassWeight: 1.0,
 		PruneClasses:   true,
 		Granularity:    PerTerm,
-		SyncEvery:      1,
-		SyncDriftTol:   0.05,
 	}
 }
 
@@ -131,9 +105,6 @@ func (c Config) validate() error {
 	}
 	if c.ConvergeWindow < 1 {
 		return errors.New("autoclass: ConvergeWindow < 1")
-	}
-	if c.SyncEvery < 0 {
-		return errors.New("autoclass: negative SyncEvery")
 	}
 	return nil
 }
@@ -155,18 +126,6 @@ type CycleStats struct {
 	Reductions int
 	// LogPost is the posterior after the cycle.
 	LogPost float64
-	// Synced reports whether the cycle ended at a global synchronization
-	// point. Always true on the synchronous path (SyncEvery <= 1, or any
-	// engine without a Reducer); false on the stale local cycles of a
-	// bounded-staleness run.
-	Synced bool
-	// SinceSync counts local cycles since the last synchronization point
-	// (0 at a sync point). Always 0 on the synchronous path.
-	SinceSync int
-	// Drift is the relative log-likelihood drift of this rank's corrected
-	// local model against the last synced global value — the quantity the
-	// SyncDriftTol bound thresholds. 0 on synchronized cycles.
-	Drift float64
 }
 
 // CycleInfo is the per-cycle record handed to a CycleObserver: one
@@ -244,19 +203,6 @@ type Engine struct {
 	passAcc []float64    // merged {w_j, logLik | statistics}, reused
 	offs    []int        // (class, term) statistics offsets, reused
 
-	// Bounded-staleness state (see staleness.go): the global model at the
-	// last synchronization point — class weights plus log-likelihood
-	// ({W_0…W_{J−1}, logLik}, identical on every rank) and the packed
-	// global sufficient statistics — plus the local-cycle counter and
-	// scratch. syncStats == nil marks the pre-bootstrap state: the first
-	// cycle of a stale run synchronizes unconditionally to establish the
-	// baseline.
-	syncWts   []float64
-	syncStats []float64
-	sinceSync int
-	staleBuf  []float64  // delta / working-model scratch, reused
-	pollBuf   [1]float64 // drift-bound agreement flag
-
 	// Blocked-kernel state (see kernels.go): the (class, term) kernel set,
 	// per-worker scratch, and the view's chunk plane, which every pass
 	// (lowmem.go) walks through per-worker cursors — the dataset's own
@@ -330,12 +276,6 @@ type EngineState struct {
 	BelowTol int
 	// LastPost is the posterior the next cycle's delta is measured against.
 	LastPost float64
-	// SyncStats is the packed global sufficient statistics at the last
-	// synchronization point of a bounded-staleness run (SyncEvery > 1).
-	// Checkpoints are only taken at sync points, where this baseline —
-	// together with the classification's W/LogLik — fully determines the
-	// continuation. Nil on the synchronous path.
-	SyncStats []float64
 	// Reductions and ReducedValues count the try's Reducer traffic so far,
 	// so a snapshot carries the counts an interrupted try has accumulated.
 	Reductions, ReducedValues int
@@ -344,14 +284,10 @@ type EngineState struct {
 // State snapshots the engine at a cycle boundary (call it from a CycleHook
 // or between BaseCycle calls).
 func (e *Engine) State() EngineState {
-	st := EngineState{
+	return EngineState{
 		Cycles: e.cls.Cycles, BelowTol: e.belowTol, LastPost: e.lastPost,
 		Reductions: e.reductions, ReducedValues: e.reducedValues,
 	}
-	if e.staleActive() && e.syncStats != nil {
-		st.SyncStats = append([]float64(nil), e.syncStats...)
-	}
-	return st
 }
 
 // Restore rehydrates a freshly built engine from a cycle-boundary snapshot
@@ -364,17 +300,6 @@ func (e *Engine) Restore(st EngineState) {
 	e.reductions, e.reducedValues = st.Reductions, st.ReducedValues
 	e.started = true
 	e.initSeconds = 0
-	if e.staleActive() && st.SyncStats != nil {
-		// Snapshots land on sync points, so the classification's class
-		// weights and log-likelihood ARE the synced global baseline.
-		e.syncStats = append([]float64(nil), st.SyncStats...)
-		e.syncWts = make([]float64, e.cls.J()+1)
-		for cj, cl := range e.cls.Classes {
-			e.syncWts[cj] = cl.W
-		}
-		e.syncWts[e.cls.J()] = e.cls.LogLik
-		e.sinceSync = 0
-	}
 }
 
 func (e *Engine) charge(units float64) {
@@ -468,12 +393,10 @@ func updateApproximations(cls *Classification, ch Charger) {
 
 // pruneDeadClasses removes classes whose global weight fell below
 // cfg.MinClassWeight. The decision uses globally reduced W values, so every
-// rank prunes identically. It returns the kept class indices when classes
-// were removed and nil when nothing changed, so the bounded-staleness path
-// can compact its sync baselines with the same mapping.
-func pruneDeadClasses(cls *Classification, cfg Config) []int {
+// rank prunes identically.
+func pruneDeadClasses(cls *Classification, cfg Config) {
 	if !cfg.PruneClasses || cls.J() <= 1 {
-		return nil
+		return
 	}
 	j := cls.J()
 	keep := make([]int, 0, j)
@@ -483,7 +406,7 @@ func pruneDeadClasses(cls *Classification, cfg Config) []int {
 		}
 	}
 	if len(keep) == j {
-		return nil
+		return
 	}
 	if len(keep) == 0 {
 		// Keep the heaviest class rather than dying completely.
@@ -503,23 +426,17 @@ func pruneDeadClasses(cls *Classification, cfg Config) []int {
 	}
 	cls.Classes = newClasses
 	cls.UpdateClassWeightsFromW()
-	return keep
 }
 
-// BaseCycle runs one iteration of the three-phase cycle and reports its
-// statistics. InitRandom must have been called first. With a bounded-
-// staleness schedule active (SyncEvery > 1 on a parallel engine) the cycle
-// dispatches to the stale path in staleness.go; otherwise this is the
-// paper's fully synchronous cycle.
+// BaseCycle runs one iteration of the paper's synchronous three-phase
+// cycle and reports its statistics: every rank ends it holding the same
+// globally reduced weights and parameters. InitRandom must have been
+// called first.
 func (e *Engine) BaseCycle() (CycleStats, error) {
 	var cs CycleStats
 	if !e.started {
 		return cs, errors.New("autoclass: BaseCycle before InitRandom")
 	}
-	if e.staleActive() {
-		return e.staleCycle()
-	}
-	cs.Synced = true
 	t0 := time.Now()
 	combined, offs := e.localPass()
 	j := e.cls.J()
@@ -664,19 +581,9 @@ func (e *Engine) RunFrom(from int) (EMResult, error) {
 		e.reductions += cs.Reductions
 		res.History = append(res.History, cs.LogPost)
 		delta := CycleDelta(cs.LogPost, e.lastPost)
-		// The convergence tracker advances only at synchronization points:
-		// stale-cycle posteriors mix this rank's fresh contribution with the
-		// other ranks' stale shares, so thresholding them would make each
-		// rank's convergence decision partition-dependent. Synced is always
-		// true on the synchronous path. The cycle hook (checkpoint protocol)
-		// is likewise confined to sync points, where the group state is
-		// consistent and snapshots stay exact.
-		converged := false
-		if cs.Synced {
-			converged = e.convergedAfter(cs.LogPost)
-		}
+		converged := e.convergedAfter(cs.LogPost)
 		e.observeCycle(cycle, cs, delta)
-		if e.cycleHook != nil && cs.Synced {
+		if e.cycleHook != nil {
 			if err := e.cycleHook(cycle, converged); err != nil {
 				return res, err
 			}

@@ -18,12 +18,11 @@ import (
 // matrix exists — at out-of-core row counts it would dwarf any chunk
 // budget (100M rows × 8 classes is 6.4 GB) — and memory per worker is one
 // chunk pin plus O(J·KernelBlockRows) scratch, independent of n. The
-// synchronous cycle, the bounded-staleness cycle and the crisp
-// initialization (which folds its hash-derived 0/1 weights instead of
-// running the block step) all use it, each on the fixed shard grid and
-// each reading its blocks through per-worker chunk cursors — over the
-// dataset's chunk store, or over the in-memory store View.ChunkSrc cuts
-// from an in-memory dataset's columns.
+// cycle and the crisp initialization (which folds its hash-derived 0/1
+// weights instead of running the block step) both use it, each on the
+// fixed shard grid and each reading its blocks through per-worker chunk
+// cursors — over the dataset's chunk store, or over the in-memory store
+// View.ChunkSrc cuts from an in-memory dataset's columns.
 //
 // Fusing changes no arithmetic against running the paper's two phases as
 // separate passes over a stored weights matrix: the weight values are

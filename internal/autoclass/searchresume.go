@@ -55,18 +55,16 @@ type SearchFingerprint struct {
 	// that no longer exists and followed another trajectory, so a resume
 	// refuses it by name.
 	Kernels int `json:"kernels"`
-	// SyncEvery and SyncDriftTol pin the bounded-staleness schedule.
-	// Normalized: a synchronous search records {0, 0} regardless of how it
-	// was spelled (SyncEvery 0 vs 1, any tolerance — neither shapes a
-	// synchronous trajectory), so state files written before the knob
-	// existed still resume under synchronous configs.
-	SyncEvery    int     `json:"sync_every,omitempty"`
-	SyncDriftTol float64 `json:"sync_drift_tol,omitempty"`
+	// SyncEvery is 0 (absent) in every file written now: every parallel
+	// cycle runs the synchronous exchange. A file holding L > 1 came from
+	// a bounded-staleness schedule that no longer exists and followed
+	// another trajectory, so a resume refuses it by name.
+	SyncEvery int `json:"sync_every,omitempty"`
 }
 
 // Fingerprint extracts the trajectory-shaping knobs of a configuration.
 func (c SearchConfig) Fingerprint() SearchFingerprint {
-	fp := SearchFingerprint{
+	return SearchFingerprint{
 		DupScoreTol:    c.DupScoreTol,
 		MaxCycles:      c.EM.MaxCycles,
 		RelDelta:       c.EM.RelDelta,
@@ -75,11 +73,6 @@ func (c SearchConfig) Fingerprint() SearchFingerprint {
 		PruneClasses:   c.EM.PruneClasses,
 		Granularity:    c.EM.Granularity,
 	}
-	if l := c.EM.EffectiveSyncEvery(); l > 1 {
-		fp.SyncEvery = l
-		fp.SyncDriftTol = c.EM.SyncDriftTol
-	}
-	return fp
 }
 
 // Diff describes every field on which the two fingerprints disagree, for
@@ -112,9 +105,6 @@ func (f SearchFingerprint) Diff(g SearchFingerprint) []string {
 	}
 	if f.SyncEvery != g.SyncEvery {
 		d = append(d, fmt.Sprintf("SyncEvery %d vs %d", f.SyncEvery, g.SyncEvery))
-	}
-	if f.SyncDriftTol != g.SyncDriftTol {
-		d = append(d, fmt.Sprintf("SyncDriftTol %v vs %v", f.SyncDriftTol, g.SyncDriftTol))
 	}
 	return d
 }

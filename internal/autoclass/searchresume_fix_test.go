@@ -130,10 +130,9 @@ func TestResumeRejectsSeedDrift(t *testing.T) {
 	}
 }
 
-// TestResumeRejectsChangedTrajectoryConfig (satellite 3): resuming with a
-// different DupScoreTol or EM configuration must be refused with an error
-// naming the offending knob — the pre-fix fingerprint checked only
-// StartJList/Tries/Seed.
+// TestResumeRejectsChangedTrajectoryConfig: resuming with a different
+// DupScoreTol or EM configuration, or from a file whose fingerprint records
+// a retired search mode, must be refused with an error naming the knob.
 func TestResumeRejectsChangedTrajectoryConfig(t *testing.T) {
 	ds := paperDS(t, 300)
 	cfg := resumeCfg()
@@ -161,11 +160,12 @@ func TestResumeRejectsChangedTrajectoryConfig(t *testing.T) {
 			t.Errorf("changed %s: error %q does not name the knob", name, err)
 		}
 	}
-	// The kernel path is no longer a SearchConfig knob, but a file whose
-	// fingerprint records the per-row search mode (kernels 1) followed
-	// another trajectory and must be refused by name; the 0 every file
-	// holds today resumes.
-	setKernels := func(v int) {
+	// Two fingerprint fields record search modes that no longer exist:
+	// kernels 1 (the per-row kernel path) and sync_every L > 1 (the
+	// bounded-staleness schedule). A file holding either followed another
+	// trajectory and must be refused by name; a file holding 0, or not
+	// holding the field at all, resumes.
+	setFingerprint := func(key string, v any) {
 		t.Helper()
 		raw, err := os.ReadFile(statePath)
 		if err != nil {
@@ -179,7 +179,11 @@ func TestResumeRejectsChangedTrajectoryConfig(t *testing.T) {
 		if err := json.Unmarshal(file["fingerprint"], &fp); err != nil {
 			t.Fatal(err)
 		}
-		fp["kernels"] = v
+		if v == nil {
+			delete(fp, key)
+		} else {
+			fp[key] = v
+		}
 		if file["fingerprint"], err = json.Marshal(fp); err != nil {
 			t.Fatal(err)
 		}
@@ -190,15 +194,27 @@ func TestResumeRejectsChangedTrajectoryConfig(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	setKernels(1)
-	if _, err := Search(ds, spec, cfg, &SearchOptions{StatePath: statePath}); err == nil {
-		t.Error("state file with kernels 1 accepted on resume")
-	} else if !strings.Contains(err.Error(), "Kernels") {
-		t.Errorf("kernels 1: error %q does not name the knob", err)
-	}
-	setKernels(0)
-	if _, err := Search(ds, spec, cfg, &SearchOptions{StatePath: statePath}); err != nil {
-		t.Errorf("state file with kernels 0 refused on resume: %v", err)
+	for _, retired := range []struct {
+		key, knob string
+		v         int
+	}{
+		{"kernels", "Kernels", 1},
+		{"sync_every", "SyncEvery", 4},
+	} {
+		setFingerprint(retired.key, retired.v)
+		if _, err := Search(ds, spec, cfg, &SearchOptions{StatePath: statePath}); err == nil {
+			t.Errorf("state file with %s %d accepted on resume", retired.key, retired.v)
+		} else if !strings.Contains(err.Error(), retired.knob) {
+			t.Errorf("%s %d: error %q does not name the knob", retired.key, retired.v, err)
+		}
+		setFingerprint(retired.key, 0)
+		if _, err := Search(ds, spec, cfg, &SearchOptions{StatePath: statePath}); err != nil {
+			t.Errorf("state file with %s 0 refused on resume: %v", retired.key, err)
+		}
+		setFingerprint(retired.key, nil)
+		if _, err := Search(ds, spec, cfg, &SearchOptions{StatePath: statePath}); err != nil {
+			t.Errorf("state file without %s refused on resume: %v", retired.key, err)
+		}
 	}
 	// Worker counts are bitwise-invariant and must NOT be fingerprinted:
 	// resuming under a different parallelism is legitimate.

@@ -483,42 +483,3 @@ func TestWriteTSVFormats(t *testing.T) {
 		}
 	}
 }
-
-func TestAsyncCommFractionShape(t *testing.T) {
-	cfg := AsyncConfig{
-		Opts:          tinyOptions(),
-		TuplesPerProc: 1000,
-		Procs:         []int{2, 4, 10},
-		SyncEvery:     []int{1, 2, 4},
-		Clusters:      4,
-		Cycles:        4,
-	}
-	res, err := RunAsync(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.CommFraction) != 3 || len(res.CommFraction[0]) != 3 {
-		t.Fatalf("result shape %dx%d", len(res.CommFraction), len(res.CommFraction[0]))
-	}
-	if bad := res.CheckShape(); len(bad) != 0 {
-		t.Fatalf("shape violations: %v", bad)
-	}
-	if !strings.Contains(res.Table(), "communication fraction") {
-		t.Fatal("table missing caption")
-	}
-	var buf strings.Builder
-	if err := res.WriteTSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(buf.String(), "sync_every\tprocs\tcomm_fraction\tcollectives\n") {
-		t.Fatalf("tsv header wrong: %q", strings.SplitN(buf.String(), "\n", 2)[0])
-	}
-}
-
-func TestAsyncValidation(t *testing.T) {
-	cfg := DefaultAsyncConfig()
-	cfg.SyncEvery = nil
-	if _, err := RunAsync(cfg); err == nil {
-		t.Fatal("empty SyncEvery accepted")
-	}
-}

@@ -94,18 +94,6 @@ func (r *AlgoResult) WriteTSV(w io.Writer) error {
 	return bw.Flush()
 }
 
-// WriteTSV emits rows: sync_every, procs, comm_fraction, collectives.
-func (r *AsyncResult) WriteTSV(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "sync_every\tprocs\tcomm_fraction\tcollectives")
-	for li, l := range r.SyncEvery {
-		for pi, p := range r.Procs {
-			fmt.Fprintf(bw, "%d\t%d\t%.6f\t%d\n", l, p, r.CommFraction[li][pi], r.Collectives[li][pi])
-		}
-	}
-	return bw.Flush()
-}
-
 // WriteTSV emits rows: machine, procs, seconds, speedup.
 func (r *PortabilityResult) WriteTSV(w io.Writer) error {
 	bw := bufio.NewWriter(w)

@@ -81,7 +81,8 @@ func TestImmediateFailureAllRanksReturn(t *testing.T) {
 	// released by the simulated crash, not hang.
 	cfg := RunConfig{Faults: map[int]FaultPlan{0: {Faults: []Fault{{Op: "send", Peer: -1}}}}}
 	errs, err := runVerdicts(3, cfg, func(c *Comm) error {
-		return c.Barrier()
+		_, err := c.AllreduceFloat64(Sum, 1)
+		return err
 	})
 	if err == nil {
 		t.Fatal("RunWith reported no failure")

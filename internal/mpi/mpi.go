@@ -1,7 +1,7 @@
 // Package mpi is a message-passing substrate modeled on the subset of MPI
 // that P-AutoClass uses: point-to-point sends and receives between ranks of
-// a fixed-size group, and the collective operations Barrier, Bcast, Reduce,
-// Allreduce, Gather, Allgather and Scatter.
+// a fixed-size group, and the collective operations Bcast, Allreduce,
+// Gather and Allgather.
 //
 // The package separates *transports* (how bytes move between ranks: an
 // in-process channel mesh, or TCP sockets) from the *communicator*, which
@@ -286,21 +286,6 @@ func (c *Comm) fragBounds(p, n int) []int {
 	return b
 }
 
-// Barrier blocks until every rank of the group has entered it.
-func (c *Comm) Barrier() error {
-	c.seq++
-	steps, sent, err := c.reduceTree(0, Sum, nil)
-	if err != nil {
-		return fmt.Errorf("mpi: barrier reduce: %w", err)
-	}
-	s2, n2, err := c.bcastTree(0, nil)
-	if err != nil {
-		return fmt.Errorf("mpi: barrier bcast: %w", err)
-	}
-	c.observe("barrier", steps+s2, sent+n2)
-	return nil
-}
-
 // Bcast replaces data on every rank with root's data. len(data) must agree
 // across ranks.
 func (c *Comm) Bcast(root int, data []float64) error {
@@ -313,22 +298,6 @@ func (c *Comm) Bcast(root int, data []float64) error {
 		return fmt.Errorf("mpi: bcast: %w", err)
 	}
 	c.observe("bcast", steps, sent)
-	return nil
-}
-
-// Reduce folds every rank's data elementwise with op, leaving the result in
-// root's data slice. Non-root slices are left unspecified (partially
-// folded). len(data) must agree across ranks.
-func (c *Comm) Reduce(root int, op Op, data []float64) error {
-	if err := c.checkRoot(root); err != nil {
-		return err
-	}
-	c.seq++
-	steps, sent, err := c.reduceTree(root, op, data)
-	if err != nil {
-		return fmt.Errorf("mpi: reduce: %w", err)
-	}
-	c.observe("reduce", steps, sent)
 	return nil
 }
 
@@ -355,64 +324,6 @@ func (c *Comm) Allreduce(op Op, data []float64) error {
 	}
 	c.observe("allreduce", steps, sent)
 	return nil
-}
-
-// ReduceScatter folds every rank's data elementwise with op and scatters
-// the result: rank r receives the r-th of Size() nearly equal segments
-// (boundaries i*len/P). len(data) must agree across ranks. Implemented as
-// the reduce-scatter phase of the ring algorithm — bandwidth-optimal, the
-// building block of the Ring Allreduce.
-func (c *Comm) ReduceScatter(op Op, data []float64) ([]float64, error) {
-	c.seq++
-	p := c.Size()
-	me := c.Rank()
-	n := len(data)
-	if p == 1 {
-		return append([]float64(nil), data...), nil
-	}
-	bounds := c.fragBounds(p, n)
-	frag := func(i int) []float64 {
-		i = ((i % p) + p) % p
-		return data[bounds[i]:bounds[i+1]]
-	}
-	next := (me + 1) % p
-	prev := (me - 1 + p) % p
-	steps, sent := 0, 0
-	for s := 0; s < p-1; s++ {
-		sendIdx := me - s
-		recvIdx := me - s - 1
-		tag := c.collTag(16) + s
-		if err := c.send(next, tag, frag(sendIdx)); err != nil {
-			return nil, fmt.Errorf("mpi: reduce-scatter send: %w", err)
-		}
-		got, err := c.recv(prev, tag)
-		if err != nil {
-			return nil, fmt.Errorf("mpi: reduce-scatter recv: %w", err)
-		}
-		if err := op.apply(frag(recvIdx), got); err != nil {
-			return nil, err
-		}
-		steps++
-		sent += len(frag(sendIdx))
-	}
-	// After p−1 steps the standard ring leaves rank r holding the fully
-	// reduced fragment (r+1) mod p. One realignment hop gives every rank
-	// its own fragment: send the completed fragment to its owner (next),
-	// receive fragment `me` from the rank holding it (prev). The hop is
-	// part of the collective, so it counts toward the observed totals.
-	done := (me + 1) % p
-	tag := c.collTag(2048)
-	if err := c.send(next, tag, frag(done)); err != nil {
-		return nil, fmt.Errorf("mpi: reduce-scatter realign send: %w", err)
-	}
-	steps++
-	sent += len(frag(done))
-	got, err := c.recv(prev, tag)
-	if err != nil {
-		return nil, fmt.Errorf("mpi: reduce-scatter realign recv: %w", err)
-	}
-	c.observe("reduce-scatter", steps, sent)
-	return got, nil
 }
 
 // Gather collects every rank's send slice on root. On root the return value
@@ -488,40 +399,6 @@ func (c *Comm) Allgather(send []float64) ([][]float64, error) {
 		pos += n
 	}
 	return out, nil
-}
-
-// Scatter distributes parts[r] from root to each rank r, returning this
-// rank's slice. parts is only read on root and must have Size() entries.
-func (c *Comm) Scatter(root int, parts [][]float64) ([]float64, error) {
-	if err := c.checkRoot(root); err != nil {
-		return nil, err
-	}
-	c.seq++
-	tag := c.collTag(0)
-	me, p := c.Rank(), c.Size()
-	if me == root {
-		if len(parts) != p {
-			return nil, fmt.Errorf("mpi: scatter needs %d parts, got %d", p, len(parts))
-		}
-		sent := 0
-		for r := 0; r < p; r++ {
-			if r == root {
-				continue
-			}
-			if err := c.send(r, tag, parts[r]); err != nil {
-				return nil, fmt.Errorf("mpi: scatter send to %d: %w", r, err)
-			}
-			sent += len(parts[r])
-		}
-		c.observe("scatter", p-1, sent)
-		return append([]float64(nil), parts[root]...), nil
-	}
-	data, err := c.recv(root, tag)
-	if err != nil {
-		return nil, fmt.Errorf("mpi: scatter recv: %w", err)
-	}
-	c.observe("scatter", 1, 0)
-	return data, nil
 }
 
 // BcastUint64 broadcasts a uint64 (e.g. a PRNG seed) from root, preserving

@@ -44,8 +44,12 @@ func TestTCPSendRecv(t *testing.T) {
 func TestTCPCollectives(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 5, 8} {
 		err := RunWith(p, RunConfig{TCP: true}, func(c *Comm) error {
-			if err := c.Barrier(); err != nil {
+			ranks, err := c.AllreduceFloat64(Sum, 1)
+			if err != nil {
 				return err
+			}
+			if ranks != float64(p) {
+				return fmt.Errorf("one-value allreduce counted %v ranks, want %d", ranks, p)
 			}
 			data := []float64{float64(c.Rank()), 1, float64(c.Rank() * c.Rank())}
 			if err := c.Allreduce(Sum, data); err != nil {

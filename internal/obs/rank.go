@@ -40,12 +40,6 @@ const (
 	MetricTriesTotal    = "search.tries_total"
 	MetricBestScore     = "search.best_score"
 	MetricTryCycles     = "search.try_cycles"
-	// Bounded-staleness EM (Config.SyncEvery > 1): cycles that skipped the
-	// global synchronization, the current staleness (local cycles since the
-	// last sync point), and the drift the staleness bound thresholds.
-	MetricSyncSkipped = "em.sync_skipped"
-	MetricStaleness   = "em.staleness"
-	MetricDrift       = "em.staleness_drift"
 )
 
 // Rank records one rank's run. It implements the three observability hook
@@ -71,8 +65,6 @@ type Rank struct {
 	cTimeouts                            *Counter
 	cTryClaimed, cTryCommitted           *Counter
 	cTryDuplicate, cTryEarlyStop         *Counter
-	cSyncSkipped                         *Counter
-	gStaleness, gDrift                   *Gauge
 	gLogPost, gDelta, gClasses           *Gauge
 	gTriesDone, gTriesTotal, gBestScore  *Gauge
 	hCycleSeconds, hPayloadBytes         *Histogram
@@ -91,10 +83,7 @@ type Rank struct {
 
 // collectiveNames are the communicator's collective labels, pre-registered
 // so ObserveCollective never takes the registry lock.
-var collectiveNames = []string{
-	"allreduce", "reduce", "bcast", "barrier",
-	"gather", "scatter", "reduce-scatter",
-}
+var collectiveNames = []string{"allreduce", "bcast", "gather"}
 
 func newRank(run *Run, rank int) *Rank {
 	r := &Rank{
@@ -120,9 +109,6 @@ func newRank(run *Run, rank int) *Rank {
 	r.cTryCommitted = r.reg.Counter(MetricTryCommitted)
 	r.cTryDuplicate = r.reg.Counter(MetricTryDuplicate)
 	r.cTryEarlyStop = r.reg.Counter(MetricTryEarlyStop)
-	r.cSyncSkipped = r.reg.Counter(MetricSyncSkipped)
-	r.gStaleness = r.reg.Gauge(MetricStaleness)
-	r.gDrift = r.reg.Gauge(MetricDrift)
 	r.gLogPost = r.reg.Gauge(MetricLogPost)
 	r.gDelta = r.reg.Gauge(MetricDelta)
 	r.gClasses = r.reg.Gauge(MetricClasses)
@@ -267,11 +253,6 @@ func (r *Rank) ObserveCycle(info autoclass.CycleInfo) {
 	r.cApprox.Add(cs.ApproxSeconds)
 	r.cReductions.Add(float64(cs.Reductions))
 	r.cReducedValues.Add(float64(cs.ReducedValues))
-	if !cs.Synced {
-		r.cSyncSkipped.Add(1)
-	}
-	r.gStaleness.Set(float64(cs.SinceSync))
-	r.gDrift.Set(cs.Drift)
 	r.gLogPost.Set(info.LogPost)
 	r.gDelta.Set(info.Delta)
 	r.gClasses.Set(float64(info.J))

@@ -160,15 +160,8 @@ func leBytes(v uint64) [8]byte {
 // cycle boundary it polls the interrupt, and every ck.Every cycles — or on
 // an agreed stop — the group agrees on the cycle and rank 0 writes a
 // mid-try snapshot of variant v.
-func (t *trial) snapshotHook(eng *autoclass.Engine, v autoclass.Variant, from int) autoclass.CycleHook {
+func (t *trial) snapshotHook(eng *autoclass.Engine, v autoclass.Variant) autoclass.CycleHook {
 	ck := t.opts.Checkpoint
-	// Under bounded staleness the hook only fires at sync points (see
-	// RunFrom), so the modular cadence could miss every firing when
-	// ck.Every and SyncEvery are misaligned; snapshot at the first sync
-	// point ck.Every cycles after the previous snapshot instead. The
-	// synchronous path keeps the exact historical cadence.
-	stale := t.opts.EM.EffectiveSyncEvery() > 1
-	lastSnap := from
 	return func(cycle int, converged bool) error {
 		stop := false
 		if ck.Interrupt != nil {
@@ -184,9 +177,6 @@ func (t *trial) snapshotHook(eng *autoclass.Engine, v autoclass.Variant, from in
 		// cycle lets the try finish — the between-tries poll catches it.
 		final := converged || cycle+1 >= t.opts.EM.MaxCycles
 		snap := ck.Every > 0 && (cycle+1)%ck.Every == 0
-		if stale {
-			snap = ck.Every > 0 && cycle+1-lastSnap >= ck.Every
-		}
 		if final || (!snap && !stop) {
 			return nil
 		}
@@ -201,7 +191,6 @@ func (t *trial) snapshotHook(eng *autoclass.Engine, v autoclass.Variant, from in
 		if int(agreed) != cycle {
 			return fmt.Errorf("pautoclass: rank %d at cycle %d but group minimum is %v (SPMD divergence)", t.comm.Rank(), cycle, agreed)
 		}
-		lastSnap = cycle + 1
 		if t.comm.Rank() == 0 {
 			st := eng.State()
 			err := t.state.SaveInTry(&autoclass.Checkpoint{
@@ -215,7 +204,6 @@ func (t *trial) snapshotHook(eng *autoclass.Engine, v autoclass.Variant, from in
 					BelowTol:      st.BelowTol,
 					LastPost:      st.LastPost,
 					SearchSeed:    t.seed,
-					SyncStats:     st.SyncStats,
 					Reductions:    st.Reductions,
 					ReducedValues: st.ReducedValues,
 				},

@@ -1,15 +1,12 @@
 package pautoclass
 
 import (
-	"bytes"
 	"fmt"
-	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/autoclass"
 	"repro/internal/dataset"
-	"repro/internal/model"
 	"repro/internal/mpi"
 	"repro/internal/stats"
 )
@@ -154,68 +151,5 @@ func TestWtsOnlyChunkedMatchesMaterialized(t *testing.T) {
 	if full.Best.J() != wts.Best.J() || !stats.AlmostEqual(full.Best.LogPost, wts.Best.LogPost, 1e-6) {
 		t.Fatalf("unaligned 3-rank run: Full J=%d logpost %v, WtsOnly J=%d logpost %v",
 			full.Best.J(), full.Best.LogPost, wts.Best.J(), wts.Best.LogPost)
-	}
-}
-
-// TestStaleChunkedMatchesMaterialized: bounded staleness runs out of core.
-// The stale cycle takes its weights and statistics from the same fused
-// pass as the synchronous one, so with ChunkAlign·P | n a 2-rank
-// SyncEvery=4 search over a chunk file reproduces the materialized stale
-// search bit for bit on the in-memory and cached backings — and a chunked
-// stale search killed mid-run resumes onto the same bits.
-func TestStaleChunkedMatchesMaterialized(t *testing.T) {
-	const p = 2
-	ds := paperDS(t, 2048)
-	if ds.N()%(dataset.ChunkAlign*p) != 0 {
-		t.Fatalf("%d rows are not a multiple of ChunkAlign·P", ds.N())
-	}
-	cfg, opts := staleConfig(4)
-	want := runParallelSearch(t, ds, p, cfg, opts)
-	mem, err := dataset.ChunkedCopy(ds, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached := chunkFileDS(t, ds, 512, dataset.ChunkOptions{Mode: dataset.ChunkCached, Chunks: 2})
-	for name, cds := range map[string]*dataset.Dataset{
-		"mem":           mem,
-		"file-inmemory": chunkFileDS(t, ds, 512, dataset.ChunkOptions{Mode: dataset.ChunkInMemory}),
-		"file-cached":   cached,
-	} {
-		sameSearchBits(t, name, runParallelSearch(t, cds, p, cfg, opts), want)
-	}
-
-	// Kill one rank mid-search on the cached backing, then resume.
-	wantBest := clsBytes(t, want.Best)
-	path := filepath.Join(t.TempDir(), "search.ckpt")
-	ck := Checkpoint{Path: path, Every: 2}
-	const victim = 1
-	plans := map[int]mpi.FaultPlan{
-		victim: {Faults: []mpi.Fault{{Op: "send", Peer: -1, After: 60}}},
-	}
-	errs, err := rankErrors(p, mpi.RunConfig{Faults: plans}, func(c *mpi.Comm) error {
-		_, err := Search(c, cached, model.DefaultSpec(cached), cfg, checkpointed(opts, ck))
-		return err
-	})
-	if errs[victim] == nil {
-		t.Fatal("victim completed the search; fault budget too large to interrupt it")
-	}
-	if err == nil {
-		t.Fatal("RunWith reported no failure")
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("no checkpoint was written before the crash: %v", err)
-	}
-	err = mpi.Run(p, func(c *mpi.Comm) error {
-		res, err := Search(c, cached, model.DefaultSpec(cached), cfg, checkpointed(opts, ck))
-		if err != nil {
-			return err
-		}
-		if got := clsBytes(t, res.Best); !bytes.Equal(got, wantBest) {
-			t.Errorf("rank %d: resumed chunked stale search differs from the materialized run", c.Rank())
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }

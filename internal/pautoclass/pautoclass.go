@@ -427,7 +427,7 @@ func (t *trial) runFull(v autoclass.Variant, co autoclass.CycleObserver) (*autoc
 	if in != nil {
 		sp := in.Search
 		eng.Restore(autoclass.EngineState{
-			Cycles: cls.Cycles, BelowTol: sp.BelowTol, LastPost: sp.LastPost, SyncStats: sp.SyncStats,
+			Cycles: cls.Cycles, BelowTol: sp.BelowTol, LastPost: sp.LastPost,
 			Reductions: sp.Reductions, ReducedValues: sp.ReducedValues,
 		})
 		from = sp.CycleInTry
@@ -435,7 +435,7 @@ func (t *trial) runFull(v autoclass.Variant, co autoclass.CycleObserver) (*autoc
 		return nil, zero, err
 	}
 	if ck := t.opts.Checkpoint; t.state != nil && (ck.Every > 0 || ck.Interrupt != nil) {
-		eng.SetCycleHook(t.snapshotHook(eng, v, from))
+		eng.SetCycleHook(t.snapshotHook(eng, v))
 	}
 	em, err := eng.RunFrom(from)
 	if err != nil {

@@ -352,8 +352,6 @@ func (e *wtsOnlyEngine) BaseCycle() (autoclass.CycleStats, error) {
 	if !e.started {
 		return cs, errors.New("pautoclass: BaseCycle before InitRandom")
 	}
-	// The baseline gathers and re-broadcasts every cycle — always synced.
-	cs.Synced = true
 	t0 := time.Now()
 	if err := e.updateWts(); err != nil {
 		return cs, err

@@ -12,11 +12,7 @@ import (
 // The /v1 error envelope. Every non-2xx response carries a structured
 // error object with a stable machine-readable code:
 //
-//	{"error": {"code": "queue_full", "message": "..."}, "error_string": "..."}
-//
-// The flat "error_string" field repeats the message for clients written
-// against the original {"error": "<string>"} shape; it is deprecated and
-// will be dropped once the envelope has been out for a release.
+//	{"error": {"code": "queue_full", "message": "..."}}
 
 // Stable error codes. These are API surface: clients dispatch on them, so
 // existing values never change meaning.
@@ -57,10 +53,6 @@ type ErrorBody struct {
 // ErrorEnvelope is the body of every non-2xx /v1 response.
 type ErrorEnvelope struct {
 	Error ErrorBody `json:"error"`
-	// ErrorString repeats Error.Message for pre-envelope clients.
-	//
-	// Deprecated: dispatch on Error.Code and read Error.Message.
-	ErrorString string `json:"error_string"`
 }
 
 // httpError writes the error envelope. code is one of the Code constants
@@ -69,10 +61,7 @@ func httpError(w http.ResponseWriter, status int, code string, format string, ar
 	msg := fmt.Sprintf(format, args...)
 	w.Header().Set("Content-Type", obs.ContentTypeJSON)
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(ErrorEnvelope{
-		Error:       ErrorBody{Code: code, Message: msg},
-		ErrorString: msg,
-	})
+	json.NewEncoder(w).Encode(ErrorEnvelope{Error: ErrorBody{Code: code, Message: msg}})
 }
 
 // retryAfter stamps the Retry-After header (seconds) on a backpressure

@@ -33,8 +33,8 @@ func rawPost(t *testing.T, client *http.Client, url string, body any) (int, http
 	return resp.StatusCode, resp.Header, out
 }
 
-// assertEnvelope checks both error shapes: the structured envelope with
-// the expected stable code, and the deprecated flat string field.
+// assertEnvelope checks the structured error envelope and its expected
+// stable code.
 func assertEnvelope(t *testing.T, body []byte, wantCode string) {
 	t.Helper()
 	var env ErrorEnvelope
@@ -46,9 +46,6 @@ func assertEnvelope(t *testing.T, body []byte, wantCode string) {
 	}
 	if env.Error.Message == "" {
 		t.Errorf("empty error message: %s", body)
-	}
-	if env.ErrorString != env.Error.Message {
-		t.Errorf("legacy error_string %q != message %q", env.ErrorString, env.Error.Message)
 	}
 }
 

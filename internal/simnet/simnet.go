@@ -356,17 +356,6 @@ func (c *Clock) Elapsed() float64 { return c.seconds }
 // CommSeconds returns the portion of Elapsed charged to communication.
 func (c *Clock) CommSeconds() float64 { return c.comm }
 
-// CommFraction returns the share of the elapsed virtual time spent in
-// communication (0 before any time has elapsed) — the quantity the
-// bounded-staleness schedule (autoclass.Config.SyncEvery) is designed to
-// shrink, and the y-axis of the ASYNC comm-fraction experiment.
-func (c *Clock) CommFraction() float64 {
-	if c.seconds <= 0 {
-		return 0
-	}
-	return c.comm / c.seconds
-}
-
 // Ops returns total op units charged.
 func (c *Clock) Ops() float64 { return c.ops }
 

@@ -295,10 +295,6 @@ func Evaluate(cls *Classification, ds *Dataset, labels []int) (*Contingency, err
 	return eval.NewContingency(labels, clusters)
 }
 
-// PaperMixtureForTest exposes the paper-workload generator spec so tests
-// and examples can generate labeled data.
-func PaperMixtureForTest() *GaussianMixture { return datagen.PaperMixture() }
-
 // SplitDataset deterministically shuffles and splits the dataset into
 // train/test parts for held-out evaluation.
 func SplitDataset(ds *Dataset, trainFrac float64, seed uint64) (train, test *Dataset, err error) {

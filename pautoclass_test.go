@@ -4,6 +4,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/datagen"
 )
 
 func quickCfg() SearchConfig {
@@ -248,7 +250,7 @@ func TestFacadeCasesAndSharpness(t *testing.T) {
 func TestFacadeEvaluateRecoversPlantedStructure(t *testing.T) {
 	// End-to-end recovery quality: cluster the paper mixture and score
 	// against the planted labels with the external metrics.
-	mix := PaperMixtureForTest()
+	mix := datagen.PaperMixture()
 	ds, labels, err := mix.Generate(4000, 13)
 	if err != nil {
 		t.Fatal(err)

@@ -120,8 +120,7 @@ func (rc *runConfig) hybridGroups() int {
 // time; with WithParallel it splits the rank budget into n communicator
 // groups of Procs/n ranks, at most Procs groups (Procs must be divisible by
 // n, and neither a simulated Machine nor a parallel WithCheckpoint is
-// supported). Its EM.SyncEvery sets the bounded-staleness schedule of a
-// parallel Full run.
+// supported).
 func WithSearchConfig(cfg SearchConfig) Option {
 	return func(rc *runConfig) { rc.search = cfg }
 }

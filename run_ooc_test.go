@@ -67,26 +67,6 @@ func TestRunWithChunkedData(t *testing.T) {
 	assertSameSearch(t, gotWts.Search, wantWts.Search)
 }
 
-// TestRunChunkedStaleSync: bounded staleness runs out of core. With
-// ChunkAlign·P | n a 2-rank run at EM.SyncEvery 3 over the chunk file
-// reproduces the materialized run bit for bit.
-func TestRunChunkedStaleSync(t *testing.T) {
-	ds := runTestDataset(t, 1024)
-	cfg := runQuickCfg()
-	cfg.EM.SyncEvery = 3
-	path := writeChunkFile(t, ds, 512)
-	opts := []Option{WithSearchConfig(cfg), WithParallel(ParallelConfig{Procs: 2})}
-	want, err := Run(ds, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Run(nil, append(opts, WithChunkedData(path), WithMemoryBudget(64<<10))...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameSearch(t, got.Search, want.Search)
-}
-
 // TestRunChunkedOptionValidation: Run refuses the chunk-file option
 // combinations that cannot be served and accepts WtsOnly over a chunk
 // file (whose result TestRunWithChunkedData checks bit for bit).

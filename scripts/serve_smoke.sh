@@ -122,10 +122,9 @@ grep -qi '^deprecation:' "$DIR/h1" \
 curl -sf "http://$ADDR/v1/models/smoke-model" \
     | jq -e '.active == 1 and .cache.hits >= 1 and .cache.misses >= 1' >/dev/null
 
-# Error envelope: stable code, message, and the legacy string field.
+# Error envelope: stable code and message.
 curl -s "http://$ADDR/v1/jobs/999999" \
-    | jq -e '.error.code == "not_found" and (.error.message | length) > 0
-         and .error_string == .error.message' >/dev/null
+    | jq -e '.error.code == "not_found" and (.error.message | length) > 0' >/dev/null
 
 kill "$PID"
 wait "$PID" 2>/dev/null || true
