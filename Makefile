@@ -22,6 +22,7 @@ fmtcheck:
 # properties, the block step's sweep equivalence (four goroutines sharing
 # one kernel set), and the resume, interrupt, observer and hybrid search
 # properties (every try commits through the concurrent variant scheduler),
+# the one exchange per cycle against the paper's messages,
 # the vector kernels of model.NormalRun and model.FoldMax against their Go
 # loops (masked runs included) and the daemon's warm predict scorers
 # (several dispatchers on one queue), then run at several GOMAXPROCS
@@ -39,7 +40,7 @@ fmtcheck:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,2,4 \
-		-run 'Concurrent|AcrossParallelism|ParallelismInvariance|ParallelismBitwise|FusedTraining|ChunkedMatches|ChunkedAligned|FoldRowLogLik|RaceFree|HybridTrajectory|PredictRanksBitwise|Resum|Interrupt|SearchObserver|SearchHybrid|KillAndResume|Sweeps|NormalRunScore|FoldLanes|FoldMax|ServeBatchingBitwise|ServePredictKillRestart' \
+		-run 'Concurrent|AcrossParallelism|ParallelismInvariance|ParallelismBitwise|FusedTraining|ChunkedMatches|ChunkedAligned|FoldRowLogLik|RaceFree|HybridTrajectory|PredictRanksBitwise|Resum|Interrupt|SearchObserver|SearchHybrid|KillAndResume|OneExchange|Sweeps|NormalRunScore|FoldLanes|FoldMax|ServeBatchingBitwise|ServePredictKillRestart' \
 		./internal/model ./internal/autoclass ./internal/pautoclass ./internal/serve
 	GODEBUG=cpu.fma=off $(GO) test -run Exp ./internal/stats
 	$(GO) test -v -run 'PathEnabled|Vectorized|ExpSelfCheck' ./internal/stats ./internal/model
@@ -61,13 +62,16 @@ bench-tests:
 	cd cmd/bench && $(GO) vet . && $(GO) test .
 
 # Local equivalent of the CI trace-smoke job: a traced 4-rank Meiko run
-# whose Chrome trace, events and metrics land in /tmp for inspection.
+# whose dataset, Chrome trace, events and metrics land in a fresh temporary
+# directory, printed at the end and kept for inspection.
 trace-smoke:
-	$(GO) run ./cmd/datagen -workload paper -n 2000 -seed 7 -o /tmp/smoke.txt
-	$(GO) run ./cmd/pautoclass -data /tmp/smoke.txt -procs 4 -start-j 4 \
+	@dir="$$(mktemp -d)" && \
+	$(GO) run ./cmd/datagen -workload paper -n 2000 -seed 7 -o "$$dir/smoke.txt" && \
+	$(GO) run ./cmd/pautoclass -data "$$dir/smoke.txt" -procs 4 -start-j 4 \
 		-tries 1 -max-cycles 10 -machine meiko \
-		-trace-out /tmp/trace.json -events-out /tmp/events.jsonl \
-		-metrics-out /tmp/metrics.json -phase-profile
+		-trace-out "$$dir/trace.json" -events-out "$$dir/events.jsonl" \
+		-metrics-out "$$dir/metrics.json" -phase-profile && \
+	echo "trace-smoke outputs: $$dir"
 
 # Fault-tolerance suite: fault-injection matrix (every collective ×
 # Allreduce algorithm × transport with a rank killed mid-collective and no
@@ -110,9 +114,12 @@ apicheck:
 # Prometheus exposition on /metrics (unique sorted families, # EOF,
 # per-route latency histograms, search progress gauges) and the JSON
 # shape on /metrics.json.
+# The daemon binary is built into a temporary directory that is removed
+# on exit.
 serve-smoke:
-	$(GO) build -o /tmp/pautoclassd ./cmd/pautoclassd
-	./scripts/serve_smoke.sh /tmp/pautoclassd
+	@dir="$$(mktemp -d)" && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -o "$$dir/pautoclassd" ./cmd/pautoclassd && \
+	./scripts/serve_smoke.sh "$$dir/pautoclassd"
 
 # The telemetry surface rides in the same daemon smoke; the alias names it
 # for the observability acceptance runbook (EXPERIMENTS.md, OBS recipe).

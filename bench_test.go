@@ -192,27 +192,27 @@ func BenchmarkTableSequentialAnchor(b *testing.B) {
 }
 
 // BenchmarkTableAblation compares P-AutoClass against the wts-only baseline
-// and the packed-exchange variant at P=8 (§5 comparison).
+// and the one-exchange model variant at P=8 (§5 comparison).
 func BenchmarkTableAblation(b *testing.B) {
 	ds := benchDataset(b, 20000)
 	machine := repro.MeikoCS2()
 	variants := []struct {
 		name        string
 		strategy    pautoclass.Strategy
-		granularity autoclass.Granularity
+		oneExchange bool
 	}{
-		{"full-perterm", pautoclass.Full, autoclass.PerTerm},
-		{"wtsonly", pautoclass.WtsOnly, autoclass.PerTerm},
-		{"full-packed", pautoclass.Full, autoclass.Packed},
+		{"full-perterm", pautoclass.Full, false},
+		{"wtsonly", pautoclass.WtsOnly, false},
+		{"full-one-exchange", pautoclass.Full, true},
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
 			cfg := benchSearchConfig()
-			cfg.EM.Granularity = v.granularity
 			var sim float64
 			for i := 0; i < b.N; i++ {
 				err := mpi.Run(8, func(c *mpi.Comm) error {
 					clk := simnet.MustNewClock(machine)
+					clk.SetOneExchange(v.oneExchange)
 					opts := pautoclass.Options{EM: cfg.EM, Strategy: v.strategy, Clock: clk}
 					if _, err := pautoclass.Search(c, ds, model.DefaultSpec(ds), cfg, opts); err != nil {
 						return err

@@ -48,7 +48,6 @@ func run(args []string, w io.Writer) error {
 	searchParallelism := fs.Int("search-parallelism", 0, "concurrent BIG_LOOP variants (0/1 = one try at a time, -1 = GOMAXPROCS); with -procs P the rank budget splits into this many groups (P must be divisible); bitwise identical to the sequential order for every value")
 	seed := fs.Uint64("seed", 1, "search seed")
 	strategy := fs.String("strategy", "full", "parallel strategy: full or wtsonly")
-	granularity := fs.String("granularity", "perterm", "statistics exchange: perterm or packed")
 	machine := fs.String("machine", "none", "virtual machine model: none, meiko or pentium")
 	correlated := fs.Bool("correlated", false, "model real attributes with a joint covariance term")
 	models := fs.Bool("models", false, "run the model-level search over every applicable model form (sequential only)")
@@ -138,14 +137,6 @@ func run(args []string, w io.Writer) error {
 		strat = repro.WtsOnly
 	default:
 		return fmt.Errorf("unknown strategy %q", *strategy)
-	}
-	switch *granularity {
-	case "perterm":
-		cfg.EM.Granularity = repro.PerTerm
-	case "packed":
-		cfg.EM.Granularity = repro.Packed
-	default:
-		return fmt.Errorf("unknown granularity %q", *granularity)
 	}
 	var mach *repro.Machine
 	switch *machine {

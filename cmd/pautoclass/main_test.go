@@ -170,16 +170,11 @@ func bestLine(t *testing.T, out string) string {
 	return ""
 }
 
-func TestCLIWtsOnlyAndPacked(t *testing.T) {
+func TestCLIWtsOnly(t *testing.T) {
 	path := writeDataset(t, 300)
-	for _, args := range [][]string{
-		{"-data", path, "-procs", "2", "-start-j", "3", "-tries", "1", "-max-cycles", "15", "-strategy", "wtsonly"},
-		{"-data", path, "-procs", "2", "-start-j", "3", "-tries", "1", "-max-cycles", "15", "-granularity", "packed"},
-	} {
-		var buf bytes.Buffer
-		if err := run(args, &buf); err != nil {
-			t.Fatalf("%v: %v", args, err)
-		}
+	var buf bytes.Buffer
+	if err := run([]string{"-data", path, "-procs", "2", "-start-j", "3", "-tries", "1", "-max-cycles", "15", "-strategy", "wtsonly"}, &buf); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -217,13 +212,12 @@ func TestCLIErrors(t *testing.T) {
 	state := filepath.Join(t.TempDir(), "state.json")
 	var buf bytes.Buffer
 	cases := map[string][]string{
-		"no-data":         {},
-		"missing-file":    {"-data", "/nonexistent/x.txt"},
-		"bad-strategy":    {"-data", path, "-strategy", "nope"},
-		"bad-granularity": {"-data", path, "-granularity", "nope"},
-		"bad-machine":     {"-data", path, "-machine", "cray"},
-		"bad-startj":      {"-data", path, "-start-j", "2,x"},
-		"bad-flag":        {"-zzz"},
+		"no-data":      {},
+		"missing-file": {"-data", "/nonexistent/x.txt"},
+		"bad-strategy": {"-data", path, "-strategy", "nope"},
+		"bad-machine":  {"-data", path, "-machine", "cray"},
+		"bad-startj":   {"-data", path, "-start-j", "2,x"},
+		"bad-flag":     {"-zzz"},
 		// -resume at -procs 1 runs the sequential engine, which has
 		// neither a machine model nor the WtsOnly strategy.
 		"seq-resume-machine": {"-data", path, "-resume", state, "-machine", "meiko"},

@@ -350,29 +350,6 @@ func TestPredictMembership(t *testing.T) {
 	}
 }
 
-func TestPackedEqualsPerTermSequentially(t *testing.T) {
-	// Granularity changes only the exchange pattern; sequentially the two
-	// must be bit-identical.
-	ds := paperDS(t, 400)
-	run := func(g Granularity) *Classification {
-		cls := mustClassification(t, ds, 4)
-		cfg := DefaultConfig()
-		cfg.Granularity = g
-		eng := mustEngine(t, ds, cls, cfg)
-		if err := eng.InitRandom(9); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return cls
-	}
-	a, b := run(PerTerm), run(Packed)
-	if a.LogPost != b.LogPost || a.J() != b.J() {
-		t.Fatalf("granularity changed the result: %v vs %v", a.LogPost, b.LogPost)
-	}
-}
-
 func TestChargerReceivesOps(t *testing.T) {
 	ds := paperDS(t, 200)
 	cls := mustClassification(t, ds, 3)

@@ -14,43 +14,31 @@ import (
 // Reducer is the hook through which the parallel engine turns local
 // reductions into global ones. ReduceInPlace must replace buf with the
 // elementwise sum over all ranks (and is called at identical points with
-// identical lengths on every rank). The sequential engine passes a nil
+// identical lengths on every rank). The engine makes one call per exchange
+// with the whole pass buffer: {w_j, logL | statistics} in a cycle and
+// {n_j | statistics} at initialization. The sequential engine passes a nil
 // Reducer and the local values are already global.
 type Reducer interface {
 	ReduceInPlace(buf []float64) error
+}
+
+// MessageReducer is a Reducer that is also told how the paper's program
+// splits an exchange into messages. The paper's Figs. 4 and 5 send the
+// class-weight segment first and then one message per (class, term)
+// statistics segment. The engine calls ReduceMessages instead of
+// ReduceInPlace, with lens the lengths of those messages in buffer order
+// (they sum to len(buf)); buf still travels in one reduction. The Allreduce
+// reducer of package pautoclass implements it so that a virtual clock
+// charges the paper's messages.
+type MessageReducer interface {
+	Reducer
+	ReduceMessages(buf []float64, lens []int) error
 }
 
 // Charger receives the engine's abstract op-unit charges; *simnet.Clock
 // implements it. A nil Charger disables accounting.
 type Charger interface {
 	ChargeOps(units float64)
-}
-
-// Granularity selects how update_parameters exchanges statistics in the
-// parallel engine.
-type Granularity int
-
-const (
-	// PerTerm performs one reduction per (class, term) pair — the
-	// structure of the paper's Fig. 5, where the Allreduce sits inside the
-	// class × attribute loops.
-	PerTerm Granularity = iota
-	// Packed accumulates every class's statistics into one buffer and
-	// performs a single reduction per cycle — the obvious message-
-	// aggregation optimization, benchmarked as an ablation.
-	Packed
-)
-
-// String implements fmt.Stringer.
-func (g Granularity) String() string {
-	switch g {
-	case PerTerm:
-		return "per-term"
-	case Packed:
-		return "packed"
-	default:
-		return fmt.Sprintf("Granularity(%d)", int(g))
-	}
 }
 
 // Config controls the parameter-level (EM) search.
@@ -68,8 +56,6 @@ type Config struct {
 	// PruneClasses enables class death (AutoClass reduces J when a class
 	// loses its support).
 	PruneClasses bool
-	// Granularity selects the statistics-exchange pattern (parallel only).
-	Granularity Granularity
 	// Parallelism is the intra-rank worker count of every pass over the
 	// data (the fused E+M pass of a cycle and the crisp initialization):
 	//
@@ -92,7 +78,6 @@ func DefaultConfig() Config {
 		ConvergeWindow: 3,
 		MinClassWeight: 1.0,
 		PruneClasses:   true,
-		Granularity:    PerTerm,
 	}
 }
 
@@ -115,14 +100,15 @@ type CycleStats struct {
 	// WtsSeconds, ParamsSeconds and ApproxSeconds are the wall-clock
 	// durations of the three phases. The engine runs the E-step and the
 	// statistics accumulation as one fused pass over the data (lowmem.go),
-	// so WtsSeconds covers that whole pass plus the weights reduction, and
-	// ParamsSeconds only the statistics exchange and the term updates. The
-	// WtsOnly baseline in package pautoclass keeps the paper's two-pass
-	// split, with the accumulation pass in ParamsSeconds.
+	// so WtsSeconds covers that whole pass, and ParamsSeconds the one
+	// exchange of {w_j, logL | statistics}, the wait for the slowest rank
+	// included, and the term updates. The WtsOnly baseline in package
+	// pautoclass keeps the paper's two-pass split, with the accumulation
+	// pass in ParamsSeconds.
 	WtsSeconds, ParamsSeconds, ApproxSeconds float64
 	// ReducedValues counts float64s passed through the Reducer.
 	ReducedValues int
-	// Reductions counts Reducer invocations.
+	// Reductions counts Reducer invocations: one per cycle with a Reducer.
 	Reductions int
 	// LogPost is the posterior after the cycle.
 	LogPost float64
@@ -183,6 +169,7 @@ type Engine struct {
 	cls     *Classification
 	cfg     Config
 	reducer Reducer
+	msgs    MessageReducer // reducer, when it is told the message lengths
 	charger Charger
 
 	belowTol    int // consecutive cycles below RelDelta
@@ -202,6 +189,7 @@ type Engine struct {
 	scratch shardScratch // per-shard accumulators, reused across cycles
 	passAcc []float64    // merged {w_j, logLik | statistics}, reused
 	offs    []int        // (class, term) statistics offsets, reused
+	lens    []int        // an exchange's message lengths, reused
 
 	// Blocked-kernel state (see kernels.go): the (class, term) kernel set,
 	// per-worker scratch, and the view's chunk plane, which every pass
@@ -238,6 +226,7 @@ func NewEngine(view *dataset.View, cls *Classification, cfg Config, red Reducer,
 		lastPost: math.Inf(-1),
 		src:      src,
 	}
+	e.msgs, _ = red.(MessageReducer)
 	e.passLoop = func(worker, s int) {
 		lo, hi := RowShardRange(s, e.view.N())
 		e.passRows(lo, hi, e.scratch.bufs[s], e.offs, e.blockScr[worker])
@@ -308,61 +297,43 @@ func (e *Engine) charge(units float64) {
 	}
 }
 
-func (e *Engine) reduce(buf []float64) (int, error) {
-	if e.reducer == nil {
+// exchange reduces the pass buffer buf = {head segment | statistics}
+// across the ranks in one reduction and returns the values reduced (0
+// without a Reducer). The head segment is {w_j, logL} in a cycle and {n_j}
+// at initialization; offs are the (class, term) statistics offsets. A
+// MessageReducer is also told the lengths of the paper's messages: the
+// head, then one per (class, term).
+func (e *Engine) exchange(buf []float64, head int, offs []int) (int, error) {
+	switch {
+	case e.reducer == nil:
 		return 0, nil
-	}
-	if err := e.reducer.ReduceInPlace(buf); err != nil {
-		return 0, err
+	case e.msgs != nil:
+		e.lens = append(e.lens[:0], head)
+		for ti := 1; ti < len(offs); ti++ {
+			e.lens = append(e.lens, offs[ti]-offs[ti-1])
+		}
+		if err := e.msgs.ReduceMessages(buf, e.lens); err != nil {
+			return 0, err
+		}
+	default:
+		if err := e.reducer.ReduceInPlace(buf); err != nil {
+			return 0, err
+		}
 	}
 	return len(buf), nil
 }
 
-// exchangeStats reduces the accumulated statistics globally and
-// re-estimates every term — the exchange half of update_parameters,
-// shared by the synchronous cycle and the initialization. With PerTerm
-// granularity the reduction happens inside the class × block loops
-// exactly as in the paper's Fig. 5; with Packed granularity all statistics
-// travel in one reduction.
-func (e *Engine) exchangeStats(buf []float64, offs []int) (reducedValues, reductions int, err error) {
-	switch g := e.cfg.Granularity; g {
-	case PerTerm:
-		ti := 0
-		for cj, cl := range e.cls.Classes {
-			for bi, term := range cl.Terms {
-				st := buf[offs[ti]:offs[ti+1]]
-				ti++
-				v, err := e.reduce(st)
-				if err != nil {
-					return reducedValues, reductions, fmt.Errorf("autoclass: reduce class %d block %d: %w", cj, bi, err)
-				}
-				if v > 0 {
-					reducedValues += v
-					reductions++
-				}
-				term.Update(st)
-			}
+// updateTerms re-estimates every term from its segment of the reduced
+// statistics at the offsets offs — the local half of update_parameters,
+// shared by the cycle and the initialization.
+func (e *Engine) updateTerms(stats []float64, offs []int) {
+	ti := 0
+	for _, cl := range e.cls.Classes {
+		for _, term := range cl.Terms {
+			term.Update(stats[offs[ti]:offs[ti+1]])
+			ti++
 		}
-	case Packed:
-		v, err := e.reduce(buf)
-		if err != nil {
-			return reducedValues, reductions, fmt.Errorf("autoclass: packed reduce: %w", err)
-		}
-		if v > 0 {
-			reducedValues += v
-			reductions++
-		}
-		ti := 0
-		for _, cl := range e.cls.Classes {
-			for _, term := range cl.Terms {
-				term.Update(buf[offs[ti]:offs[ti+1]])
-				ti++
-			}
-		}
-	default:
-		return 0, 0, fmt.Errorf("autoclass: unknown granularity %d", int(g))
 	}
-	return reducedValues, reductions, nil
 }
 
 // statOffsets rebuilds the (class, term) statistics offset table of cls
@@ -439,29 +410,22 @@ func (e *Engine) BaseCycle() (CycleStats, error) {
 	}
 	t0 := time.Now()
 	combined, offs := e.localPass()
-	j := e.cls.J()
-	wtsOut := combined[:j+1]
-	v, err := e.reduce(wtsOut)
-	if err != nil {
-		return cs, fmt.Errorf("autoclass: reduce wts: %w", err)
-	}
-	if v > 0 {
-		cs.ReducedValues += v
-		cs.Reductions++
-	}
-	for cj, cl := range e.cls.Classes {
-		cl.W = wtsOut[cj]
-	}
-	e.cls.LogLik = wtsOut[j]
 	cs.WtsSeconds = time.Since(t0).Seconds()
 
 	t1 := time.Now()
-	rv, rn, err := e.exchangeStats(combined[j+1:], offs)
+	j := e.cls.J()
+	v, err := e.exchange(combined, j+1, offs)
 	if err != nil {
-		return cs, err
+		return cs, fmt.Errorf("autoclass: reduce: %w", err)
 	}
-	cs.ReducedValues += rv
-	cs.Reductions += rn
+	if v > 0 {
+		cs.ReducedValues, cs.Reductions = v, 1
+	}
+	for cj, cl := range e.cls.Classes {
+		cl.W = combined[cj]
+	}
+	e.cls.LogLik = combined[j]
+	e.updateTerms(combined[j+1:], offs)
 	e.charge(float64(e.view.N()) * float64(j) * float64(e.cls.NumAttrColumns()))
 	cs.ParamsSeconds = time.Since(t1).Seconds()
 

@@ -1,6 +1,7 @@
 package autoclass
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -174,9 +175,7 @@ func refCycle(eng *Engine, wts, logp, row []float64) error {
 	}
 	eng.cls.LogLik = combined[j]
 	refStats(eng, wts[:n*j], combined[j+1:], offs, row)
-	if _, _, err := eng.exchangeStats(combined[j+1:], offs); err != nil {
-		return err
-	}
+	eng.updateTerms(combined[j+1:], offs)
 	updateApproximations(eng.cls, eng.charger)
 	pruneDeadClasses(eng.cls, eng.cfg)
 	eng.cls.Cycles++
@@ -381,11 +380,14 @@ func TestBlockScratchNormOffset(t *testing.T) {
 // allocation-free too, so the B/op comparison of BenchmarkUpdateWts and
 // BenchmarkBaseCycle measures the engine alone.
 func TestUpdatePhasesDoNotAllocate(t *testing.T) {
-	warm := func(t *testing.T) *Engine {
+	warm := func(t *testing.T, red Reducer) *Engine {
 		ds := paperDS(t, 1000)
 		cfg := DefaultConfig()
 		cfg.PruneClasses = false
-		eng := mustEngine(t, ds, mustClassification(t, ds, 4), cfg)
+		eng, err := NewEngine(ds.All(), mustClassification(t, ds, 4), cfg, red, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := eng.InitRandom(3); err != nil {
 			t.Fatal(err)
 		}
@@ -397,7 +399,7 @@ func TestUpdatePhasesDoNotAllocate(t *testing.T) {
 		return eng
 	}
 	t.Run("blocked", func(t *testing.T) {
-		eng := warm(t)
+		eng := warm(t, nil)
 		if n := testing.AllocsPerRun(20, func() { eng.localPass() }); n != 0 {
 			t.Errorf("local pass allocates %v times per cycle", n)
 		}
@@ -410,7 +412,7 @@ func TestUpdatePhasesDoNotAllocate(t *testing.T) {
 		}
 	})
 	t.Run("reference", func(t *testing.T) {
-		eng := warm(t)
+		eng := warm(t, nil)
 		n, j := eng.view.N(), eng.cls.J()
 		out := make([]float64, j+1)
 		wts := make([]float64, n*j)
@@ -427,4 +429,46 @@ func TestUpdatePhasesDoNotAllocate(t *testing.T) {
 			t.Errorf("oracle cycle allocates %v times per cycle", a)
 		}
 	})
+	// A parallel engine hands its Reducer the paper's message lengths
+	// from scratch it reuses, so a warm cycle still allocates nothing.
+	t.Run("message-reducer", func(t *testing.T) {
+		red := &messageCounter{}
+		eng := warm(t, red)
+		if n := testing.AllocsPerRun(20, func() {
+			if _, err := eng.BaseCycle(); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("BaseCycle allocates %v times per cycle with a message-aware reducer", n)
+		}
+		terms := 0
+		for _, cl := range eng.cls.Classes {
+			terms += len(cl.Terms)
+		}
+		if red.exchanges == 0 || red.messages != red.exchanges*(1+terms) {
+			t.Errorf("%d messages in %d exchanges, want %d each", red.messages, red.exchanges, 1+terms)
+		}
+	})
+}
+
+// messageCounter is a message-aware Reducer for a one-rank world, whose
+// sums are already global: it counts exchanges and messages and checks
+// that the message lengths tile the buffer.
+type messageCounter struct{ exchanges, messages int }
+
+func (m *messageCounter) ReduceInPlace([]float64) error {
+	return errors.New("exchange without its message lengths")
+}
+
+func (m *messageCounter) ReduceMessages(buf []float64, lens []int) error {
+	total := 0
+	for _, n := range lens {
+		total += n
+	}
+	if total != len(buf) {
+		return fmt.Errorf("message lengths sum to %d, buffer holds %d", total, len(buf))
+	}
+	m.exchanges++
+	m.messages += len(lens)
+	return nil
 }

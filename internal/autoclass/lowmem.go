@@ -30,14 +30,16 @@ import (
 // the accumulation order within a shard is identical; the shard merge is the
 // same ascending-order merge (merging the concatenated
 // {w_j, logLik | statistics} shard buffers element-wise is
-// element-identical to merging the two segments separately); and the
-// reduce sequence — w_j first, then the per-term (or packed) statistics
-// exchange — is the same. The chunked-equivalence and kill/resume
-// property tests assert the resulting trajectories across backings, chunk
-// sizes and Parallelism. The per-row two-pass oracle lives in the tests
-// (kernels_test.go); the paper's two-pass algorithm itself runs as the
-// WtsOnly baseline of package pautoclass, which the TPROF experiment
-// profiles.
+// element-identical to merging the two segments separately). The cycle
+// then sends the whole buffer in one exchange, where the paper sends w_j
+// and then each (class, term) segment; under reduce-bcast and recursive
+// doubling every element folds across the ranks in the same order at any
+// buffer length, so the sums are the same. The chunked-equivalence and
+// kill/resume property tests assert the resulting trajectories across
+// backings, chunk sizes and Parallelism. The per-row two-pass oracle
+// lives in the tests (kernels_test.go); the paper's two-pass algorithm
+// itself runs as the WtsOnly baseline of package pautoclass, which the
+// TPROF experiment profiles.
 
 // localPass runs the data-parallel work of a cycle against the current
 // parameters and returns the LOCAL (unreduced) {w_0 … w_{J−1}, logLik |
@@ -137,18 +139,15 @@ func (e *Engine) InitRandom(seed uint64) error {
 		return errors.New("autoclass: no classes to initialize")
 	}
 	buf, offs := e.initStats(seed)
-	wj := buf[:j]
 	e.charge(float64(n))
-	if _, err := e.reduce(wj); err != nil {
+	if _, err := e.exchange(buf, j, offs); err != nil {
 		return fmt.Errorf("autoclass: init reduce: %w", err)
 	}
 	for cj, cl := range e.cls.Classes {
-		cl.W = wj[cj]
+		cl.W = buf[cj]
 	}
 	e.cls.UpdateClassWeightsFromW()
-	if _, _, err := e.exchangeStats(buf[j:], offs); err != nil {
-		return err
-	}
+	e.updateTerms(buf[j:], offs)
 	a := float64(e.cls.NumAttrColumns())
 	e.charge(float64(n) * float64(j) * a)
 	updateApproximations(e.cls, e.charger)

@@ -42,14 +42,18 @@ import (
 // number of workers, 0 included (see parallel.go), and tries commit in
 // schedule order (see searchsched.go) — so a search may be resumed under
 // a different degree of parallelism.
+//
+// Older files may also hold a "granularity" key (0 or 1), from when the
+// statistics exchange could be split per (class, term). Decoding ignores
+// it: under reduce-bcast, the only collective the CLI, the facade and the
+// daemon run, both patterns summed every value as the one exchange does.
 type SearchFingerprint struct {
-	DupScoreTol    float64     `json:"dup_score_tol"`
-	MaxCycles      int         `json:"max_cycles"`
-	RelDelta       float64     `json:"rel_delta"`
-	ConvergeWindow int         `json:"converge_window"`
-	MinClassWeight float64     `json:"min_class_weight"`
-	PruneClasses   bool        `json:"prune_classes"`
-	Granularity    Granularity `json:"granularity"`
+	DupScoreTol    float64 `json:"dup_score_tol"`
+	MaxCycles      int     `json:"max_cycles"`
+	RelDelta       float64 `json:"rel_delta"`
+	ConvergeWindow int     `json:"converge_window"`
+	MinClassWeight float64 `json:"min_class_weight"`
+	PruneClasses   bool    `json:"prune_classes"`
 	// Kernels is 0 in every file written now: every search runs the
 	// blocked kernels. A file holding 1 came from a per-row search mode
 	// that no longer exists and followed another trajectory, so a resume
@@ -71,7 +75,6 @@ func (c SearchConfig) Fingerprint() SearchFingerprint {
 		ConvergeWindow: c.EM.ConvergeWindow,
 		MinClassWeight: c.EM.MinClassWeight,
 		PruneClasses:   c.EM.PruneClasses,
-		Granularity:    c.EM.Granularity,
 	}
 }
 
@@ -96,9 +99,6 @@ func (f SearchFingerprint) Diff(g SearchFingerprint) []string {
 	}
 	if f.PruneClasses != g.PruneClasses {
 		d = append(d, fmt.Sprintf("PruneClasses %v vs %v", f.PruneClasses, g.PruneClasses))
-	}
-	if f.Granularity != g.Granularity {
-		d = append(d, fmt.Sprintf("Granularity %v vs %v", f.Granularity, g.Granularity))
 	}
 	if f.Kernels != g.Kernels {
 		d = append(d, fmt.Sprintf("Kernels %d vs %d", f.Kernels, g.Kernels))

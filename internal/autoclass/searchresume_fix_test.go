@@ -132,7 +132,8 @@ func TestResumeRejectsSeedDrift(t *testing.T) {
 
 // TestResumeRejectsChangedTrajectoryConfig: resuming with a different
 // DupScoreTol or EM configuration, or from a file whose fingerprint records
-// a retired search mode, must be refused with an error naming the knob.
+// a retired search mode, must be refused with an error naming the knob; a
+// retired knob that never changed the trajectory is ignored.
 func TestResumeRejectsChangedTrajectoryConfig(t *testing.T) {
 	ds := paperDS(t, 300)
 	cfg := resumeCfg()
@@ -214,6 +215,15 @@ func TestResumeRejectsChangedTrajectoryConfig(t *testing.T) {
 		setFingerprint(retired.key, nil)
 		if _, err := Search(ds, spec, cfg, &SearchOptions{StatePath: statePath}); err != nil {
 			t.Errorf("state file without %s refused on resume: %v", retired.key, err)
+		}
+	}
+	// A "granularity" key (0 or 1) is from when the statistics exchange
+	// could be split per (class, term). Both patterns summed every value
+	// as the one exchange does, so a file holding either resumes.
+	for _, g := range []int{0, 1} {
+		setFingerprint("granularity", g)
+		if _, err := Search(ds, spec, cfg, &SearchOptions{StatePath: statePath}); err != nil {
+			t.Errorf("state file with granularity %d refused on resume: %v", g, err)
 		}
 	}
 	// Worker counts are bitwise-invariant and must NOT be fingerprinted:

@@ -3,16 +3,16 @@ package harness
 import (
 	"fmt"
 
-	"repro/internal/autoclass"
 	"repro/internal/pautoclass"
 	"repro/internal/simnet"
 )
 
 // AblationConfig configures the ABLAT experiment: the paper's §5 comparison
 // of P-AutoClass against the prior MIMD prototype [7] that parallelized
-// only update_wts, plus the packed-statistics exchange variant (one
-// Allreduce per cycle instead of one per class × term, the paper's Fig. 5
-// structure) as a design-choice ablation.
+// only update_wts, plus a design-choice ablation of the exchange: the
+// clock charges one Allreduce of {w_j, logL | statistics} per cycle, the
+// message the runtime sends, instead of the paper's w_j message and one
+// message per class × term (its Fig. 5 structure).
 type AblationConfig struct {
 	Opts Options
 	// N is the dataset size.
@@ -33,10 +33,10 @@ func DefaultAblationConfig() AblationConfig {
 // AblationResult holds virtual elapsed seconds per variant and P.
 type AblationResult struct {
 	Procs []int
-	// Full is P-AutoClass with the paper's per-term exchanges; WtsOnly is
-	// the [7] baseline; Packed is P-AutoClass with one packed Allreduce
-	// per cycle.
-	Full, WtsOnly, Packed []float64
+	// Full is P-AutoClass charged with the paper's messages; WtsOnly is
+	// the [7] baseline; OneExchange is P-AutoClass charged with one
+	// Allreduce per cycle.
+	Full, WtsOnly, OneExchange []float64
 }
 
 // RunAblation executes the three variants over the processor sweep.
@@ -53,22 +53,23 @@ func RunAblation(cfg AblationConfig) (*AblationResult, error) {
 	}
 	res := &AblationResult{Procs: cfg.Procs}
 	variants := []struct {
+		name        string
 		strategy    pautoclass.Strategy
-		granularity autoclass.Granularity
+		oneExchange bool
 		out         *[]float64
 	}{
-		{pautoclass.Full, autoclass.PerTerm, &res.Full},
-		{pautoclass.WtsOnly, autoclass.PerTerm, &res.WtsOnly},
-		{pautoclass.Full, autoclass.Packed, &res.Packed},
+		{"full", pautoclass.Full, false, &res.Full},
+		{"wts-only", pautoclass.WtsOnly, false, &res.WtsOnly},
+		{"one-exchange", pautoclass.Full, true, &res.OneExchange},
 	}
 	for _, v := range variants {
 		opts := cfg.Opts
 		opts.Strategy = v.strategy
-		opts.Granularity = v.granularity
+		opts.OneExchange = v.oneExchange
 		for _, p := range cfg.Procs {
 			mean, err := meanElapsedParallel(ds, p, opts)
 			if err != nil {
-				return nil, fmt.Errorf("harness: ablation %v/%v p=%d: %w", v.strategy, v.granularity, p, err)
+				return nil, fmt.Errorf("harness: ablation %s p=%d: %w", v.name, p, err)
 			}
 			*v.out = append(*v.out, mean)
 		}
@@ -78,14 +79,14 @@ func RunAblation(cfg AblationConfig) (*AblationResult, error) {
 
 // Table renders the ablation comparison.
 func (r *AblationResult) Table() string {
-	headers := []string{"procs", "P-AutoClass (per-term)", "wts-only [7]", "P-AutoClass (packed)"}
+	headers := []string{"procs", "P-AutoClass (per-term)", "wts-only [7]", "P-AutoClass (one exchange)"}
 	var rows [][]string
 	for pi, p := range r.Procs {
 		rows = append(rows, []string{
 			fmt.Sprintf("%d", p),
 			simnet.FormatHMS(r.Full[pi]),
 			simnet.FormatHMS(r.WtsOnly[pi]),
-			simnet.FormatHMS(r.Packed[pi]),
+			simnet.FormatHMS(r.OneExchange[pi]),
 		})
 	}
 	return "Ablation — elapsed time by parallelization strategy [h.mm.ss]\n" +
@@ -93,8 +94,8 @@ func (r *AblationResult) Table() string {
 }
 
 // CheckShape verifies the §5 claim: for every P > 1, full parallelization
-// beats the wts-only baseline; and the packed exchange never loses to the
-// per-term exchange (message aggregation can only help under the model).
+// beats the wts-only baseline; and the one exchange never loses to the
+// paper's messages (message aggregation can only help under the model).
 func (r *AblationResult) CheckShape() []string {
 	var bad []string
 	for pi, p := range r.Procs {
@@ -105,9 +106,9 @@ func (r *AblationResult) CheckShape() []string {
 			bad = append(bad, fmt.Sprintf("P=%d: full (%.1fs) does not beat wts-only (%.1fs)",
 				p, r.Full[pi], r.WtsOnly[pi]))
 		}
-		if r.Packed[pi] > r.Full[pi]*1.001 {
-			bad = append(bad, fmt.Sprintf("P=%d: packed (%.1fs) slower than per-term (%.1fs)",
-				p, r.Packed[pi], r.Full[pi]))
+		if r.OneExchange[pi] > r.Full[pi]*1.001 {
+			bad = append(bad, fmt.Sprintf("P=%d: one exchange (%.1fs) slower than per-term (%.1fs)",
+				p, r.OneExchange[pi], r.Full[pi]))
 		}
 	}
 	return bad

@@ -79,7 +79,6 @@ func scaleupCell(cfg Fig8Config, j, p int) (float64, error) {
 	}
 	em := cfg.Opts.Search.EM
 	em.PruneClasses = false // hold J fixed for a clean per-cycle measure
-	em.Granularity = cfg.Opts.Granularity
 	total := 0.0
 	for rep := 0; rep < cfg.Opts.Repeats; rep++ {
 		seed := cfg.Opts.Search.Seed + uint64(rep)*104729
@@ -89,6 +88,7 @@ func scaleupCell(cfg Fig8Config, j, p int) (float64, error) {
 			if err != nil {
 				return err
 			}
+			clk.SetOneExchange(cfg.Opts.OneExchange)
 			view, err := pautoclass.PartitionView(c, ds)
 			if err != nil {
 				return err

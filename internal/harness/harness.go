@@ -34,9 +34,12 @@ type Options struct {
 	Repeats int
 	// DataSeed seeds the synthetic dataset generator.
 	DataSeed uint64
-	// Strategy and Granularity select the parallel variant.
-	Strategy    pautoclass.Strategy
-	Granularity autoclass.Granularity
+	// Strategy selects the parallel variant.
+	Strategy pautoclass.Strategy
+	// OneExchange makes the virtual clocks charge each EM exchange as the
+	// one Allreduce the runtime sends instead of the paper's messages
+	// (simnet.Clock.SetOneExchange): the ABLAT experiment's variant.
+	OneExchange bool
 	// AllreduceAlgo selects the collective algorithm (default ReduceBcast).
 	AllreduceAlgo mpi.AllreduceAlgo
 }
@@ -76,13 +79,13 @@ func (o Options) validate() error {
 func elapsedParallel(ds *dataset.Dataset, p int, opts Options, seed uint64) (elapsed, comm float64, err error) {
 	cfg := opts.Search
 	cfg.Seed = seed
-	cfg.EM.Granularity = opts.Granularity
 	var e0, c0 float64
 	runErr := mpi.Run(p, func(c *mpi.Comm) error {
 		clk, err := simnet.NewClock(opts.Machine)
 		if err != nil {
 			return err
 		}
+		clk.SetOneExchange(opts.OneExchange)
 		po := pautoclass.Options{Strategy: opts.Strategy, Clock: clk, AllreduceAlgo: opts.AllreduceAlgo}
 		if _, err := pautoclass.Search(c, ds, model.DefaultSpec(ds), cfg, po); err != nil {
 			return err

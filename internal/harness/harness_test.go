@@ -193,11 +193,11 @@ func TestAblationShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	if bad := res.CheckShape(); len(bad) != 0 {
-		t.Fatalf("ablation violations: %v\nfull=%v wtsonly=%v packed=%v",
-			bad, res.Full, res.WtsOnly, res.Packed)
+		t.Fatalf("ablation violations: %v\nfull=%v wtsonly=%v one-exchange=%v",
+			bad, res.Full, res.WtsOnly, res.OneExchange)
 	}
 	tbl := res.Table()
-	if !strings.Contains(tbl, "wts-only") || !strings.Contains(tbl, "packed") {
+	if !strings.Contains(tbl, "wts-only") || !strings.Contains(tbl, "one exchange") {
 		t.Fatalf("table:\n%s", tbl)
 	}
 }
@@ -326,7 +326,6 @@ func TestAlgoChangesOnlyTheClockNotTheResult(t *testing.T) {
 		o := opts
 		o.AllreduceAlgo = algo
 		cfg := o.Search
-		cfg.EM.Granularity = o.Granularity
 		var post float64
 		err := mpi.Run(4, func(c *mpi.Comm) error {
 			po := pautoclass.Options{EM: cfg.EM, Strategy: o.Strategy, AllreduceAlgo: algo}
@@ -447,7 +446,7 @@ func TestWriteTSVFormats(t *testing.T) {
 	f8 := &Fig8Result{Procs: []int{1, 2}, Clusters: []int{8}, SecondsPerCycle: [][]float64{{0.33, 0.34}}}
 	prof := &ProfileResult{TotalSeconds: 1, WtsSeconds: 0.8, ParamsSeconds: 0.15, ApproxSeconds: 0.01, InitSeconds: 0.02}
 	seq := &SeqAnchorResult{Sizes: []int{14000}, Seconds: []float64{6}}
-	abl := &AblationResult{Procs: []int{2}, Full: []float64{1}, WtsOnly: []float64{2}, Packed: []float64{0.9}}
+	abl := &AblationResult{Procs: []int{2}, Full: []float64{1}, WtsOnly: []float64{2}, OneExchange: []float64{0.9}}
 	algo := &AlgoResult{Procs: []int{2}, Machines: []string{"m"}, Algos: algoList,
 		Seconds: [][][]float64{{{1}, {0.9}, {1.2}}}}
 	port := &PortabilityResult{Procs: []int{1, 2}, Machines: []string{"m"}, Seconds: [][]float64{{4, 2}}}

@@ -75,7 +75,7 @@ func (r *AblationResult) WriteTSV(w io.Writer) error {
 	for pi, p := range r.Procs {
 		fmt.Fprintf(bw, "%d\tfull-perterm\t%.6f\n", p, r.Full[pi])
 		fmt.Fprintf(bw, "%d\twts-only\t%.6f\n", p, r.WtsOnly[pi])
-		fmt.Fprintf(bw, "%d\tfull-packed\t%.6f\n", p, r.Packed[pi])
+		fmt.Fprintf(bw, "%d\tfull-one-exchange\t%.6f\n", p, r.OneExchange[pi])
 	}
 	return bw.Flush()
 }

@@ -304,7 +304,7 @@ func (c *Comm) Bcast(root int, data []float64) error {
 // Allreduce folds every rank's data elementwise with op and leaves the
 // identical result in data on every rank. This is the operation at the
 // heart of P-AutoClass: the total exchange of the per-class weights w_j and
-// of the packed parameter statistics (paper Figs. 4 and 5).
+// of the parameter statistics (paper Figs. 4 and 5), one call per cycle.
 func (c *Comm) Allreduce(op Op, data []float64) error {
 	c.seq++
 	var steps, sent int

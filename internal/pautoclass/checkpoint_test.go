@@ -114,7 +114,7 @@ func TestKillAndResumeBitwiseIdentical(t *testing.T) {
 			// Kill: the victim's transport fails persistently after a send
 			// budget, several cycles into the first try — a crashed node.
 			plans := map[int]mpi.FaultPlan{
-				victim: {Faults: []mpi.Fault{{Op: "send", Peer: -1, After: 150}}},
+				victim: {Faults: []mpi.Fault{{Op: "send", Peer: -1, After: 42}}},
 			}
 			errs, err := rankErrors(p, mpi.RunConfig{TCP: tcp, Faults: plans}, func(c *mpi.Comm) error {
 				_, err := Search(c, ds, model.DefaultSpec(ds), cfg, checkpointed(DefaultOptions(), ck))

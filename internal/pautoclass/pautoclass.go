@@ -7,12 +7,16 @@
 // partition, and the only communication is the total exchange of
 // intermediate results:
 //
-//   - update_wts: one Allreduce of the per-class weight sums w_j plus the
-//     data log-likelihood (paper Fig. 4);
-//   - update_parameters: an Allreduce of each term's weighted sufficient
-//     statistics, by default one per (class, term) pair exactly as the
-//     paper's Fig. 5 places the exchange inside the class × attribute
-//     loops, or one packed exchange per cycle as an ablation.
+//   - update_wts: the per-class weight sums w_j plus the data
+//     log-likelihood (paper Fig. 4);
+//   - update_parameters: each term's weighted sufficient statistics, which
+//     the paper's Fig. 5 reduces once per (class, term) pair inside the
+//     class × attribute loops.
+//
+// Both travel in one Allreduce per cycle, {w_j, logL | statistics}: every
+// value sums as it would in the paper's separate messages. A virtual
+// clock still charges the paper's messages, so the modeled figures
+// describe the paper's program on the paper's machine.
 //
 // Because every rank sees the identical reduced values, the replicated
 // search drivers make identical decisions (class pruning, duplicate
@@ -142,7 +146,9 @@ func PartitionView(comm *mpi.Comm, ds *dataset.Dataset) (*dataset.View, error) {
 }
 
 // allreduceReducer adapts the group Allreduce (plus the optional virtual
-// clock synchronization) to the engine's Reducer hook.
+// clock synchronization) to the engine's Reducer hook. It is an
+// autoclass.MessageReducer: the clock charges the messages the engine
+// names, while the buffer travels in one Allreduce.
 type allreduceReducer struct {
 	comm  *mpi.Comm
 	clock *simnet.Clock
@@ -157,13 +163,19 @@ func NewAllreduceReducer(comm *mpi.Comm, clock *simnet.Clock) autoclass.Reducer 
 	return &allreduceReducer{comm: comm, clock: clock}
 }
 
-// ReduceInPlace implements autoclass.Reducer.
+// ReduceInPlace implements autoclass.Reducer: buf as one message.
 func (r *allreduceReducer) ReduceInPlace(buf []float64) error {
+	return r.ReduceMessages(buf, []int{len(buf)})
+}
+
+// ReduceMessages implements autoclass.MessageReducer: one Allreduce of
+// buf, charged to the clock as the messages of lengths lens.
+func (r *allreduceReducer) ReduceMessages(buf []float64, lens []int) error {
 	if err := r.comm.Allreduce(mpi.Sum, buf); err != nil {
 		return err
 	}
 	if r.clock != nil {
-		return r.clock.SyncAllreduceAlgo(r.comm, r.algo, len(buf))
+		return r.clock.SyncAllreduceAlgo(r.comm, r.algo, lens...)
 	}
 	return nil
 }

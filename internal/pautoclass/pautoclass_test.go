@@ -252,7 +252,7 @@ func kernelScenarios(t testing.TB, n int) []struct {
 // so they must converge to the same classification: the same class count,
 // the same log posterior to 1e-6, and the same class for every case. The
 // cases cover every term kind and missing-value pattern, one and three
-// ranks, one and four workers per rank, and both statistics granularities.
+// ranks, and one and four workers per rank.
 func TestWtsOnlyEqualsFull(t *testing.T) {
 	ds := paperDS(t, 800)
 	cfg := quickSearchConfig()
@@ -267,66 +267,57 @@ func TestWtsOnlyEqualsFull(t *testing.T) {
 	for _, sc := range kernelScenarios(t, 900) {
 		for _, p := range []int{1, 3} {
 			for _, par := range []int{1, 4} {
-				for _, gran := range []autoclass.Granularity{autoclass.PerTerm, autoclass.Packed} {
-					t.Run(fmt.Sprintf("%s/P=%d/par=%d/%v", sc.name, p, par, gran), func(t *testing.T) {
-						cfg := autoclass.DefaultSearchConfig()
-						cfg.StartJList = []int{2, 4}
-						cfg.Tries = 1
-						cfg.EM.MaxCycles = 60
-						cfg.EM.Parallelism = par
-						cfg.EM.Granularity = gran
-						full := runParallelSearchSpec(t, sc.ds, sc.spec, p, cfg, Options{EM: cfg.EM, Strategy: Full})
-						wts := runParallelSearchSpec(t, sc.ds, sc.spec, p, cfg, Options{EM: cfg.EM, Strategy: WtsOnly})
-						if full.Best.J() != wts.Best.J() {
-							t.Fatalf("J differs: Full %d, WtsOnly %d", full.Best.J(), wts.Best.J())
+				t.Run(fmt.Sprintf("%s/P=%d/par=%d", sc.name, p, par), func(t *testing.T) {
+					cfg := autoclass.DefaultSearchConfig()
+					cfg.StartJList = []int{2, 4}
+					cfg.Tries = 1
+					cfg.EM.MaxCycles = 60
+					cfg.EM.Parallelism = par
+					full := runParallelSearchSpec(t, sc.ds, sc.spec, p, cfg, Options{EM: cfg.EM, Strategy: Full})
+					wts := runParallelSearchSpec(t, sc.ds, sc.spec, p, cfg, Options{EM: cfg.EM, Strategy: WtsOnly})
+					if full.Best.J() != wts.Best.J() {
+						t.Fatalf("J differs: Full %d, WtsOnly %d", full.Best.J(), wts.Best.J())
+					}
+					if !stats.AlmostEqual(full.Best.LogPost, wts.Best.LogPost, 1e-6) {
+						t.Fatalf("logpost differs: Full %v, WtsOnly %v", full.Best.LogPost, wts.Best.LogPost)
+					}
+					for i := 0; i < sc.ds.N(); i++ {
+						row := sc.ds.RowTo(nil, i)
+						if f, w := full.Best.HardAssign(row), wts.Best.HardAssign(row); f != w {
+							t.Fatalf("case %d assigned to class %d under Full, %d under WtsOnly", i, f, w)
 						}
-						if !stats.AlmostEqual(full.Best.LogPost, wts.Best.LogPost, 1e-6) {
-							t.Fatalf("logpost differs: Full %v, WtsOnly %v", full.Best.LogPost, wts.Best.LogPost)
-						}
-						for i := 0; i < sc.ds.N(); i++ {
-							row := sc.ds.RowTo(nil, i)
-							if f, w := full.Best.HardAssign(row), wts.Best.HardAssign(row); f != w {
-								t.Fatalf("case %d assigned to class %d under Full, %d under WtsOnly", i, f, w)
-							}
-						}
-					})
-				}
+					}
+				})
 			}
 		}
 	}
 }
 
-// TestKernelModesAgreeAcrossGranularities is the parallel leg of the
-// kernel trajectory guarantee on a 2-rank run: under both statistics
-// granularities, a search on the blocked kernels (Full) and one on the
-// per-row path (WtsOnly) must discover the same class count and assign
-// every case to the same class.
-func TestKernelModesAgreeAcrossGranularities(t *testing.T) {
+// TestKernelModesAgreeOnTwoRanks is the parallel leg of the kernel
+// trajectory guarantee on a 2-rank run: a search on the blocked kernels
+// (Full) and one on the per-row path (WtsOnly) must discover the same
+// class count and assign every case to the same class.
+func TestKernelModesAgreeOnTwoRanks(t *testing.T) {
 	ds := paperDS(t, 800)
-	for _, gran := range []autoclass.Granularity{autoclass.PerTerm, autoclass.Packed} {
-		t.Run(fmt.Sprint(gran), func(t *testing.T) {
-			run := func(strategy Strategy) *autoclass.SearchResult {
-				cfg := quickSearchConfig()
-				cfg.EM.Granularity = gran
-				return runParallelSearch(t, ds, 2, cfg, Options{EM: cfg.EM, Strategy: strategy})
-			}
-			blocked := run(Full)
-			perRow := run(WtsOnly)
-			if blocked.Best.J() != perRow.Best.J() {
-				t.Fatalf("class counts diverged: blocked J=%d, per-row J=%d",
-					blocked.Best.J(), perRow.Best.J())
-			}
-			if !stats.AlmostEqual(blocked.Best.LogPost, perRow.Best.LogPost, 1e-6) {
-				t.Fatalf("posteriors diverged: blocked %v, per-row %v",
-					blocked.Best.LogPost, perRow.Best.LogPost)
-			}
-			for i := 0; i < ds.N(); i++ {
-				row := ds.RowTo(nil, i)
-				if b, r := blocked.Best.HardAssign(row), perRow.Best.HardAssign(row); b != r {
-					t.Fatalf("case %d assigned to class %d on the blocked path, %d on the per-row path", i, b, r)
-				}
-			}
-		})
+	run := func(strategy Strategy) *autoclass.SearchResult {
+		cfg := quickSearchConfig()
+		return runParallelSearch(t, ds, 2, cfg, Options{EM: cfg.EM, Strategy: strategy})
+	}
+	blocked := run(Full)
+	perRow := run(WtsOnly)
+	if blocked.Best.J() != perRow.Best.J() {
+		t.Fatalf("class counts diverged: blocked J=%d, per-row J=%d",
+			blocked.Best.J(), perRow.Best.J())
+	}
+	if !stats.AlmostEqual(blocked.Best.LogPost, perRow.Best.LogPost, 1e-6) {
+		t.Fatalf("posteriors diverged: blocked %v, per-row %v",
+			blocked.Best.LogPost, perRow.Best.LogPost)
+	}
+	for i := 0; i < ds.N(); i++ {
+		row := ds.RowTo(nil, i)
+		if b, r := blocked.Best.HardAssign(row), perRow.Best.HardAssign(row); b != r {
+			t.Fatalf("case %d assigned to class %d on the blocked path, %d on the per-row path", i, b, r)
+		}
 	}
 }
 
@@ -354,20 +345,6 @@ func TestSearchRunsConfigEM(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("SearchHybrid", res)
-}
-
-func TestPackedGranularityEqualsPerTerm(t *testing.T) {
-	ds := paperDS(t, 800)
-	cfg := quickSearchConfig()
-	optsPacked := DefaultOptions()
-	optsPacked.EM.Granularity = autoclass.Packed
-	cfgPacked := cfg
-	cfgPacked.EM.Granularity = autoclass.Packed
-	perTerm := runParallelSearch(t, ds, 4, cfg, DefaultOptions())
-	packed := runParallelSearch(t, ds, 4, cfgPacked, optsPacked)
-	if !stats.AlmostEqual(perTerm.Best.LogPost, packed.Best.LogPost, 1e-6) {
-		t.Fatalf("granularity changed result: %v vs %v", perTerm.Best.LogPost, packed.Best.LogPost)
-	}
 }
 
 func TestParallelOverTCP(t *testing.T) {

@@ -67,7 +67,7 @@ func TestSPMDResumedTotalsMatchUninterrupted(t *testing.T) {
 		path := filepath.Join(t.TempDir(), "search.ckpt")
 		const victim = 1
 		plans := map[int]mpi.FaultPlan{
-			victim: {Faults: []mpi.Fault{{Op: "send", Peer: -1, After: 150}}},
+			victim: {Faults: []mpi.Fault{{Op: "send", Peer: -1, After: 42}}},
 		}
 		errs, err := rankErrors(p, mpi.RunConfig{Faults: plans}, func(c *mpi.Comm) error {
 			_, err := Search(c, ds, model.DefaultSpec(ds), cfg, checkpointed(DefaultOptions(), Checkpoint{Path: path, Every: 2}))

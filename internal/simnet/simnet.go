@@ -17,7 +17,9 @@
 // 2·ceil(log2 P) for an Allreduce implemented as reduce+broadcast, which is
 // what P-AutoClass's total exchange uses. At every collective the ranks'
 // clocks synchronize to the maximum (a collective cannot complete before
-// its slowest participant) plus the collective's cost.
+// its slowest participant) plus the collective's cost. An EM exchange the
+// runtime sends as one Allreduce is charged as the paper's messages,
+// {w_j, logL} and one per (class, term), in one sync (SyncAllreduceAlgo).
 //
 // The presets are calibrated against the paper's published anchors rather
 // than hardware datasheets; see their doc comments.
@@ -268,6 +270,7 @@ type Clock struct {
 	comm    float64
 	colls   int
 	obs     ClockObserver
+	oneExch bool // SetOneExchange
 }
 
 // NewClock returns a zeroed clock on machine m.
@@ -323,6 +326,12 @@ func (c *Clock) speedup() float64 {
 	return float64(p)
 }
 
+// SetOneExchange selects the program the clock models at a multi-message
+// exchange (SyncAllreduceAlgo). Off, the default, it charges the paper's
+// messages; on, one message of their summed length, the one Allreduce the
+// runtime sends — the variant the ABLAT experiment compares.
+func (c *Clock) SetOneExchange(on bool) { c.oneExch = on }
+
 // SetObserver installs a ClockObserver (nil to disable). Observation never
 // changes what the clock charges, only reports it.
 func (c *Clock) SetObserver(o ClockObserver) { c.obs = o }
@@ -375,10 +384,34 @@ func (c *Clock) SyncAllreduce(comm *mpi.Comm, payloadValues int) error {
 	return c.sync(comm, c.m.AllreduceCost(comm.Size(), 8*payloadValues))
 }
 
-// SyncAllreduceAlgo synchronizes at an Allreduce performed with a specific
-// collective algorithm, charging that algorithm's modeled cost.
-func (c *Clock) SyncAllreduceAlgo(comm *mpi.Comm, algo mpi.AllreduceAlgo, payloadValues int) error {
-	return c.sync(comm, c.m.AllreduceCostAlgo(algo, comm.Size(), 8*payloadValues))
+// SyncAllreduceAlgo synchronizes at an exchange of Allreduce messages of
+// payloadValues float64s each, charging algo's modeled cost per message.
+// The clocks synchronize once: the first message absorbs the wait for the
+// slowest rank, and each further one adds its cost with no wait, since the
+// clocks then agree. Every message counts as a collective.
+func (c *Clock) SyncAllreduceAlgo(comm *mpi.Comm, algo mpi.AllreduceAlgo, payloadValues ...int) error {
+	if c.oneExch {
+		total := 0
+		for _, v := range payloadValues {
+			total += v
+		}
+		payloadValues = []int{total}
+	}
+	p := comm.Size()
+	for i, v := range payloadValues {
+		cost := c.m.AllreduceCostAlgo(algo, p, 8*v)
+		switch {
+		case i == 0:
+			if err := c.sync(comm, cost); err != nil {
+				return err
+			}
+		case p == 1:
+			c.colls++
+		default:
+			c.advance(c.seconds, cost)
+		}
+	}
+	return nil
 }
 
 // SyncBcast synchronizes at a broadcast of payloadValues float64s.
@@ -421,14 +454,20 @@ func (c *Clock) sync(comm *mpi.Comm, cost float64) error {
 	if err != nil {
 		return fmt.Errorf("simnet: clock sync: %w", err)
 	}
-	wait := maxT - c.seconds
-	c.seconds = maxT + cost
+	c.advance(maxT, cost)
+	return nil
+}
+
+// advance charges one collective that starts at the synchronized time at:
+// the rank waits from its own time to at, then pays cost.
+func (c *Clock) advance(at, cost float64) {
+	wait := at - c.seconds
+	c.seconds = at + cost
 	c.comm += wait + cost
 	c.colls++
 	if c.obs != nil {
 		c.obs.ObserveSync(cost, wait)
 	}
-	return nil
 }
 
 // FormatHMS renders seconds as the paper's h.mm.ss time format.

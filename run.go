@@ -417,19 +417,6 @@ const (
 // a fitted classification and, for mid-search snapshots, its SearchPoint.
 type Checkpoint = autoclass.Checkpoint
 
-// Granularity selects how update_parameters exchanges statistics
-// (SearchConfig.EM.Granularity).
-type Granularity = autoclass.Granularity
-
-// Granularities.
-const (
-	// PerTerm reduces once per (class, term) pair — the paper's baseline.
-	PerTerm = autoclass.PerTerm
-	// Packed reduces every class's statistics in one buffer — the paper's
-	// §3.2 optimization.
-	Packed = autoclass.Packed
-)
-
 // Prediction is the batch scoring result of Predict: per-case posterior
 // memberships (row-major N×J), MAP classes, and the total held-out
 // log-likelihood.
