@@ -27,7 +27,8 @@ fmtcheck:
 # loops (masked runs included) and the daemon's warm predict scorers
 # (several dispatchers on one queue), then run at several GOMAXPROCS
 # values, so a one-core host cannot hide a race; the exp kernel's
-# self-checks must fall back when FMA is off; the log names the vector
+# self-checks must fall back when FMA is off, while the eight-lane per-row
+# log, which math.Log's FMA-free code backs, stays on; the log names the vector
 # stages this host takes (the eight-lane kernels need AVX-512F, and their
 # tests skip without it); the bitwise tests hold with the compiler free to
 # use FMA and AVX2 in Go code (GOAMD64=v3); the exp kernel's non-amd64
@@ -42,7 +43,7 @@ race:
 	$(GO) test -race -cpu 1,2,4 \
 		-run 'Concurrent|AcrossParallelism|ParallelismInvariance|ParallelismBitwise|FusedTraining|ChunkedMatches|ChunkedAligned|FoldRowLogLik|RaceFree|HybridTrajectory|PredictRanksBitwise|Resum|Interrupt|SearchObserver|SearchHybrid|KillAndResume|OneExchange|Sweeps|NormalRunScore|FoldLanes|FoldMax|ServeBatchingBitwise|ServePredictKillRestart' \
 		./internal/model ./internal/autoclass ./internal/pautoclass ./internal/serve
-	GODEBUG=cpu.fma=off $(GO) test -run Exp ./internal/stats
+	GODEBUG=cpu.fma=off $(GO) test -v -run 'Exp|LogSumRecip' ./internal/stats
 	$(GO) test -v -run 'PathEnabled|Vectorized|ExpSelfCheck' ./internal/stats ./internal/model
 	GOAMD64=v3 $(GO) test ./internal/stats ./internal/model ./internal/autoclass
 	GOARCH=arm64 $(GO) vet ./...

@@ -28,7 +28,10 @@ import (
 //     row sums, by stats.ExpShiftSum: on amd64 eight lanes per ZMM
 //     register with AVX-512F, else four per YMM register with AVX2 and
 //     FMA. A per-row step then sets the log-evidence z = max + log(sum)
-//     and the reciprocal 1/sum.
+//     and the reciprocal 1/sum: with AVX-512F, stats.LogSumRecip takes
+//     eight rows per ZMM register for every oct whose rows are all live
+//     and finite, and a Go loop takes the oct it stops at (dead rows
+//     included), the tail, and every row on other CPUs.
 //  3. Scale, fold and statistics (blockScratch.foldClasses): w =
 //     v·(1/sum), summed into the class weight W_j, with the first three
 //     normal terms' Σw·x, Σw·x² and Σw accumulated in the same loop
@@ -59,9 +62,11 @@ import (
 //     (+0 and −0 included), on s ≤ mx and on NaN: the strict > itself;
 //   - each exponential is math.Exp(v − max) bit for bit, and the row sum
 //     adds the exponentials in ascending class order;
-//   - the log-evidence is max + log(sum), and every weight is v·(1/sum),
-//     rounded before it is added anywhere (the float64 conversion forbids
-//     fusing the multiply into a following add);
+//   - the log-evidence is max + log(sum), with log the math.Log of the
+//     Go runtime (the eight-lane kernel replays its amd64 operations, none
+//     fused), and every weight is v·(1/sum), rounded before it is added
+//     anywhere (the float64 conversion forbids fusing the multiply into a
+//     following add);
 //   - W_j adds the weights in ascending row order, starting from the
 //     running class sum, and the log-likelihood adds every row's
 //     log-evidence in ascending row order; the vector sweep 3 gives each
@@ -110,16 +115,31 @@ func (ns *normScratch) expSum(v [][]float64, m int, ll *float64) {
 	z := ns.z[:m]
 	l := *ll
 	dead := false
-	for r, s := range sum {
-		if math.IsInf(mx[r], -1) {
-			z[r] = math.Inf(-1)
-			dead = true
-			continue
+	for r := 0; r < m; {
+		end := m
+		if stats.LogSumRecipEnabled() {
+			// The kernel takes whole octs of live rows, every z it sets
+			// finite; the loop below takes the next oct (one holding a
+			// dead, NaN or +Inf row) or the tail.
+			n := stats.LogSumRecip(mx[r:], sum[r:], z[r:])
+			for _, x := range z[r : r+n] {
+				l += x
+			}
+			r += n
+			end = min(m, r+8)
 		}
-		z[r] = mx[r] + math.Log(s)
-		sum[r] = 1 / s
-		if !math.IsInf(z[r], -1) {
-			l += z[r]
+		for ; r < end; r++ {
+			if math.IsInf(mx[r], -1) {
+				z[r] = math.Inf(-1)
+				dead = true
+				continue
+			}
+			s := sum[r]
+			z[r] = mx[r] + math.Log(s)
+			sum[r] = 1 / s
+			if !math.IsInf(z[r], -1) {
+				l += z[r]
+			}
 		}
 	}
 	*ll = l

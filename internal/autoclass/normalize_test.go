@@ -117,17 +117,27 @@ func sameSums(t *testing.T, got, want []float64) {
 // scale-and-fold of the class sums, which stores the weights) — reproduces
 // the row-major oracle bitwise: weights, class sums, log-likelihood,
 // per-row log-evidence and MAP, for class counts from 1 to 64 and block
-// lengths around the 4-lane quads and the full block.
+// lengths around the 4-lane quads, the 8-lane octs and the full block. The
+// last trial's inputs are clean (every row live, finite and inside the
+// exp gate), so every whole oct also passes the per-row kernel's gate.
 func TestClassMajorNormalizerMatchesRowMajor(t *testing.T) {
 	r := rng.New(12)
 	for _, j := range []int{1, 2, 3, 8, 64} {
-		for _, m := range []int{1, 3, 4, 5, 255, 256} {
+		for _, m := range []int{1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 255, 256} {
 			t.Run(fmt.Sprintf("J%d/m%d", j, m), func(t *testing.T) {
-				for trial := 0; trial < 8; trial++ {
+				for trial := 0; trial < 9; trial++ {
 					var bs blockScratch
 					bs.grow(j)
 					lp := bs.lp[:j]
-					normalizeInputs(r, lp, m)
+					if trial < 8 {
+						normalizeInputs(r, lp, m)
+					} else {
+						for _, v := range lp {
+							for row := range v[:m] {
+								v[row] = -60 * r.Float64()
+							}
+						}
+					}
 					oracleIn := make([][]float64, j)
 					for cj := range lp {
 						oracleIn[cj] = append([]float64(nil), lp[cj]...)

@@ -71,11 +71,10 @@ type Rank struct {
 	hTryCycles                           *Histogram
 	collCount, collSteps, collValues     map[string]*Counter
 
-	// pendingColl names the collective the next clock sync charges for;
-	// pendingValues carries its payload. Written by ObserveCollective,
-	// consumed by ObserveSync, both on the rank goroutine.
-	pendingColl   string
-	pendingValues int
+	// pendingColl names the collective the next clock sync charges for.
+	// Written by ObserveCollective, read by ObserveSync, both on the rank
+	// goroutine.
+	pendingColl string
 	// wallTS is the fallback timeline (accumulated wall phase seconds)
 	// used when no clock is bound.
 	wallTS float64
@@ -162,8 +161,8 @@ func (r *Rank) emit(ev Event) {
 }
 
 // ObserveCollective implements mpi.CollectiveObserver: per-op counters and
-// the payload-size distribution, plus the name/payload handoff to the next
-// clock sync. The registry maps are read-only after construction, so this
+// the payload-size distribution, plus the name handoff to the next clock
+// sync. The registry maps are read-only after construction, so this
 // is safe even if a collective races an observer (re)install elsewhere.
 func (r *Rank) ObserveCollective(name string, steps, sentValues int) {
 	if r == nil {
@@ -181,7 +180,6 @@ func (r *Rank) ObserveCollective(name string, steps, sentValues int) {
 	}
 	r.hPayloadBytes.Observe(float64(8 * sentValues))
 	r.pendingColl = name
-	r.pendingValues = sentValues
 }
 
 // ObserveTimeout implements mpi.FaultObserver: count the communicator's
@@ -211,9 +209,10 @@ func (r *Rank) ObserveOps(units, seconds float64) {
 }
 
 // ObserveSync implements simnet.ClockObserver: accumulate modeled comm and
-// wait time and draw the collective on the timeline, named after the
-// preceding collective observed on the communicator.
-func (r *Rank) ObserveSync(cost, wait float64) {
+// wait time and draw the modeled collective on the timeline, named after
+// the preceding collective observed on the communicator and labeled with
+// the modeled message's own payload.
+func (r *Rank) ObserveSync(cost, wait float64, payloadValues int) {
 	if r == nil {
 		return
 	}
@@ -231,7 +230,7 @@ func (r *Rank) ObserveSync(cost, wait float64) {
 			Args: []Arg{
 				{"cost_s", cost},
 				{"wait_s", wait},
-				{"payload_values", float64(r.pendingValues)},
+				{"payload_values", float64(payloadValues)},
 			},
 		})
 	}

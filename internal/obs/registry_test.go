@@ -146,7 +146,7 @@ func TestDisabledPathDoesNotAllocate(t *testing.T) {
 		h.Observe(1)
 		rk.ObserveCollective("allreduce", 2, 64)
 		rk.ObserveOps(10, 0.1)
-		rk.ObserveSync(0.1, 0.2)
+		rk.ObserveSync(0.1, 0.2, 8)
 	}); n != 0 {
 		t.Fatalf("disabled observability path allocates %v times per call", n)
 	}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/model"
 	"repro/internal/mpi"
+	"repro/internal/obs"
 	"repro/internal/simnet"
 )
 
@@ -182,6 +183,76 @@ func TestOneExchangeMatchesPaperMessages(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestOneExchangeTraceSpansCarryMessagePayloads: under the Meiko clock
+// with obs.Rank installed, a cycle's one exchange draws one modeled
+// comm:allreduce span per paper message, and each span carries that
+// message's own length: {w_j, logL} first, then every (class, term)
+// statistics segment in order — the same on both ranks, whatever each rank
+// sent in the real Allreduce.
+func TestOneExchangeTraceSpansCarryMessagePayloads(t *testing.T) {
+	const p, j = 2, 4
+	ds := paperDS(t, 2000)
+	spec := model.DefaultSpec(ds)
+	run := obs.NewRun(p)
+	marks := make([]int, p)
+	var want []int
+	err := mpi.Run(p, func(c *mpi.Comm) error {
+		clk := simnet.MustNewClock(simnet.MeikoCS2())
+		rk := run.Rank(c.Rank())
+		c.SetObserver(rk)
+		rk.BindClock(clk)
+		view, err := PartitionView(c, ds)
+		if err != nil {
+			return err
+		}
+		pr, err := ParallelPriors(c, view, &Options{Clock: clk})
+		if err != nil {
+			return err
+		}
+		cls, err := autoclass.NewClassification(ds, spec, pr, j)
+		if err != nil {
+			return err
+		}
+		eng, err := autoclass.NewEngine(view, cls, autoclass.DefaultConfig(), &allreduceReducer{comm: c, clock: clk}, clk)
+		if err != nil {
+			return err
+		}
+		if err := eng.InitRandom(11); err != nil {
+			return err
+		}
+		marks[c.Rank()] = len(run.Tracer().Events(c.Rank()))
+		if c.Rank() == 0 {
+			want = []int{j + 1}
+			for _, cl := range cls.Classes {
+				for _, term := range cl.Terms {
+					want = append(want, term.StatsSize())
+				}
+			}
+		}
+		_, err = eng.BaseCycle()
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < p; r++ {
+		var got []int
+		for _, ev := range run.Tracer().Events(r)[marks[r]:] {
+			if ev.Name != "comm:allreduce" {
+				continue
+			}
+			for _, a := range ev.Args {
+				if a.Key == "payload_values" {
+					got = append(got, int(a.Val))
+				}
+			}
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("rank %d: the cycle's comm:allreduce spans carry payloads %v, the paper's messages are %v", r, got, want)
 		}
 	}
 }

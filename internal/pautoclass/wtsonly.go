@@ -292,7 +292,7 @@ func (e *wtsOnlyEngine) parametersOnRoot() error {
 		m := e.clock.Machine()
 		p := e.comm.Size()
 		cost := m.GatherCost(p, 8*len(e.wts)) + m.BcastCost(p, 8*len(buf))
-		if err := e.clock.SyncWithCost(e.comm, cost); err != nil {
+		if err := e.clock.SyncWithCost(e.comm, cost, len(e.wts)+len(buf)); err != nil {
 			return err
 		}
 	}

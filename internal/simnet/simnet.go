@@ -249,15 +249,17 @@ func (m Machine) GatherCost(p, bytesPerRank int) float64 {
 // ClockObserver receives the clock's charges as they happen — the hook the
 // observability layer uses to build a per-rank virtual timeline. ObserveOps
 // fires after every computation charge with the op units and the virtual
-// seconds they cost; ObserveSync fires after every multi-rank collective
-// synchronization with the modeled collective cost and the idle seconds the
-// rank spent waiting for the group's slowest member. Both are called with
-// the clock already advanced, so Elapsed() minus the reported seconds gives
-// the interval's virtual start time. Observers must not call back into the
-// clock's charging or sync methods.
+// seconds they cost; ObserveSync fires after every modeled collective of a
+// multi-rank synchronization with its modeled cost, the idle seconds the
+// rank spent waiting for the group's slowest member, and the float64s of
+// the modeled message (so each of the paper's messages that
+// SyncAllreduceAlgo charges inside one sync reports its own length). Both
+// are called with the clock already advanced, so Elapsed() minus the
+// reported seconds gives the interval's virtual start time. Observers must
+// not call back into the clock's charging or sync methods.
 type ClockObserver interface {
 	ObserveOps(units, seconds float64)
-	ObserveSync(cost, wait float64)
+	ObserveSync(cost, wait float64, payloadValues int)
 }
 
 // Clock is one rank's virtual clock. The zero value is invalid; use
@@ -381,7 +383,7 @@ func (c *Clock) Reset() {
 // the collective's modeled cost. Call it immediately after the real
 // Allreduce so the virtual timeline mirrors the real exchange.
 func (c *Clock) SyncAllreduce(comm *mpi.Comm, payloadValues int) error {
-	return c.sync(comm, c.m.AllreduceCost(comm.Size(), 8*payloadValues))
+	return c.sync(comm, c.m.AllreduceCost(comm.Size(), 8*payloadValues), payloadValues)
 }
 
 // SyncAllreduceAlgo synchronizes at an exchange of Allreduce messages of
@@ -402,13 +404,13 @@ func (c *Clock) SyncAllreduceAlgo(comm *mpi.Comm, algo mpi.AllreduceAlgo, payloa
 		cost := c.m.AllreduceCostAlgo(algo, p, 8*v)
 		switch {
 		case i == 0:
-			if err := c.sync(comm, cost); err != nil {
+			if err := c.sync(comm, cost, v); err != nil {
 				return err
 			}
 		case p == 1:
 			c.colls++
 		default:
-			c.advance(c.seconds, cost)
+			c.advance(c.seconds, cost, v)
 		}
 	}
 	return nil
@@ -416,25 +418,26 @@ func (c *Clock) SyncAllreduceAlgo(comm *mpi.Comm, algo mpi.AllreduceAlgo, payloa
 
 // SyncBcast synchronizes at a broadcast of payloadValues float64s.
 func (c *Clock) SyncBcast(comm *mpi.Comm, payloadValues int) error {
-	return c.sync(comm, c.m.BcastCost(comm.Size(), 8*payloadValues))
+	return c.sync(comm, c.m.BcastCost(comm.Size(), 8*payloadValues), payloadValues)
 }
 
 // SyncBarrier synchronizes at a barrier (empty payload, two tree phases).
 func (c *Clock) SyncBarrier(comm *mpi.Comm) error {
-	return c.sync(comm, c.m.AllreduceCost(comm.Size(), 0))
+	return c.sync(comm, c.m.AllreduceCost(comm.Size(), 0), 0)
 }
 
 // SyncWithCost synchronizes the group's clocks at an arbitrary collective
 // whose critical-path cost the caller computed (e.g. a gather followed by a
-// broadcast in the WtsOnly baseline).
-func (c *Clock) SyncWithCost(comm *mpi.Comm, cost float64) error {
+// broadcast in the WtsOnly baseline) and which moves payloadValues
+// float64s.
+func (c *Clock) SyncWithCost(comm *mpi.Comm, cost float64, payloadValues int) error {
 	if cost < 0 || math.IsNaN(cost) {
 		cost = 0
 	}
-	return c.sync(comm, cost)
+	return c.sync(comm, cost, payloadValues)
 }
 
-func (c *Clock) sync(comm *mpi.Comm, cost float64) error {
+func (c *Clock) sync(comm *mpi.Comm, cost float64, payloadValues int) error {
 	if comm.Size() == 1 {
 		// A single rank pays no communication cost; skip the meta-exchange.
 		c.colls++
@@ -454,19 +457,20 @@ func (c *Clock) sync(comm *mpi.Comm, cost float64) error {
 	if err != nil {
 		return fmt.Errorf("simnet: clock sync: %w", err)
 	}
-	c.advance(maxT, cost)
+	c.advance(maxT, cost, payloadValues)
 	return nil
 }
 
-// advance charges one collective that starts at the synchronized time at:
-// the rank waits from its own time to at, then pays cost.
-func (c *Clock) advance(at, cost float64) {
+// advance charges one collective of payloadValues float64s that starts at
+// the synchronized time at: the rank waits from its own time to at, then
+// pays cost.
+func (c *Clock) advance(at, cost float64, payloadValues int) {
 	wait := at - c.seconds
 	c.seconds = at + cost
 	c.comm += wait + cost
 	c.colls++
 	if c.obs != nil {
-		c.obs.ObserveSync(cost, wait)
+		c.obs.ObserveSync(cost, wait, payloadValues)
 	}
 }
 

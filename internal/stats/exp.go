@@ -18,9 +18,11 @@ import "math"
 // own passed, the same instructions run eight lanes at once first: an oct
 // that fails the gate falls to the quads, which do its passing half, and
 // the scalar loop takes each failing quad, the tail, and everything on
-// every other platform. math.Exp switches to its non-FMA branch when the
-// runtime turns FMA off (for example GODEBUG=cpu.fma=off), and the
-// self-checks then disable both vector stages.
+// every other platform. The oct stage keeps two octs in flight; each lane
+// still runs the quads' instructions in their order. math.Exp switches to
+// its non-FMA branch when the runtime turns FMA off (for example
+// GODEBUG=cpu.fma=off), and the self-checks then disable both vector
+// stages. LogSumRecip is the per-row step that follows.
 func ExpShiftSum(v, shift, sum []float64) {
 	shift, sum = shift[:len(v)], sum[:len(v)]
 	i := 0
@@ -100,6 +102,77 @@ func expSelfCheck(kernel func(v, shift, sum []float64) int) bool {
 	for i := range v {
 		if math.Float64bits(v[i]) != math.Float64bits(wantV[i]) ||
 			math.Float64bits(sum[i]) != math.Float64bits(wantSum[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// LogSumRecip is the per-row step that follows ExpShiftSum in a softmax:
+// from the start of sum, for every i it sets z[i] = shift[i] +
+// math.Log(sum[i]) and sum[i] = 1/sum[i], bit for bit, eight rows at a
+// time, and stops at the first oct of rows with a shift that is not finite
+// or a sum outside [1, +Inf) (or NaN). It returns the number of rows done,
+// a multiple of 8; rows from there on are untouched. shift and z must be
+// at least as long as sum.
+//
+// Only amd64 with AVX-512F runs it, and only after an init-time
+// self-check has shown the kernel reproduces math.Log on this machine
+// (LogSumRecipEnabled); everywhere else it does no row and the caller's
+// loop takes them all. The kernel runs the operations of the Go runtime's
+// amd64 math.Log in their order, none of them fused. math.Log has no
+// CPU-dependent branch, so GODEBUG=cpu.fma=off, which turns the exp
+// stages off, leaves this one on.
+func LogSumRecip(shift, sum, z []float64) int {
+	if !fastLogOcts {
+		return 0
+	}
+	return logSumRecipOcts(shift[:len(sum)], sum, z[:len(sum)])
+}
+
+// LogSumRecipEnabled reports whether LogSumRecip runs its kernel here; when
+// it does not, LogSumRecip always returns 0.
+func LogSumRecipEnabled() bool { return fastLogOcts }
+
+// logProbe returns the fixed sums of the init-time self-check of
+// LogSumRecip's kernel, all inside its gate: values dense near 1, spread
+// over the whole exponent range, every power of two, and mantissas on both
+// sides of sqrt(2)/2 and exactly on it, where math.Log's reduction
+// branches.
+func logProbe() []float64 {
+	var p []float64
+	const phi = 0.6180339887498949
+	f := 0.0
+	for i := 0; i < 256; i++ {
+		f += phi
+		f -= math.Floor(f)
+		p = append(p, 1+f*f*f, math.Ldexp(1+f, int(f*1022)))
+	}
+	h := math.Sqrt2 / 2
+	for e := 1; e <= 1023; e++ {
+		p = append(p, math.Ldexp(1, e-1),
+			math.Ldexp(math.Nextafter(h, 0), e), math.Ldexp(h, e), math.Ldexp(math.Nextafter(h, 1), e))
+	}
+	return p[:len(p)&^7]
+}
+
+// logSelfCheck reports whether kernel, the eight-lane stage of
+// LogSumRecip, reproduces shift + math.Log(sum) and 1/sum bit for bit on
+// the probe. Every shift is nonzero, so a kernel that drops it fails.
+func logSelfCheck(kernel func(shift, sum, z []float64) int) bool {
+	sum := logProbe()
+	shift := make([]float64, len(sum))
+	z := make([]float64, len(sum))
+	for i := range shift {
+		shift[i] = float64(i%7) - 2.75
+	}
+	want := append([]float64(nil), sum...)
+	if kernel(shift, sum, z) != len(sum) {
+		return false
+	}
+	for i, s := range want {
+		if math.Float64bits(z[i]) != math.Float64bits(shift[i]+math.Log(s)) ||
+			math.Float64bits(sum[i]) != math.Float64bits(1/s) {
 			return false
 		}
 	}

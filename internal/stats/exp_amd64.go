@@ -10,6 +10,12 @@ var fastExp = HasAVX2FMA() && expSelfCheck(expShiftSumQuads)
 // the scalar loop on the probe too.
 var fastOcts = fastExp && HasAVX512() && expSelfCheck(expShiftSumOcts)
 
+// fastLogOcts enables the 8-wide kernel of LogSumRecip: the CPU and OS
+// support AVX-512F, and the kernel reproduces math.Log and the reciprocal
+// on the probe. math.Log has no FMA branch, so this does not depend on
+// fastExp.
+var fastLogOcts = HasAVX512() && logSelfCheck(logSumRecipOcts)
+
 // expShiftSumQuads runs ExpShiftSum with AVX2 and FMA, four lanes at a
 // time, from the start of v up to the first quad with a shifted lane
 // outside [−expGate, expGate] (or NaN). It returns the number of elements
@@ -25,6 +31,14 @@ func expShiftSumQuads(v, shift, sum []float64) int
 //
 //go:noescape
 func expShiftSumOcts(v, shift, sum []float64) int
+
+// logSumRecipOcts runs LogSumRecip with AVX-512F, eight rows at a time,
+// from the start of sum up to the first oct that fails the gate. It
+// returns the number of rows done, a multiple of 8; rows from there on are
+// untouched. shift and z must be at least as long as sum.
+//
+//go:noescape
+func logSumRecipOcts(shift, sum, z []float64) int
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

@@ -29,3 +29,16 @@ func TestExpOctPathEnabled(t *testing.T) {
 		t.Fatal("eight-lane exp disabled: the oct kernel does not reproduce math.Exp on the probe")
 	}
 }
+
+// TestLogSumRecipPathEnabled: on a CPU with AVX-512F the self-check must
+// accept LogSumRecip's kernel. math.Log has no FMA branch, so unlike the
+// exp stages this holds under every GODEBUG, cpu.fma=off included.
+func TestLogSumRecipPathEnabled(t *testing.T) {
+	if !HasAVX512() {
+		t.Skip("no AVX-512F")
+	}
+	if !LogSumRecipEnabled() {
+		t.Fatal("eight-lane log disabled: the kernel does not reproduce math.Log on the probe")
+	}
+	t.Logf("eight-lane log enabled (GODEBUG=%q)", os.Getenv("GODEBUG"))
+}

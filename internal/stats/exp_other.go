@@ -13,3 +13,9 @@ const fastOcts = false
 
 // expShiftSumOcts does no element off amd64.
 func expShiftSumOcts(v, shift, sum []float64) int { return 0 }
+
+// fastLogOcts is false off amd64: LogSumRecip does no row.
+const fastLogOcts = false
+
+// logSumRecipOcts does no row off amd64.
+func logSumRecipOcts(shift, sum, z []float64) int { return 0 }

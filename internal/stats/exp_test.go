@@ -152,13 +152,14 @@ func TestExpShiftSumMatchesMathExp(t *testing.T) {
 	}
 }
 
-// TestExpShiftSumLengthsAndAlignment covers every length 0…17 (whole octs
-// and quads, tails, and all of them together) at every start offset 0…7
-// into shared backing arrays, so octs and quads are also evaluated off
-// 64-byte alignment, with gate violations planted at each position — in
-// the input or in the shift — through ExpShiftSum and through each enabled
-// vector stage on its own, and checks that nothing outside the window
-// changes.
+// TestExpShiftSumLengthsAndAlignment covers every length 0…33 (whole octs
+// and quads, pairs of octs, tails, and all of them together) at every
+// start offset 0…7 into shared backing arrays, so octs and quads are also
+// evaluated off 64-byte alignment, with gate violations planted at each
+// position — in the input or in the shift, so in the first oct of a pair,
+// in the second and after it — through ExpShiftSum and through each
+// enabled vector stage on its own, and checks that nothing outside the
+// window changes.
 func TestExpShiftSumLengthsAndAlignment(t *testing.T) {
 	base := []float64{-3.5, 0.25, 707.9, -1e-7, 2, -708, 708, -0.5, 12, -20, 1, 3}
 	shifts := []float64{0, -1.5, 0.75, 0, 3, 0, 0, -2, 0.5, 1, 0, -0.25}
@@ -175,7 +176,7 @@ func TestExpShiftSumLengthsAndAlignment(t *testing.T) {
 		}
 	}
 	for _, r := range runs {
-		for n := 0; n <= 17; n++ {
+		for n := 0; n <= 33; n++ {
 			for off := 0; off < 8; off++ {
 				for plant := -1; plant < n; plant++ {
 					for bi, bad := range oddShift {
@@ -299,6 +300,231 @@ func BenchmarkExpShiftSum(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			copy(v, src)
 			expShiftSumScalar(v, shift, sum)
+		}
+	})
+}
+
+// logSums returns the exactness corpus of TestLogSumRecipMatchesMathLog,
+// every sum inside LogSumRecip's gate: sums over [1, 2^1023), dense near 1
+// and at the sizes a sum of J ≤ 64 class terms takes, every power of two
+// from 1 to 2^1023, and mantissas on both sides of sqrt(2)/2 — exactly on
+// it and at its two float64 neighbours at every exponent, and packed
+// around it.
+func logSums() []float64 {
+	r := rng.New(20261019)
+	var xs []float64
+	for i := 0; i < 200_000; i++ {
+		xs = append(xs, math.Ldexp(1+r.Float64(), r.Intn(1023)))
+	}
+	for i := 0; i < 200_000; i++ {
+		xs = append(xs, 1+r.Float64()*1e-3, 1+r.Float64(), 1+63*r.Float64())
+	}
+	for i := 0; i < 50_000; i++ {
+		xs = append(xs, 1+float64(i)*0x1p-52)
+	}
+	h := math.Sqrt2 / 2
+	for e := 0; e <= 1023; e++ {
+		xs = append(xs, math.Ldexp(1, e))
+		if e >= 1 {
+			xs = append(xs, math.Ldexp(math.Nextafter(h, 0), e), math.Ldexp(h, e), math.Ldexp(math.Nextafter(h, 1), e))
+		}
+	}
+	for i := 0; i < 100_000; i++ {
+		xs = append(xs, math.Ldexp(h*(1+(2*r.Float64()-1)*1e-6), 1+r.Intn(1023)))
+	}
+	return append(xs, math.MaxFloat64, math.Nextafter(1, 2), 2-0x1p-52)
+}
+
+// logShifts returns one row maximum per sum: both signs, from tiny to
+// ±1e300, and zeros of both signs.
+func logShifts(n int) []float64 {
+	r := rng.New(11)
+	special := []float64{0, math.Copysign(0, -1), 1e300, -1e300, math.MaxFloat64, -math.MaxFloat64, 1e-300, -3}
+	shift := make([]float64, n)
+	for i := range shift {
+		switch i % 4 {
+		case 0:
+			shift[i] = special[(i/4)%len(special)]
+		case 1:
+			shift[i] = -1000 * r.Float64()
+		case 2:
+			shift[i] = (2*r.Float64() - 1) * 1e6
+		default:
+			shift[i] = 0
+		}
+	}
+	return shift
+}
+
+// checkLogSumRecip fails unless the first n rows hold z = shift +
+// math.Log(sum0) and sum = 1/sum0, and every other row of z and sum is
+// as it was, bit for bit.
+func checkLogSumRecip(t *testing.T, what string, n int, shift, sum0, z0, sum, z []float64) {
+	t.Helper()
+	for i, s := range sum0 {
+		wantZ, wantSum := z0[i], s
+		if i < n {
+			wantZ, wantSum = shift[i]+math.Log(s), 1/s
+		}
+		if math.Float64bits(z[i]) != math.Float64bits(wantZ) || math.Float64bits(sum[i]) != math.Float64bits(wantSum) {
+			t.Fatalf("%s: row %d (done %d) of shift %v, sum %v [%#x]: z %v, sum %v; want %v, %v",
+				what, i, n, shift[i], s, math.Float64bits(s), z[i], sum[i], wantZ, wantSum)
+		}
+	}
+}
+
+// TestLogSumRecipMatchesMathLog runs the corpus through LogSumRecip: every
+// row passes the gate, so the kernel must take every whole oct and
+// reproduce shift + math.Log(sum) and 1/sum bitwise.
+func TestLogSumRecipMatchesMathLog(t *testing.T) {
+	if !LogSumRecipEnabled() {
+		t.Skip("eight-lane log disabled by the CPU probe or its self-check")
+	}
+	sum0 := logSums()
+	shift := logShifts(len(sum0))
+	sum := append([]float64(nil), sum0...)
+	z0 := make([]float64, len(sum0))
+	for i := range z0 {
+		z0[i] = -7
+	}
+	z := append([]float64(nil), z0...)
+	n := LogSumRecip(shift, sum, z)
+	if n != len(sum)&^7 {
+		t.Fatalf("kernel did %d of %d rows, all inside the gate", n, len(sum))
+	}
+	checkLogSumRecip(t, "LogSumRecip", n, shift, sum0, z0, sum, z)
+	t.Logf("kernel evaluated %d of %d rows", n, len(sum))
+}
+
+// TestLogSumRecipLengthsAndAlignment covers every length 0…17 at every
+// start offset 0…7 into shared backing arrays, with one gate violation
+// planted at every row — a row maximum of −Inf, +Inf or NaN, or a sum of
+// NaN, +Inf or below 1 — and checks that LogSumRecip does exactly the
+// whole octs before the violation (none where the stage is off), leaves
+// every other row as it was, and touches nothing outside the window.
+func TestLogSumRecipLengthsAndAlignment(t *testing.T) {
+	badShift := []float64{math.Inf(-1), math.Inf(1), math.NaN()}
+	badSum := []float64{math.NaN(), math.Inf(1), math.Nextafter(1, 0), 0.5, 0, -2, math.SmallestNonzeroFloat64}
+	for n := 0; n <= 17; n++ {
+		for off := 0; off < 8; off++ {
+			for plant := -1; plant < n; plant++ {
+				for bi := 0; bi < len(badShift)+len(badSum); bi++ {
+					if plant < 0 && bi > 0 {
+						continue
+					}
+					size := off + n + 3
+					shift := make([]float64, size)
+					sum := make([]float64, size)
+					z := make([]float64, size)
+					for i := range sum {
+						shift[i] = float64(i%5)*-3.25 + 1
+						sum[i] = 1 + float64(i)*0.375
+						z[i] = float64(-i)
+					}
+					if plant >= 0 {
+						if bi < len(badShift) {
+							shift[off+plant] = badShift[bi]
+						} else {
+							sum[off+plant] = badSum[bi-len(badShift)]
+						}
+					}
+					sum0 := append([]float64(nil), sum...)
+					z0 := append([]float64(nil), z...)
+					got := LogSumRecip(shift[off:off+n+3], sum[off:off+n], z[off:off+n+3])
+					want := 0
+					if LogSumRecipEnabled() {
+						want = n &^ 7
+						if plant >= 0 {
+							want = min(want, plant&^7)
+						}
+					}
+					what := fmt.Sprintf("n=%d off=%d plant=%d bad=%d", n, off, plant, bi)
+					if got != want {
+						t.Fatalf("%s: did %d rows, want %d", what, got, want)
+					}
+					checkLogSumRecip(t, what, got, shift[off:off+n], sum0[off:off+n], z0[off:off+n], sum[off:off+n], z[off:off+n])
+					for i := range sum {
+						if i >= off && i < off+n {
+							continue
+						}
+						if math.Float64bits(sum[i]) != math.Float64bits(sum0[i]) || math.Float64bits(z[i]) != math.Float64bits(z0[i]) {
+							t.Fatalf("%s: row %d outside the window changed", what, i)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// logSumRecipLoop is the Go loop in the shape of LogSumRecip's kernel.
+func logSumRecipLoop(shift, sum, z []float64) int {
+	for i, s := range sum {
+		z[i] = shift[i] + math.Log(s)
+		sum[i] = 1 / s
+	}
+	return len(sum)
+}
+
+// TestLogSumRecipSelfCheck: the self-check accepts the Go loop and rejects
+// a kernel that is one ulp off in the log-evidence or in the reciprocal,
+// one that ignores the shift, and one that stops early.
+func TestLogSumRecipSelfCheck(t *testing.T) {
+	if !logSelfCheck(logSumRecipLoop) {
+		t.Fatal("self-check rejects the Go loop itself")
+	}
+	broken := map[string]func(shift, sum, z []float64) int{
+		"log-evidence one ulp off": func(shift, sum, z []float64) int {
+			n := logSumRecipLoop(shift, sum, z)
+			z[len(z)/2] = math.Nextafter(z[len(z)/2], 0)
+			return n
+		},
+		"reciprocal one ulp off": func(shift, sum, z []float64) int {
+			n := logSumRecipLoop(shift, sum, z)
+			sum[len(sum)-1] = math.Nextafter(sum[len(sum)-1], 0)
+			return n
+		},
+		"shift ignored": func(shift, sum, z []float64) int {
+			return logSumRecipLoop(make([]float64, len(shift)), sum, z)
+		},
+		"stops early": func(shift, sum, z []float64) int { return 0 },
+	}
+	for name, kernel := range broken {
+		if logSelfCheck(kernel) {
+			t.Fatalf("self-check accepts a kernel with its %s", name)
+		}
+	}
+	t.Logf("eight-lane log enabled: %v", LogSumRecipEnabled())
+}
+
+// BenchmarkLogSumRecip times the per-row step over 256 rows inside the
+// gate: the eight-lane kernel (skipped where the stage is off) and the Go
+// loop. Every leg includes the copy that restores the sums.
+func BenchmarkLogSumRecip(b *testing.B) {
+	r := rng.New(1)
+	src := make([]float64, 256)
+	shift := make([]float64, 256)
+	for i := range src {
+		src[i] = 1 + 63*r.Float64()
+		shift[i] = -40 * r.Float64()
+	}
+	sum := make([]float64, len(src))
+	z := make([]float64, len(src))
+	b.Run("octs", func(b *testing.B) {
+		if !LogSumRecipEnabled() {
+			b.Skip("disabled by the CPU probe or its self-check")
+		}
+		for i := 0; i < b.N; i++ {
+			copy(sum, src)
+			if LogSumRecip(shift, sum, z) != len(sum) {
+				b.Fatal("kernel stopped at the gate")
+			}
+		}
+	})
+	b.Run("loop", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			copy(sum, src)
+			logSumRecipLoop(shift, sum, z)
 		}
 	})
 }
