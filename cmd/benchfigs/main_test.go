@@ -2,16 +2,21 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// The quick sweeps are still multi-second runs; each experiment gets one
-// smoke test over a buffer and the structural assertions live in
-// internal/harness. Here we verify the CLI wiring: selection, rendering
-// and shape-check reporting.
+// The quick sweeps are still multi-second runs, so each one runs once here:
+// TestBenchfigsTSVOutput drives the six modeled experiments and
+// TestBenchfigsProfileQuick the wall-clock profile. The structural
+// assertions live in internal/harness; here we verify the CLI wiring
+// (selection, rendering, shape-check reporting, TSV output) and pin the
+// modeled numbers.
+
+var update = flag.Bool("update", false, "rewrite testdata/*.tsv from this run")
 
 func TestBenchfigsUnknownExperiment(t *testing.T) {
 	var buf bytes.Buffer
@@ -36,71 +41,57 @@ func TestBenchfigsProfileQuick(t *testing.T) {
 	}
 }
 
-func TestBenchfigsSeqQuick(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run([]string{"-fig", "seq", "-quick"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "Pentium") {
-		t.Fatalf("output:\n%s", buf.String())
-	}
-}
-
-func TestBenchfigsFig7AliasesFig6(t *testing.T) {
-	// -fig 7 must run the fig 6 experiment (7 derives from its data).
-	var buf bytes.Buffer
-	if err := run([]string{"-fig", "7", "-quick"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "Fig 7 — speedup") || !strings.Contains(out, "Fig 6 — average elapsed") {
-		t.Fatalf("output:\n%s", out)
-	}
-}
-
-func TestBenchfigsFig8Quick(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run([]string{"-fig", "8", "-quick"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "Fig 8") || !strings.Contains(out, "T(maxP)/T(minP)") {
-		t.Fatalf("output:\n%s", out)
-	}
-	if !strings.Contains(out, "shape checks: all passed") {
-		t.Fatalf("fig8 shape checks failed:\n%s", out)
-	}
-}
-
-func TestBenchfigsAblationQuick(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run([]string{"-fig", "ablation", "-quick"}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "wts-only [7]") {
-		t.Fatalf("output:\n%s", out)
-	}
-	if !strings.Contains(out, "shape checks: all passed") {
-		t.Fatalf("ablation shape checks failed:\n%s", out)
-	}
-}
-
+// TestBenchfigsTSVOutput runs each modeled experiment's quick sweep once
+// and compares its TSV byte for byte with testdata/<name>.tsv. These six
+// print virtual seconds from deterministic trajectories, so a change that
+// moves any modeled number fails here; rerun with -update when the change
+// is intended. TPROF is left out: it measures wall-clock time. Each case
+// also checks what the experiment prints, -fig 7 running the fig 6 sweep.
 func TestBenchfigsTSVOutput(t *testing.T) {
 	dir := t.TempDir()
-	var buf bytes.Buffer
-	if err := run([]string{"-fig", "seq", "-quick", "-tsv", dir}, &buf); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(filepath.Join(dir, "seq_anchor.tsv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
-	if lines[0] != "tuples\tseconds" {
-		t.Fatalf("header %q", lines[0])
-	}
-	if len(lines) != 4 { // header + 3 sizes in quick mode
-		t.Fatalf("rows %d", len(lines))
+	for _, tc := range []struct {
+		fig, name string
+		want      []string
+	}{
+		{"7", "fig6_7", []string{"Fig 6 — average elapsed", "Fig 7 — speedup"}},
+		{"8", "fig8", []string{"Fig 8", "T(maxP)/T(minP)", "shape checks: all passed"}},
+		{"seq", "seq_anchor", []string{"Pentium"}},
+		{"ablation", "ablation", []string{"wts-only [7]", "shape checks: all passed"}},
+		{"algo", "algo", []string{"reduce-bcast", "recursive-doubling", "ring", "shape checks: all passed"}},
+		{"portability", "portability", []string{"Portability", "shape checks: all passed"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := run([]string{"-fig", tc.fig, "-quick", "-tsv", dir}, &buf); err != nil {
+				t.Fatal(err)
+			}
+			out := buf.String()
+			for _, want := range tc.want {
+				if !strings.Contains(out, want) {
+					t.Fatalf("output missing %q:\n%s", want, out)
+				}
+			}
+			got, err := os.ReadFile(filepath.Join(dir, tc.name+".tsv"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			golden := filepath.Join("testdata", tc.name+".tsv")
+			if *update {
+				if err := os.MkdirAll("testdata", 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(golden, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("missing golden file (run `go test ./cmd/benchfigs -update`): %v", err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s differs from %s; rerun with -update if the change is intended\ngot:\n%s\nwant:\n%s", tc.name, golden, got, want)
+			}
+		})
 	}
 }

@@ -16,7 +16,7 @@
 //	GET  /v1/models/{id}              one model: versions, active, cache stats
 //	POST /v1/models/{id}/activate     switch the serving version
 //	POST /v1/models/{id}/predict      batch-score rows (optional version pin;
-//	                                  bare job IDs still work but are deprecated)
+//	                                  a job ID is not a model: publish it first)
 //	GET  /metrics                     Prometheus exposition (JSON under Accept: application/json)
 //	GET  /metrics.json                server + last-run metrics (JSON)
 //	GET  /debug/trace                 Chrome trace of the last training run

@@ -3,17 +3,18 @@ package harness
 import (
 	"fmt"
 
-	"repro/internal/mpi"
 	"repro/internal/simnet"
 )
 
-// AlgoConfig configures the collective-algorithm ablation: the same
-// P-AutoClass run under the three Allreduce implementations (reduce+bcast —
-// the paper's pattern, recursive doubling, and a bandwidth-optimal ring),
-// on the Meiko CS-2 and on a commodity PC cluster. The experiment
-// quantifies a design choice the paper leaves implicit: with P-AutoClass's
-// small statistics messages, latency dominates, so the tree algorithms win
-// and the ring's 2(P−1) message rounds hurt.
+// AlgoConfig configures the collective-algorithm ablation: one P-AutoClass
+// trajectory priced under three Allreduce cost models (reduce+bcast — the
+// paper's pattern, recursive doubling, and a bandwidth-optimal ring), on
+// the Meiko CS-2 and on a commodity PC cluster. The runtime sends
+// reduce+bcast in every row; only the clocks' algorithm changes
+// (simnet.Clock.SetAllreduceAlgo). The experiment quantifies a design
+// choice the paper leaves implicit: with P-AutoClass's small statistics
+// messages, latency dominates, so the tree algorithms win and the ring's
+// 2(P−1) message rounds hurt.
 type AlgoConfig struct {
 	Opts Options
 	// N is the dataset size.
@@ -36,14 +37,14 @@ func DefaultAlgoConfig() AlgoConfig {
 }
 
 // algoList fixes the ablation's algorithm order.
-var algoList = []mpi.AllreduceAlgo{mpi.ReduceBcast, mpi.RecursiveDoubling, mpi.Ring}
+var algoList = []simnet.AllreduceAlgo{simnet.ReduceBcast, simnet.RecursiveDoubling, simnet.Ring}
 
 // AlgoResult holds mean elapsed virtual seconds per machine, algorithm and
 // processor count.
 type AlgoResult struct {
 	Procs    []int
 	Machines []string
-	Algos    []mpi.AllreduceAlgo
+	Algos    []simnet.AllreduceAlgo
 	// Seconds[mi][ai][pi].
 	Seconds [][][]float64
 }

@@ -89,6 +89,7 @@ func scaleupCell(cfg Fig8Config, j, p int) (float64, error) {
 				return err
 			}
 			clk.SetOneExchange(cfg.Opts.OneExchange)
+			clk.SetAllreduceAlgo(cfg.Opts.AllreduceAlgo)
 			view, err := pautoclass.PartitionView(c, ds)
 			if err != nil {
 				return err

@@ -40,8 +40,11 @@ type Options struct {
 	// one Allreduce the runtime sends instead of the paper's messages
 	// (simnet.Clock.SetOneExchange): the ABLAT experiment's variant.
 	OneExchange bool
-	// AllreduceAlgo selects the collective algorithm (default ReduceBcast).
-	AllreduceAlgo mpi.AllreduceAlgo
+	// AllreduceAlgo selects the collective algorithm whose cost the virtual
+	// clocks charge at every Allreduce (simnet.Clock.SetAllreduceAlgo;
+	// default ReduceBcast): the ALGO experiment's variants. The runtime
+	// sends reduce+broadcast whatever it is.
+	AllreduceAlgo simnet.AllreduceAlgo
 }
 
 // DefaultOptions returns the experiment defaults: the Meiko CS-2 model, a
@@ -86,7 +89,8 @@ func elapsedParallel(ds *dataset.Dataset, p int, opts Options, seed uint64) (ela
 			return err
 		}
 		clk.SetOneExchange(opts.OneExchange)
-		po := pautoclass.Options{Strategy: opts.Strategy, Clock: clk, AllreduceAlgo: opts.AllreduceAlgo}
+		clk.SetAllreduceAlgo(opts.AllreduceAlgo)
+		po := pautoclass.Options{Strategy: opts.Strategy, Clock: clk}
 		if _, err := pautoclass.Search(c, ds, model.DefaultSpec(ds), cfg, po); err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -314,56 +315,47 @@ func TestAlgoAblationValidation(t *testing.T) {
 }
 
 func TestAlgoChangesOnlyTheClockNotTheResult(t *testing.T) {
-	// The collective algorithm affects virtual time, never the
-	// classification (all algorithms compute the same sums).
+	// The collective algorithm is a setting of the simulated clock: it
+	// changes the virtual time, never the classification, because the
+	// runtime sends the same reduce+broadcast under every algorithm.
 	ds, err := paperDataset(2000, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := tinyOptions()
-	results := map[mpi.AllreduceAlgo]float64{}
-	for _, algo := range []mpi.AllreduceAlgo{mpi.ReduceBcast, mpi.RecursiveDoubling, mpi.Ring} {
-		o := opts
-		o.AllreduceAlgo = algo
-		cfg := o.Search
-		var post float64
+	cfg := opts.Search
+	type result struct{ post, elapsed float64 }
+	results := map[simnet.AllreduceAlgo]result{}
+	for _, algo := range algoList {
+		var r result
 		err := mpi.Run(4, func(c *mpi.Comm) error {
-			po := pautoclass.Options{EM: cfg.EM, Strategy: o.Strategy, AllreduceAlgo: algo}
+			clk := simnet.MustNewClock(opts.Machine)
+			clk.SetAllreduceAlgo(algo)
+			po := pautoclass.Options{EM: cfg.EM, Strategy: opts.Strategy, Clock: clk}
 			res, err := pautoclass.Search(c, ds, model.DefaultSpec(ds), cfg, po)
 			if err != nil {
 				return err
 			}
 			if c.Rank() == 0 {
-				post = res.Best.LogPost
+				r = result{post: res.Best.LogPost, elapsed: clk.Elapsed()}
 			}
 			return nil
 		})
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)
 		}
-		results[algo] = post
+		results[algo] = r
 	}
-	base := results[mpi.ReduceBcast]
-	for algo, post := range results {
-		if !almostEqualForTest(post, base, 1e-9) {
-			t.Fatalf("algo %v changed the classification: %v vs %v", algo, post, base)
+	base := results[simnet.ReduceBcast]
+	for _, algo := range []simnet.AllreduceAlgo{simnet.RecursiveDoubling, simnet.Ring} {
+		r := results[algo]
+		if math.Float64bits(r.post) != math.Float64bits(base.post) {
+			t.Fatalf("algo %v changed the classification: LogPost %v vs %v", algo, r.post, base.post)
+		}
+		if r.elapsed == base.elapsed {
+			t.Fatalf("algo %v charged reduce-bcast's virtual time, %v s", algo, r.elapsed)
 		}
 	}
-}
-
-func almostEqualForTest(a, b, tol float64) bool {
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	scale := b
-	if scale < 0 {
-		scale = -scale
-	}
-	if scale < 1 {
-		scale = 1
-	}
-	return d <= tol*scale
 }
 
 func TestPortabilityShape(t *testing.T) {

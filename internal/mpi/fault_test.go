@@ -220,7 +220,7 @@ func runVerdicts(p int, cfg RunConfig, fn func(c *Comm) error) ([]error, error) 
 }
 
 // TestFaultMatrix kills one rank on its very first transport operation and
-// drives every collective, every Allreduce algorithm, over both transports,
+// drives every collective over both transports,
 // with no deadline: the launcher's cascade alone must release every rank.
 // Every healthy rank must return an error, and the victim must report the
 // injected error, which RunWith returns as the first failure. The workload
@@ -239,18 +239,15 @@ func TestFaultMatrix(t *testing.T) {
 	}
 	ops := []struct {
 		name string
-		algo AllreduceAlgo
 		call func(c *Comm) error
 	}{
-		{"bcast", ReduceBcast, func(c *Comm) error { return c.Bcast(0, []float64{1, 2}) }},
-		{"allreduce-reducebcast", ReduceBcast, allreduce},
-		{"allreduce-recursivedoubling", RecursiveDoubling, allreduce},
-		{"allreduce-ring", Ring, allreduce},
-		{"gather", ReduceBcast, func(c *Comm) error {
+		{"bcast", func(c *Comm) error { return c.Bcast(0, []float64{1, 2}) }},
+		{"allreduce", allreduce},
+		{"gather", func(c *Comm) error {
 			_, err := c.Gather(0, []float64{float64(c.Rank())})
 			return err
 		}},
-		{"allgather", ReduceBcast, func(c *Comm) error {
+		{"allgather", func(c *Comm) error {
 			_, err := c.Allgather([]float64{float64(c.Rank())})
 			return err
 		}},
@@ -269,7 +266,6 @@ func TestFaultMatrix(t *testing.T) {
 				cfg := RunConfig{TCP: tcp, Faults: map[int]FaultPlan{victim: {Faults: []Fault{{Op: "", Peer: -1}}}}}
 				start := time.Now()
 				errs, err := runVerdicts(p, cfg, func(c *Comm) error {
-					c.SetAllreduceAlgo(op.algo)
 					for i := 0; i < iters; i++ {
 						if err := op.call(c); err != nil {
 							return err

@@ -22,7 +22,8 @@ type memMesh struct {
 
 // memChanCap bounds in-flight messages per ordered rank pair. The
 // collectives never have more than a handful outstanding; a generous buffer
-// keeps sends non-blocking, which the butterfly exchange relies on.
+// keeps sends non-blocking, so a sender never waits for its peer to post
+// the matching receive.
 const memChanCap = 1024
 
 // newMemLinks creates the channel mesh for p ranks and returns each rank's

@@ -1,14 +1,15 @@
 // Package mpi is a message-passing substrate modeled on the subset of MPI
-// that P-AutoClass uses: point-to-point sends and receives between ranks of
-// a fixed-size group, and the collective operations Bcast, Allreduce,
-// Gather and Allgather.
+// that P-AutoClass uses: the collective operations Bcast, Allreduce, Gather
+// and Allgather over the ranks of a fixed-size group.
 //
 // The package separates *transports* (how bytes move between ranks: an
 // in-process channel mesh, or TCP sockets) from the *communicator*, which
-// implements every collective algorithmically on top of point-to-point
+// implements every collective on top of the transport's point-to-point
 // messages — exactly as an MPI library would — so that the collective
-// structure (binomial trees, recursive doubling, rings) is identical across
-// transports and can be charged to the simulated machine model.
+// structure is identical across transports. Bcast and the reduction run
+// along binomial trees, and Allreduce is a reduce to rank 0 followed by a
+// broadcast, the pattern of the paper's MPI. The simulated machine (package
+// simnet) prices other Allreduce algorithms without sending them.
 //
 // Payloads are []float64 because the P-AutoClass exchange consists entirely
 // of weight vectors and packed sufficient statistics; seeds and sizes
@@ -33,8 +34,6 @@ const (
 	Max
 	// Min takes the elementwise minimum.
 	Min
-	// Prod multiplies elementwise.
-	Prod
 )
 
 // String implements fmt.Stringer.
@@ -46,8 +45,6 @@ func (o Op) String() string {
 		return "max"
 	case Min:
 		return "min"
-	case Prod:
-		return "prod"
 	default:
 		return fmt.Sprintf("Op(%d)", int(o))
 	}
@@ -75,10 +72,6 @@ func (o Op) apply(dst, src []float64) error {
 				dst[i] = v
 			}
 		}
-	case Prod:
-		for i, v := range src {
-			dst[i] *= v
-		}
 	default:
 		return fmt.Errorf("mpi: unknown op %d", int(o))
 	}
@@ -105,36 +98,6 @@ type Transport interface {
 	Close() error
 }
 
-// AllreduceAlgo selects the collective algorithm used by Allreduce.
-type AllreduceAlgo int
-
-const (
-	// ReduceBcast reduces to rank 0 along a binomial tree and broadcasts
-	// the result back — 2·log2(P) communication steps. This is the default
-	// and matches the cost model the paper's MPI implementation exhibits.
-	ReduceBcast AllreduceAlgo = iota
-	// RecursiveDoubling is the classic butterfly exchange: log2(P) steps,
-	// with a fold-in pre/post phase when P is not a power of two.
-	RecursiveDoubling
-	// Ring is a bandwidth-optimal reduce-scatter + allgather ring:
-	// 2·(P−1) steps of 1/P-sized fragments.
-	Ring
-)
-
-// String implements fmt.Stringer.
-func (a AllreduceAlgo) String() string {
-	switch a {
-	case ReduceBcast:
-		return "reduce-bcast"
-	case RecursiveDoubling:
-		return "recursive-doubling"
-	case Ring:
-		return "ring"
-	default:
-		return fmt.Sprintf("AllreduceAlgo(%d)", int(a))
-	}
-}
-
 // CollectiveObserver is notified after each completed collective with the
 // number of point-to-point communication steps this rank participated in
 // and the total float64s this rank sent. The simulated-machine clock uses
@@ -159,26 +122,19 @@ type observerRef struct {
 // live run) may install or clear it while collectives are in flight.
 type Comm struct {
 	t        Transport
-	algo     AllreduceAlgo
 	seq      int // collective sequence number, must advance identically on all ranks
 	observer atomic.Pointer[observerRef]
 
-	// Reusable scratch, safe because Comm is single-goroutine and Send
-	// never retains payloads: `one` carries single-value collectives
-	// without a per-call allocation, `bounds` holds the ring algorithms'
-	// fragment boundaries.
-	one    [1]float64
-	bounds []int
+	// one carries single-value collectives without a per-call allocation;
+	// reusing it is safe because Comm is single-goroutine and a
+	// transport's Send never retains payloads.
+	one [1]float64
 }
 
 // NewComm wraps a transport endpoint in a communicator.
 func NewComm(t Transport) *Comm {
-	return &Comm{t: t, algo: ReduceBcast}
+	return &Comm{t: t}
 }
-
-// SetAllreduceAlgo selects the Allreduce algorithm. All ranks of a group
-// must select the same algorithm.
-func (c *Comm) SetAllreduceAlgo(a AllreduceAlgo) { c.algo = a }
 
 // SetObserver installs a CollectiveObserver (nil to disable). An observer
 // that also implements FaultObserver hears of every operation that fails
@@ -211,30 +167,12 @@ func (c *Comm) Size() int { return c.t.Size() }
 // Close releases the underlying transport endpoint.
 func (c *Comm) Close() error { return c.t.Close() }
 
-// Send delivers data to dst with a user tag. User tags must be non-negative
-// and below 1<<20; the collective machinery uses the tag space above that.
-func (c *Comm) Send(dst, tag int, data []float64) error {
-	if tag < 0 || tag >= 1<<20 {
-		return fmt.Errorf("mpi: user tag %d out of range", tag)
-	}
-	return c.send(dst, tag, data)
-}
-
-// Recv blocks for the next message from src with the given user tag.
-func (c *Comm) Recv(src, tag int) ([]float64, error) {
-	if tag < 0 || tag >= 1<<20 {
-		return nil, fmt.Errorf("mpi: user tag %d out of range", tag)
-	}
-	return c.recv(src, tag)
-}
-
-// collTag builds a collective-phase tag. All ranks call collectives in the
-// same order (SPMD), so seq agrees; a mismatch surfaces as a tag error from
-// the transport rather than silent corruption. Each collective invocation
-// owns a stride of 4096 tags so that multi-step algorithms (rings,
-// butterflies) can tag every step distinctly.
+// collTag builds a collective-phase tag: each collective invocation owns
+// one tag per phase (gather 0, bcast 1, reduce 2). All ranks call
+// collectives in the same order (SPMD), so seq agrees; a mismatch surfaces
+// as a tag error from the transport rather than silent corruption.
 func (c *Comm) collTag(phase int) int {
-	return 1<<20 + c.seq*4096 + phase
+	return 3*c.seq + phase
 }
 
 func (c *Comm) observe(name string, steps, sent int) {
@@ -243,8 +181,7 @@ func (c *Comm) observe(name string, steps, sent int) {
 	}
 }
 
-// send and recv are the transport operations under every collective and
-// point-to-point message. One that fails with ErrTimeout is reported to
+// send and recv are the transport operations under every collective. One that fails with ErrTimeout is reported to
 // the installed observer when it implements FaultObserver.
 func (c *Comm) send(dst, tag int, data []float64) error {
 	err := c.t.Send(dst, tag, data)
@@ -273,19 +210,6 @@ func (c *Comm) observeTimeout(op string, err error) {
 	}
 }
 
-// fragBounds returns the p+1 ring-fragment boundaries over n values in a
-// scratch buffer reused across collectives.
-func (c *Comm) fragBounds(p, n int) []int {
-	if cap(c.bounds) < p+1 {
-		c.bounds = make([]int, p+1)
-	}
-	b := c.bounds[:p+1]
-	for i := 0; i <= p; i++ {
-		b[i] = i * n / p
-	}
-	return b
-}
-
 // Bcast replaces data on every rank with root's data. len(data) must agree
 // across ranks.
 func (c *Comm) Bcast(root int, data []float64) error {
@@ -305,24 +229,21 @@ func (c *Comm) Bcast(root int, data []float64) error {
 // identical result in data on every rank. This is the operation at the
 // heart of P-AutoClass: the total exchange of the per-class weights w_j and
 // of the parameter statistics (paper Figs. 4 and 5), one call per cycle.
+//
+// It reduces to rank 0 along the binomial tree and broadcasts the result
+// back, so every element folds across the ranks in one fixed order for a
+// given P.
 func (c *Comm) Allreduce(op Op, data []float64) error {
 	c.seq++
-	var steps, sent int
-	var err error
-	switch c.algo {
-	case ReduceBcast:
-		steps, sent, err = c.allreduceReduceBcast(op, data)
-	case RecursiveDoubling:
-		steps, sent, err = c.allreduceRecursiveDoubling(op, data)
-	case Ring:
-		steps, sent, err = c.allreduceRing(op, data)
-	default:
-		return fmt.Errorf("mpi: unknown allreduce algorithm %d", int(c.algo))
-	}
+	steps, sent, err := c.reduceTree(0, op, data)
 	if err != nil {
-		return fmt.Errorf("mpi: allreduce(%v): %w", c.algo, err)
+		return fmt.Errorf("mpi: allreduce: %w", err)
 	}
-	c.observe("allreduce", steps, sent)
+	bsteps, bsent, err := c.bcastTree(0, data)
+	if err != nil {
+		return fmt.Errorf("mpi: allreduce: %w", err)
+	}
+	c.observe("allreduce", steps+bsteps, sent+bsent)
 	return nil
 }
 
@@ -427,7 +348,7 @@ func (c *Comm) checkRoot(root int) error {
 	return nil
 }
 
-// --- collective algorithms ---------------------------------------------
+// --- binomial trees ----------------------------------------------------
 
 // vrank maps real ranks to a tree rooted at `root`.
 func vrank(rank, root, p int) int { return (rank - root + p) % p }
@@ -500,132 +421,6 @@ func (c *Comm) reduceTree(root int, op Op, data []float64) (steps, sent int, err
 			}
 			steps++
 		}
-	}
-	return steps, sent, nil
-}
-
-func (c *Comm) allreduceReduceBcast(op Op, data []float64) (steps, sent int, err error) {
-	s1, n1, err := c.reduceTree(0, op, data)
-	if err != nil {
-		return s1, n1, err
-	}
-	s2, n2, err := c.bcastTree(0, data)
-	return s1 + s2, n1 + n2, err
-}
-
-func (c *Comm) allreduceRecursiveDoubling(op Op, data []float64) (steps, sent int, err error) {
-	p := c.Size()
-	me := c.Rank()
-	tag := c.collTag(3)
-	p2 := 1
-	for p2*2 <= p {
-		p2 *= 2
-	}
-	extra := p - p2
-	// Phase 1: ranks >= p2 fold into their partner below.
-	if me >= p2 {
-		if err := c.send(me-p2, tag, data); err != nil {
-			return steps, sent, err
-		}
-		steps++
-		sent += len(data)
-	} else if me < extra {
-		got, err := c.recv(me+p2, tag)
-		if err != nil {
-			return steps, sent, err
-		}
-		if err := op.apply(data, got); err != nil {
-			return steps, sent, err
-		}
-		steps++
-	}
-	// Phase 2: butterfly among the first p2 ranks.
-	if me < p2 {
-		for mask := 1; mask < p2; mask <<= 1 {
-			partner := me ^ mask
-			ptag := c.collTag(16) + mask // distinct per stage
-			if err := c.send(partner, ptag, data); err != nil {
-				return steps, sent, err
-			}
-			got, err := c.recv(partner, ptag)
-			if err != nil {
-				return steps, sent, err
-			}
-			if err := op.apply(data, got); err != nil {
-				return steps, sent, err
-			}
-			steps++
-			sent += len(data)
-		}
-	}
-	// Phase 3: results back to the extras.
-	if me < extra {
-		if err := c.send(me+p2, tag+1, data); err != nil {
-			return steps, sent, err
-		}
-		steps++
-		sent += len(data)
-	} else if me >= p2 {
-		got, err := c.recv(me-p2, tag+1)
-		if err != nil {
-			return steps, sent, err
-		}
-		copy(data, got)
-		steps++
-	}
-	return steps, sent, nil
-}
-
-// allreduceRing implements reduce-scatter + allgather over a ring with P
-// nearly equal fragments.
-func (c *Comm) allreduceRing(op Op, data []float64) (steps, sent int, err error) {
-	p := c.Size()
-	me := c.Rank()
-	if p == 1 {
-		return 0, 0, nil
-	}
-	n := len(data)
-	bounds := c.fragBounds(p, n)
-	frag := func(i int) []float64 {
-		i = ((i % p) + p) % p
-		return data[bounds[i]:bounds[i+1]]
-	}
-	next := (me + 1) % p
-	prev := (me - 1 + p) % p
-	// Reduce-scatter: after step s, rank r holds the partial for fragment
-	// r-s-1 folded over s+1 contributions.
-	for s := 0; s < p-1; s++ {
-		sendIdx := me - s
-		recvIdx := me - s - 1
-		tag := c.collTag(16) + s
-		if err := c.send(next, tag, frag(sendIdx)); err != nil {
-			return steps, sent, err
-		}
-		got, err := c.recv(prev, tag)
-		if err != nil {
-			return steps, sent, err
-		}
-		if err := op.apply(frag(recvIdx), got); err != nil {
-			return steps, sent, err
-		}
-		steps++
-		sent += len(frag(sendIdx))
-	}
-	// Allgather: circulate the completed fragments.
-	for s := 0; s < p-1; s++ {
-		sendIdx := me + 1 - s
-		recvIdx := me - s
-		tag := c.collTag(2048) + s
-		if err := c.send(next, tag, frag(sendIdx)); err != nil {
-			return steps, sent, err
-		}
-		got, err := c.recv(prev, tag)
-		if err != nil {
-			return steps, sent, err
-		}
-		copy(frag(recvIdx), got)
-		steps++
-		sent += len(frag(sendIdx))
 	}
 	return steps, sent, nil
 }

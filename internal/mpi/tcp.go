@@ -195,9 +195,9 @@ func connectTCPRank(rank int, addrs []string, listener net.Listener) (*tcpEndpoi
 }
 
 // tcpConnOut serializes sends on one directed edge. A dedicated writer
-// goroutine drains a queue so that Send never blocks on the socket — the
-// butterfly exchange requires sends to complete locally before the
-// matching receive is posted.
+// goroutine drains a queue so that Send never blocks on the socket: a send
+// completes locally before the matching receive is posted, as it does on
+// the mem transport's buffered channels.
 //
 // The mutex makes enqueue and close mutually exclusive: without it a Send
 // racing close() could write to a closed channel and panic the whole
@@ -471,7 +471,10 @@ func (e *tcpEndpoint) Recv(src, tag int) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	if gotTag != tag {
+	// A frame carries the tag's low 32 bits, so compare those: a
+	// communicator's tags grow with every collective and pass 2^32 in a
+	// long run.
+	if gotTag != int(uint32(tag)) {
 		return nil, fmt.Errorf("mpi: rank %d expected tag %d from %d, got %d (collective desync)", e.rank, tag, src, gotTag)
 	}
 	return data, nil

@@ -15,10 +15,10 @@ import (
 func TestTCPSendRecv(t *testing.T) {
 	err := RunWith(2, RunConfig{TCP: true}, func(c *Comm) error {
 		if c.Rank() == 0 {
-			if err := c.Send(1, 9, []float64{3.5, -2}); err != nil {
+			if err := c.t.Send(1, 9, []float64{3.5, -2}); err != nil {
 				return err
 			}
-			got, err := c.Recv(1, 10)
+			got, err := c.t.Recv(1, 10)
 			if err != nil {
 				return err
 			}
@@ -27,14 +27,37 @@ func TestTCPSendRecv(t *testing.T) {
 			}
 			return nil
 		}
-		got, err := c.Recv(0, 9)
+		got, err := c.t.Recv(0, 9)
 		if err != nil {
 			return err
 		}
 		if len(got) != 2 || got[0] != 3.5 || got[1] != -2 {
 			return fmt.Errorf("got %v", got)
 		}
-		return c.Send(0, 10, []float64{7})
+		return c.t.Send(0, 10, []float64{7})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTCPTagsWrap: a frame carries a tag's low 32 bits, while a
+// communicator's tags grow with every collective and pass 2^32 in a long
+// run. Collectives before, at and after that point must still match their
+// frames.
+func TestTCPTagsWrap(t *testing.T) {
+	err := RunWith(2, RunConfig{TCP: true}, func(c *Comm) error {
+		c.seq = (1<<32)/3 - 2 // the Allreduce tags pass 2^32 two calls on
+		for i := 0; i < 4; i++ {
+			got, err := c.AllreduceFloat64(Sum, 1)
+			if err != nil {
+				return fmt.Errorf("collective %d: %w", i, err)
+			}
+			if got != 2 {
+				return fmt.Errorf("collective %d: got %v want 2", i, got)
+			}
+		}
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -254,15 +277,15 @@ func TestFaultCascadePastFullTCPEdge(t *testing.T) {
 		done <- RunWith(3, RunConfig{TCP: true}, func(c *Comm) error {
 			switch c.Rank() {
 			case 0:
-				if err := c.Send(1, 0, make([]float64, n)); err != nil {
+				if err := c.t.Send(1, 0, make([]float64, n)); err != nil {
 					return err
 				}
 				return errors.New("rank 0 fails")
 			case 1:
-				_, err := c.Recv(2, 0)
+				_, err := c.t.Recv(2, 0)
 				return err
 			default:
-				_, err := c.Recv(0, 0)
+				_, err := c.t.Recv(0, 0)
 				return err
 			}
 		})

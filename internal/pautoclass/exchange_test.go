@@ -22,7 +22,6 @@ import (
 type paperMessagesReducer struct {
 	comm  *mpi.Comm
 	clock *simnet.Clock
-	algo  mpi.AllreduceAlgo
 	cls   *autoclass.Classification
 }
 
@@ -55,7 +54,7 @@ func (r *paperMessagesReducer) send(seg []float64) error {
 	if err := r.comm.Allreduce(mpi.Sum, seg); err != nil {
 		return err
 	}
-	return r.clock.SyncAllreduceAlgo(r.comm, r.algo, len(seg))
+	return r.clock.SyncAllreduce(r.comm, len(seg))
 }
 
 // allreduceCounter counts a rank's real Allreduce calls.
@@ -79,19 +78,20 @@ type exchangeRun struct {
 
 // runExchange drives the engine per rank, as the scaleup experiment does:
 // PartitionView, ParallelPriors, NewEngine, InitRandom, then the cycles,
-// with a Meiko clock. reference selects the paper's messages for real
-// instead of the engine's one exchange.
-func runExchange(t *testing.T, ds *dataset.Dataset, spec model.Spec, p int, algo mpi.AllreduceAlgo,
+// with a Meiko clock that charges algo. reference selects the paper's
+// messages for real instead of the engine's one exchange.
+func runExchange(t *testing.T, ds *dataset.Dataset, spec model.Spec, p int, algo simnet.AllreduceAlgo,
 	cfg autoclass.Config, cycles int, reference bool) []exchangeRun {
 	t.Helper()
 	out := make([]exchangeRun, p)
 	err := mpi.Run(p, func(c *mpi.Comm) error {
 		clk := simnet.MustNewClock(simnet.MeikoCS2())
+		clk.SetAllreduceAlgo(algo)
 		view, err := PartitionView(c, ds)
 		if err != nil {
 			return err
 		}
-		pr, err := ParallelPriors(c, view, &Options{Clock: clk, AllreduceAlgo: algo})
+		pr, err := ParallelPriors(c, view, &Options{Clock: clk})
 		if err != nil {
 			return err
 		}
@@ -99,9 +99,9 @@ func runExchange(t *testing.T, ds *dataset.Dataset, spec model.Spec, p int, algo
 		if err != nil {
 			return err
 		}
-		var red autoclass.Reducer = &allreduceReducer{comm: c, clock: clk, algo: algo}
+		var red autoclass.Reducer = &allreduceReducer{comm: c, clock: clk}
 		if reference {
-			red = &paperMessagesReducer{comm: c, clock: clk, algo: algo, cls: cls}
+			red = &paperMessagesReducer{comm: c, clock: clk, cls: cls}
 		}
 		eng, err := autoclass.NewEngine(view, cls, cfg, red, clk)
 		if err != nil {
@@ -139,49 +139,44 @@ func runExchange(t *testing.T, ds *dataset.Dataset, spec model.Spec, p int, algo
 // messages give — every term's parameters, W, LogLik and LogPost — and a
 // Meiko clock with the same elapsed, communication seconds and collective
 // count, while the rank sends one Allreduce per exchange. It covers every
-// term kind and missing-value pattern, 2–4 ranks under reduce-bcast and
-// recursive doubling, 2 ranks under Ring, and one and four workers.
+// term kind and missing-value pattern, 2–4 ranks under every algorithm the
+// clock charges (the wire always runs reduce+broadcast), and one and four
+// workers.
 func TestOneExchangeMatchesPaperMessages(t *testing.T) {
 	const cycles = 8
-	type world struct {
-		p    int
-		algo mpi.AllreduceAlgo
-	}
-	worlds := []world{{2, mpi.Ring}}
-	for _, p := range []int{2, 3, 4} {
-		worlds = append(worlds, world{p, mpi.ReduceBcast}, world{p, mpi.RecursiveDoubling})
-	}
 	for _, sc := range kernelScenarios(t, 2500) {
-		for _, w := range worlds {
-			for _, par := range []int{1, 4} {
-				t.Run(fmt.Sprintf("%s/P=%d/%v/par=%d", sc.name, w.p, w.algo, par), func(t *testing.T) {
-					cfg := autoclass.DefaultConfig()
-					cfg.Parallelism = par
-					got := runExchange(t, sc.ds, sc.spec, w.p, w.algo, cfg, cycles, false)
-					want := runExchange(t, sc.ds, sc.spec, w.p, w.algo, cfg, cycles, true)
-					for r := range got {
-						g, x := got[r], want[r]
-						if math.Float64bits(g.logPost) != math.Float64bits(x.logPost) ||
-							math.Float64bits(g.logLik) != math.Float64bits(x.logLik) {
-							t.Fatalf("rank %d: LogPost %v LogLik %v, paper's messages %v %v", r, g.logPost, g.logLik, x.logPost, x.logLik)
+		for _, p := range []int{2, 3, 4} {
+			for _, algo := range []simnet.AllreduceAlgo{simnet.ReduceBcast, simnet.RecursiveDoubling, simnet.Ring} {
+				for _, par := range []int{1, 4} {
+					t.Run(fmt.Sprintf("%s/P=%d/%v/par=%d", sc.name, p, algo, par), func(t *testing.T) {
+						cfg := autoclass.DefaultConfig()
+						cfg.Parallelism = par
+						got := runExchange(t, sc.ds, sc.spec, p, algo, cfg, cycles, false)
+						want := runExchange(t, sc.ds, sc.spec, p, algo, cfg, cycles, true)
+						for r := range got {
+							g, x := got[r], want[r]
+							if math.Float64bits(g.logPost) != math.Float64bits(x.logPost) ||
+								math.Float64bits(g.logLik) != math.Float64bits(x.logLik) {
+								t.Fatalf("rank %d: LogPost %v LogLik %v, paper's messages %v %v", r, g.logPost, g.logLik, x.logPost, x.logLik)
+							}
+							if !bytes.Equal(g.cls, x.cls) {
+								t.Fatalf("rank %d: classification differs from the paper's messages", r)
+							}
+							if math.Float64bits(g.elapsed) != math.Float64bits(x.elapsed) ||
+								math.Float64bits(g.commSeconds) != math.Float64bits(x.commSeconds) ||
+								g.collectives != x.collectives {
+								t.Fatalf("rank %d: clock elapsed %v comm %v collectives %d, paper's messages %v %v %d",
+									r, g.elapsed, g.commSeconds, g.collectives, x.elapsed, x.commSeconds, x.collectives)
+							}
+							if g.allreduces != 1+cycles {
+								t.Fatalf("rank %d: %d Allreduce calls for %d exchanges", r, g.allreduces, 1+cycles)
+							}
+							if x.allreduces != x.messages || x.messages <= 2*(1+cycles) {
+								t.Fatalf("rank %d: the reference sent %d Allreduce calls for %d modeled messages", r, x.allreduces, x.messages)
+							}
 						}
-						if !bytes.Equal(g.cls, x.cls) {
-							t.Fatalf("rank %d: classification differs from the paper's messages", r)
-						}
-						if math.Float64bits(g.elapsed) != math.Float64bits(x.elapsed) ||
-							math.Float64bits(g.commSeconds) != math.Float64bits(x.commSeconds) ||
-							g.collectives != x.collectives {
-							t.Fatalf("rank %d: clock elapsed %v comm %v collectives %d, paper's messages %v %v %d",
-								r, g.elapsed, g.commSeconds, g.collectives, x.elapsed, x.commSeconds, x.collectives)
-						}
-						if g.allreduces != 1+cycles {
-							t.Fatalf("rank %d: %d Allreduce calls for %d exchanges", r, g.allreduces, 1+cycles)
-						}
-						if x.allreduces != x.messages || x.messages <= 2*(1+cycles) {
-							t.Fatalf("rank %d: the reference sent %d Allreduce calls for %d modeled messages", r, x.allreduces, x.messages)
-						}
-					}
-				})
+					})
+				}
 			}
 		}
 	}

@@ -83,10 +83,6 @@ type Options struct {
 	// every collective. Each rank owns its own Clock over the same
 	// Machine.
 	Clock *simnet.Clock
-	// AllreduceAlgo selects the collective algorithm for the statistics
-	// exchanges (default ReduceBcast, the paper implementation's pattern).
-	// It is applied to the communicator and to the virtual cost model.
-	AllreduceAlgo mpi.AllreduceAlgo
 	// Obs, when non-nil, records this rank's metrics and trace events. It
 	// is installed as the communicator's collective observer and, when a
 	// Clock is present, as the clock observer, and receives a per-cycle
@@ -152,7 +148,6 @@ func PartitionView(comm *mpi.Comm, ds *dataset.Dataset) (*dataset.View, error) {
 type allreduceReducer struct {
 	comm  *mpi.Comm
 	clock *simnet.Clock
-	algo  mpi.AllreduceAlgo
 }
 
 // NewAllreduceReducer returns an autoclass.Reducer that sums buffers across
@@ -175,7 +170,7 @@ func (r *allreduceReducer) ReduceMessages(buf []float64, lens []int) error {
 		return err
 	}
 	if r.clock != nil {
-		return r.clock.SyncAllreduceAlgo(r.comm, r.algo, lens...)
+		return r.clock.SyncAllreduce(r.comm, lens...)
 	}
 	return nil
 }
@@ -187,21 +182,17 @@ func (r *allreduceReducer) ReduceMessages(buf []float64, lens []int) error {
 func ParallelPriors(comm *mpi.Comm, view *dataset.View, opts *Options) (*model.Priors, error) {
 	ds := view.Dataset()
 	na := ds.NumAttrs()
-	// The priors phase must use — and charge for — the same collective
-	// algorithm as the EM phase, one sync per real exchange, or the virtual
-	// timeline diverges from the traffic actually generated.
-	algo := mpi.ReduceBcast
+	// One clock sync per real exchange, or the virtual timeline diverges
+	// from the traffic actually generated.
 	var clk *simnet.Clock
 	if opts != nil {
-		algo = opts.AllreduceAlgo
 		clk = opts.Clock
 	}
-	comm.SetAllreduceAlgo(algo)
 	syncClock := func(payload int) error {
 		if clk == nil {
 			return nil
 		}
-		return clk.SyncAllreduceAlgo(comm, algo, payload)
+		return clk.SyncAllreduce(comm, payload)
 	}
 	// Layout: per attribute [wKnown, sum, sumsq, missing, logW, logSum,
 	// logSumSq, nonPositive] + discrete counts.
@@ -359,11 +350,10 @@ func newTrial(comm *mpi.Comm, view *dataset.View, pr *model.Priors, spec model.S
 		charger = opts.Clock
 		opts.Clock.SetParallelism(opts.EM.EffectiveParallelism())
 	}
-	comm.SetAllreduceAlgo(opts.AllreduceAlgo)
 	opts.install(comm)
 	return &trial{
 		comm: comm, view: view, pr: pr, spec: spec, opts: opts, charger: charger,
-		reducer: &allreduceReducer{comm: comm, clock: opts.Clock, algo: opts.AllreduceAlgo},
+		reducer: &allreduceReducer{comm: comm, clock: opts.Clock},
 	}
 }
 

@@ -42,9 +42,8 @@ type predictOut struct {
 	err  error
 }
 
-// batcherKey identifies one servable model version. Legacy job-ID predicts
-// use the numeric job ID with version 0 — disjoint from registry IDs,
-// which are never purely numeric.
+// batcherKey identifies one servable model version: a registered model ID
+// and one of its published versions (1 and up).
 type batcherKey struct {
 	model   string
 	version int

@@ -63,9 +63,8 @@ type JobStatus struct {
 	// starts: the request's, else the server's default at that time. A
 	// restarted server resumes the job on it, because the job's search
 	// state file resumes only on the rank count that wrote it.
-	Procs   int    `json:"procs,omitempty"`
-	Error   string `json:"error,omitempty"`
-	ModelID string `json:"model_id,omitempty"`
+	Procs int    `json:"procs,omitempty"`
+	Error string `json:"error,omitempty"`
 	// Fitted-model summary, present once done.
 	J         int       `json:"j,omitempty"`
 	Score     float64   `json:"score,omitempty"`
@@ -299,40 +298,23 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var (
-		m   *loadedModel
-		key batcherKey
-	)
-	if v, attrs, found := s.models.resolve(id, req.version); found {
-		switch {
-		case v == 0 && req.version != 0:
-			httpError(w, http.StatusNotFound, CodeNotFound, "model %q has no version %d", id, req.version)
-			return
-		case v == 0:
-			httpError(w, http.StatusConflict, CodeModelNotReady, "model %q has no active version", id)
-			return
-		}
-		m, err = s.registryModel(id, v, attrs)
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, CodeInternal, "%v", err)
-			return
-		}
-		key = batcherKey{model: id, version: v}
-	} else {
-		// Deprecated: predicting by bare job ID, bypassing the registry.
-		if req.version != 0 {
-			httpError(w, http.StatusBadRequest, CodeInvalidRequest,
-				"version pins require a registered model; %q is not registered", id)
-			return
-		}
-		m, err = s.jobModel(id)
-		if err != nil {
-			httpError(w, http.StatusNotFound, CodeNotFound, "%v", err)
-			return
-		}
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", `</v1/models>; rel="successor-version"`)
-		key = batcherKey{model: id, version: 0}
+	v, attrs, found := s.models.resolve(id, req.version)
+	switch {
+	case !found:
+		httpError(w, http.StatusNotFound, CodeNotFound,
+			"no model %q; publish a finished job with POST /v1/models first", id)
+		return
+	case v == 0 && req.version != 0:
+		httpError(w, http.StatusNotFound, CodeNotFound, "model %q has no version %d", id, req.version)
+		return
+	case v == 0:
+		httpError(w, http.StatusConflict, CodeModelNotReady, "model %q has no active version", id)
+		return
+	}
+	m, err := s.registryModel(id, v, attrs)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, CodeInternal, "%v", err)
+		return
 	}
 
 	ds, err := req.dataset(m.attrs)
@@ -341,7 +323,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ck := cacheKey{model: id, version: key.version, rows: hashRows(ds)}
+	ck := cacheKey{model: id, version: v, rows: hashRows(ds)}
 	if hit := s.cache.get(ck); hit != nil {
 		s.cCacheHits.Add(1)
 		s.writePredict(w, hit, "hit")
@@ -366,7 +348,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	b, err := s.batcherFor(key, m)
+	b, err := s.batcherFor(batcherKey{model: id, version: v}, m)
 	if err != nil {
 		retryAfter(w, 1)
 		httpError(w, http.StatusServiceUnavailable, CodeShuttingDown, "%v", err)

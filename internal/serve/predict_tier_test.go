@@ -216,7 +216,7 @@ func (s *Server) mustAttrs(t *testing.T, id string) []AttrSpec {
 }
 
 // TestServeRegistryLifecycle covers publish/activate semantics, the
-// listing endpoints, version pinning, and the deprecation of bare job-ID
+// listing endpoints, version pinning, and the refusal of bare job-ID
 // predicts.
 func TestServeRegistryLifecycle(t *testing.T) {
 	s, err := New(Config{Dir: t.TempDir(), Procs: 1})
@@ -278,15 +278,12 @@ func TestServeRegistryLifecycle(t *testing.T) {
 		t.Fatalf("model info %+v", info)
 	}
 
-	// Unpinned predict serves v1; pinned predicts reach both versions and
-	// match the deprecated direct job-ID scoring byte for byte.
+	// Unpinned predict serves v1; pinned predicts reach both versions. A
+	// bare job ID is not a model.
 	req := predictBody(t, 80, 77)
-	codeU, hdrU, bodyU := rawPost(t, client, ts.URL+"/v1/models/prod/predict", req)
+	codeU, _, bodyU := rawPost(t, client, ts.URL+"/v1/models/prod/predict", req)
 	if codeU != http.StatusOK {
 		t.Fatalf("unpinned predict: %d (%s)", codeU, bodyU)
-	}
-	if hdrU.Get("Deprecation") != "" {
-		t.Error("registered-model predict carries a Deprecation header")
 	}
 	pin1 := req
 	pin1.Version = 1
@@ -303,15 +300,13 @@ func TestServeRegistryLifecycle(t *testing.T) {
 	if bytes.Equal(bodyP2, bodyP1) {
 		t.Error("v1 and v2 (different training jobs) scored identically; suspicious")
 	}
-	codeJ, hdrJ, bodyJ := rawPost(t, client, ts.URL+"/v1/models/"+job2+"/predict", req)
-	if codeJ != http.StatusOK {
-		t.Fatalf("job-id predict: %d", codeJ)
+	codeJ, _, bodyJ := rawPost(t, client, ts.URL+"/v1/models/"+job2+"/predict", req)
+	if codeJ != http.StatusNotFound {
+		t.Fatalf("bare job-ID predict: %d, want 404", codeJ)
 	}
-	if hdrJ.Get("Deprecation") != "true" {
-		t.Errorf("bare job-ID predict missing Deprecation header, got %q", hdrJ.Get("Deprecation"))
-	}
-	if !bytes.Equal(bodyJ, bodyP2) {
-		t.Error("pinned v2 differs from direct job scoring of the same artifact")
+	assertEnvelope(t, bodyJ, CodeNotFound)
+	if !bytes.Contains(bodyJ, []byte("POST /v1/models")) {
+		t.Errorf("bare job-ID predict does not point at publishing: %s", bodyJ)
 	}
 
 	// Activation flips unpinned traffic to v2 (and the cache with it).
@@ -336,10 +331,10 @@ func TestServeRegistryLifecycle(t *testing.T) {
 	pinJob := req
 	pinJob.Version = 1
 	code, _, body = rawPost(t, client, ts.URL+"/v1/models/"+job1+"/predict", pinJob)
-	if code != http.StatusBadRequest {
+	if code != http.StatusNotFound {
 		t.Fatalf("version pin on job id: %d", code)
 	}
-	assertEnvelope(t, body, CodeInvalidRequest)
+	assertEnvelope(t, body, CodeNotFound)
 	code, _, _ = rawPost(t, client, ts.URL+"/v1/models",
 		PublishRequest{ID: "staged", JobID: job1, Activate: &off})
 	if code != http.StatusCreated {

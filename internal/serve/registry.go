@@ -129,8 +129,8 @@ func (r *registry) versionPath(id string, v int) string {
 
 // validModelID enforces the registry ID grammar: 1..64 chars drawn from
 // [A-Za-z0-9._-], at least one non-digit. Purely numeric names are
-// reserved for the deprecated job-ID predict fallback, and the charset
-// keeps IDs safe as path elements.
+// reserved for job IDs, so a model ID never reads as a job's, and the
+// charset keeps IDs safe as path elements.
 func validModelID(id string) error {
 	if id == "" || len(id) > 64 {
 		return errors.New("model id must be 1..64 characters")

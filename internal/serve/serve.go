@@ -133,7 +133,7 @@ type Server struct {
 
 	mu        sync.Mutex
 	jobs      map[string]*job
-	loaded    map[string]*loadedModel // key: job id or "<model>@v<N>"
+	loaded    map[string]*loadedModel // key: "<model>@v<N>"
 	batchers  map[batcherKey]*batcher
 	progress  map[string]*progressTracker
 	nextID    int
@@ -524,7 +524,6 @@ func (s *Server) finishJob(id string, res *autoclass.SearchResult, err error) {
 	s.cDone.Add(1)
 	s.setState(id, func(st *JobStatus) {
 		st.State = StateDone
-		st.ModelID = id
 		st.J = res.Best.J()
 		st.Score = res.BestTry.Score
 		st.Cycles = res.Totals.Cycles
@@ -532,37 +531,6 @@ func (s *Server) finishJob(id string, res *autoclass.SearchResult, err error) {
 	})
 	s.log.Info("job done", "job_id", id,
 		"j", res.Best.J(), "score", res.BestTry.Score, "cycles", res.Totals.Cycles)
-}
-
-// jobModel returns the fitted classification for a done job, loading and
-// caching it on first use. The returned classification is shared and
-// read-only; every scorer builds or owns its own kernels.
-func (s *Server) jobModel(id string) (*loadedModel, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if m, ok := s.loaded[id]; ok {
-		return m, nil
-	}
-	j, ok := s.jobs[id]
-	if !ok {
-		return nil, fmt.Errorf("serve: no model %q", id)
-	}
-	if j.Status.State != StateDone {
-		return nil, fmt.Errorf("serve: job %s is %s, not done", id, j.Status.State)
-	}
-	// The checkpoint restores against the training schema; no rows are
-	// needed to score new data.
-	schema, err := buildDataset(j.Req.Name, j.Req.Attrs, nil)
-	if err != nil {
-		return nil, err
-	}
-	var ck autoclass.Checkpoint
-	if err := ck.LoadFile(s.jobPath(id, "model.ckpt"), schema); err != nil {
-		return nil, fmt.Errorf("serve: load model %s: %w", id, err)
-	}
-	m := &loadedModel{cls: ck.Classification, attrs: j.Req.Attrs}
-	s.loaded[id] = m
-	return m, nil
 }
 
 // registryModel loads (and caches) version v of a registered model,

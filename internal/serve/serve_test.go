@@ -93,6 +93,15 @@ func getJSON(t *testing.T, client *http.Client, url string, out any) int {
 	return resp.StatusCode
 }
 
+// publishJob registers done job jobID as model modelID (POST /v1/models):
+// the daemon predicts only through the registry.
+func publishJob(t *testing.T, client *http.Client, base, jobID, modelID string) {
+	t.Helper()
+	if code := postJSON(t, client, base+"/v1/models", PublishRequest{ID: modelID, JobID: jobID}, nil); code != http.StatusCreated {
+		t.Fatalf("publish job %s as model %q: status %d", jobID, modelID, code)
+	}
+}
+
 func waitState(t *testing.T, client *http.Client, base, id, want string, timeout time.Duration) JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
@@ -177,7 +186,7 @@ func TestServeTrainPredictE2E(t *testing.T) {
 		t.Fatalf("submit returned %+v", st)
 	}
 	done := waitState(t, client, ts.URL, st.ID, StateDone, 2*time.Minute)
-	if done.ModelID != st.ID || done.J < 1 || done.Cycles < 1 {
+	if done.J < 1 || done.Cycles < 1 {
 		t.Fatalf("done status incomplete: %+v", done)
 	}
 
@@ -198,8 +207,9 @@ func TestServeTrainPredictE2E(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, rows := wireRows(heldout)
+	publishJob(t, client, ts.URL, st.ID, "e2e")
 	var pr PredictResponse
-	code := postJSON(t, client, ts.URL+"/v1/models/"+st.ID+"/predict",
+	code := postJSON(t, client, ts.URL+"/v1/models/e2e/predict",
 		PredictRequest{Rows: rows, Parallelism: 3}, &pr)
 	if code != http.StatusOK {
 		t.Fatalf("predict: status %d", code)
@@ -285,6 +295,7 @@ func TestServeConcurrentPredict(t *testing.T) {
 		t.Fatalf("submit: status %d", code)
 	}
 	waitState(t, client, ts.URL, st.ID, StateDone, 2*time.Minute)
+	publishJob(t, client, ts.URL, st.ID, "concurrent")
 
 	heldout, err := datagen.Paper(300, 41)
 	if err != nil {
@@ -307,7 +318,7 @@ func TestServeConcurrentPredict(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perClient; i++ {
-				resp, err := client.Post(ts.URL+"/v1/models/"+st.ID+"/predict",
+				resp, err := client.Post(ts.URL+"/v1/models/concurrent/predict",
 					"application/json", bytes.NewReader(body))
 				if err != nil {
 					errc <- err
@@ -517,28 +528,29 @@ func TestServeValidation(t *testing.T) {
 		t.Errorf("missing model returned %d", code)
 	}
 
-	// A queued/running job is not yet a model.
+	// A queued/running job is not yet a model: publishing it is refused.
 	var st JobStatus
 	if code := postJSON(t, client, ts.URL+"/v1/jobs", good, &st); code != http.StatusAccepted {
 		t.Fatalf("submit: %d", code)
 	}
-	code := postJSON(t, client, ts.URL+"/v1/models/"+st.ID+"/predict", PredictRequest{Rows: good.Rows}, nil)
-	if code != http.StatusNotFound {
-		// The tiny job may already be done; only a 200 with State done is
+	code := postJSON(t, client, ts.URL+"/v1/models", PublishRequest{ID: "early", JobID: st.ID}, nil)
+	if code != http.StatusConflict {
+		// The tiny job may already be done; only a 201 with State done is
 		// acceptable then.
 		stNow, _ := s.status(st.ID)
 		if stNow.State != StateDone {
-			t.Errorf("predict against %s job returned %d", stNow.State, code)
+			t.Errorf("publishing a %s job returned %d", stNow.State, code)
 		}
 	}
 	waitState(t, client, ts.URL, st.ID, StateDone, 2*time.Minute)
+	publishJob(t, client, ts.URL, st.ID, "valid")
 
 	// Predict-side validation against a real model.
-	if code := postJSON(t, client, ts.URL+"/v1/models/"+st.ID+"/predict", PredictRequest{}, nil); code != http.StatusBadRequest {
+	if code := postJSON(t, client, ts.URL+"/v1/models/valid/predict", PredictRequest{}, nil); code != http.StatusBadRequest {
 		t.Errorf("empty predict rows accepted: %d", code)
 	}
 	bad = good
-	if code := postJSON(t, client, ts.URL+"/v1/models/"+st.ID+"/predict",
+	if code := postJSON(t, client, ts.URL+"/v1/models/valid/predict",
 		PredictRequest{Rows: [][]*float64{{&one}}}, nil); code != http.StatusBadRequest {
 		t.Errorf("short predict row accepted: %d", code)
 	}

@@ -19,7 +19,11 @@
 // clocks synchronize to the maximum (a collective cannot complete before
 // its slowest participant) plus the collective's cost. An EM exchange the
 // runtime sends as one Allreduce is charged as the paper's messages,
-// {w_j, logL} and one per (class, term), in one sync (SyncAllreduceAlgo).
+// {w_j, logL} and one per (class, term), in one sync (SyncAllreduce).
+//
+// The runtime sends every Allreduce as reduce+broadcast. A clock can price
+// it under another algorithm instead (SetAllreduceAlgo): the ALGO
+// experiment charges one trajectory under each of the three.
 //
 // The presets are calibrated against the paper's published anchors rather
 // than hardware datasheets; see their doc comments.
@@ -187,15 +191,39 @@ func (m Machine) BcastCost(p, bytes int) float64 {
 	return cost
 }
 
-// ReduceCost returns the critical-path seconds of a binomial-tree reduction.
-func (m Machine) ReduceCost(p, bytes int) float64 {
-	return m.BcastCost(p, bytes)
-}
-
 // AllreduceCost returns the critical-path seconds of an Allreduce
 // implemented as reduce + broadcast — the paper implementation's pattern.
 func (m Machine) AllreduceCost(p, bytes int) float64 {
 	return 2 * m.BcastCost(p, bytes)
+}
+
+// AllreduceAlgo names an Allreduce algorithm whose cost a clock charges
+// (AllreduceCostAlgo, Clock.SetAllreduceAlgo). The runtime sends only
+// ReduceBcast (mpi.Comm.Allreduce).
+type AllreduceAlgo int
+
+const (
+	// ReduceBcast reduces to rank 0 along a binomial tree and broadcasts
+	// the result back: the paper implementation's pattern and the default.
+	ReduceBcast AllreduceAlgo = iota
+	// RecursiveDoubling is the classic butterfly exchange.
+	RecursiveDoubling
+	// Ring is a bandwidth-optimal reduce-scatter + allgather ring.
+	Ring
+)
+
+// String implements fmt.Stringer.
+func (a AllreduceAlgo) String() string {
+	switch a {
+	case ReduceBcast:
+		return "reduce-bcast"
+	case RecursiveDoubling:
+		return "recursive-doubling"
+	case Ring:
+		return "ring"
+	default:
+		return fmt.Sprintf("AllreduceAlgo(%d)", int(a))
+	}
 }
 
 // AllreduceCostAlgo returns the critical-path seconds of an Allreduce of
@@ -206,13 +234,13 @@ func (m Machine) AllreduceCost(p, bytes int) float64 {
 //     fold-in rounds when P is not a power of two;
 //   - Ring: 2·(P−1) rounds of 1/P-sized fragments — latency-heavy but
 //     bandwidth-optimal for large payloads.
-func (m Machine) AllreduceCostAlgo(algo mpi.AllreduceAlgo, p, bytes int) float64 {
+func (m Machine) AllreduceCostAlgo(algo AllreduceAlgo, p, bytes int) float64 {
 	if p <= 1 {
 		return 0
 	}
 	full := m.Alpha + float64(bytes)*m.Beta
 	switch algo {
-	case mpi.RecursiveDoubling:
+	case RecursiveDoubling:
 		rounds := float64(CeilLog2(p))
 		if p&(p-1) != 0 {
 			rounds += 2
@@ -223,7 +251,7 @@ func (m Machine) AllreduceCostAlgo(algo mpi.AllreduceAlgo, p, bytes int) float64
 			return rounds * (m.Alpha + float64(p)*float64(bytes)*m.Beta)
 		}
 		return rounds * full
-	case mpi.Ring:
+	case Ring:
 		if m.Contended {
 			// Each ring step moves P fragments of bytes/P concurrently:
 			// the wire carries the full payload per step.
@@ -253,7 +281,7 @@ func (m Machine) GatherCost(p, bytesPerRank int) float64 {
 // multi-rank synchronization with its modeled cost, the idle seconds the
 // rank spent waiting for the group's slowest member, and the float64s of
 // the modeled message (so each of the paper's messages that
-// SyncAllreduceAlgo charges inside one sync reports its own length). Both
+// SyncAllreduce charges inside one sync reports its own length). Both
 // are called with the clock already advanced, so Elapsed() minus the
 // reported seconds gives the interval's virtual start time. Observers must
 // not call back into the clock's charging or sync methods.
@@ -272,7 +300,8 @@ type Clock struct {
 	comm    float64
 	colls   int
 	obs     ClockObserver
-	oneExch bool // SetOneExchange
+	oneExch bool          // SetOneExchange
+	algo    AllreduceAlgo // SetAllreduceAlgo
 }
 
 // NewClock returns a zeroed clock on machine m.
@@ -329,10 +358,16 @@ func (c *Clock) speedup() float64 {
 }
 
 // SetOneExchange selects the program the clock models at a multi-message
-// exchange (SyncAllreduceAlgo). Off, the default, it charges the paper's
+// exchange (SyncAllreduce). Off, the default, it charges the paper's
 // messages; on, one message of their summed length, the one Allreduce the
 // runtime sends — the variant the ABLAT experiment compares.
 func (c *Clock) SetOneExchange(on bool) { c.oneExch = on }
+
+// SetAllreduceAlgo selects the algorithm whose cost SyncAllreduce charges
+// for every message (default ReduceBcast). It changes only the modeled
+// time, never what the runtime sends: the variants the ALGO experiment
+// compares. All ranks of a group must select the same algorithm.
+func (c *Clock) SetAllreduceAlgo(a AllreduceAlgo) { c.algo = a }
 
 // SetObserver installs a ClockObserver (nil to disable). Observation never
 // changes what the clock charges, only reports it.
@@ -353,14 +388,6 @@ func (c *Clock) ChargeOps(units float64) {
 	}
 }
 
-// ChargeSeconds advances the clock by raw seconds (e.g. modeled I/O).
-func (c *Clock) ChargeSeconds(s float64) {
-	if s < 0 || math.IsNaN(s) {
-		return
-	}
-	c.seconds += s
-}
-
 // Elapsed returns the virtual seconds so far.
 func (c *Clock) Elapsed() float64 { return c.seconds }
 
@@ -373,25 +400,15 @@ func (c *Clock) Ops() float64 { return c.ops }
 // Collectives returns how many collective synchronizations were charged.
 func (c *Clock) Collectives() int { return c.colls }
 
-// Reset zeroes the clock.
-func (c *Clock) Reset() {
-	c.seconds, c.ops, c.comm, c.colls = 0, 0, 0, 0
-}
-
-// SyncAllreduce synchronizes the group's clocks at an Allreduce of
-// payloadValues float64s: every clock jumps to the groupwide maximum plus
-// the collective's modeled cost. Call it immediately after the real
+// SyncAllreduce synchronizes the group's clocks at an exchange of
+// Allreduce messages of payloadValues float64s each: every clock jumps to
+// the groupwide maximum, then pays each message's modeled cost under the
+// clock's algorithm (SetAllreduceAlgo). The clocks synchronize once: the
+// first message absorbs the wait for the slowest rank, and each further
+// one adds its cost with no wait, since the clocks then agree. Every
+// message counts as a collective. Call it immediately after the real
 // Allreduce so the virtual timeline mirrors the real exchange.
-func (c *Clock) SyncAllreduce(comm *mpi.Comm, payloadValues int) error {
-	return c.sync(comm, c.m.AllreduceCost(comm.Size(), 8*payloadValues), payloadValues)
-}
-
-// SyncAllreduceAlgo synchronizes at an exchange of Allreduce messages of
-// payloadValues float64s each, charging algo's modeled cost per message.
-// The clocks synchronize once: the first message absorbs the wait for the
-// slowest rank, and each further one adds its cost with no wait, since the
-// clocks then agree. Every message counts as a collective.
-func (c *Clock) SyncAllreduceAlgo(comm *mpi.Comm, algo mpi.AllreduceAlgo, payloadValues ...int) error {
+func (c *Clock) SyncAllreduce(comm *mpi.Comm, payloadValues ...int) error {
 	if c.oneExch {
 		total := 0
 		for _, v := range payloadValues {
@@ -401,7 +418,7 @@ func (c *Clock) SyncAllreduceAlgo(comm *mpi.Comm, algo mpi.AllreduceAlgo, payloa
 	}
 	p := comm.Size()
 	for i, v := range payloadValues {
-		cost := c.m.AllreduceCostAlgo(algo, p, 8*v)
+		cost := c.m.AllreduceCostAlgo(c.algo, p, 8*v)
 		switch {
 		case i == 0:
 			if err := c.sync(comm, cost, v); err != nil {
@@ -414,11 +431,6 @@ func (c *Clock) SyncAllreduceAlgo(comm *mpi.Comm, algo mpi.AllreduceAlgo, payloa
 		}
 	}
 	return nil
-}
-
-// SyncBcast synchronizes at a broadcast of payloadValues float64s.
-func (c *Clock) SyncBcast(comm *mpi.Comm, payloadValues int) error {
-	return c.sync(comm, c.m.BcastCost(comm.Size(), 8*payloadValues), payloadValues)
 }
 
 // SyncBarrier synchronizes at a barrier (empty payload, two tree phases).

@@ -47,9 +47,6 @@ func TestCollectiveCosts(t *testing.T) {
 	if c := m.AllreduceCost(4, 100); math.Abs(c-2*want) > 1e-12 {
 		t.Fatalf("allreduce cost %v, want %v", c, 2*want)
 	}
-	if m.ReduceCost(4, 100) != m.BcastCost(4, 100) {
-		t.Fatal("reduce and bcast tree costs should match")
-	}
 	// Cost grows with P in log steps.
 	if m.AllreduceCost(8, 100) <= m.AllreduceCost(4, 100) {
 		t.Fatal("cost should grow with P")
@@ -69,14 +66,6 @@ func TestClockChargeOps(t *testing.T) {
 	clk.ChargeOps(math.NaN())
 	if got := clk.Elapsed(); math.Abs(got-0.5) > 1e-12 {
 		t.Fatalf("negative/NaN charge changed the clock: %v", got)
-	}
-	clk.ChargeSeconds(0.25)
-	if got := clk.Elapsed(); math.Abs(got-0.75) > 1e-12 {
-		t.Fatalf("elapsed %v, want 0.75", got)
-	}
-	clk.Reset()
-	if clk.Elapsed() != 0 || clk.Ops() != 0 || clk.CommSeconds() != 0 || clk.Collectives() != 0 {
-		t.Fatal("reset did not zero the clock")
 	}
 }
 
@@ -145,13 +134,10 @@ func TestSyncSingleRankIsFree(t *testing.T) {
 func TestSyncVariants(t *testing.T) {
 	err := mpi.Run(3, func(c *mpi.Comm) error {
 		clk := MustNewClock(MeikoCS2())
-		if err := clk.SyncBcast(c, 5); err != nil {
-			return err
-		}
 		if err := clk.SyncBarrier(c); err != nil {
 			return err
 		}
-		if clk.Collectives() != 2 {
+		if clk.Collectives() != 1 {
 			return fmt.Errorf("collectives %d", clk.Collectives())
 		}
 		if clk.Elapsed() <= 0 {
@@ -218,36 +204,36 @@ func TestAllreduceCostAlgo(t *testing.T) {
 	m := Machine{Name: "m", OpRate: 1, Alpha: 1e-3, Beta: 1e-7}
 	const bytes = 1000
 	// Single rank is always free.
-	for _, algo := range []mpi.AllreduceAlgo{mpi.ReduceBcast, mpi.RecursiveDoubling, mpi.Ring} {
+	for _, algo := range []AllreduceAlgo{ReduceBcast, RecursiveDoubling, Ring} {
 		if c := m.AllreduceCostAlgo(algo, 1, bytes); c != 0 {
 			t.Fatalf("%v: single-rank cost %v", algo, c)
 		}
 	}
 	// Power-of-two P: recursive doubling is exactly half of reduce+bcast.
-	rb := m.AllreduceCostAlgo(mpi.ReduceBcast, 8, bytes)
-	rd := m.AllreduceCostAlgo(mpi.RecursiveDoubling, 8, bytes)
+	rb := m.AllreduceCostAlgo(ReduceBcast, 8, bytes)
+	rd := m.AllreduceCostAlgo(RecursiveDoubling, 8, bytes)
 	if math.Abs(rd*2-rb) > 1e-12 {
 		t.Fatalf("rd=%v rb=%v", rd, rb)
 	}
 	// Non-power-of-two adds two fold-in rounds.
-	rd10 := m.AllreduceCostAlgo(mpi.RecursiveDoubling, 10, bytes)
+	rd10 := m.AllreduceCostAlgo(RecursiveDoubling, 10, bytes)
 	wantRounds := float64(CeilLog2(10) + 2)
 	if math.Abs(rd10-wantRounds*(1e-3+bytes*1e-7)) > 1e-12 {
 		t.Fatalf("rd10=%v", rd10)
 	}
 	// Ring: 2(P-1) rounds of 1/P fragments.
-	ring := m.AllreduceCostAlgo(mpi.Ring, 4, bytes)
+	ring := m.AllreduceCostAlgo(Ring, 4, bytes)
 	want := 2.0 * 3 * (1e-3 + bytes*1e-7/4)
 	if math.Abs(ring-want) > 1e-12 {
 		t.Fatalf("ring=%v want %v", ring, want)
 	}
 	// Latency-dominated regime: ring loses. Bandwidth-dominated: ring wins.
-	smallMsg := m.AllreduceCostAlgo(mpi.Ring, 8, 100)
-	if smallMsg <= m.AllreduceCostAlgo(mpi.RecursiveDoubling, 8, 100) {
+	smallMsg := m.AllreduceCostAlgo(Ring, 8, 100)
+	if smallMsg <= m.AllreduceCostAlgo(RecursiveDoubling, 8, 100) {
 		t.Fatal("ring should lose on small messages")
 	}
 	bigBytes := 100_000_000
-	if m.AllreduceCostAlgo(mpi.Ring, 8, bigBytes) >= m.AllreduceCostAlgo(mpi.ReduceBcast, 8, bigBytes) {
+	if m.AllreduceCostAlgo(Ring, 8, bigBytes) >= m.AllreduceCostAlgo(ReduceBcast, 8, bigBytes) {
 		t.Fatal("ring should win on huge messages")
 	}
 }
@@ -269,10 +255,11 @@ func TestSyncAllreduceAlgoChargesAlgorithmCost(t *testing.T) {
 	err := mpi.Run(4, func(c *mpi.Comm) error {
 		rb := MustNewClock(m)
 		rd := MustNewClock(m)
-		if err := rb.SyncAllreduceAlgo(c, mpi.ReduceBcast, 10); err != nil {
+		rd.SetAllreduceAlgo(RecursiveDoubling)
+		if err := rb.SyncAllreduce(c, 10); err != nil {
 			return err
 		}
-		if err := rd.SyncAllreduceAlgo(c, mpi.RecursiveDoubling, 10); err != nil {
+		if err := rd.SyncAllreduce(c, 10); err != nil {
 			return err
 		}
 		if rd.Elapsed() >= rb.Elapsed() {
@@ -295,7 +282,7 @@ func TestContendedCostsExceedSwitched(t *testing.T) {
 		if hub.BcastCost(p, bytes) < switched.BcastCost(p, bytes) {
 			t.Fatalf("p=%d: contended bcast cheaper than switched", p)
 		}
-		for _, algo := range []mpi.AllreduceAlgo{mpi.ReduceBcast, mpi.RecursiveDoubling, mpi.Ring} {
+		for _, algo := range []AllreduceAlgo{ReduceBcast, RecursiveDoubling, Ring} {
 			if hub.AllreduceCostAlgo(algo, p, bytes) < switched.AllreduceCostAlgo(algo, p, bytes) {
 				t.Fatalf("p=%d algo=%v: contended cheaper than switched", p, algo)
 			}

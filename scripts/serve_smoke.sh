@@ -3,7 +3,8 @@
 #
 # Starts pautoclassd on a scratch state directory, submits a training job
 # over HTTP, polls it (and its live /progress view) to completion,
-# batch-scores the training rows against the fitted model, checks the
+# publishes the fitted model and batch-scores the training rows against
+# it, checks the
 # health probes, the Prometheus exposition on /metrics, the JSON metrics
 # on /metrics.json and /debug/trace, and shuts the daemon down. Needs
 # curl, jq and awk.
@@ -55,16 +56,35 @@ for i in $(seq 1 300); do
     [ "$i" = 300 ] && { echo "job stuck in $STATE" >&2; exit 1; }
     sleep 0.1
 done
-curl -sf "http://$ADDR/v1/jobs/$ID" | jq -e '.j >= 2 and .model_id == .id' >/dev/null
+curl -sf "http://$ADDR/v1/jobs/$ID" | jq -e '.j >= 2' >/dev/null
 curl -sf "http://$ADDR/v1/jobs/$ID/progress" \
     | jq -e '.state == "done" and .tries_done == .tries_total and .best_score != null' >/dev/null
 
-jq '{rows: .rows, parallelism: 2}' "$DIR/job.json" > "$DIR/predict.json"
-curl -sf -X POST --data-binary @"$DIR/predict.json" \
-    "http://$ADDR/v1/models/$ID/predict" \
-    | jq -e '.n == 200 and (.map | length) == 200 and (.memberships[0] | add) > 0.999' >/dev/null
+# Registry flow: the daemon predicts only through a registered model, so
+# publish the job as one and list it.
+jq -n --arg job "$ID" '{id: "smoke-model", job_id: $job}' > "$DIR/publish.json"
+curl -sf -X POST --data-binary @"$DIR/publish.json" "http://$ADDR/v1/models" \
+    | jq -e '.id == "smoke-model" and .version.version == 1 and .active == 1
+         and (.version.checksum | length) == 64' >/dev/null
+curl -sf "http://$ADDR/v1/models" \
+    | jq -e '.models | length == 1 and .[0].id == "smoke-model"' >/dev/null
 
-# JSON metrics (legacy shape, now at /metrics.json).
+# Batch-score the training rows against the model: first a cache miss,
+# then a byte-identical cache hit.
+jq '{rows: .rows, parallelism: 2}' "$DIR/job.json" > "$DIR/predict.json"
+curl -sf -D "$DIR/h1" -X POST --data-binary @"$DIR/predict.json" \
+    "http://$ADDR/v1/models/smoke-model/predict" > "$DIR/p1"
+jq -e '.n == 200 and (.map | length) == 200 and (.memberships[0] | add) > 0.999' "$DIR/p1" >/dev/null
+curl -sf -D "$DIR/h2" -X POST --data-binary @"$DIR/predict.json" \
+    "http://$ADDR/v1/models/smoke-model/predict" > "$DIR/p2"
+grep -qi '^x-cache: miss' "$DIR/h1" || { echo "first model predict not a cache miss" >&2; exit 1; }
+grep -qi '^x-cache: hit' "$DIR/h2" || { echo "repeat model predict not a cache hit" >&2; exit 1; }
+cmp -s "$DIR/p1" "$DIR/p2" || { echo "cache replay not byte-identical" >&2; exit 1; }
+curl -sf "http://$ADDR/v1/models/smoke-model" \
+    | jq -e '.active == 1 and .cache.hits >= 1 and .cache.misses >= 1' >/dev/null
+
+# JSON metrics (legacy shape, now at /metrics.json). The cache hit scored
+# no rows.
 curl -sf "http://$ADDR/metrics.json" \
     | jq -e '.server.counters["serve.jobs.done"] >= 1
          and .server.counters["serve.predict.rows"] == 200
@@ -96,35 +116,11 @@ esac
 
 curl -sf "http://$ADDR/debug/trace" | jq -e '.traceEvents | length > 0' >/dev/null
 
-# Deprecated bare job-ID predict must carry the Deprecation header.
-curl -sf -D "$DIR/headers" -X POST --data-binary @"$DIR/predict.json" \
-    "http://$ADDR/v1/models/$ID/predict" >/dev/null
-grep -qi '^deprecation: true' "$DIR/headers" \
-    || { echo "job-ID predict missing Deprecation header" >&2; exit 1; }
-
-# Registry flow: publish the job as a named model, list it, predict
-# against it — first a cache miss, then a byte-identical cache hit.
-jq -n --arg job "$ID" '{id: "smoke-model", job_id: $job}' > "$DIR/publish.json"
-curl -sf -X POST --data-binary @"$DIR/publish.json" "http://$ADDR/v1/models" \
-    | jq -e '.id == "smoke-model" and .version.version == 1 and .active == 1
-         and (.version.checksum | length) == 64' >/dev/null
-curl -sf "http://$ADDR/v1/models" \
-    | jq -e '.models | length == 1 and .[0].id == "smoke-model"' >/dev/null
-curl -sf -D "$DIR/h1" -X POST --data-binary @"$DIR/predict.json" \
-    "http://$ADDR/v1/models/smoke-model/predict" > "$DIR/p1"
-curl -sf -D "$DIR/h2" -X POST --data-binary @"$DIR/predict.json" \
-    "http://$ADDR/v1/models/smoke-model/predict" > "$DIR/p2"
-grep -qi '^x-cache: miss' "$DIR/h1" || { echo "first model predict not a cache miss" >&2; exit 1; }
-grep -qi '^x-cache: hit' "$DIR/h2" || { echo "repeat model predict not a cache hit" >&2; exit 1; }
-cmp -s "$DIR/p1" "$DIR/p2" || { echo "cache replay not byte-identical" >&2; exit 1; }
-grep -qi '^deprecation:' "$DIR/h1" \
-    && { echo "registered-model predict carries Deprecation" >&2; exit 1; }
-curl -sf "http://$ADDR/v1/models/smoke-model" \
-    | jq -e '.active == 1 and .cache.hits >= 1 and .cache.misses >= 1' >/dev/null
-
-# Error envelope: stable code and message.
+# Error envelope: stable code and message. A bare job ID is not a model.
 curl -s "http://$ADDR/v1/jobs/999999" \
     | jq -e '.error.code == "not_found" and (.error.message | length) > 0' >/dev/null
+curl -s -X POST --data-binary @"$DIR/predict.json" "http://$ADDR/v1/models/$ID/predict" \
+    | jq -e '.error.code == "not_found"' >/dev/null
 
 kill "$PID"
 wait "$PID" 2>/dev/null || true
