@@ -20,7 +20,7 @@ fmtcheck:
 # detector on the whole tree so new concurrency is checked on every PR.
 # The bitwise-across-Parallelism, chunked-equivalence and FoldRowLogLik
 # properties, the block step's sweep equivalence (four goroutines sharing
-# one kernel set), and the resume, interrupt, observer and hybrid search
+# one kernel set), and the resume, interrupt and observer search
 # properties (every try commits through the concurrent variant scheduler),
 # the one exchange per cycle against the paper's messages,
 # the vector kernels of model.NormalRun and model.FoldMax against their Go
@@ -41,7 +41,7 @@ fmtcheck:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,2,4 \
-		-run 'Concurrent|AcrossParallelism|ParallelismInvariance|ParallelismBitwise|FusedTraining|ChunkedMatches|ChunkedAligned|FoldRowLogLik|RaceFree|HybridTrajectory|PredictRanksBitwise|Resum|Interrupt|SearchObserver|SearchHybrid|KillAndResume|OneExchange|Sweeps|NormalRunScore|FoldLanes|FoldMax|ServeBatchingBitwise|ServePredictKillRestart' \
+		-run 'Concurrent|AcrossParallelism|ParallelismInvariance|ParallelismBitwise|FusedTraining|ChunkedMatches|ChunkedAligned|FoldRowLogLik|RaceFree|HybridTrajectory|PredictRanksBitwise|Resum|Interrupt|SearchObserver|KillAndResume|OneExchange|Sweeps|NormalRunScore|FoldLanes|FoldMax|ServeBatchingBitwise|ServePredictKillRestart' \
 		./internal/model ./internal/autoclass ./internal/pautoclass ./internal/serve
 	GODEBUG=cpu.fma=off $(GO) test -v -run 'Exp|LogSumRecip' ./internal/stats
 	$(GO) test -v -run 'PathEnabled|Vectorized|ExpSelfCheck' ./internal/stats ./internal/model
@@ -75,10 +75,9 @@ trace-smoke:
 	echo "trace-smoke outputs: $$dir"
 
 # Fault-tolerance suite: fault-injection matrix (every collective ×
-# Allreduce algorithm × transport with a rank killed mid-collective and no
-# deadline, so the launcher's crash cascade alone releases the group),
-# deadline semantics and the timeout counter, the kill-and-resume
-# bitwise-identity test, and
+# transport with a rank killed mid-collective and no deadline, so the
+# launcher's crash cascade alone releases the group), deadline semantics
+# and the timeout counter, the kill-and-resume bitwise-identity test, and
 # state writes that fail mid-search, in an SPMD search and in a daemon job.
 # The hard -timeout makes a hang a failure, not a stall.
 faults:

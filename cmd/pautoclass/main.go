@@ -10,7 +10,7 @@
 // Usage:
 //
 //	pautoclass -data data.txt -procs 8 -start-j 2,4,8 -report
-//	pautoclass -data big.bin -procs 10 -machine meiko -strategy full
+//	pautoclass -data big.bin -procs 10 -machine meiko
 package main
 
 import (
@@ -45,9 +45,8 @@ func run(args []string, w io.Writer) error {
 	tries := fs.Int("tries", 2, "random restarts per start J")
 	maxCycles := fs.Int("max-cycles", 200, "base_cycle cap per try")
 	parallelism := fs.Int("parallelism", 0, "intra-rank worker goroutines per base_cycle (0 or 1 = one worker, -1 = GOMAXPROCS; never changes the result)")
-	searchParallelism := fs.Int("search-parallelism", 0, "concurrent BIG_LOOP variants (0/1 = one try at a time, -1 = GOMAXPROCS); with -procs P the rank budget splits into this many groups (P must be divisible); bitwise identical to the sequential order for every value")
+	searchParallelism := fs.Int("search-parallelism", 0, "concurrent BIG_LOOP variants on the sequential engine (0/1 = one try at a time, -1 = GOMAXPROCS); refused with -procs > 1; bitwise identical to the sequential order for every value")
 	seed := fs.Uint64("seed", 1, "search seed")
-	strategy := fs.String("strategy", "full", "parallel strategy: full or wtsonly")
 	machine := fs.String("machine", "none", "virtual machine model: none, meiko or pentium")
 	correlated := fs.Bool("correlated", false, "model real attributes with a joint covariance term")
 	models := fs.Bool("models", false, "run the model-level search over every applicable model form (sequential only)")
@@ -129,15 +128,6 @@ func run(args []string, w io.Writer) error {
 		}
 		cfg.StartJList = append(cfg.StartJList, v)
 	}
-	var strat repro.Strategy
-	switch *strategy {
-	case "full":
-		strat = repro.Full
-	case "wtsonly":
-		strat = repro.WtsOnly
-	default:
-		return fmt.Errorf("unknown strategy %q", *strategy)
-	}
 	var mach *repro.Machine
 	switch *machine {
 	case "none":
@@ -181,39 +171,29 @@ func run(args []string, w io.Writer) error {
 	if *models {
 		return runModelSearch(w, ds, cfg, *report, *checkpoint)
 	}
-	// -correlated, and -resume at -procs 1, run on the sequential engine:
-	// the engine whose state files -procs 1 -resume has always written.
+	// Concurrent tries, and -resume at -procs 1, run on the sequential
+	// engine: the engine where variant workers live, and whose state files
+	// -procs 1 -resume has always written. The facade's predicate decides,
+	// so a schedule of one variant stays on the SPMD engine.
 	var sequential string
 	switch {
-	case *correlated:
+	case cfg.SearchWorkers() > 1:
 		if *procs > 1 {
-			return fmt.Errorf("-correlated runs on the sequential engine; drop -procs")
+			return fmt.Errorf("-search-parallelism runs on the sequential engine; drop -procs")
 		}
-		sequential = "-correlated"
+		sequential = "-search-parallelism"
 	case *resume != "" && *procs == 1:
 		sequential = "-resume at -procs 1"
 	}
-	if sequential != "" {
-		if mach != nil {
-			return fmt.Errorf("%s runs on the sequential engine; drop -machine", sequential)
-		}
-		if strat != repro.Full {
-			return fmt.Errorf("%s runs on the sequential engine; drop -strategy %s", sequential, *strategy)
-		}
+	if sequential != "" && mach != nil {
+		return fmt.Errorf("%s runs on the sequential engine; drop -machine", sequential)
 	}
 
 	fmt.Fprintf(w, "dataset %s: %d tuples, %d attributes\n", ds.Name, ds.N(), ds.NumAttrs())
 	if sequential != "" {
 		fmt.Fprintf(w, "search: start_j_list=%v tries=%d engine=sequential\n", cfg.StartJList, cfg.Tries)
 	} else {
-		fmt.Fprintf(w, "search: start_j_list=%v tries=%d procs=%d strategy=%s\n",
-			cfg.StartJList, cfg.Tries, *procs, strat)
-		// A variant group needs at least one rank, so the parallel engine
-		// runs at most -procs groups.
-		if v := cfg.SearchWorkers(); v > *procs {
-			fmt.Fprintf(w, "note: -search-parallelism %d asks for %d variant groups; -procs %d runs %d at a time\n",
-				*searchParallelism, v, *procs, *procs)
-		}
+		fmt.Fprintf(w, "search: start_j_list=%v tries=%d procs=%d\n", cfg.StartJList, cfg.Tries, *procs)
 	}
 	switch {
 	case *resume != "" && sequential != "":
@@ -247,13 +227,12 @@ func run(args []string, w io.Writer) error {
 	}
 
 	opts := []repro.Option{repro.WithSearchConfig(cfg)}
-	switch {
-	case *correlated:
+	if *correlated {
 		opts = append(opts, repro.WithCorrelated())
-	case sequential == "":
+	}
+	if sequential == "" {
 		opts = append(opts, repro.WithParallel(repro.ParallelConfig{
 			Procs:      *procs,
-			Strategy:   strat,
 			Machine:    mach,
 			OpDeadline: *opTimeout,
 		}))

@@ -58,92 +58,69 @@ func TestCLIParallelWithMachineAndReport(t *testing.T) {
 	}
 }
 
-// TestCLISearchParallelism: -search-parallelism splits the rank budget into
-// variant groups and the printed summary stays identical to the plain run.
+// TestCLISearchParallelism: -search-parallelism runs concurrent tries on
+// the sequential engine, whose one-worker run (-resume at -procs 1) prints
+// the same best classification; with -procs > 1 it is refused, since the
+// SPMD engine runs one try at a time.
 func TestCLISearchParallelism(t *testing.T) {
 	path := writeDataset(t, 500)
 	base := []string{"-data", path, "-start-j", "2,5", "-tries", "1", "-max-cycles", "30"}
-	var ref bytes.Buffer
-	if err := run(append([]string{}, base...), &ref); err != nil {
-		t.Fatal(err)
-	}
-	var par bytes.Buffer
-	if err := run(append([]string{"-procs", "2", "-search-parallelism", "2"}, base...), &par); err != nil {
-		t.Fatal(err)
-	}
-	want := bestLine(t, ref.String())
-	if got := bestLine(t, par.String()); got != want {
-		t.Fatalf("variant-parallel best %q, sequential best %q", got, want)
-	}
-	// An indivisible split is refused with the facade's error.
-	err := run(append([]string{"-procs", "3", "-search-parallelism", "2"}, base...), &bytes.Buffer{})
-	if err == nil || !strings.Contains(err.Error(), "divisible") {
-		t.Fatalf("indivisible budget: %v", err)
-	}
+	t.Run("sequential engine", func(t *testing.T) {
+		var ref bytes.Buffer
+		if err := run(append([]string{"-resume", filepath.Join(t.TempDir(), "state.json")}, base...), &ref); err != nil {
+			t.Fatal(err)
+		}
+		var par bytes.Buffer
+		if err := run(append([]string{"-search-parallelism", "2"}, base...), &par); err != nil {
+			t.Fatal(err)
+		}
+		if header := headerLine(t, par.String()); !strings.Contains(header, "engine=sequential") {
+			t.Fatalf("-search-parallelism 2 header %q, want engine=sequential", header)
+		}
+		want := bestLine(t, ref.String())
+		if got := bestLine(t, par.String()); got != want {
+			t.Fatalf("variant-parallel best %q, one-worker best %q", got, want)
+		}
+	})
+	t.Run("refused with procs", func(t *testing.T) {
+		err := run(append([]string{"-procs", "2", "-search-parallelism", "2"}, base...), &bytes.Buffer{})
+		if err == nil || !strings.Contains(err.Error(), "sequential engine") {
+			t.Fatalf("-procs 2 -search-parallelism 2: %v", err)
+		}
+	})
 }
 
 // TestCLIEngineHeader: the search header names the sequential engine
-// where it runs (-correlated, -resume at -procs 1) instead of a rank count
-// and a parallel strategy, which only the SPMD engine has.
+// where it runs (-resume at -procs 1) instead of a rank count, which only
+// the SPMD engine has; -procs selects the engine for the correlated model
+// as for the default one.
 func TestCLIEngineHeader(t *testing.T) {
 	path := writeDataset(t, 300)
 	base := []string{"-data", path, "-start-j", "3", "-tries", "1", "-max-cycles", "10"}
 	for _, tc := range []struct {
+		name string
 		args []string
 		want string
 	}{
-		{nil, "procs=1 strategy="},
-		{[]string{"-procs", "2"}, "procs=2 strategy="},
-		{[]string{"-correlated"}, "engine=sequential"},
-		{[]string{"-resume", filepath.Join(t.TempDir(), "state.json")}, "engine=sequential"},
+		{"default", nil, "procs=1"},
+		{"procs 2", []string{"-procs", "2"}, "procs=2"},
+		{"correlated", []string{"-correlated"}, "procs=1"},
+		{"correlated procs 2", []string{"-correlated", "-procs", "2"}, "procs=2"},
+		{"resume", []string{"-resume", filepath.Join(t.TempDir(), "state.json")}, "engine=sequential"},
 	} {
-		var buf bytes.Buffer
-		if err := run(append(tc.args, base...), &buf); err != nil {
-			t.Fatalf("%v: %v", tc.args, err)
-		}
-		header := headerLine(t, buf.String())
-		if !strings.Contains(header, tc.want) {
-			t.Fatalf("%v: header %q, want %q in it", tc.args, header, tc.want)
-		}
-		if tc.want == "engine=sequential" && strings.Contains(header, "strategy=") {
-			t.Fatalf("%v: the sequential engine's header %q names a parallel strategy", tc.args, header)
-		}
-	}
-}
-
-// TestCLISearchParallelismCapNote: when -search-parallelism asks the
-// parallel engine for more variant groups than -procs has ranks, one note
-// under the header names the requested and the effective group count; a
-// request the ranks cover, and the sequential engine, which runs every
-// requested try at once, print none.
-func TestCLISearchParallelismCapNote(t *testing.T) {
-	path := writeDataset(t, 300)
-	base := []string{"-data", path, "-start-j", "2,3", "-tries", "2", "-max-cycles", "10"}
-	for _, tc := range []struct {
-		args []string
-		note string
-	}{
-		{[]string{"-search-parallelism", "4"}, "note: -search-parallelism 4 asks for 4 variant groups; -procs 1 runs 1 at a time"},
-		{[]string{"-procs", "2", "-search-parallelism", "8"}, "note: -search-parallelism 8 asks for 4 variant groups; -procs 2 runs 2 at a time"},
-		{[]string{"-procs", "2", "-search-parallelism", "2"}, ""},
-		{[]string{"-search-parallelism", "4", "-resume", filepath.Join(t.TempDir(), "state.json")}, ""},
-	} {
-		var buf bytes.Buffer
-		if err := run(append(tc.args, base...), &buf); err != nil {
-			t.Fatalf("%v: %v", tc.args, err)
-		}
-		var notes []string
-		for _, line := range strings.Split(buf.String(), "\n") {
-			if strings.HasPrefix(line, "note:") {
-				notes = append(notes, line)
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := run(append(tc.args, base...), &buf); err != nil {
+				t.Fatal(err)
 			}
-		}
-		switch {
-		case tc.note == "" && len(notes) > 0:
-			t.Fatalf("%v: unexpected %q", tc.args, notes)
-		case tc.note != "" && (len(notes) != 1 || notes[0] != tc.note):
-			t.Fatalf("%v: notes %q, want just %q", tc.args, notes, tc.note)
-		}
+			header := headerLine(t, buf.String())
+			if !strings.Contains(header, tc.want) {
+				t.Fatalf("header %q, want %q in it", header, tc.want)
+			}
+			if tc.want == "engine=sequential" && strings.Contains(header, "procs=") {
+				t.Fatalf("the sequential engine's header %q names a rank count", header)
+			}
+		})
 	}
 }
 
@@ -168,14 +145,6 @@ func bestLine(t *testing.T, out string) string {
 	}
 	t.Fatalf("no best-classification line in:\n%s", out)
 	return ""
-}
-
-func TestCLIWtsOnly(t *testing.T) {
-	path := writeDataset(t, 300)
-	var buf bytes.Buffer
-	if err := run([]string{"-data", path, "-procs", "2", "-start-j", "3", "-tries", "1", "-max-cycles", "15", "-strategy", "wtsonly"}, &buf); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestCLICorrelatedSpec(t *testing.T) {
@@ -214,14 +183,12 @@ func TestCLIErrors(t *testing.T) {
 	cases := map[string][]string{
 		"no-data":      {},
 		"missing-file": {"-data", "/nonexistent/x.txt"},
-		"bad-strategy": {"-data", path, "-strategy", "nope"},
 		"bad-machine":  {"-data", path, "-machine", "cray"},
 		"bad-startj":   {"-data", path, "-start-j", "2,x"},
 		"bad-flag":     {"-zzz"},
-		// -resume at -procs 1 runs the sequential engine, which has
-		// neither a machine model nor the WtsOnly strategy.
+		// -resume at -procs 1 runs the sequential engine, which has no
+		// machine model.
 		"seq-resume-machine": {"-data", path, "-resume", state, "-machine", "meiko"},
-		"seq-resume-wtsonly": {"-data", path, "-resume", state, "-strategy", "wtsonly"},
 	}
 	for name, args := range cases {
 		if err := run(args, &buf); err == nil {
@@ -316,11 +283,6 @@ func TestCLIParallelResume(t *testing.T) {
 	if !bytes.Equal(first, second) {
 		t.Fatal("relaunched search wrote a different best classification")
 	}
-	// The parallel checkpointed path supports only the full strategy.
-	if err := run([]string{"-data", path, "-procs", "2", "-start-j", "3", "-tries", "1",
-		"-resume", state, "-strategy", "wtsonly"}, &buf); err == nil {
-		t.Fatal("-resume with -strategy wtsonly accepted")
-	}
 }
 
 func TestCLIClassifyMode(t *testing.T) {
@@ -371,26 +333,27 @@ func writeChunkedDataset(t *testing.T, n, chunkRows int) string {
 	return path
 }
 
-// TestCLIChunkedRun: -chunked trains out of core from a chunk file; under
-// either strategy the printed summary matches a run over the same rows
-// loaded in memory, and -memory-budget bounds residency without changing
-// it.
+// TestCLIChunkedRun: -chunked trains out of core from a chunk file; the
+// runs with and without -memory-budget print what a run over the same
+// rows loaded in memory prints, wall time aside.
 func TestCLIChunkedRun(t *testing.T) {
 	dataPath := writeDataset(t, 1024)
 	chunkPath := writeChunkedDataset(t, 1024, 256)
-	for _, strategy := range []string{"full", "wtsonly"} {
-		common := []string{"-start-j", "2,5", "-tries", "1", "-max-cycles", "30", "-procs", "2", "-strategy", strategy}
-		checkChunkedRun(t, dataPath, chunkPath, common)
-	}
-}
-
-// checkChunkedRun requires the -chunked runs, with and without a memory
-// budget, to print what the -data run prints, wall time aside.
-func checkChunkedRun(t *testing.T, dataPath, chunkPath string, common []string) {
-	t.Helper()
+	common := []string{"-start-j", "2,5", "-tries", "1", "-max-cycles", "30", "-procs", "2"}
 	var want bytes.Buffer
 	if err := run(append([]string{"-data", dataPath}, common...), &want); err != nil {
 		t.Fatal(err)
+	}
+	// Strip the wall-time line; everything else must match verbatim.
+	trim := func(s string) string {
+		var keep []string
+		for _, ln := range strings.Split(s, "\n") {
+			if strings.HasPrefix(ln, "wall time:") {
+				continue
+			}
+			keep = append(keep, ln)
+		}
+		return strings.Join(keep, "\n")
 	}
 	for _, args := range [][]string{
 		{"-chunked", chunkPath},
@@ -399,17 +362,6 @@ func checkChunkedRun(t *testing.T, dataPath, chunkPath string, common []string) 
 		var got bytes.Buffer
 		if err := run(append(args, common...), &got); err != nil {
 			t.Fatal(err)
-		}
-		// Strip the wall-time line; everything else must match verbatim.
-		trim := func(s string) string {
-			var keep []string
-			for _, ln := range strings.Split(s, "\n") {
-				if strings.HasPrefix(ln, "wall time:") {
-					continue
-				}
-				keep = append(keep, ln)
-			}
-			return strings.Join(keep, "\n")
 		}
 		if trim(got.String()) != trim(want.String()) {
 			t.Fatalf("chunked output differs:\n--- got ---\n%s\n--- want ---\n%s", got.String(), want.String())

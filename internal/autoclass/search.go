@@ -36,13 +36,6 @@ type SearchConfig struct {
 	// order, so the result is bitwise identical for every value — see
 	// searchsched.go.
 	SearchParallelism int
-	// BasinEarlyStop cuts variants whose trajectory has flattened inside
-	// an already-committed (finalJ, score) basin, recording them as
-	// early-stopped duplicates. The decision depends on commit timing, so
-	// this is the one knob excluded from the bitwise-identity guarantee;
-	// it only takes effect with SearchParallelism > 1 on the sequential
-	// engine (Search).
-	BasinEarlyStop bool
 }
 
 // DefaultSearchConfig returns the paper-equivalent search settings.
@@ -89,8 +82,10 @@ type TryResult struct {
 	LogLik, LogPost, Score float64
 	// Duplicate marks tries discarded by duplicate elimination.
 	Duplicate bool
-	// EarlyStopped marks tries cut by basin early termination
-	// (SearchConfig.BasinEarlyStop); such tries are always also Duplicate.
+	// EarlyStopped marked tries that basin early termination cut; such
+	// tries were always also Duplicate. No search sets it now: it survives
+	// in state files written while that option existed, whose early-stopped
+	// tries resume as the duplicates they were.
 	EarlyStopped bool
 }
 
@@ -215,20 +210,11 @@ func nativeRunners(ds *dataset.Dataset, spec model.Spec, pr *model.Priors, cfg S
 			if cyc != nil {
 				eng.SetCycleObserver(cyc)
 			}
-			if cfg.BasinEarlyStop && sched.workers > 1 {
-				installBasinStop(eng, cls, sched, cfg.EM)
-			}
 			if err := eng.InitRandom(v.Seed); err != nil {
 				return nil, EMResult{}, err
 			}
 			em, err := eng.Run()
 			if err != nil {
-				if errors.Is(err, errBasinStop) {
-					// Keep the partial classification and stats: the
-					// scheduler commits the try as an early-stopped
-					// duplicate.
-					return cls, em, err
-				}
 				return nil, EMResult{}, err
 			}
 			return cls, em, nil

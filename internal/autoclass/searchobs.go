@@ -23,8 +23,9 @@ const (
 	// TryDuplicate fires when the try commits as a rediscovered local
 	// optimum (duplicate elimination, paper Fig. 2).
 	TryDuplicate
-	// TryEarlyStopped fires when basin early termination cut the try; such
-	// tries commit as duplicates.
+	// TryEarlyStopped fired when basin early termination cut the try,
+	// which committed as a duplicate. No search emits it now; the kind
+	// keeps its value and name for observers that count it.
 	TryEarlyStopped
 )
 
@@ -80,9 +81,8 @@ type TryEvent struct {
 
 // SearchObserver receives try lifecycle events. Implementations must be
 // notification-only — no communication, no feedback into the engine — and,
-// when SearchParallelism > 1 (or under SearchHybrid's concurrent claims),
-// safe for concurrent use. They must not call back into the scheduler:
-// commit-kind events are delivered under its lock.
+// when SearchParallelism > 1, safe for concurrent use. They must not call
+// back into the scheduler: commit-kind events are delivered under its lock.
 type SearchObserver interface {
 	ObserveTry(TryEvent)
 }

@@ -32,11 +32,6 @@ import (
 // exact fold the one-worker loop uses. Each try's outcome depends only on
 // (startJ, derived seed), so the committed SearchResult is bitwise
 // identical to the sequential oracle for every worker count.
-//
-// The only escape from the oracle is opt-in: BasinEarlyStop cuts tries
-// whose trajectory has flattened inside an already-committed (finalJ,
-// score) basin. That decision depends on commit timing, so it is excluded
-// from the bitwise guarantee and disabled by default.
 
 // Variant identifies one schedulable BIG_LOOP try: its position in the
 // sequential schedule, its parameters, and its derived initialization seed.
@@ -88,11 +83,6 @@ func (c SearchConfig) SearchWorkers() int {
 	return p
 }
 
-// errBasinStop is the sentinel a trial runner returns (alongside the
-// partial classification and EMResult) when basin early termination cut
-// the run. The scheduler commits such tries as early-stopped duplicates.
-var errBasinStop = errors.New("autoclass: try stopped in already-seen basin")
-
 // VariantRunner executes one scheduled variant: build a classification with
 // v.StartJ classes, initialize it from v.Seed, and run EM to convergence.
 // It receives the whole Variant, so a runner that reports per-try events or
@@ -108,13 +98,12 @@ type tryOutcome struct {
 }
 
 // SearchScheduler coordinates a variant-parallel BIG_LOOP search: workers
-// claim variants with Next, execute them, and hand the outcomes to Commit;
+// claim variants with next, execute them, and hand the outcomes to commit;
 // the scheduler buffers out-of-order arrivals and folds them into the
 // result strictly in schedule order. Claim order is the promise heuristic
-// (smaller startJ first — cheaper tries that fill the duplicate table and
-// the early-stop basins quickly — then earlier tries); commit order is the
-// sequential schedule. With one worker both orders collapse to the
-// sequential BIG_LOOP.
+// (smaller startJ first — cheaper tries that fill the duplicate table
+// quickly — then earlier tries); commit order is the sequential schedule.
+// With one worker both orders collapse to the sequential BIG_LOOP.
 type SearchScheduler struct {
 	cfg      SearchConfig
 	variants []Variant
@@ -220,9 +209,9 @@ func (s *SearchScheduler) restore(completed []TryResult, best *Classification, b
 	return nil
 }
 
-// Next claims the next unclaimed variant. It returns false when every
+// next claims the next unclaimed variant. It returns false when every
 // variant has been claimed or the search has stopped on an error.
-func (s *SearchScheduler) Next() (Variant, bool) {
+func (s *SearchScheduler) next() (Variant, bool) {
 	i := int(s.claim.Add(1)) - 1
 	if i >= len(s.order) {
 		return Variant{}, false
@@ -244,11 +233,11 @@ func (s *SearchScheduler) Next() (Variant, bool) {
 	return v, true
 }
 
-// Commit hands a finished variant's outcome to the scheduler. Outcomes are
-// buffered and applied strictly in schedule order; an error (other than
-// the basin-stop sentinel) stops the search when its turn is reached, so
-// the surfaced error is the same one the sequential BIG_LOOP would return.
-func (s *SearchScheduler) Commit(v Variant, cls *Classification, em EMResult, runErr error) {
+// commit hands a finished variant's outcome to the scheduler. Outcomes are
+// buffered and applied strictly in schedule order; an error stops the
+// search when its turn is reached, so the surfaced error is the same one
+// the sequential BIG_LOOP would return.
+func (s *SearchScheduler) commit(v Variant, cls *Classification, em EMResult, runErr error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.stopped {
@@ -276,23 +265,21 @@ func (s *SearchScheduler) Commit(v Variant, cls *Classification, em EMResult, ru
 // result is bitwise identical to the sequential oracle. Called with the
 // lock held, in schedule order.
 func (s *SearchScheduler) apply(v Variant, o *tryOutcome) {
-	earlyStopped := errors.Is(o.err, errBasinStop)
-	if o.err != nil && !earlyStopped {
+	if o.err != nil {
 		s.err = fmt.Errorf("autoclass: try J=%d #%d: %w", v.StartJ, v.Try, o.err)
 		s.stopped = true
 		return
 	}
 	tr := TryResult{
-		StartJ:       v.StartJ,
-		FinalJ:       o.cls.J(),
-		Try:          v.Try,
-		Seed:         v.Seed,
-		Cycles:       o.em.Cycles,
-		Converged:    o.em.Converged,
-		LogLik:       o.cls.LogLik,
-		LogPost:      o.cls.LogPost,
-		Score:        o.cls.Score(),
-		EarlyStopped: earlyStopped,
+		StartJ:    v.StartJ,
+		FinalJ:    o.cls.J(),
+		Try:       v.Try,
+		Seed:      v.Seed,
+		Cycles:    o.em.Cycles,
+		Converged: o.em.Converged,
+		LogLik:    o.cls.LogLik,
+		LogPost:   o.cls.LogPost,
+		Score:     o.cls.Score(),
 	}
 	res := s.res
 	res.Totals.Cycles += o.em.Cycles
@@ -302,23 +289,16 @@ func (s *SearchScheduler) apply(v Variant, o *tryOutcome) {
 	res.Totals.InitSeconds += o.em.InitSeconds
 	res.Totals.ReducedValues += o.em.ReducedValues
 	res.Totals.Reductions += o.em.Reductions
-	if earlyStopped {
-		// The try was cut because its trajectory flattened inside an
-		// already-committed basin: record it as the duplicate it was
-		// converging to.
-		tr.Duplicate = true
-	} else {
-		// Duplicate elimination (paper Fig. 2): a converged try that lands
-		// on an already-seen (final J, score) point is the same local
-		// optimum rediscovered.
-		for _, prev := range res.Tries {
-			if prev.Duplicate || prev.FinalJ != tr.FinalJ {
-				continue
-			}
-			if stats.RelDiff(prev.Score, tr.Score) < s.cfg.DupScoreTol {
-				tr.Duplicate = true
-				break
-			}
+	// Duplicate elimination (paper Fig. 2): a converged try that lands on
+	// an already-seen (final J, score) point is the same local optimum
+	// rediscovered.
+	for _, prev := range res.Tries {
+		if prev.Duplicate || prev.FinalJ != tr.FinalJ {
+			continue
+		}
+		if stats.RelDiff(prev.Score, tr.Score) < s.cfg.DupScoreTol {
+			tr.Duplicate = true
+			break
 		}
 	}
 	res.Tries = append(res.Tries, tr)
@@ -329,10 +309,7 @@ func (s *SearchScheduler) apply(v Variant, o *tryOutcome) {
 	}
 	if s.obs != nil {
 		kind := TryConverged
-		switch {
-		case tr.EarlyStopped:
-			kind = TryEarlyStopped
-		case tr.Duplicate:
+		if tr.Duplicate {
 			kind = TryDuplicate
 		}
 		ev := TryEvent{
@@ -355,27 +332,6 @@ func (s *SearchScheduler) apply(v Variant, o *tryOutcome) {
 	}
 }
 
-// inBasin reports whether (finalJ, score) falls within DupScoreTol of an
-// already-committed non-duplicate try — the early-termination test. Once
-// every variant has committed, the only try still running is a lost best
-// being regenerated (SearchState), which must never be cut.
-func (s *SearchScheduler) inBasin(finalJ int, score float64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.nextIdx == len(s.variants) {
-		return false
-	}
-	for _, tr := range s.res.Tries {
-		if tr.Duplicate || tr.FinalJ != finalJ {
-			continue
-		}
-		if stats.RelDiff(tr.Score, score) < s.cfg.DupScoreTol {
-			return true
-		}
-	}
-	return false
-}
-
 // result returns the folded result once every variant has committed,
 // without the no-classification check (Run may still regenerate a lost best
 // afterwards).
@@ -389,19 +345,6 @@ func (s *SearchScheduler) result() (*SearchResult, error) {
 		return nil, errors.New("autoclass: scheduler result requested before all variants committed")
 	}
 	return s.res, nil
-}
-
-// Result returns the search result after every variant has been committed,
-// or the first (in schedule order) error.
-func (s *SearchScheduler) Result() (*SearchResult, error) {
-	res, err := s.result()
-	if err != nil {
-		return nil, err
-	}
-	if res.Best == nil {
-		return nil, errors.New("autoclass: search produced no classification")
-	}
-	return res, nil
 }
 
 // Run is the BIG_LOOP driver behind every search entry point: each of the
@@ -453,12 +396,12 @@ func (s *SearchScheduler) Run(st *SearchState, makeRunner func(slot int) Variant
 // left to claim.
 func (s *SearchScheduler) drain(run VariantRunner) {
 	for {
-		v, ok := s.Next()
+		v, ok := s.next()
 		if !ok {
 			return
 		}
 		cls, em, err := run(v)
-		s.Commit(v, cls, em, err)
+		s.commit(v, cls, em, err)
 	}
 }
 
@@ -475,33 +418,4 @@ func (l *lockedCycleObserver) ObserveCycle(info CycleInfo) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.o.ObserveCycle(info)
-}
-
-// basinStopMinCycles is how many cycles a try must run before basin early
-// termination may cut it — the first cycles' deltas are large and their
-// scores meaningless.
-const basinStopMinCycles = 3
-
-// installBasinStop arms basin early termination on a variant's engine: once
-// the per-cycle relative posterior improvement flattens below a multiple of
-// the convergence tolerance and the trajectory sits inside an
-// already-committed (finalJ, score) basin, the run is cut with the
-// basin-stop sentinel. Only meaningful with several variant workers — with
-// one worker commits happen between runs, and a flattened trajectory inside
-// a known basin would be eliminated as a duplicate anyway.
-func installBasinStop(eng *Engine, cls *Classification, sched *SearchScheduler, em Config) {
-	threshold := 100 * em.RelDelta
-	last := math.Inf(-1)
-	eng.SetCycleHook(func(cycle int, converged bool) error {
-		post := eng.State().LastPost
-		delta := CycleDelta(post, last)
-		last = post
-		if converged || cycle < basinStopMinCycles || !(delta < threshold) {
-			return nil
-		}
-		if sched.inBasin(cls.J(), cls.Score()) {
-			return errBasinStop
-		}
-		return nil
-	})
 }

@@ -194,7 +194,7 @@ func TestSchedulerPromiseOrderClaimsSmallJFirst(t *testing.T) {
 	wantJ := []int{2, 2, 4, 4, 8, 8}
 	var claimed []Variant
 	for {
-		v, ok := sched.Next()
+		v, ok := sched.next()
 		if !ok {
 			break
 		}
@@ -213,9 +213,9 @@ func TestSchedulerPromiseOrderClaimsSmallJFirst(t *testing.T) {
 	run := fakeRunner(t)
 	for _, v := range claimed {
 		cls, em, err := run(v.StartJ, v.Seed)
-		sched.Commit(v, cls, em, err)
+		sched.commit(v, cls, em, err)
 	}
-	res, err := sched.Result()
+	res, err := sched.result()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,39 +255,6 @@ func TestSearchParallelErrorMatchesSequential(t *testing.T) {
 			t.Fatalf("workers=%d error %q, want %q", workers, err, seqErr)
 		}
 	}
-}
-
-func TestBasinEarlyStop(t *testing.T) {
-	// Strongly separated data: restarts with the same start J converge to
-	// the same optimum, so late variants flatten inside committed basins.
-	ds := paperDS(t, 2000)
-	spec := model.DefaultSpec(ds)
-	cfg := quickSearchConfig()
-	cfg.StartJList = []int{5}
-	cfg.Tries = 6
-	cfg.EM.MaxCycles = 60
-	cfg.SearchParallelism = 3
-	cfg.BasinEarlyStop = true
-	res, err := Search(ds, spec, cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Best == nil {
-		t.Fatal("no best classification")
-	}
-	stopped := 0
-	for _, tr := range res.Tries {
-		if tr.EarlyStopped {
-			stopped++
-			if !tr.Duplicate {
-				t.Fatalf("early-stopped try %+v not marked duplicate", tr)
-			}
-		}
-	}
-	if res.BestTry.EarlyStopped || res.BestTry.Duplicate {
-		t.Fatalf("best try %+v is a cut or duplicate try", res.BestTry)
-	}
-	t.Logf("early-stopped %d of %d tries", stopped, len(res.Tries))
 }
 
 func TestSchedulerRestoreRejectsOversizedState(t *testing.T) {

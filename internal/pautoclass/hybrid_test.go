@@ -29,7 +29,7 @@ func runTrialHistory(t testing.TB, p, par int, strategy Strategy) []float64 {
 		if err != nil {
 			return err
 		}
-		_, res, err := RunTrial(c, view, pr, model.DefaultSpec(ds), 4, 11, opts)
+		_, res, err := newTrial(c, view, pr, model.DefaultSpec(ds), opts).run(autoclass.Variant{StartJ: 4, Seed: 11})
 		if err != nil {
 			return err
 		}

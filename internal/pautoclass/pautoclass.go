@@ -72,9 +72,9 @@ type Options struct {
 	// EM configures the parameter-level search, including the intra-rank
 	// Parallelism, which flows unchanged into every rank's engine. The
 	// Full engine evaluates terms with the blocked kernels, the WtsOnly
-	// baseline row by row (see wtsonly.go). Only RunTrial reads it: Search
-	// and SearchHybrid run their SearchConfig's EM, the configuration the
-	// state file's fingerprint records.
+	// baseline row by row (see wtsonly.go). Search replaces it with its
+	// SearchConfig's EM, the configuration the state file's fingerprint
+	// records.
 	EM autoclass.Config
 	// Strategy selects Full (P-AutoClass) or WtsOnly (baseline).
 	Strategy Strategy
@@ -96,8 +96,7 @@ type Options struct {
 	// never perturbs the trajectory.
 	SearchObs autoclass.SearchObserver
 	// Checkpoint, when its Path is set, makes Search resumable (see
-	// Checkpoint). Only the Full strategy supports it; RunTrial and
-	// SearchHybrid ignore it.
+	// Checkpoint). Only the Full strategy supports it.
 	Checkpoint Checkpoint
 }
 
@@ -309,21 +308,9 @@ func ParallelPriors(comm *mpi.Comm, view *dataset.View, opts *Options) (*model.P
 	return model.NewPriors(ds, sum), nil
 }
 
-// RunTrial executes one classification try on this rank: build a
-// classification with startJ classes over the global priors, initialize
-// from seed, and run EM under the selected strategy. Every rank of the
-// group must call it with identical arguments.
-func RunTrial(comm *mpi.Comm, view *dataset.View, pr *model.Priors, spec model.Spec,
-	startJ int, seed uint64, opts Options) (*autoclass.Classification, autoclass.EMResult, error) {
-	if comm == nil || view == nil || pr == nil {
-		return nil, autoclass.EMResult{}, errors.New("pautoclass: nil comm, view or priors")
-	}
-	return newTrial(comm, view, pr, spec, opts).run(autoclass.Variant{StartJ: startJ, Seed: seed})
-}
-
-// trial is the SPMD engine's per-try runner, shared by Search (through the
-// variant scheduler), SearchHybrid and RunTrial. Every rank of the group
-// runs the same variants in the same order.
+// trial is the SPMD engine's per-try runner, which Search hands to the
+// variant scheduler. Every rank of the group runs the same variants in the
+// same order.
 type trial struct {
 	comm    *mpi.Comm
 	view    *dataset.View
@@ -454,12 +441,12 @@ func (t *trial) runFull(v autoclass.Variant, co autoclass.CycleObserver) (*autoc
 }
 
 // Search runs the full replicated BIG_LOOP in parallel. Every rank drives
-// its own copy of the variant scheduler with one worker: the SPMD runner
-// communicates through this rank's communicator, so two tries must never
-// run concurrently on one rank — their collectives would interleave.
-// Variant parallelism for the SPMD engine splits the rank budget across
-// communicator groups instead (SearchHybrid). Every rank returns the
-// identical SearchResult.
+// its own copy of the variant scheduler with one worker, so the group runs
+// one try at a time, as the paper's program does: the SPMD runner
+// communicates through this rank's communicator, and two tries on one rank
+// would interleave their collectives. cfg.SearchParallelism is ignored
+// here; concurrent tries run on the sequential engine (autoclass.Search).
+// Every rank returns the identical SearchResult.
 //
 // With opts.Checkpoint.Path set the search persists its progress (committed
 // tries after every try, plus a mid-try snapshot every Checkpoint.Every

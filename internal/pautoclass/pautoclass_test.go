@@ -2,6 +2,8 @@ package pautoclass
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -321,30 +323,38 @@ func TestKernelModesAgreeOnTwoRanks(t *testing.T) {
 	}
 }
 
-// TestSearchRunsConfigEM: Search and SearchHybrid run the SearchConfig's
-// EM, the configuration the state file's fingerprint records, whatever
-// EM the Options carry. With cfg.EM capped at 8 cycles and convergence
-// off, under DefaultOptions' engine defaults, no try may run past 8.
+// TestSearchRunsConfigEM: Search runs the SearchConfig's EM, the
+// configuration the state file's fingerprint records, whatever EM the
+// Options carry. With cfg.EM capped at 8 cycles and convergence off, under
+// DefaultOptions' engine defaults, no try may run past 8.
 func TestSearchRunsConfigEM(t *testing.T) {
 	ds := paperDS(t, 600)
 	cfg := quickSearchConfig()
 	cfg.EM.MaxCycles = 8
 	cfg.EM.RelDelta = 0
-	check := func(name string, res *autoclass.SearchResult) {
-		t.Helper()
-		for _, tr := range res.Tries {
-			if tr.Cycles > cfg.EM.MaxCycles {
-				t.Errorf("%s: try J=%d #%d ran %d cycles, cap %d", name, tr.StartJ, tr.Try, tr.Cycles, cfg.EM.MaxCycles)
-			}
+	for _, tr := range runParallelSearch(t, ds, 2, cfg, DefaultOptions()).Tries {
+		if tr.Cycles > cfg.EM.MaxCycles {
+			t.Errorf("try J=%d #%d ran %d cycles, cap %d", tr.StartJ, tr.Try, tr.Cycles, cfg.EM.MaxCycles)
 		}
 	}
-	check("Search", runParallelSearch(t, ds, 2, cfg, DefaultOptions()))
-	res, err := SearchHybrid(ds, model.DefaultSpec(ds), cfg, HybridConfig{Procs: 2, Variants: 2},
-		func(int, int) Options { return DefaultOptions() })
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestSPMDSearchForcesSequentialVariants: the replicated SPMD BIG_LOOP must
+// ignore SearchParallelism — its trial runner communicates and cannot run
+// concurrently on one rank.
+func TestSPMDSearchForcesSequentialVariants(t *testing.T) {
+	ds := paperDS(t, 400)
+	cfg := autoclass.DefaultSearchConfig()
+	cfg.StartJList = []int{2, 4, 5}
+	cfg.Tries = 2
+	cfg.EM.MaxCycles = 20
+	ref := runParallelSearch(t, ds, 2, cfg, Options{EM: cfg.EM, Strategy: Full})
+	par := cfg
+	par.SearchParallelism = 4
+	res := runParallelSearch(t, ds, 2, par, Options{EM: par.EM, Strategy: Full})
+	if !slices.Equal(res.Tries, ref.Tries) || res.BestTry != ref.BestTry {
+		t.Fatal("SearchParallelism perturbed the SPMD search")
 	}
-	check("SearchHybrid", res)
 }
 
 func TestParallelOverTCP(t *testing.T) {
@@ -474,31 +484,23 @@ func TestWtsOnlySlowerThanFullUnderModel(t *testing.T) {
 	}
 }
 
-func TestRunTrialValidation(t *testing.T) {
+// TestSearchUnknownStrategy: the SPMD runner refuses a strategy it does
+// not know, on every rank, without leaving a rank waiting in a collective.
+func TestSearchUnknownStrategy(t *testing.T) {
 	ds := paperDS(t, 100)
-	err := mpi.Run(2, func(c *mpi.Comm) error {
-		view, err := PartitionView(c, ds)
-		if err != nil {
-			return err
-		}
-		pr, err := ParallelPriors(c, view, nil)
-		if err != nil {
-			return err
-		}
-		if _, _, err := RunTrial(nil, view, pr, model.DefaultSpec(ds), 2, 1, DefaultOptions()); err == nil {
-			return fmt.Errorf("nil comm accepted")
-		}
-		bad := DefaultOptions()
-		bad.Strategy = Strategy(9)
-		if _, _, err := RunTrial(c, view, pr, model.DefaultSpec(ds), 2, 1, bad); err == nil {
-			return fmt.Errorf("bad strategy accepted")
-		}
-		// Ranks must stay in sync: run one good trial to drain.
-		_, _, err = RunTrial(c, view, pr, model.DefaultSpec(ds), 2, 1, DefaultOptions())
+	bad := DefaultOptions()
+	bad.Strategy = Strategy(9)
+	errs, err := rankErrors(2, mpi.RunConfig{}, func(c *mpi.Comm) error {
+		_, err := Search(c, ds, model.DefaultSpec(ds), quickSearchConfig(), bad)
 		return err
 	})
-	if err != nil {
-		t.Fatal(err)
+	if err == nil {
+		t.Fatal("bad strategy accepted")
+	}
+	for r, e := range errs {
+		if e == nil || !strings.Contains(e.Error(), "unknown strategy") {
+			t.Errorf("rank %d: %v", r, e)
+		}
 	}
 }
 
@@ -554,31 +556,7 @@ func TestParallelLogNormalSpecEqualsSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var par *autoclass.SearchResult
-	err = mpi.Run(4, func(c *mpi.Comm) error {
-		view, err := PartitionView(c, ds)
-		if err != nil {
-			return err
-		}
-		pr, err := ParallelPriors(c, view, nil)
-		if err != nil {
-			return err
-		}
-		runner := func(startJ int, seed uint64) (*autoclass.Classification, autoclass.EMResult, error) {
-			return RunTrial(c, view, pr, model.LogNormalSpec(ds), startJ, seed, DefaultOptions())
-		}
-		res, err := autoclass.SearchWith(runner, cfg)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			par = res
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	par := runParallelSearchSpec(t, ds, model.LogNormalSpec(ds), 4, cfg, DefaultOptions())
 	if !stats.AlmostEqual(par.Best.LogPost, seq.Best.LogPost, 1e-6) {
 		t.Fatalf("log-normal parallel %v vs sequential %v", par.Best.LogPost, seq.Best.LogPost)
 	}

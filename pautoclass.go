@@ -55,7 +55,6 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/dataset"
 	"repro/internal/eval"
-	"repro/internal/pautoclass"
 	"repro/internal/simnet"
 )
 
@@ -185,24 +184,11 @@ func MeikoCS2() Machine { return simnet.MeikoCS2() }
 // PentiumPC returns the paper's sequential anchor machine model.
 func PentiumPC() Machine { return simnet.PentiumPC() }
 
-// Strategy selects the parallelization variant.
-type Strategy = pautoclass.Strategy
-
-// Parallelization strategies.
-const (
-	// Full is P-AutoClass (both EM phases parallel).
-	Full = pautoclass.Full
-	// WtsOnly is the update_wts-only prior-art baseline.
-	WtsOnly = pautoclass.WtsOnly
-)
-
 // ParallelConfig configures WithParallel.
 type ParallelConfig struct {
 	// Procs is the number of ranks (goroutines connected by the message-
 	// passing substrate). Must be >= 1.
 	Procs int
-	// Strategy selects Full (default) or WtsOnly.
-	Strategy Strategy
 	// Machine, when non-nil, runs the whole group under virtual clocks on
 	// this machine model and reports the simulated elapsed time.
 	Machine *Machine

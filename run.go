@@ -101,26 +101,10 @@ type runConfig struct {
 	memBudget  int64
 }
 
-// hybridGroups resolves how many concurrent variant groups a parallel run
-// splits into: the SearchParallelism knob, capped by the rank budget.
-// 1 means the classic single-group SPMD search.
-func (rc *runConfig) hybridGroups() int {
-	if rc.par == nil {
-		return 1
-	}
-	v := rc.search.SearchWorkers()
-	if v > rc.par.Procs {
-		v = rc.par.Procs
-	}
-	return v
-}
-
 // WithSearchConfig replaces the default BIG_LOOP settings. Its
-// SearchParallelism n runs n tries at once, bitwise identical to one at a
-// time; with WithParallel it splits the rank budget into n communicator
-// groups of Procs/n ranks, at most Procs groups (Procs must be divisible by
-// n, and neither a simulated Machine nor a parallel WithCheckpoint is
-// supported).
+// SearchParallelism n runs n tries at once on the sequential engine,
+// bitwise identical to one at a time. WithParallel runs one try at a time,
+// as the paper's program does, and refuses more than one variant worker.
 func WithSearchConfig(cfg SearchConfig) Option {
 	return func(rc *runConfig) { rc.search = cfg }
 }
@@ -140,8 +124,9 @@ func WithModelSearch() Option {
 	return func(rc *runConfig) { rc.models = true }
 }
 
-// WithParallel runs the search as P-AutoClass across pc.Procs SPMD ranks.
-// The result is identical to the sequential search of the same
+// WithParallel runs the search as P-AutoClass across pc.Procs SPMD ranks,
+// one try at a time as the paper's program does, under either model
+// spec. The result is identical to the sequential search of the same
 // SearchConfig up to the paper's parallel priors formulation; all ranks
 // produce the same classification and rank 0's is returned.
 func WithParallel(pc ParallelConfig) Option {
@@ -159,14 +144,14 @@ func WithObserver(o *RunObserver) Option {
 }
 
 // WithSearchObserver streams try lifecycle events — claimed, per-cycle
-// progress, converged/duplicate/early-stopped commits with tries
-// done/total and best-so-far score — to o while the search runs: the hook
-// behind live progress reporting (the daemon's /v1/jobs/{id}/progress, the
-// CLI's progress line). Observation is notification-only and never
-// perturbs the trajectory; with SearchConfig.SearchParallelism > 1 (or a
-// hybrid parallel run) events arrive from several goroutines, so o must be
-// safe for concurrent use. In a parallel run events are emitted once (rank
-// 0), not once per rank. Incompatible with WithModelSearch.
+// progress, converged/duplicate commits with tries done/total and
+// best-so-far score — to o while the search runs: the hook behind live
+// progress reporting (the daemon's /v1/jobs/{id}/progress, the CLI's
+// progress line). Observation is notification-only and never perturbs the
+// trajectory; with SearchConfig.SearchParallelism > 1 events arrive from
+// several goroutines, so o must be safe for concurrent use. In a parallel
+// run events are emitted once (rank 0), not once per rank. Incompatible
+// with WithModelSearch.
 func WithSearchObserver(o SearchObserver) Option {
 	return func(rc *runConfig) { rc.searchObs = o }
 }
@@ -179,8 +164,8 @@ func WithSearchObserver(o SearchObserver) Option {
 // bounded pread cache where mapping is unavailable); combine with
 // WithMemoryBudget to cap resident bytes explicitly. The search trajectory
 // is bitwise identical to a run over the in-memory rows for every backing
-// and chunk size; a parallel run, under either strategy, matches when its
-// rank partition lands on the 256-row grid (n a multiple of 256·Procs).
+// and chunk size; a parallel run matches when its rank partition lands on
+// the 256-row grid (n a multiple of 256·Procs).
 func WithChunkedData(path string) Option {
 	return func(rc *runConfig) { rc.chunkPath = path }
 }
@@ -225,22 +210,8 @@ func (rc *runConfig) validate() error {
 		if rc.par.Procs < 1 {
 			return fmt.Errorf("repro: %d procs", rc.par.Procs)
 		}
-		if rc.correlated {
-			return errors.New("repro: WithCorrelated is not supported with WithParallel")
-		}
-		if rc.ckptPath != "" && rc.par.Strategy != Full {
-			return errors.New("repro: parallel WithCheckpoint requires the Full strategy")
-		}
-		if v := rc.hybridGroups(); v > 1 {
-			if rc.par.Machine != nil {
-				return errors.New("repro: SearchConfig.SearchParallelism > 1 cannot charge a simulated Machine across concurrent variant groups")
-			}
-			if rc.ckptPath != "" {
-				return errors.New("repro: parallel WithCheckpoint does not support SearchConfig.SearchParallelism > 1")
-			}
-			if rc.par.Procs%v != 0 {
-				return fmt.Errorf("repro: rank budget %d not divisible by %d variant groups", rc.par.Procs, v)
-			}
+		if v := rc.search.SearchWorkers(); v > 1 {
+			return fmt.Errorf("repro: SearchConfig.SearchParallelism runs %d tries at once on the sequential engine; WithParallel runs one at a time", v)
 		}
 	}
 	if rc.observer != nil {
@@ -274,17 +245,22 @@ func runModels(ds *Dataset, rc runConfig) (*Result, error) {
 	return &Result{Models: ms, Stats: ParallelStats{WallSeconds: time.Since(start).Seconds()}}, nil
 }
 
+// spec is the model the search fits: the independent-attribute default,
+// or full-covariance Gaussians under WithCorrelated.
+func (rc *runConfig) spec(ds *Dataset) model.Spec {
+	if rc.correlated {
+		return model.CorrelatedSpec(ds)
+	}
+	return model.DefaultSpec(ds)
+}
+
 func runSequential(ds *Dataset, rc runConfig) (*Result, error) {
 	start := time.Now()
-	spec := model.DefaultSpec(ds)
-	if rc.correlated {
-		spec = model.CorrelatedSpec(ds)
-	}
 	var co autoclass.CycleObserver
 	if rc.observer != nil {
 		co = rc.observer.Rank(0)
 	}
-	res, err := autoclass.Search(ds, spec, rc.search, &autoclass.SearchOptions{
+	res, err := autoclass.Search(ds, rc.spec(ds), rc.search, &autoclass.SearchOptions{
 		Cycles: co, Observer: rc.searchObs, StatePath: rc.ckptPath,
 	})
 	if err != nil {
@@ -294,15 +270,13 @@ func runSequential(ds *Dataset, rc runConfig) (*Result, error) {
 }
 
 func runParallel(ds *Dataset, rc runConfig) (*Result, error) {
-	if v := rc.hybridGroups(); v > 1 {
-		return runHybrid(ds, rc, v)
-	}
 	pc := *rc.par
+	spec := rc.spec(ds)
 	var res *SearchResult
 	stats := &ParallelStats{}
 	start := time.Now()
 	body := func(c *mpi.Comm) error {
-		opts := pautoclass.Options{Strategy: pc.Strategy}
+		opts := pautoclass.Options{}
 		if pc.Machine != nil {
 			clk, err := simnet.NewClock(*pc.Machine)
 			if err != nil {
@@ -321,7 +295,7 @@ func runParallel(ds *Dataset, rc runConfig) (*Result, error) {
 		// Handed to every rank; pautoclass emits on rank 0 only.
 		opts.SearchObs = rc.searchObs
 		opts.Checkpoint = pautoclass.Checkpoint{Path: rc.ckptPath, Every: rc.ckptEvery}
-		r, err := pautoclass.Search(c, ds, model.DefaultSpec(ds), rc.search, opts)
+		r, err := pautoclass.Search(c, ds, spec, rc.search, opts)
 		if err != nil {
 			return err
 		}
@@ -339,42 +313,11 @@ func runParallel(ds *Dataset, rc runConfig) (*Result, error) {
 		}
 		return nil
 	}
-	if err := mpi.RunWith(pc.Procs, rankWorld(pc), body); err != nil {
+	if err := mpi.RunWith(pc.Procs, mpi.RunConfig{TCP: pc.UseTCP, OpDeadline: pc.OpDeadline}, body); err != nil {
 		return nil, err
 	}
 	stats.WallSeconds = time.Since(start).Seconds()
 	return &Result{Search: res, Stats: *stats}, nil
-}
-
-// rankWorld is the mpi rank world a ParallelConfig asks for.
-func rankWorld(pc ParallelConfig) mpi.RunConfig {
-	return mpi.RunConfig{TCP: pc.UseTCP, OpDeadline: pc.OpDeadline}
-}
-
-// runHybrid splits the parallel rank budget into v concurrent variant
-// groups (see pautoclass.SearchHybrid). Validation has already rejected the
-// combinations the hybrid path cannot honor (simulated Machine, parallel
-// checkpoint, indivisible budget).
-func runHybrid(ds *Dataset, rc runConfig, v int) (*Result, error) {
-	pc := *rc.par
-	start := time.Now()
-	ranksPer := pc.Procs / v
-	optsFor := func(group, rank int) pautoclass.Options {
-		opts := pautoclass.Options{Strategy: pc.Strategy}
-		if rc.observer != nil {
-			// Global rank = group-major flattening, so the observer built
-			// for Procs ranks sees every rank exactly once.
-			opts.Obs = rc.observer.Rank(group*ranksPer + rank)
-		}
-		return opts
-	}
-	res, err := pautoclass.SearchHybrid(ds, model.DefaultSpec(ds), rc.search,
-		pautoclass.HybridConfig{Procs: pc.Procs, Variants: v, Run: rankWorld(pc),
-			SearchObs: rc.searchObs}, optsFor)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Search: res, Stats: ParallelStats{WallSeconds: time.Since(start).Seconds()}}, nil
 }
 
 // RunObserver collects per-rank metrics and trace events of a Run (see
@@ -409,7 +352,8 @@ const (
 	TryConverged = autoclass.TryConverged
 	// TryDuplicate fires when a try commits as a rediscovered optimum.
 	TryDuplicate = autoclass.TryDuplicate
-	// TryEarlyStopped fires when basin early termination cut a try.
+	// TryEarlyStopped fired when basin early termination cut a try; no
+	// search emits it now.
 	TryEarlyStopped = autoclass.TryEarlyStopped
 )
 

@@ -17,8 +17,7 @@ func writeChunkFile(t *testing.T, ds *Dataset, chunkRows int) string {
 
 // TestRunWithChunkedData: an out-of-core run over the chunk file — with
 // and without a resident-byte budget — reproduces the in-memory search
-// bit for bit, sequential and parallel alike, under both parallel
-// strategies.
+// bit for bit, sequential and parallel alike.
 func TestRunWithChunkedData(t *testing.T) {
 	ds := runTestDataset(t, 1024)
 	cfg := runQuickCfg()
@@ -54,22 +53,11 @@ func TestRunWithChunkedData(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameSearch(t, gotPar.Search, wantPar.Search)
-
-	wts := WithParallel(ParallelConfig{Procs: 2, Strategy: WtsOnly})
-	wantWts, err := Run(ds, WithSearchConfig(cfg), wts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotWts, err := Run(nil, WithChunkedData(path), WithMemoryBudget(64<<10), WithSearchConfig(cfg), wts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameSearch(t, gotWts.Search, wantWts.Search)
 }
 
 // TestRunChunkedOptionValidation: Run refuses the chunk-file option
-// combinations that cannot be served and accepts WtsOnly over a chunk
-// file (whose result TestRunWithChunkedData checks bit for bit).
+// combinations that cannot be served and accepts a parallel run over a
+// chunk file (whose result TestRunWithChunkedData checks bit for bit).
 func TestRunChunkedOptionValidation(t *testing.T) {
 	ds := runTestDataset(t, 300)
 	path := writeChunkFile(t, ds, 256)
@@ -82,8 +70,8 @@ func TestRunChunkedOptionValidation(t *testing.T) {
 		{"chunked with dataset", ds, []Option{WithChunkedData(path)}, false},
 		{"budget without chunked", ds, []Option{WithMemoryBudget(1 << 20)}, false},
 		{"negative budget", nil, []Option{WithChunkedData(path), WithMemoryBudget(-1)}, false},
-		{"chunked+wtsonly", nil, []Option{WithChunkedData(path),
-			WithParallel(ParallelConfig{Procs: 2, Strategy: WtsOnly})}, true},
+		{"chunked+parallel", nil, []Option{WithChunkedData(path),
+			WithParallel(ParallelConfig{Procs: 2})}, true},
 		{"missing chunk file", nil, []Option{WithChunkedData(filepath.Join(t.TempDir(), "nope.chunks"))}, false},
 	}
 	for _, tc := range cases {

@@ -2,14 +2,17 @@ package repro
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/autoclass"
 	"repro/internal/model"
 	"repro/internal/mpi"
 	"repro/internal/pautoclass"
+	"repro/internal/stats"
 )
 
 // The facade-equivalence suite: every test here compares Run's output to a
@@ -232,8 +235,6 @@ func TestRunObserverWiring(t *testing.T) {
 	}
 }
 
-func machinePtr(m Machine) *Machine { return &m }
-
 // TestRunSearchParallelism: SearchConfig.SearchParallelism is
 // bitwise-invariant — sequential and variant-parallel runs land on the
 // identical result.
@@ -252,33 +253,61 @@ func TestRunSearchParallelism(t *testing.T) {
 	assertSameSearch(t, par.Search, ref.Search)
 }
 
-// TestRunHybridParallelism: SearchConfig.SearchParallelism v with
-// WithParallel(Procs) splits the budget into v groups of Procs/v ranks,
-// bitwise identical to the plain SPMD search over Procs/v ranks.
-func TestRunHybridParallelism(t *testing.T) {
+// TestRunParallelRefusesSearchParallelism: WithParallel runs one try at a
+// time, so a SearchConfig that asks for concurrent tries is refused with an
+// error naming the engine that runs them; a SearchParallelism the schedule
+// caps at one worker is no request for concurrency and runs.
+func TestRunParallelRefusesSearchParallelism(t *testing.T) {
 	ds := runTestDataset(t, 400)
 	cfg := runQuickCfg()
-	ref, err := Run(ds, WithSearchConfig(cfg), WithParallel(ParallelConfig{Procs: 2}))
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg.SearchParallelism = 2
-	hyb, err := Run(ds, WithSearchConfig(cfg), WithParallel(ParallelConfig{Procs: 4}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameSearch(t, hyb.Search, ref.Search)
+	t.Run("concurrent tries refused", func(t *testing.T) {
+		_, err := Run(ds, WithSearchConfig(cfg), WithParallel(ParallelConfig{Procs: 2}))
+		if err == nil || !strings.Contains(err.Error(), "sequential engine") {
+			t.Fatalf("WithParallel with SearchParallelism 2: %v", err)
+		}
+	})
+	t.Run("one-variant schedule runs", func(t *testing.T) {
+		one := cfg
+		one.StartJList = []int{5}
+		if _, err := Run(ds, WithSearchConfig(one), WithParallel(ParallelConfig{Procs: 2})); err != nil {
+			t.Fatalf("one-variant schedule with SearchParallelism 2: %v", err)
+		}
+	})
+}
 
-	// The observer wires through the hybrid path too.
-	o := NewRunObserver(4)
-	obs, err := Run(ds, WithSearchConfig(cfg),
-		WithParallel(ParallelConfig{Procs: 4}), WithObserver(o))
+// TestRunParallelCorrelated: the SPMD engine fits the correlated model
+// under WithParallel at every rank count, landing on the sequential
+// correlated search's class count and, up to the parallel priors' last
+// bits, its log posterior.
+func TestRunParallelCorrelated(t *testing.T) {
+	ds := runTestDataset(t, 600)
+	cfg := runQuickCfg()
+	seq, err := Run(ds, WithSearchConfig(cfg), WithCorrelated())
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameSearch(t, obs.Search, ref.Search)
-	if o.Aggregate().Snapshot().Counters["engine.cycles"] == 0 {
-		t.Error("hybrid observer saw no engine cycles")
+	for _, p := range []int{1, 2, 3} {
+		t.Run(fmt.Sprintf("P=%d", p), func(t *testing.T) {
+			par, err := Run(ds, WithSearchConfig(cfg), WithCorrelated(), WithParallel(ParallelConfig{Procs: p}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			best := par.Best()
+			if best.J() != seq.Best().J() {
+				t.Fatalf("J=%d, sequential %d", best.J(), seq.Best().J())
+			}
+			if !stats.AlmostEqual(best.LogPost, seq.Best().LogPost, 1e-6) {
+				t.Fatalf("logpost %v, sequential %v", best.LogPost, seq.Best().LogPost)
+			}
+			for j, c := range best.Classes {
+				for _, term := range c.Terms {
+					if term.Kind() != model.MultiNormal {
+						t.Fatalf("class %d: term %v, want %v", j, term.Kind(), model.MultiNormal)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -315,8 +344,6 @@ func TestRunCheckpointInstrumentation(t *testing.T) {
 
 func TestRunOptionValidation(t *testing.T) {
 	ds := runTestDataset(t, 120)
-	hybrid := DefaultSearchConfig()
-	hybrid.SearchParallelism = 2
 	cases := []struct {
 		name string
 		opts []Option
@@ -325,16 +352,9 @@ func TestRunOptionValidation(t *testing.T) {
 		{"models+parallel", []Option{WithModelSearch(), WithParallel(ParallelConfig{Procs: 2})}},
 		{"models+checkpoint", []Option{WithModelSearch(), WithCheckpoint("x.ckpt", 0)}},
 		{"models+observer", []Option{WithModelSearch(), WithObserver(NewRunObserver(1))}},
-		{"parallel+correlated", []Option{WithCorrelated(), WithParallel(ParallelConfig{Procs: 2})}},
 		{"zero procs", []Option{WithParallel(ParallelConfig{})}},
 		{"observer rank mismatch", []Option{WithObserver(NewRunObserver(4))}},
 		{"checkpoint without path", []Option{WithCheckpoint("", 4)}},
-		{"hybrid+machine", []Option{WithSearchConfig(hybrid),
-			WithParallel(ParallelConfig{Procs: 2, Machine: machinePtr(MeikoCS2())})}},
-		{"hybrid+checkpoint", []Option{WithSearchConfig(hybrid), WithCheckpoint("x.ckpt", 0),
-			WithParallel(ParallelConfig{Procs: 2})}},
-		{"hybrid indivisible budget", []Option{WithSearchConfig(hybrid),
-			WithParallel(ParallelConfig{Procs: 3})}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
